@@ -18,11 +18,11 @@
 use crate::error::Result;
 use flux_runtime::RunStats;
 use flux_xml::tree::{Document, TreeBuilder};
-use flux_xml::{RawEvent, ReaderConfig, SymbolTable, XmlReader, XmlWriter};
+use flux_xml::{Input, SymbolTable, XmlWriter};
 use flux_xquery::{
     compile_expr, normalize, parse_query, CompiledExpr, CursorEvaluator, SlotMap, ROOT_VAR,
 };
-use std::io::{Read, Write};
+use std::io::Write;
 use std::time::Instant;
 
 /// Compiled DOM-baseline query.
@@ -36,13 +36,18 @@ pub struct DomEngine {
     /// re-resolve inside the document's table and land on the same seeded
     /// symbols.
     symbols: SymbolTable,
+    /// Interner cap for the run's reader (bounded-interner streams): the
+    /// tree imports overflowed names through their literal side channel,
+    /// so the cap bounds reader memory without changing the document.
+    max_symbols: Option<usize>,
 }
 
 impl DomEngine {
     /// Parses, normalizes and compiles the query against an engine-owned
     /// symbol table. The DTD plays no role: this engine does not exploit
-    /// schema information — that is its defining handicap.
-    pub fn compile(query: &str) -> Result<Self> {
+    /// schema information — that is its defining handicap. `max_symbols`
+    /// caps each run's reader interner (`None` = unbounded).
+    pub fn compile(query: &str, max_symbols: Option<usize>) -> Result<Self> {
         let parsed = parse_query(query)?;
         let query = normalize(&parsed)?;
         let mut slots = SlotMap::new();
@@ -54,50 +59,24 @@ impl DomEngine {
             slots,
             root_slot,
             symbols,
+            max_symbols,
         })
     }
 
-    /// Loads the whole document, then evaluates. Parsing runs on the
-    /// recycled interned-event path; materialising the tree is the only
-    /// per-event allocation left — which is this engine's defining cost.
-    pub fn run<R: Read, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_with_config(input, output, ReaderConfig::default())
-    }
-
-    /// Runs over a unified [`Input`](flux_xml::Input): resolves the source
-    /// (path, gzip, stream or buffer), threads its window and budget into
-    /// the reader, and enforces the budget post-run. The base `config`
-    /// carries knobs the input does not own (e.g. the interner bound).
-    pub fn run_input<W: Write>(
-        &self,
-        input: flux_xml::Input,
-        output: W,
-        config: ReaderConfig,
-    ) -> Result<RunStats> {
-        let (reader, config, budget) = crate::resolve_input(input, config)?;
-        let stats = self.run_with_config(reader, output, config)?;
-        crate::enforce_budget(budget, stats.peak_buffer_bytes)?;
-        Ok(stats)
-    }
-
-    /// [`DomEngine::run`] with an explicit reader configuration (e.g.
-    /// [`ReaderConfig::max_symbols`] for bounded-interner streams — the
-    /// tree imports overflowed names through their literal side channel,
-    /// so the cap bounds reader memory without changing the document).
-    pub fn run_with_config<R: Read, W: Write>(
-        &self,
-        input: R,
-        output: W,
-        config: ReaderConfig,
-    ) -> Result<RunStats> {
+    /// Loads the whole document, then evaluates — the one execution
+    /// method. Resolves the unified [`Input`] (path, gzip, stream or
+    /// buffer), threads its window and budget into the reader, and
+    /// enforces the budget post-run. Parsing reads borrowed views;
+    /// materialising the tree is the only per-event allocation left —
+    /// which is this engine's defining cost.
+    pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
         let start = Instant::now();
-        let mut reader = XmlReader::with_symbols(input, config, self.symbols.clone());
+        let (mut reader, budget) = crate::open_reader(input, self.max_symbols, &self.symbols)?;
         let mut builder = TreeBuilder::with_symbols(self.symbols.clone()).with_shared_text();
         let mut events: u64 = 0;
-        let mut ev = RawEvent::new();
-        while reader.next_into(&mut ev)? {
+        while reader.advance()? {
             events += 1;
-            builder.raw_event(reader.symbols(), &ev)?;
+            builder.raw_event(reader.symbols(), &reader.view())?;
         }
         let doc: Document = builder.finish()?;
         let peak = doc.memory_bytes();
@@ -109,6 +88,7 @@ impl DomEngine {
         slots[self.root_slot] = Some(doc.document_node());
         evaluator.eval(&doc, &self.compiled, &mut slots, &mut writer)?;
         writer.finish()?;
+        crate::enforce_budget(budget, peak)?;
 
         Ok(RunStats {
             peak_buffer_bytes: peak,
@@ -131,10 +111,11 @@ mod tests {
     fn evaluates_q3() {
         let engine = DomEngine::compile(
             r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#,
+            None,
         )
         .unwrap();
         let mut out = Vec::new();
-        let stats = engine.run(DOC.as_bytes(), &mut out).unwrap();
+        let stats = engine.run_input(Input::from_bytes(DOC), &mut out).unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "<results><result><title>T1</title><author>A1</author></result><result><title>T2</title></result></results>"
@@ -148,7 +129,8 @@ mod tests {
     #[test]
     fn memory_scales_with_document() {
         let engine =
-            DomEngine::compile("<r>{ for $b in $ROOT/bib/book return $b/title }</r>").unwrap();
+            DomEngine::compile("<r>{ for $b in $ROOT/bib/book return $b/title }</r>", None)
+                .unwrap();
         let small = DOC.to_string();
         let mut big = String::from("<bib>");
         for i in 0..100 {
@@ -158,9 +140,11 @@ mod tests {
         }
         big.push_str("</bib>");
         let mut sink = Vec::new();
-        let s1 = engine.run(small.as_bytes(), &mut sink).unwrap();
+        let s1 = engine
+            .run_input(Input::from_bytes(small), &mut sink)
+            .unwrap();
         sink.clear();
-        let s2 = engine.run(big.as_bytes(), &mut sink).unwrap();
+        let s2 = engine.run_input(Input::from_bytes(big), &mut sink).unwrap();
         assert!(
             s2.peak_buffer_bytes > s1.peak_buffer_bytes * 10,
             "DOM memory tracks document size: {} vs {}",
@@ -175,11 +159,14 @@ mod tests {
         // document charges the spelling a constant number of times, not per
         // node.
         let engine =
-            DomEngine::compile("<r>{ for $b in $ROOT/bib/book return $b/author }</r>").unwrap();
+            DomEngine::compile("<r>{ for $b in $ROOT/bib/book return $b/author }</r>", None)
+                .unwrap();
         let body = "<book><title>T</title><author>Stevens, W. Richard</author></book>".repeat(100);
         let shared = format!("<bib>{body}</bib>");
         let mut sink = Vec::new();
-        let s = engine.run(shared.as_bytes(), &mut sink).unwrap();
+        let s = engine
+            .run_input(Input::from_bytes(shared), &mut sink)
+            .unwrap();
         let mut distinct = String::from("<bib>");
         for i in 0..100 {
             distinct.push_str(&format!(
@@ -188,7 +175,9 @@ mod tests {
         }
         distinct.push_str("</bib>");
         sink.clear();
-        let d = engine.run(distinct.as_bytes(), &mut sink).unwrap();
+        let d = engine
+            .run_input(Input::from_bytes(distinct), &mut sink)
+            .unwrap();
         assert!(
             s.peak_buffer_bytes + 1000 < d.peak_buffer_bytes,
             "shared {} must undercut distinct {}",

@@ -20,29 +20,31 @@ pub use dom::DomEngine;
 pub use error::{BaselineError, Result};
 pub use projection::ProjectionEngine;
 
-use flux_xml::{Input, MemoryBudget, ReaderConfig, XmlError};
+use flux_xml::{Input, MemoryBudget, SymbolTable, XmlError, XmlReader};
 use std::io::Read;
 use std::sync::Arc;
 
-/// What [`resolve_input`] hands back: the opened byte source, the reader
-/// configuration with the input's window and budget threaded in, and the
-/// budget itself for post-run enforcement.
-pub(crate) type ResolvedSource = (
-    Box<dyn Read + Send>,
-    ReaderConfig,
-    Option<Arc<MemoryBudget>>,
-);
+/// What [`open_reader`] hands back: the run's reader and the input's
+/// budget for post-run enforcement.
+pub(crate) type OpenedReader = (XmlReader<Box<dyn Read + Send>>, Option<Arc<MemoryBudget>>);
 
-/// Resolves a unified [`Input`] for a baseline run: opens the source
-/// (path/gzip/stream), threads the input's window and budget into `config`
-/// and hands back the budget so the caller can fold in the run's buffer
-/// peak and enforce the limit post-run.
-pub(crate) fn resolve_input(input: Input, mut config: ReaderConfig) -> Result<ResolvedSource> {
-    config.window = input.window_bytes();
+/// Opens a unified [`Input`] for a baseline run: resolves the source
+/// (path/gzip/stream), threads the input's window and budget plus the
+/// engine's interner cap into a reader seeded with the engine's label
+/// table, and hands back the budget so the caller can fold in the run's
+/// buffer peak and enforce the limit post-run.
+pub(crate) fn open_reader(
+    input: Input,
+    max_symbols: Option<usize>,
+    symbols: &SymbolTable,
+) -> Result<OpenedReader> {
     let budget = input.memory_budget().cloned();
-    config.budget = budget.clone();
-    let reader = input.into_source().map_err(XmlError::from)?.into_reader();
-    Ok((reader, config, budget))
+    let config = input.reader_config(max_symbols);
+    let source = input.into_source().map_err(XmlError::from)?.into_reader();
+    Ok((
+        XmlReader::with_symbols(source, config, symbols.clone()),
+        budget,
+    ))
 }
 
 /// Post-run budget enforcement shared by both baselines: fold the

@@ -13,11 +13,11 @@ use crate::error::Result;
 use flux_runtime::bdf::{collect_needs, SpecArena, SpecView};
 use flux_runtime::RunStats;
 use flux_xml::tree::{Document, NodeId};
-use flux_xml::{RawEvent, RawEventKind, ReaderConfig, SymbolTable, TextGate, XmlReader, XmlWriter};
+use flux_xml::{Input, RawEventKind, SymbolTable, TextGate, XmlWriter};
 use flux_xquery::{
     compile_expr, normalize, parse_query, CompiledExpr, CursorEvaluator, SlotMap, ROOT_VAR,
 };
-use std::io::{Read, Write};
+use std::io::Write;
 use std::time::Instant;
 
 /// Compiled projection-baseline query.
@@ -32,12 +32,15 @@ pub struct ProjectionEngine {
     /// projected document from a clone, so descent is integer equality
     /// with no per-run index build.
     symbols: SymbolTable,
+    /// Interner cap for the run's reader (bounded-interner streams).
+    max_symbols: Option<usize>,
 }
 
 impl ProjectionEngine {
     /// Derives projection paths from the normalized query, interning every
-    /// label into the engine's own symbol table.
-    pub fn compile(query: &str) -> Result<Self> {
+    /// label into the engine's own symbol table. `max_symbols` caps each
+    /// run's reader interner (`None` = unbounded).
+    pub fn compile(query: &str, max_symbols: Option<usize>) -> Result<Self> {
         let parsed = parse_query(query)?;
         let query = normalize(&parsed)?;
         let mut specs = SpecArena::new();
@@ -62,6 +65,7 @@ impl ProjectionEngine {
             specs,
             root_spec,
             symbols,
+            max_symbols,
         })
     }
 
@@ -71,46 +75,22 @@ impl ProjectionEngine {
     }
 
     /// Streams the input, materialising only projected nodes, then
-    /// evaluates over the projected document.
-    pub fn run<R: Read, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_with_config(input, output, ReaderConfig::default())
-    }
-
-    /// Runs over a unified [`Input`](flux_xml::Input): resolves the source
-    /// (path, gzip, stream or buffer), threads its window and budget into
-    /// the reader, and enforces the budget post-run. The base `config`
-    /// carries knobs the input does not own (e.g. the interner bound).
-    pub fn run_input<W: Write>(
-        &self,
-        input: flux_xml::Input,
-        output: W,
-        config: ReaderConfig,
-    ) -> Result<RunStats> {
-        let (reader, config, budget) = crate::resolve_input(input, config)?;
-        let stats = self.run_with_config(reader, output, config)?;
-        crate::enforce_budget(budget, stats.peak_buffer_bytes)?;
-        Ok(stats)
-    }
-
-    /// [`ProjectionEngine::run`] with an explicit reader configuration
-    /// (e.g. [`ReaderConfig::max_symbols`] for bounded-interner streams).
+    /// evaluates over the projected document — the one execution method.
+    /// Resolves the unified [`Input`] (path, gzip, stream or buffer),
+    /// threads its window and budget into the reader, and enforces the
+    /// budget post-run.
     ///
-    /// The stream runs on the recycled interned-event path: the projection
-    /// labels were interned at compile time and the reader is seeded with
-    /// them, so descent is symbol equality — with a literal-spelling
-    /// fallback for names a bounded interner declined to intern, which
-    /// therefore never changes what is projected.
-    pub fn run_with_config<R: Read, W: Write>(
-        &self,
-        input: R,
-        output: W,
-        config: ReaderConfig,
-    ) -> Result<RunStats> {
+    /// The stream is read through borrowed views: the projection labels
+    /// were interned at compile time and the reader is seeded with them,
+    /// so descent is symbol equality — with a literal-spelling fallback
+    /// for names a bounded interner declined to intern, which therefore
+    /// never changes what is projected.
+    pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
         let start = Instant::now();
         // Seed the reader with the compile-time label table: any document
         // name matching a label resolves to the symbol the spec edges are
         // keyed by, and the projected document shares the index space.
-        let mut reader = XmlReader::with_symbols(input, config, self.symbols.clone());
+        let (mut reader, budget) = crate::open_reader(input, self.max_symbols, &self.symbols)?;
         let mut doc = Document::with_symbols(self.symbols.clone());
         let mut events: u64 = 0;
         // Stack entry: insertion target when the element is kept.
@@ -118,17 +98,17 @@ impl ProjectionEngine {
             doc.document_node(),
             SpecView::Project(self.root_spec),
         ))];
-        let mut ev = RawEvent::new();
         let mut gate = TextGate::new();
-        while reader.next_into(&mut ev)? {
+        while reader.advance()? {
             events += 1;
+            let ev = reader.view();
             match ev.kind() {
                 RawEventKind::StartElement => {
                     let child = match stack.last().expect("document entry") {
                         Some((parent, view)) => view
                             .descend_event(&self.specs, ev.name(), ev.name_str(reader.symbols()))
                             .map(|child_view| {
-                                let id = doc.create_element_raw(reader.symbols(), &ev);
+                                let id = doc.create_element_view(reader.symbols(), &ev);
                                 (*parent, id, child_view)
                             }),
                         None => None,
@@ -167,6 +147,7 @@ impl ProjectionEngine {
         slots[self.root_slot] = Some(doc.document_node());
         evaluator.eval(&doc, &self.compiled, &mut slots, &mut writer)?;
         writer.finish()?;
+        crate::enforce_budget(budget, peak)?;
 
         Ok(RunStats {
             peak_buffer_bytes: peak,
@@ -201,12 +182,14 @@ mod tests {
     #[test]
     fn same_answers_as_dom() {
         let doc = doc_with_publishers(5);
-        let projection = ProjectionEngine::compile(Q3).unwrap();
-        let dom = DomEngine::compile(Q3).unwrap();
+        let projection = ProjectionEngine::compile(Q3, None).unwrap();
+        let dom = DomEngine::compile(Q3, None).unwrap();
         let mut out1 = Vec::new();
         let mut out2 = Vec::new();
-        projection.run(doc.as_bytes(), &mut out1).unwrap();
-        dom.run(doc.as_bytes(), &mut out2).unwrap();
+        projection
+            .run_input(Input::from_bytes(doc.clone()), &mut out1)
+            .unwrap();
+        dom.run_input(Input::from_bytes(doc), &mut out2).unwrap();
         assert_eq!(out1, out2);
     }
 
@@ -215,12 +198,14 @@ mod tests {
         // Q3 never touches publishers: projection memory must be far below
         // DOM memory on publisher-heavy documents.
         let doc = doc_with_publishers(50);
-        let projection = ProjectionEngine::compile(Q3).unwrap();
-        let dom = DomEngine::compile(Q3).unwrap();
+        let projection = ProjectionEngine::compile(Q3, None).unwrap();
+        let dom = DomEngine::compile(Q3, None).unwrap();
         let mut sink = Vec::new();
-        let p = projection.run(doc.as_bytes(), &mut sink).unwrap();
+        let p = projection
+            .run_input(Input::from_bytes(doc.clone()), &mut sink)
+            .unwrap();
         sink.clear();
-        let d = dom.run(doc.as_bytes(), &mut sink).unwrap();
+        let d = dom.run_input(Input::from_bytes(doc), &mut sink).unwrap();
         assert!(
             p.peak_buffer_bytes * 3 < d.peak_buffer_bytes,
             "projection {} must be well below DOM {}",
@@ -233,14 +218,14 @@ mod tests {
     fn projection_still_scales_with_document() {
         // Unlike FluX, projection keeps ALL titles and authors: memory
         // grows with the number of books.
-        let projection = ProjectionEngine::compile(Q3).unwrap();
+        let projection = ProjectionEngine::compile(Q3, None).unwrap();
         let mut sink = Vec::new();
         let small = projection
-            .run(doc_with_publishers(5).as_bytes(), &mut sink)
+            .run_input(Input::from_bytes(doc_with_publishers(5)), &mut sink)
             .unwrap();
         sink.clear();
         let large = projection
-            .run(doc_with_publishers(100).as_bytes(), &mut sink)
+            .run_input(Input::from_bytes(doc_with_publishers(100)), &mut sink)
             .unwrap();
         assert!(
             large.peak_buffer_bytes > small.peak_buffer_bytes * 10,
@@ -252,7 +237,7 @@ mod tests {
 
     #[test]
     fn projection_paths_rendered() {
-        let projection = ProjectionEngine::compile(Q3).unwrap();
+        let projection = ProjectionEngine::compile(Q3, None).unwrap();
         let paths = projection.projection_paths();
         assert!(paths.contains("bib"), "{paths}");
         assert!(paths.contains("book"), "{paths}");

@@ -8,18 +8,19 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flux_bench::{Domain, Q3};
 use flux_xml::tree::{Document, TreeBuilder};
-use flux_xml::{RawEvent, ReaderConfig, SymbolTable, XmlReader};
+use flux_xml::XmlReader;
 use flux_xquery::{
     compile_expr, normalize, parse_query, reference_eval_to_string, CompiledExpr, CountingSink,
     CursorEvaluator, Expr, SlotMap, ROOT_VAR,
 };
 
 fn materialise(bytes: &[u8]) -> Document {
-    let mut reader = XmlReader::with_symbols(bytes, ReaderConfig::default(), SymbolTable::new());
+    let mut reader = XmlReader::new(bytes);
     let mut builder = TreeBuilder::new().with_shared_text();
-    let mut ev = RawEvent::new();
-    while reader.next_into(&mut ev).expect("parse") {
-        builder.raw_event(reader.symbols(), &ev).expect("build");
+    while reader.advance().expect("parse") {
+        builder
+            .raw_event(reader.symbols(), &reader.view())
+            .expect("build");
     }
     builder.finish().expect("tree")
 }

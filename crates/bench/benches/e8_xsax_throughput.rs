@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use flux_bench::Domain;
 use flux_dtd::Dtd;
-use flux_xml::{RawEvent, XmlReader};
+use flux_xml::XmlReader;
 use flux_xsax::{PastLabels, XsaxParser};
 
 fn xsax_throughput(c: &mut Criterion) {
@@ -17,8 +17,7 @@ fn xsax_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut n = 0u64;
             let mut reader = XmlReader::new(doc.as_bytes());
-            let mut ev = RawEvent::new();
-            while reader.next_into(&mut ev).expect("parse") {
+            while reader.advance().expect("parse") {
                 n += 1;
             }
             n
@@ -29,8 +28,7 @@ fn xsax_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut n = 0u64;
             let mut parser = XsaxParser::new(doc.as_bytes(), &dtd).expect("xsax");
-            let mut ev = RawEvent::new();
-            while parser.next_into(&mut ev).expect("validate").is_some() {
+            while parser.next_step().expect("validate").is_some() {
                 n += 1;
             }
             n
@@ -47,8 +45,7 @@ fn xsax_throughput(c: &mut Criterion) {
             parser
                 .register_past(book, PastLabels::labels([title, author]))
                 .expect("register");
-            let mut ev = RawEvent::new();
-            while parser.next_into(&mut ev).expect("validate").is_some() {
+            while parser.next_step().expect("validate").is_some() {
                 n += 1;
             }
             n

@@ -213,7 +213,7 @@ fn e6_ablation_merge() {
     let doc = Domain::BibFig1.document(8.0, 42);
     for (label, options) in [
         ("optimizer on ", Options::default()),
-        ("optimizer off", Options::without_algebraic_optimizer()),
+        ("optimizer off", Options::new().algebraic_optimizer(false)),
     ] {
         let engine = FluxEngine::compile(q, Domain::BibFig1.dtd(), &options).expect("compile");
         let start = Instant::now();
@@ -242,7 +242,7 @@ fn e7_ablation_unsat() {
     let doc = Domain::BibFig1.document(8.0, 42);
     for (label, options) in [
         ("optimizer on ", Options::default()),
-        ("optimizer off", Options::without_algebraic_optimizer()),
+        ("optimizer off", Options::new().algebraic_optimizer(false)),
     ] {
         let engine = FluxEngine::compile(q, Domain::BibFig1.dtd(), &options).expect("compile");
         let start = Instant::now();
@@ -278,7 +278,7 @@ fn e9_ablation_scheduling() {
         let doc = domain.document(8.0, 42);
         for (config, options) in [
             ("scheduled", Options::default()),
-            ("buffer-everything", Options::without_streaming()),
+            ("buffer-everything", Options::new().streaming(false)),
         ] {
             let engine = FluxEngine::compile(Q3, domain.dtd(), &options).expect("compile");
             let start = Instant::now();
@@ -508,7 +508,11 @@ fn e8_xsax_throughput(accept_workload: bool) {
         };
         for _ in 0..3 {
             let bytes = doc.clone().into_bytes();
-            let mut reader = ShardedReader::new(bytes, ShardConfig::new(shards));
+            let mut reader = ShardedReader::new(
+                bytes,
+                ShardConfig::new(shards),
+                flux_xml::SymbolTable::new(),
+            );
             let mut events = 0u64;
             let start = Instant::now();
             while reader.advance().expect("sharded parse") {
@@ -608,13 +612,13 @@ fn write_bench_events_json(
     // "events" are output events produced per evaluation.
     {
         use flux_xml::tree::TreeBuilder;
-        use flux_xml::{RawEvent, ReaderConfig, SymbolTable, XmlReader};
-        let mut reader =
-            XmlReader::with_symbols(&engine_doc[..], ReaderConfig::default(), SymbolTable::new());
+        use flux_xml::XmlReader;
+        let mut reader = XmlReader::new(&engine_doc[..]);
         let mut builder = TreeBuilder::new().with_shared_text();
-        let mut ev = RawEvent::new();
-        while reader.next_into(&mut ev).expect("parse") {
-            builder.raw_event(reader.symbols(), &ev).expect("build");
+        while reader.advance().expect("parse") {
+            builder
+                .raw_event(reader.symbols(), &reader.view())
+                .expect("build");
         }
         let doc = builder.finish().expect("tree");
         let parsed = flux_xquery::parse_query(Q3).expect("parse query");
@@ -661,7 +665,7 @@ fn write_bench_events_json(
     // prescan counters, buffer residency). A build without `--features
     // telemetry` still embeds the structure, flagged `"telemetry": false`.
     let run_report = {
-        let engine = FluxEngine::compile(Q3, Domain::BibWeak.dtd(), &Options::with_shards(2))
+        let engine = FluxEngine::compile(Q3, Domain::BibWeak.dtd(), &Options::new().shards(2))
             .expect("compile");
         let mut sink = Vec::new();
         let (_, report) = engine

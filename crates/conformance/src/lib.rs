@@ -7,10 +7,10 @@
 //!
 //! * **Stream tier** ([`assert_stream_equivalent`]): the sequential
 //!   [`XmlReader`] versus the sharded reader at shard counts
-//!   [`SHARD_COUNTS`], in both replay modes, with the interner unbounded
-//!   and capped. The delivered event sequence must be identical, and on
-//!   malformed input the terminal error must match **byte-exactly** —
-//!   same rendered message, same offset, same line, same column.
+//!   [`SHARD_COUNTS`], with the interner unbounded and capped. The
+//!   delivered event sequence must be identical, and on malformed input
+//!   the terminal error must match **byte-exactly** — same rendered
+//!   message, same offset, same line, same column.
 //! * **Engine tier** ([`assert_engines_equivalent`]): FluXQuery, the
 //!   projection baseline and the DOM baseline over the workload's query.
 //!   Output bytes must agree across architectures; for the FluX engine,
@@ -22,8 +22,10 @@
 //! assertions.
 
 use flux_bench::{run_engine_input, run_engine_with};
-use flux_shard::{ReplayMode, ShardConfig, ShardedReader};
-use flux_xml::{EventSource, Position, RawEvent, ReaderConfig, XmlEvent, XmlReader};
+use flux_shard::{ShardConfig, ShardedReader};
+use flux_xml::{
+    collect_events, EventSource, Position, ReaderConfig, SymbolTable, XmlEvent, XmlReader,
+};
 use fluxquery_core::{EngineKind, Input, Options, Parallelism, RunStats};
 
 pub use flux_bench::{workload, workloads, Workload};
@@ -47,24 +49,10 @@ pub struct StreamOutcome {
 }
 
 fn drain<S: EventSource>(mut source: S) -> StreamOutcome {
-    let mut ev = RawEvent::new();
-    let mut events = Vec::new();
-    loop {
-        match source.next_into(&mut ev) {
-            Ok(true) => events.push(ev.to_xml_event(source.symbols())),
-            Ok(false) => {
-                return StreamOutcome {
-                    events,
-                    error: None,
-                }
-            }
-            Err(e) => {
-                return StreamOutcome {
-                    events,
-                    error: Some((e.to_string(), e.position())),
-                }
-            }
-        }
+    let (events, error) = collect_events(&mut source);
+    StreamOutcome {
+        events,
+        error: error.map(|e| (e.to_string(), e.position())),
     }
 }
 
@@ -80,23 +68,21 @@ pub fn stream_sequential(bytes: &[u8], max_symbols: Option<usize>) -> StreamOutc
 }
 
 /// Parses `bytes` with the sharded reader.
-pub fn stream_sharded(
-    bytes: &[u8],
-    shards: usize,
-    mode: ReplayMode,
-    max_symbols: Option<usize>,
-) -> StreamOutcome {
+pub fn stream_sharded(bytes: &[u8], shards: usize, max_symbols: Option<usize>) -> StreamOutcome {
     let mut config = ShardConfig::new(shards);
     config.min_shard_bytes = 1; // shard even small documents
-    config.mode = mode;
-    config.max_symbols = max_symbols;
-    drain(ShardedReader::new(bytes.to_vec(), config))
+    config.reader.max_symbols = max_symbols;
+    drain(ShardedReader::new(
+        bytes.to_vec(),
+        config,
+        SymbolTable::new(),
+    ))
 }
 
 /// Asserts the full stream-tier grid on one input: sequential versus
-/// sharded × `SHARD_COUNTS` × both replay modes × unbounded/capped
-/// interner. Returns the sequential outcome so callers can make further
-/// assertions (e.g. against the corpus manifest).
+/// sharded × `SHARD_COUNTS` × unbounded/capped interner. Returns the
+/// sequential outcome so callers can make further assertions (e.g.
+/// against the corpus manifest).
 pub fn assert_stream_equivalent(label: &str, bytes: &[u8]) -> StreamOutcome {
     let mut reference = None;
     for cap in [None, Some(TINY_CAP)] {
@@ -109,21 +95,19 @@ pub fn assert_stream_equivalent(label: &str, bytes: &[u8]) -> StreamOutcome {
             );
         }
         for shards in SHARD_COUNTS {
-            for mode in [ReplayMode::Joined, ReplayMode::Pipelined] {
-                let sharded = stream_sharded(bytes, shards, mode, cap);
-                assert_eq!(
-                    sharded.events.len(),
-                    sequential.events.len(),
-                    "{label}: prefix length diverged ({shards} shards, {mode:?}, cap {cap:?}): \
-                     sequential error {:?}, sharded error {:?}",
-                    sequential.error,
-                    sharded.error,
-                );
-                assert_eq!(
-                    sharded, sequential,
-                    "{label}: stream diverged ({shards} shards, {mode:?}, cap {cap:?})"
-                );
-            }
+            let sharded = stream_sharded(bytes, shards, cap);
+            assert_eq!(
+                sharded.events.len(),
+                sequential.events.len(),
+                "{label}: prefix length diverged ({shards} shards, cap {cap:?}): \
+                 sequential error {:?}, sharded error {:?}",
+                sequential.error,
+                sharded.error,
+            );
+            assert_eq!(
+                sharded, sequential,
+                "{label}: stream diverged ({shards} shards, cap {cap:?})"
+            );
         }
         if reference.is_none() {
             reference = Some(sequential);
@@ -144,12 +128,16 @@ pub fn stats_fingerprint(stats: &RunStats) -> (usize, usize, u64, u64, u64) {
     )
 }
 
-fn options(parallelism: Parallelism, cap: Option<usize>) -> Options {
-    let mut o = match cap {
-        Some(cap) => Options::with_max_symbols(cap),
-        None => Options::new(),
-    };
-    o.parallelism = parallelism;
+/// The builder options for one cell of the grid: a parallelism and an
+/// interner cap.
+pub fn options(parallelism: Parallelism, cap: Option<usize>) -> Options {
+    let mut o = Options::new();
+    if let Some(cap) = cap {
+        o = o.max_symbols(cap);
+    }
+    if let Parallelism::Shards(n) = parallelism {
+        o = o.shards(n);
+    }
     o
 }
 
@@ -280,19 +268,10 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
 /// evaluator is differential-tested against. Returns the rendered output,
 /// or the rendered error.
 pub fn reference_output(query: &str, bytes: &[u8]) -> Result<String, String> {
-    use flux_xml::tree::TreeBuilder;
-    use flux_xml::SymbolTable;
     let parsed = flux_xquery::parse_query(query).map_err(|e| e.to_string())?;
     let normalized = flux_xquery::normalize(&parsed).map_err(|e| e.to_string())?;
-    let mut reader = XmlReader::with_symbols(bytes, ReaderConfig::default(), SymbolTable::new());
-    let mut builder = TreeBuilder::new();
-    let mut ev = RawEvent::new();
-    while reader.next_into(&mut ev).map_err(|e| e.to_string())? {
-        builder
-            .raw_event(reader.symbols(), &ev)
-            .map_err(|e| e.to_string())?;
-    }
-    let doc = builder.finish().map_err(|e| e.to_string())?;
+    let doc =
+        flux_xml::Document::parse_reader(&mut XmlReader::new(bytes)).map_err(|e| e.to_string())?;
     flux_xquery::reference_eval_to_string(&doc, &normalized).map_err(|e| e.to_string())
 }
 

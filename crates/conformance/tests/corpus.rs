@@ -1,6 +1,6 @@
 //! Malformed-corpus conformance: every corpus entry replays through the
-//! sequential reader and the sharded reader at shard counts {1, 2, 8}
-//! in both replay modes, and the terminal error is **byte-exact** — the
+//! sequential reader and the sharded reader at shard counts {1, 2, 8},
+//! and the terminal error is **byte-exact** — the
 //! same rendered message and the same offset/line/column — in every
 //! configuration. The expected-error manifest pins each entry's kind and
 //! message fragment so the corpus can't rot into "fails somehow".

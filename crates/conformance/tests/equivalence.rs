@@ -9,8 +9,7 @@
 
 use flux_bench::Domain;
 use flux_conformance::assert_cursor_matches_reference;
-use flux_xml::tree::TreeBuilder;
-use flux_xml::{RawEvent, ReaderConfig, SymbolTable, XmlReader};
+use flux_xml::Document;
 use flux_xquery::{
     eval_to_string, normalize, parse_query, pretty, reference_eval_to_string, AttrConstructor,
     AttrPart, CmpOp, Cond, Expr, Operand, Path,
@@ -207,15 +206,8 @@ proptest! {
 /// variable name.
 #[test]
 fn cursor_and_reference_agree_on_errors() {
-    let doc_bytes = b"<bib><book><title>T</title><price>12</price></book></bib>";
-    let mut reader =
-        XmlReader::with_symbols(&doc_bytes[..], ReaderConfig::default(), SymbolTable::new());
-    let mut builder = TreeBuilder::new();
-    let mut ev = RawEvent::new();
-    while reader.next_into(&mut ev).unwrap() {
-        builder.raw_event(reader.symbols(), &ev).unwrap();
-    }
-    let doc = builder.finish().unwrap();
+    let doc =
+        Document::parse_str("<bib><book><title>T</title><price>12</price></book></bib>").unwrap();
 
     // Unbound variable, and a `for` over a path that selects no element
     // nodes (text tail where elements are required).

@@ -5,15 +5,11 @@ use crate::error::Result;
 use flux_baseline::{DomEngine, ProjectionEngine};
 use flux_dtd::Dtd;
 use flux_lang::{compile as compile_flux, CompileOptions, FluxQuery, OptimizerConfig};
-use flux_runtime::{
-    compile_plan, execute_plan, execute_plan_from_source, execute_plan_from_source_with_report,
-    execute_plan_with_report, Plan, RunReport, RunStats,
-};
+use flux_runtime::{compile_plan, execute, Plan, RunReport, RunStats};
 use flux_shard::{ShardConfig, ShardedReader};
-use flux_xml::{BudgetKind, Input, MemoryBudget, ResolvedInput};
-use flux_xsax::XsaxConfig;
-use std::io::{Read, Write};
-use std::sync::Arc;
+use flux_xml::{BudgetKind, Input, ResolvedInput};
+use flux_xsax::{seeded_reader, seeded_symbols, XsaxConfig};
+use std::io::Write;
 
 /// How the engine parses its input stream.
 ///
@@ -26,10 +22,9 @@ use std::sync::Arc;
 /// stdin) is dispatched chunk by chunk with bounded in-flight memory and
 /// is never materialised. Prefer `Sequential` for latency-sensitive
 /// streams, where the paper's token-bounded memory guarantee is tightest.
-/// One visible difference on *malformed* input: buffered sharded runs
-/// reject it up front (before emitting any output), while sequential and
-/// streamed-sharded runs may stream a partial result before surfacing the
-/// same error at the same byte position.
+/// *Malformed* input behaves the same in every mode: the result of the
+/// valid prefix is streamed to the output first, then the run fails with
+/// the same error at the same byte position (offset, line and column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One reader thread, token-bounded memory (the paper's model).
@@ -40,31 +35,15 @@ pub enum Parallelism {
     Shards(usize),
 }
 
-/// Compilation and execution options.
-#[derive(Debug, Clone)]
+/// Compilation and execution options: a builder, finished by
+/// [`Options::compile`]. The defaults are the full optimizer, streaming
+/// handlers, an unbounded interner and sequential parsing.
+#[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Algebraic optimizer configuration (all rules on by default).
-    pub optimizer: OptimizerConfig,
-    /// Verify the scheduled FluX query against the DTD (on by default).
-    pub verify_safety: bool,
-    /// Ablation: compile without streaming handlers (buffer everything).
-    pub disable_streaming: bool,
-    /// XSAX validation options.
-    pub xsax: XsaxConfig,
-    /// Input parsing strategy (default: sequential).
-    pub parallelism: Parallelism,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            optimizer: OptimizerConfig::default(),
-            verify_safety: true,
-            disable_streaming: false,
-            xsax: XsaxConfig::default(),
-            parallelism: Parallelism::Sequential,
-        }
-    }
+    optimizer: OptimizerConfig,
+    disable_streaming: bool,
+    max_symbols: Option<usize>,
+    parallelism: Parallelism,
 }
 
 impl Options {
@@ -84,7 +63,7 @@ impl Options {
     /// cap, names travel by literal spelling — memory stops growing and
     /// query results are unchanged.
     pub fn max_symbols(mut self, cap: usize) -> Options {
-        self.xsax.max_symbols = Some(cap);
+        self.max_symbols = Some(cap);
         self
     }
 
@@ -107,7 +86,7 @@ impl Options {
 
     /// The one compilation entry point behind every architecture: compiles
     /// `query` for `kind` under these options and returns the uniform
-    /// [`AnyEngine`] wrapper. The DTD is exploited only by the FluX
+    /// [`AnyEngine`] wrapper. The schema is exploited only by the FluX
     /// variants — the baselines cannot use it, which is the paper's point;
     /// execution options (interner bound, parallelism) apply to every
     /// architecture that supports them.
@@ -122,77 +101,20 @@ impl Options {
     /// engine.run_input(Input::from_bytes(doc), std::io::stdout())?;
     /// # Ok::<(), fluxquery_core::Error>(())
     /// ```
-    pub fn compile(&self, kind: EngineKind, query: &str, dtd_text: &str) -> Result<AnyEngine> {
-        match kind {
-            EngineKind::Flux => Ok(AnyEngine::Flux(Box::new(FluxEngine::compile(
-                query, dtd_text, self,
-            )?))),
+    pub fn compile(&self, kind: EngineKind, query: &str, schema_text: &str) -> Result<AnyEngine> {
+        Ok(match kind {
+            EngineKind::Flux => {
+                AnyEngine::Flux(Box::new(FluxEngine::compile(query, schema_text, self)?))
+            }
             EngineKind::FluxNoAlgebra => {
                 let options = self.clone().algebraic_optimizer(false);
-                Ok(AnyEngine::Flux(Box::new(FluxEngine::compile(
-                    query, dtd_text, &options,
-                )?)))
+                AnyEngine::Flux(Box::new(FluxEngine::compile(query, schema_text, &options)?))
             }
-            EngineKind::Dom => Ok(AnyEngine::Dom(
-                DomEngine::compile(query)?,
-                self.reader_config(),
-            )),
-            EngineKind::Projection => Ok(AnyEngine::Projection(
-                ProjectionEngine::compile(query)?,
-                self.reader_config(),
-            )),
-        }
-    }
-
-    fn compile_options(&self) -> CompileOptions {
-        CompileOptions {
-            optimizer: self.optimizer,
-            verify_safety: self.verify_safety,
-            disable_streaming: self.disable_streaming,
-        }
-    }
-
-    /// Options with streaming disabled (the scheduling ablation).
-    pub fn without_streaming() -> Options {
-        Options {
-            disable_streaming: true,
-            ..Options::default()
-        }
-    }
-
-    /// Options parsing the input with `shards` parallel shards.
-    pub fn with_shards(shards: usize) -> Options {
-        Options {
-            parallelism: Parallelism::Shards(shards),
-            ..Options::default()
-        }
-    }
-
-    /// Options with the algebraic optimizer disabled (for ablations).
-    pub fn without_algebraic_optimizer() -> Options {
-        Options {
-            optimizer: OptimizerConfig::disabled(),
-            ..Options::default()
-        }
-    }
-
-    /// Options capping the stream interner at `cap` distinct names
-    /// (bounded-interner mode; see `ReaderConfig::max_symbols`). Past the
-    /// cap, names travel by literal spelling — memory stops growing and
-    /// query results are unchanged.
-    pub fn with_max_symbols(cap: usize) -> Options {
-        let mut options = Options::default();
-        options.xsax.max_symbols = Some(cap);
-        options
-    }
-
-    /// The reader configuration the baseline engines should stream with,
-    /// mirroring the validating pipeline's interner bound.
-    fn reader_config(&self) -> flux_xml::ReaderConfig {
-        flux_xml::ReaderConfig {
-            max_symbols: self.xsax.max_symbols,
-            ..Default::default()
-        }
+            EngineKind::Dom => AnyEngine::Dom(DomEngine::compile(query, self.max_symbols)?),
+            EngineKind::Projection => {
+                AnyEngine::Projection(ProjectionEngine::compile(query, self.max_symbols)?)
+            }
+        })
     }
 }
 
@@ -202,25 +124,15 @@ pub struct FluxEngine {
     dtd: Dtd,
     query: FluxQuery,
     plan: Plan,
-    xsax: XsaxConfig,
+    max_symbols: Option<usize>,
     parallelism: Parallelism,
 }
 
 impl FluxEngine {
-    /// Compiles `query` against `dtd_text` (standalone DTD syntax).
-    pub fn compile(query: &str, dtd_text: &str, options: &Options) -> Result<FluxEngine> {
-        let dtd = Dtd::parse(dtd_text)?;
-        Self::compile_with_dtd(query, dtd, options)
-    }
-
     /// Compiles `query` against a schema in either DTD or XML Schema
     /// syntax, auto-detected (the paper's footnote 1: constraints can be
     /// derived from XML Schema just as well).
-    pub fn compile_with_schema(
-        query: &str,
-        schema_text: &str,
-        options: &Options,
-    ) -> Result<FluxEngine> {
+    pub fn compile(query: &str, schema_text: &str, options: &Options) -> Result<FluxEngine> {
         let trimmed = schema_text.trim_start();
         let looks_like_xsd = trimmed.starts_with('<')
             && !trimmed.starts_with("<!")
@@ -230,128 +142,107 @@ impl FluxEngine {
         } else {
             Dtd::parse(schema_text)?
         };
-        Self::compile_with_dtd(query, dtd, options)
-    }
-
-    /// Compiles against an already-parsed DTD.
-    pub fn compile_with_dtd(query: &str, dtd: Dtd, options: &Options) -> Result<FluxEngine> {
-        let compiled = compile_flux(query, &dtd, &options.compile_options())?;
+        let compile_options = CompileOptions {
+            optimizer: options.optimizer,
+            verify_safety: true,
+            disable_streaming: options.disable_streaming,
+        };
+        let compiled = compile_flux(query, &dtd, &compile_options)?;
         let plan = compile_plan(&compiled, &dtd)?;
         Ok(FluxEngine {
             dtd,
             query: compiled,
             plan,
-            xsax: options.xsax.clone(),
+            max_symbols: options.max_symbols,
             parallelism: options.parallelism,
         })
     }
 
-    /// Runs the query over `input`, streaming results to `output`.
-    /// Equivalent to [`run_input`](Self::run_input) over
-    /// [`Input::from_reader`]; prefer `run_input` when the source is a
-    /// file, a buffer, or needs ingestion knobs (window, gzip, budget).
-    pub fn run<R: Read + Send + 'static, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_input(Input::from_reader(input), output)
-    }
-
-    /// [`run`](Self::run) plus the run's telemetry [`RunReport`] — every
-    /// pipeline stage's counters, spans and (under sharded parsing) the
-    /// per-shard timeline. Without the `telemetry` cargo feature the
-    /// report is still structurally valid but carries no measurements.
-    pub fn run_with_report<R: Read + Send + 'static, W: Write>(
-        &self,
-        input: R,
-        output: W,
-    ) -> Result<(RunStats, RunReport)> {
-        self.run_input_with_report(Input::from_reader(input), output)
-    }
-
     /// Runs the query over a unified [`Input`], streaming results to
-    /// `output`.
+    /// `output` — the one execution method.
     ///
-    /// The input's window and [`MemoryBudget`] are threaded into the
-    /// pipeline, and the budget (if any) is enforced after the run: the
-    /// run fails with a budget error if the tracked peak — scanner
+    /// The input's window and [`flux_xml::MemoryBudget`] are threaded into
+    /// the pipeline, and the budget (if any) is enforced after the run:
+    /// the run fails with a budget error if the tracked peak — scanner
     /// windows, in-flight shard tapes and chunks, runtime buffers —
     /// exceeded the limit. With [`Parallelism::Shards`], an in-memory
     /// input takes the zero-copy buffered shard path while a reader is
     /// dispatched incrementally and never materialised.
     pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
-        let budget = input.memory_budget().cloned();
-        let stats = match self.parallelism {
-            Parallelism::Sequential => {
-                let xsax = self.xsax_for(&input);
-                let reader = resolve(input)?.into_reader();
-                execute_plan(&self.plan, &self.dtd, reader, output, xsax)?
-            }
-            Parallelism::Shards(n) => {
-                let xsax = self.xsax_for(&input);
-                let source = self.sharded_source(input, n)?;
-                execute_plan_from_source(&self.plan, &self.dtd, source, output, xsax)?
-            }
-        };
-        enforce_budget(budget, &stats)?;
-        Ok(stats)
+        Ok(self.run(input, output, false)?.0)
     }
 
-    /// [`run_input`](Self::run_input) plus the telemetry [`RunReport`].
+    /// [`run_input`](Self::run_input) plus the run's telemetry
+    /// [`RunReport`] — every pipeline stage's counters, spans and (under
+    /// sharded parsing) the per-shard timeline. Without the `telemetry`
+    /// cargo feature the report is still structurally valid but carries no
+    /// measurements.
     pub fn run_input_with_report<W: Write>(
         &self,
         input: Input,
         output: W,
     ) -> Result<(RunStats, RunReport)> {
+        let (stats, report) = self.run(input, output, true)?;
+        Ok((stats, report.expect("report requested")))
+    }
+
+    fn run<W: Write>(
+        &self,
+        input: Input,
+        output: W,
+        want_report: bool,
+    ) -> Result<(RunStats, Option<RunReport>)> {
         let budget = input.memory_budget().cloned();
+        // The run's reader configuration: the compile-time interner bound
+        // plus the ingestion knobs the `Input` owns (window, budget).
+        let reader = input.reader_config(self.max_symbols);
+        // The sources below are built here, so XSAX's own reader
+        // configuration goes unused: validation runs on its defaults.
+        let xsax = XsaxConfig::default();
+        // Resolving opens the file and applies gzip detection; I/O
+        // failures join the engine error chain where the sequential
+        // reader would surface them.
+        let resolved = input
+            .into_source()
+            .map_err(|e| flux_runtime::RuntimeError::from(flux_xsax::XsaxError::Xml(e.into())))?;
+        let (plan, dtd) = (&self.plan, &self.dtd);
         let (stats, report) = match self.parallelism {
             Parallelism::Sequential => {
-                let xsax = self.xsax_for(&input);
-                let reader = resolve(input)?.into_reader();
-                execute_plan_with_report(&self.plan, &self.dtd, reader, output, xsax)?
+                let source = seeded_reader(resolved.into_reader(), dtd, reader);
+                execute(plan, dtd, source, output, xsax, want_report)?
             }
             Parallelism::Shards(n) => {
-                let xsax = self.xsax_for(&input);
-                let source = self.sharded_source(input, n)?;
-                execute_plan_from_source_with_report(&self.plan, &self.dtd, source, output, xsax)?
+                // On the merged table the interner bound only ever hits
+                // undeclared names: the seed vocabulary always resolves.
+                let config = ShardConfig {
+                    reader,
+                    ..ShardConfig::new(n)
+                };
+                let symbols = seeded_symbols(dtd);
+                // Zero-copy over resolved bytes; incremental chunk
+                // dispatch (bounded in-flight memory, input never
+                // materialised) over a resolved reader.
+                let source = match resolved {
+                    ResolvedInput::Bytes(bytes) => ShardedReader::new(bytes, config, symbols),
+                    ResolvedInput::Reader(src) => ShardedReader::from_stream(src, config, symbols),
+                };
+                execute(plan, dtd, source, output, xsax, want_report)?
             }
         };
-        enforce_budget(budget, &stats)?;
+        // Post-run budget enforcement: fold the evaluator's buffer peak
+        // into the budget the pipeline charged its windows/tapes/chunks
+        // against, then fail the run if the tracked peak exceeded the limit.
+        if let Some(b) = budget {
+            b.record_peak(BudgetKind::Buffer, stats.peak_buffer_bytes as u64);
+            b.check().map_err(flux_runtime::RuntimeError::from)?;
+        }
         Ok((stats, report))
-    }
-
-    /// The validation config for one run: compile-time XSAX options plus
-    /// the ingestion knobs the [`Input`] owns (window, budget).
-    fn xsax_for(&self, input: &Input) -> XsaxConfig {
-        let mut xsax = self.xsax.clone();
-        xsax.window = input.window_bytes();
-        xsax.budget = input.memory_budget().cloned();
-        xsax
-    }
-
-    /// Builds the N-shard parallel source: zero-copy over resolved bytes,
-    /// incremental chunk dispatch (bounded in-flight memory, input never
-    /// materialised) over a resolved reader.
-    fn sharded_source(&self, input: Input, shards: usize) -> Result<ShardedReader> {
-        let mut shard_config = ShardConfig::new(shards);
-        // Mirror the interner bound on the merged table; the seed
-        // vocabulary always resolves, so only undeclared names overflow
-        // (and travel by literal spelling).
-        shard_config.max_symbols = self.xsax.max_symbols;
-        shard_config.window = input.window_bytes();
-        shard_config.budget = input.memory_budget().cloned();
-        let symbols = flux_xsax::seeded_symbols(&self.dtd);
-        Ok(match resolve(input)? {
-            ResolvedInput::Bytes(bytes) => {
-                ShardedReader::with_shared_bytes(bytes, shard_config, symbols)
-            }
-            ResolvedInput::Reader(reader) => {
-                ShardedReader::from_stream_with_symbols(reader, shard_config, symbols)
-            }
-        })
     }
 
     /// Convenience: runs over a string, returning the output string.
     pub fn run_to_string(&self, input: &str) -> Result<(String, RunStats)> {
         let mut out = Vec::new();
-        let stats = self.run_input(Input::from_bytes(input.as_bytes().to_vec()), &mut out)?;
+        let stats = self.run_input(Input::from_bytes(input), &mut out)?;
         Ok((
             String::from_utf8(out).expect("output writer emits UTF-8"),
             stats,
@@ -383,26 +274,6 @@ impl FluxEngine {
     }
 }
 
-/// Resolves an [`Input`] (opens the file, applies gzip detection), mapping
-/// I/O failures into the engine error chain at the point the sequential
-/// reader would surface them.
-fn resolve(input: Input) -> Result<ResolvedInput> {
-    input
-        .into_source()
-        .map_err(|e| flux_runtime::RuntimeError::from(flux_xsax::XsaxError::Xml(e.into())).into())
-}
-
-/// Post-run budget enforcement: folds the evaluator's buffer peak into the
-/// budget the pipeline charged its windows/tapes/chunks against, then
-/// fails the run if the tracked peak exceeded the limit.
-fn enforce_budget(budget: Option<Arc<MemoryBudget>>, stats: &RunStats) -> Result<()> {
-    if let Some(b) = budget {
-        b.record_peak(BudgetKind::Buffer, stats.peak_buffer_bytes as u64);
-        b.check().map_err(flux_runtime::RuntimeError::from)?;
-    }
-    Ok(())
-}
-
 /// Which engine architecture to use (for the experiment harness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
@@ -431,27 +302,20 @@ impl EngineKind {
     }
 }
 
-/// A uniform wrapper over the three architectures. Baseline engines carry
-/// the reader configuration derived from the compile-time [`Options`]
-/// (notably the interner bound), so all three architectures can be run
-/// under identical streaming constraints.
+/// A uniform wrapper over the three architectures. The baselines carry the
+/// interner bound from the compile-time [`Options`], so all three can be
+/// run under identical streaming constraints.
 pub enum AnyEngine {
     Flux(Box<FluxEngine>),
-    Dom(DomEngine, flux_xml::ReaderConfig),
-    Projection(ProjectionEngine, flux_xml::ReaderConfig),
+    Dom(DomEngine),
+    Projection(ProjectionEngine),
 }
 
 impl AnyEngine {
     /// Compiles `query` for the chosen architecture with default options.
     /// Shorthand for [`Options::compile`] on [`Options::new`].
-    pub fn compile(kind: EngineKind, query: &str, dtd_text: &str) -> Result<AnyEngine> {
-        Options::new().compile(kind, query, dtd_text)
-    }
-
-    /// Runs over a byte stream. Equivalent to
-    /// [`run_input`](Self::run_input) over [`Input::from_reader`].
-    pub fn run<R: Read + Send + 'static, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_input(Input::from_reader(input), output)
+    pub fn compile(kind: EngineKind, query: &str, schema_text: &str) -> Result<AnyEngine> {
+        Options::new().compile(kind, query, schema_text)
     }
 
     /// Runs over a unified [`Input`] — the one execution entry point every
@@ -460,8 +324,8 @@ impl AnyEngine {
     pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
         match self {
             AnyEngine::Flux(e) => e.run_input(input, output),
-            AnyEngine::Dom(e, config) => Ok(e.run_input(input, output, config.clone())?),
-            AnyEngine::Projection(e, config) => Ok(e.run_input(input, output, config.clone())?),
+            AnyEngine::Dom(e) => Ok(e.run_input(input, output)?),
+            AnyEngine::Projection(e) => Ok(e.run_input(input, output)?),
         }
     }
 }
@@ -470,6 +334,8 @@ impl AnyEngine {
 mod tests {
     use super::*;
     use flux_dtd::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
+    use flux_xml::MemoryBudget;
+    use std::sync::Arc;
 
     const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
 
@@ -519,7 +385,7 @@ mod tests {
         for kind in EngineKind::all() {
             let engine = AnyEngine::compile(kind, Q3, PAPER_WEAK_DTD).unwrap();
             let mut out = Vec::new();
-            engine.run(doc.as_bytes(), &mut out).unwrap();
+            engine.run_input(Input::from_bytes(doc), &mut out).unwrap();
             outputs.push((kind.label(), String::from_utf8(out).unwrap()));
         }
         let first = outputs[0].1.clone();
@@ -541,7 +407,7 @@ mod tests {
         let (seq_out, seq_stats) = sequential.run_to_string(&doc).unwrap();
         for shards in [1, 2, 4] {
             let engine =
-                FluxEngine::compile(Q3, PAPER_WEAK_DTD, &Options::with_shards(shards)).unwrap();
+                FluxEngine::compile(Q3, PAPER_WEAK_DTD, &Options::new().shards(shards)).unwrap();
             let (out, stats) = engine.run_to_string(&doc).unwrap();
             assert_eq!(out, seq_out, "{shards} shards diverged");
             assert_eq!(
@@ -560,7 +426,7 @@ mod tests {
             ));
         }
         doc.push_str("</bib>");
-        for options in [Options::new(), Options::with_shards(2)] {
+        for options in [Options::new(), Options::new().shards(2)] {
             let engine = FluxEngine::compile(Q3, PAPER_WEAK_DTD, &options).unwrap();
             let mut out = Vec::new();
             let (stats, report) = engine
@@ -675,7 +541,7 @@ mod tests {
 
     #[test]
     fn sharded_run_rejects_invalid_documents() {
-        let engine = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &Options::with_shards(4)).unwrap();
+        let engine = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &Options::new().shards(4)).unwrap();
         // Wrong child order under the Fig. 1 DTD: validation must still
         // fail with sharded parsing.
         let doc = "<bib><book><author>A</author><title>T</title><publisher>P</publisher><price>9</price></book></bib>";

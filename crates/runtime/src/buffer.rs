@@ -38,7 +38,7 @@
 
 use crate::stats::MemoryTracker;
 use flux_xml::tree::{Document, NodeAttr, NodeId, NodeKind};
-use flux_xml::{Attribute, RawEvent, RawEventRef, SymbolTable, TextGate};
+use flux_xml::{Attribute, RawEventRef, SymbolTable, TextGate};
 use flux_xquery::{CompiledPath, CursorPool, ItemCursor, PathCursor};
 
 /// Arena of buffered nodes with recycling and byte accounting.
@@ -165,39 +165,6 @@ impl BufferArena {
         attributes: &[Attribute],
     ) -> NodeId {
         let id = self.create_element(name, attributes);
-        self.doc.append_child(parent, id);
-        id
-    }
-
-    /// Creates a detached element from a recycled raw event, importing
-    /// names through the arena document's table. Overflow-aware: a
-    /// [`SymbolTable::OVERFLOW`] name (bounded-interner streams) resolves
-    /// through the event's literal-name side channel — never a panic,
-    /// never a misnamed node.
-    pub fn create_element_raw(&mut self, symbols: &SymbolTable, ev: &RawEvent) -> NodeId {
-        let dict_before = self.doc.interned_name_bytes();
-        let name = self.doc.import_name(symbols, ev.name(), ev.target());
-        let mut attrs = self.pooled_attrs();
-        for a in ev.attributes() {
-            let name = self.doc.import_name(symbols, a.name, &a.overflow_name);
-            let value = self.pooled_string(&a.value);
-            attrs.push(NodeAttr { name, value });
-        }
-        self.charge_dictionary(dict_before);
-        self.alloc(NodeKind::Element {
-            name,
-            attributes: attrs,
-        })
-    }
-
-    /// Appends a new element from a recycled raw event under `parent`.
-    pub fn append_element_raw(
-        &mut self,
-        parent: NodeId,
-        symbols: &SymbolTable,
-        ev: &RawEvent,
-    ) -> NodeId {
-        let id = self.create_element_raw(symbols, ev);
         self.doc.append_child(parent, id);
         id
     }
@@ -515,7 +482,7 @@ mod tests {
         // A bounded-interner stream delivers OVERFLOW + the literal name in
         // the event's side channel: buffering must neither panic nor
         // misname the node, for elements and attributes alike.
-        use flux_xml::RawEventKind;
+        use flux_xml::{RawEvent, RawEventKind};
         let symbols = SymbolTable::new();
         let mut arena = BufferArena::with_symbols(symbols.clone());
         let mut ev = RawEvent::new();
@@ -523,15 +490,12 @@ mod tests {
         ev.set_name(SymbolTable::OVERFLOW);
         ev.target_mut().push_str("mystery");
         ev.push_attr_named("oddattr").push_str("v1");
-        let id = arena.create_element_raw(&symbols, &ev);
+        let view = RawEventRef::from_event(&ev);
+        let id = arena.create_element_view(&symbols, &view);
         assert_eq!(arena.doc().name(id), Some("mystery"));
         assert_eq!(arena.doc().attribute(id, "oddattr"), Some("v1"));
-        // Same through the borrowed-view path.
-        let view = RawEventRef::from_event(&ev);
+        // A second spell-alike node shares the one interned name.
         let id2 = arena.create_element_view(&symbols, &view);
-        assert_eq!(arena.doc().name(id2), Some("mystery"));
-        assert_eq!(arena.doc().attribute(id2, "oddattr"), Some("v1"));
-        // And the two spell-alike nodes share one interned name.
         assert_eq!(arena.doc().name_sym(id), arena.doc().name_sym(id2));
     }
 

@@ -18,16 +18,15 @@
 
 use crate::buffer::BufferArena;
 use crate::error::{Result, RuntimeError};
-use crate::plan::{compile_plan, DocTiming, HandlerPlan, Plan, PlanExpr, PsId};
+use crate::plan::{DocTiming, HandlerPlan, Plan, PlanExpr, PsId};
 use crate::stats::RunStats;
 use flux_dtd::Dtd;
-use flux_lang::FluxQuery;
 use flux_telemetry::{RunReport, RuntimeCounters, Stage};
 use flux_xml::tree::NodeId;
 use flux_xml::{EventSource, RawEventKind, RawEventRef, SymbolTable, XmlWriter};
 use flux_xquery::{CompiledExpr, CursorEvaluator, Slots};
 use flux_xsax::{XsaxConfig, XsaxParser, XsaxStep};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::time::Instant;
 
 use crate::bdf::SpecView;
@@ -49,128 +48,26 @@ struct ElementCtx {
     shells: Vec<NodeId>,
 }
 
-/// Executes a compiled FluX query over an XML input stream.
-pub struct Executor<'d> {
-    dtd: &'d Dtd,
-    plan: Plan,
-}
-
-impl<'d> Executor<'d> {
-    /// Compiles the physical plan for `query`.
-    pub fn new(query: &FluxQuery, dtd: &'d Dtd) -> Result<Self> {
-        let plan = compile_plan(query, dtd)?;
-        Ok(Executor { dtd, plan })
-    }
-
-    /// The compiled plan (for explain output).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// Runs the query over `input`, writing the result stream to `output`.
-    pub fn run<R: Read, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_with_config(input, output, XsaxConfig::default())
-    }
-
-    pub fn run_with_config<R: Read, W: Write>(
-        &self,
-        input: R,
-        output: W,
-        config: XsaxConfig,
-    ) -> Result<RunStats> {
-        execute_plan(&self.plan, self.dtd, input, output, config)
-    }
-
-    /// Runs the query and additionally assembles the run's telemetry
-    /// [`RunReport`] (structurally valid — but empty-staged — without the
-    /// `telemetry` feature).
-    pub fn run_with_report<R: Read, W: Write>(
-        &self,
-        input: R,
-        output: W,
-    ) -> Result<(RunStats, RunReport)> {
-        execute_plan_with_report(&self.plan, self.dtd, input, output, XsaxConfig::default())
-    }
-}
-
-/// Runs a pre-compiled physical plan over an input stream. This is the
-/// lowest-level entry point; [`Executor`] and the `fluxquery-core` facade
-/// wrap it.
-pub fn execute_plan<R: Read, W: Write>(
-    plan: &Plan,
-    dtd: &Dtd,
-    input: R,
-    output: W,
-    config: XsaxConfig,
-) -> Result<RunStats> {
-    run_events(plan, XsaxParser::with_config(input, dtd, config)?, output)
-}
-
-/// [`execute_plan`] plus the run's assembled telemetry [`RunReport`].
-pub fn execute_plan_with_report<R: Read, W: Write>(
-    plan: &Plan,
-    dtd: &Dtd,
-    input: R,
-    output: W,
-    config: XsaxConfig,
-) -> Result<(RunStats, RunReport)> {
-    let (stats, report) = run_events_inner(
-        plan,
-        XsaxParser::with_config(input, dtd, config)?,
-        output,
-        true,
-    )?;
-    Ok((stats, report.expect("report requested")))
-}
-
-/// Runs a pre-compiled plan over an arbitrary [`EventSource`] — the entry
-/// point for parallel input: hand it a `flux_shard::ShardedReader` seeded
-/// with `flux_xsax::seeded_symbols(&dtd)` and the shards parse on their
-/// own threads while this evaluator (and the XSAX DFA configuration it
-/// drives) consumes the stitched stream sequentially.
-pub fn execute_plan_from_source<S: EventSource, W: Write>(
+/// Runs a pre-compiled physical plan over an [`EventSource`], writing the
+/// result stream to `output` — the one execution entry point.
+///
+/// `source` must be seeded with `flux_xsax::seeded_symbols(dtd)`: a
+/// sequential run passes `flux_xsax::seeded_reader`, a parallel one a
+/// `flux_shard::ShardedReader`, whose shards parse on their own threads
+/// while this evaluator (and the XSAX DFA configuration it drives)
+/// consumes the stitched stream sequentially. With `want_report`, the
+/// run's telemetry [`RunReport`] is assembled once the stream is drained
+/// (structurally valid — but empty-staged — without the `telemetry`
+/// feature; a sharded source contributes its per-shard timeline).
+pub fn execute<S: EventSource, W: Write>(
     plan: &Plan,
     dtd: &Dtd,
     source: S,
     output: W,
     config: XsaxConfig,
-) -> Result<RunStats> {
-    run_events(plan, XsaxParser::from_source(source, dtd, config)?, output)
-}
-
-/// [`execute_plan_from_source`] plus the run's telemetry [`RunReport`] —
-/// with a sharded source, the report carries the per-shard pipeline
-/// timeline the source recorded.
-pub fn execute_plan_from_source_with_report<S: EventSource, W: Write>(
-    plan: &Plan,
-    dtd: &Dtd,
-    source: S,
-    output: W,
-    config: XsaxConfig,
-) -> Result<(RunStats, RunReport)> {
-    let (stats, report) = run_events_inner(
-        plan,
-        XsaxParser::from_source(source, dtd, config)?,
-        output,
-        true,
-    )?;
-    Ok((stats, report.expect("report requested")))
-}
-
-fn run_events<S: EventSource, W: Write>(
-    plan: &Plan,
-    parser: XsaxParser<'_, S>,
-    output: W,
-) -> Result<RunStats> {
-    run_events_inner(plan, parser, output, false).map(|(stats, _)| stats)
-}
-
-fn run_events_inner<S: EventSource, W: Write>(
-    plan: &Plan,
-    mut parser: XsaxParser<'_, S>,
-    output: W,
     want_report: bool,
 ) -> Result<(RunStats, Option<RunReport>)> {
+    let mut parser = XsaxParser::from_source(source, dtd, config)?;
     let start_time = Instant::now();
     for reg in &plan.past_regs {
         parser.register_past(reg.element, reg.labels.clone())?;
@@ -209,8 +106,6 @@ fn run_events_inner<S: EventSource, W: Write>(
         events: state.events,
         duration: start_time.elapsed(),
     };
-    // Report assembly happens once, after the stream is drained — the
-    // plain `run_events` path skips even that.
     let report = want_report.then(|| assemble_report(&parser, &state, &stats));
     Ok((stats, report))
 }
@@ -545,20 +440,25 @@ impl<'p, W: Write> ExecState<'p, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::compile_plan;
     use flux_dtd::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
     use flux_lang::{compile, CompileOptions};
+    use flux_xsax::seeded_reader;
 
     const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
 
-    fn run(query: &str, dtd_text: &str, doc: &str) -> (String, RunStats) {
+    fn try_run(query: &str, dtd_text: &str, doc: &str) -> Result<(String, RunStats)> {
         let dtd = Dtd::parse(dtd_text).unwrap();
         let compiled = compile(query, &dtd, &CompileOptions::default()).unwrap();
-        let exec = Executor::new(&compiled, &dtd).unwrap();
+        let plan = compile_plan(&compiled, &dtd).unwrap();
+        let source = seeded_reader(doc.as_bytes(), &dtd, Default::default());
         let mut out = Vec::new();
-        let stats = exec
-            .run(doc.as_bytes(), &mut out)
-            .unwrap_or_else(|e| panic!("execution failed: {e}"));
-        (String::from_utf8(out).unwrap(), stats)
+        let (stats, _) = execute(&plan, &dtd, source, &mut out, XsaxConfig::default(), false)?;
+        Ok((String::from_utf8(out).unwrap(), stats))
+    }
+
+    fn run(query: &str, dtd_text: &str, doc: &str) -> (String, RunStats) {
+        try_run(query, dtd_text, doc).unwrap_or_else(|e| panic!("execution failed: {e}"))
     }
 
     const WEAK_DOC: &str = "<bib><book><author>A1</author><title>T1</title><author>A2</author></book><book><title>T2</title></book></bib>";
@@ -661,12 +561,7 @@ mod tests {
 
     #[test]
     fn validation_errors_surface() {
-        let dtd = Dtd::parse(PAPER_WEAK_DTD).unwrap();
-        let compiled = compile(Q3, &dtd, &CompileOptions::default()).unwrap();
-        let exec = Executor::new(&compiled, &dtd).unwrap();
-        let mut out = Vec::new();
-        let err = exec.run("<bib><pamphlet/></bib>".as_bytes(), &mut out);
-        assert!(err.is_err());
+        assert!(try_run(Q3, PAPER_WEAK_DTD, "<bib><pamphlet/></bib>").is_err());
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!    once — and hands the finished tape to the consumer through a
 //!    bounded channel *as soon as it is done*.
 //! 3. **Replay, pipelined.** [`ShardedReader::advance`] replays shard
-//!    *i*'s tape while workers are still parsing shards *i+1..N*
-//!    ([`ReplayMode::Pipelined`], the default) — so XSAX validation and
-//!    query evaluation overlap parsing instead of waiting behind a join
-//!    barrier. Replay is **zero-copy**: [`ShardedReader::view`] serves
+//!    *i*'s tape while workers are still parsing shards *i+1..N* — so
+//!    XSAX validation and query evaluation overlap parsing instead of
+//!    waiting behind a join barrier. Replay is **zero-copy**:
+//!    [`ShardedReader::view`] serves
 //!    [`RawEventRef`] views whose payloads borrow the tape arena, so the
 //!    serial per-event term that bounded speedup at `1/(1/N + r)` is span
 //!    arithmetic, not a byte copy.
@@ -65,8 +65,8 @@ use flux_telemetry::{
     Journal, ReaderCounters, RunReport, ScanCounters, ShardLane, Stage, Stopwatch,
 };
 use flux_xml::{
-    BudgetCharge, EventSource, MemoryBudget, Position, RawEvent, RawEventKind, RawEventRef,
-    ReaderConfig, Result, SymbolRemap, XmlError,
+    BudgetCharge, EventSource, Position, RawEventKind, RawEventRef, ReaderConfig, Result,
+    SymbolRemap, XmlError,
 };
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -75,23 +75,6 @@ use std::sync::Arc;
 use stream::{start_stream, ChunkMsg, StreamLaunch};
 use worker::{parse_fragment, Segment, ShardTape};
 
-/// When the consumer gets to see a finished shard tape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayMode {
-    /// Replay shard *i* as soon as its tape arrives, while workers still
-    /// parse shards *i+1..N* — validation overlaps parsing and the replay
-    /// cost hides behind the parallel parse.
-    #[default]
-    Pipelined,
-    /// Wait for every worker before replaying anything (the join-then-
-    /// replay barrier, kept for equivalence testing and benchmarking).
-    /// The event stream, errors and positions are identical to
-    /// [`ReplayMode::Pipelined`]; only the overlap differs. Buffered
-    /// ingestion only: a streamed run is always pipelined (joining an
-    /// unbounded stream would unbound memory) and ignores this setting.
-    Joined,
-}
-
 /// Configuration for [`ShardedReader`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -99,33 +82,24 @@ pub struct ShardConfig {
     /// the input is small ([`ShardConfig::min_shard_bytes`]) or offers too
     /// few safe boundaries; `1` degenerates to a sequential fragment parse.
     pub shards: usize,
-    /// Emit comment events (mirrors [`ReaderConfig::emit_comments`]).
-    pub emit_comments: bool,
-    /// Emit processing-instruction events.
-    pub emit_processing_instructions: bool,
-    /// Hard limit on element nesting depth, enforced globally at replay
-    /// exactly like the sequential reader enforces it.
-    pub max_depth: usize,
+    /// The reader configuration every fragment reader runs with, and the
+    /// document-level rules replay re-checks on the merged stream:
+    /// [`ReaderConfig::max_depth`] is enforced globally at replay exactly
+    /// like the sequential reader enforces it; [`ReaderConfig::window`]
+    /// sizes each fragment scanner; [`ReaderConfig::budget`] is shared by
+    /// every pool the pipeline grows (fragment scanner windows, in-flight
+    /// streamed chunks and tape segments). [`ReaderConfig::max_symbols`]
+    /// caps the **merged** symbol table: workers intern unboundedly —
+    /// their tables are bounded by chunk content and die with the shard —
+    /// but the long-lived consumer table stops growing at the cap, and
+    /// merged names past it travel as [`SymbolTable::OVERFLOW`] plus the
+    /// literal spelling, exactly like the sequential reader's bounded
+    /// mode. [`ReaderConfig::fragment`] is ignored (workers always parse
+    /// fragments).
+    pub reader: ReaderConfig,
     /// Do not split below this many bytes per shard; tiny inputs are not
     /// worth the thread fan-out.
     pub min_shard_bytes: usize,
-    /// Pipelined (default) or join-then-replay consumption.
-    pub mode: ReplayMode,
-    /// Cap on the **merged** symbol table (the sharded analogue of
-    /// [`ReaderConfig::max_symbols`]; default `None`). Workers intern
-    /// unboundedly — their tables are bounded by chunk content and die
-    /// with the shard — but the long-lived consumer table stops growing
-    /// at the cap: merged names past it travel as
-    /// [`SymbolTable::OVERFLOW`] plus the literal spelling, exactly like
-    /// the sequential reader's bounded mode.
-    pub max_symbols: Option<usize>,
-    /// Scanner window size for each fragment reader (see
-    /// [`ReaderConfig::window`]).
-    pub window: usize,
-    /// Memory budget shared by every pool the pipeline grows: fragment
-    /// scanner windows, in-flight streamed chunks and tape segments.
-    /// `None` (the default) disables the accounting entirely.
-    pub budget: Option<Arc<MemoryBudget>>,
     /// Streamed mode only: target chunk size in bytes. Chunks extend past
     /// the target to the next safe element-tag boundary.
     pub chunk_bytes: usize,
@@ -160,14 +134,8 @@ impl ShardConfig {
     pub fn new(shards: usize) -> Self {
         ShardConfig {
             shards: shards.max(1),
-            emit_comments: false,
-            emit_processing_instructions: false,
-            max_depth: ReaderConfig::default().max_depth,
+            reader: ReaderConfig::default(),
             min_shard_bytes: 16 * 1024,
-            mode: ReplayMode::default(),
-            max_symbols: None,
-            window: flux_xml::DEFAULT_WINDOW,
-            budget: None,
             chunk_bytes: 1024 * 1024,
             segment_events: 16 * 1024,
             segment_bytes: 256 * 1024,
@@ -175,17 +143,13 @@ impl ShardConfig {
         }
     }
 
+    /// The workers' configuration. Local depth can only underestimate
+    /// global depth; the exact global limit is enforced at replay.
     fn reader_config(&self) -> ReaderConfig {
         ReaderConfig {
-            emit_comments: self.emit_comments,
-            emit_processing_instructions: self.emit_processing_instructions,
-            // Local depth can only underestimate global depth; the exact
-            // global limit is enforced at replay.
-            max_depth: self.max_depth,
             max_symbols: None,
             fragment: true,
-            window: self.window,
-            budget: self.budget.clone(),
+            ..self.reader.clone()
         }
     }
 }
@@ -256,7 +220,7 @@ struct ActiveShard {
     /// Global position of this chunk's first byte.
     base: Position,
     /// Replay cursor into the current tape.
-    next_event: usize,
+    cursor: usize,
     /// Epoch-relative instant replay of this chunk began (always 0 when
     /// telemetry is off).
     activated_at_ns: u64,
@@ -287,7 +251,7 @@ enum CurrentEvent {
     None,
     /// A synthesised document bracket.
     Synthetic(RawEventKind),
-    /// The event at `active.next_event - 1`.
+    /// The event at `active.cursor - 1`.
     Tape,
 }
 
@@ -297,10 +261,9 @@ enum CurrentEvent {
 ///
 /// The first [`ShardedReader::advance`] splits the input and launches the
 /// workers; every later advance replays the next tape event (zero-copy)
-/// and re-checks the document-level rules. In
-/// [`ReplayMode::Pipelined`] the consumer streams shard *i* while shards
-/// *i+1..N* are still parsing, so on invalid input the valid prefix is
-/// delivered first and the error surfaces at the same stream point — and,
+/// and re-checks the document-level rules. The consumer streams shard *i*
+/// while shards *i+1..N* are still parsing, so on invalid input the valid
+/// prefix is delivered first and the error surfaces at the same stream point — and,
 /// thanks to per-event recorded positions, with the same offset, line and
 /// column — as the sequential reader's. Errors are terminal: after
 /// returning one, the reader reports end of stream.
@@ -366,40 +329,22 @@ const START_POS: Position = Position {
 };
 
 impl ShardedReader {
-    /// Creates a sharded reader over `input` with a fresh symbol table.
-    pub fn new(input: Vec<u8>, config: ShardConfig) -> Self {
-        Self::with_symbols(input, config, SymbolTable::new())
+    /// Creates a sharded reader over a resident buffer (a `Vec<u8>`, or an
+    /// already-shared `Arc<Vec<u8>>` taken without a copy) whose interner
+    /// is seeded with `symbols` — the sharded analogue of
+    /// [`flux_xml::XmlReader::with_symbols`]. Seed with
+    /// `flux_xsax::seeded_symbols(&dtd)` to feed `XsaxParser::from_source`,
+    /// or with `SymbolTable::new()` for a bare parse.
+    pub fn new(input: impl Into<Arc<Vec<u8>>>, config: ShardConfig, symbols: SymbolTable) -> Self {
+        Self::build(SourceKind::Buffered(input.into()), config, symbols)
     }
 
-    /// Creates a sharded reader whose interner is seeded with `symbols` —
-    /// the sharded analogue of [`flux_xml::XmlReader::with_symbols`]. Seed
-    /// with `flux_xsax::seeded_symbols(&dtd)` to feed
-    /// `XsaxParser::from_source`.
-    pub fn with_symbols(input: Vec<u8>, config: ShardConfig, symbols: SymbolTable) -> Self {
-        Self::build(SourceKind::Buffered(Arc::new(input)), config, symbols)
-    }
-
-    /// [`ShardedReader::with_symbols`] over an already-shared buffer,
-    /// without copying it — the zero-copy handoff for
-    /// `flux_xml::input::ResolvedInput::Bytes`.
-    pub fn with_shared_bytes(
-        input: Arc<Vec<u8>>,
-        config: ShardConfig,
-        symbols: SymbolTable,
-    ) -> Self {
-        Self::build(SourceKind::Buffered(input), config, symbols)
-    }
-
-    /// Creates a sharded reader over an unbounded byte stream with a fresh
-    /// symbol table — streamed ingestion ([`crate`] docs): constant memory
-    /// regardless of document size, same event stream, verdicts and error
-    /// positions as the buffered and sequential paths.
-    pub fn from_stream(src: impl Read + Send + 'static, config: ShardConfig) -> Self {
-        Self::from_stream_with_symbols(src, config, SymbolTable::new())
-    }
-
-    /// [`ShardedReader::from_stream`] with a seeded interner.
-    pub fn from_stream_with_symbols(
+    /// Creates a sharded reader over an unbounded byte stream — streamed
+    /// ingestion ([`crate`] docs): constant memory regardless of document
+    /// size, same event stream, verdicts and error positions as the
+    /// buffered and sequential paths. `symbols` seeds the interner as in
+    /// [`ShardedReader::new`].
+    pub fn from_stream(
         src: impl Read + Send + 'static,
         config: ShardConfig,
         symbols: SymbolTable,
@@ -437,16 +382,6 @@ impl ShardedReader {
             reader_tel: ReaderCounters::default(),
             journal: Journal::default(),
         }
-    }
-
-    /// Slurps `src` into a buffer and shards it with the up-front
-    /// splitter. Prefer [`ShardedReader::from_stream`], which never
-    /// materialises the document; this constructor remains for callers
-    /// that want the buffered splitter's exact N-way chunking.
-    pub fn from_reader(mut src: impl Read, config: ShardConfig) -> Result<Self> {
-        let mut input = Vec::new();
-        src.read_to_end(&mut input)?;
-        Ok(Self::new(input, config))
     }
 
     /// The shared symbol table: seed symbols plus every name the shards
@@ -535,29 +470,20 @@ impl ShardedReader {
             segment_events: self.config.segment_events,
             segment_bytes: self.config.segment_bytes,
             segment_queue: self.config.segment_queue,
-            budget: self.config.budget.clone(),
+            budget: self.config.reader.budget.clone(),
         };
         self.chunk_rx = Some(start_stream(launch));
     }
 
     /// Blocks until shard `index`'s tape is available. Out-of-order
-    /// arrivals are parked; [`ReplayMode::Joined`] drains every worker
-    /// first (the barrier).
+    /// arrivals are parked.
     ///
-    /// Telemetry: the blocking-receive time (including the Joined drain)
-    /// is charged to the requested shard's lane, and the channel-dwell
-    /// span (tape ready → this pickup) is stamped from the shared epoch.
+    /// Telemetry: the blocking-receive time is charged to the requested
+    /// shard's lane, and the channel-dwell span (tape ready → this pickup)
+    /// is stamped from the shared epoch.
     fn take_shard(&mut self, index: usize) -> ShardTape {
         let wait = Stopwatch::start();
         let mut stalls = 0u64;
-        if self.config.mode == ReplayMode::Joined {
-            if let Some(rx) = self.rx.take() {
-                stalls += 1;
-                while let Ok((i, tape)) = rx.recv() {
-                    self.parked.insert(i, tape);
-                }
-            }
-        }
         loop {
             if let Some(mut tape) = self.parked.remove(&index) {
                 tape.lane.recv_stall_ns(wait.elapsed_ns());
@@ -579,11 +505,11 @@ impl ShardedReader {
     }
 
     /// Interns chunk-local names into the merged namespace (bounded when
-    /// [`ShardConfig::max_symbols`] caps the table).
+    /// [`ReaderConfig::max_symbols`] caps the table).
     fn merge_names(&mut self, names: &[String]) -> Vec<Symbol> {
         names
             .iter()
-            .map(|n| match self.config.max_symbols {
+            .map(|n| match self.config.reader.max_symbols {
                 None => self.symbols.intern(n),
                 Some(cap) => self.symbols.intern_bounded(n, cap),
             })
@@ -608,7 +534,7 @@ impl ShardedReader {
             remap,
             cum_names,
             base: self.chunk_base,
-            next_event: 0,
+            cursor: 0,
             activated_at_ns: self.epoch.elapsed_ns(),
             is_final_chunk,
             seg_rx: None,
@@ -656,7 +582,7 @@ impl ShardedReader {
             remap,
             cum_names,
             base: self.chunk_base,
-            next_event: 0,
+            cursor: 0,
             activated_at_ns: self.epoch.elapsed_ns(),
             is_final_chunk: handle.is_final,
             seg_rx: Some(handle.seg_rx),
@@ -688,7 +614,7 @@ impl ShardedReader {
         a.shard = seg.tape;
         a.seg_last = seg.last;
         a.tape_charge = seg.charge;
-        a.next_event = 0;
+        a.cursor = 0;
         self.active = Some(a);
     }
 
@@ -788,7 +714,7 @@ impl ShardedReader {
             // chunk.
             let (exhausted, chained) = {
                 let a = self.active.as_ref().expect("active shard ensured");
-                let ex = a.next_event >= a.shard.tape.len();
+                let ex = a.cursor >= a.shard.tape.len();
                 (ex, ex && !a.seg_last)
             };
             if chained {
@@ -817,8 +743,8 @@ impl ShardedReader {
 
             let (i, kind, pos, start, name, mut literal) = {
                 let a = self.active.as_mut().expect("active shard ensured");
-                let i = a.next_event;
-                a.next_event += 1;
+                let i = a.cursor;
+                a.cursor += 1;
                 let kind = a.shard.tape.kind(i);
                 // Resolved lazily enough: only element events use it.
                 let name = SymbolRemap::new(self.seed_len, &a.remap).resolve(a.shard.tape.name(i));
@@ -861,11 +787,11 @@ impl ShardedReader {
                             // construct's first byte.
                             return Err(self.wf("multiple root elements", start));
                         }
-                        if self.stack.len() >= self.config.max_depth {
+                        if self.stack.len() >= self.config.reader.max_depth {
                             self.finished = true;
                             let message = format!(
                                 "element nesting deeper than the configured limit of {}",
-                                self.config.max_depth
+                                self.config.reader.max_depth
                             );
                             return Err(self.wf(message, pos));
                         }
@@ -946,7 +872,7 @@ impl ShardedReader {
                     let trailing_at_eof = {
                         let a = self.active.as_mut().expect("active shard ensured");
                         a.is_final_chunk
-                            && a.next_event >= a.shard.tape.len()
+                            && a.cursor >= a.shard.tape.len()
                             && if a.seg_last {
                                 a.shard.error.is_none()
                                     && a.shard.tape.position(i).offset == a.shard.end_pos.offset
@@ -1035,7 +961,7 @@ impl ShardedReader {
             CurrentEvent::Synthetic(kind) => RawEventRef::bare(kind),
             CurrentEvent::Tape => match self.active.as_ref() {
                 Some(a) => a.shard.tape.view(
-                    a.next_event - 1,
+                    a.cursor - 1,
                     SymbolRemap::with_names(self.seed_len, &a.remap, &a.cum_names),
                 ),
                 // A terminal error already dropped the shard.
@@ -1043,13 +969,6 @@ impl ShardedReader {
             },
             CurrentEvent::None => RawEventRef::bare(RawEventKind::StartDocument),
         }
-    }
-
-    /// Pulls the next event into the caller-owned `ev` — the copying
-    /// compatibility wrapper over [`ShardedReader::advance`] /
-    /// [`ShardedReader::view`].
-    pub fn next_into(&mut self, ev: &mut RawEvent) -> Result<bool> {
-        <Self as EventSource>::next_into(self, ev)
     }
 
     /// Appends the merged `scanner`/`reader` stages and the
@@ -1066,7 +985,6 @@ impl ShardedReader {
         report.stage(reader);
         let mut pipeline = Stage::new("shard_pipeline");
         pipeline.counter("shards", self.total_shards as u64);
-        pipeline.note("mode", format!("{:?}", self.config.mode));
         pipeline.note(
             "ingest",
             match &self.input {
@@ -1133,32 +1051,38 @@ impl EventSource for ShardedReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flux_xml::{parse_to_events, XmlEvent};
+    use flux_xml::{collect_events, parse_to_events, XmlEvent, XmlReader};
 
-    /// Collects the owned events a sharded reader produces.
-    fn sharded_events_mode(doc: &str, shards: usize, mode: ReplayMode) -> Result<Vec<XmlEvent>> {
-        // min_shard_bytes = 1 so even tiny unit-test documents shard.
+    /// A buffered reader over `doc`; min_shard_bytes = 1 so even tiny
+    /// unit-test documents shard.
+    fn sharded(doc: &str, shards: usize) -> ShardedReader {
         let mut config = ShardConfig::new(shards);
         config.min_shard_bytes = 1;
-        config.mode = mode;
-        let mut reader = ShardedReader::new(doc.as_bytes().to_vec(), config);
-        let mut ev = RawEvent::new();
-        let mut out = Vec::new();
-        while reader.next_into(&mut ev)? {
-            out.push(ev.to_xml_event(reader.symbols()));
-        }
-        Ok(out)
+        ShardedReader::new(doc.as_bytes().to_vec(), config, SymbolTable::new())
+    }
+
+    /// The delivered prefix and terminal error of the sequential reader.
+    fn sequential_run(doc: &str) -> (Vec<XmlEvent>, Option<XmlError>) {
+        collect_events(&mut XmlReader::new(doc.as_bytes()))
     }
 
     fn assert_equivalent(doc: &str, shards: usize) {
         let sequential = parse_to_events(doc).expect("sequential parse");
-        for mode in [ReplayMode::Pipelined, ReplayMode::Joined] {
-            let sharded = sharded_events_mode(doc, shards, mode).expect("sharded parse");
-            assert_eq!(
-                sequential, sharded,
-                "doc: {doc}, shards: {shards}, mode: {mode:?}"
-            );
+        let (events, err) = collect_events(&mut sharded(doc, shards));
+        assert!(err.is_none(), "sharded parse: {err:?}");
+        assert_eq!(sequential, events, "doc: {doc}, shards: {shards}");
+    }
+
+    /// The symbols of every start element named `name`, in stream order.
+    fn start_symbols(reader: &mut ShardedReader, name: &str) -> Vec<Symbol> {
+        let mut syms = Vec::new();
+        while reader.advance().unwrap() {
+            let v = reader.view();
+            if v.kind() == RawEventKind::StartElement && reader.symbols().name(v.name()) == name {
+                syms.push(v.name());
+            }
         }
+        syms
     }
 
     #[test]
@@ -1195,12 +1119,9 @@ mod tests {
     #[test]
     fn shard_count_reported_after_first_pull() {
         let doc = "<a>".to_string() + &"<b>x</b>".repeat(500) + "</a>";
-        let mut config = ShardConfig::new(4);
-        config.min_shard_bytes = 1;
-        let mut reader = ShardedReader::new(doc.into_bytes(), config);
+        let mut reader = sharded(&doc, 4);
         assert_eq!(reader.shard_count(), 0);
-        let mut ev = RawEvent::new();
-        assert!(reader.next_into(&mut ev).unwrap());
+        assert!(reader.advance().unwrap());
         assert_eq!(reader.shard_count(), 4);
     }
 
@@ -1214,17 +1135,7 @@ mod tests {
         doc.push_str(&"<common>x</common>".repeat(50));
         doc.push_str("<zeta/>");
         doc.push_str("</r>");
-        let mut config = ShardConfig::new(3);
-        config.min_shard_bytes = 1;
-        let mut reader = ShardedReader::new(doc.as_bytes().to_vec(), config);
-        let mut ev = RawEvent::new();
-        let mut zeta_syms = Vec::new();
-        while reader.next_into(&mut ev).unwrap() {
-            if ev.kind() == RawEventKind::StartElement && reader.symbols().name(ev.name()) == "zeta"
-            {
-                zeta_syms.push(ev.name());
-            }
-        }
+        let zeta_syms = start_symbols(&mut sharded(&doc, 3), "zeta");
         assert_eq!(zeta_syms.len(), 2);
         assert_eq!(zeta_syms[0], zeta_syms[1], "one merged symbol per name");
     }
@@ -1234,16 +1145,8 @@ mod tests {
         let mut seed = SymbolTable::new();
         let book = seed.intern("book");
         let doc = "<book/>";
-        let mut reader =
-            ShardedReader::with_symbols(doc.as_bytes().to_vec(), ShardConfig::new(2), seed);
-        let mut ev = RawEvent::new();
-        let mut seen = None;
-        while reader.next_into(&mut ev).unwrap() {
-            if ev.kind() == RawEventKind::StartElement {
-                seen = Some(ev.name());
-            }
-        }
-        assert_eq!(seen, Some(book));
+        let mut reader = ShardedReader::new(doc.as_bytes().to_vec(), ShardConfig::new(2), seed);
+        assert_eq!(start_symbols(&mut reader, "book"), vec![book]);
     }
 
     #[test]
@@ -1263,77 +1166,39 @@ mod tests {
         for doc in bad_docs {
             assert!(parse_to_events(doc).is_err(), "sequential accepts {doc:?}");
             for shards in [1, 2, 3] {
-                for mode in [ReplayMode::Pipelined, ReplayMode::Joined] {
-                    assert!(
-                        sharded_events_mode(doc, shards, mode).is_err(),
-                        "sharded ({shards}, {mode:?}) accepts {doc:?}"
-                    );
-                }
+                assert!(
+                    collect_events(&mut sharded(doc, shards)).1.is_some(),
+                    "sharded ({shards}) accepts {doc:?}"
+                );
             }
         }
     }
 
     #[test]
     fn error_is_terminal_then_eof() {
-        let mut config = ShardConfig::new(2);
-        config.min_shard_bytes = 1;
-        let mut reader = ShardedReader::new(b"<a></b>".to_vec(), config);
-        let mut ev = RawEvent::new();
-        let mut saw_error = false;
-        loop {
-            match reader.next_into(&mut ev) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(_) => saw_error = true,
-            }
-        }
-        assert!(saw_error);
-        assert!(!reader.next_into(&mut ev).unwrap());
+        let mut reader = sharded("<a></b>", 2);
+        assert!(collect_events(&mut reader).1.is_some());
+        assert!(!reader.advance().unwrap());
     }
 
     /// Asserts that the sharded partial event stream and terminal error
     /// (message *and* position) are byte-exact the sequential reader's,
-    /// at several shard counts in both modes.
+    /// at several shard counts.
     fn assert_prefix_and_error_match(doc: &str) {
-        let (seq_events, seq_err) = {
-            let mut reader = flux_xml::XmlReader::new(doc.as_bytes());
-            let mut ev = RawEvent::new();
-            let mut events = Vec::new();
-            let err = loop {
-                match reader.next_into(&mut ev) {
-                    Ok(true) => events.push(ev.to_xml_event(reader.symbols())),
-                    Ok(false) => panic!("sequential must reject"),
-                    Err(e) => break e,
-                }
-            };
-            (events, err)
-        };
-
+        let (seq_events, seq_err) = sequential_run(doc);
+        let seq_err = seq_err.expect("sequential must reject");
         for shards in [1, 2, 3, 8] {
-            for mode in [ReplayMode::Pipelined, ReplayMode::Joined] {
-                let mut config = ShardConfig::new(shards);
-                config.min_shard_bytes = 1;
-                config.mode = mode;
-                let mut reader = ShardedReader::new(doc.as_bytes().to_vec(), config);
-                let mut ev = RawEvent::new();
-                let mut events = Vec::new();
-                let err = loop {
-                    match reader.next_into(&mut ev) {
-                        Ok(true) => events.push(ev.to_xml_event(reader.symbols())),
-                        Ok(false) => panic!("sharded must reject"),
-                        Err(e) => break e,
-                    }
-                };
-                assert_eq!(
-                    events, seq_events,
-                    "partial stream diverged ({shards} shards, {mode:?})"
-                );
-                assert_eq!(
-                    err.to_string(),
-                    seq_err.to_string(),
-                    "error (incl. position) diverged ({shards} shards, {mode:?})"
-                );
-            }
+            let (events, err) = collect_events(&mut sharded(doc, shards));
+            let err = err.expect("sharded must reject");
+            assert_eq!(
+                events, seq_events,
+                "partial stream diverged ({shards} shards)"
+            );
+            assert_eq!(
+                err.to_string(),
+                seq_err.to_string(),
+                "error (incl. position) diverged ({shards} shards)"
+            );
         }
     }
 
@@ -1405,16 +1270,11 @@ mod tests {
 
     fn streamed_run(doc: &str, config: ShardConfig) -> (Vec<XmlEvent>, Option<XmlError>) {
         let src = std::io::Cursor::new(doc.as_bytes().to_vec());
-        let mut reader = ShardedReader::from_stream(src, config);
-        let mut ev = RawEvent::new();
-        let mut events = Vec::new();
-        loop {
-            match reader.next_into(&mut ev) {
-                Ok(true) => events.push(ev.to_xml_event(reader.symbols())),
-                Ok(false) => return (events, None),
-                Err(e) => return (events, Some(e)),
-            }
-        }
+        collect_events(&mut ShardedReader::from_stream(
+            src,
+            config,
+            SymbolTable::new(),
+        ))
     }
 
     /// A document large enough to stream through several chunks, with
@@ -1461,19 +1321,8 @@ mod tests {
     /// Streamed partial stream + terminal error (message *and* position)
     /// are byte-exact the sequential reader's.
     fn assert_streamed_prefix_and_error_match(doc: &str) {
-        let (seq_events, seq_err) = {
-            let mut reader = flux_xml::XmlReader::new(doc.as_bytes());
-            let mut ev = RawEvent::new();
-            let mut events = Vec::new();
-            let err = loop {
-                match reader.next_into(&mut ev) {
-                    Ok(true) => events.push(ev.to_xml_event(reader.symbols())),
-                    Ok(false) => panic!("sequential must reject"),
-                    Err(e) => break e,
-                }
-            };
-            (events, err)
-        };
+        let (seq_events, seq_err) = sequential_run(doc);
+        let seq_err = seq_err.expect("sequential must reject");
         for shards in [1, 2, 8] {
             let (events, err) = streamed_run(doc, tight_stream_config(shards));
             let err = err.expect("streamed must reject");
@@ -1537,7 +1386,7 @@ mod tests {
         let doc = streaming_doc();
         let budget = flux_xml::MemoryBudget::new(64 * 1024 * 1024);
         let mut config = tight_stream_config(2);
-        config.budget = Some(Arc::clone(&budget));
+        config.reader.budget = Some(Arc::clone(&budget));
         let (events, err) = streamed_run(&doc, config);
         assert!(err.is_none(), "{err:?}");
         assert!(!events.is_empty());
@@ -1567,16 +1416,9 @@ mod tests {
         let book = seed.intern("book");
         let doc = streaming_doc();
         let src = std::io::Cursor::new(doc.into_bytes());
-        let mut reader = ShardedReader::from_stream_with_symbols(src, tight_stream_config(2), seed);
-        let mut ev = RawEvent::new();
-        let mut seen = None;
-        while reader.next_into(&mut ev).unwrap() {
-            if ev.kind() == RawEventKind::StartElement && reader.symbols().name(ev.name()) == "book"
-            {
-                seen = Some(ev.name());
-            }
-        }
-        assert_eq!(seen, Some(book));
+        let mut reader = ShardedReader::from_stream(src, tight_stream_config(2), seed);
+        let seen = start_symbols(&mut reader, "book");
+        assert!(!seen.is_empty() && seen.iter().all(|&s| s == book));
         assert!(reader.shard_count() > 1, "doc should span several chunks");
     }
 
@@ -1604,19 +1446,15 @@ mod tests {
         let src = FailAfter {
             data: std::io::Cursor::new(doc.into_bytes()),
         };
-        let mut reader = ShardedReader::from_stream(src, tight_stream_config(2));
-        let mut ev = RawEvent::new();
-        let err = loop {
-            match reader.next_into(&mut ev) {
-                Ok(true) => {}
-                Ok(false) => panic!("must surface the I/O error"),
-                Err(e) => break e,
-            }
-        };
+        let mut reader =
+            ShardedReader::from_stream(src, tight_stream_config(2), SymbolTable::new());
+        let err = collect_events(&mut reader)
+            .1
+            .expect("must surface the I/O error");
         assert!(
             matches!(err, XmlError::Io(_)),
             "expected an I/O error, got {err}"
         );
-        assert!(!reader.next_into(&mut ev).unwrap(), "error is terminal");
+        assert!(!reader.advance().unwrap(), "error is terminal");
     }
 }

@@ -8,7 +8,10 @@
 //! feeds `XsaxParser::from_source`.
 
 use flux_shard::{splitter, ShardConfig, ShardedReader};
-use flux_xml::{is_name_start, parse_to_events, RawEvent, XmlEvent, XmlReader, XmlWriter};
+use flux_xml::{
+    collect_events, is_name_start, parse_to_events, EventSource, SymbolTable, XmlEvent, XmlReader,
+    XmlWriter,
+};
 use flux_xmlgen::{auction_string, bib_string, AuctionConfig, BibConfig};
 use proptest::prelude::*;
 
@@ -106,47 +109,36 @@ fn assert_seams_match_naive(doc: &str) {
     }
 }
 
-/// Serialises whatever `next_into` source produces, raw-event path.
-fn serialise_sequential(doc: &str) -> String {
-    let mut reader = XmlReader::new(doc.as_bytes());
+/// Serialises whatever the source produces through the view writer path.
+fn serialise(mut source: impl EventSource) -> String {
     let mut writer = XmlWriter::new(Vec::new());
-    let mut ev = RawEvent::new();
-    while reader.next_into(&mut ev).expect("sequential parse") {
+    while source.advance().expect("parse") {
         writer
-            .write_raw_event(reader.symbols(), &ev)
+            .write_event_ref(source.symbols(), &source.view())
             .expect("write");
     }
     writer.finish().expect("finish");
     String::from_utf8(writer.into_inner()).expect("utf8")
 }
 
-fn sharded_reader(doc: &str, shards: usize) -> ShardedReader {
+fn serialise_sequential(doc: &str) -> String {
+    serialise(XmlReader::new(doc.as_bytes()))
+}
+
+fn sharded_reader(doc: &str, shards: usize, symbols: SymbolTable) -> ShardedReader {
     let mut config = ShardConfig::new(shards);
     config.min_shard_bytes = 1; // shard even small generated documents
-    ShardedReader::new(doc.as_bytes().to_vec(), config)
+    ShardedReader::new(doc.as_bytes().to_vec(), config, symbols)
 }
 
 fn serialise_sharded(doc: &str, shards: usize) -> String {
-    let mut reader = sharded_reader(doc, shards);
-    let mut writer = XmlWriter::new(Vec::new());
-    let mut ev = RawEvent::new();
-    while reader.next_into(&mut ev).expect("sharded parse") {
-        writer
-            .write_raw_event(reader.symbols(), &ev)
-            .expect("write");
-    }
-    writer.finish().expect("finish");
-    String::from_utf8(writer.into_inner()).expect("utf8")
+    serialise(sharded_reader(doc, shards, SymbolTable::new()))
 }
 
 fn sharded_owned_events(doc: &str, shards: usize) -> Vec<XmlEvent> {
-    let mut reader = sharded_reader(doc, shards);
-    let mut ev = RawEvent::new();
-    let mut out = Vec::new();
-    while reader.next_into(&mut ev).expect("sharded parse") {
-        out.push(ev.to_xml_event(reader.symbols()));
-    }
-    out
+    let (events, err) = collect_events(&mut sharded_reader(doc, shards, SymbolTable::new()));
+    assert!(err.is_none(), "sharded parse: {err:?}");
+    events
 }
 
 fn assert_doc_equivalent(doc: &str) {
@@ -327,34 +319,21 @@ fn xsax_verdicts_agree_with_sequential() {
     let invalid = valid.replace("<title>", "<price>9</price><title>");
 
     for (doc, should_pass) in [(&valid, true), (&invalid, false)] {
-        let sequential = {
-            let mut p = XsaxParser::new(doc.as_bytes(), &dtd).expect("parser");
-            let mut ev = RawEvent::new();
+        fn count_steps<S: EventSource>(
+            mut p: XsaxParser<'_, S>,
+        ) -> Result<u64, flux_xsax::XsaxError> {
             let mut n = 0u64;
-            loop {
-                match p.next_into(&mut ev) {
-                    Ok(Some(_)) => n += 1,
-                    Ok(None) => break Ok(n),
-                    Err(e) => break Err(e),
-                }
+            while p.next_step()?.is_some() {
+                n += 1;
             }
-        };
+            Ok(n)
+        }
+        let sequential = count_steps(XsaxParser::new(doc.as_bytes(), &dtd).expect("parser"));
         for shards in SHARD_COUNTS {
-            let mut config = ShardConfig::new(shards);
-            config.min_shard_bytes = 1;
-            let source =
-                ShardedReader::with_symbols(doc.as_bytes().to_vec(), config, seeded_symbols(&dtd));
-            let mut p =
-                XsaxParser::from_source(source, &dtd, XsaxConfig::default()).expect("from_source");
-            let mut ev = RawEvent::new();
-            let mut n = 0u64;
-            let sharded: Result<u64, _> = loop {
-                match p.next_into(&mut ev) {
-                    Ok(Some(_)) => n += 1,
-                    Ok(None) => break Ok(n),
-                    Err(e) => break Err(e),
-                }
-            };
+            let source = sharded_reader(doc, shards, seeded_symbols(&dtd));
+            let sharded = count_steps(
+                XsaxParser::from_source(source, &dtd, XsaxConfig::default()).expect("from_source"),
+            );
             match (&sequential, &sharded) {
                 (Ok(a), Ok(b)) => {
                     assert!(should_pass, "both accepted an invalid doc");
@@ -383,16 +362,15 @@ fn xsax_past_fires_agree_over_sharded_source() {
     let author = dtd.lookup("author").unwrap();
 
     // A fire trace records (event ordinal, fired id) pairs.
-    fn trace<S: flux_xml::EventSource>(
+    fn trace<S: EventSource>(
         mut parser: XsaxParser<'_, S>,
         book: flux_dtd::Symbol,
         labels: PastLabels,
     ) -> Vec<(u64, u32)> {
         parser.register_past(book, labels).expect("register");
-        let mut ev = RawEvent::new();
         let mut ordinal = 0u64;
         let mut fires = Vec::new();
-        while let Some(step) = parser.next_into(&mut ev).expect("step") {
+        while let Some(step) = parser.next_step().expect("step") {
             ordinal += 1;
             if let XsaxStep::Fire { id, .. } = step {
                 fires.push((ordinal, id.0));
@@ -409,10 +387,7 @@ fn xsax_past_fires_agree_over_sharded_source() {
     );
     assert!(!sequential.is_empty(), "the workload must fire");
     for shards in SHARD_COUNTS {
-        let mut config = ShardConfig::new(shards);
-        config.min_shard_bytes = 1;
-        let source =
-            ShardedReader::with_symbols(doc.as_bytes().to_vec(), config, seeded_symbols(&dtd));
+        let source = sharded_reader(&doc, shards, seeded_symbols(&dtd));
         let parser =
             XsaxParser::from_source(source, &dtd, XsaxConfig::default()).expect("from_source");
         assert_eq!(

@@ -2,16 +2,16 @@
 //! error (well-formed XML that violates the DTD) must yield the identical
 //! error, the identical error *position* (offset, line and column), and
 //! the identical partial event stream — prefix events and on-first fires —
-//! under the sequential reader, join-then-replay sharding and pipelined
-//! sharding, at every shard count.
+//! under the sequential reader and pipelined sharding, at every shard
+//! count.
 //!
 //! This is the acceptance bar for overlapping validation with parsing:
 //! the consumer may start validating shard *i* while shards *i+1..N* are
 //! still being parsed, but nothing observable may move.
 
 use flux_dtd::Dtd;
-use flux_shard::{ReplayMode, ShardConfig, ShardedReader};
-use flux_xml::{EventSource, Position, RawEvent, XmlError, XmlEvent, XmlReader};
+use flux_shard::{ShardConfig, ShardedReader};
+use flux_xml::{collect_events, EventSource, Position, SymbolTable, XmlEvent, XmlReader};
 use flux_xmlgen::{bib_string, corpus, BibConfig};
 use flux_xsax::{seeded_symbols, XsaxConfig, XsaxError, XsaxParser, XsaxStep};
 use proptest::prelude::*;
@@ -55,7 +55,7 @@ fn error_position(err: &XsaxError) -> Option<Position> {
     }
 }
 
-/// Runs the document through all three paths and asserts byte-for-byte
+/// Runs the document through both paths and asserts byte-for-byte
 /// agreement of prefix, error message and error position.
 fn assert_modes_agree(doc: &str, dtd: &Dtd, with_past: bool) {
     let past = with_past.then(|| {
@@ -69,35 +69,31 @@ fn assert_modes_agree(doc: &str, dtd: &Dtd, with_past: bool) {
         past.clone(),
     );
     for shards in SHARD_COUNTS {
-        for mode in [ReplayMode::Joined, ReplayMode::Pipelined] {
-            let mut config = ShardConfig::new(shards);
-            config.min_shard_bytes = 1;
-            config.mode = mode;
-            let source =
-                ShardedReader::with_symbols(doc.as_bytes().to_vec(), config, seeded_symbols(dtd));
-            let parser =
-                XsaxParser::from_source(source, dtd, XsaxConfig::default()).expect("from_source");
-            let (steps, err) = drive(parser, past.clone());
-            assert_eq!(
-                steps, seq_steps,
-                "partial stream diverged ({shards} shards, {mode:?})"
-            );
-            match (&seq_err, &err) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(
-                        a.to_string(),
-                        b.to_string(),
-                        "error diverged ({shards} shards, {mode:?})"
-                    );
-                    assert_eq!(
-                        error_position(a),
-                        error_position(b),
-                        "error position (incl. offset) diverged ({shards} shards, {mode:?})"
-                    );
-                }
-                (a, b) => panic!("verdicts diverged ({shards} shards, {mode:?}): {a:?} vs {b:?}"),
+        let mut config = ShardConfig::new(shards);
+        config.min_shard_bytes = 1;
+        let source = ShardedReader::new(doc.as_bytes().to_vec(), config, seeded_symbols(dtd));
+        let parser =
+            XsaxParser::from_source(source, dtd, XsaxConfig::default()).expect("from_source");
+        let (steps, err) = drive(parser, past.clone());
+        assert_eq!(
+            steps, seq_steps,
+            "partial stream diverged ({shards} shards)"
+        );
+        match (&seq_err, &err) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(
+                    a.to_string(),
+                    b.to_string(),
+                    "error diverged ({shards} shards)"
+                );
+                assert_eq!(
+                    error_position(a),
+                    error_position(b),
+                    "error position (incl. offset) diverged ({shards} shards)"
+                );
             }
+            (a, b) => panic!("verdicts diverged ({shards} shards): {a:?} vs {b:?}"),
         }
     }
 }
@@ -122,58 +118,44 @@ fn corrupt_nth(doc: &str, needle: &str, with: &str, n: usize) -> Option<String> 
     Some(out)
 }
 
-/// Drains a raw event source to completion or its first error.
-fn parse_to_error<S: EventSource>(mut source: S) -> Option<XmlError> {
-    let mut ev = RawEvent::new();
-    loop {
-        match source.next_into(&mut ev) {
-            Ok(true) => {}
-            Ok(false) => return None,
-            Err(e) => return Some(e),
-        }
-    }
-}
-
 /// Parse-level counterpart of [`assert_modes_agree`]: every entry of the
 /// seeded malformed-input corpus must fail with the identical error
 /// message and the byte-exact sequential position — offset, line *and*
-/// column — under every shard count and both replay modes.
+/// column — under every shard count.
 #[test]
 fn corpus_errors_byte_exact_across_shard_counts() {
     let entries = corpus();
     assert!(entries.len() >= 20, "corpus shrank to {}", entries.len());
     for entry in &entries {
-        let seq_err = parse_to_error(XmlReader::new(entry.bytes.as_slice()))
+        let seq_err = collect_events(&mut XmlReader::new(entry.bytes.as_slice()))
+            .1
             .unwrap_or_else(|| panic!("corpus entry `{}` parsed cleanly", entry.id));
         entry.check_error(&seq_err);
         let seq_pos = seq_err
             .position()
             .unwrap_or_else(|| panic!("corpus entry `{}`: error without position", entry.id));
         for shards in SHARD_COUNTS {
-            for mode in [ReplayMode::Joined, ReplayMode::Pipelined] {
-                let mut config = ShardConfig::new(shards);
-                config.min_shard_bytes = 1;
-                config.mode = mode;
-                let err = parse_to_error(ShardedReader::new(entry.bytes.clone(), config))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "corpus entry `{}` parsed cleanly ({shards} shards, {mode:?})",
-                            entry.id
-                        )
-                    });
-                assert_eq!(
-                    err.to_string(),
-                    seq_err.to_string(),
-                    "corpus entry `{}`: error message diverged ({shards} shards, {mode:?})",
+            let mut config = ShardConfig::new(shards);
+            config.min_shard_bytes = 1;
+            let mut reader = ShardedReader::new(entry.bytes.clone(), config, SymbolTable::new());
+            let err = collect_events(&mut reader).1.unwrap_or_else(|| {
+                panic!(
+                    "corpus entry `{}` parsed cleanly ({shards} shards)",
                     entry.id
-                );
-                assert_eq!(
-                    err.position(),
-                    Some(seq_pos),
-                    "corpus entry `{}`: error position diverged ({shards} shards, {mode:?})",
-                    entry.id
-                );
-            }
+                )
+            });
+            assert_eq!(
+                err.to_string(),
+                seq_err.to_string(),
+                "corpus entry `{}`: error message diverged ({shards} shards)",
+                entry.id
+            );
+            assert_eq!(
+                err.position(),
+                Some(seq_pos),
+                "corpus entry `{}`: error position diverged ({shards} shards)",
+                entry.id
+            );
         }
     }
 }
@@ -185,8 +167,8 @@ proptest! {
     })]
 
     /// A mid-stream order violation (a `price` arriving before `title`)
-    /// under the Fig. 1 DTD: identical error, position and prefix in all
-    /// three modes, with on-first registrations active.
+    /// under the Fig. 1 DTD: identical error, position and prefix in both
+    /// modes, with on-first registrations active.
     #[test]
     fn validity_error_identical_across_modes(
         seed in 0u64..1_000_000,

@@ -18,7 +18,7 @@ fn best_consume_time(bytes: &[u8], shards: usize, runs: usize) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..runs {
         let config = ShardConfig::new(shards);
-        let mut reader = ShardedReader::new(bytes.to_vec(), config);
+        let mut reader = ShardedReader::new(bytes.to_vec(), config, flux_xml::SymbolTable::new());
         let start = Instant::now();
         let mut events = 0u64;
         while reader.advance().expect("well-formed input") {
@@ -45,9 +45,9 @@ fn two_shards_beat_one_on_multicore() {
         eprintln!("skipping: host exposes {cores} core(s); sharding speedup needs >= 2");
         return;
     }
-    // ~6 MB of bibliography: tens of milliseconds of parse work per run,
+    // ~4.7 MB of bibliography: tens of milliseconds of parse work per run,
     // enough for the parallel win to dwarf scheduler noise.
-    let doc = bib_string(&BibConfig::weak(25_000, 7));
+    let doc = bib_string(&BibConfig::weak(32_000, 7));
     assert!(doc.len() > 4 << 20, "document too small: {}", doc.len());
     let bytes = doc.into_bytes();
     // Warm up both paths (page cache, thread spawn, lazy init).

@@ -9,7 +9,7 @@
 
 use flux_shard::{ShardConfig, ShardedReader};
 use flux_telemetry::{RunReport, ShardLane};
-use flux_xml::{RawEvent, RawEventKind};
+use flux_xml::{RawEventKind, SymbolTable};
 
 /// A document big enough to shard at min_shard_bytes = 1.
 fn document() -> String {
@@ -27,11 +27,10 @@ fn document() -> String {
 /// Drains the reader; returns the number of tape events delivered
 /// (excluding the synthesised document brackets).
 fn drain(reader: &mut ShardedReader) -> u64 {
-    let mut ev = RawEvent::new();
     let mut tape_events = 0;
-    while reader.next_into(&mut ev).expect("valid document") {
+    while reader.advance().expect("valid document") {
         if !matches!(
-            ev.kind(),
+            reader.view().kind(),
             RawEventKind::StartDocument | RawEventKind::EndDocument
         ) {
             tape_events += 1;
@@ -43,7 +42,7 @@ fn drain(reader: &mut ShardedReader) -> u64 {
 fn run(shards: usize) -> (ShardedReader, u64) {
     let mut config = ShardConfig::new(shards);
     config.min_shard_bytes = 1;
-    let mut reader = ShardedReader::new(document().into_bytes(), config);
+    let mut reader = ShardedReader::new(document().into_bytes(), config, SymbolTable::new());
     let delivered = drain(&mut reader);
     (reader, delivered)
 }

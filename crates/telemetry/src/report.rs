@@ -20,7 +20,7 @@ use crate::json::JsonWriter;
 #[derive(Debug, Default, Clone)]
 pub struct Stage {
     pub name: String,
-    /// String annotations (active ISA, replay mode, ...).
+    /// String annotations (active ISA, ingest path, ...).
     pub notes: Vec<(&'static str, String)>,
     /// Monotonic counter values.
     pub counters: Vec<(&'static str, u64)>,

@@ -4,20 +4,20 @@
 //!
 //! * [`XmlEvent`] — the owned, string-named model. Convenient, allocates
 //!   per event; kept for tests, tools and anything off the hot path.
-//! * [`RawEvent`] — the recycled, interned model. One caller-owned
-//!   `RawEvent` is rewritten in place by [`crate::XmlReader::next_into`];
-//!   element and attribute names are [`Symbol`]s resolved against the
-//!   reader's [`SymbolTable`], and text and attribute-value buffers are
-//!   reused across events. In the steady state (every name seen once,
-//!   buffers grown to the largest token) pulling an event performs
-//!   **zero heap allocations**.
-//! * [`RawEventRef`] — the borrowed, zero-copy view the streaming pipeline
-//!   now runs on. A source ([`crate::EventSource`]) advances and then hands
-//!   out a `RawEventRef` whose payloads borrow the source's own storage
-//!   (the scanner window for sequential text runs, the event tape arena
-//!   for sharded replay, or a recycled `RawEvent`). The view is valid
-//!   until the source's next [`crate::EventSource::advance`] — delivering
-//!   an event is a pointer hand-off, not a byte copy.
+//! * [`RawEvent`] — the recycled, interned storage behind a source. The
+//!   reader rewrites one `RawEvent` in place per
+//!   [`crate::XmlReader::advance`]; element and attribute names are
+//!   [`Symbol`]s resolved against the reader's [`SymbolTable`], and text
+//!   and attribute-value buffers are reused across events. In the steady
+//!   state (every name seen once, buffers grown to the largest token)
+//!   pulling an event performs **zero heap allocations**.
+//! * [`RawEventRef`] — the borrowed, zero-copy view every consumer reads.
+//!   A source ([`crate::EventSource`]) advances and then hands out a
+//!   `RawEventRef` whose payloads borrow the source's own storage (the
+//!   scanner window for sequential text runs, the event tape arena for
+//!   sharded replay, or the recycled `RawEvent`). The view is valid until
+//!   the source's next [`crate::EventSource::advance`] — delivering an
+//!   event is a pointer hand-off, not a byte copy.
 
 use crate::tape::{EncAttr, SymbolRemap};
 use flux_symbols::{Symbol, SymbolTable};
@@ -161,17 +161,12 @@ impl RawAttr {
             symbols.name(self.name)
         }
     }
-
-    /// Converts to the owned string representation.
-    pub fn to_attribute(&self, symbols: &SymbolTable) -> Attribute {
-        Attribute::new(self.name_str(symbols), self.value.clone())
-    }
 }
 
 /// A recycled XML event.
 ///
-/// The caller owns one `RawEvent` and passes it to
-/// [`crate::XmlReader::next_into`], which rewrites it in place. Field
+/// A source owns one `RawEvent`, rewrites it in place per event and serves
+/// it through [`RawEventRef::from_event`]. Field
 /// accessors are only meaningful for the matching [`RawEventKind`]:
 ///
 /// | kind | [`name`](Self::name) | [`attributes`](Self::attributes) | [`text`](Self::text) | [`target`](Self::target) |
@@ -343,36 +338,6 @@ impl RawEvent {
 
     pub fn set_text_synthetic(&mut self, yes: bool) {
         self.text_synthetic = yes;
-    }
-
-    /// Converts to the owned, string-named representation (allocates; the
-    /// compatibility path for [`crate::XmlReader::next_event`] consumers).
-    pub fn to_xml_event(&self, symbols: &SymbolTable) -> XmlEvent {
-        match self.kind {
-            RawEventKind::StartDocument => XmlEvent::StartDocument,
-            RawEventKind::EndDocument => XmlEvent::EndDocument,
-            RawEventKind::DoctypeDecl => XmlEvent::DoctypeDecl {
-                name: self.target.clone(),
-                internal_subset: self.internal_subset().map(str::to_string),
-            },
-            RawEventKind::StartElement => XmlEvent::StartElement {
-                name: self.name_str(symbols).to_string(),
-                attributes: self
-                    .attributes()
-                    .iter()
-                    .map(|a| a.to_attribute(symbols))
-                    .collect(),
-            },
-            RawEventKind::EndElement => XmlEvent::EndElement {
-                name: self.name_str(symbols).to_string(),
-            },
-            RawEventKind::Text => XmlEvent::Text(self.text.clone()),
-            RawEventKind::Comment => XmlEvent::Comment(self.text.clone()),
-            RawEventKind::ProcessingInstruction => XmlEvent::ProcessingInstruction {
-                target: self.target.clone(),
-                data: self.text.clone(),
-            },
-        }
     }
 }
 
@@ -635,24 +600,6 @@ impl<'a> RawEventRef<'a> {
         literal + self.defaults.len()
     }
 
-    /// Materialises the view into a recycled [`RawEvent`] (the copying
-    /// compatibility path behind [`crate::EventSource::next_into`]).
-    pub fn copy_into(&self, ev: &mut RawEvent) {
-        ev.reset(self.kind);
-        ev.set_name(self.name);
-        ev.text_mut().push_str(self.text);
-        ev.target_mut().push_str(self.target);
-        ev.set_has_internal_subset(self.has_internal_subset);
-        ev.set_text_synthetic(self.text_synthetic);
-        for attr in self.attrs() {
-            if attr.name == SymbolTable::OVERFLOW {
-                ev.push_attr_named(attr.overflow_name).push_str(attr.value);
-            } else {
-                ev.push_attr(attr.name).push_str(attr.value);
-            }
-        }
-    }
-
     /// Converts to the owned, string-named representation (allocates).
     pub fn to_xml_event(&self, symbols: &SymbolTable) -> XmlEvent {
         match self.kind {
@@ -746,7 +693,7 @@ mod tests {
         ev.set_name(book);
         ev.push_attr(year).push_str("1994");
         assert_eq!(
-            ev.to_xml_event(&symbols),
+            RawEventRef::from_event(&ev).to_xml_event(&symbols),
             XmlEvent::StartElement {
                 name: "book".into(),
                 attributes: vec![Attribute::new("year", "1994")],
@@ -755,6 +702,9 @@ mod tests {
         ev.reset(RawEventKind::Text);
         ev.text_mut().push_str("hi");
         assert!(!ev.is_whitespace_text());
-        assert_eq!(ev.to_xml_event(&symbols), XmlEvent::Text("hi".into()));
+        assert_eq!(
+            RawEventRef::from_event(&ev).to_xml_event(&symbols),
+            XmlEvent::Text("hi".into())
+        );
     }
 }

@@ -422,6 +422,17 @@ impl Input {
         self.budget.as_ref()
     }
 
+    /// The reader configuration of a run over this input: its window and
+    /// budget, plus the engine's interner cap.
+    pub fn reader_config(&self, max_symbols: Option<usize>) -> crate::ReaderConfig {
+        crate::ReaderConfig {
+            max_symbols,
+            window: self.window,
+            budget: self.budget.clone(),
+            ..Default::default()
+        }
+    }
+
     /// Whether this input is an in-memory buffer (and would resolve to
     /// [`ResolvedInput::Bytes`] absent compression).
     pub fn is_buffered(&self) -> bool {

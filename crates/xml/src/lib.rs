@@ -12,12 +12,14 @@
 //! query and the DTD, not by the document size, and the parsing layer must
 //! not undermine that.
 //!
-//! The hot path is the **interned event core**: [`XmlReader::next_into`]
-//! rewrites one caller-owned [`RawEvent`] in place, with element and
-//! attribute names as [`Symbol`]s from the reader's [`SymbolTable`]
-//! (seedable from a schema via [`XmlReader::with_symbols`]) and recycled
-//! text/value buffers — zero heap allocations per event in the steady
-//! state. The owned [`XmlEvent`] API remains as a convenience wrapper.
+//! Every source speaks one pull protocol ([`EventSource`]):
+//! [`XmlReader::advance`] rewrites one recycled [`RawEvent`] in place, with
+//! element and attribute names as [`Symbol`]s from the reader's
+//! [`SymbolTable`] (seedable from a schema via [`XmlReader::with_symbols`])
+//! and recycled text/value buffers, and [`XmlReader::view`] lends it out as
+//! a [`RawEventRef`] — zero heap allocations per event in the steady
+//! state. [`parse_to_events`] / [`collect_events`] render views as owned
+//! [`XmlEvent`]s for tests and tools.
 
 pub mod error;
 pub mod escape;
@@ -43,7 +45,7 @@ pub use input::{
 };
 pub use reader::{is_name_start, parse_to_events, ReaderConfig, XmlReader};
 pub use simd::{active_isa_name, StructuralIndex};
-pub use source::EventSource;
+pub use source::{collect_events, EventSource};
 pub use tape::{EventTape, SymbolRemap};
 pub use tree::{Document, NodeAttr, NodeId, NodeKind, TextGate, TreeBuilder};
 pub use writer::{events_to_string, WriterConfig, XmlWriter};

@@ -10,17 +10,16 @@
 //! the document (the in-repo consumers of that mode — the DOM and
 //! projection baselines — materialise the document anyway).
 //!
-//! Two pull APIs exist over the same parsing core:
-//!
-//! * [`XmlReader::next_into`] — the hot path. The caller owns one
-//!   [`RawEvent`] that is rewritten in place; element and attribute names
-//!   are interned [`Symbol`]s, text and attribute values land in recycled
-//!   buffers, and UTF-8 is validated in place. In the steady state (every
-//!   name interned, buffers grown to the largest token) pulling an event
-//!   performs **zero heap allocations**.
-//! * [`XmlReader::next_event`] / [`XmlReader::next`] — the owned
-//!   [`XmlEvent`] API, which allocates per event. Kept for tests, tools and
-//!   anything off the hot path; it is a thin wrapper over the raw core.
+//! There is one pull API, the borrowed view protocol shared with every
+//! other [`crate::EventSource`]: [`XmlReader::advance`] rewrites one
+//! recycled [`RawEvent`] in place and [`XmlReader::view`] serves it.
+//! Element and attribute names are interned [`Symbol`]s, attribute values
+//! land in recycled buffers, UTF-8 is validated in place, and text runs
+//! that end inside the scanner window are borrowed from it without a
+//! copy. In the steady state (every name interned, buffers grown to the
+//! largest token) pulling an event performs **zero heap allocations**.
+//! [`parse_to_events`] renders the views as owned [`XmlEvent`]s for tests
+//! and tools.
 //!
 //! The reader checks well-formedness (tag balance, a single root element,
 //! attribute uniqueness, entity definedness) but performs no validation —
@@ -33,6 +32,7 @@ use crate::escape::unescape_into;
 use crate::event::{RawEvent, RawEventKind, RawEventRef, XmlEvent};
 use crate::input::MemoryBudget;
 use crate::scanner::{Scanner, TagProbe};
+use crate::source::collect_events;
 use flux_symbols::{Symbol, SymbolTable};
 use flux_telemetry::{ReaderCounters, RunReport, ScanCounters, Stage};
 use std::io::Read;
@@ -108,8 +108,8 @@ enum State {
 
 /// Streaming pull parser over any [`Read`] source.
 ///
-/// A thin shell around `ReaderCore` plus the two recycled events the
-/// pull APIs write into. The split is load-bearing: `advance` hands
+/// A thin shell around `ReaderCore` plus the recycled event `advance`
+/// writes into. The split is load-bearing: `advance` hands
 /// `&mut self.current` and `&mut self.core` to the parsing core as
 /// disjoint field borrows, so no per-event move of the event struct is
 /// needed to satisfy the borrow checker.
@@ -118,8 +118,6 @@ pub struct XmlReader<R: Read> {
     /// The event behind [`XmlReader::view`], filled in place by
     /// [`XmlReader::advance`].
     current: RawEvent,
-    /// Recycled event backing the owned-`XmlEvent` compatibility API.
-    compat: RawEvent,
 }
 
 /// The parsing state machine behind [`XmlReader`] — everything except
@@ -277,7 +275,6 @@ impl<R: Read> XmlReader<R> {
                 borrowed_text: None,
                 tel: ReaderCounters::default(),
             },
-            compat: RawEvent::new(),
             current: RawEvent::new(),
         }
     }
@@ -313,21 +310,10 @@ impl<R: Read> XmlReader<R> {
         &self.core.stack
     }
 
-    /// Pulls the next event into the caller-owned `ev`, recycling its
-    /// buffers. Returns `Ok(false)` once `EndDocument` has been delivered.
-    pub fn next_into(&mut self, ev: &mut RawEvent) -> Result<bool> {
-        if self.core.state == State::Done {
-            return Ok(false);
-        }
-        self.core.fill_event(ev, false)?;
-        Ok(true)
-    }
-
     /// Advances to the next event, readable through [`XmlReader::view`]
-    /// until the following advance. This is the zero-copy pull API: text
-    /// runs that end inside the scanner's buffered window are delivered as
-    /// borrowed slices of it, skipping even the copy into the recycled
-    /// event buffer. Returns `Ok(false)` once `EndDocument` has been
+    /// until the following advance. Text runs that end inside the
+    /// scanner's buffered window are delivered as borrowed slices of it,
+    /// skipping even the copy into the recycled event buffer. Returns `Ok(false)` once `EndDocument` has been
     /// delivered.
     pub fn advance(&mut self) -> Result<bool> {
         if self.core.state == State::Done {
@@ -335,7 +321,7 @@ impl<R: Read> XmlReader<R> {
             return Ok(false);
         }
         // Disjoint field borrows: the core writes the event in place.
-        self.core.fill_event(&mut self.current, true)?;
+        self.core.fill_event(&mut self.current)?;
         Ok(true)
     }
 
@@ -351,30 +337,6 @@ impl<R: Read> XmlReader<R> {
             ),
             None => v,
         }
-    }
-
-    /// Pulls the next event. After [`XmlEvent::EndDocument`], returns `None`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<XmlEvent>> {
-        if self.core.state == State::Done {
-            return Ok(None);
-        }
-        #[allow(deprecated)]
-        self.next_event().map(Some)
-    }
-
-    /// Pulls the next event as an owned [`XmlEvent`]; calling after
-    /// `EndDocument` is an error. Allocates per event.
-    #[deprecated(
-        since = "0.1.0",
-        note = "legacy string-event wrapper; migrate to `XmlReader::next_into` \
-                (caller-owned recycled event) or `advance`/`view` (borrowed \
-                zero-copy view). Both deliver interned `Symbol` names; map \
-                them back with `XmlReader::symbols()` where strings are needed."
-    )]
-    pub fn next_event(&mut self) -> Result<XmlEvent> {
-        self.core.fill_event(&mut self.compat, false)?;
-        Ok(self.compat.to_xml_event(&self.core.symbols))
     }
 
     /// A copy of the scanner's refill/prescan counters (zero-sized unless
@@ -421,12 +383,11 @@ impl<R: Read> ReaderCore<R> {
         }
     }
 
-    /// The parsing core: rewrites `ev` with the next event. With
-    /// `allow_borrow`, an eligible text run is left in the scanner window
-    /// ([`ReaderCore::borrowed_text`]) instead of being copied into `ev` —
-    /// only the view API may enable this, because the range dies at the
-    /// next scanner refill.
-    fn fill_event(&mut self, ev: &mut RawEvent, allow_borrow: bool) -> Result<()> {
+    /// The parsing core: rewrites `ev` with the next event. An eligible
+    /// text run is left in the scanner window
+    /// ([`ReaderCore::borrowed_text`]) instead of being copied into `ev`;
+    /// the range dies at the next scanner refill, i.e. the next call.
+    fn fill_event(&mut self, ev: &mut RawEvent) -> Result<()> {
         self.borrowed_text = None;
         if self.state == State::Fresh {
             // Fragments skip the prolog/epilog state machine entirely: a
@@ -457,7 +418,7 @@ impl<R: Read> ReaderCore<R> {
         }
         loop {
             match self.state {
-                State::Done => return Err(self.syntax("next_event called after end of document")),
+                State::Done => return Err(self.syntax("advance called after end of document")),
                 State::Prolog | State::Epilog => {
                     self.scanner.skip_whitespace()?;
                     self.event_start = self.scanner.position();
@@ -475,7 +436,7 @@ impl<R: Read> ReaderCore<R> {
                         }
                         Some(b'<') => {
                             let kind = classify_markup(self.scanner.peek_slice(9)?);
-                            if self.parse_markup(ev, allow_borrow, kind)? {
+                            if self.parse_markup(ev, kind)? {
                                 return Ok(());
                             }
                         }
@@ -516,11 +477,11 @@ impl<R: Read> ReaderCore<R> {
                             });
                         }
                         Some(Some(kind)) => {
-                            if self.parse_markup(ev, allow_borrow, kind)? {
+                            if self.parse_markup(ev, kind)? {
                                 return Ok(());
                             }
                         }
-                        Some(None) => return self.parse_text(ev, allow_borrow),
+                        Some(None) => return self.parse_text(ev),
                     }
                 }
                 State::Fresh => unreachable!("handled above"),
@@ -555,19 +516,14 @@ impl<R: Read> ReaderCore<R> {
     /// dispatch probe ([`classify_markup`] over the same nine bytes).
     /// Returns `false` when the construct was consumed silently (skipped
     /// comment/PI).
-    fn parse_markup(
-        &mut self,
-        ev: &mut RawEvent,
-        allow_borrow: bool,
-        kind: Markup,
-    ) -> Result<bool> {
+    fn parse_markup(&mut self, ev: &mut RawEvent, kind: Markup) -> Result<bool> {
         match kind {
             Markup::Comment => self.parse_comment(ev),
             // CDATA is text: inside the root it joins the surrounding
             // character-data run (parse_text merges adjacent sections);
             // anywhere else it is a well-formedness error.
             Markup::Cdata if self.state == State::InRoot => {
-                self.parse_text(ev, allow_borrow)?;
+                self.parse_text(ev)?;
                 Ok(true)
             }
             Markup::Cdata => Err(self.wf("CDATA section outside the root element")),
@@ -1165,52 +1121,50 @@ impl<R: Read> ReaderCore<R> {
     /// Parses a maximal run of character data into `ev`, merging adjacent
     /// CDATA sections and resolving entity references.
     ///
-    /// With `allow_borrow`, a run that (a) ends at a `<` inside the
-    /// scanner's buffered window with enough lookahead to rule out a
-    /// following CDATA section (or at EOF), (b) contains no entity or
-    /// character references, and (c) needs no CDATA merging is **not
-    /// copied**: its window range lands in `self.borrowed_text` and `ev`'s
-    /// text stays empty. [`XmlReader::view`] serves the bytes in place.
-    fn parse_text(&mut self, ev: &mut RawEvent, allow_borrow: bool) -> Result<()> {
+    /// A run that (a) ends at a `<` inside the scanner's buffered window
+    /// with enough lookahead to rule out a following CDATA section (or at
+    /// EOF), (b) contains no entity or character references, and (c) needs
+    /// no CDATA merging is **not copied**: its window range lands in
+    /// `self.borrowed_text` and `ev`'s text stays empty.
+    /// [`XmlReader::view`] serves the bytes in place.
+    fn parse_text(&mut self, ev: &mut RawEvent) -> Result<()> {
         ev.reset(RawEventKind::Text);
-        if allow_borrow {
-            let run_start_abs = self.scanner.position().offset;
-            // Lookahead 9 = b"<![CDATA[".len(): the CDATA probe below must
-            // not refill (a refill would move the borrowed bytes).
-            if let Some(range) = self.scanner.borrow_run(b'<', 9)? {
-                let pos = self.scanner.position();
-                // The prescan's `&` lane answers the reference probe
-                // without re-reading the run (UTF-8 still needs one pass).
-                let has_references = self.scanner.amp_between(run_start_abs, pos.offset);
-                std::str::from_utf8(self.scanner.borrowed(range))
-                    .map_err(|_| XmlError::InvalidUtf8 { pos })?;
-                if has_references {
-                    // Entity references force materialisation; unescape
-                    // into the recycled buffer and continue the owned loop
-                    // (more segments may follow).
-                    self.tel.entity_unescapes(1);
-                    ev.set_text_synthetic(true);
-                    let raw =
-                        std::str::from_utf8(self.scanner.borrowed(range)).expect("validated above");
-                    unescape_into(raw, pos, ev.text_mut())?;
-                } else if self.scanner.looking_at(b"<![CDATA[")? {
-                    // A CDATA section merges into this run: spill the
-                    // borrowed prefix and continue the owned loop.
-                    let raw =
-                        std::str::from_utf8(self.scanner.borrowed(range)).expect("validated above");
-                    ev.text_mut().push_str(raw);
-                } else if self.scanner.peek()?.is_none() && !self.config.fragment {
-                    return Err(XmlError::UnexpectedEof {
-                        expected: "closing tags for open elements",
-                        pos: self.scanner.position(),
-                    });
-                } else {
-                    // The common case: a literal text run delivered as a
-                    // borrowed slice of the scanner window.
-                    self.tel.borrowed_text_runs(1);
-                    self.borrowed_text = Some(range);
-                    return Ok(());
-                }
+        let run_start_abs = self.scanner.position().offset;
+        // Lookahead 9 = b"<![CDATA[".len(): the CDATA probe below must
+        // not refill (a refill would move the borrowed bytes).
+        if let Some(range) = self.scanner.borrow_run(b'<', 9)? {
+            let pos = self.scanner.position();
+            // The prescan's `&` lane answers the reference probe
+            // without re-reading the run (UTF-8 still needs one pass).
+            let has_references = self.scanner.amp_between(run_start_abs, pos.offset);
+            std::str::from_utf8(self.scanner.borrowed(range))
+                .map_err(|_| XmlError::InvalidUtf8 { pos })?;
+            if has_references {
+                // Entity references force materialisation; unescape
+                // into the recycled buffer and continue the owned loop
+                // (more segments may follow).
+                self.tel.entity_unescapes(1);
+                ev.set_text_synthetic(true);
+                let raw =
+                    std::str::from_utf8(self.scanner.borrowed(range)).expect("validated above");
+                unescape_into(raw, pos, ev.text_mut())?;
+            } else if self.scanner.looking_at(b"<![CDATA[")? {
+                // A CDATA section merges into this run: spill the
+                // borrowed prefix and continue the owned loop.
+                let raw =
+                    std::str::from_utf8(self.scanner.borrowed(range)).expect("validated above");
+                ev.text_mut().push_str(raw);
+            } else if self.scanner.peek()?.is_none() && !self.config.fragment {
+                return Err(XmlError::UnexpectedEof {
+                    expected: "closing tags for open elements",
+                    pos: self.scanner.position(),
+                });
+            } else {
+                // The common case: a literal text run delivered as a
+                // borrowed slice of the scanner window.
+                self.tel.borrowed_text_runs(1);
+                self.borrowed_text = Some(range);
+                return Ok(());
             }
         }
         loop {
@@ -1261,21 +1215,16 @@ impl<R: Read> ReaderCore<R> {
     }
 }
 
-/// Convenience: parses a complete document from a string into an event list.
-/// Intended for tests and small inputs.
-#[allow(deprecated)] // the owned-event API is this helper's whole point
+/// Convenience: parses a complete document from a string into an event list
+/// ([`crate::source::collect_events`] over a default reader). Intended for
+/// tests and small inputs.
 pub fn parse_to_events(input: &str) -> Result<Vec<XmlEvent>> {
-    let mut reader = XmlReader::new(input.as_bytes());
-    let mut events = Vec::new();
-    loop {
-        let ev = reader.next_event()?;
-        let done = ev == XmlEvent::EndDocument;
-        events.push(ev);
-        if done {
-            return Ok(events);
-        }
+    match collect_events(&mut XmlReader::new(input.as_bytes())) {
+        (events, None) => Ok(events),
+        (_, Some(e)) => Err(e),
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1287,6 +1236,12 @@ mod tests {
 
     fn kinds(input: &str) -> Vec<&'static str> {
         events(input).iter().map(|e| e.kind()).collect()
+    }
+
+    /// Drains a configured reader: the delivered prefix and the terminal
+    /// error, if any.
+    fn events_with(input: &str, config: ReaderConfig) -> (Vec<XmlEvent>, Option<XmlError>) {
+        collect_events(&mut XmlReader::with_config(input.as_bytes(), config))
     }
 
     #[test]
@@ -1381,27 +1336,16 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn comments_emitted_when_configured() {
-        let mut reader = XmlReader::with_config(
-            "<a><!--c--></a>".as_bytes(),
+        let (evs, err) = events_with(
+            "<a><!--c--></a>",
             ReaderConfig {
                 emit_comments: true,
                 ..ReaderConfig::default()
             },
         );
-        let mut found = false;
-        loop {
-            match reader.next_event().unwrap() {
-                XmlEvent::Comment(c) => {
-                    assert_eq!(c, "c");
-                    found = true;
-                }
-                XmlEvent::EndDocument => break,
-                _ => {}
-            }
-        }
-        assert!(found);
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(evs[2], XmlEvent::Comment("c".into()));
     }
 
     #[test]
@@ -1501,30 +1445,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn depth_limit_enforced() {
-        let mut input = String::new();
-        for _ in 0..50 {
-            input.push_str("<d>");
-        }
-        let mut reader = XmlReader::with_config(
-            input.as_bytes(),
+        let (_, err) = events_with(
+            &"<d>".repeat(50),
             ReaderConfig {
                 max_depth: 10,
                 ..ReaderConfig::default()
             },
         );
-        let mut err = None;
-        loop {
-            match reader.next_event() {
-                Ok(XmlEvent::EndDocument) => break,
-                Ok(_) => {}
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
         assert!(matches!(err, Some(XmlError::WellFormedness { .. })));
     }
 
@@ -1568,34 +1496,27 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn pi_emitted_when_configured() {
-        let mut reader = XmlReader::with_config(
-            "<a><?target some data?></a>".as_bytes(),
+        let (evs, err) = events_with(
+            "<a><?target some data?></a>",
             ReaderConfig {
                 emit_processing_instructions: true,
                 ..ReaderConfig::default()
             },
         );
-        let mut found = false;
-        loop {
-            match reader.next_event().unwrap() {
-                XmlEvent::ProcessingInstruction { target, data } => {
-                    assert_eq!(target, "target");
-                    assert_eq!(data, "some data");
-                    found = true;
-                }
-                XmlEvent::EndDocument => break,
-                _ => {}
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(
+            evs[2],
+            XmlEvent::ProcessingInstruction {
+                target: "target".into(),
+                data: "some data".into()
             }
-        }
-        assert!(found);
+        );
     }
 
     // ----- bounded-interner mode -----
 
-    /// Parses with a symbol cap and re-serialises via the raw path,
-    /// checking output identity and that the table stayed capped.
+    /// Parses with a symbol cap and re-serialises the views, checking output identity and that the table stayed capped.
     fn bounded_round_trip(doc: &str, cap: usize) -> (String, usize) {
         use crate::writer::XmlWriter;
         let mut reader = XmlReader::with_config(
@@ -1606,9 +1527,10 @@ mod tests {
             },
         );
         let mut writer = XmlWriter::new(Vec::new());
-        let mut ev = RawEvent::new();
-        while reader.next_into(&mut ev).unwrap() {
-            writer.write_raw_event(reader.symbols(), &ev).unwrap();
+        while reader.advance().unwrap() {
+            writer
+                .write_event_ref(reader.symbols(), &reader.view())
+                .unwrap();
         }
         writer.finish().unwrap();
         let out = String::from_utf8(writer.into_inner()).unwrap();
@@ -1628,21 +1550,14 @@ mod tests {
     #[test]
     fn bounded_interner_distinguishes_overflow_names() {
         // Mismatched tags must still be detected when both names overflow.
-        let mut reader = XmlReader::with_config(
-            "<a><b><uno></dos></b></a>".as_bytes(),
+        let (_, err) = events_with(
+            "<a><b><uno></dos></b></a>",
             ReaderConfig {
                 max_symbols: Some(4),
                 ..ReaderConfig::default()
             },
         );
-        let mut ev = RawEvent::new();
-        let err = loop {
-            match reader.next_into(&mut ev) {
-                Ok(true) => {}
-                Ok(false) => panic!("expected mismatch error"),
-                Err(e) => break e,
-            }
-        };
+        let err = err.expect("expected mismatch error");
         assert!(
             err.to_string().contains("expected </uno>, found </dos>"),
             "{err}"
@@ -1651,21 +1566,14 @@ mod tests {
 
     #[test]
     fn bounded_interner_duplicate_overflow_attrs_rejected() {
-        let mut reader = XmlReader::with_config(
-            r#"<a zzz="1" zzz="2"/>"#.as_bytes(),
+        let (_, err) = events_with(
+            r#"<a zzz="1" zzz="2"/>"#,
             ReaderConfig {
                 max_symbols: Some(3),
                 ..ReaderConfig::default()
             },
         );
-        let mut ev = RawEvent::new();
-        let err = loop {
-            match reader.next_into(&mut ev) {
-                Ok(true) => {}
-                Ok(false) => panic!("expected duplicate error"),
-                Err(e) => break e,
-            }
-        };
+        let err = err.expect("expected duplicate error");
         assert!(err.to_string().contains("duplicate attribute"), "{err}");
     }
 
@@ -1679,25 +1587,17 @@ mod tests {
 
     // ----- fragment mode -----
 
-    fn fragment_events(input: &str) -> Vec<XmlEvent> {
-        let mut reader = XmlReader::with_config(
-            input.as_bytes(),
-            ReaderConfig {
-                fragment: true,
-                ..ReaderConfig::default()
-            },
-        );
-        let mut ev = RawEvent::new();
-        let mut out = Vec::new();
-        while reader.next_into(&mut ev).unwrap() {
-            out.push(ev.to_xml_event(reader.symbols()));
+    fn fragment_config() -> ReaderConfig {
+        ReaderConfig {
+            fragment: true,
+            ..ReaderConfig::default()
         }
-        out
     }
 
     #[test]
     fn fragment_allows_sibling_roots_and_top_level_text() {
-        let evs = fragment_events("<a/>between<b/>");
+        let (evs, err) = events_with("<a/>between<b/>", fragment_config());
+        assert!(err.is_none(), "{err:?}");
         assert_eq!(
             evs.iter().map(|e| e.kind()).collect::<Vec<_>>(),
             vec![
@@ -1716,20 +1616,11 @@ mod tests {
     fn fragment_allows_unmatched_closes_and_leaves_opens() {
         // `</x></y>` close elements opened before the fragment; `<z>` stays
         // open at the end.
-        let mut reader = XmlReader::with_config(
-            "</x></y><z><w/>".as_bytes(),
-            ReaderConfig {
-                fragment: true,
-                ..ReaderConfig::default()
-            },
-        );
-        let mut ev = RawEvent::new();
-        let mut kinds = Vec::new();
-        while reader.next_into(&mut ev).unwrap() {
-            kinds.push(ev.to_xml_event(reader.symbols()).kind());
-        }
+        let mut reader = XmlReader::with_config("</x></y><z><w/>".as_bytes(), fragment_config());
+        let (evs, err) = collect_events(&mut reader);
+        assert!(err.is_none(), "{err:?}");
         assert_eq!(
-            kinds,
+            evs.iter().map(|e| e.kind()).collect::<Vec<_>>(),
             vec![
                 "start-document",
                 "end-element",
@@ -1750,47 +1641,22 @@ mod tests {
 
     #[test]
     fn fragment_still_rejects_local_mismatch() {
-        let mut reader = XmlReader::with_config(
-            "<a></b>".as_bytes(),
-            ReaderConfig {
-                fragment: true,
-                ..ReaderConfig::default()
-            },
+        let (_, err) = events_with("<a></b>", fragment_config());
+        assert!(
+            matches!(err, Some(XmlError::WellFormedness { .. })),
+            "{err:?}"
         );
-        let mut ev = RawEvent::new();
-        let err = loop {
-            match reader.next_into(&mut ev) {
-                Ok(true) => {}
-                Ok(false) => panic!("expected mismatch error"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, XmlError::WellFormedness { .. }), "{err}");
     }
 
-    // ----- raw (interned, recycled) API -----
-
-    #[test]
-    fn next_into_recycles_one_event() {
-        let doc = "<bib><book year=\"1994\"><title>T &amp; U</title></book><book/></bib>";
-        let mut reader = XmlReader::new(doc.as_bytes());
-        let mut ev = RawEvent::new();
-        let mut rendered = Vec::new();
-        while reader.next_into(&mut ev).unwrap() {
-            rendered.push(ev.to_xml_event(reader.symbols()));
-        }
-        assert_eq!(rendered, parse_to_events(doc).unwrap());
-        // Exhausted: further calls keep returning false.
-        assert!(!reader.next_into(&mut ev).unwrap());
-    }
+    // ----- interned symbols -----
 
     #[test]
     fn raw_symbols_are_stable_per_name() {
         let doc = "<a><b/><b/><a2/></a>";
         let mut reader = XmlReader::new(doc.as_bytes());
-        let mut ev = RawEvent::new();
         let mut b_syms = Vec::new();
-        while reader.next_into(&mut ev).unwrap() {
+        while reader.advance().unwrap() {
+            let ev = reader.view();
             if ev.kind() == RawEventKind::StartElement && reader.symbols().name(ev.name()) == "b" {
                 b_syms.push(ev.name());
             }
@@ -1805,11 +1671,10 @@ mod tests {
         let book = table.intern("book");
         let mut reader =
             XmlReader::with_symbols("<book/>".as_bytes(), ReaderConfig::default(), table);
-        let mut ev = RawEvent::new();
         let mut seen = None;
-        while reader.next_into(&mut ev).unwrap() {
-            if ev.kind() == RawEventKind::StartElement {
-                seen = Some(ev.name());
+        while reader.advance().unwrap() {
+            if reader.view().kind() == RawEventKind::StartElement {
+                seen = Some(reader.view().name());
             }
         }
         assert_eq!(seen, Some(book), "stream symbol coincides with seed symbol");
@@ -1817,23 +1682,26 @@ mod tests {
 
     // ----- borrowed view API -----
 
-    /// The advance/view stream must equal the owned stream event for
-    /// event, across borrowed text runs, entities, CDATA merges and
-    /// attribute-heavy tags.
+    /// Text payloads survive every delivery shape: a borrowed window run,
+    /// an entity + CDATA merge, literal whitespace between siblings and a
+    /// trailing run. Once exhausted, `advance` keeps returning `false`.
     #[test]
-    fn advance_view_matches_owned_events() {
+    fn text_runs_borrowed_and_merged_and_exhaustion_is_sticky() {
         let long_run = "literal text without references ".repeat(20);
         let doc = format!(
             "<bib><book year=\"1994\" lang=\"en\">{long_run}</book>\
              <b>a &amp; b<![CDATA[raw <x>]]> tail</b>  <c/>trailer</bib>"
         );
-        let expected = parse_to_events(&doc).unwrap();
         let mut reader = XmlReader::new(doc.as_bytes());
-        let mut got = Vec::new();
+        let mut texts = Vec::new();
         while reader.advance().unwrap() {
-            got.push(reader.view().to_xml_event(reader.symbols()));
+            if reader.view().kind() == RawEventKind::Text {
+                texts.push(reader.view().text().to_string());
+            }
         }
-        assert_eq!(got, expected);
+        assert_eq!(texts, vec![&long_run, "a & braw <x> tail", "  ", "trailer"]);
+        assert!(!reader.advance().unwrap());
+        assert!(!reader.advance().unwrap());
     }
 
     /// A text run larger than the scanner chunk cannot be borrowed; the
@@ -1850,18 +1718,5 @@ mod tests {
             }
         }
         assert_eq!(text.as_deref(), Some(body.as_str()));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn mixed_raw_and_owned_pulls_agree() {
-        let doc = "<a><b>x</b><c k=\"v\"/></a>";
-        let mut reader = XmlReader::new(doc.as_bytes());
-        let mut ev = RawEvent::new();
-        assert!(reader.next_into(&mut ev).unwrap()); // start-document
-        let owned = reader.next_event().unwrap(); // start a (owned API)
-        assert_eq!(owned.element_name(), Some("a"));
-        assert!(reader.next_into(&mut ev).unwrap()); // start b (raw API)
-        assert_eq!(reader.symbols().name(ev.name()), "b");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! [`EventSource`] is the contract between event *producers* (the
 //! sequential [`XmlReader`], the parallel `flux_shard::ShardedReader`) and
-//! event *consumers* (the XSAX validating parser, the FluX runtime).
+//! event *consumers* (the XSAX validating parser, the FluX runtime, the
+//! baselines' tree builders).
 //!
-//! The hot path is the **borrowed view protocol**:
+//! There is one pull protocol, the **borrowed view protocol**:
 //! [`EventSource::advance`] moves to the next event and
 //! [`EventSource::view`] exposes it as a [`RawEventRef`] whose payloads
 //! borrow the source's own storage — the scanner window, an event-tape
@@ -14,22 +15,19 @@
 //! ## Lifetime rules
 //!
 //! * A view is valid from the `advance` that produced it until the next
-//!   `advance` (or any `next_into`) on the same source. The borrow checker
-//!   enforces this — `view` borrows the source shared, `advance` needs it
-//!   exclusively.
+//!   `advance` on the same source. The borrow checker enforces this —
+//!   `view` borrows the source shared, `advance` needs it exclusively.
 //! * A consumer that must hold an event across its own pulls (XSAX parks
-//!   one event while delivering queued `on-first` fires) must either defer
-//!   its next `advance` until the event is fully delivered (what XSAX
-//!   does) or materialise the view with [`RawEventRef::copy_into`].
-//! * [`EventSource::next_into`] is the copying compatibility wrapper:
-//!   same event sequence, one payload copy per event.
+//!   one event while delivering queued `on-first` fires) defers its next
+//!   `advance` until the event is fully delivered; one that needs owned
+//!   data renders the view with [`RawEventRef::to_xml_event`].
 //!
 //! Names are interned in a [`SymbolTable`] owned by the source; consumers
 //! written against this trait work unchanged over a single-threaded stream
 //! or a sharded, multi-core one.
 
-use crate::error::{Position, Result};
-use crate::event::{RawEvent, RawEventRef};
+use crate::error::{Position, Result, XmlError};
+use crate::event::{RawEventRef, XmlEvent};
 use crate::reader::XmlReader;
 use flux_symbols::SymbolTable;
 use std::io::Read;
@@ -53,17 +51,6 @@ pub trait EventSource {
     /// the position recorded when the current event was originally parsed,
     /// so errors carry exactly the sequential position.
     fn position(&self) -> Position;
-
-    /// Pulls the next event into the caller-owned `ev`, recycling its
-    /// buffers — the copying compatibility path. Returns `Ok(false)` once
-    /// `EndDocument` has been delivered.
-    fn next_into(&mut self, ev: &mut RawEvent) -> Result<bool> {
-        if !self.advance()? {
-            return Ok(false);
-        }
-        self.view().copy_into(ev);
-        Ok(true)
-    }
 
     /// Appends this source's telemetry stages to `report`. The default is
     /// a no-op so third-party sources need no changes; the in-repo sources
@@ -92,13 +79,21 @@ impl<R: Read> EventSource for XmlReader<R> {
         XmlReader::position(self)
     }
 
-    fn next_into(&mut self, ev: &mut RawEvent) -> Result<bool> {
-        // The reader parses straight into the caller's event — bypassing
-        // the internal view storage saves a copy on this path too.
-        XmlReader::next_into(self, ev)
-    }
-
     fn report_into(&self, report: &mut flux_telemetry::RunReport) {
         XmlReader::report_into(self, report)
+    }
+}
+
+/// The owned-event test oracle: drains `source`, rendering every view as
+/// an [`XmlEvent`]. Returns the delivered prefix and the terminal error,
+/// if the stream ended in one. Allocates per event — for tests and tools.
+pub fn collect_events<S: EventSource>(source: &mut S) -> (Vec<XmlEvent>, Option<XmlError>) {
+    let mut events = Vec::new();
+    loop {
+        match source.advance() {
+            Ok(true) => events.push(source.view().to_xml_event(source.symbols())),
+            Ok(false) => return (events, None),
+            Err(e) => return (events, Some(e)),
+        }
     }
 }

@@ -269,7 +269,6 @@ impl EventTape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::RawEvent;
     use crate::reader::XmlReader;
     use crate::writer::XmlWriter;
 
@@ -282,9 +281,10 @@ mod tests {
         let direct = {
             let mut reader = XmlReader::new(doc.as_bytes());
             let mut writer = XmlWriter::new(Vec::new());
-            let mut ev = RawEvent::new();
-            while reader.next_into(&mut ev).unwrap() {
-                writer.write_raw_event(reader.symbols(), &ev).unwrap();
+            while reader.advance().unwrap() {
+                writer
+                    .write_event_ref(reader.symbols(), &reader.view())
+                    .unwrap();
             }
             writer.finish().unwrap();
             String::from_utf8(writer.into_inner()).unwrap()

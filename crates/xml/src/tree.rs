@@ -18,7 +18,7 @@
 //! document's own (unbounded) table, so a tree never stores the sentinel.
 
 use crate::error::{Result, XmlError};
-use crate::event::{Attribute, RawEvent, RawEventKind, RawEventRef, XmlEvent};
+use crate::event::{Attribute, RawEventKind, RawEventRef, XmlEvent};
 use crate::reader::XmlReader;
 use crate::writer::XmlWriter;
 use flux_symbols::{Symbol, SymbolTable};
@@ -373,21 +373,6 @@ impl Document {
         self.push_node(NodeKind::Element { name, attributes })
     }
 
-    /// Creates a detached element from a stream event, importing names
-    /// through [`Document::import_name`] (only attribute values copy).
-    pub fn create_element_raw(&mut self, stream: &SymbolTable, ev: &RawEvent) -> NodeId {
-        let name = self.import_name(stream, ev.name(), ev.target());
-        let attributes = ev
-            .attributes()
-            .iter()
-            .map(|a| NodeAttr {
-                name: self.import_name(stream, a.name, &a.overflow_name),
-                value: a.value.clone(),
-            })
-            .collect();
-        self.create_element_sym(name, attributes)
-    }
-
     /// Creates a detached element from a borrowed event view, importing
     /// names through [`Document::import_name`].
     pub fn create_element_view(&mut self, stream: &SymbolTable, ev: &RawEventRef<'_>) -> NodeId {
@@ -532,13 +517,10 @@ impl Document {
     /// Parses a complete document from a reader.
     pub fn parse_reader<R: Read>(reader: &mut XmlReader<R>) -> Result<Document> {
         let mut builder = TreeBuilder::new();
-        let mut ev = RawEvent::new();
-        loop {
-            if !reader.next_into(&mut ev)? {
-                return builder.finish();
-            }
-            builder.raw_event(reader.symbols(), &ev)?;
+        while reader.advance()? {
+            builder.raw_event(reader.symbols(), &reader.view())?;
         }
+        builder.finish()
     }
 
     /// Parses a complete document from a string.
@@ -792,10 +774,10 @@ impl TreeBuilder {
         }
     }
 
-    /// Feeds one raw (interned) event, importing names through the
+    /// Feeds one borrowed event view, importing names through the
     /// document's table ([`Document::import_name`]). Materialising a tree
     /// inherently copies attribute values and text — names do not copy.
-    pub fn raw_event(&mut self, symbols: &SymbolTable, ev: &RawEvent) -> Result<()> {
+    pub fn raw_event(&mut self, symbols: &SymbolTable, ev: &RawEventRef<'_>) -> Result<()> {
         match ev.kind() {
             RawEventKind::StartDocument
             | RawEventKind::EndDocument
@@ -803,7 +785,7 @@ impl TreeBuilder {
             | RawEventKind::Comment
             | RawEventKind::ProcessingInstruction => Ok(()),
             RawEventKind::StartElement => {
-                let id = self.doc.create_element_raw(symbols, ev);
+                let id = self.doc.create_element_view(symbols, ev);
                 self.open(id);
                 Ok(())
             }

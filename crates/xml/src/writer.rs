@@ -6,9 +6,9 @@
 
 use crate::error::{Result, XmlError};
 use crate::escape::{escape_attr_into, escape_text_into};
-use crate::event::{Attribute, RawAttr, RawEvent, RawEventKind, RawEventRef, XmlEvent};
+use crate::event::{Attribute, RawEventKind, RawEventRef, XmlEvent};
 use crate::tree::{Document, NodeId, NodeKind};
-use flux_symbols::{Symbol, SymbolTable};
+use flux_symbols::SymbolTable;
 use std::io::Write;
 
 /// Configuration for [`XmlWriter`].
@@ -142,48 +142,6 @@ impl<W: Write> XmlWriter<W> {
         Ok(())
     }
 
-    /// Writes a start tag from interned-symbol parts, mapping names back
-    /// through the shared `symbols` table. The steady-state cost is the
-    /// same as [`XmlWriter::start_element`] minus all name allocations.
-    ///
-    /// The element `name` must be a real table symbol: a bounded-interner
-    /// [`SymbolTable::OVERFLOW`] element carries its literal name in the
-    /// event's target buffer, which this signature cannot see — write such
-    /// events through [`XmlWriter::write_raw_event`] instead (overflow
-    /// *attributes* are fine; they carry their own name).
-    pub fn start_element_raw(
-        &mut self,
-        symbols: &SymbolTable,
-        name: Symbol,
-        attributes: &[RawAttr],
-    ) -> Result<()> {
-        if name == SymbolTable::OVERFLOW {
-            return Err(XmlError::WriterMisuse {
-                message: "start_element_raw cannot resolve an overflow element name; \
-                          use write_raw_event for bounded-interner events"
-                    .to_string(),
-            });
-        }
-        self.start_tag_raw(symbols.name(name), symbols, attributes)
-    }
-
-    /// Shared start-tag emission for the raw paths: resolved name string,
-    /// overflow-aware attribute names.
-    fn start_tag_raw(
-        &mut self,
-        name: &str,
-        symbols: &SymbolTable,
-        attributes: &[RawAttr],
-    ) -> Result<()> {
-        self.open_tag(name)?;
-        for attr in attributes {
-            self.write_attr(attr.name_str(symbols), &attr.value)?;
-        }
-        self.raw(">")?;
-        self.had_child.push(false);
-        Ok(())
-    }
-
     /// Writes the start tag of a borrowed event view — the zero-copy
     /// output path: names resolve through `symbols`, attribute payloads
     /// stream straight from the view's backing storage into the sink.
@@ -305,28 +263,6 @@ impl<W: Write> XmlWriter<W> {
             XmlEvent::Comment(c) => self.comment(c),
             XmlEvent::ProcessingInstruction { target, data } => {
                 self.processing_instruction(target, data)
-            }
-        }
-    }
-
-    /// Writes one raw (interned) event, mapping symbols back through
-    /// `symbols`. `StartDocument`/`EndDocument`/doctype events are accepted
-    /// and ignored so a raw event stream can be piped through unchanged.
-    pub fn write_raw_event(&mut self, symbols: &SymbolTable, event: &RawEvent) -> Result<()> {
-        match event.kind() {
-            RawEventKind::StartDocument | RawEventKind::EndDocument | RawEventKind::DoctypeDecl => {
-                Ok(())
-            }
-            RawEventKind::StartElement => {
-                // Resolve names through the overflow-aware accessors so
-                // bounded-interner streams serialise correctly.
-                self.start_tag_raw(event.name_str(symbols), symbols, event.attributes())
-            }
-            RawEventKind::EndElement => self.end_element(),
-            RawEventKind::Text => self.text(event.text()),
-            RawEventKind::Comment => self.comment(event.text()),
-            RawEventKind::ProcessingInstruction => {
-                self.processing_instruction(event.target(), event.text())
             }
         }
     }

@@ -2,7 +2,7 @@
 //! arbitrary trees and arbitrary text/attribute content.
 
 use flux_xml::{
-    escape, events_to_string, parse_to_events, Attribute, RawEvent, XmlEvent, XmlReader, XmlWriter,
+    escape, events_to_string, parse_to_events, Attribute, XmlEvent, XmlReader, XmlWriter,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -133,35 +133,24 @@ proptest! {
     }
 }
 
-/// Reads `text` with the owned-`XmlEvent` API and re-serialises it.
-#[allow(deprecated)] // exercises the legacy string-event path on purpose
+/// Renders `text` to owned `XmlEvent`s and re-serialises them through the
+/// string-named writer path.
 fn pipe_through_strings(text: &str) -> String {
-    let mut reader = XmlReader::new(text.as_bytes());
-    let mut writer = XmlWriter::new(Vec::new());
-    loop {
-        let ev = reader.next_event().expect("string-path parse");
-        let done = ev == XmlEvent::EndDocument;
-        writer.write_event(&ev).expect("string-path write");
-        if done {
-            break;
-        }
-    }
-    writer.finish().expect("string-path finish");
-    String::from_utf8(writer.into_inner()).expect("utf8 output")
+    let events = parse_to_events(text).expect("string-path parse");
+    events_to_string(&events).expect("string-path write")
 }
 
-/// Reads `text` with the recycled interned-event API and re-serialises it,
-/// mapping symbols back through the reader's table.
+/// Reads `text` through borrowed views and re-serialises it, mapping
+/// symbols back through the reader's table.
 fn pipe_through_symbols(text: &str) -> String {
     let mut reader = XmlReader::new(text.as_bytes());
     let mut writer = XmlWriter::new(Vec::new());
-    let mut ev = RawEvent::new();
-    while reader.next_into(&mut ev).expect("raw-path parse") {
+    while reader.advance().expect("view-path parse") {
         writer
-            .write_raw_event(reader.symbols(), &ev)
-            .expect("raw-path write");
+            .write_event_ref(reader.symbols(), &reader.view())
+            .expect("view-path write");
     }
-    writer.finish().expect("raw-path finish");
+    writer.finish().expect("view-path finish");
     String::from_utf8(writer.into_inner()).expect("utf8 output")
 }
 

@@ -1,6 +1,6 @@
 //! Proof of the zero-allocation event-loop contract: in the steady state
 //! (every name interned once, recycled buffers grown to the largest token),
-//! `XmlReader::next_into` performs no heap allocations per event — and
+//! `XmlReader::advance`/`view` performs no heap allocations per event — and
 //! replaying a recorded `EventTape` through borrowed views (the sharded
 //! replay path) performs **zero** allocations, full stop.
 //!
@@ -26,7 +26,7 @@
 // wraps `System` one-to-one and adds a relaxed atomic increment.
 #![allow(unsafe_code)]
 
-use flux_xml::{EventTape, RawEvent, RawEventKind, SymbolRemap, XmlReader};
+use flux_xml::{EventTape, RawEventKind, SymbolRemap, XmlReader};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -73,9 +73,12 @@ fn document(books: usize) -> String {
 /// allocations the whole parse performed (including reader construction).
 fn allocations_for(doc: &str) -> usize {
     let mut reader = XmlReader::new(doc.as_bytes());
-    let mut ev = RawEvent::new();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    while reader.next_into(&mut ev).expect("well-formed input") {}
+    let mut touched = 0usize;
+    while reader.advance().expect("well-formed input") {
+        touched += reader.view().text().len();
+    }
+    assert!(touched > 0, "the loop must visit payloads");
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 

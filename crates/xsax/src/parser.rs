@@ -7,21 +7,20 @@
 //! declarations and attribute lists are pre-resolved into dense
 //! symbol-indexed tables.
 //!
-//! The hot pull API is the **zero-copy step protocol**:
+//! The one pull API is the **zero-copy step protocol**:
 //! [`XsaxParser::next_step`] advances and [`XsaxParser::view`] exposes the
 //! delivered event as a borrowed [`RawEventRef`] — payload bytes flow from
 //! the source's storage (scanner window or shard tape arena) to the
 //! consumer without a copy. Attribute defaults a validating parser must
 //! inject are kept in a side list and chained onto the view, so even
-//! default injection does not force materialisation. The copying
-//! [`XsaxParser::next_into`] and the owned [`XsaxParser::next`] APIs wrap
-//! it for compatibility, tests and tools.
+//! default injection does not force materialisation. [`trace`] renders the
+//! steps as strings for tests and tools.
 
 use crate::error::{Result, XsaxError};
-use crate::event::{PastId, PastLabels, XsaxEvent, XsaxStep};
+use crate::event::{PastId, PastLabels, XsaxStep};
 use flux_dtd::{AttDefault, Dfa, Dtd, ElementDecl, StateId, Symbol, SymbolTable};
 use flux_telemetry::{RunReport, Stage, XsaxCounters};
-use flux_xml::{EventSource, RawEvent, RawEventKind, RawEventRef, XmlEvent, XmlReader};
+use flux_xml::{EventSource, RawEventKind, RawEventRef, ReaderConfig, XmlEvent, XmlReader};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 
@@ -40,6 +39,13 @@ pub fn seeded_symbols(dtd: &Dtd) -> SymbolTable {
     symbols
 }
 
+/// The sequential source of a validated run: an [`XmlReader`] over `src`
+/// whose interner is seeded with [`seeded_symbols`], so it can feed
+/// [`XsaxParser::from_source`].
+pub fn seeded_reader<R: Read>(src: R, dtd: &Dtd, config: ReaderConfig) -> XmlReader<R> {
+    XmlReader::with_symbols(src, config, seeded_symbols(dtd))
+}
+
 /// Configuration for [`XsaxParser`].
 #[derive(Debug, Clone)]
 pub struct XsaxConfig {
@@ -49,18 +55,13 @@ pub struct XsaxConfig {
     /// Drop whitespace-only text between children of element-content
     /// elements ("ignorable whitespace"). Defaults to `true`.
     pub suppress_ignorable_whitespace: bool,
-    /// Cap on the reader interner (see
-    /// [`flux_xml::ReaderConfig::max_symbols`]); default `None`. The
-    /// schema vocabulary is always pre-seeded, so on valid input the cap
-    /// only affects undeclared names — which travel by literal spelling
-    /// and never change validation verdicts or query output.
-    pub max_symbols: Option<usize>,
-    /// Scanner window size for the underlying reader (see
-    /// [`flux_xml::ReaderConfig::window`]).
-    pub window: usize,
-    /// Memory budget threaded through to the reader's scanner (see
-    /// [`flux_xml::ReaderConfig::budget`]).
-    pub budget: Option<std::sync::Arc<flux_xml::MemoryBudget>>,
+    /// Configuration of the underlying reader (window, budget, interner
+    /// cap, …), used by the constructors that build one. The schema
+    /// vocabulary is always pre-seeded, so on valid input
+    /// [`ReaderConfig::max_symbols`] only affects undeclared names — which
+    /// travel by literal spelling and never change validation verdicts or
+    /// query output.
+    pub reader: ReaderConfig,
 }
 
 impl Default for XsaxConfig {
@@ -68,9 +69,7 @@ impl Default for XsaxConfig {
         XsaxConfig {
             strict_attributes: false,
             suppress_ignorable_whitespace: true,
-            max_symbols: None,
-            window: flux_xml::DEFAULT_WINDOW,
-            budget: None,
+            reader: ReaderConfig::default(),
         }
     }
 }
@@ -144,8 +143,6 @@ pub struct XsaxParser<'d, S: EventSource> {
     /// Attribute defaults injected for the current start element, chained
     /// onto the view after the literal attributes. Values borrow the DTD.
     injected: Vec<(Symbol, &'d str)>,
-    /// Recycled event backing the owned-`XsaxEvent` compatibility API.
-    compat: RawEvent,
     started: bool,
     finished: bool,
     /// Validation/fire counters (zero-sized unless telemetry is enabled).
@@ -165,13 +162,7 @@ impl<'d, R: Read> XsaxParser<'d, XmlReader<R>> {
         // Seed the reader's interner with the DTD's table (plus attlist
         // names): clones preserve indices, so stream symbols coincide with
         // schema symbols and attribute validation is symbol equality too.
-        let reader_config = flux_xml::ReaderConfig {
-            max_symbols: config.max_symbols,
-            window: config.window,
-            budget: config.budget.clone(),
-            ..Default::default()
-        };
-        let reader = XmlReader::with_symbols(src, reader_config, seeded_symbols(dtd));
+        let reader = seeded_reader(src, dtd, config.reader.clone());
         Self::from_source(reader, dtd, config)
     }
 }
@@ -243,7 +234,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             stack: Vec::new(),
             pending: VecDeque::new(),
             injected: Vec::new(),
-            compat: RawEvent::new(),
             started: false,
             finished: false,
             tel: XsaxCounters::default(),
@@ -395,44 +385,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// valid until the next [`XsaxParser::next_step`].
     pub fn view(&self) -> RawEventRef<'_> {
         self.source.view().with_defaults(&self.injected)
-    }
-
-    /// Pulls the next step, materialising a delivered sax event into the
-    /// caller-owned `ev` — the copying compatibility wrapper around
-    /// [`XsaxParser::next_step`] / [`XsaxParser::view`].
-    pub fn next_into(&mut self, ev: &mut RawEvent) -> Result<Option<XsaxStep>> {
-        let step = self.next_step()?;
-        if let Some(XsaxStep::Sax) = step {
-            self.view().copy_into(ev);
-        }
-        Ok(step)
-    }
-
-    /// Pulls the next event as an owned [`XsaxEvent`], or `None` after
-    /// `EndDocument`. Allocates per event.
-    #[deprecated(
-        since = "0.1.0",
-        note = "legacy string-event wrapper; migrate to `XsaxParser::next_step` \
-                with `view()` (borrowed zero-copy view) or `next_into` \
-                (caller-owned recycled event). Both deliver interned `Symbol` \
-                names; map them back with `symbols()` where strings are needed."
-    )]
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<XsaxEvent>> {
-        let mut ev = std::mem::take(&mut self.compat);
-        let res = self.next_into(&mut ev);
-        let out = match res {
-            Ok(Some(XsaxStep::Sax)) => {
-                Ok(Some(XsaxEvent::Sax(ev.to_xml_event(self.source.symbols()))))
-            }
-            Ok(Some(XsaxStep::Fire { id, depth })) => {
-                Ok(Some(XsaxEvent::OnFirstPast { id, depth }))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(e),
-        };
-        self.compat = ev;
-        out
     }
 
     /// Looks up the pre-resolved declaration for a stream symbol.
@@ -703,17 +655,18 @@ fn is_past_at(dfa: &Dfa, text_allowed: bool, labels: &PastLabels, state: StateId
 /// delivered events.
 pub fn validate<R: Read>(src: R, dtd: &Dtd) -> Result<u64> {
     let mut parser = XsaxParser::new(src, dtd)?;
-    let mut ev = RawEvent::new();
     let mut n = 0;
-    while parser.next_into(&mut ev)?.is_some() {
+    while parser.next_step()?.is_some() {
         n += 1;
     }
     Ok(n)
 }
 
-/// Convenience for tests: runs a document through XSAX with the given past
-/// registrations, returning a rendered event trace.
-#[allow(deprecated)] // diagnostic helper; the owned-event API is its point
+/// The owned test oracle: runs a document through XSAX with the given
+/// past registrations and renders every step as a string — `<name>` (with
+/// ` attr="value"` pairs, injected defaults included), `</name>`, quoted
+/// text, `past#N` for a fired registration. Document brackets and the
+/// doctype are omitted.
 pub fn trace(
     input: &str,
     dtd: &Dtd,
@@ -724,24 +677,20 @@ pub fn trace(
         parser.register_past(*sym, labels.clone())?;
     }
     let mut out = Vec::new();
-    while let Some(ev) = parser.next()? {
-        match ev {
-            XsaxEvent::Sax(XmlEvent::StartDocument)
-            | XsaxEvent::Sax(XmlEvent::EndDocument)
-            | XsaxEvent::Sax(XmlEvent::DoctypeDecl { .. }) => {}
-            XsaxEvent::Sax(XmlEvent::StartElement { name, .. }) => out.push(format!("<{name}>")),
-            XsaxEvent::Sax(XmlEvent::EndElement { name }) => out.push(format!("</{name}>")),
-            XsaxEvent::Sax(XmlEvent::Text(t)) => out.push(format!("{t:?}")),
-            XsaxEvent::Sax(other) => out.push(other.kind().to_string()),
-            XsaxEvent::OnFirstPast { id, .. } => out.push(format!("past#{}", id.0)),
+    while let Some(step) = parser.next_step()? {
+        match step {
+            XsaxStep::Fire { id, .. } => out.push(format!("past#{}", id.0)),
+            XsaxStep::Sax => match parser.view().to_xml_event(parser.symbols()) {
+                XmlEvent::StartDocument | XmlEvent::EndDocument | XmlEvent::DoctypeDecl { .. } => {}
+                other => out.push(other.to_string()),
+            },
         }
     }
     Ok(out)
 }
+
 #[cfg(test)]
 mod tests {
-    // Tests exercise the deprecated owned-event wrappers on purpose.
-    #![allow(deprecated)]
     use super::*;
     use flux_dtd::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
 
@@ -885,28 +834,12 @@ mod tests {
         // `publisher` can never occur under the weak DTD's book.
         let dtd = weak();
         let book = dtd.lookup("book").unwrap();
-        let mut parser = XsaxParser::new(WEAK_DOC.as_bytes(), &dtd).unwrap();
         // An undeclared label: intern it through a second DTD is impossible,
         // so use a label declared elsewhere — `bib` never occurs below book.
         let bib = dtd.lookup("bib").unwrap();
-        parser
-            .register_past(book, PastLabels::labels([bib]))
-            .unwrap();
-        let mut events = Vec::new();
-        while let Some(ev) = parser.next().unwrap() {
-            match ev {
-                XsaxEvent::Sax(XmlEvent::StartElement { ref name, .. }) => {
-                    events.push(format!("<{name}>"))
-                }
-                XsaxEvent::Sax(XmlEvent::EndElement { ref name }) => {
-                    events.push(format!("</{name}>"))
-                }
-                XsaxEvent::OnFirstPast { .. } => events.push("fire".to_string()),
-                _ => {}
-            }
-        }
+        let events = trace(WEAK_DOC, &dtd, &[(book, PastLabels::labels([bib]))]).unwrap();
         let book_start = events.iter().position(|e| e == "<book>").unwrap();
-        assert_eq!(events[book_start + 1], "fire", "{events:?}");
+        assert_eq!(events[book_start + 1], "past#0", "{events:?}");
     }
 
     #[test]
@@ -1003,29 +936,15 @@ mod tests {
         let dtd =
             Dtd::parse("<!ELEMENT a EMPTY>\n<!ATTLIST a lang CDATA \"en\" rel CDATA #FIXED \"x\">")
                 .unwrap();
-        let mut parser = XsaxParser::new("<a/>".as_bytes(), &dtd).unwrap();
-        let mut found = false;
-        while let Some(ev) = parser.next().unwrap() {
-            if let XsaxEvent::Sax(XmlEvent::StartElement { attributes, .. }) = ev {
-                assert_eq!(attributes.len(), 2);
-                assert_eq!(attributes[0].value, "en");
-                assert_eq!(attributes[1].value, "x");
-                found = true;
-            }
-        }
-        assert!(found);
+        let events = trace("<a/>", &dtd, &[]).unwrap();
+        assert_eq!(events, vec![r#"<a lang="en" rel="x">"#, "</a>"]);
     }
 
     #[test]
     fn explicit_attribute_beats_default() {
         let dtd = Dtd::parse("<!ELEMENT a EMPTY>\n<!ATTLIST a lang CDATA \"en\">").unwrap();
-        let mut parser = XsaxParser::new(r#"<a lang="de"/>"#.as_bytes(), &dtd).unwrap();
-        while let Some(ev) = parser.next().unwrap() {
-            if let XsaxEvent::Sax(XmlEvent::StartElement { attributes, .. }) = ev {
-                assert_eq!(attributes.len(), 1);
-                assert_eq!(attributes[0].value, "de");
-            }
-        }
+        let events = trace(r#"<a lang="de"/>"#, &dtd, &[]).unwrap();
+        assert_eq!(events, vec![r#"<a lang="de">"#, "</a>"]);
     }
 
     #[test]
@@ -1035,27 +954,20 @@ mod tests {
             strict_attributes: true,
             ..XsaxConfig::default()
         };
-        // Missing required attribute.
-        let mut p = XsaxParser::with_config("<a/>".as_bytes(), &dtd, config.clone()).unwrap();
-        let err = loop {
-            match p.next() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("expected validation error"),
-                Err(e) => break e,
+        let strict_error = |doc: &str| {
+            let mut p = XsaxParser::with_config(doc.as_bytes(), &dtd, config.clone()).unwrap();
+            loop {
+                match p.next_step() {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => panic!("expected validation error"),
+                    Err(e) => break e.to_string(),
+                }
             }
         };
-        assert!(err.to_string().contains("required"), "{err}");
-        // Undeclared attribute.
-        let mut p =
-            XsaxParser::with_config(r#"<a id="1" bogus="2"/>"#.as_bytes(), &dtd, config).unwrap();
-        let err = loop {
-            match p.next() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("expected validation error"),
-                Err(e) => break e,
-            }
-        };
-        assert!(err.to_string().contains("not declared"), "{err}");
+        let err = strict_error("<a/>");
+        assert!(err.contains("required"), "{err}");
+        let err = strict_error(r#"<a id="1" bogus="2"/>"#);
+        assert!(err.contains("not declared"), "{err}");
     }
 
     #[test]
@@ -1063,7 +975,7 @@ mod tests {
         let dtd = weak();
         let book = dtd.lookup("book").unwrap();
         let mut parser = XsaxParser::new(WEAK_DOC.as_bytes(), &dtd).unwrap();
-        parser.next().unwrap();
+        parser.next_step().unwrap();
         assert!(parser.register_past(book, PastLabels::All).is_err());
     }
 

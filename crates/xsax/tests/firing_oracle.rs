@@ -7,13 +7,8 @@
 //!    incomplete — the bug class that matters for correctness);
 //! 3. the fire happens **at or before** the closing tag.
 
-// The oracle drives the deprecated owned-event wrapper on purpose: it is
-// the simplest full-fidelity view of the event stream under test.
-#![allow(deprecated)]
-
 use flux_dtd::{Dtd, Symbol};
-use flux_xml::XmlEvent;
-use flux_xsax::{PastLabels, XsaxEvent, XsaxParser};
+use flux_xsax::{trace, validate, PastLabels};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -128,30 +123,24 @@ proptest! {
         }
         let watched = labels.clone();
 
-        let mut parser = XsaxParser::new(doc.as_bytes(), &dtd).expect("parser");
-        parser
-            .register_past(root, PastLabels::Labels(labels))
-            .expect("register");
+        let steps = trace(&doc, &dtd, &[(root, PastLabels::Labels(labels))])
+            .unwrap_or_else(|e| panic!("{doc}: {e}"));
 
         let mut fires = 0usize;
         let mut saw_watched_after_fire = false;
         let mut root_closed_before_fire = false;
-        while let Some(ev) = parser.next().unwrap_or_else(|e| panic!("{doc}: {e}")) {
-            match ev {
-                XsaxEvent::OnFirstPast { .. } => {
-                    fires += 1;
-                }
-                XsaxEvent::Sax(XmlEvent::StartElement { ref name, .. }) if name != "root" => {
+        for step in &steps {
+            if step == "past#0" {
+                fires += 1;
+            } else if step == "</root>" {
+                root_closed_before_fire |= fires == 0;
+            } else if let Some(name) = step.strip_prefix('<').and_then(|s| s.strip_suffix('>')) {
+                if name != "root" && !name.starts_with('/') {
                     let sym = dtd.lookup(name).expect("declared");
                     if fires > 0 && watched.contains(&sym) {
                         saw_watched_after_fire = true;
                     }
                 }
-                XsaxEvent::Sax(XmlEvent::EndElement { ref name }) if name == "root"
-                    && fires == 0 => {
-                        root_closed_before_fire = true;
-                    }
-                _ => {}
             }
         }
         prop_assert_eq!(fires, 1, "exactly one fire per instance: {} {}", model, doc);
@@ -180,8 +169,8 @@ proptest! {
             return Ok(());
         };
         let doc = word_to_doc(&dtd, &word);
-        let mut parser = XsaxParser::new(doc.as_bytes(), &dtd).expect("parser");
-        while let Some(_ev) = parser.next().unwrap_or_else(|e| panic!("valid doc rejected: {doc} ({model}): {e}")) {}
+        validate(doc.as_bytes(), &dtd)
+            .unwrap_or_else(|e| panic!("valid doc rejected: {doc} ({model}): {e}"));
 
         // Mutate: append one extra child; check XSAX agrees with the DFA.
         let root = dtd.lookup("root").expect("declared");
@@ -191,18 +180,7 @@ proptest! {
         mutated.push(extra);
         let dfa_accepts = dfa.accepts(mutated.iter().copied());
         let mutated_doc = word_to_doc(&dtd, &mutated);
-        let mut parser = XsaxParser::new(mutated_doc.as_bytes(), &dtd).expect("parser");
-        let mut rejected = false;
-        loop {
-            match parser.next() {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(_) => {
-                    rejected = true;
-                    break;
-                }
-            }
-        }
+        let rejected = validate(mutated_doc.as_bytes(), &dtd).is_err();
         prop_assert_eq!(
             rejected,
             !dfa_accepts,

@@ -6,7 +6,8 @@
 //!
 //! Options:
 //!   --query <FILE|STRING>   query file, or inline text when no such file exists
-//!   --dtd <FILE|STRING>     DTD file, or inline DTD text
+//!   --dtd <FILE|STRING>     DTD or XML Schema (auto-detected), as a file or
+//!                           inline text
 //!   --input <FILE|->        input document; `-` reads stdin (the default).
 //!                           `.gz` files are decompressed transparently
 //!   --output <FILE>         result stream (default: stdout)
@@ -14,7 +15,8 @@
 //!   --shards <N>            parse the input with N parallel shards (flux
 //!                           engine only; files and stdin are streamed
 //!                           chunk by chunk, never fully buffered)
-//!   --window <BYTES>        scanner window size (accepts k/m/g suffixes)
+//!   --window <BYTES>        scanner window size, at most 1g (accepts k/m/g
+//!                           suffixes)
 //!   --memory-budget <BYTES> enforce a tracked-memory budget on the run:
 //!                           scanner windows + in-flight shard tapes and
 //!                           chunks + runtime buffers (k/m/g suffixes)
@@ -26,8 +28,8 @@
 //!   --no-optimizer          disable the algebraic optimizer (ablation)
 //! ```
 
-use fluxquery::{EngineKind, FluxEngine, Input, MemoryBudget, Options, Parallelism};
-use std::io::Write;
+use fluxquery::{EngineKind, FluxEngine, Input, MemoryBudget, Options};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -61,7 +63,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parses a byte count with an optional `k`/`m`/`g` suffix (binary units).
+/// The scanner allocates its window eagerly, so `--window` is capped.
+const MAX_WINDOW: u64 = 1 << 30;
+
+/// Parses a byte count with an optional `k`/`m`/`g` suffix (binary units);
+/// `None` on a malformed or overflowing value.
 fn parse_bytes(value: &str) -> Option<u64> {
     let value = value.trim();
     let (digits, multiplier) = match value.char_indices().last()? {
@@ -70,7 +76,7 @@ fn parse_bytes(value: &str) -> Option<u64> {
         (i, 'g') | (i, 'G') => (&value[..i], 1024 * 1024 * 1024),
         _ => (value, 1),
     };
-    digits.parse::<u64>().ok().map(|n| n * multiplier)
+    digits.parse::<u64>().ok()?.checked_mul(multiplier)
 }
 
 fn parse_args() -> Args {
@@ -118,9 +124,11 @@ fn parse_args() -> Args {
             }
             "--window" => {
                 args.window = match parse_bytes(&value(&mut it)) {
-                    Some(n) if n > 0 => Some(n as usize),
+                    Some(n) if (1..=MAX_WINDOW).contains(&n) => Some(n as usize),
                     _ => {
-                        eprintln!("--window expects a byte count (k/m/g suffixes allowed)");
+                        eprintln!(
+                            "--window expects a byte count of at most 1g (k/m/g suffixes allowed)"
+                        );
                         usage()
                     }
                 }
@@ -175,13 +183,13 @@ fn run() -> Result<(), String> {
     let query = file_or_inline(query_arg).map_err(|e| format!("reading query: {e}"))?;
     let dtd = file_or_inline(dtd_arg).map_err(|e| format!("reading DTD: {e}"))?;
 
+    let mut options = Options::new().algebraic_optimizer(!args.no_optimizer);
+    if let Some(n) = args.shards {
+        options = options.shards(n);
+    }
+
     if args.explain {
-        let mut options = Options::default();
-        if args.no_optimizer {
-            options = Options::without_algebraic_optimizer();
-        }
-        let engine =
-            FluxEngine::compile_with_schema(&query, &dtd, &options).map_err(|e| e.to_string())?;
+        let engine = FluxEngine::compile(&query, &dtd, &options).map_err(|e| e.to_string())?;
         println!("{}", engine.explain());
         return Ok(());
     }
@@ -200,23 +208,19 @@ fn run() -> Result<(), String> {
     if let Some(b) = &budget {
         input = input.budget(std::sync::Arc::clone(b));
     }
-    let output: Box<dyn Write> = match &args.output {
+    let sink: Box<dyn Write> = match &args.output {
         Some(path) => {
             Box::new(std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?)
         }
         None => Box::new(std::io::stdout()),
     };
+    // The writer emits one small fragment per `write`; batch them so the run
+    // is not one syscall per fragment. `XmlWriter::finish` flushes, so a
+    // failed final write surfaces as the run's error.
+    let output = BufWriter::with_capacity(16 * 1024, sink);
 
     let stats = if args.engine == EngineKind::Flux {
-        let mut options = Options::default();
-        if args.no_optimizer {
-            options = Options::without_algebraic_optimizer();
-        }
-        if let Some(n) = args.shards {
-            options.parallelism = Parallelism::Shards(n);
-        }
-        let engine =
-            FluxEngine::compile_with_schema(&query, &dtd, &options).map_err(|e| e.to_string())?;
+        let engine = FluxEngine::compile(&query, &dtd, &options).map_err(|e| e.to_string())?;
         if let Some(format) = args.report {
             let (stats, report) = engine
                 .run_input_with_report(input, output)
@@ -238,7 +242,7 @@ fn run() -> Result<(), String> {
         if args.report.is_some() {
             return Err("--report is only supported by the flux engine".to_string());
         }
-        let engine = Options::new()
+        let engine = options
             .compile(args.engine, &query, &dtd)
             .map_err(|e| e.to_string())?;
         engine.run_input(input, output).map_err(|e| e.to_string())?

@@ -12,7 +12,8 @@
 //! projection descent and serialisation.
 
 use flux_bench::run_engine_with;
-use fluxquery::{EngineKind, Options, Parallelism, RunStats, PAPER_WEAK_DTD};
+use flux_conformance::options;
+use fluxquery::{EngineKind, Parallelism, RunStats, PAPER_WEAK_DTD};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -85,15 +86,6 @@ fn configurations() -> Vec<(String, EngineKind, Parallelism)> {
     ]
 }
 
-fn options(cap: Option<usize>, parallelism: Parallelism) -> Options {
-    let mut o = match cap {
-        Some(cap) => Options::with_max_symbols(cap),
-        None => Options::new(),
-    };
-    o.parallelism = parallelism;
-    o
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12,
@@ -114,10 +106,10 @@ proptest! {
         let query = if query_pick == 0 { Q3 } else { FILTER };
         for (label, kind, parallelism) in configurations() {
             let unbounded = run_engine_with(
-                kind, query, PAPER_WEAK_DTD, doc.as_bytes(), &options(None, parallelism),
+                kind, query, PAPER_WEAK_DTD, doc.as_bytes(), &options(parallelism, None),
             ).unwrap_or_else(|e| panic!("{label} unbounded failed: {e}"));
             let bounded = run_engine_with(
-                kind, query, PAPER_WEAK_DTD, doc.as_bytes(), &options(Some(cap), parallelism),
+                kind, query, PAPER_WEAK_DTD, doc.as_bytes(), &options(parallelism, Some(cap)),
             ).unwrap_or_else(|e| panic!("{label} cap={cap} failed: {e}"));
             prop_assert_eq!(
                 &bounded.output, &unbounded.output,
@@ -147,14 +139,14 @@ fn bounded_interner_preserves_errors() {
             Q3,
             PAPER_WEAK_DTD,
             doc.as_bytes(),
-            &options(None, parallelism),
+            &options(parallelism, None),
         );
         let bounded = run_engine_with(
             kind,
             Q3,
             PAPER_WEAK_DTD,
             doc.as_bytes(),
-            &options(Some(0), parallelism),
+            &options(parallelism, Some(0)),
         );
         match (unbounded, bounded) {
             (Err(u), Err(b)) => {
@@ -193,14 +185,14 @@ fn overflowed_tag_mismatch_still_detected() {
             Q3,
             PAPER_WEAK_DTD,
             doc.as_bytes(),
-            &options(Some(0), parallelism),
+            &options(parallelism, Some(0)),
         );
         let unbounded = run_engine_with(
             kind,
             Q3,
             PAPER_WEAK_DTD,
             doc.as_bytes(),
-            &options(None, parallelism),
+            &options(parallelism, None),
         );
         let err = bounded.err().expect("the document must fail").to_string();
         let err_unbounded = unbounded.err().expect("the document must fail").to_string();

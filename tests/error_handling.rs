@@ -55,8 +55,7 @@ fn invalid_documents_rejected_at_runtime() {
         // text in element content
         "<bib>text</bib>",
     ] {
-        let mut out = Vec::new();
-        assert!(engine.run(bad.as_bytes(), &mut out).is_err(), "accepted: {bad}");
+        assert!(engine.run_to_string(bad).is_err(), "accepted: {bad}");
     }
 }
 
@@ -71,11 +70,7 @@ fn broken_xml_rejected_at_runtime() {
         "",                       // empty input
         "<bib/><bib/>",           // two roots
     ] {
-        let mut out = Vec::new();
-        assert!(
-            engine.run(bad.as_bytes(), &mut out).is_err(),
-            "accepted: {bad:?}"
-        );
+        assert!(engine.run_to_string(bad).is_err(), "accepted: {bad:?}");
     }
 }
 
@@ -85,8 +80,7 @@ fn truncated_stream_mid_element() {
     let full = "<bib><book><title>T</title><author>A</author></book></bib>";
     // Every strict prefix must fail cleanly (error, not panic or success).
     for cut in 1..full.len() {
-        let mut out = Vec::new();
-        let result = engine.run(&full.as_bytes()[..cut], &mut out);
+        let result = engine.run_to_string(&full[..cut]);
         assert!(result.is_err(), "prefix of length {cut} accepted");
     }
 }
@@ -98,10 +92,7 @@ fn unbound_variable_rejected_at_compile_time_or_runtime() {
     let compile = FluxEngine::compile(q, PAPER_WEAK_DTD, &Options::default());
     match compile {
         Err(_) => {}
-        Ok(engine) => {
-            let mut out = Vec::new();
-            assert!(engine.run("<bib/>".as_bytes(), &mut out).is_err());
-        }
+        Ok(engine) => assert!(engine.run_to_string("<bib/>").is_err()),
     }
 }
 

@@ -94,11 +94,8 @@ fn gb_stream_is_memory_bounded_across_parallelism() {
         Parallelism::Shards(2),
         Parallelism::Shards(8),
     ] {
-        let options = Options {
-            parallelism,
-            ..Options::default()
-        };
-        let engine = FluxEngine::compile_with_schema(query, dtd, &options).unwrap();
+        let engine =
+            FluxEngine::compile(query, dtd, &flux_conformance::options(parallelism, None)).unwrap();
 
         let budget = MemoryBudget::new(BUDGET);
         let bytes_in = Arc::new(AtomicU64::new(0));
@@ -172,11 +169,8 @@ fn streamed_ingestion_matches_in_memory_on_a_prefix() {
 
     // And the sharded flux paths over the same stream.
     for shards in [2, 8] {
-        let options = Options {
-            parallelism: Parallelism::Shards(shards),
-            ..Options::default()
-        };
-        let engine = FluxEngine::compile_with_schema(gb_query(), AUCTION_DTD, &options).unwrap();
+        let engine =
+            FluxEngine::compile(gb_query(), AUCTION_DTD, &Options::new().shards(shards)).unwrap();
         let mut sequential = Vec::new();
         engine
             .run_input(Input::from_bytes(doc.clone()), &mut sequential)
@@ -203,11 +197,12 @@ fn truncated_stream_fails_identically_to_in_memory() {
     let prefix = doc[..doc.len() * 2 / 3].to_vec();
 
     let run = |parallelism: Parallelism, input: Input| -> String {
-        let options = Options {
-            parallelism,
-            ..Options::default()
-        };
-        let engine = FluxEngine::compile_with_schema(gb_query(), AUCTION_DTD, &options).unwrap();
+        let engine = FluxEngine::compile(
+            gb_query(),
+            AUCTION_DTD,
+            &flux_conformance::options(parallelism, None),
+        )
+        .unwrap();
         let mut out = Vec::new();
         engine
             .run_input(input, &mut out)

@@ -32,9 +32,8 @@ const DOC: &str = "<bib><book><title>T1</title><author>A1</author><author>A2</au
 
 #[test]
 fn xsd_gives_same_streaming_plan_as_dtd() {
-    let from_xsd = FluxEngine::compile_with_schema(Q3, FIG1_XSD, &Options::default()).unwrap();
-    let from_dtd =
-        FluxEngine::compile_with_schema(Q3, PAPER_FIG1_DTD, &Options::default()).unwrap();
+    let from_xsd = FluxEngine::compile(Q3, FIG1_XSD, &Options::default()).unwrap();
+    let from_dtd = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &Options::default()).unwrap();
     assert_eq!(
         from_xsd.buffered_handler_count(),
         0,
@@ -49,9 +48,8 @@ fn xsd_gives_same_streaming_plan_as_dtd() {
 
 #[test]
 fn xsd_engine_produces_identical_output() {
-    let from_xsd = FluxEngine::compile_with_schema(Q3, FIG1_XSD, &Options::default()).unwrap();
-    let from_dtd =
-        FluxEngine::compile_with_schema(Q3, PAPER_FIG1_DTD, &Options::default()).unwrap();
+    let from_xsd = FluxEngine::compile(Q3, FIG1_XSD, &Options::default()).unwrap();
+    let from_dtd = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &Options::default()).unwrap();
     let (out_xsd, _) = from_xsd.run_to_string(DOC).unwrap();
     let (out_dtd, _) = from_dtd.run_to_string(DOC).unwrap();
     assert_eq!(out_xsd, out_dtd);
@@ -60,11 +58,10 @@ fn xsd_engine_produces_identical_output() {
 
 #[test]
 fn xsd_validation_enforced() {
-    let engine = FluxEngine::compile_with_schema(Q3, FIG1_XSD, &Options::default()).unwrap();
+    let engine = FluxEngine::compile(Q3, FIG1_XSD, &Options::default()).unwrap();
     // Author before title violates the schema's sequence.
     let bad = "<bib><book><author>A</author><title>T</title><publisher>P</publisher><price>9</price></book></bib>";
-    let mut out = Vec::new();
-    assert!(engine.run(bad.as_bytes(), &mut out).is_err());
+    assert!(engine.run_to_string(bad).is_err());
 }
 
 #[test]
@@ -73,7 +70,7 @@ fn goedel_optimization_from_xsd() {
     // from the XSD's xs:choice.
     let q = r#"<out>{ for $b in $ROOT/bib/book return
         if ($b/author = "Goedel" and $b/editor = "Goedel") then <hit/> else () }</out>"#;
-    let engine = FluxEngine::compile_with_schema(q, FIG1_XSD, &Options::default()).unwrap();
+    let engine = FluxEngine::compile(q, FIG1_XSD, &Options::default()).unwrap();
     assert!(
         engine.query().algebra_trace.iter().any(|r| r.rule == "R2"),
         "{:?}",
