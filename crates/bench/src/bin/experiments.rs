@@ -662,8 +662,7 @@ fn write_bench_events_json(
     };
     // One instrumented sharded engine run: the unified pipeline RunReport
     // (per-shard parse/replay spans, bounded-channel stalls and dwell,
-    // prescan counters, buffer residency). A build without `--features
-    // telemetry` still embeds the structure, flagged `"telemetry": false`.
+    // prescan counters, buffer residency).
     let run_report = {
         let engine = FluxEngine::compile(Q3, Domain::BibWeak.dtd(), &Options::new().shards(2))
             .expect("compile");
@@ -712,8 +711,7 @@ fn write_bench_events_json(
          speedups are vs this file's current.raw_parse on the same host and are bounded \
          by host_cores (a 1-core recording host cannot exceed 1.0x). channel records the \
          run_report run's bounded-channel stalls and tape dwell, per-shard breakdown under \
-         run_report.stages.shard_pipeline (all zeros when recorded without --features \
-         telemetry)\"",
+         run_report.stages.shard_pipeline\"",
     );
     // The prescan stage counts bytes swept, not events — same shape so
     // perf_gate gates it like every other stage, with the unit spelled

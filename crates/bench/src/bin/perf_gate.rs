@@ -404,8 +404,8 @@ fn render_verdict(
 /// On failure, prints the per-stage span totals from the fresh
 /// recording's embedded telemetry `run_report`, so a throughput
 /// regression can be pinned on the pipeline stage that slowed down.
-/// Quiet when the recording has no report or carries no spans (a build
-/// without `--features telemetry`).
+/// Quiet when the recording has no report or carries no spans (a file
+/// recorded before telemetry was always on).
 fn print_report_attribution(fresh: &str) {
     let Some(report) = extract_section(fresh, "run_report") else {
         return;

@@ -174,9 +174,7 @@ impl FluxEngine {
 
     /// [`run_input`](Self::run_input) plus the run's telemetry
     /// [`RunReport`] — every pipeline stage's counters, spans and (under
-    /// sharded parsing) the per-shard timeline. Without the `telemetry`
-    /// cargo feature the report is still structurally valid but carries no
-    /// measurements.
+    /// sharded parsing) the per-shard timeline.
     pub fn run_input_with_report<W: Write>(
         &self,
         input: Input,

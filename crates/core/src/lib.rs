@@ -36,5 +36,5 @@ pub use flux_dtd::{Dtd, Symbol, SymbolTable, PAPER_FIG1_DTD, PAPER_UNSAFE_DTD, P
 pub use flux_lang::{CompileOptions, FluxQuery, OptimizerConfig};
 pub use flux_runtime::{RunReport, RunStats};
 pub use flux_xml::{
-    BudgetExceeded, BudgetKind, GzipMode, Input, MemoryBudget, ResolvedInput, DEFAULT_WINDOW,
+    BudgetExceeded, BudgetKind, Input, MemoryBudget, ResolvedInput, DEFAULT_WINDOW,
 };

@@ -287,6 +287,7 @@ impl BufferArena {
         // sighting generation so only intra-scope repetition (live
         // duplicates) counts toward the dictionary gate.
         self.gate.bump_generation();
+        self.tracker.sample_residency();
         let mut stack = std::mem::take(&mut self.free_stack);
         stack.clear();
         stack.push(root);

@@ -21,7 +21,7 @@ use crate::error::{Result, RuntimeError};
 use crate::plan::{DocTiming, HandlerPlan, Plan, PlanExpr, PsId};
 use crate::stats::RunStats;
 use flux_dtd::Dtd;
-use flux_telemetry::{RunReport, RuntimeCounters, Stage};
+use flux_telemetry::{RunReport, Stage};
 use flux_xml::tree::NodeId;
 use flux_xml::{EventSource, RawEventKind, RawEventRef, SymbolTable, XmlWriter};
 use flux_xquery::{CompiledExpr, CursorEvaluator, Slots};
@@ -57,8 +57,7 @@ struct ElementCtx {
 /// while this evaluator (and the XSAX DFA configuration it drives)
 /// consumes the stitched stream sequentially. With `want_report`, the
 /// run's telemetry [`RunReport`] is assembled once the stream is drained
-/// (structurally valid — but empty-staged — without the `telemetry`
-/// feature; a sharded source contributes its per-shard timeline).
+/// (a sharded source contributes its per-shard timeline).
 pub fn execute<S: EventSource, W: Write>(
     plan: &Plan,
     dtd: &Dtd,
@@ -85,7 +84,7 @@ pub fn execute<S: EventSource, W: Write>(
         writer: XmlWriter::new(output),
         stack: Vec::new(),
         events: 0,
-        tel: RuntimeCounters::default(),
+        on_first_fires: 0,
     };
     while let Some(step) = parser.next_step()? {
         state.events += 1;
@@ -118,13 +117,13 @@ fn assemble_report<S: EventSource, W: Write>(
     state: &ExecState<'_, W>,
     stats: &RunStats,
 ) -> RunReport {
-    let mut report = RunReport::new();
-    parser.report_into(&mut report);
+    let mut report = RunReport::default();
+    parser.report_into(&mut report, stats.events);
     let tracker = state.arena.tracker();
     let mut runtime = Stage::new("runtime");
-    runtime.counter("events", state.events);
-    runtime.absorb(state.tel.snapshot());
-    runtime.absorb(tracker.telemetry().snapshot());
+    runtime.counter("events", stats.events);
+    runtime.counter("on_first_fires", state.on_first_fires);
+    runtime.absorb(tracker.telemetry().rows(tracker.current_nodes() as u64));
     runtime.counter("output_bytes", stats.output_bytes);
     runtime.rate("events_per_second", stats.events_per_second());
     report.stage(runtime);
@@ -150,14 +149,12 @@ struct ExecState<'p, W: Write> {
     writer: XmlWriter<W>,
     stack: Vec<ElementCtx>,
     events: u64,
-    /// Handler-dispatch / on-first counters (zero-sized no-ops unless the
-    /// `telemetry` feature is on).
-    tel: RuntimeCounters,
+    /// `on-first` handler bodies evaluated.
+    on_first_fires: u64,
 }
 
 impl<'p, W: Write> ExecState<'p, W> {
     fn handle(&mut self, ev: &RawEventRef<'_>, symbols: &SymbolTable) -> Result<()> {
-        self.tel.handler_dispatches(1);
         match ev.kind() {
             RawEventKind::StartDocument => self.start_document(symbols),
             RawEventKind::DoctypeDecl => Ok(()),
@@ -331,7 +328,7 @@ impl<'p, W: Write> ExecState<'p, W> {
                 message: "past registration points at a non-on-first handler".to_string(),
             });
         };
-        self.tel.on_first_fires(1);
+        self.on_first_fires += 1;
         self.eval_buffered(body)
     }
 

@@ -18,12 +18,11 @@ pub struct MemoryTracker {
     current_nodes: usize,
     peak_nodes: usize,
     total_allocated_bytes: u64,
-    /// Alloc/free/grow traffic counters (zero-sized unless telemetry is
-    /// enabled).
+    /// Alloc/grow traffic counters (frees are derived from the live node
+    /// count).
     tel: BufferCounters,
     /// Buffer-residency high-water sampler: a bounded trace of how the
-    /// buffered-byte level evolved over the run (empty no-op when
-    /// telemetry is off).
+    /// buffered-byte level evolved over the run, fed at scope frees.
     residency: Residency,
 }
 
@@ -38,8 +37,7 @@ impl MemoryTracker {
         self.total_allocated_bytes += bytes as u64;
         self.peak_bytes = self.peak_bytes.max(self.current_bytes);
         self.peak_nodes = self.peak_nodes.max(self.current_nodes);
-        self.tel.buffer_allocs(1);
-        self.residency.tick(self.current_bytes as u64);
+        self.tel.buffer_allocs += 1;
     }
 
     /// Accounts growth of an existing node (e.g. text appended to a merged
@@ -48,15 +46,20 @@ impl MemoryTracker {
         self.current_bytes += bytes;
         self.total_allocated_bytes += bytes as u64;
         self.peak_bytes = self.peak_bytes.max(self.current_bytes);
-        self.tel.buffer_grows(1);
-        self.residency.tick(self.current_bytes as u64);
+        self.tel.buffer_grows += 1;
     }
 
     pub fn release(&mut self, bytes: usize) {
         debug_assert!(self.current_bytes >= bytes, "released more than allocated");
         self.current_bytes = self.current_bytes.saturating_sub(bytes);
         self.current_nodes = self.current_nodes.saturating_sub(1);
-        self.tel.buffer_frees(1);
+    }
+
+    /// Feeds the residency sampler the current level. The level only falls
+    /// in [`MemoryTracker::release`], so the buffer store calls this once
+    /// before releasing a scope: every local maximum of the curve is seen
+    /// without a sample per node operation.
+    pub fn sample_residency(&mut self) {
         self.residency.tick(self.current_bytes as u64);
     }
 
@@ -65,9 +68,12 @@ impl MemoryTracker {
         self.tel
     }
 
-    /// The residency high-water trace.
-    pub fn residency(&self) -> &Residency {
-        &self.residency
+    /// The residency high-water trace, closed with the current level (what
+    /// has been buffered since the last scope free).
+    pub fn residency(&self) -> Residency {
+        let mut trace = self.residency.clone();
+        trace.tick(self.current_bytes as u64);
+        trace
     }
 
     pub fn current_bytes(&self) -> usize {
@@ -119,8 +125,8 @@ impl RunStats {
     }
 
     /// Renders the stats as pretty-printed JSON (hand-rolled — no
-    /// dependencies; always available, telemetry feature or not). The
-    /// same rendering is spliced into the `RunReport` as `run_stats`.
+    /// dependencies). The same rendering is spliced into the `RunReport`
+    /// as `run_stats`.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj();
@@ -196,17 +202,19 @@ mod tests {
         for _ in 0..500 {
             t.allocate(64);
         }
+        assert_eq!(
+            t.residency().max_high_water(),
+            t.peak_bytes() as u64,
+            "a peak no scope free has followed yet is still in the trace"
+        );
+        t.sample_residency();
         for _ in 0..500 {
             t.release(64);
         }
-        if flux_telemetry::enabled() {
-            assert_eq!(t.residency().max_high_water(), t.peak_bytes() as u64);
-            let snap = t.telemetry().snapshot();
-            assert!(snap.contains(&("buffer_allocs", 500)), "{snap:?}");
-            assert!(snap.contains(&("buffer_frees", 500)), "{snap:?}");
-        } else {
-            assert!(t.residency().snapshot().is_empty());
-        }
+        assert_eq!(t.residency().max_high_water(), t.peak_bytes() as u64);
+        let rows = t.telemetry().rows(t.current_nodes() as u64);
+        assert!(rows.contains(&("buffer_allocs", 500)), "{rows:?}");
+        assert!(rows.contains(&("buffer_frees", 500)), "{rows:?}");
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //! This file holds exactly one test so no concurrent test in the same
 //! binary can perturb the allocation counter.
 //!
-//! The contract must hold identically under `--features telemetry`: the
-//! tracker's traffic counters are `u64` adds and the buffer-residency
-//! sampler decimates into a fixed inline array (`RESIDENCY_SLOTS` pairs,
-//! no heap), so the instrumented buffer-and-free loop stays
-//! allocation-free (CI runs this proof in both modes).
+//! The instrumentation is part of the loop under proof: the tracker's
+//! traffic counters are `u64` adds and the buffer-residency sampler
+//! decimates into a fixed inline array (`RESIDENCY_SLOTS` pairs, no heap).
 
 // The counting allocator is the one place the test needs `unsafe`: it
 // wraps `System` one-to-one and adds a relaxed atomic increment.
@@ -131,13 +129,11 @@ fn steady_state_buffering_is_allocation_free() {
     assert!(arena.peak_bytes() > 0);
     // The residency sampler ran inside the allocation-free window above —
     // its decimation must still have preserved the exact peak.
-    if flux_telemetry::enabled() {
-        assert_eq!(
-            arena.tracker().residency().max_high_water(),
-            arena.peak_bytes() as u64,
-            "residency decimation lost the high-water mark"
-        );
-    }
+    assert_eq!(
+        arena.tracker().residency().max_high_water(),
+        arena.peak_bytes() as u64,
+        "residency decimation lost the high-water mark"
+    );
     assert!(
         arena.doc().node_count() < 16,
         "slots must recycle: {} nodes",

@@ -221,8 +221,7 @@ struct ActiveShard {
     base: Position,
     /// Replay cursor into the current tape.
     cursor: usize,
-    /// Epoch-relative instant replay of this chunk began (always 0 when
-    /// telemetry is off).
+    /// Epoch-relative instant replay of this chunk began.
     activated_at_ns: u64,
     /// Whether no chunk follows this one — drives the end-of-input
     /// re-checks (trailing-text suppression).
@@ -307,8 +306,6 @@ pub struct ShardedReader {
     /// Recorded position of the most recently delivered event.
     last_pos: Position,
     current: CurrentEvent,
-    // Telemetry (every field below is zero-sized or empty when the
-    // `telemetry` feature is off).
     /// The pipeline epoch: copies go to every worker so all timeline
     /// points read off one monotonic axis. Reset when workers launch.
     epoch: Stopwatch,
@@ -423,8 +420,7 @@ impl ShardedReader {
         self.total_shards = points.len();
         // The epoch starts when the pipeline does; telemetry stores are
         // preallocated here, before any replay, so the steady state
-        // allocates nothing (all of this folds away when telemetry is
-        // off: the stopwatch reads no clock and the vectors hold ZSTs).
+        // allocates nothing.
         self.epoch = Stopwatch::start();
         self.lanes = Vec::with_capacity(self.total_shards);
         self.journal = Journal::with_capacity(2 * self.total_shards + 2);
@@ -486,10 +482,9 @@ impl ShardedReader {
         let mut stalls = 0u64;
         loop {
             if let Some(mut tape) = self.parked.remove(&index) {
-                tape.lane.recv_stall_ns(wait.elapsed_ns());
-                tape.lane.recv_stalls(stalls);
-                tape.lane
-                    .dwell_ns(self.epoch.elapsed_ns().saturating_sub(tape.ready_at_ns));
+                tape.lane.recv_stall_ns = wait.elapsed_ns();
+                tape.lane.recv_stalls = stalls;
+                tape.lane.dwell_ns = self.epoch.elapsed_ns().saturating_sub(tape.ready_at_ns);
                 return tape;
             }
             match self.rx.as_ref().map(|rx| rx.recv()) {
@@ -725,9 +720,7 @@ impl ShardedReader {
                 let mut a = self.active.take().expect("active shard ensured");
                 // Close this shard's lane: replay span, then fold its
                 // counters into the pipeline totals (merge-at-join).
-                a.shard
-                    .lane
-                    .replay_ns(self.epoch.elapsed_ns().saturating_sub(a.activated_at_ns));
+                a.shard.lane.replay_ns = self.epoch.elapsed_ns().saturating_sub(a.activated_at_ns);
                 self.scan_tel.merge(&a.shard.scan);
                 self.reader_tel.merge(&a.shard.reader);
                 self.lanes.push(a.shard.lane);
@@ -973,15 +966,14 @@ impl ShardedReader {
 
     /// Appends the merged `scanner`/`reader` stages and the
     /// `shard_pipeline` timeline (one child stage per shard lane, plus
-    /// the lifecycle journal) to `report`. Stages are appended empty when
-    /// the `telemetry` feature is off, so the report shape is stable.
+    /// the lifecycle journal) to `report`.
     pub fn report_into(&self, report: &mut RunReport) {
         let mut scanner = Stage::new("scanner");
         scanner.note("isa", flux_xml::active_isa_name());
         scanner.absorb(self.scan_tel.snapshot());
         report.stage(scanner);
         let mut reader = Stage::new("reader");
-        reader.absorb(self.reader_tel.snapshot());
+        reader.absorb(self.reader_tel.rows());
         report.stage(reader);
         let mut pipeline = Stage::new("shard_pipeline");
         pipeline.counter("shards", self.total_shards as u64);
@@ -1009,8 +1001,7 @@ impl ShardedReader {
     }
 
     /// The completed per-shard timeline lanes (replay order). Empty until
-    /// shards are exhausted, and with telemetry off each lane is a
-    /// zero-sized stub — intended for tests and the report builder.
+    /// shards are exhausted — intended for tests and the report builder.
     pub fn lanes(&self) -> &[ShardLane] {
         &self.lanes
     }

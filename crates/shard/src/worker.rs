@@ -46,16 +46,15 @@ pub(crate) struct ShardTape {
     pub error: Option<XmlError>,
     /// This shard's timeline lane. The worker fills the parse side
     /// (`parse_ns`, `events`, `tape_bytes`); the consumer fills the replay
-    /// side when it activates and exhausts the tape. Zero-sized unless the
-    /// `telemetry` feature is on.
+    /// side when it activates and exhausts the tape.
     pub lane: ShardLane,
     /// Epoch-relative instant the finished tape was handed to the channel;
     /// the consumer subtracts it from its pickup instant to get the
-    /// channel-dwell span (always 0 when telemetry is off).
+    /// channel-dwell span.
     pub ready_at_ns: u64,
     /// The fragment reader's scanner counters, harvested at join time.
     pub scan: ScanCounters,
-    /// The fragment reader's fast/slow path counters.
+    /// The fragment reader's tag totals and rare-path counters.
     pub reader: ReaderCounters,
 }
 
@@ -128,13 +127,14 @@ pub(crate) fn parse_fragment(
     let new_names: Vec<String> = (seed.len()..table.len())
         .map(|i| table.name(Symbol::from_index(i)).to_string())
         .collect();
-    // Two clock reads bracket the whole fragment parse; everything else
-    // below folds to nothing when telemetry is off.
+    // Two clock reads bracket the whole fragment parse.
     let ready_at_ns = epoch.elapsed_ns();
-    let mut lane = ShardLane::default();
-    lane.parse_ns(ready_at_ns.saturating_sub(parse_started));
-    lane.events(tape.len() as u64);
-    lane.tape_bytes(tape.byte_size() as u64);
+    let lane = ShardLane {
+        parse_ns: ready_at_ns.saturating_sub(parse_started),
+        events: tape.len() as u64,
+        tape_bytes: tape.byte_size() as u64,
+        ..ShardLane::default()
+    };
     ShardTape {
         scan: reader.scan_telemetry(),
         reader: reader.reader_telemetry(),
@@ -250,10 +250,12 @@ pub(crate) fn parse_segmented(
     total_events += tape.len() as u64;
     total_tape_bytes += tape.byte_size() as u64;
     let ready_at_ns = epoch.elapsed_ns();
-    let mut lane = ShardLane::default();
-    lane.parse_ns(ready_at_ns.saturating_sub(parse_started));
-    lane.events(total_events);
-    lane.tape_bytes(total_tape_bytes);
+    let lane = ShardLane {
+        parse_ns: ready_at_ns.saturating_sub(parse_started),
+        events: total_events,
+        tape_bytes: total_tape_bytes,
+        ..ShardLane::default()
+    };
     let charge = budget.map(|b| b.charge(BudgetKind::Tape, tape.byte_size() as u64));
     let _ = tx.send(Segment {
         tape: ShardTape {

@@ -9,12 +9,11 @@
 //! consumer thread's: worker-thread allocations cannot leak into the
 //! measured window, and neither can the test harness's own threads.
 //!
-//! The contract must hold identically under `--features telemetry`: shard
-//! lane counters travel inside the (already-allocated) `ShardTape`, the
+//! The instrumentation is part of the loop under proof: shard lane
+//! counters travel inside the (already-allocated) `ShardTape`, the
 //! pipeline's lane vector and event journal are preallocated in
 //! `start_workers` — before this test's measured window opens — and span
-//! reads are `Instant` arithmetic, so the instrumented replay loop stays
-//! allocation-free (CI runs this proof in both modes).
+//! reads are `Instant` arithmetic.
 
 // The counting allocator is the one place the crate needs `unsafe`: it
 // wraps `System` one-to-one and adds a thread-local increment.

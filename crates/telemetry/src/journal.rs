@@ -19,9 +19,7 @@ pub struct JournalEvent {
     pub value: u64,
 }
 
-/// A fixed-capacity overwrite-oldest event log (no-op when telemetry is
-/// off).
-#[cfg(feature = "enabled")]
+/// A fixed-capacity overwrite-oldest event log.
 #[derive(Debug, Default)]
 pub struct Journal {
     entries: Vec<JournalEvent>,
@@ -30,7 +28,6 @@ pub struct Journal {
     seq: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl Journal {
     /// A journal whose backing store is allocated up front; `record`
     /// never allocates after this.
@@ -66,43 +63,6 @@ impl Journal {
         out.extend_from_slice(&self.entries[..self.head]);
         out
     }
-
-    /// Total records ever made (retained entries plus overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.seq
-    }
-}
-
-/// A fixed-capacity overwrite-oldest event log (no-op when telemetry is
-/// off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug, Default)]
-pub struct Journal {}
-
-#[cfg(not(feature = "enabled"))]
-impl Journal {
-    /// No-op constructor: nothing is allocated when telemetry is off.
-    #[inline(always)]
-    pub fn with_capacity(cap: usize) -> Self {
-        let _ = cap;
-        Journal {}
-    }
-
-    /// No-op record.
-    #[inline(always)]
-    pub fn record(&mut self, tag: &'static str, value: u64) {
-        let _ = (tag, value);
-    }
-
-    /// Always empty when telemetry is off.
-    pub fn events(&self) -> Vec<JournalEvent> {
-        Vec::new()
-    }
-
-    /// Always 0 when telemetry is off.
-    pub fn recorded(&self) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -116,15 +76,9 @@ mod tests {
             j.record("tick", i);
         }
         let events = j.events();
-        if crate::enabled() {
-            assert_eq!(j.recorded(), 10);
-            assert_eq!(events.len(), 4, "capacity bounds retention");
-            let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-            assert_eq!(seqs, vec![6, 7, 8, 9], "oldest first, newest retained");
-            assert_eq!(events[3].value, 9);
-        } else {
-            assert!(events.is_empty());
-            assert_eq!(j.recorded(), 0);
-        }
+        assert_eq!(events.len(), 4, "capacity bounds retention");
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![6, 7, 8, 9], "oldest first, newest retained");
+        assert_eq!(events[3].value, 9);
     }
 }

@@ -1,10 +1,9 @@
-//! A minimal hand-rolled JSON writer (always compiled, no dependencies).
+//! A minimal hand-rolled JSON writer (no dependencies).
 //!
 //! Produces pretty-printed, two-space-indented JSON in insertion order —
 //! the same house style as `BENCH_events.json`. Used by the
 //! [`crate::report::RunReport`] renderer and by `flux_runtime`'s
-//! `RunStats` serialization, so the schema survives builds without the
-//! `enabled` feature.
+//! `RunStats` serialization.
 
 /// An incremental JSON document builder.
 ///

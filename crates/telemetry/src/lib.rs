@@ -1,4 +1,4 @@
-//! Zero-overhead pipeline instrumentation for FluXQuery.
+//! Always-on pipeline instrumentation for FluXQuery.
 //!
 //! The paper's evaluation is entirely per-stage measurement — buffer
 //! residency under scheduling, event throughput by pipeline phase — and a
@@ -6,36 +6,25 @@
 //! the same visibility. This crate is the instrumentation substrate every
 //! hot-path crate embeds:
 //!
-//! * **Stage counters** ([`ScanCounters`] and friends) — fixed-slot `u64` fields bumped by
-//!   inline adder methods, owned by the thread doing the work and merged
-//!   at join time. No atomics, no locks, no allocation.
+//! * **Stage counters** ([`ScanCounters`] and friends) — fixed-slot `u64`
+//!   fields owned by the thread doing the work and merged at join time.
+//!   No atomics, no locks, no allocation; per-event paths count only what
+//!   cannot be derived when the report is built.
 //! * **Span timers** ([`span::Stopwatch`]) — coarse monotonic wall-clock
 //!   spans (two `Instant` reads per span, never per event).
 //! * **A bounded ring journal** ([`journal::Journal`]) — fixed-capacity
 //!   event log for pipeline lifecycle moments (shard ready / activated /
 //!   exhausted), overwriting the oldest entry when full.
 //! * **A residency sampler** ([`residency::Residency`]) — a decimating
-//!   high-water trace of buffered bytes over the run, held in a fixed
-//!   inline array so sampling never allocates.
+//!   high-water trace of buffered bytes over the run, sampled at scope
+//!   frees and held in a fixed inline array so sampling never allocates.
 //! * **The [`report::RunReport`] tree** — the serializable per-run
 //!   rollup (stages → counters/spans/rates) every instrumented component
 //!   appends itself to, rendered as JSON or text.
 //!
-//! # The `enabled` feature
-//!
-//! Everything that records is compiled twice: a real implementation under
-//! `#[cfg(feature = "enabled")]` and a zero-sized, no-op mirror without
-//! it. Consumers embed the types and call the methods unconditionally —
-//! with the feature off, the structs occupy zero bytes, the methods are
-//! empty `#[inline(always)]` functions, and the optimizer erases every
-//! call site. Use [`enabled`] (a `const fn`) to guard work that only
-//! exists to *feed* the instrumentation (computing an argument, taking a
-//! timestamp): the branch folds away at compile time.
-//!
-//! The report types and the JSON writer ([`json`]) are always compiled —
-//! a build without the feature still renders a [`report::RunReport`]
-//! (with a "telemetry disabled" marker and empty stages) and still
-//! serializes `RunStats`.
+//! There is one build configuration: every recorder here is plain code,
+//! compiled into every binary. What that costs is measured against the
+//! uninstrumented parent in `docs/OBSERVABILITY.md`.
 
 mod counters;
 pub mod journal;
@@ -44,19 +33,8 @@ pub mod report;
 pub mod residency;
 pub mod span;
 
-pub use counters::{
-    BufferCounters, ReaderCounters, RuntimeCounters, ScanCounters, ShardLane, XsaxCounters,
-};
+pub use counters::{BufferCounters, ReaderCounters, ScanCounters, ShardLane, XsaxCounters};
 pub use journal::{Journal, JournalEvent};
 pub use report::{RunReport, Stage};
 pub use residency::Residency;
 pub use span::Stopwatch;
-
-/// Whether the `enabled` cargo feature is compiled in.
-///
-/// A `const fn`: `if flux_telemetry::enabled() { ... }` is a
-/// compile-time-constant branch, so argument computation that only feeds
-/// telemetry disappears entirely from uninstrumented builds.
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}

@@ -7,11 +7,6 @@
 //! `RunStats`; the CLI renders it with `--report json|text`; `experiments
 //! --e8` embeds it in `BENCH_events.json`; `perf_gate` reads it back for
 //! stage-level regression attribution.
-//!
-//! The tree types are always compiled: a build without the `enabled`
-//! feature produces a structurally valid report whose `telemetry` flag is
-//! `false` and whose stages carry no counters — consumers need no
-//! feature-gating of their own.
 
 use crate::json::JsonWriter;
 
@@ -188,9 +183,6 @@ impl Stage {
 /// The per-run telemetry rollup.
 #[derive(Debug, Default, Clone)]
 pub struct RunReport {
-    /// Whether the build carries live instrumentation (`false` means the
-    /// structure below is present but every stage is empty).
-    pub telemetry: bool,
     pub stages: Vec<Stage>,
     /// The run's `RunStats`, pre-rendered as JSON by `flux_runtime` and
     /// spliced into the report verbatim.
@@ -198,15 +190,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// An empty report flagged with this build's instrumentation state.
-    pub fn new() -> Self {
-        RunReport {
-            telemetry: crate::enabled(),
-            stages: Vec::new(),
-            stats_json: None,
-        }
-    }
-
     /// Appends a top-level stage.
     pub fn stage(&mut self, stage: Stage) {
         self.stages.push(stage);
@@ -221,13 +204,6 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj();
-        w.field_bool("telemetry", self.telemetry);
-        if !self.telemetry {
-            w.field_str(
-                "note",
-                "telemetry feature disabled at build time; stages carry no data",
-            );
-        }
         if let Some(stats) = &self.stats_json {
             w.field_raw("run_stats", stats);
         }
@@ -243,11 +219,7 @@ impl RunReport {
     /// Renders the report as an indented text tree.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(if self.telemetry {
-            "run report (telemetry enabled)\n"
-        } else {
-            "run report (telemetry disabled at build time; rebuild with --features telemetry)\n"
-        });
+        out.push_str("run report\n");
         if let Some(stats) = &self.stats_json {
             out.push_str("run_stats: ");
             out.push_str(stats.replace('\n', " ").as_str());
@@ -277,7 +249,7 @@ mod tests {
     use super::*;
 
     fn sample_report() -> RunReport {
-        let mut report = RunReport::new();
+        let mut report = RunReport::default();
         let mut scanner = Stage::new("scanner");
         scanner.note("isa", "swar-fallback");
         scanner.counter("refills", 3).counter("prescan_bytes", 4096);
@@ -298,7 +270,6 @@ mod tests {
     fn json_contains_every_section() {
         let json = sample_report().to_json();
         for needle in [
-            "\"telemetry\":",
             "\"run_stats\":",
             "\"scanner\"",
             "\"isa\": \"swar-fallback\"",
@@ -328,15 +299,5 @@ mod tests {
         assert_eq!(scanner.counter_value("absent"), None);
         let lane = &report.find("shard_pipeline").unwrap().children[0];
         assert_eq!(lane.span_value("parse_ns"), Some(1_500_000));
-    }
-
-    #[test]
-    fn disabled_build_is_flagged() {
-        let report = RunReport::new();
-        assert_eq!(report.telemetry, crate::enabled());
-        let json = report.to_json();
-        if !crate::enabled() {
-            assert!(json.contains("telemetry feature disabled"));
-        }
     }
 }

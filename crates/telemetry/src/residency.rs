@@ -1,13 +1,15 @@
 //! The buffer-residency high-water sampler.
 //!
-//! [`Residency`] turns the memory tracker's per-operation `current_bytes`
-//! updates into a bounded trace of how buffered memory evolved over the
-//! run — the curve the paper's buffer-minimization claim is about. Every
-//! tracker mutation calls [`Residency::tick`]; the sampler keeps the
-//! high-water mark of each sampling window and emits one `(tick,
-//! high_water)` point per window into a **fixed inline array**: no heap
-//! allocation ever, so the allocation-free buffer-and-free loop stays
-//! allocation-free with telemetry on.
+//! [`Residency`] turns the memory tracker's `current_bytes` level into a
+//! bounded trace of how buffered memory evolved over the run — the curve
+//! the paper's buffer-minimization claim is about. The level only falls
+//! when a scope is freed, so every local maximum of the curve sits right
+//! before a scope free: the tracker calls [`Residency::tick`] there (and
+//! once more when the trace is read), not on every node operation. The
+//! sampler keeps the high-water mark of each sampling window and emits
+//! one `(tick, high_water)` point per window into a **fixed inline
+//! array**: no heap allocation ever, so the allocation-free
+//! buffer-and-free loop stays allocation-free.
 //!
 //! The trace is kept bounded by *decimation*: when the array fills, its
 //! points are folded pairwise (keeping each pair's high-water maximum)
@@ -18,24 +20,20 @@
 /// Sample slots held inline (the trace never exceeds this many points).
 pub const RESIDENCY_SLOTS: usize = 64;
 
-/// A decimating high-water sampler over tracker ticks (zero-sized no-op
-/// when telemetry is off).
-#[cfg(feature = "enabled")]
+/// A decimating high-water sampler over tracker ticks.
 #[derive(Debug, Clone)]
 pub struct Residency {
     /// `(tick, high_water_bytes)` points, oldest first.
     samples: [(u64, u64); RESIDENCY_SLOTS],
     len: usize,
     /// Ticks per sample window minus one (the stride is always a power of
-    /// two, so the boundary test is a mask, not a division — `tick` sits
-    /// on the buffer store's per-operation path).
+    /// two, so the boundary test is a mask, not a division).
     stride_mask: u64,
     ticks: u64,
     /// High-water mark inside the current (unfinished) window.
     window_high: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl Default for Residency {
     fn default() -> Self {
         Residency {
@@ -48,9 +46,9 @@ impl Default for Residency {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Residency {
-    /// Feeds one tracker mutation with the post-mutation live byte count.
+    /// Feeds one sample point: the live byte count at a local maximum of
+    /// the level (just before a scope free, or at the end of the run).
     #[inline]
     pub fn tick(&mut self, current_bytes: u64) {
         self.ticks += 1;
@@ -84,8 +82,7 @@ impl Residency {
         self.window_high = current_bytes;
     }
 
-    /// The trace so far: `(tick, high_water_bytes)` points, oldest first
-    /// (empty when telemetry is off).
+    /// The trace so far: `(tick, high_water_bytes)` points, oldest first.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         self.samples[..self.len].to_vec()
     }
@@ -99,31 +96,6 @@ impl Residency {
             .max()
             .unwrap_or(0)
             .max(self.window_high)
-    }
-}
-
-/// A decimating high-water sampler over tracker ticks (zero-sized no-op
-/// when telemetry is off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug, Clone, Default)]
-pub struct Residency {}
-
-#[cfg(not(feature = "enabled"))]
-impl Residency {
-    /// No-op tick.
-    #[inline(always)]
-    pub fn tick(&mut self, current_bytes: u64) {
-        let _ = current_bytes;
-    }
-
-    /// Always empty when telemetry is off.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
-
-    /// Always 0 when telemetry is off.
-    pub fn max_high_water(&self) -> u64 {
-        0
     }
 }
 
@@ -143,18 +115,13 @@ mod tests {
             }
         }
         let trace = r.snapshot();
-        if crate::enabled() {
-            assert!(trace.len() <= RESIDENCY_SLOTS, "trace stays bounded");
-            assert!(trace.len() >= RESIDENCY_SLOTS / 2, "decimation keeps half");
-            assert_eq!(r.max_high_water(), 9_999, "spike survives decimation");
-            let ticks: Vec<u64> = trace.iter().map(|&(t, _)| t).collect();
-            let mut sorted = ticks.clone();
-            sorted.sort_unstable();
-            assert_eq!(ticks, sorted, "samples stay in tick order");
-        } else {
-            assert!(trace.is_empty());
-            assert_eq!(std::mem::size_of::<Residency>(), 0);
-        }
+        assert!(trace.len() <= RESIDENCY_SLOTS, "trace stays bounded");
+        assert!(trace.len() >= RESIDENCY_SLOTS / 2, "decimation keeps half");
+        assert_eq!(r.max_high_water(), 9_999, "spike survives decimation");
+        let ticks: Vec<u64> = trace.iter().map(|&(t, _)| t).collect();
+        let mut sorted = ticks.clone();
+        sorted.sort_unstable();
+        assert_eq!(ticks, sorted, "samples stay in tick order");
     }
 
     #[test]
@@ -163,9 +130,7 @@ mod tests {
         for i in [5u64, 3, 8, 2] {
             r.tick(i);
         }
-        if crate::enabled() {
-            assert_eq!(r.snapshot().len(), 4, "stride 1 until the array fills");
-            assert_eq!(r.max_high_water(), 8);
-        }
+        assert_eq!(r.snapshot().len(), 4, "stride 1 until the array fills");
+        assert_eq!(r.max_high_water(), 8);
     }
 }

@@ -7,19 +7,13 @@
 //! across threads is the pipeline *epoch*: every thread's `elapsed_ns`
 //! reads off the same monotonic axis, so cross-thread timeline points
 //! (tape ready vs. tape picked up) subtract meaningfully.
-//!
-//! With the `enabled` feature off the type is zero-sized, `start` touches
-//! no clock, and `elapsed_ns` is the constant 0.
 
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
-/// A started monotonic timer (zero-sized no-op when telemetry is off).
-#[cfg(feature = "enabled")]
+/// A started monotonic timer.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
-#[cfg(feature = "enabled")]
 impl Stopwatch {
     /// Captures the current monotonic instant.
     #[inline]
@@ -34,47 +28,15 @@ impl Stopwatch {
     }
 }
 
-#[cfg(feature = "enabled")]
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-/// A started monotonic timer (zero-sized no-op when telemetry is off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Stopwatch {}
-
-#[cfg(not(feature = "enabled"))]
-impl Stopwatch {
-    /// No-op start: no clock is read when telemetry is off.
-    #[inline(always)]
-    pub fn start() -> Self {
-        Stopwatch {}
-    }
-
-    /// Always 0 when telemetry is off.
-    #[inline(always)]
-    pub fn elapsed_ns(&self) -> u64 {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn elapsed_is_monotonic_or_zero() {
+    fn elapsed_is_monotonic() {
         let sw = Stopwatch::start();
         let a = sw.elapsed_ns();
         let b = sw.elapsed_ns();
-        if crate::enabled() {
-            assert!(b >= a, "monotonic clock must not run backwards");
-        } else {
-            assert_eq!((a, b), (0, 0));
-            assert_eq!(std::mem::size_of::<Stopwatch>(), 0);
-        }
+        assert!(b >= a, "monotonic clock must not run backwards");
     }
 }

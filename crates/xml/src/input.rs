@@ -259,19 +259,6 @@ impl Drop for BudgetCharge {
 // Input
 // ---------------------------------------------------------------------------
 
-/// How gzip-compressed input is recognised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GzipMode {
-    /// Detect by `.gz` extension (paths) or the `1f 8b` magic (readers and
-    /// buffers). XML can never begin with those bytes, so sniffing is safe.
-    #[default]
-    Auto,
-    /// Always decompress, regardless of name or magic.
-    Always,
-    /// Never decompress; bytes pass through verbatim.
-    Never,
-}
-
 enum ByteSource {
     Bytes(Arc<Vec<u8>>),
     Reader(Box<dyn Read + Send>),
@@ -338,8 +325,12 @@ impl Read for ArcBytesReader {
 }
 
 /// The unified ingestion builder: one type describing *what* to read
-/// (bytes, reader or path), *how* (gzip handling, scanner window) and
-/// *under which memory contract* ([`MemoryBudget`]).
+/// (bytes, reader or path), *how* (scanner window) and *under which memory
+/// contract* ([`MemoryBudget`]).
+///
+/// Gzip-compressed input is recognised by its `.gz` extension (paths) or
+/// the `1f 8b` magic (any source) and decompressed transparently: XML can
+/// never begin with those bytes, so sniffing is safe.
 ///
 /// ```no_run
 /// use flux_xml::input::{Input, MemoryBudget};
@@ -352,7 +343,6 @@ impl Read for ArcBytesReader {
 pub struct Input {
     source: ByteSource,
     window: usize,
-    gzip: GzipMode,
     budget: Option<Arc<MemoryBudget>>,
 }
 
@@ -361,14 +351,13 @@ impl Input {
         Input {
             source,
             window: DEFAULT_WINDOW,
-            gzip: GzipMode::default(),
             budget: None,
         }
     }
 
     /// Input from a file path. `.gz` files are decompressed transparently
-    /// (by extension or magic, see [`GzipMode::Auto`]); the file is opened
-    /// lazily at [`Input::into_source`] time.
+    /// (by extension or magic); the file is opened lazily at
+    /// [`Input::into_source`] time.
     pub fn from_path(path: impl AsRef<Path>) -> Self {
         Input::new(ByteSource::Path(path.as_ref().to_path_buf()))
     }
@@ -395,12 +384,6 @@ impl Input {
     /// Values below [`MIN_WINDOW`] are clamped up.
     pub fn window(mut self, bytes: usize) -> Self {
         self.window = bytes.max(MIN_WINDOW);
-        self
-    }
-
-    /// Sets gzip handling (default [`GzipMode::Auto`]).
-    pub fn gzip(mut self, mode: GzipMode) -> Self {
-        self.gzip = mode;
         self
     }
 
@@ -446,41 +429,29 @@ impl Input {
     pub fn into_source(self) -> io::Result<ResolvedInput> {
         match self.source {
             ByteSource::Bytes(bytes) => {
-                let compressed = match self.gzip {
-                    GzipMode::Always => true,
-                    GzipMode::Never => false,
-                    GzipMode::Auto => bytes.len() >= 2 && bytes[..2] == GZIP_MAGIC,
-                };
-                if compressed {
+                if bytes.starts_with(&GZIP_MAGIC) {
                     let plain = gunzip_bytes(&bytes)?;
                     Ok(ResolvedInput::Bytes(Arc::new(plain)))
                 } else {
                     Ok(ResolvedInput::Bytes(bytes))
                 }
             }
-            ByteSource::Reader(reader) => resolve_reader(reader, self.gzip),
+            ByteSource::Reader(reader) => resolve_reader(reader),
             ByteSource::Path(path) => {
-                let by_ext = path.extension().is_some_and(|e| e == "gz");
-                let file = File::open(&path)?;
-                match self.gzip {
-                    GzipMode::Never => Ok(ResolvedInput::Reader(Box::new(file))),
-                    GzipMode::Always => gzip_reader(Box::new(file)),
-                    GzipMode::Auto if by_ext => gzip_reader(Box::new(file)),
-                    GzipMode::Auto => resolve_reader(Box::new(file), GzipMode::Auto),
+                let file = Box::new(File::open(&path)?);
+                if path.extension().is_some_and(|e| e == "gz") {
+                    gzip_reader(file)
+                } else {
+                    resolve_reader(file)
                 }
             }
         }
     }
 }
 
-/// Sniffs the gzip magic off the head of `reader` (for [`GzipMode::Auto`])
-/// and wraps accordingly, pushing the sniffed bytes back in front.
-fn resolve_reader(mut reader: Box<dyn Read + Send>, mode: GzipMode) -> io::Result<ResolvedInput> {
-    match mode {
-        GzipMode::Never => return Ok(ResolvedInput::Reader(reader)),
-        GzipMode::Always => return gzip_reader(reader),
-        GzipMode::Auto => {}
-    }
+/// Sniffs the gzip magic off the head of `reader` and wraps accordingly,
+/// pushing the sniffed bytes back in front.
+fn resolve_reader(mut reader: Box<dyn Read + Send>) -> io::Result<ResolvedInput> {
     let mut head = [0u8; 2];
     let mut got = 0;
     while got < 2 {
@@ -615,21 +586,6 @@ mod tests {
             .unwrap();
         assert_eq!(out, b"<d/>");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gzip_never_passes_magic_through() {
-        let mut gz_looking = GZIP_MAGIC.to_vec();
-        gz_looking.extend_from_slice(b"not really");
-        let input = Input::from_reader(io::Cursor::new(gz_looking.clone())).gzip(GzipMode::Never);
-        let mut out = Vec::new();
-        input
-            .into_source()
-            .unwrap()
-            .into_reader()
-            .read_to_end(&mut out)
-            .unwrap();
-        assert_eq!(out, gz_looking);
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub use event::{
 };
 pub use flux_symbols::{Symbol, SymbolTable};
 pub use input::{
-    BudgetCharge, BudgetExceeded, BudgetKind, GzipMode, Input, MemoryBudget, ResolvedInput,
-    DEFAULT_WINDOW,
+    BudgetCharge, BudgetExceeded, BudgetKind, Input, MemoryBudget, ResolvedInput, DEFAULT_WINDOW,
 };
 pub use reader::{is_name_start, parse_to_events, ReaderConfig, XmlReader};
 pub use simd::{active_isa_name, StructuralIndex};

@@ -161,7 +161,7 @@ struct ReaderCore<R: Read> {
     /// next advance — the scanner is guaranteed not to compact before
     /// then.
     borrowed_text: Option<(usize, usize)>,
-    /// Fast/slow path counters (zero-sized unless telemetry is enabled).
+    /// Tag totals and rare-path counters.
     tel: ReaderCounters,
 }
 
@@ -339,21 +339,19 @@ impl<R: Read> XmlReader<R> {
         }
     }
 
-    /// A copy of the scanner's refill/prescan counters (zero-sized unless
-    /// the `telemetry` feature is on). Shard workers harvest these at
-    /// join time and merge them into the pipeline totals.
+    /// A copy of the scanner's refill/prescan counters. Shard workers
+    /// harvest these at join time and merge them into the pipeline totals.
     pub fn scan_telemetry(&self) -> ScanCounters {
         self.core.scanner.telemetry()
     }
 
-    /// A copy of the reader's fast/slow path counters (zero-sized unless
-    /// the `telemetry` feature is on).
+    /// A copy of the reader's tag totals and rare-path counters.
     pub fn reader_telemetry(&self) -> ReaderCounters {
         self.core.tel
     }
 
     /// Appends this reader's `scanner` and `reader` telemetry stages to
-    /// `report` (empty stages when the `telemetry` feature is off).
+    /// `report`.
     pub fn report_into(&self, report: &mut RunReport) {
         let mut scanner = Stage::new("scanner");
         scanner.note("isa", crate::simd::active_isa_name());
@@ -363,7 +361,7 @@ impl<R: Read> XmlReader<R> {
         scanner.absorb(self.scan_telemetry().snapshot());
         report.stage(scanner);
         let mut reader = Stage::new("reader");
-        reader.absorb(self.reader_telemetry().snapshot());
+        reader.absorb(self.reader_telemetry().rows());
         report.stage(reader);
     }
 }
@@ -533,19 +531,17 @@ impl<R: Read> ReaderCore<R> {
             }
             Markup::Pi => self.parse_pi(ev),
             Markup::End => {
-                if self.try_fast_end_tag(ev)? {
-                    self.tel.fast_end_tags(1);
-                } else {
-                    self.tel.slow_end_tags(1);
+                self.tel.end_tags += 1;
+                if !self.try_fast_end_tag(ev)? {
+                    self.tel.slow_end_tags += 1;
                     self.parse_end_tag(ev)?;
                 }
                 Ok(true)
             }
             Markup::Start => {
-                if self.try_fast_start_tag(ev)? {
-                    self.tel.fast_start_tags(1);
-                } else {
-                    self.tel.slow_start_tags(1);
+                self.tel.start_tags += 1;
+                if !self.try_fast_start_tag(ev)? {
+                    self.tel.slow_start_tags += 1;
                     self.parse_start_tag(ev)?;
                 }
                 Ok(true)
@@ -1143,7 +1139,7 @@ impl<R: Read> ReaderCore<R> {
                 // Entity references force materialisation; unescape
                 // into the recycled buffer and continue the owned loop
                 // (more segments may follow).
-                self.tel.entity_unescapes(1);
+                self.tel.entity_unescapes += 1;
                 ev.set_text_synthetic(true);
                 let raw =
                     std::str::from_utf8(self.scanner.borrowed(range)).expect("validated above");
@@ -1162,7 +1158,6 @@ impl<R: Read> ReaderCore<R> {
             } else {
                 // The common case: a literal text run delivered as a
                 // borrowed slice of the scanner window.
-                self.tel.borrowed_text_runs(1);
                 self.borrowed_text = Some(range);
                 return Ok(());
             }
@@ -1190,9 +1185,9 @@ impl<R: Read> ReaderCore<R> {
                     let pos = self.scanner.position();
                     let raw = std::str::from_utf8(&self.scratch)
                         .map_err(|_| XmlError::InvalidUtf8 { pos })?;
-                    self.tel.copied_text_runs(1);
+                    self.tel.copied_text_runs += 1;
                     if raw.contains('&') {
-                        self.tel.entity_unescapes(1);
+                        self.tel.entity_unescapes += 1;
                         ev.set_text_synthetic(true);
                     }
                     unescape_into(raw, pos, ev.text_mut())?;

@@ -1,12 +1,13 @@
 //! Word-at-a-time (SWAR) byte scanning primitives.
 //!
-//! The scanner's hot loops — text runs (`read_while(|b| b != b'<')`),
-//! delimiter searches (`read_until`) and newline accounting for positions —
-//! all reduce to "find/count one byte value in a window". These helpers do
-//! that eight bytes at a time with plain `u64` arithmetic (no `unsafe`, no
-//! platform intrinsics), using the carry-free zero-byte mask so matches are
-//! exact: `(x & !HI) + !HI` cannot carry across lanes, which the classic
-//! `x - LO` trick cannot guarantee.
+//! The scanner's hot loops — text runs (`read_while(|b| b != b'<')`) and
+//! delimiter searches (`read_until`) — reduce to "find one byte value in a
+//! window" (position accounting does not: newlines are counted on the
+//! structural index's newline lane). These helpers do that eight bytes at a
+//! time with plain `u64` arithmetic (no `unsafe`, no platform intrinsics),
+//! using the carry-free zero-byte mask so matches are exact:
+//! `(x & !HI) + !HI` cannot carry across lanes, which the classic `x - LO`
+//! trick cannot guarantee.
 //!
 //! The shard splitter (`flux_shard`) reuses [`find_byte`] to hop from `<`
 //! to `<` when choosing chunk boundaries, so the same kernel serves both
@@ -51,34 +52,6 @@ pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
         .iter()
         .position(|&b| b == needle)
         .map(|i| offset + i)
-}
-
-/// Number of occurrences of `needle` in `haystack` and the index of the
-/// last one. One pass, eight bytes per step — this is what keeps the
-/// scanner's line/column accounting off the per-byte path.
-#[inline]
-pub fn count_byte_with_last(haystack: &[u8], needle: u8) -> (usize, Option<usize>) {
-    let pat = broadcast(needle);
-    let mut count = 0usize;
-    let mut last = None;
-    let mut chunks = haystack.chunks_exact(8);
-    let mut offset = 0usize;
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let mask = zero_byte_mask(word ^ pat);
-        if mask != 0 {
-            count += (mask.count_ones()) as usize;
-            last = Some(offset + 7 - (mask.leading_zeros() / 8) as usize);
-        }
-        offset += 8;
-    }
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        if b == needle {
-            count += 1;
-            last = Some(offset + i);
-        }
-    }
-    (count, last)
 }
 
 /// Index of the first occurrence of `needle` in `haystack`, for multi-byte
@@ -142,28 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn count_with_last_matches_naive() {
-        let cases: &[&[u8]] = &[
-            b"",
-            b"\n",
-            b"no newlines here at all....",
-            b"a\nb\nc\n",
-            b"\n\n\n\n\n\n\n\n\n",
-            b"ends with eight bytes\nxxxxxxx",
-            b"x\nyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy\n",
-        ];
-        for hay in cases {
-            let naive_count = hay.iter().filter(|&&b| b == b'\n').count();
-            let naive_last = hay.iter().rposition(|&b| b == b'\n');
-            assert_eq!(
-                count_byte_with_last(hay, b'\n'),
-                (naive_count, naive_last),
-                "haystack {hay:?}"
-            );
-        }
-    }
-
-    #[test]
     fn find_subslice_matches_naive() {
         let hay = b"xx-->x--->x-->";
         for needle in [b"-->".as_slice(), b"--->", b"x", b"zz", b"xx-->x--->x-->"] {
@@ -185,11 +136,9 @@ mod tests {
                 let mut v = vec![b'x'; len];
                 v[at] = b'<';
                 assert_eq!(find_byte(&v, b'<'), Some(at), "len {len} at {at}");
-                assert_eq!(count_byte_with_last(&v, b'<'), (1, Some(at)));
             }
             let v = vec![b'x'; len];
             assert_eq!(find_byte(&v, b'<'), None);
-            assert_eq!(count_byte_with_last(&v, b'<'), (0, None));
         }
     }
 }

@@ -48,7 +48,7 @@ pub struct Scanner<R: Read> {
     /// Structural positions of every byte read so far (absolute offsets;
     /// entries behind `offset` are pruned as the window compacts).
     index: StructuralIndex,
-    /// Refill/prescan counters (zero-sized unless telemetry is enabled).
+    /// Refill/prescan counters.
     tel: ScanCounters,
     /// Configured window size: the refill granularity and the initial
     /// buffer capacity. The buffer still grows past it when one token is
@@ -153,8 +153,8 @@ impl<R: Read> Scanner<R> {
                     base_abs,
                     &mut self.index,
                 );
-                self.tel.refills(1);
-                self.tel.prescan_bytes(read as u64);
+                self.tel.refills += 1;
+                self.tel.prescan_bytes += read as u64;
                 self.end += read;
             }
         }

@@ -55,8 +55,7 @@ pub trait EventSource {
     /// Appends this source's telemetry stages to `report`. The default is
     /// a no-op so third-party sources need no changes; the in-repo sources
     /// contribute scanner/reader stages (and the sharded reader its
-    /// per-shard pipeline timeline). Without the `telemetry` feature the
-    /// stages are appended empty — the report stays structurally stable.
+    /// per-shard pipeline timeline).
     fn report_into(&self, report: &mut flux_telemetry::RunReport) {
         let _ = report;
     }

@@ -17,10 +17,8 @@
 //! This file holds exactly one test so no concurrent test in the same
 //! binary can perturb the allocation counter.
 //!
-//! The contract must hold identically under `--features telemetry`: the
-//! scanner/reader counters are plain `u64` adds on stack-resident structs,
-//! so the instrumented hot loop stays allocation-free (CI runs this proof
-//! in both modes).
+//! The instrumentation is part of the loop under proof: the
+//! scanner/reader counters are plain `u64` adds on stack-resident structs.
 
 // The counting allocator is the one place the crate needs `unsafe`: it
 // wraps `System` one-to-one and adds a relaxed atomic increment.

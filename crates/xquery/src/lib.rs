@@ -9,7 +9,7 @@
 //! every name to a [`Symbol`](flux_xml::Symbol) and every variable to a
 //! dense slot once per query, and a streaming stage ([`eval`]) that walks
 //! buffered documents through lazy [`cursor`]s. The original materialising
-//! interpreter survives in [`reference`] as the differential-testing
+//! interpreter survives in [`mod@reference`] as the differential-testing
 //! oracle.
 //!
 //! The supported fragment follows the paper (Sec. 4): arbitrarily nested

@@ -145,7 +145,7 @@ pub struct XsaxParser<'d, S: EventSource> {
     injected: Vec<(Symbol, &'d str)>,
     started: bool,
     finished: bool,
-    /// Validation/fire counters (zero-sized unless telemetry is enabled).
+    /// Fire counter.
     tel: XsaxCounters,
 }
 
@@ -273,13 +273,14 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
 
     /// Appends the source's telemetry stages (scanner/reader, and the
     /// shard pipeline when the source is sharded) followed by this
-    /// parser's own `xsax` stage. Stages are empty when the `telemetry`
-    /// feature is off.
-    pub fn report_into(&self, report: &mut RunReport) {
+    /// parser's own `xsax` stage. `steps` is how many
+    /// [`XsaxParser::next_step`] results the consumer has pulled: the
+    /// parser counts only the fires among them.
+    pub fn report_into(&self, report: &mut RunReport, steps: u64) {
         self.source.report_into(report);
         let mut stage = Stage::new("xsax");
         stage.counter("registrations", self.registrations.len() as u64);
-        stage.absorb(self.tel.snapshot());
+        stage.absorb(self.tel.rows(steps));
         report.stage(stage);
     }
 
@@ -298,7 +299,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         state: StateId,
         force: bool,
         out: &mut VecDeque<Pending>,
-        tel: &mut XsaxCounters,
     ) {
         let dfa = elem.dfa;
         let text_allowed = elem.text_allowed;
@@ -307,7 +307,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             if tracker.fired {
                 continue;
             }
-            tel.past_fire_checks(1);
             let reg = &registrations[tracker.id.index()];
             if force || is_past_at(dfa, text_allowed, &reg.labels, state) {
                 tracker.fired = true;
@@ -331,14 +330,12 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     pub fn next_step(&mut self) -> Result<Option<XsaxStep>> {
         loop {
             if let Some(p) = self.pending.pop_front() {
-                // Counted at delivery, so every push site is covered once.
                 return Ok(Some(match p {
-                    Pending::Sax => {
-                        self.tel.sax_events(1);
-                        XsaxStep::Sax
-                    }
+                    Pending::Sax => XsaxStep::Sax,
                     Pending::Fire { id, depth } => {
-                        self.tel.fires(1);
+                        // Counted at delivery, so every push site is
+                        // covered once.
+                        self.tel.fires += 1;
                         XsaxStep::Fire { id, depth }
                     }
                 }));
@@ -406,7 +403,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         // Transition the parent's content automaton (the document automaton
         // for the root) and queue parent seam fires, in delivery order
         // (before the start tag).
-        self.tel.validation_steps(1);
         if let Some(parent) = self.stack.last_mut() {
             let next = parent.dfa.transition(parent.state, sym).ok_or_else(|| {
                 let expected: Vec<String> = parent
@@ -442,7 +438,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 if tracker.fired {
                     continue;
                 }
-                self.tel.past_fire_checks(1);
                 let reg = &regs[tracker.id.index()];
                 let involves_child = match &reg.labels {
                     PastLabels::All => true,
@@ -500,7 +495,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             start_state,
             false,
             &mut self.pending,
-            &mut self.tel,
         );
 
         self.stack.push(elem);
@@ -517,7 +511,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 pos: self.source.position(),
             });
         };
-        self.tel.validation_steps(1);
         if !elem.dfa.is_accepting(elem.state) {
             let expected: Vec<String> = elem
                 .dfa
@@ -538,14 +531,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         // Everything is past at the closing tag: fire all remaining trackers
         // before the end event.
         let state = elem.state;
-        Self::fire_ready(
-            &self.registrations,
-            elem,
-            state,
-            true,
-            &mut self.pending,
-            &mut self.tel,
-        );
+        Self::fire_ready(&self.registrations, elem, state, true, &mut self.pending);
         self.stack.pop();
 
         self.pending.push_back(Pending::Sax);
@@ -560,14 +546,12 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 parent_state,
                 false,
                 &mut self.pending,
-                &mut self.tel,
             );
         }
         Ok(())
     }
 
     fn handle_text(&mut self) -> Result<()> {
-        self.tel.validation_steps(1);
         let elem = self.stack.last().ok_or_else(|| XsaxError::Validation {
             message: "character data outside the root element (unbalanced event source)"
                 .to_string(),

@@ -23,8 +23,7 @@
 //!   --explain               print the compilation report instead of running
 //!   --stats                 print run statistics to stderr
 //!   --report <json|text>    print the pipeline telemetry RunReport to stderr
-//!                           (flux engine only; measurements require a build
-//!                           with `--features telemetry`)
+//!                           (flux engine only)
 //!   --no-optimizer          disable the algebraic optimizer (ablation)
 //! ```
 

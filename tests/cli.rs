@@ -128,6 +128,40 @@ fn report_goes_to_stderr_and_stdout_stays_a_result_stream() {
     let stderr = String::from_utf8(reported.stderr).expect("utf-8 report");
     assert!(stderr.trim_start().starts_with('{'), "{stderr}");
     assert!(stderr.contains("\"run_stats\""), "{stderr}");
+
+    // The default build's report is a full one: live reader and xsax
+    // counters whose derived rows reconcile with the document and with
+    // `run_stats`, and the same totals when the parse is sharded.
+    assert!(!stderr.contains("disabled"), "{stderr}");
+    let doc = document();
+    let starts = (doc.matches('<').count() - doc.matches("</").count()) as u64;
+    let sharded = fluxquery(
+        PAPER_FIG1_DTD,
+        &["--input", input.path(), "--report", "json", "--shards", "2"],
+    );
+    let sharded = String::from_utf8(sharded.stderr).expect("utf-8 report");
+    for report in [&stderr, &sharded] {
+        let sum = |stage, a, b| counter(report, stage, a) + counter(report, stage, b);
+        let events = counter(report, "\"run_stats\"", "events");
+        assert_eq!(
+            sum("\"reader\"", "fast_start_tags", "slow_start_tags"),
+            starts
+        );
+        // The generator writes no `<e/>`: every element has an end tag.
+        assert_eq!(sum("\"reader\"", "fast_end_tags", "slow_end_tags"), starts);
+        assert_eq!(sum("\"xsax\"", "sax_events", "fires"), events, "{report}");
+    }
+    let sax_events = |report| counter(report, "\"xsax\"", "sax_events");
+    assert_eq!(sax_events(&stderr), sax_events(&sharded));
+}
+
+/// The first `"name": <integer>` after `section` in a JSON report.
+fn counter(report: &str, section: &str, name: &str) -> u64 {
+    let body = &report[report.find(section).expect(section) + section.len()..];
+    let key = format!("\"{name}\": ");
+    let digits = &body[body.find(&key).expect(name) + key.len()..];
+    let end = digits.find(|c: char| !c.is_ascii_digit()).expect("value");
+    digits[..end].parse().expect("integer counter")
 }
 
 #[test]
