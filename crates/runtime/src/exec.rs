@@ -1,20 +1,26 @@
 //! The streamed query evaluator (paper Sec. 3.2).
 //!
 //! Drives XSAX events through the physical plan: per open element it keeps
-//! an `ElementCtx` recording which process-streams dispatch that
-//! element's children, which buffers the element populates (per the BDF's
-//! projection views), whether its events are being stream-copied to the
-//! output, and which output end tags it owes. `on-first` events from XSAX
+//! a `Frame` recording whether the element's events are being
+//! stream-copied to the output, which output end tags it owes, and where
+//! its entries start on four stacks shared by all open elements — the
+//! buffers the element populates (per the BDF's projection views), the
+//! process-streams dispatching its children, the variable bindings and
+//! the scope shells to undo at its close. `on-first` events from XSAX
 //! trigger buffered evaluation of handler bodies over the buffer store.
 //!
-//! The event loop runs on the **zero-copy view path**: each step exposes
-//! the validated event as a borrowed [`RawEventRef`] whose payloads live
-//! in the source's storage (scanner window or shard tape arena), handler
-//! dispatch and buffer descent are symbol comparisons against the stream's
-//! shared [`SymbolTable`], and the output writer maps symbols back through
-//! the same table, streaming payload bytes straight from the view into the
-//! sink. An event that only streams (no buffering) costs zero heap
-//! allocations and zero payload copies on the way through.
+//! The event loop dispatches on the step's kind and builds the borrowed
+//! [`RawEventRef`] view — payloads living in the source's storage (scanner
+//! window or shard tape arena) — only for an event some open frame reads:
+//! a start tag under a frame that copies, buffers or dispatches, a text
+//! run under one that copies or keeps text. Everything else is counted
+//! and passed over. Handler dispatch and buffer descent are symbol
+//! comparisons against the stream's shared [`SymbolTable`], and the output
+//! writer maps symbols back through the same table, streaming payload
+//! bytes straight from the view into the sink. Once the shared stacks have
+//! grown to the document's depth, an event costs zero heap allocations
+//! (`tests/zero_alloc_pipeline.rs` proves it for the whole
+//! reader → XSAX → executor loop).
 
 use crate::buffer::BufferArena;
 use crate::error::{Result, RuntimeError};
@@ -31,21 +37,20 @@ use std::time::Instant;
 
 use crate::bdf::SpecView;
 
-/// Per-open-element execution state.
-#[derive(Default)]
-struct ElementCtx {
+/// Per-open-element execution state. The `targets`/`scopes`/`bindings`/
+/// `shells` fields are start indices into the [`ExecState`] stacks of the
+/// same names: a frame's entries run from there to the next frame's start
+/// (to the top, for the innermost frame) and are truncated at its close.
+#[derive(Clone, Copy)]
+struct Frame {
     /// Events inside this element are copied to the output.
     copying: bool,
-    /// Buffer insertion points this element's content populates.
-    buf_targets: Vec<(NodeId, SpecView)>,
-    /// Process-streams dispatching this element's children.
-    scopes: Vec<PsId>,
     /// Output end tags owed when this element closes.
     closers: usize,
-    /// Variable bindings to restore at close (slot, shadowed value).
-    bindings: Vec<(usize, Option<NodeId>)>,
-    /// Scope shells to free at close.
-    shells: Vec<NodeId>,
+    targets: usize,
+    scopes: usize,
+    bindings: usize,
+    shells: usize,
 }
 
 /// Runs a pre-compiled physical plan over an [`EventSource`], writing the
@@ -83,16 +88,17 @@ pub fn execute<S: EventSource, W: Write>(
         evaluator: CursorEvaluator::new(),
         writer: XmlWriter::new(output),
         stack: Vec::new(),
+        targets: Vec::new(),
+        scopes: Vec::new(),
+        bindings: Vec::new(),
+        shells: Vec::new(),
         events: 0,
         on_first_fires: 0,
     };
     while let Some(step) = parser.next_step()? {
         state.events += 1;
         match step {
-            XsaxStep::Sax => {
-                let v = parser.view();
-                state.handle(&v, parser.symbols())?;
-            }
+            XsaxStep::Sax => state.handle(&parser)?,
             XsaxStep::Fire { id, depth } => state.on_first(id.index(), depth)?,
         }
     }
@@ -147,83 +153,111 @@ struct ExecState<'p, W: Write> {
     /// zero allocations per firing.
     evaluator: CursorEvaluator,
     writer: XmlWriter<W>,
-    stack: Vec<ElementCtx>,
+    /// One frame per open element, the document frame at index 0.
+    stack: Vec<Frame>,
+    /// Buffer insertion points the open elements' content populates.
+    targets: Vec<(NodeId, SpecView)>,
+    /// Process-streams dispatching the open elements' children.
+    scopes: Vec<PsId>,
+    /// Variable bindings to restore at close (slot, shadowed value).
+    bindings: Vec<(usize, Option<NodeId>)>,
+    /// Scope shells to free at close.
+    shells: Vec<NodeId>,
     events: u64,
     /// `on-first` handler bodies evaluated.
     on_first_fires: u64,
 }
 
 impl<'p, W: Write> ExecState<'p, W> {
-    fn handle(&mut self, ev: &RawEventRef<'_>, symbols: &SymbolTable) -> Result<()> {
-        match ev.kind() {
-            RawEventKind::StartDocument => self.start_document(symbols),
+    /// Handles the event behind an [`XsaxStep::Sax`]. Dispatches on the
+    /// kind; only `start_element` and `text` may view the payload, and
+    /// only when the innermost frame reads it.
+    fn handle<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {
+        match parser.kind() {
+            RawEventKind::StartDocument => self.start_document(),
             RawEventKind::DoctypeDecl => Ok(()),
-            RawEventKind::StartElement => self.start_element(ev, symbols),
-            RawEventKind::Text => self.text(ev.text()),
+            RawEventKind::StartElement => self.start_element(parser),
+            RawEventKind::Text => self.text(parser),
             RawEventKind::EndElement => self.end_element(),
-            RawEventKind::EndDocument => self.end_document(symbols),
-            RawEventKind::Comment | RawEventKind::ProcessingInstruction => {
+            RawEventKind::EndDocument => self.end_document(),
+            kind @ (RawEventKind::Comment | RawEventKind::ProcessingInstruction) => {
                 Err(RuntimeError::Plan {
-                    message: format!("unexpected event {:?}", ev.kind()),
+                    message: format!("unexpected event {kind:?}"),
                 })
             }
         }
     }
 
-    fn start_document(&mut self, symbols: &SymbolTable) -> Result<()> {
+    /// A frame with nothing on the shared stacks yet, inheriting `copying`.
+    fn open_frame(&self, copying: bool) -> Frame {
+        Frame {
+            copying,
+            closers: 0,
+            targets: self.targets.len(),
+            scopes: self.scopes.len(),
+            bindings: self.bindings.len(),
+            shells: self.shells.len(),
+        }
+    }
+
+    fn start_document(&mut self) -> Result<()> {
         // The arena's own document node doubles as the $ROOT scope shell:
         // it is never freed (the run ends with it) and copying `$ROOT`
         // emits its children, as document-node semantics require.
         let shell = self.arena.doc().document_node();
-        let mut ctx = ElementCtx {
-            buf_targets: vec![(shell, SpecView::Project(self.plan.root_spec))],
-            ..ElementCtx::default()
-        };
+        let mut frame = self.open_frame(false);
+        self.targets
+            .push((shell, SpecView::Project(self.plan.root_spec)));
         let root_slot = self.plan.root_slot;
         let saved = self.slots[root_slot].replace(shell);
-        ctx.bindings.push((root_slot, saved));
+        self.bindings.push((root_slot, saved));
         // Evaluate the top prelude (constants, wrappers) and install the
         // top-level process-stream. `self.plan` is a shared reference with
         // lifetime 'p, so plan data can be borrowed independently of self.
         let plan: &'p Plan = self.plan;
-        self.enter_plan(&plan.top, &mut ctx, None, symbols)?;
+        self.enter_plan(&plan.top, &mut frame, None)?;
         // Document-level on-first handlers that fire before the root.
-        self.fire_doc_handlers(&ctx, DocTiming::AtStart)?;
-        self.stack.push(ctx);
+        self.fire_doc_handlers(&frame, DocTiming::AtStart)?;
+        self.stack.push(frame);
         Ok(())
     }
 
-    fn start_element(&mut self, ev: &RawEventRef<'_>, symbols: &SymbolTable) -> Result<()> {
-        let sym = ev.name();
-        let parent = self
+    fn start_element<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {
+        let parent = *self
             .stack
             .last()
             .expect("XSAX guarantees events inside the document");
-        let mut ctx = ElementCtx {
-            copying: parent.copying,
-            ..ElementCtx::default()
-        };
+        // The parent's entries end where the new frame's begin.
+        let mut frame = self.open_frame(parent.copying);
+        if !parent.copying && parent.targets == frame.targets && parent.scopes == frame.scopes {
+            // Nothing copies, buffers or dispatches here: the start tag
+            // is not read.
+            self.stack.push(frame);
+            return Ok(());
+        }
+        let symbols = parser.symbols();
+        let ev = parser.view();
+        let sym = ev.name();
         if parent.copying {
-            self.writer.start_element_view(symbols, ev)?;
+            self.writer.start_element_view(symbols, &ev)?;
         }
         // Buffer population: descend every active view on symbol equality
         // (an OVERFLOW name from a bounded-interner stream falls back to
         // comparing the literal spelling, so `max_symbols` can never
         // change what is buffered).
         let literal = ev.name_str(symbols);
-        let parent_targets: Vec<(NodeId, SpecView)> = parent.buf_targets.clone();
-        for (node, view) in parent_targets {
+        for i in parent.targets..frame.targets {
+            let (node, view) = self.targets[i];
             if let Some(child_view) = view.descend_event(&self.plan.specs, sym, literal) {
-                let child_node = self.arena.append_element_view(node, symbols, ev);
-                ctx.buf_targets.push((child_node, child_view));
+                let child_node = self.arena.append_element_view(node, symbols, &ev);
+                self.targets.push((child_node, child_view));
             }
         }
         // Handler dispatch: every matching `on` handler of every scope
         // hosted by the parent, in plan order.
         let plan: &'p Plan = self.plan;
-        let parent_scopes: Vec<PsId> = self.stack.last().expect("parent exists").scopes.clone();
-        for ps_id in parent_scopes {
-            for handler in &plan.ps[ps_id].handlers {
+        for i in parent.scopes..frame.scopes {
+            for handler in &plan.ps[self.scopes[i]].handlers {
                 let HandlerPlan::On {
                     label,
                     symbol,
@@ -250,76 +284,85 @@ impl<'p, W: Write> ExecState<'p, W> {
                 // minted names must never grow the arena's dictionary.
                 let spec_node = plan.specs.node(*spec);
                 let shell = if spec_node.whole {
-                    self.arena.create_element_view(symbols, ev)
+                    self.arena.create_element_view(symbols, &ev)
                 } else {
                     self.arena
-                        .create_element_view_projected(symbols, ev, &spec_node.attrs)
+                        .create_element_view_projected(symbols, &ev, &spec_node.attrs)
                 };
                 let saved = self.slots[*var_slot].replace(shell);
-                ctx.bindings.push((*var_slot, saved));
-                ctx.shells.push(shell);
+                self.bindings.push((*var_slot, saved));
+                self.shells.push(shell);
                 if !self.plan.specs.is_empty_spec(*spec) {
-                    ctx.buf_targets.push((shell, SpecView::Project(*spec)));
+                    self.targets.push((shell, SpecView::Project(*spec)));
                 }
-                self.enter_plan(body, &mut ctx, Some(ev), symbols)?;
+                self.enter_plan(body, &mut frame, Some((&ev, symbols)))?;
             }
         }
-        self.stack.push(ctx);
+        self.stack.push(frame);
         Ok(())
     }
 
-    fn text(&mut self, t: &str) -> Result<()> {
-        let ctx = self.stack.last().expect("text inside the document");
-        if ctx.copying {
-            self.writer.text(t)?;
+    fn text<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {
+        let frame = *self.stack.last().expect("text inside the document");
+        // Viewed on first use: a run nobody copies or keeps is not read.
+        let mut viewed = None;
+        let mut text = || *viewed.get_or_insert_with(|| parser.view().text());
+        if frame.copying {
+            self.writer.text(text())?;
         }
-        let targets: Vec<(NodeId, SpecView)> = ctx.buf_targets.clone();
-        for (node, view) in targets {
+        for &(node, view) in &self.targets[frame.targets..] {
             if view.keeps_text(&self.plan.specs) {
-                self.arena.append_text(node, t);
+                self.arena.append_text(node, text());
             }
         }
         Ok(())
     }
 
     fn end_element(&mut self) -> Result<()> {
-        let ctx = self.stack.pop().expect("balanced events");
-        if ctx.copying {
+        let frame = self.stack.pop().expect("balanced events");
+        if frame.copying {
             self.writer.end_element()?;
         }
-        for _ in 0..ctx.closers {
+        for _ in 0..frame.closers {
             self.writer.end_element()?;
         }
-        self.close_ctx(ctx);
+        self.close_frame(frame);
         Ok(())
     }
 
-    fn end_document(&mut self, _symbols: &SymbolTable) -> Result<()> {
-        let ctx = self.stack.pop().expect("document context");
-        self.fire_doc_handlers(&ctx, DocTiming::AtEnd)?;
-        for _ in 0..ctx.closers {
+    fn end_document(&mut self) -> Result<()> {
+        let frame = self.stack.pop().expect("document context");
+        self.fire_doc_handlers(&frame, DocTiming::AtEnd)?;
+        for _ in 0..frame.closers {
             self.writer.end_element()?;
         }
-        self.close_ctx(ctx);
+        self.close_frame(frame);
         Ok(())
     }
 
-    fn close_ctx(&mut self, mut ctx: ElementCtx) {
-        for (slot, saved) in ctx.bindings.drain(..).rev() {
+    /// Undoes the innermost frame's entries on the shared stacks.
+    fn close_frame(&mut self, frame: Frame) {
+        for (slot, saved) in self.bindings.drain(frame.bindings..).rev() {
             self.slots[slot] = saved;
         }
-        for shell in ctx.shells.drain(..) {
+        for shell in self.shells.drain(frame.shells..) {
             self.arena.free_scope(shell);
         }
+        self.targets.truncate(frame.targets);
+        self.scopes.truncate(frame.scopes);
     }
 
     fn on_first(&mut self, reg_index: usize, depth: usize) -> Result<()> {
         let plan: &'p Plan = self.plan;
         let reg = &plan.past_regs[reg_index];
-        let Some(ctx) = self.stack.get(depth) else {
+        let Some(frame) = self.stack.get(depth) else {
             return Ok(()); // scope not active here
         };
-        if !ctx.scopes.contains(&reg.ps) {
+        let scopes_end = self
+            .stack
+            .get(depth + 1)
+            .map_or(self.scopes.len(), |next| next.scopes);
+        if !self.scopes[frame.scopes..scopes_end].contains(&reg.ps) {
             return Ok(()); // a different plan position over the same element type
         }
         let HandlerPlan::OnFirstPast { body, .. } = &plan.ps[reg.ps].handlers[reg.handler_index]
@@ -332,12 +375,13 @@ impl<'p, W: Write> ExecState<'p, W> {
         self.eval_buffered(body)
     }
 
-    /// Fires document-level on-first handlers with the given timing, in
-    /// handler order.
-    fn fire_doc_handlers(&mut self, ctx: &ElementCtx, timing: DocTiming) -> Result<()> {
+    /// Fires the document-level on-first handlers with the given timing,
+    /// in handler order. `frame` is the document frame, innermost at both
+    /// call sites, so its scopes run to the top of the stack.
+    fn fire_doc_handlers(&mut self, frame: &Frame, timing: DocTiming) -> Result<()> {
         let plan: &'p Plan = self.plan;
-        for &ps_id in &ctx.scopes {
-            for handler in &plan.ps[ps_id].handlers {
+        for i in frame.scopes..self.scopes.len() {
+            for handler in &plan.ps[self.scopes[i]].handlers {
                 if let HandlerPlan::OnFirstPast {
                     doc_timing, body, ..
                 } = handler
@@ -368,13 +412,13 @@ impl<'p, W: Write> ExecState<'p, W> {
 
     /// Enters a plan expression at the current stream position: emits
     /// constants and wrappers, evaluates instant buffered expressions,
-    /// installs nested process-streams and stream-copies into `ctx`.
+    /// installs nested process-streams and stream-copies into `frame`, the
+    /// frame being opened (its stack entries are the innermost ones).
     fn enter_plan(
         &mut self,
         plan: &PlanExpr,
-        ctx: &mut ElementCtx,
-        current_child: Option<&RawEventRef<'_>>,
-        symbols: &SymbolTable,
+        frame: &mut Frame,
+        current_child: Option<(&RawEventRef<'_>, &SymbolTable)>,
     ) -> Result<()> {
         match plan {
             PlanExpr::Empty => Ok(()),
@@ -385,7 +429,7 @@ impl<'p, W: Write> ExecState<'p, W> {
             PlanExpr::BufferedEval(e) => self.eval_buffered(e),
             PlanExpr::Sequence(items) => {
                 for item in items {
-                    self.enter_plan(item, ctx, current_child, symbols)?;
+                    self.enter_plan(item, frame, current_child)?;
                 }
                 Ok(())
             }
@@ -411,24 +455,24 @@ impl<'p, W: Write> ExecState<'p, W> {
                         writer,
                     )?;
                 }
-                self.enter_plan(content, ctx, current_child, symbols)?;
+                self.enter_plan(content, frame, current_child)?;
                 if *deferred_close {
-                    ctx.closers += 1;
+                    frame.closers += 1;
                 } else {
                     self.writer.end_element()?;
                 }
                 Ok(())
             }
             PlanExpr::StreamCopy => {
-                let child = current_child.ok_or_else(|| RuntimeError::Plan {
+                let (child, symbols) = current_child.ok_or_else(|| RuntimeError::Plan {
                     message: "stream-copy outside an on-handler".to_string(),
                 })?;
                 self.writer.start_element_view(symbols, child)?;
-                ctx.copying = true;
+                frame.copying = true;
                 Ok(())
             }
             PlanExpr::Ps(id) => {
-                ctx.scopes.push(*id);
+                self.scopes.push(*id);
                 Ok(())
             }
         }

@@ -945,6 +945,20 @@ impl ShardedReader {
         }
     }
 
+    /// The kind of the event the last [`ShardedReader::advance`] produced
+    /// (the same placeholders as [`ShardedReader::view`] outside a
+    /// delivered event).
+    pub fn kind(&self) -> RawEventKind {
+        match self.current {
+            CurrentEvent::Synthetic(kind) => kind,
+            CurrentEvent::Tape => match self.active.as_ref() {
+                Some(a) => a.shard.tape.kind(a.cursor - 1),
+                None => RawEventKind::EndDocument,
+            },
+            CurrentEvent::None => RawEventKind::StartDocument,
+        }
+    }
+
     /// A zero-copy view of the event the last [`ShardedReader::advance`]
     /// produced: payloads borrow the shard's tape arena. After `advance`
     /// returned `Ok(false)` or an error, the view is a payload-free
@@ -1020,6 +1034,10 @@ impl ShardedReader {
 impl EventSource for ShardedReader {
     fn advance(&mut self) -> Result<bool> {
         ShardedReader::advance(self)
+    }
+
+    fn kind(&self) -> RawEventKind {
+        ShardedReader::kind(self)
     }
 
     fn view(&self) -> RawEventRef<'_> {

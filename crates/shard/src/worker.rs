@@ -112,7 +112,7 @@ pub(crate) fn parse_fragment(
         }
         // The merger synthesises the document brackets itself.
         if matches!(
-            reader.view().kind(),
+            reader.kind(),
             RawEventKind::StartDocument | RawEventKind::EndDocument
         ) {
             continue;
@@ -207,7 +207,7 @@ pub(crate) fn parse_segmented(
             }
         }
         if matches!(
-            reader.view().kind(),
+            reader.kind(),
             RawEventKind::StartDocument | RawEventKind::EndDocument
         ) {
             continue;

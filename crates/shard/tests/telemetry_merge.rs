@@ -25,7 +25,7 @@ fn drain(reader: &mut ShardedReader) -> u64 {
     let mut tape_events = 0;
     while reader.advance().expect("valid document") {
         if !matches!(
-            reader.view().kind(),
+            reader.kind(),
             RawEventKind::StartDocument | RawEventKind::EndDocument
         ) {
             tape_events += 1;

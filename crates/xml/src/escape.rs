@@ -5,18 +5,51 @@
 
 use crate::error::{Position, Result, XmlError};
 
+/// Appends `text` to `out`, replacing each byte `entity` maps to an entity
+/// reference; the clean runs between them are copied whole.
+pub(crate) fn escape_into(
+    text: &str,
+    out: &mut String,
+    entity: impl Fn(u8) -> Option<&'static str>,
+) {
+    let mut clean_from = 0;
+    for (i, b) in text.bytes().enumerate() {
+        // Escapable bytes are ASCII, so `i` is a character boundary.
+        if let Some(reference) = entity(b) {
+            out.push_str(&text[clean_from..i]);
+            out.push_str(reference);
+            clean_from = i + 1;
+        }
+    }
+    out.push_str(&text[clean_from..]);
+}
+
+/// The reference character-data escaping writes for `b`, if any.
+pub(crate) fn text_entity(b: u8) -> Option<&'static str> {
+    match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        _ => None,
+    }
+}
+
+/// The reference double-quoted attribute-value escaping writes for `b`,
+/// if any.
+pub(crate) fn attr_entity(b: u8) -> Option<&'static str> {
+    match b {
+        b'<' => Some("&lt;"),
+        b'&' => Some("&amp;"),
+        b'"' => Some("&quot;"),
+        _ => None,
+    }
+}
+
 /// Appends `text` to `out`, escaping `<`, `>` and `&`.
 ///
 /// This is the escaping applied to character data (element content).
 pub fn escape_text_into(text: &str, out: &mut String) {
-    for ch in text.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(ch),
-        }
-    }
+    escape_into(text, out, text_entity);
 }
 
 /// Returns `text` with character-data escaping applied.
@@ -29,14 +62,7 @@ pub fn escape_text(text: &str) -> String {
 /// Appends `value` to `out`, escaping `<`, `&` and `"` for use inside a
 /// double-quoted attribute value.
 pub fn escape_attr_into(value: &str, out: &mut String) {
-    for ch in value.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
-        }
-    }
+    escape_into(value, out, attr_entity);
 }
 
 /// Returns `value` with attribute-value escaping applied.

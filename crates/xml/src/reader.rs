@@ -325,9 +325,16 @@ impl<R: Read> XmlReader<R> {
         Ok(true)
     }
 
+    /// The kind of the event the last [`XmlReader::advance`] produced,
+    /// without building a view.
+    pub fn kind(&self) -> RawEventKind {
+        self.current.kind()
+    }
+
     /// A borrowed view of the event the last [`XmlReader::advance`]
     /// produced. Payloads borrow the reader's recycled buffers or the
-    /// scanner window directly.
+    /// scanner window directly; a window-borrowed text run is re-checked
+    /// as UTF-8 on every call (see [`crate::EventSource`]: view once).
     pub fn view(&self) -> RawEventRef<'_> {
         let v = RawEventRef::from_event(&self.current);
         match self.core.borrowed_text {
@@ -1668,7 +1675,7 @@ mod tests {
             XmlReader::with_symbols("<book/>".as_bytes(), ReaderConfig::default(), table);
         let mut seen = None;
         while reader.advance().unwrap() {
-            if reader.view().kind() == RawEventKind::StartElement {
+            if reader.kind() == RawEventKind::StartElement {
                 seen = Some(reader.view().name());
             }
         }
@@ -1690,7 +1697,7 @@ mod tests {
         let mut reader = XmlReader::new(doc.as_bytes());
         let mut texts = Vec::new();
         while reader.advance().unwrap() {
-            if reader.view().kind() == RawEventKind::Text {
+            if reader.kind() == RawEventKind::Text {
                 texts.push(reader.view().text().to_string());
             }
         }
@@ -1708,7 +1715,7 @@ mod tests {
         let mut reader = XmlReader::new(doc.as_bytes());
         let mut text = None;
         while reader.advance().unwrap() {
-            if reader.view().kind() == RawEventKind::Text {
+            if reader.kind() == RawEventKind::Text {
                 text = Some(reader.view().text().to_string());
             }
         }

@@ -6,11 +6,26 @@
 //! baselines' tree builders).
 //!
 //! There is one pull protocol, the **borrowed view protocol**:
-//! [`EventSource::advance`] moves to the next event and
+//! [`EventSource::advance`] moves to the next event,
+//! [`EventSource::kind`] says what it is without touching a payload, and
 //! [`EventSource::view`] exposes it as a [`RawEventRef`] whose payloads
 //! borrow the source's own storage — the scanner window, an event-tape
 //! arena, or a recycled buffer. Delivering an event is a pointer hand-off:
 //! zero copies, zero allocations.
+//!
+//! ## View at most once
+//!
+//! Building a view is not free: safe Rust can only turn the window's
+//! bytes into a `&str` by checking them, so [`XmlReader::view`] makes one
+//! UTF-8 pass over a borrowed text run on every call, and a tape view
+//! resolves its spans. The rule for consumers is therefore: **each layer
+//! views an event at most once, and a layer that does not read the
+//! payload does not view it at all** — it dispatches on `kind()`. XSAX
+//! reads text only inside element-content elements (the whitespace
+//! check); the executor reads it only when the open frame copies or
+//! buffers it. "Not viewed" never means "not checked": `advance`
+//! validates every payload (well-formedness, UTF-8, entities) before it
+//! returns, whether or not anyone looks at the result.
 //!
 //! ## Lifetime rules
 //!
@@ -27,7 +42,7 @@
 //! or a sharded, multi-core one.
 
 use crate::error::{Position, Result, XmlError};
-use crate::event::{RawEventRef, XmlEvent};
+use crate::event::{RawEventKind, RawEventRef, XmlEvent};
 use crate::reader::XmlReader;
 use flux_symbols::SymbolTable;
 use std::io::Read;
@@ -38,8 +53,14 @@ pub trait EventSource {
     /// has been delivered.
     fn advance(&mut self) -> Result<bool>;
 
+    /// The kind of the current event — a field read, no payload touched.
+    /// Consumers dispatch on this and call [`EventSource::view`] only for
+    /// events whose payload they read (see the module docs).
+    fn kind(&self) -> RawEventKind;
+
     /// A borrowed view of the current event (the one the last successful
     /// [`EventSource::advance`] produced), valid until the next advance.
+    /// May cost a pass over the payload: call it at most once per event.
     fn view(&self) -> RawEventRef<'_>;
 
     /// The interner mapping the [`flux_symbols::Symbol`]s in delivered
@@ -66,6 +87,10 @@ impl<R: Read> EventSource for XmlReader<R> {
         XmlReader::advance(self)
     }
 
+    fn kind(&self) -> RawEventKind {
+        XmlReader::kind(self)
+    }
+
     fn view(&self) -> RawEventRef<'_> {
         XmlReader::view(self)
     }
@@ -90,7 +115,13 @@ pub fn collect_events<S: EventSource>(source: &mut S) -> (Vec<XmlEvent>, Option<
     let mut events = Vec::new();
     loop {
         match source.advance() {
-            Ok(true) => events.push(source.view().to_xml_event(source.symbols())),
+            Ok(true) => {
+                let view = source.view();
+                // Every oracle run also checks the payload-free dispatch
+                // key against the view it stands in for.
+                assert_eq!(source.kind(), view.kind(), "kind() disagrees with view()");
+                events.push(view.to_xml_event(source.symbols()));
+            }
             Ok(false) => return (events, None),
             Err(e) => return (events, Some(e)),
         }

@@ -5,7 +5,7 @@
 //! a stream.
 
 use crate::error::{Result, XmlError};
-use crate::escape::{escape_attr_into, escape_text_into};
+use crate::escape::{attr_entity, escape_into, text_entity};
 use crate::event::{Attribute, RawEventKind, RawEventRef, XmlEvent};
 use crate::tree::{Document, NodeId, NodeKind};
 use flux_symbols::SymbolTable;
@@ -34,6 +34,7 @@ pub struct XmlWriter<W: Write> {
     had_child: Vec<bool>,
     /// Bytes written so far.
     bytes_written: u64,
+    /// Where a payload is escaped from its first escapable byte on.
     scratch: String,
     wrote_declaration: bool,
 }
@@ -99,6 +100,26 @@ impl<W: Write> XmlWriter<W> {
         Ok(())
     }
 
+    /// Writes `s` with the bytes `entity` maps replaced by their
+    /// references. The clean prefix — all of `s`, almost always — goes to
+    /// the sink straight from `s`; only from the first escapable byte on
+    /// is the rest copied through `scratch`.
+    fn escaped(
+        &mut self,
+        s: &str,
+        entity: impl Fn(u8) -> Option<&'static str> + Copy,
+    ) -> Result<()> {
+        let Some(first) = s.bytes().position(|b| entity(b).is_some()) else {
+            return self.raw(s);
+        };
+        self.raw(&s[..first])?;
+        self.scratch.clear();
+        escape_into(&s[first..], &mut self.scratch, entity);
+        self.sink.write_all(self.scratch.as_bytes())?;
+        self.bytes_written += self.scratch.len() as u64;
+        Ok(())
+    }
+
     /// Opens a start tag (everything up to the attributes) and pushes the
     /// element name onto the open stack, recycling a spare name buffer.
     fn open_tag(&mut self, name: &str) -> Result<()> {
@@ -121,13 +142,7 @@ impl<W: Write> XmlWriter<W> {
         self.raw(" ")?;
         self.raw(name)?;
         self.raw("=\"")?;
-        self.scratch.clear();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        escape_attr_into(value, &mut scratch);
-        let res = self.raw(&scratch);
-        scratch.clear();
-        self.scratch = scratch;
-        res?;
+        self.escaped(value, attr_entity)?;
         self.raw("\"")
     }
 
@@ -215,16 +230,7 @@ impl<W: Write> XmlWriter<W> {
 
     /// Writes character data (escaped).
     pub fn text(&mut self, text: &str) -> Result<()> {
-        if text.is_empty() {
-            return Ok(());
-        }
-        self.scratch.clear();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        escape_text_into(text, &mut scratch);
-        let res = self.raw(&scratch);
-        scratch.clear();
-        self.scratch = scratch;
-        res
+        self.escaped(text, text_entity)
     }
 
     /// Writes a comment.
@@ -339,6 +345,21 @@ mod tests {
         w.end_element().unwrap();
         // <a>&amp;</a> = 12 bytes
         assert_eq!(w.bytes_written(), 12);
+    }
+
+    /// The clean prefix is written from the caller's slice and the rest
+    /// through the escaping copy: the split is by byte index, so put
+    /// multi-byte characters on both sides of it.
+    #[test]
+    fn escapes_between_multibyte_characters() {
+        let mut w = XmlWriter::new(Vec::new());
+        w.start_element("a", &[Attribute::new("k", "é\"ü")])
+            .unwrap();
+        w.text("€uro <ü> & ö").unwrap();
+        w.end_element().unwrap();
+        let expected = "<a k=\"é&quot;ü\">€uro &lt;ü&gt; &amp; ö</a>";
+        assert_eq!(w.bytes_written(), expected.len() as u64);
+        assert_eq!(String::from_utf8(w.into_inner()).unwrap(), expected);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::event::{PastId, PastLabels, XsaxStep};
 use flux_dtd::{AttDefault, Dfa, Dtd, ElementDecl, StateId, Symbol, SymbolTable};
 use flux_telemetry::{RunReport, Stage, XsaxCounters};
 use flux_xml::{EventSource, RawEventKind, RawEventRef, ReaderConfig, XmlEvent, XmlReader};
-use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 
 /// The symbol table an [`EventSource`] must be seeded with before it can
@@ -96,7 +95,9 @@ struct OpenElement<'d> {
     text_allowed: bool,
     /// Depth of this element (document = 0, root = 1).
     depth: usize,
-    trackers: Vec<Tracker>,
+    /// Where this instance's trackers start on the parser's flat tracker
+    /// stack; they run to the next open element's start (or the top).
+    trackers: usize,
 }
 
 /// One pre-resolved `ATTLIST` entry: interned name, requiredness, and the
@@ -105,12 +106,6 @@ struct AttPlan<'d> {
     name: Symbol,
     required: bool,
     default: Option<&'d str>,
-}
-
-/// A queued deliverable: the parked sax event, or a fired past query.
-enum Pending {
-    Sax,
-    Fire { id: PastId, depth: usize },
 }
 
 /// The XSAX validating parser. See the crate docs for the event-ordering
@@ -127,7 +122,10 @@ pub struct XsaxParser<'d, S: EventSource> {
     dtd: &'d Dtd,
     config: XsaxConfig,
     registrations: Vec<Registration>,
-    by_element: HashMap<Symbol, Vec<PastId>>,
+    /// Dense per-symbol registration lists (`by_element[sym.index()]`),
+    /// grown by [`XsaxParser::register_past`]; symbols past the end have
+    /// none.
+    by_element: Vec<Vec<PastId>>,
     /// Dense per-symbol element declarations (`decls[sym.index()]`);
     /// symbols interned after construction (attribute names, undeclared
     /// element names) fall off the end and resolve to `None`.
@@ -135,11 +133,18 @@ pub struct XsaxParser<'d, S: EventSource> {
     /// Dense per-symbol attribute plans, same indexing as `decls`.
     atts: Vec<Vec<AttPlan<'d>>>,
     stack: Vec<OpenElement<'d>>,
-    /// Deliverables for the current stream seam, in delivery order.
-    /// `Pending::Sax` refers to the *source's current event* — the source
-    /// is not advanced again until the queue is drained, so the borrowed
-    /// view stays valid across the queued deliveries.
-    pending: VecDeque<Pending>,
+    /// Trackers of every open element instance, outermost first: one flat
+    /// stack, truncated when an instance closes.
+    trackers: Vec<Tracker>,
+    /// Past queries fired at the current stream seam, as `(id, depth)` in
+    /// delivery order; `next_fire` is the first one not yet delivered.
+    fires: Vec<(PastId, usize)>,
+    next_fire: usize,
+    /// Set while the *source's current event* is still owed to the
+    /// consumer: how many of `fires` are delivered before it. The source
+    /// is not advanced again until event and fires are all delivered, so
+    /// the borrowed view stays valid across them.
+    sax_at: Option<usize>,
     /// Attribute defaults injected for the current start element, chained
     /// onto the view after the literal attributes. Values borrow the DTD.
     injected: Vec<(Symbol, &'d str)>,
@@ -228,11 +233,14 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             dtd,
             config,
             registrations: Vec::new(),
-            by_element: HashMap::new(),
+            by_element: Vec::new(),
             decls,
             atts,
             stack: Vec::new(),
-            pending: VecDeque::new(),
+            trackers: Vec::new(),
+            fires: Vec::new(),
+            next_fire: 0,
+            sax_at: None,
             injected: Vec::new(),
             started: false,
             finished: false,
@@ -250,7 +258,10 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             });
         }
         let id = PastId(u32::try_from(self.registrations.len()).expect("too many registrations"));
-        self.by_element.entry(element).or_default().push(id);
+        if self.by_element.len() <= element.index() {
+            self.by_element.resize_with(element.index() + 1, Vec::new);
+        }
+        self.by_element[element.index()].push(id);
         self.registrations.push(Registration { element, labels });
         Ok(id)
     }
@@ -291,31 +302,33 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         }
     }
 
-    /// Fires all trackers of `elem` whose past condition holds at `state`
-    /// (or unconditionally with `force`), queueing fire deliverables.
+    /// Fires the trackers of `elem` — the innermost open element, so
+    /// its trackers are the top of the flat stack — whose past condition
+    /// holds at `elem.state` (or unconditionally with `force`), queueing
+    /// the fires.
     fn fire_ready(
         registrations: &[Registration],
-        elem: &mut OpenElement<'_>,
-        state: StateId,
+        trackers: &mut [Tracker],
+        elem: &OpenElement<'_>,
         force: bool,
-        out: &mut VecDeque<Pending>,
+        out: &mut Vec<(PastId, usize)>,
     ) {
-        let dfa = elem.dfa;
-        let text_allowed = elem.text_allowed;
-        let depth = elem.depth;
-        for tracker in &mut elem.trackers {
+        for tracker in &mut trackers[elem.trackers..] {
             if tracker.fired {
                 continue;
             }
             let reg = &registrations[tracker.id.index()];
-            if force || is_past_at(dfa, text_allowed, &reg.labels, state) {
+            if force || is_past_at(elem.dfa, elem.text_allowed, &reg.labels, elem.state) {
                 tracker.fired = true;
-                out.push_back(Pending::Fire {
-                    id: tracker.id,
-                    depth,
-                });
+                out.push((tracker.id, elem.depth));
             }
         }
+    }
+
+    /// Marks the source's current event as owed to the consumer, after
+    /// the fires queued so far.
+    fn deliver_sax(&mut self) {
+        self.sax_at = Some(self.fires.len());
     }
 
     /// Pulls the next step of the validated stream — the zero-copy hot
@@ -329,28 +342,32 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// step consumes it.
     pub fn next_step(&mut self) -> Result<Option<XsaxStep>> {
         loop {
-            if let Some(p) = self.pending.pop_front() {
-                return Ok(Some(match p {
-                    Pending::Sax => XsaxStep::Sax,
-                    Pending::Fire { id, depth } => {
-                        // Counted at delivery, so every push site is
-                        // covered once.
-                        self.tel.fires += 1;
-                        XsaxStep::Fire { id, depth }
-                    }
-                }));
+            if self.sax_at == Some(self.next_fire) {
+                self.sax_at = None;
+                return Ok(Some(XsaxStep::Sax));
+            }
+            if let Some(&(id, depth)) = self.fires.get(self.next_fire) {
+                self.next_fire += 1;
+                // Counted at delivery, so every push site is covered
+                // once.
+                self.tel.fires += 1;
+                return Ok(Some(XsaxStep::Fire { id, depth }));
             }
             if self.finished {
                 return Ok(None);
             }
+            self.fires.clear();
+            self.next_fire = 0;
             self.started = true;
             self.injected.clear();
             if !self.source.advance()? {
                 self.finished = true;
                 return Ok(None);
             }
-            match self.source.view().kind() {
-                RawEventKind::StartDocument => self.pending.push_back(Pending::Sax),
+            // Dispatch on the kind alone: a payload is viewed only by the
+            // handler that reads it (see `flux_xml::EventSource`).
+            match self.source.kind() {
+                RawEventKind::StartDocument => self.deliver_sax(),
                 RawEventKind::DoctypeDecl => {
                     if let Some(root) = self.dtd.root() {
                         let v = self.source.view();
@@ -363,7 +380,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                             return Err(self.validation(message));
                         }
                     }
-                    self.pending.push_back(Pending::Sax);
+                    self.deliver_sax();
                 }
                 RawEventKind::StartElement => self.handle_start()?,
                 RawEventKind::EndElement => self.handle_end()?,
@@ -371,10 +388,17 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 RawEventKind::Comment | RawEventKind::ProcessingInstruction => {}
                 RawEventKind::EndDocument => {
                     self.finished = true;
-                    self.pending.push_back(Pending::Sax);
+                    self.deliver_sax();
                 }
             }
         }
+    }
+
+    /// The kind of the event behind the last [`XsaxStep::Sax`], without
+    /// building a view: consumers dispatch on it and call
+    /// [`XsaxParser::view`] only when they read the payload.
+    pub fn kind(&self) -> RawEventKind {
+        self.source.kind()
     }
 
     /// A borrowed view of the event behind the last [`XsaxStep::Sax`]:
@@ -429,26 +453,20 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             // Fire parent trackers whose guarantee starts at this seam,
             // except those that mention this very child's label (they fire
             // once the child completes).
-            let regs = &self.registrations;
-            let parent_state = parent.state;
-            let dfa = parent.dfa;
-            let text_allowed = parent.text_allowed;
-            let depth = parent.depth;
-            for tracker in &mut parent.trackers {
+            for tracker in &mut self.trackers[parent.trackers..] {
                 if tracker.fired {
                     continue;
                 }
-                let reg = &regs[tracker.id.index()];
+                let reg = &self.registrations[tracker.id.index()];
                 let involves_child = match &reg.labels {
                     PastLabels::All => true,
                     PastLabels::Labels(set) => set.contains(&sym),
                 };
-                if !involves_child && is_past_at(dfa, text_allowed, &reg.labels, parent_state) {
+                if !involves_child
+                    && is_past_at(parent.dfa, parent.text_allowed, &reg.labels, parent.state)
+                {
                     tracker.fired = true;
-                    self.pending.push_back(Pending::Fire {
-                        id: tracker.id,
-                        depth,
-                    });
+                    self.fires.push((tracker.id, parent.depth));
                 }
             }
         } else {
@@ -467,34 +485,40 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             }
         }
 
-        self.validate_attributes(sym)?;
+        let plans = self.atts.get(sym.index()).map(Vec::as_slice).unwrap_or(&[]);
+        Self::validate_attributes(
+            &v,
+            plans,
+            self.config.strict_attributes,
+            &self.source,
+            &mut self.injected,
+        )?;
 
-        // Open the element and instantiate its trackers.
-        let depth = self.stack.len() + 1;
-        let mut elem = OpenElement {
+        // Open the element and instantiate its trackers on top of the
+        // flat stack.
+        let elem = OpenElement {
             symbol: sym,
             dfa: &decl.dfa,
             state: decl.dfa.start(),
             text_allowed: decl.text_allowed,
-            depth,
-            trackers: self
-                .by_element
-                .get(&sym)
-                .map(|ids| ids.iter().map(|&id| Tracker { id, fired: false }).collect())
-                .unwrap_or_default(),
+            depth: self.stack.len() + 1,
+            trackers: self.trackers.len(),
         };
+        if let Some(ids) = self.by_element.get(sym.index()) {
+            self.trackers
+                .extend(ids.iter().map(|&id| Tracker { id, fired: false }));
+        }
 
         // Delivery order: parent seam fires (already queued), then the
         // start tag, then immediately-past fires of the new element
         // (labels that can never occur in this element).
-        self.pending.push_back(Pending::Sax);
-        let start_state = elem.dfa.start();
+        self.deliver_sax();
         Self::fire_ready(
             &self.registrations,
-            &mut elem,
-            start_state,
+            &mut self.trackers,
+            &elem,
             false,
-            &mut self.pending,
+            &mut self.fires,
         );
 
         self.stack.push(elem);
@@ -505,7 +529,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         // Document-mode readers and the stitched sharded reader guarantee
         // balance; guard anyway so a misused fragment source yields an
         // error, not a panic.
-        let Some(elem) = self.stack.last_mut() else {
+        let Some(elem) = self.stack.last() else {
             return Err(XsaxError::Validation {
                 message: "end tag with no open element (unbalanced event source)".to_string(),
                 pos: self.source.position(),
@@ -530,22 +554,27 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
 
         // Everything is past at the closing tag: fire all remaining trackers
         // before the end event.
-        let state = elem.state;
-        Self::fire_ready(&self.registrations, elem, state, true, &mut self.pending);
+        Self::fire_ready(
+            &self.registrations,
+            &mut self.trackers,
+            elem,
+            true,
+            &mut self.fires,
+        );
+        self.trackers.truncate(elem.trackers);
         self.stack.pop();
 
-        self.pending.push_back(Pending::Sax);
+        self.deliver_sax();
 
         // A completed child may release parent trackers that were deferred
         // because the child's own label was in their set.
-        if let Some(parent) = self.stack.last_mut() {
-            let parent_state = parent.state;
+        if let Some(parent) = self.stack.last() {
             Self::fire_ready(
                 &self.registrations,
+                &mut self.trackers,
                 parent,
-                parent_state,
                 false,
-                &mut self.pending,
+                &mut self.fires,
             );
         }
         Ok(())
@@ -557,9 +586,10 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 .to_string(),
             pos: self.source.position(),
         })?;
-        let whitespace_only = self.source.view().is_whitespace_text();
+        // The payload is read only where it decides something: inside an
+        // element-content element. Where text is allowed nothing is viewed.
         if !elem.text_allowed {
-            if !whitespace_only {
+            if !self.source.view().is_whitespace_text() {
                 return Err(self.validation(format!(
                     "character data is not allowed inside `{}` (element content)",
                     self.dtd.name(elem.symbol)
@@ -569,7 +599,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 return Ok(());
             }
         }
-        self.pending.push_back(Pending::Sax);
+        self.deliver_sax();
         Ok(())
     }
 
@@ -577,20 +607,26 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// pre-resolved `ATTLIST` and collects declared defaults into the
     /// injected side list (chained onto the view after the literal
     /// attributes), as a validating parser must. Pure symbol equality — no
-    /// string hashing, and no event materialisation.
-    fn validate_attributes(&mut self, sym: Symbol) -> Result<()> {
-        let v = self.source.view();
-        let plans = self.atts.get(sym.index()).map(Vec::as_slice).unwrap_or(&[]);
-        if self.config.strict_attributes {
+    /// string hashing, and no event materialisation. An associated
+    /// function over the fields involved, so `handle_start` can pass the
+    /// one view it already holds.
+    fn validate_attributes(
+        v: &RawEventRef<'_>,
+        plans: &[AttPlan<'d>],
+        strict: bool,
+        source: &S,
+        injected: &mut Vec<(Symbol, &'d str)>,
+    ) -> Result<()> {
+        if strict {
             for attr in v.attrs() {
                 if !plans.iter().any(|d| d.name == attr.name) {
                     return Err(XsaxError::Validation {
                         message: format!(
                             "attribute `{}` is not declared for element `{}`",
-                            attr.name_str(self.source.symbols()),
-                            v.name_str(self.source.symbols())
+                            attr.name_str(source.symbols()),
+                            v.name_str(source.symbols())
                         ),
-                        pos: self.source.position(),
+                        pos: source.position(),
                     });
                 }
             }
@@ -599,10 +635,10 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                     return Err(XsaxError::Validation {
                         message: format!(
                             "required attribute `{}` missing on element `{}`",
-                            self.source.symbols().name(def.name),
-                            v.name_str(self.source.symbols())
+                            source.symbols().name(def.name),
+                            v.name_str(source.symbols())
                         ),
-                        pos: self.source.position(),
+                        pos: source.position(),
                     });
                 }
             }
@@ -610,7 +646,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         for def in plans {
             let Some(value) = def.default else { continue };
             if !v.attrs().any(|a| a.name == def.name) {
-                self.injected.push((def.name, value));
+                injected.push((def.name, value));
             }
         }
         Ok(())

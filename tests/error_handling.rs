@@ -101,3 +101,100 @@ fn reserved_variable_prefix_rejected() {
     let q = "<r>{ for $__flux1 in $ROOT/bib/book return $__flux1 }</r>";
     assert!(FluxEngine::compile(q, PAPER_WEAK_DTD, &Options::default()).is_err());
 }
+
+/// "Not viewed" must never mean "not checked": AUC-EXP reads nothing of
+/// `people` and `items`, and the event loop does not even build a view for
+/// the events inside them — yet every error class placed there must be
+/// reported exactly as the engines that materialise everything report it,
+/// sequentially and sharded, with the same message and position.
+#[test]
+fn errors_inside_regions_the_plan_ignores_are_identical_across_engines() {
+    use fluxquery::xmlgen::{auction_string, AuctionConfig, AUCTION_DTD};
+    use fluxquery::{EngineKind, Input};
+
+    const AUC_EXP: &str = r#"<expensive>{ for $s in $ROOT/site return for $a in $s/closed_auctions/closed_auction where $a/price > 400 return <hit>{$a/itemref}{$a/price}</hit> }</expensive>"#;
+
+    // ~96 KiB, so `--shards 2` really splits it (16 KiB minimum per shard).
+    let valid = auction_string(&AuctionConfig::target_bytes(96 * 1024, 7)).into_bytes();
+    // The occurrence of `marker` nearest the middle of `valid`'s `section`
+    // element, so the flaw sits deep inside the ignored region.
+    let middle_of = |section: &str, marker: &str| -> usize {
+        let find = |needle: &str, from: usize| {
+            from + valid[from..]
+                .windows(needle.len())
+                .position(|w| w == needle.as_bytes())
+                .unwrap_or_else(|| panic!("`{needle}` not found"))
+        };
+        let open = find(&format!("<{section}>"), 0);
+        let close = find(&format!("</{section}>"), open);
+        find(marker, (open + close) / 2)
+    };
+    let splice = |at: usize, remove: usize, insert: &[u8]| -> Vec<u8> {
+        let mut doc = valid[..at].to_vec();
+        doc.extend_from_slice(insert);
+        doc.extend_from_slice(&valid[at + remove..]);
+        doc
+    };
+
+    let description = middle_of("items", "<description>") + "<description>".len();
+    let person_name = middle_of("people", "<name>");
+    let person = middle_of("people", "<person ");
+    let quantity_end = middle_of("items", "</quantity>");
+    // (what, document, reader-level?, the message — recorded at the parent
+    // commit, where the loop still viewed every event). The baselines
+    // never validate against the DTD — they accept the two validity
+    // violations, at the parent too — so those compare the flux modes only;
+    // the two well-formedness classes compare all four engines.
+    let cases: [(&str, Vec<u8>, bool, &str); 4] = [
+        (
+            "invalid UTF-8 in an item/description text run",
+            splice(description + 3, 1, &[0xFF]),
+            true,
+            "invalid UTF-8 at line 1, column 38264",
+        ),
+        (
+            "undeclared element inside person",
+            splice(person_name, 0, b"<nickname/>"),
+            false,
+            "validation error at line 1, column 5842: \
+             element `nickname` is not declared in the DTD",
+        ),
+        (
+            "character data directly inside people",
+            splice(person, 0, b"stray"),
+            false,
+            "validation error at line 1, column 5819: \
+             character data is not allowed inside `people` (element content)",
+        ),
+        (
+            "mismatched end tag inside items",
+            splice(quantity_end, "</quantity>".len(), b"</quality>"),
+            true,
+            "not well-formed at line 1, column 38028: \
+             mismatched end tag: expected </quantity>, found </quality>",
+        ),
+    ];
+
+    let engines = [
+        ("flux", Options::new(), EngineKind::Flux),
+        (
+            "flux --shards 2",
+            Options::new().shards(2),
+            EngineKind::Flux,
+        ),
+        ("dom", Options::new(), EngineKind::Dom),
+        ("projection", Options::new(), EngineKind::Projection),
+    ];
+    for (what, doc, reader_level, expected) in &cases {
+        for (label, options, kind) in &engines {
+            let engine = options.compile(*kind, AUC_EXP, AUCTION_DTD).unwrap();
+            let result = engine.run_input(Input::from_bytes(doc.clone()), std::io::sink());
+            if *kind != EngineKind::Flux && !reader_level {
+                assert!(result.is_ok(), "{what}: {label} does not validate");
+                continue;
+            }
+            let error = result.expect_err(what).to_string();
+            assert_eq!(&error, expected, "{what}, engine {label}");
+        }
+    }
+}
