@@ -1,7 +1,7 @@
 //! # flux_conformance
 //!
 //! The differential conformance harness: one place that replays every
-//! [`flux_bench::Workload`] of the matrix — and every entry of
+//! [`Workload`] of the matrix — and every entry of
 //! the malformed corpus — through each execution configuration and
 //! asserts that **nothing observable moves**:
 //!
@@ -17,19 +17,193 @@
 //!   output *and* run statistics (peak/total buffer accounting, event
 //!   counts) must be invariant across shard counts and interner caps.
 //!
+//! It also owns what the workspace's integration tests share: the query
+//! [`catalog`], the generated [`Domain`]s, the [`workloads()`] matrix and the
+//! [`run_engine`] helpers.
+//!
 //! The harness is a library so the workspace's release `conformance` CI
 //! job, the proptest suites and one-off reproductions all drive the same
 //! assertions.
 
-use flux_bench::{run_engine_input, run_engine_with};
 use flux_shard::{ShardConfig, ShardedReader};
 use flux_xml::{
     collect_events, EventSource, Position, ReaderConfig, SymbolTable, XmlEvent, XmlReader,
 };
-use fluxquery_core::{EngineKind, Input, Options, Parallelism, RunStats};
+use flux_xmlgen::{auction_string, bib_string, AuctionConfig, BibConfig, AUCTION_DTD};
+use fluxquery_core::{EngineKind, Error, Input, Options, Parallelism, RunStats};
 
-pub use flux_bench::{workload, workloads, Workload};
+pub mod workloads;
+
 pub use flux_xmlgen::{corpus, CorpusEntry};
+pub use workloads::{workload, workloads, Workload};
+
+/// Which generated corpus a query runs against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Domain {
+    /// Bibliography under the weak DTD `book (title|author)*`.
+    BibWeak,
+    /// Bibliography under the Figure 1 DTD.
+    BibFig1,
+    /// XMark-style auction site.
+    Auction,
+}
+
+impl Domain {
+    pub fn dtd(self) -> &'static str {
+        match self {
+            Domain::BibWeak => fluxquery_core::PAPER_WEAK_DTD,
+            Domain::BibFig1 => fluxquery_core::PAPER_FIG1_DTD,
+            Domain::Auction => AUCTION_DTD,
+        }
+    }
+
+    /// Generates a document of roughly `scale` × the base size.
+    pub fn document(self, scale: f64, seed: u64) -> String {
+        match self {
+            Domain::BibWeak => {
+                let books = ((100.0 * scale).ceil() as usize).max(1);
+                bib_string(&BibConfig::weak(books, seed))
+            }
+            Domain::BibFig1 => {
+                let books = ((100.0 * scale).ceil() as usize).max(1);
+                bib_string(&BibConfig::fig1(books, seed))
+            }
+            Domain::Auction => auction_string(&AuctionConfig::scale(scale, seed)),
+        }
+    }
+}
+
+/// One catalog entry.
+#[derive(Debug, Clone, Copy)]
+pub struct CatalogQuery {
+    pub id: &'static str,
+    pub description: &'static str,
+    pub query: &'static str,
+    pub domain: Domain,
+}
+
+/// XMP Q3 — the paper's running example.
+pub const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
+
+/// The query catalog: XMP-style use-case queries in the supported fragment
+/// plus auction workloads. Ids reference the XML Query Use Cases where a
+/// direct counterpart exists.
+pub fn catalog() -> Vec<CatalogQuery> {
+    vec![
+        CatalogQuery {
+            id: "XMP-Q1",
+            description: "books published after 1995 (attribute filter)",
+            query: r#"<bib>{ for $b in $ROOT/bib/book where $b/@year > 1995 return <book year="{$b/@year}">{$b/title}</book> }</bib>"#,
+            domain: Domain::BibFig1,
+        },
+        CatalogQuery {
+            id: "XMP-Q2",
+            description: "flat title/author pairs (nested loops)",
+            query: r#"<results>{ for $b in $ROOT/bib/book return for $t in $b/title return for $a in $b/author return <result>{$t}{$a}</result> }</results>"#,
+            domain: Domain::BibWeak,
+        },
+        CatalogQuery {
+            id: "XMP-Q3",
+            description: "titles and authors grouped per book (the paper's example)",
+            query: Q3,
+            domain: Domain::BibWeak,
+        },
+        CatalogQuery {
+            id: "XMP-Q3s",
+            description: "Q3 under the strong Figure 1 DTD (fully streaming)",
+            query: Q3,
+            domain: Domain::BibFig1,
+        },
+        CatalogQuery {
+            id: "Q3-REV",
+            description: "authors before titles (forces buffering of titles)",
+            query: r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/author}{$b/title}</result> }</results>"#,
+            domain: Domain::BibWeak,
+        },
+        CatalogQuery {
+            id: "FILTER",
+            description: "whole books with a matching author (conditional copy)",
+            query: r#"<hits>{ for $b in $ROOT/bib/book return if (exists($b/author)) then $b else () }</hits>"#,
+            domain: Domain::BibWeak,
+        },
+        CatalogQuery {
+            id: "PRICES",
+            description: "cheap books: title and price (streaming under Fig. 1)",
+            query: r#"<cheap>{ for $b in $ROOT/bib/book where $b/price < 30 return <offer>{$b/title}{$b/price}</offer> }</cheap>"#,
+            domain: Domain::BibFig1,
+        },
+        CatalogQuery {
+            id: "AUC-JOIN",
+            description: "buyer names joined to closed auctions (value join)",
+            query: r#"<sales>{ for $s in $ROOT/site return for $a in $s/closed_auctions/closed_auction, $p in $s/people/person where $a/buyer = $p/@id return <sale>{$p/name}{$a/price}</sale> }</sales>"#,
+            domain: Domain::Auction,
+        },
+        CatalogQuery {
+            id: "AUC-EXP",
+            description: "expensive auctions (price > 400)",
+            query: r#"<expensive>{ for $s in $ROOT/site return for $a in $s/closed_auctions/closed_auction where $a/price > 400 return <hit>{$a/itemref}{$a/price}</hit> }</expensive>"#,
+            domain: Domain::Auction,
+        },
+    ]
+}
+
+/// Looks up a catalog query by id.
+pub fn catalog_query(id: &str) -> CatalogQuery {
+    catalog()
+        .into_iter()
+        .find(|q| q.id == id)
+        .unwrap_or_else(|| panic!("unknown catalog query {id}"))
+}
+
+/// The result of one engine run.
+pub struct RunOutcome {
+    pub output: Vec<u8>,
+    pub stats: RunStats,
+}
+
+/// Compiles and runs one engine on one document.
+pub fn run_engine(
+    kind: EngineKind,
+    query: &str,
+    dtd: &str,
+    document: &[u8],
+) -> Result<RunOutcome, Error> {
+    run_engine_with(kind, query, dtd, document, &Options::new())
+}
+
+/// Compiles and runs one engine on one document with explicit execution
+/// options (interner bound, shard count, …).
+pub fn run_engine_with(
+    kind: EngineKind,
+    query: &str,
+    dtd: &str,
+    document: &[u8],
+    options: &Options,
+) -> Result<RunOutcome, Error> {
+    run_engine_input(
+        kind,
+        query,
+        dtd,
+        Input::from_bytes(document.to_vec()),
+        options,
+    )
+}
+
+/// Compiles and runs one engine over a unified [`Input`] — the harness
+/// entry point for streamed (generator- or file-backed) workloads, where
+/// the document must never be materialised.
+pub fn run_engine_input(
+    kind: EngineKind,
+    query: &str,
+    dtd: &str,
+    input: Input,
+    options: &Options,
+) -> Result<RunOutcome, Error> {
+    let engine = options.compile(kind, query, dtd)?;
+    let mut output = Vec::new();
+    let stats = engine.run_input(input, &mut output)?;
+    Ok(RunOutcome { output, stats })
+}
 
 /// Shard counts every differential assertion covers.
 pub const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -324,6 +498,39 @@ pub fn assert_cursor_matches_reference(label: &str, query: &str, dtd: &str, byte
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluxquery_core::AnyEngine;
+
+    #[test]
+    fn catalog_compiles_on_all_engines() {
+        for q in catalog() {
+            for kind in EngineKind::all() {
+                AnyEngine::compile(kind, q.query, q.domain.dtd())
+                    .unwrap_or_else(|e| panic!("{} failed on {}: {e}", q.id, kind.label()));
+            }
+        }
+    }
+
+    #[test]
+    fn catalog_runs_and_agrees() {
+        for q in catalog() {
+            let doc = q.domain.document(0.3, 11);
+            let mut reference: Option<Vec<u8>> = None;
+            for kind in EngineKind::all() {
+                let outcome = run_engine(kind, q.query, q.domain.dtd(), doc.as_bytes())
+                    .unwrap_or_else(|e| panic!("{} failed on {}: {e}", q.id, kind.label()));
+                match &reference {
+                    None => reference = Some(outcome.output),
+                    Some(expected) => assert_eq!(
+                        &outcome.output,
+                        expected,
+                        "{} disagrees on {}",
+                        kind.label(),
+                        q.id
+                    ),
+                }
+            }
+        }
+    }
 
     #[test]
     fn stream_tier_smoke() {

@@ -1,7 +1,7 @@
-//! The workload matrix: every named input shape the test suite, the
-//! conformance harness and the perf recording agree on.
+//! The workload matrix: every named input shape the test suite and the
+//! conformance harness agree on.
 //!
-//! One recorded bibliography stopped being enough the moment the paper's
+//! One bibliography stopped being enough the moment the paper's
 //! claims — bounded buffers under adversarial shapes, sequential-exact
 //! sharded errors — had to hold off the happy path. Each entry here is a
 //! *named axis* of the input space: the two paper bibliographies, an
@@ -9,12 +9,10 @@
 //! pathological shapes from [`flux_xmlgen::pathological`].
 //!
 //! Consumers:
-//! * `flux_conformance` replays every workload through all engines ×
+//! * the conformance harness replays every workload through all engines ×
 //!   shard counts × interner bounds and asserts nothing observable moves;
-//! * `experiments --e8` records one `workload_<id>` section per
-//!   perf-gated entry in `BENCH_events.json`;
-//! * `perf_gate` fails a >10% throughput or `peak_buffer_bytes`
-//!   regression in any one of them.
+//! * `tests/memory_behavior.rs` pins the exact event and buffer counts of
+//!   engine-tier workloads at fixed scales.
 
 use crate::{catalog_query, Domain, Q3};
 use flux_xmlgen::{
@@ -26,8 +24,7 @@ use std::io::Read;
 /// One named workload: a deterministic document generator plus the schema
 /// and query the engine tier runs over it.
 pub struct Workload {
-    /// Stable identifier (`BENCH_events.json` section names derive from
-    /// it: `workload_<id>`).
+    /// Stable identifier.
     pub id: &'static str,
     /// What this workload stresses.
     pub description: &'static str,
@@ -40,12 +37,6 @@ pub struct Workload {
     /// the bounded interner exists for. Conformance runs these under a
     /// tiny `max_symbols` cap as well.
     pub adversarial_names: bool,
-    /// Whether `experiments --e8` records a `workload_<id>` perf section.
-    pub perf_gated: bool,
-    /// The scale `experiments --e8` records perf sections at (seed 42) —
-    /// kept on the registry so the recording, the gate and the docs agree
-    /// on what the committed numbers measured.
-    pub record_scale: f64,
     document: fn(f64, u64) -> String,
     /// Generator-backed streamed source. Entries with `Some` can be
     /// driven at scales whose documents could never be materialised
@@ -82,11 +73,6 @@ impl Workload {
     pub fn generator_streamed(&self) -> bool {
         self.stream.is_some()
     }
-
-    /// The `BENCH_events.json` section name for this workload.
-    pub fn section_name(&self) -> String {
-        format!("workload_{}", self.id)
-    }
 }
 
 /// The full matrix, in stable order.
@@ -98,10 +84,6 @@ pub fn workloads() -> Vec<Workload> {
             dtd: Some(Domain::BibWeak.dtd()),
             query: Some(Q3),
             adversarial_names: false,
-            // The primary recording (`current` + `parallel` sections)
-            // already gates this shape at scale 32.
-            perf_gated: false,
-            record_scale: 32.0,
             document: |scale, seed| Domain::BibWeak.document(scale, seed),
             stream: None,
         },
@@ -111,8 +93,6 @@ pub fn workloads() -> Vec<Workload> {
             dtd: Some(Domain::BibFig1.dtd()),
             query: Some(Q3),
             adversarial_names: false,
-            perf_gated: false,
-            record_scale: 32.0,
             document: |scale, seed| Domain::BibFig1.document(scale, seed),
             stream: None,
         },
@@ -122,8 +102,6 @@ pub fn workloads() -> Vec<Workload> {
             dtd: Some(Domain::Auction.dtd()),
             query: Some(catalog_query("AUC-EXP").query),
             adversarial_names: false,
-            perf_gated: true,
-            record_scale: 48.0,
             document: |scale, seed| Domain::Auction.document(scale, seed),
             stream: None,
         },
@@ -134,12 +112,6 @@ pub fn workloads() -> Vec<Workload> {
             dtd: Some(Domain::Auction.dtd()),
             query: Some(catalog_query("AUC-EXP").query),
             adversarial_names: false,
-            // Perf recording would have to materialise comparison runs at
-            // this scale; the `slow` suite gates the GB axis instead.
-            perf_gated: false,
-            // ~1 GiB with the auction generator's ~50 KiB-per-unit-scale
-            // rate — the scale the `slow` bounded-memory suite drives.
-            record_scale: 21_000.0,
             document: |scale, seed| auction_string(&AuctionConfig::scale(scale, seed)),
             stream: Some(|scale, seed| {
                 Box::new(AuctionStream::new(AuctionConfig::scale(scale, seed)))
@@ -151,8 +123,6 @@ pub fn workloads() -> Vec<Workload> {
             dtd: None,
             query: None,
             adversarial_names: false,
-            perf_gated: true,
-            record_scale: 16.0,
             document: |scale, seed| {
                 deep_string(&DeepConfig::new(
                     128,
@@ -168,8 +138,6 @@ pub fn workloads() -> Vec<Workload> {
             dtd: Some(Domain::BibWeak.dtd()),
             query: Some(Q3),
             adversarial_names: false,
-            perf_gated: true,
-            record_scale: 16.0,
             document: |scale, seed| {
                 attr_heavy_string(&AttrHeavyConfig::new(
                     ((40.0 * scale).ceil() as usize).max(1),
@@ -185,8 +153,6 @@ pub fn workloads() -> Vec<Workload> {
             dtd: Some(Domain::BibWeak.dtd()),
             query: Some(Q3),
             adversarial_names: false,
-            perf_gated: true,
-            record_scale: 16.0,
             document: |scale, seed| {
                 text_heavy_string(&TextHeavyConfig::new(
                     ((12.0 * scale).ceil() as usize).max(1),
@@ -202,8 +168,6 @@ pub fn workloads() -> Vec<Workload> {
             dtd: Some(Domain::BibWeak.dtd()),
             query: Some(Q3),
             adversarial_names: true,
-            perf_gated: true,
-            record_scale: 32.0,
             document: |scale, seed| {
                 mint_string(&MintConfig::new(
                     ((50.0 * scale).ceil() as usize).max(1),
@@ -235,12 +199,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), all.len());
-        assert_eq!(workload("deep").section_name(), "workload_deep");
-    }
-
-    #[test]
-    fn at_least_four_perf_gated_workloads() {
-        assert!(workloads().iter().filter(|w| w.perf_gated).count() >= 4);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!
 //! Part of the release-mode `conformance` CI job.
 
-use flux_bench::Domain;
-use flux_conformance::assert_cursor_matches_reference;
+use flux_conformance::{assert_cursor_matches_reference, Domain};
 use flux_xml::Document;
 use flux_xquery::{
     eval_to_string, normalize, parse_query, pretty, reference_eval_to_string, AttrConstructor,

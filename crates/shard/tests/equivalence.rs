@@ -2,7 +2,7 @@
 //! the stitched event stream is the sequential reader's event stream.
 //!
 //! Checked three ways: byte-identity of the re-serialised stream (the
-//! acceptance criterion), owned-event identity (a strictly stronger
+//! contract as stated), owned-event identity (a strictly stronger
 //! check, possible because seams sit on element tags so no text run ever
 //! splits), and XSAX validation-verdict agreement when the sharded reader
 //! feeds `XsaxParser::from_source`.

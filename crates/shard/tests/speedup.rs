@@ -1,8 +1,8 @@
 //! Sharding must actually be faster on real parallel hardware.
 //!
-//! The recording container for `BENCH_events.json` has historically
-//! exposed a single core, so the sharded path's speedup was never
-//! exercised outside of correctness tests. This test runs wherever the
+//! The development containers have exposed one or two cores, so the
+//! sharded path's speedup is easily left unexercised outside of
+//! correctness tests. This test runs wherever the
 //! host grants ≥ 2 units of parallelism (the CI multi-core job does) and
 //! asserts that 2-shard pipelined wall time beats 1-shard wall time on a
 //! document large enough for parsing to dominate. On a 1-core host it

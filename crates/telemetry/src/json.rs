@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON writer (no dependencies).
 //!
-//! Produces pretty-printed, two-space-indented JSON in insertion order —
-//! the same house style as `BENCH_events.json`. Used by the
+//! Produces pretty-printed, two-space-indented JSON in insertion order.
+//! Used by the
 //! [`crate::report::RunReport`] renderer and by `flux_runtime`'s
 //! `RunStats` serialization.
 

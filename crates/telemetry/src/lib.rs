@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation is entirely per-stage measurement — buffer
 //! residency under scheduling, event throughput by pipeline phase — and a
-//! long-lived streaming engine cannot be debugged or perf-gated without
+//! long-lived streaming engine cannot be debugged or profiled without
 //! the same visibility. This crate is the instrumentation substrate every
 //! hot-path crate embeds:
 //!

@@ -4,9 +4,8 @@
 //! component appends itself to at the end of a run: a tree of [`Stage`]s,
 //! each carrying counters, span totals, derived rates, annotations,
 //! residency samples and journal events. The engine returns it next to
-//! `RunStats`; the CLI renders it with `--report json|text`; `experiments
-//! --e8` embeds it in `BENCH_events.json`; `perf_gate` reads it back for
-//! stage-level regression attribution.
+//! `RunStats`; the CLI renders it with `--report json|text`, and
+//! `tests/cli.rs` checks that its counters reconcile with the run.
 
 use crate::json::JsonWriter;
 

@@ -430,7 +430,7 @@ impl Input {
         match self.source {
             ByteSource::Bytes(bytes) => {
                 if bytes.starts_with(&GZIP_MAGIC) {
-                    let plain = gunzip_bytes(&bytes)?;
+                    let plain = miniflate::gzip_decompress(&bytes)?;
                     Ok(ResolvedInput::Bytes(Arc::new(plain)))
                 } else {
                     Ok(ResolvedInput::Bytes(bytes))
@@ -469,34 +469,10 @@ fn resolve_reader(mut reader: Box<dyn Read + Send>) -> io::Result<ResolvedInput>
     }
 }
 
-#[cfg(feature = "gzip")]
 fn gzip_reader(reader: Box<dyn Read + Send>) -> io::Result<ResolvedInput> {
     Ok(ResolvedInput::Reader(Box::new(miniflate::GzDecoder::new(
         reader,
     ))))
-}
-
-#[cfg(not(feature = "gzip"))]
-fn gzip_reader(_reader: Box<dyn Read + Send>) -> io::Result<ResolvedInput> {
-    Err(gzip_disabled())
-}
-
-#[cfg(feature = "gzip")]
-fn gunzip_bytes(bytes: &[u8]) -> io::Result<Vec<u8>> {
-    miniflate::gzip_decompress(bytes)
-}
-
-#[cfg(not(feature = "gzip"))]
-fn gunzip_bytes(_bytes: &[u8]) -> io::Result<Vec<u8>> {
-    Err(gzip_disabled())
-}
-
-#[cfg(not(feature = "gzip"))]
-fn gzip_disabled() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::Unsupported,
-        "input looks gzip-compressed, but this build has the `gzip` feature disabled",
-    )
 }
 
 #[cfg(test)]
@@ -545,7 +521,6 @@ mod tests {
         assert_eq!(input.window_bytes(), MIN_WINDOW);
     }
 
-    #[cfg(feature = "gzip")]
     #[test]
     fn gz_bytes_decompress_to_bytes() {
         let gz = miniflate::gzip_compress_stored(b"<doc>hi</doc>");
@@ -555,7 +530,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "gzip")]
     #[test]
     fn gz_reader_decompresses_via_magic_sniff() {
         let gz = miniflate::gzip_compress_stored(b"<doc>stream</doc>");
@@ -570,7 +544,6 @@ mod tests {
         assert_eq!(out, b"<doc>stream</doc>");
     }
 
-    #[cfg(feature = "gzip")]
     #[test]
     fn gz_path_decompresses_by_extension() {
         let dir = std::env::temp_dir().join("flux_input_test_gz_ext");

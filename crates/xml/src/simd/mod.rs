@@ -13,18 +13,18 @@
 //!
 //! # Kernel dispatch
 //!
-//! Three kernels produce byte-identical indices:
+//! Two kernels produce byte-identical indices:
 //!
 //! * **AVX2** (x86_64, runtime-detected) — 32 bytes per step;
-//! * **NEON** (aarch64 baseline) — 16 bytes per step;
 //! * **SWAR** (portable `u64`, reusing the [`crate::scan`] zero-byte
-//!   mask) — 8 bytes per step, always available.
+//!   mask) — 8 bytes per step, always available, and the kernel every
+//!   other architecture runs.
 //!
 //! The active kernel is chosen once per process ([`active_isa`]) and can
 //! be overridden for CI and A/B testing:
 //!
 //! * `FLUX_FORCE_SWAR=1` — pin the portable fallback;
-//! * `FLUX_FORCE_ISA=swar|avx2|neon` — pin a specific kernel (panics
+//! * `FLUX_FORCE_ISA=swar|avx2` — pin a specific kernel (panics
 //!   with a clear message if the host cannot run it).
 
 mod index;
@@ -32,8 +32,6 @@ pub(crate) mod swar;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 pub use index::{Class, DeltaLane, LaneCursor, StructuralIndex};
 
@@ -44,18 +42,15 @@ use std::sync::OnceLock;
 pub enum Isa {
     /// AVX2 vectors, 32 bytes per step (x86_64 only).
     Avx2,
-    /// NEON vectors, 16 bytes per step (aarch64 only).
-    Neon,
     /// Portable `u64` SWAR, 8 bytes per step (everywhere).
     Swar,
 }
 
 impl Isa {
-    /// Stable name for benchmark metadata and `--e8` output.
+    /// Stable name for run reports and benchmark metadata.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Avx2 => "avx2",
-            Isa::Neon => "neon",
             Isa::Swar => "swar-fallback",
         }
     }
@@ -66,8 +61,6 @@ impl Isa {
             Isa::Swar => true,
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => true,
             #[allow(unreachable_patterns)]
             _ => false,
         }
@@ -82,8 +75,8 @@ pub fn active_isa() -> Isa {
     *ACTIVE.get_or_init(detect)
 }
 
-/// [`Isa::name`] of [`active_isa`] — the string surfaced in `--e8`
-/// output and `BENCH_events.json` metadata.
+/// [`Isa::name`] of [`active_isa`] — the string surfaced in run reports
+/// (the scanner's `isa` note) and `fluxbench` output.
 pub fn active_isa_name() -> &'static str {
     active_isa().name()
 }
@@ -96,8 +89,7 @@ fn detect() -> Isa {
         let isa = match forced.as_str() {
             "swar" => Isa::Swar,
             "avx2" => Isa::Avx2,
-            "neon" => Isa::Neon,
-            other => panic!("FLUX_FORCE_ISA={other}: expected swar, avx2 or neon"),
+            other => panic!("FLUX_FORCE_ISA={other}: expected swar or avx2"),
         };
         assert!(
             isa.available(),
@@ -108,9 +100,6 @@ fn detect() -> Isa {
     if Isa::Avx2.available() {
         return Isa::Avx2;
     }
-    if cfg!(target_arch = "aarch64") {
-        return Isa::Neon;
-    }
     Isa::Swar
 }
 
@@ -118,7 +107,7 @@ fn detect() -> Isa {
 /// against the SWAR reference in-process (the cached [`active_isa`] would
 /// otherwise pin a whole test binary to one arm).
 pub fn available_isas() -> Vec<Isa> {
-    [Isa::Avx2, Isa::Neon, Isa::Swar]
+    [Isa::Avx2, Isa::Swar]
         .into_iter()
         .filter(|isa| isa.available())
         .collect()
@@ -137,8 +126,6 @@ pub fn prescan_with(isa: Isa, bytes: &[u8], base_abs: u64, idx: &mut StructuralI
     match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => avx2::prescan(bytes, base_abs, idx),
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::prescan(bytes, base_abs, idx),
         _ => swar::prescan(bytes, base_abs, idx),
     }
 }
@@ -151,7 +138,7 @@ mod tests {
     fn active_isa_is_available_and_named() {
         let isa = active_isa();
         assert!(isa.available());
-        assert!(["avx2", "neon", "swar-fallback"].contains(&active_isa_name()));
+        assert!(["avx2", "swar-fallback"].contains(&active_isa_name()));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Equivalence suite for the structural prescan (phase one of the
 //! two-phase parser).
 //!
-//! The contract under test: **every** kernel — AVX2, NEON, portable SWAR
-//! — records exactly the positions a per-byte scan finds, for any input
+//! The contract under test: **every** kernel — AVX2 and portable SWAR —
+//! records exactly the positions a per-byte scan finds, for any input
 //! bytes, at any absolute base offset, whether the input arrives in one
 //! sweep or split across refill-sized pieces. The parser's correctness
 //! rests on this: phase two never re-reads bytes the index already

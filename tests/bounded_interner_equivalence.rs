@@ -11,8 +11,7 @@
 //! names then travel as `OVERFLOW` + literal spelling through buffering,
 //! projection descent and serialisation.
 
-use flux_bench::run_engine_with;
-use flux_conformance::options;
+use flux_conformance::{options, run_engine_with};
 use fluxquery::{EngineKind, Parallelism, RunStats, PAPER_WEAK_DTD};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

@@ -10,8 +10,9 @@
 //! shard counts {1, 2, 8} × bounded/unbounded interner) via
 //! `flux_conformance`.
 
-use flux_bench::{catalog, run_engine, workloads, Domain};
-use flux_conformance::{assert_engines_equivalent, assert_stream_equivalent};
+use flux_conformance::{
+    assert_engines_equivalent, assert_stream_equivalent, catalog, run_engine, workloads, Domain,
+};
 use fluxquery::EngineKind;
 use proptest::prelude::*;
 
@@ -74,7 +75,7 @@ proptest! {
     ) {
         let scale = scale as f64 / 10.0;
         let doc = Domain::BibWeak.document(scale, seed);
-        let q = flux_bench::Q3;
+        let q = flux_conformance::Q3;
         let flux = run_engine(EngineKind::Flux, q, Domain::BibWeak.dtd(), doc.as_bytes()).unwrap();
         let dom = run_engine(EngineKind::Dom, q, Domain::BibWeak.dtd(), doc.as_bytes()).unwrap();
         prop_assert!(
@@ -125,7 +126,7 @@ proptest! {
         scale in 1u32..6,
     ) {
         let all = workloads();
-        let with_query: Vec<&flux_bench::Workload> =
+        let with_query: Vec<&flux_conformance::Workload> =
             all.iter().filter(|w| w.query.is_some()).collect();
         let w = with_query[widx as usize % with_query.len()];
         let scale = scale as f64 / 10.0; // 0.1 .. 0.5

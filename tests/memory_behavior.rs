@@ -1,9 +1,11 @@
 //! Memory-architecture assertions across engines: the shapes the paper's
 //! evaluation reports (FluX flat in document size; projection and DOM
-//! linear; FluX ≤ projection ≤ DOM).
+//! linear; FluX ≤ projection ≤ DOM), plus the exact event and buffer counts
+//! of fixed configurations pinned in [`PINNED`].
 
-use flux_bench::{run_engine, run_engine_with, workload, Domain, Q3};
-use fluxquery::{EngineKind, Options};
+use flux_conformance::{run_engine, run_engine_with, workload, Domain, Q3};
+use fluxquery::EngineKind::{self, Dom, Flux, Projection};
+use fluxquery::Options;
 
 fn peak(kind: EngineKind, scale: f64) -> usize {
     let doc = Domain::BibWeak.document(scale, 42);
@@ -49,7 +51,7 @@ fn projection_memory_linear_but_below_dom() {
 
 #[test]
 fn hierarchy_on_auction_join() {
-    let q = flux_bench::catalog_query("AUC-JOIN");
+    let q = flux_conformance::catalog_query("AUC-JOIN");
     let doc = Domain::Auction.document(1.0, 7);
     let mut peaks = Vec::new();
     for kind in EngineKind::all() {
@@ -120,6 +122,49 @@ fn name_mint_adversary_flat_under_bounded_interner() {
     assert!(
         (large as f64) < (small as f64) * 2.0,
         "bounded-interner peak grew with minted names: {small} -> {large}"
+    );
+}
+
+/// Exact counts at seed 42: (workload, scale, engine, events,
+/// `peak_buffer_bytes`, `total_buffered_bytes`). They are deterministic on
+/// every host and kernel, so any change — up or down — fails; a PR that
+/// moves one on purpose updates the row and states old → new.
+const PINNED: [(&str, f64, EngineKind, u64, usize, u64); 7] = [
+    ("bib_weak", 8.0, Flux, 12_103, 744, 403_848),
+    ("bib_weak", 8.0, Projection, 11_303, 567_663, 567_663),
+    ("bib_weak", 8.0, Dom, 11_303, 567_663, 567_663),
+    ("auction", 48.0, Flux, 187_210, 459, 2_380_061),
+    ("attr_heavy", 16.0, Flux, 6_667, 1_424, 653_843),
+    ("text_heavy", 16.0, Flux, 1_732, 1_018, 184_967),
+    ("name_mint", 32.0, Flux, 14_404, 268, 421_865),
+];
+
+#[test]
+fn exact_counts_are_pinned() {
+    let mut moved = Vec::new();
+    for (id, scale, kind, events, peak, total) in PINNED {
+        let w = workload(id);
+        let doc = w.document(scale, 42);
+        let stats = run_engine(kind, w.query.unwrap(), w.dtd.unwrap(), doc.as_bytes())
+            .unwrap_or_else(|e| panic!("{id} on {}: {e}", kind.label()))
+            .stats;
+        let expected = (events, peak, total);
+        let got = (
+            stats.events,
+            stats.peak_buffer_bytes,
+            stats.total_buffered_bytes,
+        );
+        if got != expected {
+            moved.push(format!(
+                "{id} x{scale} on {}: (events, peak, total) {expected:?} -> {got:?}",
+                kind.label()
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "pinned counts moved:\n{}",
+        moved.join("\n")
     );
 }
 

@@ -3,7 +3,7 @@
 //! elsewhere; these tests fail when the scheduler silently loses (or
 //! wrongly gains) streaming capability.
 
-use flux_bench::catalog_query;
+use flux_conformance::catalog_query;
 use fluxquery::lang::pretty_flux;
 use fluxquery::{FluxEngine, Options};
 

@@ -7,7 +7,7 @@
 //! positions and the buffer projections all have to agree with the plain
 //! tree-at-a-time semantics on every sampled query.
 
-use flux_bench::{run_engine, Domain};
+use flux_conformance::{run_engine, Domain};
 use fluxquery::xquery::{pretty, AttrConstructor, AttrPart, CmpOp, Cond, Expr, Operand, Path};
 use fluxquery::EngineKind;
 use proptest::prelude::*;

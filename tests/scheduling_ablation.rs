@@ -2,7 +2,7 @@
 //! the memory advantage. Its output must match the scheduled engine on the
 //! whole catalog.
 
-use flux_bench::{catalog, Domain};
+use flux_conformance::{catalog, Domain};
 use fluxquery::{FluxEngine, Options};
 
 #[test]
@@ -27,7 +27,7 @@ fn buffer_everything_is_correct_across_catalog() {
 
 #[test]
 fn ablated_plans_have_no_streaming_handlers() {
-    let q = flux_bench::Q3;
+    let q = flux_conformance::Q3;
     let engine =
         FluxEngine::compile(q, Domain::BibFig1.dtd(), &Options::new().streaming(false)).unwrap();
     let printed = fluxquery::lang::pretty_flux(&engine.query().flux);
@@ -44,7 +44,7 @@ fn scheduling_gap_grows_with_document() {
     // The ablation's peak grows with document scale on the Fig. 1 DTD (it
     // buffers per book — actually per item — while the scheduled engine
     // stays flat).
-    let q = flux_bench::Q3;
+    let q = flux_conformance::Q3;
     let scheduled = FluxEngine::compile(q, Domain::BibWeak.dtd(), &Options::default()).unwrap();
     let ablated =
         FluxEngine::compile(q, Domain::BibWeak.dtd(), &Options::new().streaming(false)).unwrap();

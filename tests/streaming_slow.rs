@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 /// The engine-tier query of the GB workload entry.
 fn gb_query() -> &'static str {
-    flux_bench::workload("auction_gb").query.unwrap()
+    flux_conformance::workload("auction_gb").query.unwrap()
 }
 
 /// Streaming output sink: FNV-1a digest plus length, so three multi-GB
@@ -80,10 +80,12 @@ impl<R: Read> Read for CountingReader<R> {
 
 const GIB: u64 = 1 << 30;
 const BUDGET: u64 = 64 * 1024 * 1024;
+/// ~1 GiB at the auction generator's ~50 KiB-per-unit-scale rate.
+const GB_SCALE: f64 = 21_000.0;
 
 #[test]
 fn gb_stream_is_memory_bounded_across_parallelism() {
-    let w = flux_bench::workload("auction_gb");
+    let w = flux_conformance::workload("auction_gb");
     assert!(w.generator_streamed());
     let (query, dtd) = (w.query.unwrap(), w.dtd.unwrap());
     let seed = 42;
@@ -100,7 +102,7 @@ fn gb_stream_is_memory_bounded_across_parallelism() {
         let budget = MemoryBudget::new(BUDGET);
         let bytes_in = Arc::new(AtomicU64::new(0));
         let source = CountingReader {
-            inner: w.stream(w.record_scale, seed),
+            inner: w.stream(GB_SCALE, seed),
             seen: Arc::clone(&bytes_in),
         };
         let mut sink = HashSink::new();

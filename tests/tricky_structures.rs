@@ -3,7 +3,7 @@
 //! scopes, entity references, and queries needing several past-queries on
 //! one element type.
 
-use flux_bench::run_engine;
+use flux_conformance::run_engine;
 use fluxquery::{EngineKind, FluxEngine, Options};
 
 fn agree(query: &str, dtd: &str, doc: &str) -> String {
