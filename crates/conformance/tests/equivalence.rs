@@ -11,8 +11,9 @@ use flux_conformance::{assert_cursor_matches_reference, Domain};
 use flux_xml::Document;
 use flux_xquery::{
     eval_to_string, normalize, parse_query, pretty, reference_eval_to_string, AttrConstructor,
-    AttrPart, CmpOp, Cond, Expr, Operand, Path,
+    AttrPart, CmpOp, Cond, Expr, Operand, Path, Step,
 };
+use fluxquery_core::{FluxEngine, Options};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -22,12 +23,17 @@ use rand::{Rng, SeedableRng};
 const LABELS: &[&str] = &["book", "title", "author", "editor", "publisher", "bogus"];
 const OUTPUT_NAMES: &[&str] = &["r", "item", "entry"];
 const STRINGS: &[&str] = &["alpha", "", "x<y&z"];
+/// Key steps of the join arm, from a book: values that repeat across
+/// books (years, publishers, author names) and some that rarely do.
+const KEYS: &[&str] = &["@year", "author", "price", "publisher", "title"];
 
 struct QueryGen {
     rng: SmallRng,
     vars: Vec<String>,
     next_var: u32,
     budget: i32,
+    /// Whether the `for` arm may emit value joins.
+    joins: bool,
 }
 
 impl QueryGen {
@@ -37,6 +43,52 @@ impl QueryGen {
             vars: vec!["ROOT".to_string()],
             next_var: 0,
             budget: 30,
+            joins: false,
+        }
+    }
+
+    fn key_path(&mut self, var: &str) -> Path {
+        let key = self.pick(KEYS);
+        let mut path = Path::var(var);
+        path.steps.push(match key.strip_prefix('@') {
+            Some(attr) => Step::Attribute(attr.to_string()),
+            None => Step::Child(key.to_string()),
+        });
+        path
+    }
+
+    /// The join arm: `for $x in $ROOT/bib/book, $y in $ROOT/bib/book
+    /// where $x/K = $y/K' [and C] return …` — the inner loop is keyed on
+    /// `$y/K'` and probed by `$x/K` once per outer book.
+    fn join_expr(&mut self, depth: usize) -> Expr {
+        self.next_var += 2;
+        let (x, y) = (
+            format!("v{}", self.next_var - 1),
+            format!("v{}", self.next_var),
+        );
+        self.vars.push(x.clone());
+        self.vars.push(y.clone());
+        let mut cond = Cond::Cmp {
+            lhs: Operand::Path(self.key_path(&x)),
+            op: CmpOp::Eq,
+            rhs: Operand::Path(self.key_path(&y)),
+        };
+        if self.rng.gen_bool(0.5) {
+            cond = Cond::And(Box::new(cond), Box::new(self.random_cond(1)));
+        }
+        let body = self.random_expr(depth.saturating_sub(1));
+        self.vars.truncate(self.vars.len() - 2);
+        let books = Path::var("ROOT").child("bib").child("book");
+        Expr::For {
+            var: x,
+            source: books.clone(),
+            where_clause: None,
+            body: Box::new(Expr::For {
+                var: y,
+                source: books,
+                where_clause: Some(Box::new(cond)),
+                body: Box::new(body),
+            }),
         }
     }
 
@@ -98,6 +150,7 @@ impl QueryGen {
             };
         }
         match self.rng.gen_range(0..8) {
+            0..=2 if self.joins && self.rng.gen_bool(0.5) => self.join_expr(depth),
             0..=2 => {
                 self.next_var += 1;
                 let var = format!("v{}", self.next_var);
@@ -173,11 +226,43 @@ fn random_query(seed: u64) -> String {
     })
 }
 
+/// A random query whose top level is a value join, with joins allowed
+/// anywhere below it.
+fn random_join_query(seed: u64) -> String {
+    let mut g = QueryGen::new(seed);
+    g.joins = true;
+    let join = g.join_expr(3);
+    pretty(&Expr::Element {
+        name: "out".to_string(),
+        attributes: vec![],
+        content: Box::new(join),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
         ..ProptestConfig::default()
     })]
+
+    /// Keyed loops against the nested-loop reference: value joins with an
+    /// optional extra conjunct, through the same grid.
+    #[test]
+    fn keyed_joins_match_reference(
+        query_seed in 0u64..100_000,
+        doc_seed in 0u64..1_000,
+        weak in any::<bool>(),
+    ) {
+        let query = random_join_query(query_seed);
+        let domain = if weak { Domain::BibWeak } else { Domain::BibFig1 };
+        let doc = domain.document(0.12, doc_seed);
+        assert_cursor_matches_reference(
+            &format!("join seed {query_seed}/{doc_seed}"),
+            &query,
+            domain.dtd(),
+            doc.as_bytes(),
+        );
+    }
 
     /// The full grid: every sampled query, on both bibliography domains,
     /// must reproduce the materialising reference evaluator's output
@@ -248,5 +333,241 @@ fn tails_and_predicates_agree() {
             fluxquery_core::PAPER_FIG1_DTD,
             doc.as_bytes(),
         );
+    }
+}
+
+/// The join arm is only worth its cases if the generated joins really run
+/// through indexes. Under the Figure 1 DTD every key label exists, so the
+/// optimizer folds none of them away and most joins probe.
+#[test]
+fn join_arm_reaches_keyed_loops() {
+    let doc = Domain::BibFig1.document(0.12, 5);
+    let probed = (0..16)
+        .filter(|&seed| {
+            let query = random_join_query(seed);
+            let engine = FluxEngine::compile(&query, Domain::BibFig1.dtd(), &Options::new())
+                .unwrap_or_else(|e| panic!("{query}: {e}"));
+            let (_, report) = engine
+                .run_input_with_report(fluxquery_core::Input::from_bytes(doc.clone()), Vec::new())
+                .unwrap_or_else(|e| panic!("{query}: {e}"));
+            let probes = report
+                .find("runtime")
+                .and_then(|r| r.counter_value("join_probes"))
+                .expect("runtime counters");
+            probes > 0
+        })
+        .count();
+    assert!(
+        probed >= 8,
+        "only {probed} of 16 generated joins were keyed"
+    );
+}
+
+/// People buffered before orders, as in AUC-JOIN: every order probes the
+/// same buffered people, so each keyed loop below is built on the second
+/// order and probed by every later one.
+const JOIN_DTD: &str = "<!ELEMENT db (people, orders)>\n\
+     <!ELEMENT people (person*)>\n\
+     <!ELEMENT person (name, tag*)>\n\
+     <!ATTLIST person id CDATA #IMPLIED>\n\
+     <!ELEMENT name (#PCDATA)>\n\
+     <!ELEMENT tag (#PCDATA)>\n\
+     <!ELEMENT orders (order*)>\n\
+     <!ELEMENT order (ref*)>\n\
+     <!ELEMENT ref (#PCDATA)>";
+
+/// A person per key canonicalisation case; the `None` id is a missing
+/// key attribute.
+const PEOPLE: &[(Option<&str>, &[&str])] = &[
+    (Some("1.5"), &["x"]),
+    (Some("1.50"), &[]),
+    (Some(" 7 "), &[]),
+    (Some("7"), &[]),
+    (Some(" a"), &[]),
+    (Some("a"), &[]),
+    (Some("NaN"), &[]),
+    (Some("NaN"), &[]),
+    (Some("-0"), &[]),
+    (Some("0"), &[]),
+    (Some("dup"), &["t1"]),
+    (Some("dup"), &[]),
+    (None, &["t1", "t2"]),
+    (Some("p7"), &["t2", "dup"]),
+];
+
+/// One order per probe case: each value above, a multi-valued probe whose
+/// matches arrive out of document order, a repeated value, and none.
+const ORDERS: &[&[&str]] = &[
+    &["1.5"],
+    &["7"],
+    &["a"],
+    &[" a"],
+    &["NaN"],
+    &["0"],
+    &["p7", "dup"],
+    &[],
+    &["dup", "dup"],
+    &["t2", "1.50"],
+];
+
+fn join_document(people: &[(Option<&str>, &[&str])]) -> String {
+    let mut doc = String::from("<db><people>");
+    for (i, (id, tags)) in people.iter().enumerate() {
+        match id {
+            Some(id) => doc.push_str(&format!("<person id=\"{id}\">")),
+            None => doc.push_str("<person>"),
+        }
+        doc.push_str(&format!("<name>n{i}</name>"));
+        for tag in *tags {
+            doc.push_str(&format!("<tag>{tag}</tag>"));
+        }
+        doc.push_str("</person>");
+    }
+    doc.push_str("</people><orders>");
+    for refs in ORDERS {
+        doc.push_str("<order>");
+        for r in *refs {
+            doc.push_str(&format!("<ref>{r}</ref>"));
+        }
+        doc.push_str("</order>");
+    }
+    doc.push_str("</orders></db>");
+    doc
+}
+
+fn join_query(filter: &str) -> String {
+    format!(
+        "<out>{{ for $o in $ROOT/db/orders/order, $p in $ROOT/db/people/person \
+         where {filter} return <hit>{{$p/name/text()}}</hit> }}</out>"
+    )
+}
+
+/// The `explain()` line of the `$p` loop.
+fn person_loop_line(query: &str) -> String {
+    let engine = FluxEngine::compile(query, JOIN_DTD, &Options::new())
+        .unwrap_or_else(|e| panic!("{query}: {e}"));
+    let explain = engine.explain();
+    explain
+        .lines()
+        .find(|l| l.starts_with("for $p in "))
+        .unwrap_or_else(|| panic!("no $p loop in:\n{explain}"))
+        .to_string()
+}
+
+/// Key canonicalisation, duplicates, multi-valued keys and probes, missing
+/// keys, empty probe sides and literal probes, each against the nested-
+/// loop reference — and each really answered from an index.
+#[test]
+fn keyed_loop_edge_cases_match_reference() {
+    let doc = join_document(PEOPLE);
+    for filter in [
+        "$o/ref = $p/@id",
+        "$p/@id = $o/ref",
+        "$p/tag = $o/ref",
+        "$o/ref = $p/@id and exists($p/tag)",
+        r#"$p/@id = "p7""#,
+        r#"$p/@id = "a""#,
+        "$p/@id = 7",
+        "$p/@id = 0",
+        r#"$p/@id = "NaN""#,
+    ] {
+        let query = join_query(filter);
+        assert_cursor_matches_reference(filter, &query, JOIN_DTD, doc.as_bytes());
+        assert!(
+            person_loop_line(&query).contains("keyed on"),
+            "{filter}: {}",
+            person_loop_line(&query)
+        );
+        let engine = FluxEngine::compile(&query, JOIN_DTD, &Options::new()).unwrap();
+        let (_, report) = engine
+            .run_input_with_report(fluxquery_core::Input::from_bytes(doc.clone()), Vec::new())
+            .unwrap();
+        let runtime = report.find("runtime").expect("runtime stage");
+        assert_eq!(
+            runtime.counter_value("join_index_builds"),
+            Some(1),
+            "{filter}"
+        );
+        assert_eq!(
+            runtime.counter_value("join_probes"),
+            Some(ORDERS.len() as u64 - 1),
+            "{filter}"
+        );
+    }
+    // The general-comparison rule, spelled out for the id join: numbers
+    // match numerically after trimming, strings exactly, NaN never; a
+    // multi-valued probe yields its matches once each, in document order.
+    let out = reference_output(&join_query("$o/ref = $p/@id"), &doc);
+    let hits: Vec<&str> = out
+        .split("<hit>")
+        .skip(1)
+        .map(|h| &h[..h.find('<').unwrap()])
+        .collect();
+    assert_eq!(
+        hits,
+        [
+            "n0", "n1", // 1.5 = "1.5", "1.50"
+            "n2", "n3", // 7 = " 7 ", "7"
+            "n5", // a = "a", not " a"
+            "n4", // " a" = " a"
+            // NaN = nothing
+            "n8", "n9", // 0 = "-0", "0"
+            "n10", "n11", "n13", // p7, dup: document order
+            // no refs: nothing
+            "n10", "n11", // dup, dup: once each
+            "n0", "n1", // t2 = nothing, 1.50 = "1.5", "1.50"
+        ]
+    );
+}
+
+fn reference_output(query: &str, doc: &str) -> String {
+    flux_conformance::reference_output(query, doc.as_bytes()).unwrap()
+}
+
+/// An empty source never evaluates the probe, so an unbound variable in it
+/// errors exactly when the nested loop's would: on the first person, and
+/// not at all when there are no people.
+#[test]
+fn keyed_loop_errors_match_nested_loop() {
+    let query = join_query("$p/@id = $nope/ref");
+    let parsed = normalize(&parse_query(&query).unwrap()).unwrap();
+    for people in [PEOPLE, &[]] {
+        let doc = Document::parse_str(&join_document(people)).unwrap();
+        let cursor = eval_to_string(&doc, &parsed).map_err(|e| e.to_string());
+        let reference = reference_eval_to_string(&doc, &parsed).map_err(|e| e.to_string());
+        assert_eq!(cursor, reference);
+        assert_eq!(cursor.is_err(), !people.is_empty(), "{cursor:?}");
+    }
+}
+
+/// Shapes the rewrite must leave alone stay nested loops in `explain()`,
+/// and still agree with the reference.
+#[test]
+fn unkeyed_shapes_stay_nested_loops() {
+    let doc = join_document(PEOPLE);
+    for (query, reason) in [
+        (
+            "<out>{ for $o in $ROOT/db/orders/order, $p in $ROOT/db/people/person \
+             return if ($o/ref = $p/@id) then <hit/> else <miss/> }</out>"
+                .to_string(),
+            "non-empty `else`",
+        ),
+        (join_query("$o/ref < $p/@id"), "`<` is not `=`"),
+        (join_query("$o/ref != $p/@id"), "`!=` is not `=`"),
+        (
+            join_query(r#"$o/ref = $p/@id or $p/@id = "a""#),
+            "the filter is an `or`",
+        ),
+        (
+            join_query("$p/name = $p/@id"),
+            "both sides of `=` are paths from the loop variable",
+        ),
+    ] {
+        let line = person_loop_line(&query);
+        assert!(
+            line.contains("not keyed") && line.contains(reason),
+            "{query}: {line}"
+        );
+        assert_cursor_matches_reference(reason, &query, JOIN_DTD, doc.as_bytes());
     }
 }

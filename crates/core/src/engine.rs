@@ -263,11 +263,14 @@ impl FluxEngine {
     }
 
     /// A multi-stage compilation report: normal form, applied algebraic
-    /// rules, scheduling decisions, the FluX query, and the BDF.
+    /// rules, scheduling decisions, the FluX query, the BDF, and which
+    /// loops of the buffered bodies are keyed.
     pub fn explain(&self) -> String {
         let mut out = self.query.explain();
         out.push_str("\n== buffer description forest ==\n");
         out.push_str(&self.plan.render_bdf());
+        out.push_str("\n== keyed loops ==\n");
+        out.push_str(&self.plan.render_loops());
         out
     }
 }

@@ -318,6 +318,14 @@ impl BufferArena {
         self.free_stack = stack;
     }
 
+    /// Accounts the keyed-loop indexes the evaluator holds over this
+    /// arena ([`flux_xquery::CursorEvaluator::join_index_bytes`]): they
+    /// are buffered data derived from the scopes they index, so they
+    /// count toward `peak_buffer_bytes`.
+    pub fn set_index_bytes(&mut self, bytes: usize) {
+        self.tracker.set_index_bytes(bytes);
+    }
+
     /// The child span of a buffered node — the raw slice cursors walk.
     pub fn span(&self, id: NodeId) -> &[NodeId] {
         self.doc.children(id)

@@ -129,6 +129,10 @@ fn assemble_report<S: EventSource, W: Write>(
     let mut runtime = Stage::new("runtime");
     runtime.counter("events", stats.events);
     runtime.counter("on_first_fires", state.on_first_fires);
+    let joins = state.evaluator.join_counters();
+    runtime.counter("join_index_builds", joins.index_builds);
+    runtime.counter("join_probes", joins.probes);
+    runtime.counter("join_candidates", joins.candidates);
     runtime.absorb(tracker.telemetry().rows(tracker.current_nodes() as u64));
     runtime.counter("output_bytes", stats.output_bytes);
     runtime.rate("events_per_second", stats.events_per_second());
@@ -340,13 +344,19 @@ impl<'p, W: Write> ExecState<'p, W> {
         Ok(())
     }
 
-    /// Undoes the innermost frame's entries on the shared stacks.
+    /// Undoes the innermost frame's entries on the shared stacks. A freed
+    /// shell takes the keyed-loop indexes over its subtree with it.
     fn close_frame(&mut self, frame: Frame) {
         for (slot, saved) in self.bindings.drain(frame.bindings..).rev() {
             self.slots[slot] = saved;
         }
-        for shell in self.shells.drain(frame.shells..) {
-            self.arena.free_scope(shell);
+        if frame.shells < self.shells.len() {
+            for shell in self.shells.drain(frame.shells..) {
+                self.arena.free_scope(shell);
+                self.evaluator.forget_scope(shell);
+            }
+            self.arena
+                .set_index_bytes(self.evaluator.join_index_bytes());
         }
         self.targets.truncate(frame.targets);
         self.scopes.truncate(frame.scopes);
@@ -398,6 +408,8 @@ impl<'p, W: Write> ExecState<'p, W> {
     /// Evaluates a compiled expression over the buffer store with the
     /// persistent cursor evaluator. Split-field borrows keep the arena
     /// document readable while the evaluator and writer are mutably held.
+    /// Evaluation only reads the arena, so charging an index it built
+    /// afterwards puts the same bytes in the same peak.
     fn eval_buffered(&mut self, body: &CompiledExpr) -> Result<()> {
         let ExecState {
             arena,
@@ -407,6 +419,7 @@ impl<'p, W: Write> ExecState<'p, W> {
             ..
         } = self;
         evaluator.eval(arena.doc(), body, slots, writer)?;
+        arena.set_index_bytes(evaluator.join_index_bytes());
         Ok(())
     }
 

@@ -20,7 +20,8 @@ use crate::error::{Result, RuntimeError};
 use flux_dtd::{Dtd, Symbol, SymbolTable};
 use flux_lang::{FluxExpr, FluxQuery, Handler, PastSet};
 use flux_xquery::{
-    compile_attr, compile_expr, CompiledAttr, CompiledExpr, Expr, SlotMap, VarName, ROOT_VAR,
+    compile_attr, compile_expr, explain_loops, CompiledAttr, CompiledExpr, Expr, SlotMap, VarName,
+    ROOT_VAR,
 };
 use flux_xsax::PastLabels;
 use std::collections::BTreeSet;
@@ -149,6 +150,40 @@ impl Plan {
             }
         }
         out
+    }
+
+    /// Renders, for explain output, one line per `for` in the buffered
+    /// bodies: keyed (on which key, probed by what) or why not.
+    pub fn render_loops(&self) -> String {
+        let mut out = String::new();
+        self.loops_in(&self.top, &mut out);
+        if out.is_empty() {
+            out.push_str("(no loops in buffered bodies)\n");
+        }
+        out
+    }
+
+    fn loops_in(&self, expr: &PlanExpr, out: &mut String) {
+        match expr {
+            PlanExpr::BufferedEval(e) => explain_loops(e, &self.slots, out),
+            PlanExpr::Sequence(items) => {
+                for item in items {
+                    self.loops_in(item, out);
+                }
+            }
+            PlanExpr::Element { content, .. } => self.loops_in(content, out),
+            PlanExpr::Ps(id) => {
+                for handler in &self.ps[*id].handlers {
+                    match handler {
+                        HandlerPlan::On { body, .. } => self.loops_in(body, out),
+                        HandlerPlan::OnFirstPast { body, .. } => {
+                            explain_loops(body, &self.slots, out)
+                        }
+                    }
+                }
+            }
+            PlanExpr::Empty | PlanExpr::Text(_) | PlanExpr::StreamCopy => {}
+        }
     }
 }
 

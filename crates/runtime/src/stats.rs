@@ -18,6 +18,8 @@ pub struct MemoryTracker {
     current_nodes: usize,
     peak_nodes: usize,
     total_allocated_bytes: u64,
+    /// Bytes of keyed-loop indexes included in `current_bytes`.
+    index_bytes: usize,
     /// Alloc/grow traffic counters (frees are derived from the live node
     /// count).
     tel: BufferCounters,
@@ -53,6 +55,18 @@ impl MemoryTracker {
         debug_assert!(self.current_bytes >= bytes, "released more than allocated");
         self.current_bytes = self.current_bytes.saturating_sub(bytes);
         self.current_nodes = self.current_nodes.saturating_sub(1);
+    }
+
+    /// Sets the bytes held by keyed-loop indexes: a rise is charged like
+    /// growth, a fall released. Indexes are not nodes, so the node counts
+    /// do not move.
+    pub fn set_index_bytes(&mut self, bytes: usize) {
+        if bytes > self.index_bytes {
+            self.grow(bytes - self.index_bytes);
+        } else {
+            self.current_bytes -= self.index_bytes - bytes;
+        }
+        self.index_bytes = bytes;
     }
 
     /// Feeds the residency sampler the current level. The level only falls
@@ -194,6 +208,20 @@ mod tests {
         assert_eq!(t.current_bytes(), 15);
         assert_eq!(t.current_nodes(), 1);
         assert_eq!(t.peak_nodes(), 1);
+    }
+
+    #[test]
+    fn index_bytes_charge_and_release_without_nodes() {
+        let mut t = MemoryTracker::new();
+        t.allocate(100);
+        t.set_index_bytes(48);
+        assert_eq!((t.current_bytes(), t.peak_bytes()), (148, 148));
+        t.set_index_bytes(16);
+        assert_eq!((t.current_bytes(), t.peak_bytes()), (116, 148));
+        t.set_index_bytes(0);
+        assert_eq!(t.current_bytes(), 100);
+        assert_eq!(t.current_nodes(), 1);
+        assert_eq!(t.total_allocated_bytes(), 148);
     }
 
     #[test]

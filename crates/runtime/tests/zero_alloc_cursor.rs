@@ -9,7 +9,11 @@
 //! attribute buffers all recycle through the evaluator's pools, and the
 //! [`CountingSink`] consumes the constructed output without writing.
 //!
-//! One test per file: no concurrent test can perturb the counter.
+//! The keyed-loop probe loop is held to the same contract: once its index
+//! is built, a probe allocates nothing, so N and 8 N probes allocate
+//! identically.
+//!
+//! The tests take one lock, so neither perturbs the other's counter.
 
 // The counting allocator is the one place the test needs `unsafe`: it
 // wraps `System` one-to-one and adds a relaxed atomic increment.
@@ -22,8 +26,10 @@ use flux_xquery::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAllocator;
 
@@ -50,6 +56,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_cursor_evaluation_is_allocation_free() {
+    let _serial = SERIAL.lock().expect("no test panics holding the lock");
     // A buffered "bib" with two books — the shape an `on-first` handler
     // holds when its body runs.
     let mut arena = BufferArena::with_symbols(SymbolTable::new());
@@ -117,4 +124,75 @@ fn steady_state_cursor_evaluation_is_allocation_free() {
          strings and attribute buffers recycle); got {allocations} allocations \
          over 500 evaluations"
     );
+}
+
+#[test]
+fn keyed_probe_loop_allocates_nothing_per_probe() {
+    let _serial = SERIAL.lock().expect("no test panics holding the lock");
+    // AUC-JOIN's shape: a fixed people section, and auctions whose buyer
+    // the body's keyed loop looks up among the people.
+    const PEOPLE: usize = 64;
+    let mut arena = BufferArena::with_symbols(SymbolTable::new());
+    let site = arena.create_element("site", &[]);
+    let people = arena.append_element(site, "people", &[]);
+    for i in 0..PEOPLE {
+        let id = format!("person{i}");
+        let person = arena.append_element(people, "person", &[flux_xml::Attribute::new("id", id)]);
+        let name = arena.append_element(person, "name", &[]);
+        arena.append_text(name, &format!("Name {i}"));
+    }
+    let auctions: Vec<_> = (0..16)
+        .map(|i| {
+            let auction = arena.append_element(site, "auction", &[]);
+            let buyer = arena.append_element(auction, "buyer", &[]);
+            arena.append_text(buyer, &format!("person{}", i * 7 % PEOPLE));
+            auction
+        })
+        .collect();
+
+    let query = r#"<r>{ for $p in $people/person where $p/@id = $a/buyer
+        return <sale>{$p/name/text()}</sale> }</r>"#;
+    let normalized = normalize(&parse_query(query).unwrap()).unwrap();
+    let mut slot_map = SlotMap::new();
+    let (people_slot, auction_slot) = (slot_map.slot("people"), slot_map.slot("a"));
+    let compiled = compile_expr(&normalized, &mut slot_map, &mut |label| {
+        arena.doc().symbols().lookup(label)
+    })
+    .unwrap();
+    let mut slots = slot_map.make_slots();
+    slots[people_slot] = Some(people);
+    let mut evaluator = CursorEvaluator::new();
+    let mut probe = |evaluator: &mut CursorEvaluator, n: usize| {
+        for i in 0..n {
+            slots[auction_slot] = Some(auctions[i % auctions.len()]);
+            let mut sink = CountingSink::default();
+            evaluator
+                .eval(arena.doc(), &compiled, &mut slots, &mut sink)
+                .unwrap();
+            assert_eq!(sink.events, 5, "one sale per probe");
+        }
+    };
+
+    // The first evaluation scans, the second builds the index; warm-up
+    // then grows the pools to their final capacities.
+    probe(&mut evaluator, 2 * auctions.len());
+    assert_eq!(evaluator.join_counters().index_builds, 1);
+
+    let mut allocations = |n: usize| {
+        (0..5)
+            .map(|_| {
+                let before = ALLOCATIONS.load(Ordering::Relaxed);
+                probe(&mut evaluator, n);
+                ALLOCATIONS.load(Ordering::Relaxed) - before
+            })
+            .min()
+            .unwrap()
+    };
+    let (n, eight_n) = (allocations(64), allocations(8 * 64));
+    assert_eq!(
+        n, eight_n,
+        "a keyed probe must not allocate: {n} allocations over 64 probes, \
+         {eight_n} over 512"
+    );
+    assert_eq!(evaluator.join_counters().index_builds, 1, "built once");
 }

@@ -52,15 +52,23 @@ impl CompiledName {
 /// Dense variable numbering for one compiled query. Bindings live in a
 /// flat `Slots` array indexed by these numbers, so runtime lookup is an
 /// array read instead of a hash probe, and shadowing is save/restore of
-/// one array cell.
+/// one array cell. The map also numbers the query's keyed loops, so every
+/// expression compiled against it names its loop sites uniquely.
 #[derive(Debug, Clone, Default)]
 pub struct SlotMap {
     names: Vec<VarName>,
+    loop_sites: usize,
 }
 
 impl SlotMap {
     pub fn new() -> Self {
         SlotMap::default()
+    }
+
+    /// A fresh keyed-loop site number.
+    fn next_loop_site(&mut self) -> usize {
+        self.loop_sites += 1;
+        self.loop_sites - 1
     }
 
     /// Slot of `name`, allocating one on first sight.
@@ -172,6 +180,235 @@ pub enum CompiledOperand {
     NumberLit(String),
 }
 
+impl fmt::Display for CompiledOperand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompiledOperand::Path(p) => write!(f, "{p}"),
+            CompiledOperand::StringLit(s) => write!(f, "\"{s}\""),
+            CompiledOperand::NumberLit(n) => f.write_str(n),
+        }
+    }
+}
+
+/// How the evaluator runs a `for` loop, decided once at compile time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LoopPlan {
+    /// The nested loop: walk the source and test every node.
+    Scan(ScanReason),
+    /// Probe a key index over the source (see [`KeyedLoop`]).
+    Keyed(Box<KeyedLoop>),
+}
+
+impl fmt::Display for LoopPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoopPlan::Scan(reason) => write!(f, "not keyed: {reason}"),
+            LoopPlan::Keyed(k) => write!(f, "keyed on {}, probed by {}", k.key, k.probe),
+        }
+    }
+}
+
+/// Why a loop stays a nested loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanReason {
+    /// No `where` clause and no `if (C) then T else ()` body.
+    NoFilter,
+    /// The body is an `if` whose `else` is not `()`.
+    ElseBranch,
+    /// No top-level conjunct is a comparison.
+    NoComparison,
+    /// The filter, or one of its conjuncts, is an `or`.
+    Disjunction,
+    /// A comparison conjunct uses an operator other than `=`.
+    Operator(CmpOp),
+    /// An `=` conjunct has no side that is a path from the loop variable.
+    NoKeyPath,
+    /// Both sides of an `=` conjunct are paths from the loop variable.
+    KeyOnBothSides,
+}
+
+impl fmt::Display for ScanReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScanReason::NoFilter => f.write_str("no filter"),
+            ScanReason::ElseBranch => f.write_str("the `if` has a non-empty `else`"),
+            ScanReason::NoComparison => f.write_str("no `=` conjunct"),
+            ScanReason::Disjunction => f.write_str("the filter is an `or`"),
+            ScanReason::Operator(op) => write!(f, "`{}` is not `=`", op.as_str()),
+            ScanReason::NoKeyPath => f.write_str("no side of `=` is a path from the loop variable"),
+            ScanReason::KeyOnBothSides => {
+                f.write_str("both sides of `=` are paths from the loop variable")
+            }
+        }
+    }
+}
+
+/// A keyed loop: `for $v in S` whose filter has a top-level conjunct
+/// `K = E`, with `K` a path from `$v` and `E` a literal or a path from
+/// another variable. `E` is loop-invariant, so the nodes of `S` that can
+/// pass are exactly those with a `K` value equal to an `E` value: the
+/// evaluator indexes `S` by `K` once per start node and runs the filter
+/// and body on the matches only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyedLoop {
+    /// Query-wide site number; with the start node it names one index.
+    pub site: usize,
+    /// `K`, the key path from the loop variable.
+    pub key: CompiledPath,
+    /// `E`, the probe.
+    pub probe: CompiledOperand,
+    /// Slots the filter reads besides the loop variable. A probe needs
+    /// all of them bound; otherwise the loop scans, so an unbound
+    /// variable errors exactly where the nested loop's would.
+    pub free: Vec<usize>,
+}
+
+/// Decides whether a `for` is keyed. Its filter is the `where` clause, or
+/// the condition of a body `if (C) then T else ()` (the normal form's
+/// rendering of `where`); a loop that is not keyed reports why, naming
+/// the first comparison or `or` conjunct that missed.
+fn plan_loop(
+    var_slot: usize,
+    where_clause: Option<&CompiledCond>,
+    body: &CompiledExpr,
+    slots: &mut SlotMap,
+) -> LoopPlan {
+    let filter = match (where_clause, body) {
+        (Some(cond), _) => cond,
+        (
+            None,
+            CompiledExpr::If {
+                cond, else_branch, ..
+            },
+        ) => {
+            if **else_branch != CompiledExpr::Empty {
+                return LoopPlan::Scan(ScanReason::ElseBranch);
+            }
+            cond
+        }
+        (None, _) => return LoopPlan::Scan(ScanReason::NoFilter),
+    };
+    let mut conjuncts = Vec::new();
+    flatten_and(filter, &mut conjuncts);
+    let mut miss = ScanReason::NoComparison;
+    for conjunct in conjuncts {
+        match key_conjunct(conjunct, var_slot) {
+            Ok((key, probe)) => {
+                let mut free = Vec::new();
+                cond_slots(filter, &mut free);
+                free.retain(|&s| s != var_slot);
+                free.sort_unstable();
+                free.dedup();
+                return LoopPlan::Keyed(Box::new(KeyedLoop {
+                    site: slots.next_loop_site(),
+                    key: key.clone(),
+                    probe: probe.clone(),
+                    free,
+                }));
+            }
+            Err(reason) if miss == ScanReason::NoComparison => miss = reason,
+            Err(_) => {}
+        }
+    }
+    LoopPlan::Scan(miss)
+}
+
+fn flatten_and<'c>(cond: &'c CompiledCond, out: &mut Vec<&'c CompiledCond>) {
+    match cond {
+        CompiledCond::And(a, b) => {
+            flatten_and(a, out);
+            flatten_and(b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// `(K, E)` when `conjunct` is `K = E` or `E = K` with `K` a path from the
+/// loop variable and `E` not one.
+fn key_conjunct(
+    conjunct: &CompiledCond,
+    var_slot: usize,
+) -> std::result::Result<(&CompiledPath, &CompiledOperand), ScanReason> {
+    let CompiledCond::Cmp { lhs, op, rhs } = conjunct else {
+        return Err(match conjunct {
+            CompiledCond::Or(..) => ScanReason::Disjunction,
+            _ => ScanReason::NoComparison,
+        });
+    };
+    if *op != CmpOp::Eq {
+        return Err(ScanReason::Operator(*op));
+    }
+    let from_var =
+        |o: &CompiledOperand| matches!(o, CompiledOperand::Path(p) if p.start_slot == var_slot);
+    match (lhs, rhs) {
+        (CompiledOperand::Path(k), e) | (e, CompiledOperand::Path(k))
+            if k.start_slot == var_slot && !from_var(e) =>
+        {
+            Ok((k, e))
+        }
+        _ if from_var(lhs) => Err(ScanReason::KeyOnBothSides),
+        _ => Err(ScanReason::NoKeyPath),
+    }
+}
+
+/// The start slots of every path in `cond`.
+fn cond_slots(cond: &CompiledCond, out: &mut Vec<usize>) {
+    match cond {
+        CompiledCond::True | CompiledCond::False => {}
+        CompiledCond::And(a, b) | CompiledCond::Or(a, b) => {
+            cond_slots(a, out);
+            cond_slots(b, out);
+        }
+        CompiledCond::Not(c) => cond_slots(c, out),
+        CompiledCond::Exists(p) | CompiledCond::Empty(p) => out.push(p.start_slot),
+        CompiledCond::Cmp { lhs, rhs, .. } => {
+            for side in [lhs, rhs] {
+                if let CompiledOperand::Path(p) = side {
+                    out.push(p.start_slot);
+                }
+            }
+        }
+    }
+}
+
+/// Appends one line per `for` in `expr` — the loop and how the evaluator
+/// runs it — for the engines' `explain()` reports.
+pub fn explain_loops(expr: &CompiledExpr, slots: &SlotMap, out: &mut String) {
+    match expr {
+        CompiledExpr::For {
+            var_slot,
+            source,
+            body,
+            plan,
+            ..
+        } => {
+            out.push_str(&format!(
+                "for ${} in {source}: {plan}\n",
+                slots.name(*var_slot)
+            ));
+            explain_loops(body, slots, out);
+        }
+        CompiledExpr::Sequence(items) => {
+            for item in items {
+                explain_loops(item, slots, out);
+            }
+        }
+        CompiledExpr::Element { content, .. } => explain_loops(content, slots, out),
+        CompiledExpr::If {
+            then_branch,
+            else_branch,
+            ..
+        } => {
+            explain_loops(then_branch, slots, out);
+            explain_loops(else_branch, slots, out);
+        }
+        CompiledExpr::Empty
+        | CompiledExpr::StringLit(_)
+        | CompiledExpr::Var { .. }
+        | CompiledExpr::Path(_) => {}
+    }
+}
+
 /// The compiled expression form evaluated by
 /// [`CursorEvaluator`](crate::eval::CursorEvaluator).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,6 +431,7 @@ pub enum CompiledExpr {
         source: CompiledPath,
         where_clause: Option<CompiledCond>,
         body: Box<CompiledExpr>,
+        plan: LoopPlan,
     },
     If {
         cond: CompiledCond,
@@ -246,14 +484,17 @@ pub fn compile_expr(
         } => {
             let source = compile_path(source, slots, resolve)?;
             let var_slot = slots.slot(var);
+            let where_clause = match where_clause {
+                Some(c) => Some(compile_cond(c, slots, resolve)?),
+                None => None,
+            };
+            let body = compile_expr(body, slots, resolve)?;
             CompiledExpr::For {
                 var_slot,
+                plan: plan_loop(var_slot, where_clause.as_ref(), &body, slots),
                 source,
-                where_clause: match where_clause {
-                    Some(c) => Some(compile_cond(c, slots, resolve)?),
-                    None => None,
-                },
-                body: Box::new(compile_expr(body, slots, resolve)?),
+                where_clause,
+                body: Box::new(body),
             }
         }
         Expr::Let { .. } => {
@@ -442,6 +683,104 @@ mod tests {
         );
         // $ROOT and the (shadowed) $b: two slots, not three.
         assert_eq!(slots.len(), 2);
+    }
+
+    /// The plan of the innermost `for` of `query`, and its loop variable.
+    fn inner_loop_plan(query: &str) -> (String, LoopPlan) {
+        let mut table = SymbolTable::new();
+        let expr = crate::normalize::normalize(&parse_query(query).unwrap()).unwrap();
+        let mut slots = SlotMap::new();
+        slots.slot(ROOT_VAR);
+        let compiled = compile_expr(&expr, &mut slots, &mut |l| Some(table.intern(l))).unwrap();
+        let mut lines = String::new();
+        explain_loops(&compiled, &slots, &mut lines);
+        let mut found = None;
+        fn walk(e: &CompiledExpr, found: &mut Option<(usize, LoopPlan)>) {
+            match e {
+                CompiledExpr::For {
+                    var_slot,
+                    body,
+                    plan,
+                    ..
+                } => {
+                    *found = Some((*var_slot, plan.clone()));
+                    walk(body, found);
+                }
+                CompiledExpr::Element { content, .. } => walk(content, found),
+                CompiledExpr::Sequence(items) => items.iter().for_each(|i| walk(i, found)),
+                _ => {}
+            }
+        }
+        walk(&compiled, &mut found);
+        let (slot, plan) = found.expect("a loop");
+        assert!(lines.contains(&format!("{plan}")), "{lines}");
+        (slots.name(slot).to_string(), plan)
+    }
+
+    #[test]
+    fn keyed_loop_shapes_are_detected() {
+        for (filter, key, probe) in [
+            ("$a/buyer = $p/@id", "$p/@id", "$a/buyer"),
+            ("$p/@id = $a/buyer", "$p/@id", "$a/buyer"),
+            (r#"$p/@id = "p7""#, "$p/@id", "\"p7\""),
+            ("$p/name = 3", "$p/name", "3"),
+            (
+                "exists($p/name) and $a/buyer = $p/@id and $p/@id != \"x\"",
+                "$p/@id",
+                "$a/buyer",
+            ),
+        ] {
+            let q = format!(
+                "<r>{{ for $a in $ROOT/s/a, $p in $ROOT/s/p where {filter} return $p }}</r>"
+            );
+            let (var, plan) = inner_loop_plan(&q);
+            assert_eq!(var, "p", "{q}");
+            let LoopPlan::Keyed(k) = plan else {
+                panic!("{q}: {plan}");
+            };
+            assert_eq!(
+                (k.key.to_string(), k.probe.to_string()),
+                (key.into(), probe.into())
+            );
+        }
+    }
+
+    #[test]
+    fn other_shapes_stay_nested_loops() {
+        for (body, reason) in [
+            ("$p", ScanReason::NoFilter),
+            (
+                "if ($a/buyer = $p/@id) then $p else <miss/>",
+                ScanReason::ElseBranch,
+            ),
+            (
+                "if ($a/buyer < $p/@id) then $p else ()",
+                ScanReason::Operator(CmpOp::Lt),
+            ),
+            (
+                "if ($a/buyer != $p/@id) then $p else ()",
+                ScanReason::Operator(CmpOp::Ne),
+            ),
+            (
+                r#"if ($a/buyer = $p/@id or $p/@id = "x") then $p else ()"#,
+                ScanReason::Disjunction,
+            ),
+            (
+                "if ($p/name = $p/@id) then $p else ()",
+                ScanReason::KeyOnBothSides,
+            ),
+            (
+                "if ($a/buyer = $a/price) then $p else ()",
+                ScanReason::NoKeyPath,
+            ),
+            (
+                "if (exists($p/name)) then $p else ()",
+                ScanReason::NoComparison,
+            ),
+        ] {
+            let q = format!("<r>{{ for $a in $ROOT/s/a, $p in $ROOT/s/p return {body} }}</r>");
+            assert_eq!(inner_loop_plan(&q).1, LoopPlan::Scan(reason), "{q}");
+        }
     }
 
     #[test]

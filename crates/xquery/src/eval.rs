@@ -24,10 +24,11 @@
 use crate::ast::{CmpOp, ROOT_VAR};
 use crate::compile::{
     compile_for_document, CompiledAttr, CompiledAttrPart, CompiledCond, CompiledExpr,
-    CompiledOperand, CompiledPath, PathTail, SlotMap, Slots,
+    CompiledOperand, CompiledPath, KeyedLoop, LoopPlan, PathTail, SlotMap, Slots,
 };
 use crate::cursor::{CursorItem, CursorPool, ItemCursor, PathCursor, SequenceCursor};
 use crate::error::{Result, XQueryError};
+use crate::join::{Candidate, JoinCounters, JoinIndexes};
 use flux_xml::tree::{Document, NodeId, NodeKind};
 use flux_xml::{Attribute, XmlWriter};
 use std::io::Write;
@@ -203,6 +204,11 @@ impl AttrBuf {
 /// buffers — and recycles all of it across calls, so a long-lived
 /// evaluator reaches an allocation-free steady state (proven by the
 /// counting-allocator suite).
+///
+/// It also owns the indexes of keyed loops ([`crate::join`]), keyed by
+/// node: a caller that frees part of the document it evaluates over —
+/// the runtime's buffer scopes — reports each freed scope root through
+/// [`CursorEvaluator::forget_scope`].
 #[derive(Debug, Default)]
 pub struct CursorEvaluator {
     pool: CursorPool,
@@ -213,11 +219,37 @@ pub struct CursorEvaluator {
     cmp_rhs: ValueBuf,
     /// Pooled attribute lists for constructed elements.
     attr_bufs: Vec<AttrBuf>,
+    joins: JoinIndexes,
+    /// Pooled candidate lists of keyed-loop probes.
+    candidate_bufs: Vec<Vec<Candidate>>,
+}
+
+/// The nodes a `for` visits: its whole source, or a keyed loop's
+/// candidates (in document order).
+enum LoopNodes<'d> {
+    Scan(PathCursor<'d>),
+    Candidates(Vec<Candidate>, usize),
 }
 
 impl CursorEvaluator {
     pub fn new() -> Self {
         CursorEvaluator::default()
+    }
+
+    /// Drops the keyed-loop state of the detached scope rooted at `root`,
+    /// which the caller is freeing (its node ids will be reused).
+    pub fn forget_scope(&mut self, root: NodeId) {
+        self.joins.forget_scope(root);
+    }
+
+    /// Bytes held by keyed-loop indexes, for the caller's buffer
+    /// accounting.
+    pub fn join_index_bytes(&self) -> usize {
+        self.joins.live_bytes()
+    }
+
+    pub fn join_counters(&self) -> JoinCounters {
+        self.joins.counters()
     }
 
     /// Evaluates a compiled expression over `doc` under `slots`, emitting
@@ -277,6 +309,7 @@ impl CursorEvaluator {
                 source,
                 where_clause,
                 body,
+                plan,
             } => {
                 if source.tail != PathTail::None {
                     return Err(XQueryError::eval(format!(
@@ -284,9 +317,26 @@ impl CursorEvaluator {
                     )));
                 }
                 let start = bound(slots, source.start_slot, &source.start_name)?;
-                let mut cursor = PathCursor::new(doc, source, start, &mut self.pool);
+                let keyed = match plan {
+                    LoopPlan::Keyed(key) => self.keyed_candidates(doc, source, key, start, slots),
+                    LoopPlan::Scan(_) => None,
+                };
+                let mut nodes = match keyed {
+                    Some(candidates) => LoopNodes::Candidates(candidates, 0),
+                    None => LoopNodes::Scan(PathCursor::new(doc, source, start, &mut self.pool)),
+                };
+                // Candidates are exactly the nodes the filter can pass, so
+                // the body runs on the same nodes, in the same order, as
+                // under the scan.
                 let result = loop {
-                    let Some(node) = cursor.next_node() else {
+                    let next = match &mut nodes {
+                        LoopNodes::Scan(cursor) => cursor.next_node(),
+                        LoopNodes::Candidates(candidates, i) => {
+                            *i += 1;
+                            candidates.get(*i - 1).map(|&(_, node)| node)
+                        }
+                    };
+                    let Some(node) = next else {
                         break Ok(());
                     };
                     let shadowed = slots[*var_slot].replace(node);
@@ -305,7 +355,13 @@ impl CursorEvaluator {
                         break Err(e);
                     }
                 };
-                cursor.recycle(&mut self.pool);
+                match nodes {
+                    LoopNodes::Scan(cursor) => cursor.recycle(&mut self.pool),
+                    LoopNodes::Candidates(mut candidates, _) => {
+                        candidates.clear();
+                        self.candidate_bufs.push(candidates);
+                    }
+                }
                 result
             }
             CompiledExpr::If {
@@ -475,6 +531,68 @@ impl CursorEvaluator {
                 held
             }
         }
+    }
+
+    /// The nodes of a keyed loop's source at `start` whose key equals a
+    /// value of the probe, deduplicated and in document order — or `None`
+    /// when the loop must scan: on the first evaluation at `start`, and
+    /// when a variable the filter reads is unbound (the scan then raises
+    /// the nested loop's error, or none if the source is empty).
+    fn keyed_candidates(
+        &mut self,
+        doc: &Document,
+        source: &CompiledPath,
+        key: &KeyedLoop,
+        start: NodeId,
+        slots: &Slots,
+    ) -> Option<Vec<Candidate>> {
+        if key
+            .free
+            .iter()
+            .any(|&s| !matches!(slots.get(s), Some(Some(_))))
+        {
+            return None;
+        }
+        let CursorEvaluator {
+            pool,
+            strings,
+            joins,
+            candidate_bufs,
+            ..
+        } = self;
+        let mut scratch = strings.pop().unwrap_or_default();
+        let candidates = joins
+            .index(doc, key, source, start, pool, &mut scratch)
+            .map(|index| {
+                let mut out = candidate_bufs.pop().unwrap_or_default();
+                match &key.probe {
+                    CompiledOperand::StringLit(s) | CompiledOperand::NumberLit(s) => {
+                        index.probe(s, &mut out)
+                    }
+                    CompiledOperand::Path(p) => {
+                        let probe_start = slots[p.start_slot].expect("free slots are bound");
+                        let mut values = ItemCursor::new(doc, p, probe_start, pool);
+                        while let Some(item) = values.next_item() {
+                            match item {
+                                CursorItem::Str(s) => index.probe(s, &mut out),
+                                CursorItem::Node(n) => {
+                                    doc.string_value_into(n, &mut scratch);
+                                    index.probe(&scratch, &mut out);
+                                }
+                            }
+                        }
+                        values.recycle(pool);
+                    }
+                }
+                out.sort_unstable();
+                out.dedup();
+                out
+            });
+        strings.push(scratch);
+        if let Some(found) = &candidates {
+            joins.count_probe(found.len());
+        }
+        candidates
     }
 
     /// True iff the path yields at least one item.

@@ -23,6 +23,7 @@ pub mod compile;
 pub mod cursor;
 pub mod error;
 pub mod eval;
+pub mod join;
 pub mod normalize;
 pub mod parser;
 pub mod pretty;
@@ -34,13 +35,14 @@ pub use ast::{
     GENERATED_VAR_PREFIX, ROOT_VAR,
 };
 pub use compile::{
-    compile_attr, compile_cond, compile_expr, compile_for_document, compile_path, CompiledAttr,
-    CompiledAttrPart, CompiledCond, CompiledExpr, CompiledName, CompiledOperand, CompiledPath,
-    PathTail, SlotMap, Slots,
+    compile_attr, compile_cond, compile_expr, compile_for_document, compile_path, explain_loops,
+    CompiledAttr, CompiledAttrPart, CompiledCond, CompiledExpr, CompiledName, CompiledOperand,
+    CompiledPath, KeyedLoop, LoopPlan, PathTail, ScanReason, SlotMap, Slots,
 };
 pub use cursor::{CursorItem, CursorPool, ItemCursor, PathCursor, SequenceCursor};
 pub use error::{QueryPos, Result, XQueryError};
 pub use eval::{compare, copy_node, eval_to_string, CountingSink, CursorEvaluator, QuerySink};
+pub use join::JoinCounters;
 pub use normalize::{is_normal_form, normalize};
 pub use parser::parse_query;
 pub use pretty::{pretty, pretty_cond};

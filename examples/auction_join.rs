@@ -1,6 +1,9 @@
 //! A join query on XMark-style auction data: pair each closed auction with
 //! the buyer's name. Shows FluXQuery executing a join by buffering only the
-//! projected person data (names + ids), never the bulky item descriptions.
+//! projected person data (names + ids), never the bulky item descriptions,
+//! and probing it as a keyed loop: the second auction indexes the buffered
+//! people by `@id`, and every auction after it looks its buyer up in that
+//! index (the explain report's last section says so).
 //!
 //! Run with: `cargo run --release --example auction_join`
 
@@ -9,7 +12,7 @@ use fluxquery::{FluxEngine, Options};
 
 // Rooting both sides in one $s variable lets the scheduler see that
 // `people` precedes `closed_auctions` in the site's content model: the
-// auction loop streams, probing the (projected) people buffer.
+// auction loop streams, probing the (projected, indexed) people buffer.
 const JOIN_QUERY: &str = r#"<sales>{
     for $s in $ROOT/site return
     for $a in $s/closed_auctions/closed_auction,

@@ -3,7 +3,7 @@
 //! keep stdout a pure result stream, and turn every bad input into the
 //! documented exit code instead of a panic.
 
-use flux_xmlgen::{bib_string, BibConfig};
+use flux_xmlgen::{auction_string, bib_string, AuctionConfig, BibConfig, AUCTION_DTD};
 use fluxquery::PAPER_FIG1_DTD;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -153,6 +153,44 @@ fn report_goes_to_stderr_and_stdout_stays_a_result_stream() {
     }
     let sax_events = |report| counter(report, "\"xsax\"", "sax_events");
     assert_eq!(sax_events(&stderr), sax_events(&sharded));
+}
+
+#[test]
+fn report_counts_one_probe_per_closed_auction_after_the_first() {
+    let doc = auction_string(&AuctionConfig::scale(1.0, 7));
+    let auctions = doc.matches("<closed_auction>").count() as u64;
+    assert!(auctions > 2, "{auctions} closed auctions");
+    let input = Scratch::with("join.xml", &doc);
+    let query = flux_conformance::catalog_query("AUC-JOIN").query;
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_fluxquery"))
+            .args([
+                "--query",
+                query,
+                "--dtd",
+                AUCTION_DTD,
+                "--input",
+                input.path(),
+            ])
+            .args(extra)
+            .output()
+            .expect("spawn fluxquery")
+    };
+    let explain = String::from_utf8(run(&["--explain"]).stdout).expect("utf-8 explain");
+    assert!(
+        explain.contains("for $p in $__flux3/person: keyed on $p/@id, probed by $a/buyer"),
+        "{explain}"
+    );
+    let reported = run(&["--report", "json"]);
+    assert!(reported.status.success(), "{reported:?}");
+    assert_eq!(reported.stdout, run(&["--engine", "dom"]).stdout);
+    let report = String::from_utf8(reported.stderr).expect("utf-8 report");
+    // The first firing scans, the second builds the index and probes it,
+    // every later one probes; each buyer names exactly one person.
+    let runtime = |name| counter(&report, "\"runtime\"", name);
+    assert_eq!(runtime("join_index_builds"), 1, "{report}");
+    assert_eq!(runtime("join_probes"), auctions - 1, "{report}");
+    assert_eq!(runtime("join_candidates"), auctions - 1, "{report}");
 }
 
 /// The first `"name": <integer>` after `section` in a JSON report.

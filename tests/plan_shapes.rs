@@ -96,21 +96,28 @@ fn auction_expensive_streams_everything_but_the_condition() {
 
 #[test]
 fn buffered_handler_counts_stable_across_catalog() {
-    // Coarse fingerprint: (id, buffered handlers, process-stream count).
+    // Coarse fingerprint: (id, buffered handlers, process-stream count,
+    // keyed loops). Only the value join is keyed.
     let expected = [
-        ("XMP-Q1", 1, 3),
-        ("XMP-Q2", 1, 3),
-        ("XMP-Q3", 1, 3),
-        ("XMP-Q3s", 0, 3),
-        ("Q3-REV", 1, 3),
-        ("FILTER", 1, 3),
-        ("PRICES", 1, 3),
-        ("AUC-JOIN", 1, 4),
-        ("AUC-EXP", 1, 4),
+        ("XMP-Q1", 1, 3, 0),
+        ("XMP-Q2", 1, 3, 0),
+        ("XMP-Q3", 1, 3, 0),
+        ("XMP-Q3s", 0, 3, 0),
+        ("Q3-REV", 1, 3, 0),
+        ("FILTER", 1, 3, 0),
+        ("PRICES", 1, 3, 0),
+        ("AUC-JOIN", 1, 4, 1),
+        ("AUC-EXP", 1, 4, 0),
     ];
-    for (id, buffered, ps) in expected {
+    for (id, buffered, ps, keyed) in expected {
         let q = catalog_query(id);
         let engine = FluxEngine::compile(q.query, q.domain.dtd(), &Options::default()).unwrap();
+        let explain = engine.explain();
+        assert_eq!(
+            explain.matches(": keyed on ").count(),
+            keyed,
+            "{id} keyed loops changed:\n{explain}"
+        );
         assert_eq!(
             engine.buffered_handler_count(),
             buffered,

@@ -8,7 +8,9 @@
 //! tree-at-a-time semantics on every sampled query.
 
 use flux_conformance::{run_engine, Domain};
-use fluxquery::xquery::{pretty, AttrConstructor, AttrPart, CmpOp, Cond, Expr, Operand, Path};
+use fluxquery::xquery::{
+    pretty, AttrConstructor, AttrPart, CmpOp, Cond, Expr, Operand, Path, Step,
+};
 use fluxquery::EngineKind;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -27,6 +29,8 @@ const LABELS: &[&str] = &[
 ];
 const OUTPUT_NAMES: &[&str] = &["r", "item", "entry", "wrap", "x"];
 const STRINGS: &[&str] = &["alpha", "beta", "", "Goedel", "x<y&z"];
+/// Key steps of the join arm, from a book.
+const KEYS: &[&str] = &["@year", "author", "price", "publisher", "title"];
 
 struct QueryGen {
     rng: SmallRng,
@@ -34,6 +38,8 @@ struct QueryGen {
     vars: Vec<String>,
     next_var: u32,
     budget: i32,
+    /// Whether the `for` arm may emit value joins.
+    joins: bool,
 }
 
 impl QueryGen {
@@ -43,6 +49,47 @@ impl QueryGen {
             vars: vec!["ROOT".to_string()],
             next_var: 0,
             budget: 40,
+            joins: false,
+        }
+    }
+
+    fn key_path(&mut self, var: &str) -> Path {
+        let key = self.pick(KEYS);
+        let mut path = Path::var(var);
+        path.steps.push(match key.strip_prefix('@') {
+            Some(attr) => Step::Attribute(attr.to_string()),
+            None => Step::Child(key.to_string()),
+        });
+        path
+    }
+
+    /// The join arm: `for $x in $ROOT/bib/book, $y in $ROOT/bib/book
+    /// where $x/K = $y/K' [and C] return …`, a keyed loop over `$y`.
+    fn join_expr(&mut self, depth: usize) -> Expr {
+        let (x, y) = (self.fresh_var(), self.fresh_var());
+        self.vars.push(x.clone());
+        self.vars.push(y.clone());
+        let mut cond = Cond::Cmp {
+            lhs: Operand::Path(self.key_path(&x)),
+            op: CmpOp::Eq,
+            rhs: Operand::Path(self.key_path(&y)),
+        };
+        if self.rng.gen_bool(0.5) {
+            cond = Cond::And(Box::new(cond), Box::new(self.random_cond(1)));
+        }
+        let body = self.random_expr(depth.saturating_sub(1));
+        self.vars.truncate(self.vars.len() - 2);
+        let books = Path::var("ROOT").child("bib").child("book");
+        Expr::For {
+            var: x,
+            source: books.clone(),
+            where_clause: None,
+            body: Box::new(Expr::For {
+                var: y,
+                source: books,
+                where_clause: Some(Box::new(cond)),
+                body: Box::new(body),
+            }),
         }
     }
 
@@ -130,6 +177,7 @@ impl QueryGen {
             };
         }
         match self.rng.gen_range(0..10) {
+            0..=2 if self.joins && self.rng.gen_bool(0.5) => self.join_expr(depth),
             0..=2 => {
                 // for-loop over a schema path.
                 let var = self.fresh_var();
@@ -212,6 +260,43 @@ fn random_query(seed: u64) -> String {
     pretty(&query)
 }
 
+/// A random query whose top level is a value join, with joins allowed
+/// anywhere below it.
+fn random_join_query(seed: u64) -> String {
+    let mut g = QueryGen::new(seed);
+    g.joins = true;
+    let join = g.join_expr(3);
+    pretty(&Expr::Element {
+        name: "out".to_string(),
+        attributes: vec![],
+        content: Box::new(join),
+    })
+}
+
+/// Runs `query` through all four engine configurations: their outputs
+/// must agree byte for byte.
+fn assert_engines_agree(query: &str, domain: Domain, doc: &str, case: &str) {
+    let mut reference: Option<Vec<u8>> = None;
+    for kind in [
+        EngineKind::Flux,
+        EngineKind::FluxNoAlgebra,
+        EngineKind::Projection,
+        EngineKind::Dom,
+    ] {
+        let outcome = run_engine(kind, query, domain.dtd(), doc.as_bytes())
+            .unwrap_or_else(|e| panic!("{} failed ({case}):\n{query}\n{e}", kind.label()));
+        match &reference {
+            None => reference = Some(outcome.output),
+            Some(expected) => assert_eq!(
+                String::from_utf8_lossy(&outcome.output),
+                String::from_utf8_lossy(expected),
+                "{} diverged on {case}:\n{query}",
+                kind.label(),
+            ),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
@@ -224,37 +309,29 @@ proptest! {
         doc_seed in 0u64..1_000,
         weak in any::<bool>(),
     ) {
-        let query = random_query(query_seed);
         let domain = if weak { Domain::BibWeak } else { Domain::BibFig1 };
-        let doc = domain.document(0.15, doc_seed);
-        let mut reference: Option<Vec<u8>> = None;
-        for kind in [
-            EngineKind::Flux,
-            EngineKind::FluxNoAlgebra,
-            EngineKind::Projection,
-            EngineKind::Dom,
-        ] {
-            let outcome = run_engine(kind, &query, domain.dtd(), doc.as_bytes())
-                .unwrap_or_else(|e| panic!(
-                    "{} failed (query_seed={query_seed}):\n{query}\n{e}",
-                    kind.label()
-                ));
-            match &reference {
-                None => reference = Some(outcome.output),
-                Some(expected) => {
-                    prop_assert_eq!(
-                        std::str::from_utf8(&outcome.output).unwrap_or("<non-utf8>"),
-                        std::str::from_utf8(expected).unwrap_or("<non-utf8>"),
-                        "{} diverged on query_seed={} doc_seed={} weak={}:\n{}",
-                        kind.label(),
-                        query_seed,
-                        doc_seed,
-                        weak,
-                        query
-                    );
-                }
-            }
-        }
+        assert_engines_agree(
+            &random_query(query_seed),
+            domain,
+            &domain.document(0.15, doc_seed),
+            &format!("query_seed={query_seed} doc_seed={doc_seed} weak={weak}"),
+        );
+    }
+
+    /// The same, over value joins: keyed loops in every engine.
+    #[test]
+    fn random_joins_agree_across_engines(
+        query_seed in 0u64..100_000,
+        doc_seed in 0u64..1_000,
+        weak in any::<bool>(),
+    ) {
+        let domain = if weak { Domain::BibWeak } else { Domain::BibFig1 };
+        assert_engines_agree(
+            &random_join_query(query_seed),
+            domain,
+            &domain.document(0.15, doc_seed),
+            &format!("join query_seed={query_seed} doc_seed={doc_seed} weak={weak}"),
+        );
     }
 }
 
