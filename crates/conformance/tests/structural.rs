@@ -37,14 +37,9 @@ fn naive_lanes(bytes: &[u8]) -> [Vec<u64>; 5] {
     lanes
 }
 
-fn drain(mut idx: StructuralIndex) -> [Vec<u64>; 5] {
-    [
-        std::iter::from_fn(|| idx.lt.pop()).collect(),
-        std::iter::from_fn(|| idx.gt.pop()).collect(),
-        std::iter::from_fn(|| idx.quote.pop()).collect(),
-        std::iter::from_fn(|| idx.amp.pop()).collect(),
-        std::iter::from_fn(|| idx.nl.pop()).collect(),
-    ]
+fn drain(idx: StructuralIndex) -> [Vec<u64>; 5] {
+    [&idx.lt, &idx.gt, &idx.quote, &idx.amp, &idx.nl]
+        .map(|lane| lane.positions().map(|p| idx.base() + p as u64).collect())
 }
 
 fn sweep(isa: Isa, bytes: &[u8], piece: usize) -> [Vec<u64>; 5] {

@@ -987,7 +987,7 @@ impl ShardedReader {
         scanner.absorb(self.scan_tel.snapshot());
         report.stage(scanner);
         let mut reader = Stage::new("reader");
-        reader.absorb(self.reader_tel.rows());
+        reader.absorb(self.reader_tel.snapshot());
         report.stage(reader);
         let mut pipeline = Stage::new("shard_pipeline");
         pipeline.counter("shards", self.total_shards as u64);

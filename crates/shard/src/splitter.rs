@@ -11,7 +11,7 @@
 //!
 //! The scan hops from `<` to `<` through the same vectorised structural
 //! prescan that feeds the parser ([`flux_xml::simd`]): input is swept
-//! block by block into the index's `<` lane only as far as the hop needs,
+//! block by block into the index's `<` bitmap only as far as the hop needs,
 //! and special constructs are skipped atomically. The splitter therefore
 //! shares the parser's single structural kernel instead of re-scanning
 //! for `<` with its own byte loop, touches only markup-start bytes, and
@@ -27,9 +27,10 @@ use flux_xml::simd::{self, StructuralIndex};
 /// places its last boundary early never sweeps far past it.
 const PRESCAN_BLOCK: usize = 64 * 1024;
 
-/// Lazily prescanned `<` positions: the structural index is grown one
-/// [`PRESCAN_BLOCK`] at a time, so a hop near the start of the input
-/// never pays for indexing the whole document.
+/// Lazily prescanned `<` positions: the structural index holds one
+/// [`PRESCAN_BLOCK`] at a time, so a hop near the start of the input never
+/// pays for indexing the whole document and the feed's footprint stays
+/// one block's bitmaps.
 struct LtFeed<'a> {
     input: &'a [u8],
     idx: StructuralIndex,
@@ -48,29 +49,29 @@ impl<'a> LtFeed<'a> {
 
     /// First `<` at or after `from`, sweeping further blocks on demand.
     /// Queries must be monotone non-decreasing (the splitter only moves
-    /// forward).
+    /// forward), so a block with no `<` at or after `from` is never needed
+    /// again.
     fn next_lt(&mut self, from: usize) -> Option<usize> {
         loop {
-            if let Some(abs) = self.idx.lt.next_at_or_after(from as u64) {
-                return Some(abs as usize);
+            let base = self.idx.base() as usize;
+            if let Some(at) = self
+                .idx
+                .lt
+                .next_in(from.saturating_sub(base), self.swept - base)
+            {
+                return Some(base + at);
             }
             if self.swept >= self.input.len() {
                 return None;
             }
             let end = (self.swept + PRESCAN_BLOCK).min(self.input.len());
+            self.idx.clear();
             simd::prescan_into(
                 &self.input[self.swept..end],
                 self.swept as u64,
                 &mut self.idx,
             );
             self.swept = end;
-            // Only the `<` lane is consumed here; flush the others so the
-            // feed's footprint stays one block, not the swept prefix.
-            self.idx.gt.drop_before(end as u64);
-            self.idx.quote.drop_before(end as u64);
-            self.idx.amp.drop_before(end as u64);
-            self.idx.nl.drop_before(end as u64);
-            self.idx.release_consumed();
         }
     }
 }

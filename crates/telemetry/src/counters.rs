@@ -7,10 +7,10 @@
 //! atomics on the hot path.
 //!
 //! Per-event paths bump as little as possible. Where one arm of a pair is
-//! rare (a slow-path fallback, a copied text run) only the rare arm is
+//! rare (an entity unescape, a copied text run) only the rare arm is
 //! counted, and a value that restates another count is *derived* when the
-//! report is built ([`ReaderCounters::fast_start_tags`],
-//! [`XsaxCounters::sax_events`], [`BufferCounters::buffer_frees`]).
+//! report is built ([`XsaxCounters::sax_events`],
+//! [`BufferCounters::buffer_frees`]).
 //!
 //! The full catalogue (what each field means, where it is bumped, which
 //! rows are derived) is documented in `docs/OBSERVABILITY.md`.
@@ -59,42 +59,22 @@ counters! {
 counters! {
     /// Reader-level counters: how events were actually produced. The
     /// per-tag totals are the only unconditional bumps; everything else
-    /// sits on a rare arm.
+    /// sits on a rare arm or moves at refill granularity.
     pub struct ReaderCounters {
-        /// Start tags parsed (either path).
+        /// Start tags parsed.
         start_tags,
-        /// Start tags that fell back to the byte-at-a-time parser.
-        slow_start_tags,
-        /// Explicit end tags parsed (either path; the virtual end of
-        /// `<e/>` is not a tag).
+        /// Explicit end tags parsed (the virtual end of `<e/>` is not a
+        /// tag).
         end_tags,
-        /// End tags that fell back to the byte-at-a-time parser.
-        slow_end_tags,
         /// Text segments that required entity unescaping.
         entity_unescapes,
         /// Text segments copied into the recycled event buffer instead of
         /// being served as borrowed scanner-window slices.
         copied_text_runs,
-    }
-}
-
-impl ReaderCounters {
-    /// Derived: start tags parsed wholly from the prescanned window.
-    pub fn fast_start_tags(&self) -> u64 {
-        self.start_tags - self.slow_start_tags
-    }
-
-    /// Derived: end tags parsed wholly from the prescanned window.
-    pub fn fast_end_tags(&self) -> u64 {
-        self.end_tags - self.slow_end_tags
-    }
-
-    /// Report rows: the counted fields plus the derived ones.
-    pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        let mut rows = self.snapshot();
-        rows.push(("fast_start_tags", self.fast_start_tags()));
-        rows.push(("fast_end_tags", self.fast_end_tags()));
-        rows
+        /// Input bytes validated as UTF-8 — once each, at refill, where the
+        /// scanner's watermark advances. Equals the input length on a
+        /// well-formed run: nothing is validated twice.
+        utf8_validated_bytes,
     }
 }
 
@@ -200,31 +180,6 @@ mod tests {
 
     // Each derivation below is replayed against the per-event bump it
     // replaced: `bumped_*` is what the deleted counter would have read.
-
-    #[test]
-    fn fast_tags_equal_the_deleted_fast_path_bumps() {
-        let mut tel = ReaderCounters::default();
-        let (mut bumped_fast_starts, mut bumped_fast_ends) = (0, 0);
-        for i in 0..1000u64 {
-            tel.start_tags += 1;
-            if i % 7 == 0 {
-                tel.slow_start_tags += 1;
-            } else {
-                bumped_fast_starts += 1;
-            }
-            // `<e/>` every third element: no explicit end tag.
-            if i % 3 != 0 {
-                tel.end_tags += 1;
-                if i % 11 == 0 {
-                    tel.slow_end_tags += 1;
-                } else {
-                    bumped_fast_ends += 1;
-                }
-            }
-        }
-        assert_eq!(tel.fast_start_tags(), bumped_fast_starts);
-        assert_eq!(tel.fast_end_tags(), bumped_fast_ends);
-    }
 
     #[test]
     fn sax_events_equal_the_deleted_per_delivery_bump() {

@@ -8,9 +8,25 @@ pub struct Position {
     /// Byte offset from the start of the stream.
     pub offset: u64,
     /// 1-based line number.
-    pub line: u32,
-    /// 1-based column number (in bytes, not characters).
-    pub column: u32,
+    pub line: u64,
+    /// 1-based column number (in bytes, not characters). 64 bits wide: a
+    /// single-line multi-GB feed passes column 2³² without wrapping.
+    pub column: u64,
+}
+
+impl Position {
+    /// The position `len` bytes further on, given that span's newline
+    /// count and the offset of its last newline within it.
+    pub(crate) fn advanced(self, len: usize, newlines: u64, last_newline: Option<usize>) -> Self {
+        Position {
+            offset: self.offset + len as u64,
+            line: self.line + newlines,
+            column: match last_newline {
+                Some(at) => (len - at) as u64,
+                None => self.column + len as u64,
+            },
+        }
+    }
 }
 
 impl fmt::Display for Position {
@@ -92,3 +108,30 @@ impl From<std::io::Error> for XmlError {
 
 /// Convenient result alias for XML operations.
 pub type Result<T> = std::result::Result<T, XmlError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TWO_32: u64 = 1 << 32;
+
+    #[test]
+    fn columns_pass_two_to_the_32_without_wrapping() {
+        // A single-line document: the column tracks the offset past 4 GiB.
+        let near = Position {
+            offset: TWO_32 - 4,
+            line: 1,
+            column: TWO_32 - 3,
+        };
+        let past = near.advanced(10, 0, None);
+        assert_eq!(
+            (past.offset, past.line, past.column),
+            (TWO_32 + 6, 1, TWO_32 + 7)
+        );
+        assert_eq!(past.to_string(), format!("line 1, column {}", TWO_32 + 7));
+        // A newline inside the span restarts the column from it.
+        let wrapped = past.advanced((TWO_32 + 5) as usize, 2, Some(TWO_32 as usize));
+        assert_eq!((wrapped.line, wrapped.column), (3, 5));
+        assert_eq!(wrapped.offset, 2 * TWO_32 + 11);
+    }
+}

@@ -591,15 +591,6 @@ impl<'a> RawEventRef<'a> {
         }
     }
 
-    /// Number of attributes (literal + injected defaults).
-    pub fn attr_count(&self) -> usize {
-        let literal = match self.attrs {
-            AttrsRef::Owned(attrs) => attrs.len(),
-            AttrsRef::Tape { attrs, .. } => attrs.len(),
-        };
-        literal + self.defaults.len()
-    }
-
     /// Converts to the owned, string-named representation (allocates).
     pub fn to_xml_event(&self, symbols: &SymbolTable) -> XmlEvent {
         match self.kind {

@@ -14,12 +14,21 @@
 //! other [`crate::EventSource`]: [`XmlReader::advance`] rewrites one
 //! recycled [`RawEvent`] in place and [`XmlReader::view`] serves it.
 //! Element and attribute names are interned [`Symbol`]s, attribute values
-//! land in recycled buffers, UTF-8 is validated in place, and text runs
-//! that end inside the scanner window are borrowed from it without a
-//! copy. In the steady state (every name interned, buffers grown to the
-//! largest token) pulling an event performs **zero heap allocations**.
-//! [`parse_to_events`] renders the views as owned [`XmlEvent`]s for tests
-//! and tools.
+//! land in recycled buffers, and text runs that end inside the scanner
+//! window are borrowed from it without a copy. In the steady state (every
+//! name interned, buffers grown to the largest token) pulling an event
+//! performs **zero heap allocations**. [`parse_to_events`] renders the
+//! views as owned [`XmlEvent`]s for tests and tools.
+//!
+//! UTF-8 is checked once per byte, at refill, where the scanner advances
+//! a *validated-up-to watermark*. The invariant the reader relies on: **a
+//! window range below the watermark that starts and ends on character
+//! boundaries is valid UTF-8**, so names, attribute values and borrowed
+//! text runs become `&str` without a pass over their bytes, and a view
+//! costs no UTF-8 pass at all. A range crossing the watermark (an invalid
+//! sequence stopped it) is checked where the reader always checked it, so
+//! invalid-UTF-8 errors keep their positions. Tags have one parse path: a
+//! cursor over the tag the prescan located.
 //!
 //! The reader checks well-formedness (tag balance, a single root element,
 //! attribute uniqueness, entity definedness) but performs no validation —
@@ -31,7 +40,8 @@ use crate::error::{Position, Result, XmlError};
 use crate::escape::unescape_into;
 use crate::event::{RawEvent, RawEventKind, RawEventRef, XmlEvent};
 use crate::input::MemoryBudget;
-use crate::scanner::{Scanner, TagProbe};
+use crate::scan::find_byte;
+use crate::scanner::Scanner;
 use crate::source::collect_events;
 use flux_symbols::{Symbol, SymbolTable};
 use flux_telemetry::{ReaderCounters, RunReport, ScanCounters, Stage};
@@ -126,9 +136,6 @@ struct ReaderCore<R: Read> {
     scanner: Scanner<R>,
     config: ReaderConfig,
     state: State,
-    /// Source position of the first byte of the current event's construct
-    /// (set at dispatch, before any of it is consumed).
-    event_start: Position,
     /// Interner for element and attribute names. Seed it with
     /// [`XmlReader::with_symbols`] to share symbols with a schema.
     symbols: SymbolTable,
@@ -136,24 +143,19 @@ struct ReaderCore<R: Read> {
     stack: Vec<Symbol>,
     /// Second half of an empty-element tag, emitted on the next call.
     pending_end: Option<Symbol>,
-    /// Scratch buffer reused between tokens (names, raw attribute values,
-    /// raw text runs).
+    /// Scratch buffer reused between tokens (PI and doctype names, raw
+    /// text runs that crossed a refill).
     scratch: Vec<u8>,
     /// Second scratch buffer for payloads read while `scratch` content is
-    /// still needed (CDATA runs, PI data, overflow attribute names).
+    /// still needed (CDATA runs, PI data, the internal DTD subset).
     aux: Vec<u8>,
     /// Literal names of open elements whose symbol is
     /// [`SymbolTable::OVERFLOW`] (bounded-interner mode), innermost last.
     overflow_stack: Vec<String>,
     /// Spare overflow-name buffers recycled from closed elements.
     spare_overflow: Vec<String>,
-    /// Direct-mapped intern cache for the fast tag path, keyed by the
-    /// name's first byte xor its length. A document's working set of
-    /// element/attribute names is a handful of schema-fixed strings, so a
-    /// length check plus memcmp replaces most hash-map probes. Entries
-    /// are valid forever once filled: interning is idempotent and the
-    /// table never forgets.
-    name_cache: [(Vec<u8>, Symbol); NAME_CACHE_WAYS],
+    /// Tag-name interning without hashing (see [`NameCache`]).
+    names: NameCache,
     /// When the current event is a text run served straight from the
     /// scanner window (no entities, no CDATA merge, no refill crossed),
     /// the window range holding it: [`XmlReader::view`] borrows the bytes
@@ -164,11 +166,6 @@ struct ReaderCore<R: Read> {
     /// Tag totals and rare-path counters.
     tel: ReaderCounters,
 }
-
-/// Ways in the fast path's direct-mapped name-intern cache. Sized for a
-/// schema-fixed name alphabet (a DTD's worth of element and attribute
-/// names); collisions only cost a fall-through to the hash map.
-const NAME_CACHE_WAYS: usize = 32;
 
 /// The markup construct classes the nine-byte dispatch probe can tell
 /// apart — nine bytes is the longest discriminating prefix
@@ -201,39 +198,166 @@ fn classify_markup(probe: &[u8]) -> Markup {
     }
 }
 
-/// Interns through the fast tag path's direct-mapped name cache (a free
-/// function over the two fields involved, so callers holding a scanner
-/// borrow can still use it). Never runs in bounded-interner mode, so the
-/// cache never has to model overflow.
-#[inline]
-fn intern_cached(
-    cache: &mut [(Vec<u8>, Symbol); NAME_CACHE_WAYS],
-    symbols: &mut SymbolTable,
-    name: &str,
-) -> Symbol {
-    let bytes = name.as_bytes();
-    debug_assert!(!bytes.is_empty());
-    let way = (bytes[0] ^ bytes.len() as u8) as usize % NAME_CACHE_WAYS;
-    let slot = &mut cache[way];
-    if slot.0 == bytes {
-        return slot.1;
-    }
-    let sym = symbols.intern(name);
-    slot.0.clear();
-    slot.0.extend_from_slice(bytes);
-    slot.1 = sym;
-    sym
+/// Ways in the direct-mapped name cache. Sized for a schema-fixed name
+/// alphabet (a DTD's worth of element and attribute names); collisions
+/// only cost a fall-through to the hash map.
+const NAME_CACHE_WAYS: usize = 32;
+
+/// Names up to this long are keyed by their bytes as one `u128`.
+const KEYED_NAME: usize = 16;
+
+/// Tag-name interning for a schema-sized alphabet. A name of up to 16
+/// bytes is keyed by its bytes as one zero-padded `u128` read from the
+/// window, so a cache lookup or an end tag's match against its open
+/// element is one integer compare — no hash, no `memcmp`. Unused in
+/// bounded-interner mode, so it never models overflow.
+struct NameCache {
+    /// `(key, length, symbol)` by `(first byte ^ length) % WAYS`; length 0
+    /// is an empty way.
+    ways: [(u128, usize, Symbol); NAME_CACHE_WAYS],
+    /// `(key, length)` of every symbol interned through the cache, by
+    /// symbol index.
+    keys: Vec<(u128, usize)>,
 }
+
+impl NameCache {
+    fn new() -> Self {
+        NameCache {
+            ways: [(0, 0, SymbolTable::TEXT); NAME_CACHE_WAYS],
+            keys: Vec::new(),
+        }
+    }
+
+    /// Interns `name`, whose key is `key` (see [`Tag::key`]).
+    #[inline]
+    fn intern(
+        &mut self,
+        symbols: &mut SymbolTable,
+        max_symbols: Option<usize>,
+        name: &str,
+        key: u128,
+    ) -> Symbol {
+        let len = name.len();
+        if let Some(cap) = max_symbols {
+            return symbols.intern_bounded(name, cap);
+        }
+        if len > KEYED_NAME {
+            return symbols.intern(name);
+        }
+        let way = &mut self.ways[(name.as_bytes()[0] ^ len as u8) as usize % NAME_CACHE_WAYS];
+        if way.0 == key && way.1 == len {
+            return way.2;
+        }
+        let sym = symbols.intern(name);
+        *way = (key, len, sym);
+        if self.keys.len() <= sym.index() {
+            self.keys.resize(sym.index() + 1, (0, 0));
+        }
+        self.keys[sym.index()] = (key, len);
+        sym
+    }
+
+    /// Whether `sym` is known to be the name with this key and length.
+    #[inline]
+    fn is(&self, sym: Symbol, key: u128, len: usize) -> bool {
+        len <= KEYED_NAME && self.keys.get(sym.index()) == Some(&(key, len))
+    }
+}
+
+/// Name-byte classes, one table lookup instead of a branch chain: bit 0 —
+/// can begin an XML name, bit 1 — can continue one.
+const NAME_BYTES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        let b = i as u8;
+        let start = b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80;
+        let cont = start || b.is_ascii_digit() || b == b'-' || b == b'.';
+        table[i] = start as u8 | (cont as u8) << 1;
+        i += 1;
+    }
+    table
+};
 
 /// Whether `b` can begin an XML name (the reader's classification, shared
 /// with the shard splitter, which must agree with the reader on what a
 /// start/end tag looks like).
+#[inline]
 pub fn is_name_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
+    NAME_BYTES[b as usize] & 1 != 0
 }
 
+#[inline]
 fn is_name_char(b: u8) -> bool {
-    is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
+    NAME_BYTES[b as usize] & 2 != 0
+}
+
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
+
+/// A tag located at the window head, walked with one cursor. The tag is
+/// `window[..len]`: from the `<` through the closing `>` — or, when the
+/// input ended first, to the end of input — and `text` is the same bytes
+/// as `&str` when they lie below the UTF-8 watermark.
+struct Tag<'a> {
+    window: &'a [u8],
+    len: usize,
+    text: Option<&'a str>,
+}
+
+impl<'a> Tag<'a> {
+    /// The byte at `i`; `None` is end of input.
+    #[inline]
+    fn at(&self, i: usize) -> Option<u8> {
+        self.window[..self.len].get(i).copied()
+    }
+
+    /// End of the name starting at `i`.
+    #[inline]
+    fn name_end(&self, i: usize) -> usize {
+        i + self.window[i..self.len]
+            .iter()
+            .take_while(|&&b| is_name_char(b))
+            .count()
+    }
+
+    /// End of the whitespace starting at `i`.
+    #[inline]
+    fn space_end(&self, i: usize) -> usize {
+        i + self.window[i..self.len]
+            .iter()
+            .take_while(|&&b| is_space(b))
+            .count()
+    }
+
+    /// The tag's bytes `from..to` as `&str`, or `None` if they are not
+    /// UTF-8 (checked only when the tag crosses the watermark).
+    #[inline]
+    fn str(&self, from: usize, to: usize) -> Option<&'a str> {
+        match self.text {
+            Some(text) => Some(&text[from..to]),
+            None => std::str::from_utf8(&self.window[from..to]).ok(),
+        }
+    }
+
+    /// The [`NameCache`] key of the name `from..to`: its first 16 bytes,
+    /// zero-padded, read as one `u128` — a single load when the window
+    /// extends 16 bytes past `from`, as it nearly always does.
+    #[inline]
+    fn key(&self, from: usize, to: usize) -> u128 {
+        let len = (to - from).min(KEYED_NAME);
+        let mask = u128::MAX >> (128 - 8 * len);
+        match self.window.get(from..from + KEYED_NAME) {
+            Some(word) => u128::from_le_bytes(word.try_into().expect("16 bytes")) & mask,
+            None => {
+                let mut word = [0u8; KEYED_NAME];
+                word[..len].copy_from_slice(&self.window[from..from + len]);
+                u128::from_le_bytes(word)
+            }
+        }
+    }
 }
 
 impl<R: Read> XmlReader<R> {
@@ -259,11 +383,6 @@ impl<R: Read> XmlReader<R> {
                 scanner,
                 config,
                 state: State::Fresh,
-                event_start: Position {
-                    offset: 0,
-                    line: 1,
-                    column: 1,
-                },
                 symbols,
                 stack: Vec::new(),
                 pending_end: None,
@@ -271,7 +390,7 @@ impl<R: Read> XmlReader<R> {
                 aux: Vec::new(),
                 overflow_stack: Vec::new(),
                 spare_overflow: Vec::new(),
-                name_cache: std::array::from_fn(|_| (Vec::new(), SymbolTable::TEXT)),
+                names: NameCache::new(),
                 borrowed_text: None,
                 tel: ReaderCounters::default(),
             },
@@ -292,9 +411,11 @@ impl<R: Read> XmlReader<R> {
     /// Position of the first byte of the most recently delivered event's
     /// construct — where the sequential reader reports document-level
     /// errors (a second root element, a late DOCTYPE, top-level text).
-    /// Tape recorders store it so replay errors stay byte-exact.
+    /// Tape recorders store it so replay errors stay byte-exact. The
+    /// scanner marks every event start and computes its line/column only
+    /// here, when asked.
     pub fn event_start(&self) -> Position {
-        self.core.event_start
+        self.core.scanner.marked_position()
     }
 
     /// Current element nesting depth.
@@ -333,13 +454,15 @@ impl<R: Read> XmlReader<R> {
 
     /// A borrowed view of the event the last [`XmlReader::advance`]
     /// produced. Payloads borrow the reader's recycled buffers or the
-    /// scanner window directly; a window-borrowed text run is re-checked
-    /// as UTF-8 on every call (see [`crate::EventSource`]: view once).
+    /// scanner window directly; a window-borrowed text run lies below the
+    /// UTF-8 watermark, so lending it costs no pass over its bytes.
     pub fn view(&self) -> RawEventRef<'_> {
         let v = RawEventRef::from_event(&self.current);
         match self.core.borrowed_text {
             Some(range) => v.with_text(
-                std::str::from_utf8(self.core.scanner.borrowed(range))
+                self.core
+                    .scanner
+                    .text(range)
                     .expect("borrowed text validated at parse time"),
             ),
             None => v,
@@ -352,9 +475,13 @@ impl<R: Read> XmlReader<R> {
         self.core.scanner.telemetry()
     }
 
-    /// A copy of the reader's tag totals and rare-path counters.
+    /// A copy of the reader's tag totals and rare-path counters, with the
+    /// scanner's UTF-8 watermark progress.
     pub fn reader_telemetry(&self) -> ReaderCounters {
-        self.core.tel
+        ReaderCounters {
+            utf8_validated_bytes: self.core.scanner.utf8_validated_bytes(),
+            ..self.core.tel
+        }
     }
 
     /// Appends this reader's `scanner` and `reader` telemetry stages to
@@ -368,24 +495,38 @@ impl<R: Read> XmlReader<R> {
         scanner.absorb(self.scan_telemetry().snapshot());
         report.stage(scanner);
         let mut reader = Stage::new("reader");
-        reader.absorb(self.reader_telemetry().rows());
+        reader.absorb(self.reader_telemetry().snapshot());
         report.stage(reader);
     }
 }
 
 impl<R: Read> ReaderCore<R> {
-    fn syntax(&self, message: impl Into<String>) -> XmlError {
-        XmlError::Syntax {
-            message: message.into(),
-            pos: self.scanner.position(),
-        }
+    // Errors at `at` window bytes past the cursor (0: at the cursor).
+
+    fn syntax(&self, at: usize, message: impl Into<String>) -> XmlError {
+        let (message, pos) = (message.into(), self.scanner.position_at(at));
+        XmlError::Syntax { message, pos }
     }
 
-    fn wf(&self, message: impl Into<String>) -> XmlError {
-        XmlError::WellFormedness {
-            message: message.into(),
-            pos: self.scanner.position(),
-        }
+    fn wf(&self, at: usize, message: impl Into<String>) -> XmlError {
+        let (message, pos) = (message.into(), self.scanner.position_at(at));
+        XmlError::WellFormedness { message, pos }
+    }
+
+    fn eof(&self, at: usize, expected: &'static str) -> XmlError {
+        let pos = self.scanner.position_at(at);
+        XmlError::UnexpectedEof { expected, pos }
+    }
+
+    fn bad_utf8(&self, at: usize) -> XmlError {
+        let pos = self.scanner.position_at(at);
+        XmlError::InvalidUtf8 { pos }
+    }
+
+    /// A copied payload (comment, PI, CDATA, a run that crossed a refill)
+    /// as `&str`, or the error at the cursor.
+    fn checked<'b>(&self, bytes: &'b [u8]) -> Result<&'b str> {
+        std::str::from_utf8(bytes).map_err(|_| self.bad_utf8(0))
     }
 
     /// The parsing core: rewrites `ev` with the next event. An eligible
@@ -403,7 +544,9 @@ impl<R: Read> ReaderCore<R> {
             } else {
                 State::Prolog
             };
-            self.skip_bom()?;
+            if self.scanner.looking_at(&[0xEF, 0xBB, 0xBF])? {
+                self.scanner.consume(3); // byte-order mark
+            }
             self.maybe_skip_xml_decl()?;
             ev.reset(RawEventKind::StartDocument);
             return Ok(());
@@ -411,7 +554,7 @@ impl<R: Read> ReaderCore<R> {
         if let Some(name) = self.pending_end.take() {
             // The virtual end tag of `<e/>` is zero-width at the current
             // position.
-            self.event_start = self.scanner.position();
+            self.scanner.mark();
             ev.reset(RawEventKind::EndElement);
             ev.set_name(name);
             if name == SymbolTable::OVERFLOW {
@@ -423,17 +566,13 @@ impl<R: Read> ReaderCore<R> {
         }
         loop {
             match self.state {
-                State::Done => return Err(self.syntax("advance called after end of document")),
                 State::Prolog | State::Epilog => {
                     self.scanner.skip_whitespace()?;
-                    self.event_start = self.scanner.position();
+                    self.scanner.mark();
                     match self.scanner.peek()? {
                         None => {
                             if self.state == State::Prolog {
-                                return Err(XmlError::UnexpectedEof {
-                                    expected: "root element",
-                                    pos: self.scanner.position(),
-                                });
+                                return Err(self.eof(0, "root element"));
                             }
                             self.state = State::Done;
                             ev.reset(RawEventKind::EndDocument);
@@ -446,16 +585,19 @@ impl<R: Read> ReaderCore<R> {
                             }
                         }
                         Some(_) => {
-                            return Err(self.wf(if self.state == State::Prolog {
-                                "character data before the root element"
-                            } else {
-                                "character data after the root element"
-                            }))
+                            return Err(self.wf(
+                                0,
+                                if self.state == State::Prolog {
+                                    "character data before the root element"
+                                } else {
+                                    "character data after the root element"
+                                },
+                            ))
                         }
                     }
                 }
                 State::InRoot => {
-                    self.event_start = self.scanner.position();
+                    self.scanner.mark();
                     // One nine-byte probe per event classifies everything:
                     // EOF, text, or which markup construct follows (CDATA
                     // counts as text — parse_text merges it into the run).
@@ -476,10 +618,7 @@ impl<R: Read> ReaderCore<R> {
                                 ev.reset(RawEventKind::EndDocument);
                                 return Ok(());
                             }
-                            return Err(XmlError::UnexpectedEof {
-                                expected: "closing tags for open elements",
-                                pos: self.scanner.position(),
-                            });
+                            return Err(self.eof(0, "closing tags for open elements"));
                         }
                         Some(Some(kind)) => {
                             if self.parse_markup(ev, kind)? {
@@ -489,16 +628,9 @@ impl<R: Read> ReaderCore<R> {
                         Some(None) => return self.parse_text(ev),
                     }
                 }
-                State::Fresh => unreachable!("handled above"),
+                State::Fresh | State::Done => unreachable!("handled above and in `advance`"),
             }
         }
-    }
-
-    fn skip_bom(&mut self) -> Result<()> {
-        if self.scanner.looking_at(&[0xEF, 0xBB, 0xBF])? {
-            self.scanner.expect_str(&[0xEF, 0xBB, 0xBF], "BOM")?;
-        }
-        Ok(())
     }
 
     fn maybe_skip_xml_decl(&mut self) -> Result<()> {
@@ -521,6 +653,7 @@ impl<R: Read> ReaderCore<R> {
     /// dispatch probe ([`classify_markup`] over the same nine bytes).
     /// Returns `false` when the construct was consumed silently (skipped
     /// comment/PI).
+    #[inline(always)]
     fn parse_markup(&mut self, ev: &mut RawEvent, kind: Markup) -> Result<bool> {
         match kind {
             Markup::Comment => self.parse_comment(ev),
@@ -531,7 +664,7 @@ impl<R: Read> ReaderCore<R> {
                 self.parse_text(ev)?;
                 Ok(true)
             }
-            Markup::Cdata => Err(self.wf("CDATA section outside the root element")),
+            Markup::Cdata => Err(self.wf(0, "CDATA section outside the root element")),
             Markup::Doctype => {
                 self.parse_doctype(ev)?;
                 Ok(true)
@@ -539,18 +672,12 @@ impl<R: Read> ReaderCore<R> {
             Markup::Pi => self.parse_pi(ev),
             Markup::End => {
                 self.tel.end_tags += 1;
-                if !self.try_fast_end_tag(ev)? {
-                    self.tel.slow_end_tags += 1;
-                    self.parse_end_tag(ev)?;
-                }
+                self.parse_end_tag(ev)?;
                 Ok(true)
             }
             Markup::Start => {
                 self.tel.start_tags += 1;
-                if !self.try_fast_start_tag(ev)? {
-                    self.tel.slow_start_tags += 1;
-                    self.parse_start_tag(ev)?;
-                }
+                self.parse_start_tag(ev)?;
                 Ok(true)
             }
         }
@@ -561,8 +688,7 @@ impl<R: Read> ReaderCore<R> {
         self.scratch.clear();
         self.scanner
             .read_until(b"-->", &mut self.scratch, "end of comment `-->`")?;
-        let pos = self.scanner.position();
-        let text = std::str::from_utf8(&self.scratch).map_err(|_| XmlError::InvalidUtf8 { pos })?;
+        let text = self.checked(&self.scratch)?;
         if self.config.emit_comments {
             ev.reset(RawEventKind::Comment);
             ev.text_mut().push_str(text);
@@ -576,21 +702,19 @@ impl<R: Read> ReaderCore<R> {
         self.scanner.expect_str(b"<?", "processing instruction")?;
         ev.reset(RawEventKind::ProcessingInstruction);
         self.read_name("processing instruction target")?;
-        {
-            let pos = self.scanner.position();
-            let target =
-                std::str::from_utf8(&self.scratch).map_err(|_| XmlError::InvalidUtf8 { pos })?;
-            ev.target_mut().push_str(target);
-        }
+        let target = self.checked(&self.scratch)?;
+        ev.target_mut().push_str(target);
         self.scanner.skip_whitespace()?;
         self.aux.clear();
         self.scanner
             .read_until(b"?>", &mut self.aux, "end of processing instruction")?;
-        let pos = self.scanner.position();
-        let data = std::str::from_utf8(&self.aux).map_err(|_| XmlError::InvalidUtf8 { pos })?;
+        let data = self.checked(&self.aux)?;
         if ev.target().eq_ignore_ascii_case("xml") {
             // XML declaration not at document start.
-            return Err(self.syntax("xml declaration is only allowed at the start of the document"));
+            return Err(self.syntax(
+                0,
+                "xml declaration is only allowed at the start of the document",
+            ));
         }
         if self.config.emit_processing_instructions {
             ev.text_mut().push_str(data);
@@ -606,21 +730,17 @@ impl<R: Read> ReaderCore<R> {
         let ok_here = self.state == State::Prolog
             || (self.config.fragment && self.stack.is_empty() && self.pending_end.is_none());
         if !ok_here {
-            return Err(self.wf("DOCTYPE declaration after the root element has started"));
+            return Err(self.wf(0, "DOCTYPE declaration after the root element has started"));
         }
         self.scanner
             .expect_str(b"<!DOCTYPE", "DOCTYPE declaration")?;
         if self.scanner.skip_whitespace()? == 0 {
-            return Err(self.syntax("whitespace required after <!DOCTYPE"));
+            return Err(self.syntax(0, "whitespace required after <!DOCTYPE"));
         }
         ev.reset(RawEventKind::DoctypeDecl);
         self.read_name("doctype root name")?;
-        {
-            let pos = self.scanner.position();
-            let name =
-                std::str::from_utf8(&self.scratch).map_err(|_| XmlError::InvalidUtf8 { pos })?;
-            ev.target_mut().push_str(name);
-        }
+        let name = self.checked(&self.scratch)?;
+        ev.target_mut().push_str(name);
         self.scanner.skip_whitespace()?;
         // Optional external id: SYSTEM "..." | PUBLIC "..." "..."
         if self.scanner.looking_at(b"SYSTEM")? {
@@ -639,15 +759,13 @@ impl<R: Read> ReaderCore<R> {
         if self.scanner.peek()? == Some(b'[') {
             self.scanner.next_byte()?;
             self.read_internal_subset()?;
-            let pos = self.scanner.position();
-            let subset =
-                std::str::from_utf8(&self.aux).map_err(|_| XmlError::InvalidUtf8 { pos })?;
+            let subset = self.checked(&self.aux)?;
             ev.text_mut().push_str(subset);
             ev.set_has_internal_subset(true);
         }
         self.scanner.skip_whitespace()?;
         self.scanner
-            .expect_byte(b'>', "`>` closing the DOCTYPE declaration")?;
+            .expect_str(b">", "`>` closing the DOCTYPE declaration")?;
         Ok(())
     }
 
@@ -660,10 +778,7 @@ impl<R: Read> ReaderCore<R> {
             let b = self
                 .scanner
                 .peek()?
-                .ok_or_else(|| XmlError::UnexpectedEof {
-                    expected: "`]` closing the internal DTD subset",
-                    pos: self.scanner.position(),
-                })?;
+                .ok_or_else(|| self.eof(0, "`]` closing the internal DTD subset"))?;
             match b {
                 b']' => {
                     self.scanner.next_byte()?;
@@ -695,7 +810,7 @@ impl<R: Read> ReaderCore<R> {
     fn skip_quoted(&mut self, what: &'static str) -> Result<()> {
         let quote = match self.scanner.peek()? {
             Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(self.syntax(format!("expected quoted {what}"))),
+            _ => return Err(self.syntax(0, format!("expected quoted {what}"))),
         };
         self.scanner.next_byte()?;
         self.scratch.clear();
@@ -709,394 +824,255 @@ impl<R: Read> ReaderCore<R> {
     fn read_name(&mut self, what: &'static str) -> Result<()> {
         match self.scanner.peek()? {
             Some(b) if is_name_start(b) => {}
-            Some(_) => return Err(self.syntax(format!("invalid {what}"))),
-            None => {
-                return Err(XmlError::UnexpectedEof {
-                    expected: what,
-                    pos: self.scanner.position(),
-                })
-            }
+            Some(_) => return Err(self.syntax(0, format!("invalid {what}"))),
+            None => return Err(self.eof(0, what)),
         }
         self.scratch.clear();
         self.scanner.read_while(is_name_char, &mut self.scratch)
     }
 
-    /// Reads a name token and interns it — no allocation once the name has
-    /// been seen before. In bounded-interner mode a new name past the cap
-    /// yields [`SymbolTable::OVERFLOW`]; the literal name stays in
-    /// `self.scratch` for the caller to carry out of band.
-    fn intern_name(&mut self, what: &'static str) -> Result<Symbol> {
-        self.read_name(what)?;
-        let pos = self.scanner.position();
-        let name = std::str::from_utf8(&self.scratch).map_err(|_| XmlError::InvalidUtf8 { pos })?;
-        Ok(match self.config.max_symbols {
-            None => self.symbols.intern(name),
-            Some(cap) => self.symbols.intern_bounded(name, cap),
-        })
-    }
-
-    /// The name in `self.scratch` as UTF-8 (already validated by
-    /// [`ReaderCore::intern_name`]).
-    fn scratch_name(&self) -> &str {
-        std::str::from_utf8(&self.scratch).expect("scratch validated by intern_name")
-    }
-
     /// Locates the `>` closing the markup at the current `<`, growing the
-    /// window as needed, and reports whether the probe flagged dirty
-    /// content (stray `<` or `&` inside the tag). `None` means the input
-    /// ends first — the byte-at-a-time path takes over and reports the
-    /// exact error.
-    fn locate_tag_end(&mut self) -> Result<Option<(usize, bool)>> {
+    /// window as needed. Returns the tag's length through the `>` and
+    /// whether the probe saw a stray `<` or a `&` inside it; when the
+    /// input ends first, the whole rest of the input (then in the window)
+    /// with `dirty` set, so the cursor reports the exact EOF error.
+    #[inline(always)]
+    fn locate_tag_end(&mut self) -> Result<(usize, bool)> {
         loop {
-            if let TagProbe::Found { rel_end, dirty } = self.scanner.probe_tag() {
-                return Ok(Some((rel_end, dirty)));
+            if let Some((gt, dirty)) = self.scanner.probe_tag() {
+                return Ok((gt + 1, dirty));
             }
             if !self.scanner.fill_more()? {
-                return Ok(None);
+                return Ok((self.scanner.window().len(), true));
             }
         }
     }
 
-    /// Attempts to parse the start tag at the current `<` entirely from
-    /// the prescanned window: the quote-parity walk finds the closing
-    /// `>`, the whole tag is validated from the slice, and only then is
-    /// it consumed in a single span. Returns `Ok(false)` with the scanner
-    /// untouched on *any* anomaly — malformed syntax, `&` or stray `<`
-    /// inside the tag, a duplicate attribute, invalid UTF-8, the bounded
-    /// interner, the epilog state — so the byte-at-a-time path re-parses
-    /// and produces byte-identical events and error positions.
-    fn try_fast_start_tag(&mut self, ev: &mut RawEvent) -> Result<bool> {
-        if self.state == State::Epilog || self.config.max_symbols.is_some() {
-            return Ok(false);
-        }
-        // `dirty` — a `&` anywhere in the tag (a value needing unescaping)
-        // or a `<` after the opening one (a well-formedness error) — comes
-        // straight from the probe's lanes, so the value loop below never
-        // has to inspect value bytes at all.
-        let Some((end, dirty)) = self.locate_tag_end()? else {
-            return Ok(false);
-        };
-        if dirty {
-            return Ok(false);
-        }
-        let Ok(tag) = std::str::from_utf8(&self.scanner.window()[..end + 1]) else {
-            return Ok(false);
-        };
-        let bytes = tag.as_bytes();
-        let mut i = 1;
-        if i >= end || !is_name_start(bytes[i]) {
-            return Ok(false);
-        }
-        let name_start = i;
-        while i < end && is_name_char(bytes[i]) {
-            i += 1;
-        }
-        let name = intern_cached(&mut self.name_cache, &mut self.symbols, &tag[name_start..i]);
-        ev.reset(RawEventKind::StartElement);
-        ev.set_name(name);
-        let mut empty = false;
-        loop {
-            let ws_start = i;
-            while i < end && matches!(bytes[i], b' ' | b'\t' | b'\r' | b'\n') {
-                i += 1;
-            }
-            if i == end {
-                break;
-            }
-            if bytes[i] == b'/' {
-                if i + 1 != end {
-                    return Ok(false);
-                }
-                empty = true;
-                break;
-            }
-            if i == ws_start || !is_name_start(bytes[i]) {
-                // Attribute without preceding whitespace, or junk: the
-                // slow path reports the precise syntax error.
-                return Ok(false);
-            }
-            let an_start = i;
-            while i < end && is_name_char(bytes[i]) {
-                i += 1;
-            }
-            let attr_name =
-                intern_cached(&mut self.name_cache, &mut self.symbols, &tag[an_start..i]);
-            while i < end && matches!(bytes[i], b' ' | b'\t' | b'\r' | b'\n') {
-                i += 1;
-            }
-            if i >= end || bytes[i] != b'=' {
-                return Ok(false);
-            }
-            i += 1;
-            while i < end && matches!(bytes[i], b' ' | b'\t' | b'\r' | b'\n') {
-                i += 1;
-            }
-            if i >= end || !matches!(bytes[i], b'"' | b'\'') {
-                return Ok(false);
-            }
-            let quote = bytes[i];
-            i += 1;
-            let v_start = i;
-            // The closing quote is the only byte that matters: `<` and
-            // `&` were ruled out tag-wide above, and a quoted `>` cannot
-            // reach here because `end` already honours quote parity.
-            let Some(v_len) = crate::scan::find_byte(&bytes[v_start..end], quote) else {
-                return Ok(false);
-            };
-            i = v_start + v_len + 1;
-            ev.push_attr(attr_name)
-                .push_str(&tag[v_start..v_start + v_len]);
-            let (new, before) = ev.attributes().split_last().expect("attribute just pushed");
-            if before.iter().any(|a| a.name == new.name) {
-                return Ok(false);
-            }
-        }
-        self.scanner.consume(end + 1);
-        self.enter_element(name, "")?;
-        if empty {
-            self.pending_end = Some(name);
-        }
-        Ok(true)
-    }
-
-    /// The end-tag counterpart of [`ReaderCore::try_fast_start_tag`]:
-    /// validates `</name >` wholly from the window slice, then consumes
-    /// it in one span. Stack matching runs *after* the consume, mirroring
-    /// the slow path's order so mismatch errors carry identical positions.
-    fn try_fast_end_tag(&mut self, ev: &mut RawEvent) -> Result<bool> {
-        if self.config.max_symbols.is_some() {
-            return Ok(false);
-        }
-        let Some((end, dirty)) = self.locate_tag_end()? else {
-            return Ok(false);
-        };
-        if dirty {
-            return Ok(false);
-        }
-        let Ok(tag) = std::str::from_utf8(&self.scanner.window()[..end + 1]) else {
-            return Ok(false);
-        };
-        let bytes = tag.as_bytes();
-        debug_assert!(bytes.starts_with(b"</"));
-        let mut i = 2;
-        if i >= end || !is_name_start(bytes[i]) {
-            return Ok(false);
-        }
-        let name_start = i;
-        while i < end && is_name_char(bytes[i]) {
-            i += 1;
-        }
-        let name_end = i;
-        while i < end && matches!(bytes[i], b' ' | b'\t' | b'\r' | b'\n') {
-            i += 1;
-        }
-        if i != end {
-            return Ok(false);
-        }
-        // The overwhelmingly common end tag closes the innermost open
-        // element: a byte comparison against its known name replaces the
-        // hash lookup entirely. Anything else (mismatch, fragment close)
-        // interns normally.
-        let name = match self.stack.last() {
-            Some(&open) if self.symbols.name(open).as_bytes() == &bytes[name_start..name_end] => {
-                open
-            }
-            _ => self.symbols.intern(&tag[name_start..name_end]),
-        };
-        self.scanner.consume(end + 1);
-        match self.stack.last() {
-            Some(&open) if open == name => {
-                ev.reset(RawEventKind::EndElement);
-                ev.set_name(name);
-                self.leave_element();
-                Ok(true)
-            }
-            Some(&open) => {
-                let message = format!(
-                    "mismatched end tag: expected </{}>, found </{}>",
-                    self.symbols.name(open),
-                    self.symbols.name(name)
-                );
-                Err(self.wf(message))
-            }
-            None if self.config.fragment => {
-                // Closes an element opened before this fragment; the
-                // merger verifies the name against the previous shard.
-                ev.reset(RawEventKind::EndElement);
-                ev.set_name(name);
-                Ok(true)
-            }
-            None => {
-                let message = format!(
-                    "end tag </{}> with no open element",
-                    self.symbols.name(name)
-                );
-                Err(self.wf(message))
-            }
-        }
-    }
-
+    /// Parses the start tag at the current `<`. The tag is located first,
+    /// then one cursor walks it; nothing is consumed until it is accepted,
+    /// and every error carries the position of the byte it was found at
+    /// (the newline lane answers positions inside the tag). `dirty` off —
+    /// no `&` or `<` anywhere in the tag — lets attribute values go
+    /// straight into the event without an unescape probe.
     fn parse_start_tag(&mut self, ev: &mut RawEvent) -> Result<()> {
         if self.state == State::Epilog {
-            return Err(self.wf("multiple root elements"));
+            return Err(self.wf(0, "multiple root elements"));
         }
-        self.scanner.expect_byte(b'<', "`<`")?;
-        let name = self.intern_name("element name")?;
+        let (len, dirty) = self.locate_tag_end()?;
+        let tag = Tag {
+            window: self.scanner.window(),
+            len,
+            text: self.scanner.window_text(len),
+        };
+        match tag.at(1) {
+            None => return Err(self.eof(1, "element name")),
+            Some(b) if !is_name_start(b) => return Err(self.syntax(1, "invalid element name")),
+            Some(_) => {}
+        }
+        let mut i = tag.name_end(1);
+        let Some(element) = tag.str(1, i) else {
+            return Err(self.bad_utf8(i));
+        };
+        let max_symbols = self.config.max_symbols;
+        let key = tag.key(1, i);
+        let name = self
+            .names
+            .intern(&mut self.symbols, max_symbols, element, key);
         ev.reset(RawEventKind::StartElement);
         ev.set_name(name);
         if name == SymbolTable::OVERFLOW {
             // Bounded-interner overflow: the literal name rides in the
             // event's target buffer and on the overflow stack.
-            ev.target_mut().push_str(self.scratch_name());
+            ev.target_mut().push_str(element);
         }
-        loop {
-            let had_ws = self.scanner.skip_whitespace()? > 0;
-            match self.scanner.peek()? {
-                Some(b'>') => {
-                    self.scanner.next_byte()?;
-                    self.enter_element(name, ev.target())?;
-                    return Ok(());
-                }
-                Some(b'/') => {
-                    self.scanner.next_byte()?;
-                    self.scanner
-                        .expect_byte(b'>', "`>` after `/` in empty-element tag")?;
-                    self.enter_element(name, ev.target())?;
-                    self.pending_end = Some(name);
-                    return Ok(());
-                }
-                Some(b) if is_name_start(b) => {
-                    if !had_ws {
-                        return Err(self.syntax("whitespace required before attribute"));
+        let empty = loop {
+            let had_space = tag.at(i).is_some_and(is_space);
+            i = tag.space_end(i);
+            let Some(b) = tag.at(i) else {
+                return Err(self.eof(i, "`>` closing the start tag"));
+            };
+            match b {
+                b'>' => break false,
+                b'/' => match tag.at(i + 1) {
+                    Some(b'>') => {
+                        i += 1;
+                        break true;
                     }
-                    let attr_name = self.intern_name("attribute name")?;
-                    if attr_name == SymbolTable::OVERFLOW {
-                        // `scratch` is about to be reused for the value;
-                        // park the literal attribute name in `aux`.
-                        self.aux.clear();
-                        self.aux.extend_from_slice(&self.scratch);
+                    Some(_) => {
+                        return Err(
+                            self.syntax(i + 1, "expected `>` after `/` in empty-element tag")
+                        )
                     }
-                    self.scanner.skip_whitespace()?;
-                    self.scanner.expect_byte(b'=', "`=` after attribute name")?;
-                    self.scanner.skip_whitespace()?;
-                    self.read_attr_value_raw()?;
-                    let pos = self.scanner.position();
-                    let raw = std::str::from_utf8(&self.scratch)
-                        .map_err(|_| XmlError::InvalidUtf8 { pos })?;
-                    if raw.contains('<') {
-                        return Err(XmlError::WellFormedness {
-                            message: "`<` is not allowed in attribute values".to_string(),
-                            pos,
-                        });
+                    None => return Err(self.eof(i + 1, "`>` after `/` in empty-element tag")),
+                },
+                b if is_name_start(b) => {
+                    if !had_space {
+                        return Err(self.syntax(i, "whitespace required before attribute"));
+                    }
+                    let name_end = tag.name_end(i);
+                    let Some(attr) = tag.str(i, name_end) else {
+                        return Err(self.bad_utf8(name_end));
+                    };
+                    let key = tag.key(i, name_end);
+                    let attr_name = self.names.intern(&mut self.symbols, max_symbols, attr, key);
+                    i = tag.space_end(name_end);
+                    match tag.at(i) {
+                        Some(b'=') => i = tag.space_end(i + 1),
+                        Some(_) => return Err(self.syntax(i, "expected `=` after attribute name")),
+                        None => return Err(self.eof(i, "`=` after attribute name")),
+                    }
+                    let quote = match tag.at(i) {
+                        Some(q @ (b'"' | b'\'')) => q,
+                        Some(_) => return Err(self.syntax(i, "attribute value must be quoted")),
+                        None => return Err(self.eof(i, "attribute value")),
+                    };
+                    let value_start = i + 1;
+                    // Inside a located tag the probe's quote-parity walk
+                    // guarantees the closing quote; only a tag cut off by
+                    // end of input can lack it.
+                    let Some(value_len) = find_byte(&tag.window[value_start..len], quote) else {
+                        return Err(self.eof(len, "closing attribute quote"));
+                    };
+                    i = value_start + value_len + 1;
+                    let Some(raw) = tag.str(value_start, i - 1) else {
+                        return Err(self.bad_utf8(i));
+                    };
+                    if dirty && raw.contains('<') {
+                        return Err(self.wf(i, "`<` is not allowed in attribute values"));
                     }
                     let slot = if attr_name == SymbolTable::OVERFLOW {
-                        let parked = std::str::from_utf8(&self.aux)
-                            .map_err(|_| XmlError::InvalidUtf8 { pos })?;
-                        ev.push_attr_named(parked)
+                        ev.push_attr_named(attr)
                     } else {
                         ev.push_attr(attr_name)
                     };
-                    unescape_into(raw, pos, slot)?;
-                    let live = ev.attributes();
-                    let (new, before) = live.split_last().expect("attribute just pushed");
+                    match dirty {
+                        true => unescape_into(raw, self.scanner.position_at(i), slot)?,
+                        false => slot.push_str(raw),
+                    }
+                    let (new, before) =
+                        ev.attributes().split_last().expect("attribute just pushed");
                     let duplicate = before.iter().any(|a| {
                         a.name == new.name
                             && (new.name != SymbolTable::OVERFLOW
                                 || a.overflow_name == new.overflow_name)
                     });
                     if duplicate {
-                        let rendered = new.name_str(&self.symbols).to_string();
-                        return Err(self.wf(format!("duplicate attribute `{rendered}`")));
+                        return Err(self.wf(i, format!("duplicate attribute `{attr}`")));
                     }
                 }
-                Some(_) => return Err(self.syntax("malformed start tag")),
-                None => {
-                    return Err(XmlError::UnexpectedEof {
-                        expected: "`>` closing the start tag",
-                        pos: self.scanner.position(),
-                    })
-                }
-            }
-        }
-    }
-
-    /// Reads a quoted attribute value's raw (still-escaped) bytes into
-    /// `self.scratch`, consuming both quotes.
-    fn read_attr_value_raw(&mut self) -> Result<()> {
-        let quote = match self.scanner.peek()? {
-            Some(q @ (b'"' | b'\'')) => q,
-            Some(_) => return Err(self.syntax("attribute value must be quoted")),
-            None => {
-                return Err(XmlError::UnexpectedEof {
-                    expected: "attribute value",
-                    pos: self.scanner.position(),
-                })
+                _ => return Err(self.syntax(i, "malformed start tag")),
             }
         };
-        self.scanner.next_byte()?;
-        self.scratch.clear();
-        let delim = [quote];
-        self.scanner
-            .read_until(&delim, &mut self.scratch, "closing attribute quote")
+        self.scanner.consume(i + 1);
+        self.enter_element(name, ev.target())?;
+        if empty {
+            self.pending_end = Some(name);
+        }
+        Ok(())
     }
 
+    /// Parses the end tag at the current `<`, one cursor over the located
+    /// tag like [`ReaderCore::parse_start_tag`]. The overwhelmingly common
+    /// end tag closes the innermost open element: a byte comparison
+    /// against its known name replaces interning (and the UTF-8 check —
+    /// the open name is valid) entirely.
     fn parse_end_tag(&mut self, ev: &mut RawEvent) -> Result<()> {
-        self.scanner.expect_str(b"</", "end tag")?;
-        let name = self.intern_name("element name in end tag")?;
-        self.scanner.skip_whitespace()?;
-        self.scanner.expect_byte(b'>', "`>` closing the end tag")?;
-        let matches_open = match self.stack.last() {
-            // Two overflow names match only if the literal names agree.
-            Some(&open) if open == name => {
-                name != SymbolTable::OVERFLOW
-                    || self.overflow_stack.last().map(String::as_str) == Some(self.scratch_name())
+        let (len, _) = self.locate_tag_end()?;
+        // The open element's name is matched by key; only another name is
+        // read as `&str` (checked: this is the rare path).
+        let tag = Tag {
+            window: self.scanner.window(),
+            len,
+            text: None,
+        };
+        match tag.at(2) {
+            None => return Err(self.eof(2, "element name in end tag")),
+            Some(b) if !is_name_start(b) => {
+                return Err(self.syntax(2, "invalid element name in end tag"))
             }
-            Some(_) => false,
+            Some(_) => {}
+        }
+        let name_end = tag.name_end(2);
+        let literal = &tag.window[2..name_end];
+        let key = tag.key(2, name_end);
+        let open = self.stack.last().copied();
+        let closes_open = match open {
+            Some(SymbolTable::OVERFLOW) => self
+                .overflow_stack
+                .last()
+                .is_some_and(|name| name.as_bytes() == literal),
+            Some(open) => {
+                self.names.is(open, key, literal.len())
+                    || self.symbols.name(open).as_bytes() == literal
+            }
+            None => false,
+        };
+        // Anything but the open element's name is interned as written.
+        let (name, found) = match open {
+            Some(open) if closes_open => (open, ""),
+            _ => {
+                let Some(found) = tag.str(2, name_end) else {
+                    return Err(self.bad_utf8(name_end));
+                };
+                let max = self.config.max_symbols;
+                let name = self.names.intern(&mut self.symbols, max, found, key);
+                (name, found)
+            }
+        };
+        let gt = tag.space_end(name_end);
+        match tag.at(gt) {
+            Some(b'>') => {}
+            Some(_) => return Err(self.syntax(gt, "expected `>` closing the end tag")),
+            None => return Err(self.eof(gt, "`>` closing the end tag")),
+        }
+        match open {
+            Some(open) if closes_open => {
+                ev.reset(RawEventKind::EndElement);
+                ev.set_name(open);
+                if open == SymbolTable::OVERFLOW {
+                    ev.target_mut()
+                        .push_str(self.overflow_stack.last().expect("overflow name on stack"));
+                }
+            }
+            Some(open) => {
+                let open_name = if open == SymbolTable::OVERFLOW {
+                    self.overflow_stack.last().expect("overflow name on stack")
+                } else {
+                    self.symbols.name(open)
+                };
+                return Err(self.wf(
+                    gt + 1,
+                    format!("mismatched end tag: expected </{open_name}>, found </{found}>"),
+                ));
+            }
             None if self.config.fragment => {
                 // Closes an element opened before this fragment; the merger
                 // verifies the name against the previous shard's stack.
                 ev.reset(RawEventKind::EndElement);
                 ev.set_name(name);
                 if name == SymbolTable::OVERFLOW {
-                    ev.target_mut().push_str(self.scratch_name());
+                    ev.target_mut().push_str(found);
                 }
-                return Ok(());
             }
-            None => {
-                return Err(self.wf(format!(
-                    "end tag </{}> with no open element",
-                    self.scratch_name()
-                )))
-            }
-        };
-        if !matches_open {
-            let open = *self.stack.last().expect("checked above");
-            let open_name = if open == SymbolTable::OVERFLOW {
-                self.overflow_stack.last().expect("overflow name on stack")
-            } else {
-                self.symbols.name(open)
-            };
-            return Err(self.wf(format!(
-                "mismatched end tag: expected </{}>, found </{}>",
-                open_name,
-                self.scratch_name()
-            )));
+            None => return Err(self.wf(gt + 1, format!("end tag </{found}> with no open element"))),
         }
-        ev.reset(RawEventKind::EndElement);
-        ev.set_name(name);
-        if name == SymbolTable::OVERFLOW {
-            ev.target_mut().push_str(self.scratch_name());
+        self.scanner.consume(gt + 1);
+        if closes_open {
+            self.leave_element();
         }
-        self.leave_element();
         Ok(())
     }
 
+    #[inline(always)]
     fn enter_element(&mut self, name: Symbol, overflow_name: &str) -> Result<()> {
         if self.stack.len() >= self.config.max_depth {
-            return Err(self.wf(format!(
-                "element nesting deeper than the configured limit of {}",
-                self.config.max_depth
-            )));
+            return Err(self.wf(
+                0,
+                format!(
+                    "element nesting deeper than the configured limit of {}",
+                    self.config.max_depth
+                ),
+            ));
         }
         if self.state == State::Prolog {
             self.state = State::InRoot;
@@ -1110,6 +1086,7 @@ impl<R: Read> ReaderCore<R> {
         Ok(())
     }
 
+    #[inline(always)]
     fn leave_element(&mut self) {
         if self.stack.pop() == Some(SymbolTable::OVERFLOW) {
             let mut owned = self.overflow_stack.pop().expect("overflow name on stack");
@@ -1130,38 +1107,33 @@ impl<R: Read> ReaderCore<R> {
     /// no CDATA merging is **not copied**: its window range lands in
     /// `self.borrowed_text` and `ev`'s text stays empty.
     /// [`XmlReader::view`] serves the bytes in place.
+    #[inline(always)]
     fn parse_text(&mut self, ev: &mut RawEvent) -> Result<()> {
         ev.reset(RawEventKind::Text);
-        let run_start_abs = self.scanner.position().offset;
         // Lookahead 9 = b"<![CDATA[".len(): the CDATA probe below must
         // not refill (a refill would move the borrowed bytes).
         if let Some(range) = self.scanner.borrow_run(b'<', 9)? {
-            let pos = self.scanner.position();
-            // The prescan's `&` lane answers the reference probe
-            // without re-reading the run (UTF-8 still needs one pass).
-            let has_references = self.scanner.amp_between(run_start_abs, pos.offset);
-            std::str::from_utf8(self.scanner.borrowed(range))
-                .map_err(|_| XmlError::InvalidUtf8 { pos })?;
-            if has_references {
+            // Below the watermark the run is `&str` without a pass over
+            // it, and the prescan's `&` lane answers the reference probe.
+            let Some(raw) = self.scanner.text(range) else {
+                return Err(self.bad_utf8(0));
+            };
+            let next = self.scanner.window();
+            // One byte rejects CDATA for nearly every run: `<!` is rare.
+            let cdata_follows = next.get(1) == Some(&b'!') && next.starts_with(b"<![CDATA[");
+            if self.scanner.amp_in(range) {
                 // Entity references force materialisation; unescape
                 // into the recycled buffer and continue the owned loop
                 // (more segments may follow).
                 self.tel.entity_unescapes += 1;
                 ev.set_text_synthetic(true);
-                let raw =
-                    std::str::from_utf8(self.scanner.borrowed(range)).expect("validated above");
-                unescape_into(raw, pos, ev.text_mut())?;
-            } else if self.scanner.looking_at(b"<![CDATA[")? {
+                unescape_into(raw, self.scanner.position(), ev.text_mut())?;
+            } else if cdata_follows {
                 // A CDATA section merges into this run: spill the
                 // borrowed prefix and continue the owned loop.
-                let raw =
-                    std::str::from_utf8(self.scanner.borrowed(range)).expect("validated above");
                 ev.text_mut().push_str(raw);
-            } else if self.scanner.peek()?.is_none() && !self.config.fragment {
-                return Err(XmlError::UnexpectedEof {
-                    expected: "closing tags for open elements",
-                    pos: self.scanner.position(),
-                });
+            } else if next.is_empty() && !self.config.fragment {
+                return Err(self.eof(0, "closing tags for open elements"));
             } else {
                 // The common case: a literal text run delivered as a
                 // borrowed slice of the scanner window.
@@ -1177,9 +1149,7 @@ impl<R: Read> ReaderCore<R> {
                         self.aux.clear();
                         self.scanner
                             .read_until(b"]]>", &mut self.aux, "`]]>` ending CDATA")?;
-                        let pos = self.scanner.position();
-                        let chunk = std::str::from_utf8(&self.aux)
-                            .map_err(|_| XmlError::InvalidUtf8 { pos })?;
+                        let chunk = self.checked(&self.aux)?;
                         ev.text_mut().push_str(chunk);
                         ev.set_text_synthetic(true);
                     } else {
@@ -1189,15 +1159,13 @@ impl<R: Read> ReaderCore<R> {
                 Some(_) => {
                     self.scratch.clear();
                     self.scanner.read_until_byte(b'<', &mut self.scratch)?;
-                    let pos = self.scanner.position();
-                    let raw = std::str::from_utf8(&self.scratch)
-                        .map_err(|_| XmlError::InvalidUtf8 { pos })?;
+                    let raw = self.checked(&self.scratch)?;
                     self.tel.copied_text_runs += 1;
                     if raw.contains('&') {
                         self.tel.entity_unescapes += 1;
                         ev.set_text_synthetic(true);
                     }
-                    unescape_into(raw, pos, ev.text_mut())?;
+                    unescape_into(raw, self.scanner.position(), ev.text_mut())?;
                 }
                 None => {
                     if self.config.fragment {
@@ -1206,10 +1174,7 @@ impl<R: Read> ReaderCore<R> {
                         // complete: deliver it.
                         return Ok(());
                     }
-                    return Err(XmlError::UnexpectedEof {
-                        expected: "closing tags for open elements",
-                        pos: self.scanner.position(),
-                    });
+                    return Err(self.eof(0, "closing tags for open elements"));
                 }
             }
         }

@@ -4,68 +4,60 @@
 //! reader never materialises the whole input — memory use is bounded by the
 //! longest single token (tag, text run, comment), not by document size.
 //!
-//! Every byte entering the window is swept **once** by the vectorised
-//! structural prescan ([`crate::simd`]) as it is read from the source; the
-//! resulting [`StructuralIndex`] then powers phase two: text runs hop
-//! straight to the next indexed `<`, tag ends are located by walking `>`
-//! candidates against quote parity ([`Scanner::probe_tag`]), escape
-//! probes consult the `&` lane, and line/column accounting folds into the
-//! newline lane instead of re-counting consumed spans. Index lanes store
-//! **absolute input offsets**, so window compaction never invalidates them.
+//! Every byte entering the window passes phase one **once**, as it is read
+//! from the source ([`IndexedBuffer`]): the vectorised structural prescan
+//! records it in per-64-byte bitmaps and the UTF-8 check advances the
+//! watermark. The scanner is then a byte cursor over that window that
+//! never re-checks anything: text runs hop to the next indexed `<`
+//! (`tzcnt`), tag ends are located by walking `>` candidates against quote
+//! parity ([`Scanner::probe_tag`]), escape probes consult the `&` lane,
+//! line/column accounting is a `popcnt` over the newline lane, and
+//! payloads below the watermark come back as `&str` without a pass over
+//! them ([`Scanner::text`]).
 
 use crate::error::{Position, Result, XmlError};
-use crate::input::{BudgetCharge, BudgetKind, MemoryBudget, MIN_WINDOW};
+use crate::input::{BudgetKind, MemoryBudget, MIN_WINDOW};
 use crate::scan::{find_byte, find_subslice};
-use crate::simd::{self, StructuralIndex};
+use crate::simd::buffer::IndexedBuffer;
 use flux_telemetry::ScanCounters;
+use std::cell::Cell;
 use std::io::Read;
 use std::sync::Arc;
 
-/// What [`Scanner::probe_tag`] learned about the markup construct at the
-/// window head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TagProbe {
-    /// The closing `>` is not determinable within the buffered window
-    /// (tag spans the window edge, or a quoted value is unterminated so
-    /// far) — grow the window and retry.
-    NeedMore,
-    /// The closing `>` sits `rel_end` bytes past the window head. `dirty`
-    /// flags content the fast tag path must hand to the byte-at-a-time
-    /// parser: a stray `<` or any `&` strictly inside the tag.
-    Found { rel_end: usize, dirty: bool },
+/// Lazy line/column accounting: consuming only moves the cursor, and a
+/// position asked for is `anchor`'s advanced by a `popcnt` over the newline
+/// lane. The anchor then moves up (each byte is counted once), and always
+/// before a refill discards the bitmap under it.
+#[derive(Clone, Copy)]
+struct Lines {
+    /// A buffer index at or before the cursor, and its exact position.
+    anchor: usize,
+    at_anchor: Position,
+    /// The buffer index [`Scanner::mark`] remembered, and its position
+    /// once the anchor has moved past it.
+    mark: usize,
+    at_mark: Option<Position>,
 }
 
 /// Incremental scanner with single-byte and small-slice lookahead.
 pub struct Scanner<R: Read> {
     src: R,
-    buf: Vec<u8>,
+    /// Buffered input, indexed and validated as it arrived; the window is
+    /// its suffix from `start`.
+    buf: IndexedBuffer,
     start: usize,
-    end: usize,
     eof: bool,
-    offset: u64,
-    line: u32,
-    column: u32,
-    /// Structural positions of every byte read so far (absolute offsets;
-    /// entries behind `offset` are pruned as the window compacts).
-    index: StructuralIndex,
+    /// Line/column bookkeeping, done only when a position is asked for.
+    lines: Cell<Lines>,
     /// Refill/prescan counters.
     tel: ScanCounters,
     /// Configured window size: the refill granularity and the initial
     /// buffer capacity. The buffer still grows past it when one token is
     /// longer than the window — the growth is charged to the budget.
     window: usize,
-    /// Live charge for `buf`'s capacity against the attached budget.
-    charge: Option<BudgetCharge>,
 }
 
 impl<R: Read> Scanner<R> {
-    /// Default-window scanner without budget accounting (test convenience;
-    /// production callers thread the window through [`Scanner::with_window`]).
-    #[cfg(test)]
-    pub fn new(src: R) -> Self {
-        Scanner::with_window(src, crate::input::DEFAULT_WINDOW, None)
-    }
-
     /// A scanner with an explicit window size, optionally charging its
     /// buffer against `budget` for the scanner's lifetime.
     pub fn with_window(src: R, window: usize, budget: Option<Arc<MemoryBudget>>) -> Self {
@@ -73,17 +65,21 @@ impl<R: Read> Scanner<R> {
         let charge = budget.map(|b| b.charge(BudgetKind::Window, window as u64));
         Scanner {
             src,
-            buf: vec![0; window],
+            buf: IndexedBuffer::new(window, charge),
             start: 0,
-            end: 0,
             eof: false,
-            offset: 0,
-            line: 1,
-            column: 1,
-            index: StructuralIndex::new(),
+            lines: Cell::new(Lines {
+                anchor: 0,
+                at_anchor: Position {
+                    offset: 0,
+                    line: 1,
+                    column: 1,
+                },
+                mark: 0,
+                at_mark: None,
+            }),
             tel: ScanCounters::default(),
             window,
-            charge,
         }
     }
 
@@ -92,70 +88,106 @@ impl<R: Read> Scanner<R> {
         self.window
     }
 
-    /// Keeps the budget charge in sync with `buf`'s current size.
-    fn recharge(&mut self) {
-        if let Some(charge) = &mut self.charge {
-            charge.grow_to(self.buf.len() as u64);
-        }
-    }
-
     /// A copy of this scanner's refill/prescan counters.
     pub(crate) fn telemetry(&self) -> ScanCounters {
         self.tel
     }
 
-    /// Current position (next unread byte).
-    pub fn position(&self) -> Position {
-        Position {
-            offset: self.offset,
-            line: self.line,
-            column: self.column,
-        }
+    /// Bytes validated as UTF-8 so far: every byte read, once.
+    pub(crate) fn utf8_validated_bytes(&self) -> u64 {
+        self.buf.validated_bytes()
     }
 
+    /// The position of buffer index `at` (at or after the anchor): the
+    /// newline lane answers the line/column arithmetic.
+    fn position_of(&self, lines: &Lines, at: usize) -> Position {
+        let (newlines, last) = self.buf.index().nl.count_in(lines.anchor, at);
+        lines.at_anchor.advanced(
+            at - lines.anchor,
+            newlines,
+            last.map(|nl| nl - lines.anchor),
+        )
+    }
+
+    /// Current position (next unread byte). Moves the anchor up to the
+    /// cursor, first settling the mark if the anchor passes it.
+    pub fn position(&self) -> Position {
+        let mut lines = self.lines.get();
+        if lines.at_mark.is_none() && lines.mark < self.start {
+            lines.at_mark = Some(self.position_of(&lines, lines.mark));
+        }
+        lines.at_anchor = self.position_of(&lines, self.start);
+        lines.anchor = self.start;
+        self.lines.set(lines);
+        lines.at_anchor
+    }
+
+    /// The position `rel` window bytes ahead, without consuming them.
+    pub fn position_at(&self, rel: usize) -> Position {
+        self.position_of(&self.lines.get(), self.start + rel)
+    }
+
+    /// Remembers the cursor; [`Scanner::marked_position`] answers its
+    /// position later. The reader marks every event's first byte, so the
+    /// line/column of an event start costs nothing until someone asks.
+    #[inline(always)]
+    pub fn mark(&mut self) {
+        let lines = self.lines.get_mut();
+        lines.mark = self.start;
+        lines.at_mark = None;
+    }
+
+    /// The position of the last [`Scanner::mark`].
+    pub fn marked_position(&self) -> Position {
+        let lines = self.lines.get();
+        lines
+            .at_mark
+            .unwrap_or_else(|| self.position_of(&lines, lines.mark))
+    }
+
+    #[inline]
     fn available(&self) -> usize {
-        self.end - self.start
+        self.buf.bytes().len() - self.start
     }
 
     /// Ensures at least `n` unread bytes are buffered, or EOF was reached.
+    #[inline(always)]
     fn fill(&mut self, n: usize) -> Result<()> {
         if self.available() >= n || self.eof {
             return Ok(());
         }
-        // Compact the consumed prefix away. Index lanes hold absolute
-        // offsets, so compaction only prunes entries behind the current
-        // position — it never remaps anything.
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-            self.index.drop_before(self.offset);
-            self.index.release_consumed();
+        self.refill(n)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self, n: usize) -> Result<()> {
+        // Drop the consumed prefix; the index shifts along with the bytes.
+        // Positions are settled first: the anchor moves to the cursor (and
+        // past the mark), so no index below it is needed any more.
+        self.position();
+        let dropped = self.buf.discard(self.start);
+        self.start -= dropped;
+        let lines = self.lines.get_mut();
+        lines.anchor -= dropped;
+        if lines.at_mark.is_none() {
+            lines.mark -= dropped;
         }
-        if self.buf.len() < n {
-            self.buf.resize(n.max(self.window), 0);
-            self.recharge();
+        if self.buf.capacity() < self.start + n {
+            self.buf.grow((self.start + n).max(self.window));
         }
         while self.available() < n && !self.eof {
-            if self.end == self.buf.len() {
-                self.buf.resize(self.buf.len() * 2, 0);
-                self.recharge();
+            if self.buf.bytes().len() == self.buf.capacity() {
+                self.buf.grow(self.buf.capacity() * 2);
             }
-            let read = self.src.read(&mut self.buf[self.end..])?;
+            // Phase one runs inside the read: everything buffered is
+            // always indexed and validated.
+            let read = self.buf.fill_from(&mut self.src)?;
             if read == 0 {
                 self.eof = true;
             } else {
-                // Phase one: prescan the bytes exactly once, as they
-                // arrive. Everything buffered is therefore always indexed.
-                let base_abs = self.offset + (self.end - self.start) as u64;
-                simd::prescan_into(
-                    &self.buf[self.end..self.end + read],
-                    base_abs,
-                    &mut self.index,
-                );
                 self.tel.refills += 1;
                 self.tel.prescan_bytes += read as u64;
-                self.end += read;
             }
         }
         Ok(())
@@ -164,18 +196,15 @@ impl<R: Read> Scanner<R> {
     /// Next byte without consuming it.
     pub fn peek(&mut self) -> Result<Option<u8>> {
         self.fill(1)?;
-        Ok(if self.available() == 0 {
-            None
-        } else {
-            Some(self.buf[self.start])
-        })
+        Ok(self.window().first().copied())
     }
 
     /// Up to `n` upcoming bytes without consuming them (shorter at EOF).
+    #[inline]
     pub fn peek_slice(&mut self, n: usize) -> Result<&[u8]> {
         self.fill(n)?;
-        let len = self.available().min(n);
-        Ok(&self.buf[self.start..self.start + len])
+        let window = self.window();
+        Ok(&window[..n.min(window.len())])
     }
 
     /// True if the upcoming bytes start with `s` (without consuming).
@@ -183,39 +212,11 @@ impl<R: Read> Scanner<R> {
         Ok(self.peek_slice(s.len())? == s)
     }
 
-    fn advance_position(&mut self, b: u8) {
-        self.offset += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-    }
-
-    /// Position bookkeeping for a whole consumed run `buf[from..to]` at
-    /// once: the prescan's newline lane already knows every `\n` in the
-    /// span, so this re-reads nothing — it drains the lane entries the
-    /// span covers. (Newlines consumed byte-at-a-time leave stale entries
-    /// behind; `take_range` drops those silently below `from`.)
-    fn advance_span(&mut self, from: usize, to: usize) {
-        debug_assert_eq!(from, self.start, "spans are consumed from the window head");
-        let from_abs = self.offset;
-        let to_abs = from_abs + (to - from) as u64;
-        let (newlines, last) = self.index.nl.take_range(from_abs, to_abs);
-        if let Some(last) = last {
-            self.line += newlines as u32;
-            self.column = (to_abs - last) as u32;
-        } else {
-            self.column += (to - from) as u32;
-        }
-        self.offset = to_abs;
-    }
-
     /// The buffered, unconsumed window. Every byte in it has already been
-    /// prescanned into the structural index.
+    /// indexed and, up to the watermark, validated.
+    #[inline]
     pub fn window(&self) -> &[u8] {
-        &self.buf[self.start..self.end]
+        &self.buf.bytes()[self.start..]
     }
 
     /// Grows the window by at least one byte; `false` when the source has
@@ -229,93 +230,67 @@ impl<R: Read> Scanner<R> {
         Ok(self.available() > before)
     }
 
-    /// Consumes `n` window bytes as one span. Newline accounting comes
-    /// from the prescan's lane — no byte is re-inspected.
+    /// Consumes `n` window bytes as one span: a cursor move. Newline
+    /// accounting happens when a position is asked for, from the
+    /// prescan's lane — no byte is re-inspected.
+    #[inline(always)]
     pub fn consume(&mut self, n: usize) {
         debug_assert!(n <= self.available());
-        self.advance_span(self.start, self.start + n);
         self.start += n;
     }
 
-    /// Whether any `&` was indexed in the absolute range `[from, to)`:
-    /// the reader's escape probe for just-consumed text runs. Call before
-    /// anything that could refill — compaction prunes entries behind the
-    /// current offset.
-    pub fn amp_between(&mut self, from_abs: u64, to_abs: u64) -> bool {
-        self.index.amp.drop_before(from_abs);
-        matches!(self.index.amp.peek(), Some(abs) if abs < to_abs)
+    /// Whether any `&` was indexed in the buffer range `range` — the
+    /// reader's escape probe for a just-consumed borrowed run.
+    #[inline]
+    pub fn amp_in(&self, range: (usize, usize)) -> bool {
+        self.buf.index().amp.next_in(range.0, range.1).is_some()
     }
 
     /// Probes the markup construct starting at the current `<` using only
     /// the structural index: locates the closing `>` by walking the `>`
     /// lane against quote parity (a `>` inside a quoted attribute value
-    /// is not a tag end), and flags content the fast tag path must not
-    /// handle. Read-only: nothing is consumed, so the caller can refill
-    /// and retry, or fall back to the byte-at-a-time path, with identical
-    /// scanner state.
-    pub fn probe_tag(&mut self) -> TagProbe {
+    /// is not a tag end). Returns its offset in the window and whether a
+    /// stray `<` or any `&` sits strictly inside the tag; `None` when the
+    /// end is not within the buffered window (the tag spans the window
+    /// edge, or a quoted value is unterminated so far). Read-only, so the
+    /// caller can refill and retry.
+    #[inline(always)]
+    pub fn probe_tag(&self) -> Option<(usize, bool)> {
         debug_assert_eq!(self.window().first(), Some(&b'<'));
-        self.index.gt.drop_before(self.offset);
-        self.index.quote.drop_before(self.offset);
-        let mut gts = self.index.gt.cursor();
-        let mut quotes = self.index.quote.cursor();
-        let mut from = self.offset + 1;
-        let Some(mut candidate) = gts.next_at_or_after(from) else {
-            return TagProbe::NeedMore;
-        };
-        let gt = loop {
-            match quotes.next_at_or_after(from) {
-                Some(q) if q < candidate => {
-                    // A value opens before this `>` candidate: skip to the
-                    // matching close quote (the next quote of the same
-                    // kind — the other kind is literal inside the value).
-                    let open = self.buf[self.start + (q - self.offset) as usize];
-                    loop {
-                        let Some(q2) = quotes.next() else {
-                            return TagProbe::NeedMore;
-                        };
-                        if self.buf[self.start + (q2 - self.offset) as usize] == open {
-                            from = q2 + 1;
-                            break;
-                        }
-                    }
-                    // Only when the value swallowed the candidate (a
-                    // quoted `>`) does the search move to the next one;
-                    // otherwise the same candidate stands and the loop
-                    // re-checks it against the remaining quotes.
-                    if from > candidate {
-                        let Some(next) = gts.next_at_or_after(from) else {
-                            return TagProbe::NeedMore;
-                        };
-                        candidate = next;
-                    }
+        let (idx, bytes) = (self.buf.index(), self.buf.bytes());
+        let (head, end) = (self.start, bytes.len());
+        let mut from = head + 1;
+        let mut gt = idx.gt.next_in(from, end)?;
+        while let Some(open) = idx.quote.next_in(from, gt) {
+            // A value opens before this `>` candidate: skip to the matching
+            // close quote (the next quote of the same kind — the other
+            // kind is literal inside the value). Only when the value
+            // swallowed the candidate (a quoted `>`) does the search move
+            // on to the next one.
+            let mut close = open;
+            loop {
+                close = idx.quote.next_in(close + 1, end)?;
+                if bytes[close] == bytes[open] {
+                    break;
                 }
-                _ => break candidate,
             }
-        };
-        // Dirty content — a stray `<` (a well-formedness error) or any
-        // `&` (a value needing unescaping) — is answered by the lanes
-        // without touching a tag byte.
-        self.index.lt.drop_before(self.offset + 1);
-        self.index.amp.drop_before(self.offset + 1);
-        let dirty = matches!(self.index.lt.peek(), Some(p) if p < gt)
-            || matches!(self.index.amp.peek(), Some(p) if p < gt);
-        TagProbe::Found {
-            rel_end: (gt - self.offset) as usize,
-            dirty,
+            from = close + 1;
+            if from > gt {
+                gt = idx.gt.next_in(from, end)?;
+            }
         }
+        let dirty =
+            idx.lt.next_in(head + 1, gt).is_some() || idx.amp.next_in(head + 1, gt).is_some();
+        Some((gt - head, dirty))
     }
 
     /// Consumes and returns the next byte.
     pub fn next_byte(&mut self) -> Result<Option<u8>> {
-        self.fill(1)?;
-        if self.available() == 0 {
-            return Ok(None);
+        let b = self.peek()?;
+        if b.is_some() {
+            self.start += 1;
         }
-        let b = self.buf[self.start];
-        self.start += 1;
-        self.advance_position(b);
-        Ok(Some(b))
+        Ok(b)
     }
 
     /// Consumes `s`, which must be the upcoming input (checked with
@@ -334,28 +309,8 @@ impl<R: Read> Scanner<R> {
                 pos,
             });
         }
-        for _ in 0..s.len() {
-            self.next_byte()?;
-        }
+        self.consume(s.len());
         Ok(())
-    }
-
-    /// Consumes a single expected byte.
-    pub fn expect_byte(&mut self, b: u8, what: &'static str) -> Result<()> {
-        match self.peek()? {
-            Some(got) if got == b => {
-                self.next_byte()?;
-                Ok(())
-            }
-            Some(_) => Err(XmlError::Syntax {
-                message: format!("expected {what}"),
-                pos: self.position(),
-            }),
-            None => Err(XmlError::UnexpectedEof {
-                expected: what,
-                pos: self.position(),
-            }),
-        }
     }
 
     /// Skips XML whitespace; returns how many bytes were skipped.
@@ -380,23 +335,15 @@ impl<R: Read> Scanner<R> {
     ) -> Result<()> {
         loop {
             self.fill(1)?;
-            if self.available() == 0 {
+            let window = self.window();
+            if window.is_empty() {
                 return Ok(());
             }
-            // Scan the buffered window directly for speed.
-            let window_len = self.end - self.start;
-            let mut taken = 0;
-            for i in self.start..self.end {
-                if pred(self.buf[i]) {
-                    taken += 1;
-                } else {
-                    break;
-                }
-            }
-            out.extend_from_slice(&self.buf[self.start..self.start + taken]);
-            self.advance_span(self.start, self.start + taken);
-            self.start += taken;
-            if taken < window_len || self.eof && self.available() == 0 {
+            let taken = window.iter().take_while(|&&b| pred(b)).count();
+            let whole = taken == window.len();
+            out.extend_from_slice(&window[..taken]);
+            self.consume(taken);
+            if !whole || self.eof && self.available() == 0 {
                 return Ok(());
             }
         }
@@ -406,70 +353,72 @@ impl<R: Read> Scanner<R> {
     /// **without copying**: when the run ends inside the currently
     /// buffered window and at least `lookahead` bytes beyond the stop are
     /// already buffered (or EOF was reached), the run is consumed and its
-    /// absolute range in the buffer is returned. The range stays valid as
-    /// long as no method refills or compacts the buffer — peeks of up to
+    /// range in the buffer is returned. The range stays valid as long as
+    /// no method refills or compacts the buffer — peeks of up to
     /// `lookahead` bytes are guaranteed not to.
     ///
     /// Returns `None` without consuming anything when the run may cross a
     /// refill boundary; the caller falls back to the copying
     /// [`Scanner::read_until_byte`].
+    #[inline]
     pub fn borrow_run(&mut self, stop: u8, lookahead: usize) -> Result<Option<(usize, usize)>> {
         self.fill(1)?;
         let taken = match self.find_in_window(stop) {
             // The stop byte and `lookahead` bytes of context are buffered:
             // peeks after the run cannot trigger a refill.
-            Some(i) if self.end - (self.start + i) >= lookahead || self.eof => i,
+            Some(i) if self.available() - i >= lookahead || self.eof => i,
             // No stop byte, but EOF: the window is the whole rest.
             None if self.eof => self.available(),
             _ => return Ok(None),
         };
         let range = (self.start, self.start + taken);
-        self.advance_span(range.0, range.1);
-        self.start += taken;
+        self.consume(taken);
         Ok(Some(range))
     }
 
-    /// Index, relative to the window start, of the next `stop` byte:
-    /// answered by the structural lane when `stop` has a dedicated one
-    /// (a cursor hop instead of a byte search), SWAR otherwise. The
-    /// merged quote lane is deliberately excluded — it cannot tell `"`
-    /// from `'` without a byte check.
-    fn find_in_window(&mut self, stop: u8) -> Option<usize> {
-        let lane = match stop {
-            b'<' => &mut self.index.lt,
-            b'>' => &mut self.index.gt,
-            b'&' => &mut self.index.amp,
-            b'\n' => &mut self.index.nl,
-            _ => return find_byte(&self.buf[self.start..self.end], stop),
-        };
-        let end_abs = self.offset + (self.end - self.start) as u64;
-        match lane.next_at_or_after(self.offset) {
-            Some(abs) if abs < end_abs => Some((abs - self.offset) as usize),
-            _ => None,
+    /// Index, relative to the window start, of the next `stop` byte: a
+    /// `tzcnt` hop through the `<` lane, a SWAR search for other bytes.
+    #[inline]
+    fn find_in_window(&self, stop: u8) -> Option<usize> {
+        match stop {
+            b'<' => {
+                let end = self.buf.bytes().len();
+                let at = self.buf.index().lt.next_in(self.start, end)?;
+                Some(at - self.start)
+            }
+            _ => find_byte(self.window(), stop),
         }
     }
 
-    /// The bytes behind a range returned by [`Scanner::borrow_run`].
-    pub fn borrowed(&self, range: (usize, usize)) -> &[u8] {
-        &self.buf[range.0..range.1]
+    /// The buffer range `range` (from [`Scanner::borrow_run`]) as `&str`,
+    /// or `None` if it is not UTF-8. Below the UTF-8 watermark this costs
+    /// no pass over the bytes: validation happened at refill.
+    #[inline]
+    pub fn text(&self, range: (usize, usize)) -> Option<&str> {
+        self.buf.str(range.0..range.1)
+    }
+
+    /// `len` window bytes as `&str`, or `None` if they are not UTF-8 —
+    /// [`Scanner::text`] for a window prefix.
+    #[inline]
+    pub fn window_text(&self, len: usize) -> Option<&str> {
+        self.text((self.start, self.start + len))
     }
 
     /// Consumes bytes up to (not including) the next occurrence of `stop`,
-    /// appending them to `out`. The indexed fast path for text runs:
-    /// equivalent to `read_while(|b| b != stop, out)`, but the stop search
-    /// is a lane-cursor hop and the newline accounting a lane drain — no
-    /// consumed byte is inspected twice.
+    /// appending them to `out`. The copying fallback for text runs that
+    /// cross a refill: equivalent to `read_while(|b| b != stop, out)`, but
+    /// the stop search is a lane hop — no consumed byte is inspected twice.
     pub fn read_until_byte(&mut self, stop: u8, out: &mut Vec<u8>) -> Result<()> {
         loop {
             self.fill(1)?;
-            if self.available() == 0 {
+            let window_len = self.available();
+            if window_len == 0 {
                 return Ok(());
             }
-            let window_len = self.end - self.start;
             let taken = self.find_in_window(stop).unwrap_or(window_len);
-            out.extend_from_slice(&self.buf[self.start..self.start + taken]);
-            self.advance_span(self.start, self.start + taken);
-            self.start += taken;
+            out.extend_from_slice(&self.window()[..taken]);
+            self.consume(taken);
             if taken < window_len || self.eof && self.available() == 0 {
                 return Ok(());
             }
@@ -493,22 +442,19 @@ impl<R: Read> Scanner<R> {
                     pos: self.position(),
                 });
             }
-            let window = &self.buf[self.start..self.end];
+            let window = self.window();
             match find_subslice(window, delim) {
                 Some(at) => {
-                    out.extend_from_slice(&self.buf[self.start..self.start + at]);
-                    self.advance_span(self.start, self.start + at + delim.len());
-                    self.start += at + delim.len();
+                    out.extend_from_slice(&window[..at]);
+                    self.consume(at + delim.len());
                     return Ok(());
                 }
                 None => {
                     // Keep the last delim.len()-1 bytes: they may begin the
                     // delimiter continued in the next chunk.
-                    let keep = delim.len() - 1;
-                    let consumable = window.len().saturating_sub(keep);
-                    out.extend_from_slice(&self.buf[self.start..self.start + consumable]);
-                    self.advance_span(self.start, self.start + consumable);
-                    self.start += consumable;
+                    let consumable = window.len().saturating_sub(delim.len() - 1);
+                    out.extend_from_slice(&window[..consumable]);
+                    self.consume(consumable);
                     if self.eof {
                         return Err(XmlError::UnexpectedEof {
                             expected: what,
@@ -525,6 +471,13 @@ impl<R: Read> Scanner<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<R: Read> Scanner<R> {
+        /// Default-window scanner without budget accounting.
+        fn new(src: R) -> Self {
+            Scanner::with_window(src, DEFAULT_WINDOW, None)
+        }
+    }
     use crate::input::DEFAULT_WINDOW;
 
     fn scanner(s: &str) -> Scanner<&[u8]> {

@@ -1,272 +1,216 @@
-//! The structural index: delta-encoded position lanes filled by the
-//! vectorised prescan and consumed by the scanner, reader and shard
+//! The structural index: one bitmap per structural byte class, filled by
+//! the vectorised prescan and queried by the scanner, reader and shard
 //! splitter.
 //!
-//! One [`DeltaLane`] per structural byte class records the absolute input
-//! offsets of every occurrence, stored as `u32` deltas between consecutive
-//! positions (gaps wider than a `u32` are bridged by gap markers, so the
-//! lane addresses the full `u64` offset space while paying four bytes per
-//! entry). Consumption is strictly monotone — the scanner only ever moves
-//! forward — so every read is a cursor advance, never a search.
+//! Bit `i` of a [`Lane`] is set when byte `i` of the indexed span — which
+//! starts at absolute input offset [`StructuralIndex::base`] — belongs to
+//! the lane's class; bits past the span are zero. Every query is a word
+//! operation: the next `<` is a `tzcnt`, a newline count a `popcnt`, the
+//! last newline a `lzcnt`. A lane costs one bit per input byte whatever
+//! the structure density, and dropping a consumed prefix is a word shift —
+//! there is no per-position storage to push, prune or release.
 
-/// Marker entry: "advance the cursor base by [`GAP_SPAN`] bytes, there is
-/// no structural position here". Real deltas are always `< u32::MAX`.
-const GAP: u32 = u32::MAX;
+use super::swar;
 
-/// How far one gap marker advances the accumulated base.
-const GAP_SPAN: u64 = u32::MAX as u64;
-
-/// One structural byte class: absolute positions, delta-encoded.
-///
-/// The lane is an append-only queue with a consuming cursor. `push` must
-/// be called with strictly increasing positions; `peek`/`pop` and the
-/// range helpers resolve deltas back to absolute `u64` offsets.
-#[derive(Debug, Default)]
-pub struct DeltaLane {
-    /// Deltas between consecutive recorded positions ([`GAP`] = marker).
-    deltas: Vec<u32>,
-    /// Index of the next unconsumed entry.
-    head: usize,
-    /// Absolute position the delta at `head` is relative to.
-    head_base: u64,
-    /// Absolute position of the most recently pushed entry (push side).
-    tail_abs: u64,
+/// One structural byte class: a bitmap over the indexed span, 64 bytes
+/// per word, bit `i % 64` of word `i / 64` standing for byte `i`.
+#[derive(Debug, Default, Clone)]
+pub struct Lane {
+    words: Vec<u64>,
 }
 
-impl DeltaLane {
-    /// Appends an absolute position. Positions must be strictly
-    /// increasing across the life of the lane (the prescan sweeps the
-    /// input once, in order).
-    #[inline]
-    pub fn push(&mut self, abs: u64) {
-        debug_assert!(
-            self.deltas.is_empty() || abs > self.tail_abs,
-            "lane positions must be strictly increasing"
-        );
-        let mut delta = abs - self.tail_abs;
-        while delta >= GAP_SPAN {
-            self.deltas.push(GAP);
-            delta -= GAP_SPAN;
+impl Lane {
+    /// How many positions the lane holds: the count of its class over the
+    /// indexed span.
+    pub fn pending(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The first position in `[from, to)` (span-relative).
+    #[inline(always)]
+    pub fn next_in(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= to {
+            return None;
         }
-        self.deltas.push(delta as u32);
-        self.tail_abs = abs;
-    }
-
-    /// The next unconsumed position, without consuming it. Gap markers
-    /// are folded into the cursor base as they are crossed.
-    #[inline]
-    pub fn peek(&mut self) -> Option<u64> {
-        while let Some(&d) = self.deltas.get(self.head) {
-            if d != GAP {
-                return Some(self.head_base + d as u64);
-            }
-            self.head += 1;
-            self.head_base += GAP_SPAN;
-        }
-        None
-    }
-
-    /// Consumes and returns the next position.
-    #[inline]
-    pub fn pop(&mut self) -> Option<u64> {
-        let abs = self.peek()?;
-        self.head += 1;
-        self.head_base = abs;
-        Some(abs)
-    }
-
-    /// First recorded position `>= from`, consuming everything before it.
-    /// Queries must be monotone non-decreasing (enforced by the scanner's
-    /// forward-only consumption).
-    #[inline]
-    pub fn next_at_or_after(&mut self, from: u64) -> Option<u64> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (!0u64 << (from % 64));
         loop {
-            let abs = self.peek()?;
-            if abs >= from {
-                return Some(abs);
+            if bits != 0 {
+                let at = w * 64 + bits.trailing_zeros() as usize;
+                return (at < to).then_some(at);
             }
-            self.pop();
+            w += 1;
+            if w * 64 >= to {
+                return None;
+            }
+            bits = *self.words.get(w)?;
         }
     }
 
-    /// Consumes every position in `[from, to)`, returning how many there
-    /// were and the last one. Positions before `from` are consumed
-    /// silently (they belong to bytes accounted for elsewhere).
-    #[inline]
-    pub fn take_range(&mut self, from: u64, to: u64) -> (usize, Option<u64>) {
-        let mut count = 0usize;
+    /// How many positions lie in `[from, to)`, and the last of them.
+    pub fn count_in(&self, from: usize, to: usize) -> (u64, Option<usize>) {
+        let to = to.min(self.words.len() * 64);
+        if from >= to {
+            return (0, None);
+        }
+        let (first, last_word) = (from / 64, (to - 1) / 64);
+        let words = &self.words[first..=last_word];
+        let mut count = 0u64;
         let mut last = None;
-        while let Some(abs) = self.peek() {
-            if abs >= to {
-                break;
+        for (i, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            if i == 0 {
+                bits &= !0u64 << (from % 64);
             }
-            self.pop();
-            if abs >= from {
-                count += 1;
-                last = Some(abs);
+            if i == words.len() - 1 {
+                bits &= !0u64 >> (63 - (to - 1) % 64);
+            }
+            count += u64::from(bits.count_ones());
+            if bits != 0 {
+                last = Some((first + i) * 64 + 63 - bits.leading_zeros() as usize);
             }
         }
         (count, last)
     }
 
-    /// Consumes every position `< bound` without reporting it. Used to
-    /// discard entries for bytes the scanner has already moved past, so
-    /// cursors start at the current position and lanes stay bounded by
-    /// the window size, not the document size.
-    #[inline]
-    pub fn drop_before(&mut self, bound: u64) {
-        while let Some(abs) = self.peek() {
-            if abs >= bound {
-                break;
-            }
-            self.pop();
-        }
-    }
-
-    /// A read-only cursor over the unconsumed entries: peeking ahead
-    /// without committing, so a speculative walk (e.g. the reader's
-    /// quote-parity tag-end search) can bail and retry after a refill
-    /// with nothing lost.
-    #[inline]
-    pub fn cursor(&self) -> LaneCursor<'_> {
-        LaneCursor {
-            deltas: &self.deltas,
-            at: self.head,
-            base: self.head_base,
-        }
-    }
-
-    /// Releases the storage of consumed entries, keeping capacity for
-    /// reuse — the steady-state parse loop allocates nothing once every
-    /// lane has grown to its per-window high-water mark.
-    pub fn release_consumed(&mut self) {
-        if self.head == self.deltas.len() {
-            self.deltas.clear();
-        } else if self.head > 0 {
-            self.deltas.drain(..self.head);
-        }
-        self.head = 0;
-    }
-
-    /// Number of unconsumed entries (gap markers excluded from positions
-    /// but included here; used only by tests and diagnostics).
-    pub fn pending(&self) -> usize {
-        self.deltas.len() - self.head
+    /// Every position, ascending (span-relative).
+    pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &bits)| {
+            (0..64)
+                .filter(move |b| bits >> b & 1 == 1)
+                .map(move |b| w * 64 + b)
+        })
     }
 }
 
-/// Non-consuming iterator over a lane's unconsumed positions.
-pub struct LaneCursor<'a> {
-    deltas: &'a [u32],
-    at: usize,
-    base: u64,
-}
-
-impl Iterator for LaneCursor<'_> {
-    type Item = u64;
-
-    /// The next position, advancing only this cursor.
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        while let Some(&d) = self.deltas.get(self.at) {
-            self.at += 1;
-            if d != GAP {
-                self.base += d as u64;
-                return Some(self.base);
-            }
-            self.base += GAP_SPAN;
-        }
-        None
-    }
-}
-
-impl LaneCursor<'_> {
-    /// The first remaining position `>= from`.
-    #[inline]
-    pub fn next_at_or_after(&mut self, from: u64) -> Option<u64> {
-        self.find(|&abs| abs >= from)
-    }
-}
-
-/// Structural byte classes the prescan records.
-///
-/// `Quote` merges `"` and `'` into one lane — the consumer knows which
-/// quote character opened the construct and checks the byte itself, which
-/// keeps the prescan at one comparison pair instead of two lanes with
-/// separate cursors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Class {
-    /// `<` — markup start candidates.
-    Lt,
-    /// `>` — markup end candidates (may sit inside quoted values).
-    Gt,
-    /// `"` or `'` — quote-parity boundaries inside markup.
-    Quote,
-    /// `&` — entity/character reference starts.
-    Amp,
-    /// `\n` — newline positions feeding line/column accounting.
-    Newline,
-}
-
-/// The structural index: one delta lane per byte class, covering a
-/// contiguous, monotonically growing span of the input.
+/// The structural index: one [`Lane`] per byte class over a contiguous,
+/// growing span of the input. The quote lane merges `"` and `'` — the
+/// consumer knows which quote opened a value and checks the byte itself.
 #[derive(Debug, Default)]
 pub struct StructuralIndex {
-    pub lt: DeltaLane,
-    pub gt: DeltaLane,
-    pub quote: DeltaLane,
-    pub amp: DeltaLane,
-    pub nl: DeltaLane,
+    /// Absolute input offset of the span's first byte.
+    base: u64,
+    /// Bytes indexed.
+    len: usize,
+    /// `<` — markup start candidates.
+    pub lt: Lane,
+    /// `>` — markup end candidates (may sit inside quoted values).
+    pub gt: Lane,
+    /// `"` or `'` — quote-parity boundaries inside markup.
+    pub quote: Lane,
+    /// `&` — entity/character reference starts.
+    pub amp: Lane,
+    /// `\n` — newline positions feeding line/column accounting.
+    pub nl: Lane,
 }
+
+/// One 64-byte block's masks, in [`StructuralIndex`] lane order: `<`,
+/// `>`, quote, `&`, `\n`.
+pub(crate) type BlockMasks = [u64; 5];
 
 impl StructuralIndex {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The lane for `class`.
+    /// Absolute input offset of the indexed span's first byte.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Bytes indexed.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    fn lanes_mut(&mut self) -> [&mut Lane; 5] {
+        [
+            &mut self.lt,
+            &mut self.gt,
+            &mut self.quote,
+            &mut self.amp,
+            &mut self.nl,
+        ]
+    }
+
+    /// Appends one full block's masks (the kernels' bulk output).
     #[inline]
-    pub fn lane(&mut self, class: Class) -> &mut DeltaLane {
-        match class {
-            Class::Lt => &mut self.lt,
-            Class::Gt => &mut self.gt,
-            Class::Quote => &mut self.quote,
-            Class::Amp => &mut self.amp,
-            Class::Newline => &mut self.nl,
+    pub(crate) fn push_block(&mut self, masks: BlockMasks) {
+        for (lane, bits) in self.lanes_mut().into_iter().zip(masks) {
+            lane.words.push(bits);
         }
     }
 
-    /// The lane indexing `byte`, when one exists.
-    #[inline]
-    pub fn lane_for_byte(&mut self, byte: u8) -> Option<&mut DeltaLane> {
-        match byte {
-            b'<' => Some(&mut self.lt),
-            b'>' => Some(&mut self.gt),
-            b'"' | b'\'' => Some(&mut self.quote),
-            b'&' => Some(&mut self.amp),
-            b'\n' => Some(&mut self.nl),
-            _ => None,
+    /// Indexes `bytes`, the input at absolute offset `base_abs`: the
+    /// continuation of the span, or the start of a new one when the index
+    /// is empty. `bulk` classifies a run of whole 64-byte blocks into
+    /// [`StructuralIndex::push_block`]; a partial block at either end is
+    /// zero-padded and classified by the SWAR kernel.
+    pub(crate) fn append(
+        &mut self,
+        bytes: &[u8],
+        base_abs: u64,
+        bulk: impl FnOnce(&[u8], &mut Self),
+    ) {
+        if self.len == 0 {
+            self.base = base_abs;
         }
+        debug_assert_eq!(base_abs, self.base + self.len as u64, "not contiguous");
+        let mut rest = bytes;
+        let head = self.len % 64;
+        if head != 0 && !rest.is_empty() {
+            // Finish the partial last word: classify the new bytes at their
+            // bit positions and OR them in.
+            let k = rest.len().min(64 - head);
+            let mut block = [0u8; 64];
+            block[head..head + k].copy_from_slice(&rest[..k]);
+            for (lane, bits) in self.lanes_mut().into_iter().zip(swar::classify(&block)) {
+                *lane.words.last_mut().expect("partial word") |= bits;
+            }
+            self.len += k;
+            rest = &rest[k..];
+        }
+        let whole = rest.len() / 64 * 64;
+        for lane in self.lanes_mut() {
+            lane.words.reserve(rest.len().div_ceil(64));
+        }
+        bulk(&rest[..whole], self);
+        if whole < rest.len() {
+            let mut block = [0u8; 64];
+            block[..rest.len() - whole].copy_from_slice(&rest[whole..]);
+            self.push_block(swar::classify(&block));
+        }
+        self.len += rest.len();
     }
 
-    /// Discards positions `< bound` in every lane — everything behind the
-    /// scanner's current offset is structurally dead.
-    pub fn drop_before(&mut self, bound: u64) {
-        self.lt.drop_before(bound);
-        self.gt.drop_before(bound);
-        self.quote.drop_before(bound);
-        self.amp.drop_before(bound);
-        self.nl.drop_before(bound);
+    /// Forgets everything, keeping capacity.
+    pub fn clear(&mut self) {
+        for lane in self.lanes_mut() {
+            lane.words.clear();
+        }
+        self.base += self.len as u64;
+        self.len = 0;
     }
 
-    /// Releases consumed entries in every lane (called when the scanner
-    /// compacts its window; capacities are kept).
-    pub fn release_consumed(&mut self) {
-        self.lt.release_consumed();
-        self.gt.release_consumed();
-        self.quote.release_consumed();
-        self.amp.release_consumed();
-        self.nl.release_consumed();
+    /// Drops the first `n` indexed bytes: every lane shifts down by `n`
+    /// bits, so positions stay relative to the (new) span start.
+    pub(crate) fn discard_front(&mut self, n: usize) {
+        debug_assert!(n <= self.len);
+        let (skip, shift) = (n / 64, n % 64);
+        let keep = (self.len - n).div_ceil(64);
+        for lane in self.lanes_mut() {
+            let w = &mut lane.words;
+            for i in 0..keep {
+                let hi = match shift {
+                    0 => 0,
+                    _ => w.get(i + skip + 1).map_or(0, |next| next << (64 - shift)),
+                };
+                w[i] = w[i + skip] >> shift | hi;
+            }
+            w.truncate(keep);
+        }
+        self.base += n as u64;
+        self.len -= n;
     }
 }
 
@@ -274,88 +218,88 @@ impl StructuralIndex {
 mod tests {
     use super::*;
 
-    #[test]
-    fn push_pop_round_trip() {
-        let mut lane = DeltaLane::default();
-        let positions = [0u64, 1, 7, 8, 1000, 1001, 1_000_000];
-        for &p in &positions {
-            lane.push(p);
-        }
-        let mut out = Vec::new();
-        while let Some(p) = lane.pop() {
-            out.push(p);
-        }
-        assert_eq!(out, positions);
-    }
-
-    #[test]
-    fn gap_markers_bridge_u32_overflow() {
-        // Positions more than u32::MAX apart exercise the gap markers
-        // without allocating 4 GiB of input.
-        let mut lane = DeltaLane::default();
-        let positions = [
-            5u64,
-            5 + GAP_SPAN,
-            5 + GAP_SPAN + 1,
-            20 + 3 * GAP_SPAN,
-            u64::from(u32::MAX) * 5 + 17,
-        ];
-        for &p in &positions {
-            lane.push(p);
-        }
-        let collected: Vec<u64> = std::iter::from_fn(|| lane.pop()).collect();
-        assert_eq!(collected, positions);
-    }
-
-    #[test]
-    fn next_at_or_after_consumes_prefix() {
-        let mut lane = DeltaLane::default();
-        for p in [2u64, 4, 9, 15] {
-            lane.push(p);
-        }
-        assert_eq!(lane.next_at_or_after(0), Some(2));
-        assert_eq!(lane.next_at_or_after(3), Some(4));
-        assert_eq!(lane.next_at_or_after(10), Some(15));
-        assert_eq!(lane.next_at_or_after(16), None);
-    }
-
-    #[test]
-    fn take_range_counts_and_reports_last() {
-        let mut lane = DeltaLane::default();
-        for p in [1u64, 3, 5, 7, 11] {
-            lane.push(p);
-        }
-        assert_eq!(lane.take_range(0, 4), (2, Some(3)));
-        // Entries below `from` (none remain) are skipped silently.
-        assert_eq!(lane.take_range(6, 12), (2, Some(11)));
-        assert_eq!(lane.take_range(12, 100), (0, None));
-    }
-
-    #[test]
-    fn release_consumed_keeps_pending_entries() {
-        let mut lane = DeltaLane::default();
-        for p in [10u64, 20, 30, 40] {
-            lane.push(p);
-        }
-        assert_eq!(lane.pop(), Some(10));
-        assert_eq!(lane.pop(), Some(20));
-        lane.release_consumed();
-        assert_eq!(lane.pending(), 2);
-        assert_eq!(lane.pop(), Some(30));
-        assert_eq!(lane.pop(), Some(40));
-        lane.release_consumed();
-        assert_eq!(lane.pending(), 0);
-        // Pushes keep working across releases.
-        lane.push(50);
-        assert_eq!(lane.pop(), Some(50));
-    }
-
-    #[test]
-    fn lane_for_byte_covers_all_classes() {
+    fn index_of(bytes: &[u8], base: u64) -> StructuralIndex {
         let mut idx = StructuralIndex::new();
-        for b in [b'<', b'>', b'"', b'\'', b'&', b'\n'] {
-            assert!(idx.lane_for_byte(b).is_some(), "byte {b}");
+        idx.append(bytes, base, swar::classify_into);
+        idx
+    }
+
+    #[test]
+    fn positions_round_trip() {
+        let mut doc = vec![b'.'; 1100];
+        let positions = [0usize, 1, 7, 8, 63, 64, 65, 1000, 1001, 1099];
+        for &p in &positions {
+            doc[p] = b'<';
         }
-        assert!(idx.lane_for_byte(b'x').is_none());
+        let idx = index_of(&doc, 0);
+        assert_eq!(idx.lt.positions().collect::<Vec<_>>(), positions);
+        assert_eq!(idx.lt.pending(), positions.len());
+        assert_eq!(idx.len(), doc.len());
+    }
+
+    #[test]
+    fn bases_past_u32_stay_exact() {
+        // Positions are span-relative, so a span starting beyond 4 GiB
+        // needs nothing special: the base carries the high bits.
+        let base = 5 * u64::from(u32::MAX) + 17;
+        let mut idx = index_of(b"ab<cd", base);
+        idx.append(b"\n<", base + 5, swar::classify_into);
+        let abs: Vec<u64> = idx.lt.positions().map(|p| idx.base() + p as u64).collect();
+        assert_eq!(abs, [base + 2, base + 6]);
+        assert_eq!(idx.nl.next_in(0, idx.len()), Some(5));
+    }
+
+    #[test]
+    fn next_in_stops_at_range_end() {
+        let mut doc = vec![b'x'; 300];
+        for p in [2usize, 4, 130, 299] {
+            doc[p] = b'&';
+        }
+        let idx = index_of(&doc, 0);
+        assert_eq!(idx.amp.next_in(0, 300), Some(2));
+        assert_eq!(idx.amp.next_in(3, 300), Some(4));
+        assert_eq!(idx.amp.next_in(5, 130), None, "130 is outside [5, 130)");
+        assert_eq!(idx.amp.next_in(5, 131), Some(130));
+        assert_eq!(idx.amp.next_in(131, 299), None);
+        assert_eq!(idx.amp.next_in(131, 1000), Some(299));
+        assert_eq!(idx.amp.next_in(300, 1000), None);
+    }
+
+    #[test]
+    fn count_in_counts_and_reports_last() {
+        let mut doc = vec![b'x'; 200];
+        for p in [1usize, 3, 5, 7, 11, 64, 127, 128, 190] {
+            doc[p] = b'\n';
+        }
+        let idx = index_of(&doc, 0);
+        assert_eq!(idx.nl.count_in(0, 4), (2, Some(3)));
+        assert_eq!(idx.nl.count_in(6, 12), (2, Some(11)));
+        assert_eq!(idx.nl.count_in(12, 64), (0, None));
+        assert_eq!(idx.nl.count_in(12, 129), (3, Some(128)));
+        assert_eq!(idx.nl.count_in(0, 200), (9, Some(190)));
+        assert_eq!(idx.nl.count_in(191, 500), (0, None));
+        assert_eq!(idx.nl.count_in(7, 7), (0, None));
+    }
+
+    #[test]
+    fn discard_front_keeps_pending_positions() {
+        let mut doc = vec![b'x'; 300];
+        for p in [10usize, 20, 70, 140, 260] {
+            doc[p] = b'>';
+        }
+        for n in [0usize, 1, 15, 64, 65, 128, 200, 300] {
+            let mut idx = index_of(&doc, 1000);
+            idx.discard_front(n);
+            let want: Vec<usize> = [10usize, 20, 70, 140, 260]
+                .into_iter()
+                .filter(|&p| p >= n)
+                .map(|p| p - n)
+                .collect();
+            assert_eq!(idx.gt.positions().collect::<Vec<_>>(), want, "discard {n}");
+            assert_eq!((idx.base(), idx.len()), (1000 + n as u64, 300 - n));
+            // Appending after a discard continues the span seamlessly.
+            idx.append(b"x>", 1300, swar::classify_into);
+            assert_eq!(idx.gt.positions().last(), Some(301 - n));
+        }
     }
 }

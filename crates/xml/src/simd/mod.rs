@@ -1,24 +1,22 @@
-//! Phase one of the two-phase parser: the vectorised structural prescan.
+//! Phase one of the two-phase parser: the vectorised structural prescan
+//! and the UTF-8 watermark.
 //!
-//! The prescan sweeps input bytes exactly once — as they arrive in the
-//! scanner's refill path — and records the positions of the five byte
-//! classes that determine XML structure (`<`, `>`, `"`/`'`, `&`, `\n`)
-//! into a [`StructuralIndex`] of delta-encoded lanes. Phase two (the
-//! scanner and reader) then hops structure-to-structure through the index
-//! instead of inspecting bytes one at a time: text runs jump straight to
-//! the next `<`, tag ends are found by walking `>` candidates against the
-//! quote lane's parity (a `>` inside a quoted attribute value is not a tag
-//! end), escape checks consult the `&` lane, and line/column accounting
-//! folds into the newline lane instead of re-counting every consumed span.
+//! Every input byte is handled here exactly once — as it arrives in the
+//! scanner's refill path (`buffer`): the prescan records the five byte
+//! classes that determine XML structure (`<`, `>`, `"`/`'`, `&`, `\n`) as
+//! per-64-byte bitmaps in a [`StructuralIndex`], and the same refill
+//! validates the bytes as UTF-8 and advances a watermark. Phase two (the
+//! scanner and reader) walks the window as a byte cursor that never
+//! re-checks anything (see `crate::scanner`).
 //!
 //! # Kernel dispatch
 //!
-//! Two kernels produce byte-identical indices:
+//! Two kernels produce identical indices:
 //!
-//! * **AVX2** (x86_64, runtime-detected) — 32 bytes per step;
+//! * **AVX2** (x86_64, runtime-detected) — one 64-byte block per step;
 //! * **SWAR** (portable `u64`, reusing the [`crate::scan`] zero-byte
-//!   mask) — 8 bytes per step, always available, and the kernel every
-//!   other architecture runs.
+//!   mask) — always available, the kernel every other architecture runs,
+//!   and the one that classifies the partial blocks at a sweep's edges.
 //!
 //! The active kernel is chosen once per process ([`active_isa`]) and can
 //! be overridden for CI and A/B testing:
@@ -27,13 +25,14 @@
 //! * `FLUX_FORCE_ISA=swar|avx2` — pin a specific kernel (panics
 //!   with a clear message if the host cannot run it).
 
+pub(crate) mod buffer;
 mod index;
-pub(crate) mod swar;
+mod swar;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-pub use index::{Class, DeltaLane, LaneCursor, StructuralIndex};
+pub use index::{Lane, StructuralIndex};
 
 use std::sync::OnceLock;
 
@@ -113,9 +112,9 @@ pub fn available_isas() -> Vec<Isa> {
         .collect()
 }
 
-/// Sweeps `bytes` (whose first byte sits at absolute input offset
-/// `base_abs`) with the active kernel, appending every structural
-/// position to `idx`.
+/// Sweeps `bytes` — the input at absolute offset `base_abs`, continuing
+/// the span `idx` covers (or starting one when it is empty) — with the
+/// active kernel.
 #[inline]
 pub fn prescan_into(bytes: &[u8], base_abs: u64, idx: &mut StructuralIndex) {
     prescan_with(active_isa(), bytes, base_abs, idx)
@@ -125,8 +124,8 @@ pub fn prescan_into(bytes: &[u8], base_abs: u64, idx: &mut StructuralIndex) {
 pub fn prescan_with(isa: Isa, bytes: &[u8], base_abs: u64, idx: &mut StructuralIndex) {
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => avx2::prescan(bytes, base_abs, idx),
-        _ => swar::prescan(bytes, base_abs, idx),
+        Isa::Avx2 => idx.append(bytes, base_abs, avx2::classify_into),
+        _ => idx.append(bytes, base_abs, swar::classify_into),
     }
 }
 
@@ -146,16 +145,10 @@ mod tests {
         assert!(available_isas().contains(&Isa::Swar));
     }
 
-    fn lanes(isa: Isa, bytes: &[u8], base: u64) -> [Vec<u64>; 5] {
+    fn lanes(isa: Isa, bytes: &[u8], base: u64) -> [Vec<usize>; 5] {
         let mut idx = StructuralIndex::new();
         prescan_with(isa, bytes, base, &mut idx);
-        [
-            std::iter::from_fn(|| idx.lt.pop()).collect(),
-            std::iter::from_fn(|| idx.gt.pop()).collect(),
-            std::iter::from_fn(|| idx.quote.pop()).collect(),
-            std::iter::from_fn(|| idx.amp.pop()).collect(),
-            std::iter::from_fn(|| idx.nl.pop()).collect(),
-        ]
+        [&idx.lt, &idx.gt, &idx.quote, &idx.amp, &idx.nl].map(|l| l.positions().collect())
     }
 
     #[test]

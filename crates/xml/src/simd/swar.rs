@@ -1,54 +1,56 @@
 //! Portable prescan kernel: `u64` SWAR, eight bytes per step.
 //!
-//! This is the dispatch fallback (and the reference implementation the
-//! vectorised kernels are tested against). It reuses the carry-free
-//! zero-byte mask from [`crate::scan`] — one XOR + mask pair per byte
-//! class per word — and walks the match bits in order, so lane pushes stay
-//! strictly increasing.
+//! This is the dispatch fallback, the kernel that classifies the
+//! zero-padded partial blocks at either end of every sweep, and the
+//! reference the vectorised kernels are tested against. It reuses the
+//! carry-free zero-byte mask from [`crate::scan`] — one XOR + mask pair per
+//! byte class per word — and gathers each word's eight match flags into
+//! eight mask bits with one multiply.
 
-use super::index::{DeltaLane, StructuralIndex};
+use super::index::{BlockMasks, StructuralIndex};
 use crate::scan::{broadcast, zero_byte_mask};
 
-/// Pushes every match in `mask` (the zero-byte-mask form: bit 7 of each
-/// matching byte lane set) as `base + lane_index`.
+/// The eight flags of a zero-byte mask (bit 7 of each matching byte) as
+/// the low eight bits, byte 0 first. The multiply moves flag `i` to bit
+/// `56 + i`; every other partial product lands on a distinct bit outside
+/// the top byte, so nothing carries into it.
 #[inline]
-fn push_mask(lane: &mut DeltaLane, mut mask: u64, base: u64) {
-    while mask != 0 {
-        lane.push(base + (mask.trailing_zeros() / 8) as u64);
-        mask &= mask - 1;
-    }
+fn gather(mask: u64) -> u64 {
+    ((mask >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56
 }
 
-/// Sweeps `bytes` once, recording the absolute position (`base + i`) of
-/// every structural byte into `idx`.
-pub fn prescan(bytes: &[u8], base: u64, idx: &mut StructuralIndex) {
-    let lt = broadcast(b'<');
-    let gt = broadcast(b'>');
-    let dq = broadcast(b'"');
-    let sq = broadcast(b'\'');
-    let amp = broadcast(b'&');
-    let nl = broadcast(b'\n');
-
-    let mut chunks = bytes.chunks_exact(8);
-    let mut offset = 0u64;
-    for chunk in &mut chunks {
+/// The five class masks of one 64-byte block.
+#[inline]
+pub(crate) fn classify(block: &[u8; 64]) -> BlockMasks {
+    let (lt, gt, dq, sq, amp, nl) = (
+        broadcast(b'<'),
+        broadcast(b'>'),
+        broadcast(b'"'),
+        broadcast(b'\''),
+        broadcast(b'&'),
+        broadcast(b'\n'),
+    );
+    let mut masks = [0u64; 5];
+    for (i, chunk) in block.chunks_exact(8).enumerate() {
         let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let at = base + offset;
-        push_mask(&mut idx.lt, zero_byte_mask(word ^ lt), at);
-        push_mask(&mut idx.gt, zero_byte_mask(word ^ gt), at);
-        push_mask(
-            &mut idx.quote,
+        let classes = [
+            zero_byte_mask(word ^ lt),
+            zero_byte_mask(word ^ gt),
             zero_byte_mask(word ^ dq) | zero_byte_mask(word ^ sq),
-            at,
-        );
-        push_mask(&mut idx.amp, zero_byte_mask(word ^ amp), at);
-        push_mask(&mut idx.nl, zero_byte_mask(word ^ nl), at);
-        offset += 8;
-    }
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        if let Some(lane) = idx.lane_for_byte(b) {
-            lane.push(base + offset + i as u64);
+            zero_byte_mask(word ^ amp),
+            zero_byte_mask(word ^ nl),
+        ];
+        for (mask, class) in masks.iter_mut().zip(classes) {
+            *mask |= gather(class) << (8 * i);
         }
+    }
+    masks
+}
+
+/// Classifies whole 64-byte blocks into `idx`.
+pub(crate) fn classify_into(body: &[u8], idx: &mut StructuralIndex) {
+    for block in body.chunks_exact(64) {
+        idx.push_block(classify(block.try_into().expect("64-byte block")));
     }
 }
 
@@ -57,34 +59,38 @@ mod tests {
     use super::*;
 
     /// Reference: classify byte-at-a-time.
-    fn naive(bytes: &[u8], base: u64) -> StructuralIndex {
-        let mut idx = StructuralIndex::new();
+    fn naive(bytes: &[u8]) -> [Vec<usize>; 5] {
+        let mut lanes: [Vec<usize>; 5] = Default::default();
         for (i, &b) in bytes.iter().enumerate() {
-            if let Some(lane) = idx.lane_for_byte(b) {
-                lane.push(base + i as u64);
-            }
+            let lane = match b {
+                b'<' => 0,
+                b'>' => 1,
+                b'"' | b'\'' => 2,
+                b'&' => 3,
+                b'\n' => 4,
+                _ => continue,
+            };
+            lanes[lane].push(i);
         }
-        idx
+        lanes
     }
 
-    fn drain(lane: &mut DeltaLane) -> Vec<u64> {
-        std::iter::from_fn(|| lane.pop()).collect()
+    fn lanes(idx: &StructuralIndex) -> [Vec<usize>; 5] {
+        [&idx.lt, &idx.gt, &idx.quote, &idx.amp, &idx.nl].map(|l| l.positions().collect())
     }
 
-    fn assert_same(a: &mut StructuralIndex, b: &mut StructuralIndex) {
-        assert_eq!(drain(&mut a.lt), drain(&mut b.lt), "lt lane");
-        assert_eq!(drain(&mut a.gt), drain(&mut b.gt), "gt lane");
-        assert_eq!(drain(&mut a.quote), drain(&mut b.quote), "quote lane");
-        assert_eq!(drain(&mut a.amp), drain(&mut b.amp), "amp lane");
-        assert_eq!(drain(&mut a.nl), drain(&mut b.nl), "nl lane");
+    fn sweep(idx: &mut StructuralIndex, bytes: &[u8], base: u64) {
+        idx.append(bytes, base, classify_into);
     }
 
     #[test]
     fn matches_naive_classification() {
+        let long = "<a b=\"x>y\" c='&'>\ntext &amp; more\n</a>".repeat(5);
         let cases: &[&[u8]] = &[
             b"",
             b"<",
             b"<a b=\"x>y\" c='&'>\ntext &amp; more\n</a>",
+            long.as_bytes(),
             b"no structure at all, just plain text padding out the words",
             b"<<<<>>>>\"\"''&&\n\n",
             "grüße <tag attr=\"\u{1F4A1}\">".as_bytes(),
@@ -92,9 +98,9 @@ mod tests {
         for case in cases {
             for base in [0u64, 7, 8 * 1024] {
                 let mut got = StructuralIndex::new();
-                prescan(case, base, &mut got);
-                let mut want = naive(case, base);
-                assert_same(&mut got, &mut want);
+                sweep(&mut got, case, base);
+                assert_eq!(lanes(&got), naive(case));
+                assert_eq!(got.base(), base);
             }
         }
     }
@@ -103,13 +109,12 @@ mod tests {
     fn incremental_prescan_equals_one_shot() {
         // The scanner feeds the prescan refill-sized pieces; splitting at
         // arbitrary points must not change the recorded positions.
-        let doc = b"<books>\n  <book id=\"1\" title='a>b'>&lt;text</book>\n</books>";
+        let doc = b"<books>\n  <book id=\"1\" title='a>b'>&lt;text</book>\n</books>".repeat(3);
         for split in 0..doc.len() {
             let mut got = StructuralIndex::new();
-            prescan(&doc[..split], 0, &mut got);
-            prescan(&doc[split..], split as u64, &mut got);
-            let mut want = naive(doc, 0);
-            assert_same(&mut got, &mut want);
+            sweep(&mut got, &doc[..split], 0);
+            sweep(&mut got, &doc[split..], split as u64);
+            assert_eq!(lanes(&got), naive(&doc), "split at {split}");
         }
     }
 }

@@ -15,17 +15,17 @@
 //!
 //! ## View at most once
 //!
-//! Building a view is not free: safe Rust can only turn the window's
-//! bytes into a `&str` by checking them, so [`XmlReader::view`] makes one
-//! UTF-8 pass over a borrowed text run on every call, and a tape view
-//! resolves its spans. The rule for consumers is therefore: **each layer
-//! views an event at most once, and a layer that does not read the
-//! payload does not view it at all** — it dispatches on `kind()`. XSAX
-//! reads text only inside element-content elements (the whitespace
-//! check); the executor reads it only when the open frame copies or
-//! buffers it. "Not viewed" never means "not checked": `advance`
-//! validates every payload (well-formedness, UTF-8, entities) before it
-//! returns, whether or not anyone looks at the result.
+//! A view costs no UTF-8 pass (the reader validates every byte once, at
+//! refill, and lends text below its validated-up-to watermark as `&str`),
+//! but it is not free — it assembles a struct, and a tape view resolves
+//! its spans. So: **each layer views an event at most once, and a layer
+//! that does not read the payload does not view it at all** — it
+//! dispatches on `kind()`. XSAX reads text only inside
+//! element-content elements (the whitespace check); the executor reads it
+//! only when the open frame copies or buffers it. "Not viewed" never
+//! means "not checked": `advance` validates every payload
+//! (well-formedness, UTF-8, entities) before it returns, whether or not
+//! anyone looks at the result.
 //!
 //! ## Lifetime rules
 //!
@@ -60,7 +60,7 @@ pub trait EventSource {
 
     /// A borrowed view of the current event (the one the last successful
     /// [`EventSource::advance`] produced), valid until the next advance.
-    /// May cost a pass over the payload: call it at most once per event.
+    /// May cost more than a field read: call it at most once per event.
     fn view(&self) -> RawEventRef<'_>;
 
     /// The interner mapping the [`flux_symbols::Symbol`]s in delivered

@@ -480,18 +480,6 @@ impl Document {
         old
     }
 
-    /// Appends text to an existing text node (buffer population merges
-    /// adjacent text chunks); returns false if the node is not a text node.
-    pub fn append_to_text(&mut self, id: NodeId, more: &str) -> bool {
-        match &mut self.nodes[id.index()].kind {
-            NodeKind::Text(t) => {
-                t.push_str(more);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Merges `more` into a trailing text node of either kind: plain text
     /// appends in place; shared text first *demotes* to an owned copy (the
     /// merged payload is a new spelling — sharing it would re-gate it).

@@ -37,14 +37,9 @@ fn kernel_lanes(isa: Isa, bytes: &[u8], base: u64) -> [Vec<u64>; 5] {
     drain(idx)
 }
 
-fn drain(mut idx: StructuralIndex) -> [Vec<u64>; 5] {
-    [
-        std::iter::from_fn(|| idx.lt.pop()).collect(),
-        std::iter::from_fn(|| idx.gt.pop()).collect(),
-        std::iter::from_fn(|| idx.quote.pop()).collect(),
-        std::iter::from_fn(|| idx.amp.pop()).collect(),
-        std::iter::from_fn(|| idx.nl.pop()).collect(),
-    ]
+fn drain(idx: StructuralIndex) -> [Vec<u64>; 5] {
+    [&idx.lt, &idx.gt, &idx.quote, &idx.amp, &idx.nl]
+        .map(|lane| lane.positions().map(|p| idx.base() + p as u64).collect())
 }
 
 fn assert_all_kernels_match(bytes: &[u8], base: u64) {
