@@ -437,6 +437,68 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
     }
 }
 
+/// A bibliography schema for the print-only buffer arms: `author` may come
+/// before `title` (so it is buffered), holds mixed content and carries a
+/// defaulted attribute.
+pub const PRINT_ONLY_DTD: &str = "<!ELEMENT bib (book)*>\n\
+     <!ELEMENT book (title|author|price)*>\n\
+     <!ELEMENT title (#PCDATA)>\n\
+     <!ELEMENT author (#PCDATA|first|last)*>\n\
+     <!ATTLIST author role CDATA \"main\">\n\
+     <!ELEMENT first (#PCDATA)>\n\
+     <!ELEMENT last (#PCDATA)>\n\
+     <!ELEMENT price (#PCDATA)>";
+
+/// A document valid under [`PRINT_ONLY_DTD`]: `books` books of shuffled
+/// titles, authors and prices. Authors mix text (with `&`, `<` and `>`)
+/// and `first`/`last` children, and carry attributes no DTD declares —
+/// names a capped interner cannot intern — followed by `role`. With
+/// `omit_defaults`, a `role` equal to the DTD default is left out, so a
+/// validating engine must inject it; the document is otherwise
+/// byte-identical, and the non-validating baselines agree with the
+/// variant that spells it out.
+pub fn print_only_document(books: usize, seed: u64, omit_defaults: bool) -> String {
+    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut next = |n: u64| {
+        // SplitMix64: a deterministic stream for a handful of choices.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    };
+    let mut doc = String::from("<bib>");
+    for b in 0..books {
+        doc.push_str("<book>");
+        for c in 0..next(5) + 1 {
+            match next(4) {
+                0 => doc.push_str(&format!("<title>T{b}.{c} &amp; co</title>")),
+                1 => doc.push_str(&format!("<price>{}</price>", next(90) + 10)),
+                _ => {
+                    doc.push_str("<author");
+                    for m in 0..next(3) {
+                        doc.push_str(&format!(" m{b}x{m}=\"v{m}&amp;&lt;\""));
+                    }
+                    let role = ["main", "main", "editor"][next(3) as usize];
+                    if !(omit_defaults && role == "main") {
+                        doc.push_str(&format!(" role=\"{role}\""));
+                    }
+                    doc.push('>');
+                    match next(3) {
+                        0 => doc.push_str(&format!("A{b} &lt;x&gt; &amp; y > z")),
+                        1 => doc.push_str(&format!("<first>F{c}</first> <last>L{b}</last>")),
+                        _ => {}
+                    }
+                    doc.push_str("</author>");
+                }
+            }
+        }
+        doc.push_str("</book>");
+    }
+    doc.push_str("</bib>");
+    doc
+}
+
 /// Materialises `bytes` into a plain DOM and evaluates `query` with the
 /// *reference* (materialising) evaluator — the oracle the streaming cursor
 /// evaluator is differential-tested against. Returns the rendered output,

@@ -7,13 +7,16 @@
 //!
 //! Part of the release-mode `conformance` CI job.
 
-use flux_conformance::{assert_cursor_matches_reference, Domain};
+use flux_conformance::{
+    assert_cursor_matches_reference, options, print_only_document, run_engine_with, Domain,
+    PRINT_ONLY_DTD, TINY_CAP,
+};
 use flux_xml::Document;
 use flux_xquery::{
     eval_to_string, normalize, parse_query, pretty, reference_eval_to_string, AttrConstructor,
     AttrPart, CmpOp, Cond, Expr, Operand, Path, Step,
 };
-use fluxquery_core::{FluxEngine, Options};
+use fluxquery_core::{EngineKind, FluxEngine, Options, Parallelism};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +26,10 @@ use rand::{Rng, SeedableRng};
 const LABELS: &[&str] = &["book", "title", "author", "editor", "publisher", "bogus"];
 const OUTPUT_NAMES: &[&str] = &["r", "item", "entry"];
 const STRINGS: &[&str] = &["alpha", "", "x<y&z"];
+/// Comparison literals of the print-only arm: author string values of
+/// [`print_only_document`] (one with all three escaped characters) and a
+/// miss.
+const PRINT_ONLY_STRINGS: &[&str] = &["A1 <x> & y > z", "F0 L3", "", "miss"];
 /// Key steps of the join arm, from a book: values that repeat across
 /// books (years, publishers, author names) and some that rarely do.
 const KEYS: &[&str] = &["@year", "author", "price", "publisher", "title"];
@@ -34,6 +41,8 @@ struct QueryGen {
     budget: i32,
     /// Whether the `for` arm may emit value joins.
     joins: bool,
+    /// Whether the constructor arm may emit print-only buffer shapes.
+    print_only: bool,
 }
 
 impl QueryGen {
@@ -44,6 +53,74 @@ impl QueryGen {
             next_var: 0,
             budget: 30,
             joins: false,
+            print_only: false,
+        }
+    }
+
+    /// The print-only arm, over the book bound by the outermost loop:
+    /// authors that are only printed (once, twice, through a `let` or a
+    /// loop variable) and authors a comparison, a further step or an
+    /// attribute read keeps a tree.
+    fn print_only_expr(&mut self, depth: usize) -> Expr {
+        let book = self.vars[1].clone();
+        let authors = Path::var(&book).child("author");
+        let wrap = |content: Expr| Expr::Element {
+            name: "w".to_string(),
+            attributes: vec![],
+            content: Box::new(content),
+        };
+        self.next_var += 1;
+        let x = format!("v{}", self.next_var);
+        match self.rng.gen_range(0..9) {
+            0 => Expr::seq(vec![
+                Expr::Path(authors.clone()),
+                Expr::If {
+                    cond: Box::new(Cond::Cmp {
+                        lhs: Operand::Path(authors),
+                        op: CmpOp::Eq,
+                        rhs: Operand::StringLit(self.pick(PRINT_ONLY_STRINGS).to_string()),
+                    }),
+                    then_branch: Box::new(self.random_expr(depth.saturating_sub(1))),
+                    else_branch: Box::new(Expr::StringLit("no".to_string())),
+                },
+            ]),
+            1 | 2 => Expr::Let {
+                var: x.clone(),
+                value: Box::new(Expr::Path(authors)),
+                body: Box::new(wrap(Expr::Var(x))),
+            },
+            3 | 4 => Expr::For {
+                var: x.clone(),
+                source: authors,
+                where_clause: None,
+                body: Box::new(wrap(Expr::Var(x))),
+            },
+            5 | 6 => Expr::seq(vec![
+                Expr::Path(authors.clone()),
+                Expr::Path(Path::var(&book).child("title")),
+                Expr::Path(authors),
+            ]),
+            7 => Expr::For {
+                var: x.clone(),
+                source: authors,
+                where_clause: None,
+                body: Box::new(wrap(Expr::seq(vec![
+                    Expr::Path(Path::var(&x).child("last")),
+                    Expr::Var(x),
+                ]))),
+            },
+            _ => {
+                let mut role = authors.clone();
+                role.steps.push(Step::Attribute("role".to_string()));
+                Expr::Element {
+                    name: "w".to_string(),
+                    attributes: vec![AttrConstructor {
+                        name: "r".to_string(),
+                        value: vec![AttrPart::Expr(Expr::Path(role))],
+                    }],
+                    content: Box::new(Expr::Path(authors)),
+                }
+            }
         }
     }
 
@@ -151,6 +228,7 @@ impl QueryGen {
         }
         match self.rng.gen_range(0..8) {
             0..=2 if self.joins && self.rng.gen_bool(0.5) => self.join_expr(depth),
+            3..=4 if self.print_only && self.rng.gen_bool(0.6) => self.print_only_expr(depth),
             0..=2 => {
                 self.next_var += 1;
                 let var = format!("v{}", self.next_var);
@@ -226,6 +304,34 @@ fn random_query(seed: u64) -> String {
     })
 }
 
+/// A random query over [`PRINT_ONLY_DTD`] documents whose book loop
+/// body leads with a print-only shape, with more allowed below it.
+fn random_print_only_query(seed: u64) -> String {
+    let mut g = QueryGen::new(seed);
+    g.print_only = true;
+    g.next_var += 1;
+    let var = format!("v{}", g.next_var);
+    g.vars.push(var.clone());
+    let first = g.print_only_expr(2);
+    let second = if g.rng.gen_bool(0.5) {
+        g.print_only_expr(2)
+    } else {
+        g.random_expr(1)
+    };
+    let body = Expr::seq(vec![first, second]);
+    g.vars.pop();
+    pretty(&Expr::Element {
+        name: "out".to_string(),
+        attributes: vec![],
+        content: Box::new(Expr::For {
+            var,
+            source: Path::var("ROOT").child("bib").child("book"),
+            where_clause: None,
+            body: Box::new(body),
+        }),
+    })
+}
+
 /// A random query whose top level is a value join, with joins allowed
 /// anywhere below it.
 fn random_join_query(seed: u64) -> String {
@@ -264,6 +370,21 @@ proptest! {
         );
     }
 
+    /// The print-only arm through the same grid, plus the injected-default
+    /// check only the validating engine can take.
+    #[test]
+    fn print_only_buffers_match_reference(
+        query_seed in 0u64..100_000,
+        doc_seed in 0u64..1_000,
+    ) {
+        let query = random_print_only_query(query_seed);
+        assert_print_only_matches_reference(
+            &format!("print-only seed {query_seed}/{doc_seed}"),
+            &query,
+            doc_seed,
+        );
+    }
+
     /// The full grid: every sampled query, on both bibliography domains,
     /// must reproduce the materialising reference evaluator's output
     /// byte-for-byte through every engine × shards × interner-cap cell.
@@ -283,6 +404,110 @@ proptest! {
             doc.as_bytes(),
         );
     }
+}
+
+/// Runs `query` over the print-only documents of `doc_seed`: every engine
+/// must match the reference on the document that spells its attribute
+/// defaults out, and flux — the one validating engine, which injects
+/// them — must print the same bytes from the document that leaves them
+/// to the DTD, through every shard count and interner cap.
+fn assert_print_only_matches_reference(label: &str, query: &str, doc_seed: u64) {
+    let spelled = print_only_document(12, doc_seed, false);
+    assert_cursor_matches_reference(label, query, PRINT_ONLY_DTD, spelled.as_bytes());
+    let expected = reference_output(query, &spelled);
+    let defaulted = print_only_document(12, doc_seed, true);
+    assert_ne!(defaulted, spelled, "{label}: no default was left out");
+    for shards in [1usize, 2] {
+        for cap in [None, Some(TINY_CAP)] {
+            let outcome = run_engine_with(
+                EngineKind::Flux,
+                query,
+                PRINT_ONLY_DTD,
+                defaulted.as_bytes(),
+                &options(Parallelism::Shards(shards), cap),
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}\n{query}"));
+            assert_eq!(
+                String::from_utf8_lossy(&outcome.output),
+                expected,
+                "{label}: injected defaults diverged (shards {shards}, cap {cap:?})\n{query}"
+            );
+        }
+    }
+}
+
+/// The print-only shapes one by one, each with the representation its
+/// plan must choose for the buffered authors.
+#[test]
+fn print_only_shapes_match_reference() {
+    for (query, bdf) in [
+        // Printed and compared: a tree.
+        (
+            r#"<out>{ for $b in $ROOT/bib/book return <r>{$b/title}{$b/author}{ if ($b/author = "A1 <x> & y > z") then "hit" else () }</r> }</out>"#,
+            "{author:*}",
+        ),
+        // `let`-bound (inlined), loop-bound and plain: bytes.
+        (
+            "<out>{ for $b in $ROOT/bib/book return let $a := $b/author return <r>{$b/title}<w>{$a}</w></r> }</out>",
+            "{author:bytes}",
+        ),
+        (
+            "<out>{ for $b in $ROOT/bib/book return <r>{$b/title}{ for $x in $b/author return <w>{$x}</w> }</r> }</out>",
+            "{author:bytes}",
+        ),
+        // The same nodes flushed twice.
+        (
+            "<out>{ for $b in $ROOT/bib/book return <r>{$b/title}{$b/author}{$b/price}{$b/author}</r> }</out>",
+            "{author:bytes,price:bytes}",
+        ),
+        // A further step into a printed author: a tree.
+        (
+            "<out>{ for $b in $ROOT/bib/book return <r>{$b/title}{ for $x in $b/author return <w>{$x/last}{$x}</w> }</r> }</out>",
+            "{author:*}",
+        ),
+    ] {
+        let engine = FluxEngine::compile(query, PRINT_ONLY_DTD, &Options::new())
+            .unwrap_or_else(|e| panic!("{query}: {e}"));
+        let explain = engine.explain();
+        assert!(
+            explain.contains(&format!("$b (on book): {bdf}\n")),
+            "{query}: expected {bdf} in\n{explain}"
+        );
+        for doc_seed in 0..4 {
+            assert_print_only_matches_reference("print-only", query, doc_seed);
+        }
+    }
+}
+
+/// The print-only arm only proves something if its queries really reach
+/// both representations: many must seal serialized nodes, and some must
+/// keep a buffered author a tree.
+#[test]
+fn print_only_arm_reaches_both_representations() {
+    let doc = print_only_document(12, 1, false);
+    let (mut sealed, mut trees) = (0, 0);
+    for seed in 0..32 {
+        let query = random_print_only_query(seed);
+        let engine = FluxEngine::compile(&query, PRINT_ONLY_DTD, &Options::new())
+            .unwrap_or_else(|e| panic!("{query}: {e}"));
+        let (_, report) = engine
+            .run_input_with_report(fluxquery_core::Input::from_bytes(doc.clone()), Vec::new())
+            .unwrap_or_else(|e| panic!("{query}: {e}"));
+        let serialized = report
+            .find("runtime")
+            .and_then(|r| r.counter_value("serialized_nodes"))
+            .expect("runtime counters");
+        sealed += usize::from(serialized > 0);
+        trees += usize::from(engine.explain().contains("author: tree"));
+    }
+    assert!(
+        sealed >= 12,
+        "only {sealed} of 32 print-only queries sealed bytes"
+    );
+    assert!(
+        trees >= 4,
+        "only {trees} of 32 print-only queries kept authors trees"
+    );
 }
 
 /// Evaluation errors must render identically from the cursor evaluator and

@@ -367,7 +367,7 @@ mod tests {
             assert!(explain.contains(section), "missing {section}:\n{explain}");
         }
         assert!(explain.contains("process-stream"), "{explain}");
-        assert!(explain.contains("{author:*}"), "{explain}");
+        assert!(explain.contains("{author:bytes}"), "{explain}");
     }
 
     #[test]

@@ -54,6 +54,13 @@ pub struct SpecNode {
     /// order. Spec nodes have a handful of children at most, so descent is
     /// a short scan of integer comparisons.
     pub children: Vec<SpecEdge>,
+    /// The subtree is only ever copied to the output, so it is buffered
+    /// as its serialized bytes instead of as a tree (set by
+    /// [`SpecArena::mark_output_only`]).
+    pub output_only: bool,
+    /// The first use of this node that needs it as a tree — a comparison,
+    /// a test, an atomisation, a `let` binding — for explain output.
+    pub tree_use: Option<String>,
 }
 
 /// Arena of spec nodes; scope variables own root specs.
@@ -112,6 +119,79 @@ impl SpecArena {
         self.node_mut(id).text = true;
     }
 
+    /// Records a use of this node that needs it as a tree, if `what` names
+    /// one (the first one recorded is the one explain output names).
+    fn note_tree_use(&mut self, id: SpecId, what: impl FnOnce() -> Option<String>) {
+        let node = self.node_mut(id);
+        if node.tree_use.is_none() {
+            node.tree_use = what();
+        }
+    }
+
+    /// The compile pass that picks each node's representation: a non-root
+    /// node whose whole subtree is kept, that has no child edges and no
+    /// `text()` or attribute reads, and that no expression uses except to
+    /// copy it to the output, is *output-only* — buffered as serialized
+    /// bytes. Everything else stays a tree. Call once every expression's
+    /// needs are collected.
+    pub fn mark_output_only(&mut self) {
+        let mut is_child = vec![false; self.nodes.len()];
+        for edge in self.nodes.iter().flat_map(|n| &n.children) {
+            is_child[edge.child.index()] = true;
+        }
+        for (node, is_child) in self.nodes.iter_mut().zip(is_child) {
+            node.output_only = is_child
+                && node.whole
+                && node.children.is_empty()
+                && !node.text
+                && node.attrs.is_empty()
+                && node.tree_use.is_none();
+        }
+    }
+
+    /// Why a node whose whole subtree is kept stays a tree; `None` for
+    /// output-only nodes.
+    fn tree_reason(&self, id: SpecId) -> Option<String> {
+        let n = self.node(id);
+        if n.output_only {
+            return None;
+        }
+        if let Some(u) = &n.tree_use {
+            return Some(u.clone());
+        }
+        if n.text {
+            return Some("text() read".to_string());
+        }
+        if let Some(attr) = n.attrs.first() {
+            return Some(format!("@{attr} read"));
+        }
+        n.children
+            .first()
+            .map(|e| format!("a further step reads {}", e.label))
+    }
+
+    /// One line per kept-whole node below `id` that stays a tree, naming
+    /// the use that keeps it one — the explain companion of
+    /// [`SpecArena::render`].
+    pub fn render_tree_reasons(&self, id: SpecId, indent: &str, out: &mut String) {
+        let n = self.node(id);
+        if n.whole {
+            return;
+        }
+        let mut edges: Vec<&SpecEdge> = n.children.iter().collect();
+        edges.sort_by(|a, b| a.label.cmp(&b.label));
+        for edge in edges {
+            let child = self.node(edge.child);
+            if child.whole {
+                if let Some(reason) = self.tree_reason(edge.child) {
+                    out.push_str(&format!("{indent}{}: tree, {reason}\n", edge.label));
+                }
+            } else {
+                self.render_tree_reasons(edge.child, indent, out);
+            }
+        }
+    }
+
     /// Records that the plan reads attribute `name` of this element.
     pub fn mark_attr(&mut self, id: SpecId, name: &str) {
         let attrs = &mut self.node_mut(id).attrs;
@@ -148,6 +228,10 @@ impl SpecArena {
 
     fn render_into(&self, id: SpecId, out: &mut String) {
         let n = self.node(id);
+        if n.output_only {
+            out.push_str("bytes");
+            return;
+        }
         if n.whole {
             out.push('*');
             return;
@@ -268,9 +352,10 @@ impl SpecView {
 /// the DTD), whose spec edge is reachable only via the string fallback.
 pub type LabelResolver<'r> = dyn FnMut(&str) -> Option<Symbol> + 'r;
 
-/// Collects the buffering needs of a normal-form XQuery expression into the
-/// spec roots of the in-scope variables, interning every path label through
-/// `resolver` so the spec edges are symbol-keyed at compile time.
+/// Collects the buffering needs of a normal-form XQuery expression in
+/// content position into the spec roots of the in-scope variables,
+/// interning every path label through `resolver` so the spec edges are
+/// symbol-keyed at compile time.
 ///
 /// `scopes` maps streaming-scope variables to their spec roots; loop
 /// variables bound *inside* `expr` are tracked locally and resolve to spec
@@ -281,8 +366,40 @@ pub fn collect_needs(
     scopes: &[(VarName, SpecId)],
     resolver: &mut LabelResolver<'_>,
 ) {
-    let mut local: Vec<(VarName, SpecId)> = Vec::new();
-    collect(arena, expr, scopes, &mut local, resolver);
+    collect(arena, expr, Use::Copy, scopes, &mut Vec::new(), resolver);
+}
+
+/// [`collect_needs`] for one expression part of an attribute value
+/// template: its value is atomised, not copied.
+pub fn collect_attribute_needs(
+    arena: &mut SpecArena,
+    expr: &Expr,
+    scopes: &[(VarName, SpecId)],
+    resolver: &mut LabelResolver<'_>,
+) {
+    collect(arena, expr, Use::Atomise, scopes, &mut Vec::new(), resolver);
+}
+
+/// What the value of an expression is used for where it stands.
+#[derive(Clone, Copy)]
+enum Use<'e> {
+    /// Copied to the output.
+    Copy,
+    /// Atomised into an attribute value.
+    Atomise,
+    /// Bound by `let $var`, whose uses are not tracked.
+    Let(&'e str),
+}
+
+impl Use<'_> {
+    /// Why this use needs the node as a tree; `None` for a copy.
+    fn tree_use(self) -> Option<String> {
+        match self {
+            Use::Copy => None,
+            Use::Atomise => Some("atomised in an attribute value".to_string()),
+            Use::Let(var) => Some(format!("bound by let ${var}")),
+        }
+    }
 }
 
 fn lookup(scopes: &[(VarName, SpecId)], local: &[(VarName, SpecId)], var: &str) -> Option<SpecId> {
@@ -321,12 +438,16 @@ fn resolve<'p>(
     Some((current, tail))
 }
 
+/// Records a path's needs. `string_valued` paths keep their subtree;
+/// `tree_use` names the use, if any, that needs the node the path selects
+/// as a tree.
 fn note_path(
     arena: &mut SpecArena,
     path: &Path,
     scopes: &[(VarName, SpecId)],
     local: &[(VarName, SpecId)],
     string_valued: bool,
+    tree_use: &dyn Fn() -> Option<String>,
     resolver: &mut LabelResolver<'_>,
 ) {
     let Some((node, tail)) = resolve(arena, path, scopes, local, resolver) else {
@@ -344,6 +465,7 @@ fn note_path(
                 // String values need all descendant text: keep the subtree.
                 arena.mark_whole(node);
             }
+            arena.note_tree_use(node, tree_use);
         }
     }
 }
@@ -356,10 +478,11 @@ fn collect_cond(
     resolver: &mut LabelResolver<'_>,
 ) {
     match cond {
-        Cond::Cmp { lhs, rhs, .. } => {
+        Cond::Cmp { lhs, op, rhs } => {
+            let why = || Some(format!("compared in {lhs} {} {rhs}", op.as_str()));
             for operand in [lhs, rhs] {
                 if let Operand::Path(p) = operand {
-                    note_path(arena, p, scopes, local, true, resolver);
+                    note_path(arena, p, scopes, local, true, &why, resolver);
                 }
             }
         }
@@ -369,7 +492,14 @@ fn collect_cond(
         }
         Cond::Not(c) => collect_cond(arena, c, scopes, local, resolver),
         // Existence checks only need the element shells materialised.
-        Cond::Exists(p) | Cond::Empty(p) => note_path(arena, p, scopes, local, false, resolver),
+        Cond::Exists(p) => {
+            let why = || Some(format!("tested by exists({p})"));
+            note_path(arena, p, scopes, local, false, &why, resolver)
+        }
+        Cond::Empty(p) => {
+            let why = || Some(format!("tested by empty({p})"));
+            note_path(arena, p, scopes, local, false, &why, resolver)
+        }
         Cond::True | Cond::False => {}
     }
 }
@@ -377,6 +507,7 @@ fn collect_cond(
 fn collect(
     arena: &mut SpecArena,
     expr: &Expr,
+    ctx: Use<'_>,
     scopes: &[(VarName, SpecId)],
     local: &mut Vec<(VarName, SpecId)>,
     resolver: &mut LabelResolver<'_>,
@@ -386,16 +517,17 @@ fn collect(
         Expr::Var(v) => {
             if let Some(id) = lookup(scopes, local, v) {
                 arena.mark_whole(id);
+                arena.note_tree_use(id, || ctx.tree_use());
             }
         }
         Expr::Path(p) => {
             // Output position: nodes are copied (whole), attribute/text
             // reads are cheaper.
-            note_path(arena, p, scopes, local, true, resolver);
+            note_path(arena, p, scopes, local, true, &|| ctx.tree_use(), resolver);
         }
         Expr::Sequence(items) => {
             for item in items {
-                collect(arena, item, scopes, local, resolver);
+                collect(arena, item, ctx, scopes, local, resolver);
             }
         }
         Expr::Element {
@@ -406,11 +538,11 @@ fn collect(
             for attr in attributes {
                 for part in &attr.value {
                     if let AttrPart::Expr(e) = part {
-                        collect(arena, e, scopes, local, resolver);
+                        collect(arena, e, Use::Atomise, scopes, local, resolver);
                     }
                 }
             }
-            collect(arena, content, scopes, local, resolver);
+            collect(arena, content, Use::Copy, scopes, local, resolver);
         }
         Expr::For {
             var,
@@ -425,25 +557,23 @@ fn collect(
                     None
                 }
             });
+            // The loop variable is in scope in the `where` clause too.
+            if let Some(node) = bound {
+                local.push((var.clone(), node));
+            }
             if let Some(cond) = where_clause {
                 collect_cond(arena, cond, scopes, local, resolver);
             }
-            match bound {
-                Some(node) => {
-                    local.push((var.clone(), node));
-                    collect(arena, body, scopes, local, resolver);
-                    local.pop();
-                }
-                None => {
-                    // Unresolvable source (shadowing weirdness): be safe and
-                    // keep everything reachable from the body's roots.
-                    collect(arena, body, scopes, local, resolver);
-                }
+            // An unresolvable source (shadowing weirdness) binds nothing:
+            // the body's roots still record their needs.
+            collect(arena, body, ctx, scopes, local, resolver);
+            if bound.is_some() {
+                local.pop();
             }
         }
-        Expr::Let { value, body, .. } => {
-            collect(arena, value, scopes, local, resolver);
-            collect(arena, body, scopes, local, resolver);
+        Expr::Let { var, value, body } => {
+            collect(arena, value, Use::Let(var), scopes, local, resolver);
+            collect(arena, body, ctx, scopes, local, resolver);
         }
         Expr::If {
             cond,
@@ -451,8 +581,8 @@ fn collect(
             else_branch,
         } => {
             collect_cond(arena, cond, scopes, local, resolver);
-            collect(arena, then_branch, scopes, local, resolver);
-            collect(arena, else_branch, scopes, local, resolver);
+            collect(arena, then_branch, ctx, scopes, local, resolver);
+            collect(arena, else_branch, ctx, scopes, local, resolver);
         }
     }
 }
@@ -476,6 +606,104 @@ mod tests {
             &mut |label| Some(table.intern(label)),
         );
         (arena, root, table)
+    }
+
+    /// The representation pass over `expr`'s needs: the rendered spec,
+    /// then one line per node kept a tree and why.
+    fn representations_of(expr: &Expr) -> String {
+        let mut arena = SpecArena::new();
+        let root = arena.new_root();
+        let mut table = SymbolTable::new();
+        collect_needs(
+            &mut arena,
+            expr,
+            &[("book".to_string(), root)],
+            &mut |label| Some(table.intern(label)),
+        );
+        arena.mark_output_only();
+        let mut out = arena.render(root);
+        arena.render_tree_reasons(root, "; ", &mut out);
+        out.trim_end().to_string()
+    }
+
+    fn representations(query_body: &str) -> String {
+        representations_of(&normalize(&parse_query(query_body).unwrap()).unwrap())
+    }
+
+    #[test]
+    fn printed_only_subtrees_are_bytes() {
+        for (query, expected) in [
+            ("<r>{$book/author}</r>", "{author:bytes}"),
+            (
+                "<r>{ for $x in $book/author return <w>{$x}</w> }</r>",
+                "{author:bytes}",
+            ),
+            ("<r>{$book/author}{$book/author}</r>", "{author:bytes}"),
+            // The condition reads another node, not the author.
+            (
+                r#"<r>{ for $x in $book/author return if ($book/title = "t") then $x else () }</r>"#,
+                r#"{author:bytes,title:*}; title: tree, compared in $book/title = "t""#,
+            ),
+        ] {
+            assert_eq!(representations(query), expected, "{query}");
+        }
+    }
+
+    #[test]
+    fn every_non_copy_use_keeps_a_tree_and_says_which() {
+        for (query, expected) in [
+            (
+                r#"<r>{$book/author}{ if ($book/author = "x") then "y" else () }</r>"#,
+                r#"{author:*}; author: tree, compared in $book/author = "x""#,
+            ),
+            (
+                r#"<r>{ for $x in $book/author return if ($x = "x") then $x else () }</r>"#,
+                r#"{author:*}; author: tree, compared in $x = "x""#,
+            ),
+            (
+                r#"<r>{ for $x in $book/author where $x = "x" return $x }</r>"#,
+                r#"{author:*}; author: tree, compared in $x = "x""#,
+            ),
+            (
+                r#"<r>{$book/author}{ if (exists($book/author)) then "y" else () }</r>"#,
+                "{author:*}; author: tree, tested by exists($book/author)",
+            ),
+            (
+                r#"<r>{$book/author}{ if (empty($book/author)) then "y" else () }</r>"#,
+                "{author:*}; author: tree, tested by empty($book/author)",
+            ),
+            (
+                r#"<r a="{$book/author}">{$book/author}</r>"#,
+                "{author:*}; author: tree, atomised in an attribute value",
+            ),
+            (
+                "<r>{$book/author}{$book/author/text()}</r>",
+                "{author:*}; author: tree, text() read",
+            ),
+            (
+                "<r>{$book/author}{$book/author/@id}</r>",
+                "{author:*}; author: tree, @id read",
+            ),
+            (
+                "<r>{$book/author}{$book/author/last}</r>",
+                "{author:*}; author: tree, a further step reads last",
+            ),
+            // The scope root itself is never serialized.
+            ("<r>{$book}</r>", "*"),
+        ] {
+            assert_eq!(representations(query), expected, "{query}");
+        }
+        // Normalisation inlines `let`; a `let` that survives binds a
+        // variable whose uses are not tracked, so its value stays a tree.
+        let let_bound = Expr::Let {
+            var: "a".to_string(),
+            value: Box::new(Expr::Path(Path::var("book").child("author"))),
+            body: Box::new(Expr::Var("a".to_string())),
+        };
+        assert_eq!(
+            representations_of(&let_bound),
+            "{author:*}; author: tree, bound by let $a"
+        );
     }
 
     #[test]

@@ -17,28 +17,25 @@
 //! un-releasable growth the moment they are first seen — an adversarial
 //! stream minting unbounded distinct names shows up in
 //! `peak_buffer_bytes` instead of hiding in an unaccounted table. Freed
-//! nodes donate their text buffers and attribute vectors back to a spare
-//! pool, so the steady-state buffer-and-free loop of a scoped query (one
+//! nodes donate their text buffers, attribute vectors and serialized bytes
+//! back to spare pools, so the steady-state buffer-and-free loop of a scoped query (one
 //! book at a time, in the paper's running example) performs **zero heap
 //! allocations**.
 //!
-//! Short text payloads the stream repeats (author names, recurring labels)
-//! go through a frequency gate ([`TextGate`]): once a payload has been
-//! seen often enough *within one scope generation* it interns into the
-//! arena document's shared-text dictionary and subsequent sightings buffer
-//! as an index instead of a copy. [`BufferArena::free_scope`] bumps the
-//! gate's generation, so only payloads whose copies are simultaneously
-//! live can cross — the one case where sharing lowers the live-byte peak.
-//! A payload that recurs once per freed scope never interns: it would
-//! grow the resident dictionary without ever saving a live byte.
-//! Dictionary bytes are charged to the tracker exactly like interned
-//! names — un-releasable, once per distinct payload — so the saving shows
-//! up honestly in `peak_buffer_bytes` rather than hiding in an unaccounted
-//! side table.
+//! A buffered subtree takes one of two representations, decided per BDF
+//! node at plan-compile time. A *tree* — an element node per element, a
+//! text node per text run — is what cursors navigate, compare and
+//! atomise. A *print-only* subtree, one the plan only ever copies to the
+//! output, is serialized while it streams past through the arena's
+//! [`BufferArena::capture`] writer and sealed into **one**
+//! [`NodeKind::Serialized`] node holding its already-escaped bytes: it
+//! keeps its element name, so paths still find it in document order,
+//! copying it out is one `write_all`, and freeing it returns its byte
+//! buffer to a pool.
 
 use crate::stats::MemoryTracker;
 use flux_xml::tree::{Document, NodeAttr, NodeId, NodeKind};
-use flux_xml::{Attribute, RawEventRef, SymbolTable, TextGate};
+use flux_xml::{Attribute, RawEventRef, Symbol, SymbolTable, XmlWriter};
 use flux_xquery::{CompiledPath, CursorPool, ItemCursor, PathCursor};
 
 /// Arena of buffered nodes with recycling and byte accounting.
@@ -50,12 +47,13 @@ pub struct BufferArena {
     spare_strings: Vec<String>,
     /// Emptied attribute vectors harvested from freed element nodes.
     spare_attr_vecs: Vec<Vec<NodeAttr>>,
+    /// Cleared byte buffers harvested from freed serialized nodes.
+    spare_xml: Vec<Vec<u8>>,
+    /// Where print-only subtrees are serialized while they stream past;
+    /// each [`BufferArena::seal`] copies one out of it into a node.
+    capture: XmlWriter<Vec<u8>>,
     /// Reusable traversal stack for [`BufferArena::free_scope`].
     free_stack: Vec<NodeId>,
-    /// Frequency gate deciding which short text payloads join the shared
-    /// dictionary. Fixed-size machine state, like the spare pools — not
-    /// buffered data, so not charged to the tracker.
-    gate: TextGate,
     tracker: MemoryTracker,
 }
 
@@ -79,8 +77,9 @@ impl BufferArena {
             free_slots: Vec::new(),
             spare_strings: Vec::new(),
             spare_attr_vecs: Vec::new(),
+            spare_xml: Vec::new(),
+            capture: XmlWriter::new(Vec::new()),
             free_stack: Vec::new(),
-            gate: TextGate::new(),
             tracker: MemoryTracker::new(),
         }
     }
@@ -126,14 +125,7 @@ impl BufferArena {
                 self.doc.reset_node(slot, kind);
                 slot
             }
-            None => match kind {
-                NodeKind::Element { name, attributes } => {
-                    self.doc.create_element_sym(name, attributes)
-                }
-                NodeKind::Text(t) => self.doc.create_text(t),
-                NodeKind::SharedText(idx) => self.doc.create_shared_text(idx),
-                NodeKind::Document => unreachable!("arena never allocates document nodes"),
-            },
+            None => self.doc.create_node(kind),
         };
         self.tracker.allocate(self.doc.node_heap_bytes(id));
         id
@@ -235,47 +227,58 @@ impl BufferArena {
         id
     }
 
-    /// Appends text under `parent`, merging with a trailing text sibling
-    /// (a shared trailing sibling demotes to an owned copy — the merged
-    /// payload is a new spelling). New nodes route through the frequency
-    /// gate: payloads the stream repeats intern into the shared dictionary
-    /// and buffer as an index.
+    /// Imports a start tag's name into the arena document's table (see
+    /// [`Document::import_name`]), charging any first-sight spelling.
+    pub fn import_name(&mut self, symbols: &SymbolTable, ev: &RawEventRef<'_>) -> Symbol {
+        let dict_before = self.doc.interned_name_bytes();
+        let name = self.doc.import_name(symbols, ev.name(), ev.target());
+        self.charge_dictionary(dict_before);
+        name
+    }
+
+    /// The writer print-only subtrees stream through: the caller writes
+    /// each of their events to it exactly as a stream copy would write
+    /// them to the output.
+    pub fn capture(&mut self) -> &mut XmlWriter<Vec<u8>> {
+        &mut self.capture
+    }
+
+    /// Where a print-only subtree about to be captured starts in the
+    /// capture buffer. With no subtree open the buffer is idle and starts
+    /// over, so it never holds more than the outermost open capture.
+    pub fn capture_mark(&mut self) -> usize {
+        if self.capture.depth() == 0 {
+            self.capture.get_mut().clear();
+        }
+        self.capture.get_ref().len()
+    }
+
+    /// Seals the captured bytes from `start` on — one balanced element
+    /// named `name` — into one serialized node appended under `parent`,
+    /// charged to the tracker like any node.
+    pub fn seal(&mut self, parent: NodeId, name: Symbol, start: usize) -> NodeId {
+        let mut xml = self.spare_xml.pop().unwrap_or_default();
+        xml.extend_from_slice(&self.capture.get_ref()[start..]);
+        self.tracker.count_serialized(xml.len());
+        let id = self.alloc(NodeKind::Serialized { name, xml });
+        self.doc.append_child(parent, id);
+        id
+    }
+
+    /// Appends text under `parent`, merging with a trailing text sibling.
     pub fn append_text(&mut self, parent: NodeId, text: &str) {
         if let Some(&last) = self.doc.children(parent).last() {
             let before = self.doc.node_heap_bytes(last);
-            let mut scratch = self.spare_strings.pop().unwrap_or_default();
-            let merged = self.doc.merge_text(last, text, &mut scratch);
-            self.spare_strings.push(scratch);
-            if merged {
+            // The arena holds no shared text, so a merge never demotes
+            // one and needs no scratch.
+            if self.doc.merge_text(last, text, &mut String::new()) {
                 self.tracker.grow(self.doc.node_heap_bytes(last) - before);
                 return;
             }
         }
-        let kind = match self.shared_index(text) {
-            Some(idx) => NodeKind::SharedText(idx),
-            None => NodeKind::Text(self.pooled_string(text)),
-        };
-        let id = self.alloc(kind);
+        let text = self.pooled_string(text);
+        let id = self.alloc(NodeKind::Text(text));
         self.doc.append_child(parent, id);
-    }
-
-    /// Dictionary index for `text` if it is (or just became) shared:
-    /// recurring short payloads pass the gate and intern once, with the
-    /// dictionary bytes charged to the tracker as un-releasable growth.
-    fn shared_index(&mut self, text: &str) -> Option<u32> {
-        if !TextGate::eligible(text) {
-            return None;
-        }
-        if let Some(idx) = self.doc.shared_text_lookup(text) {
-            return Some(idx);
-        }
-        if !self.gate.admit(text) {
-            return None;
-        }
-        let before = self.doc.shared_text_bytes();
-        let idx = self.doc.intern_shared_text(text);
-        self.tracker.grow(self.doc.shared_text_bytes() - before);
-        Some(idx)
     }
 
     /// Frees a detached scope subtree, recycling every node — and every
@@ -283,10 +286,6 @@ impl BufferArena {
     /// the allocator.
     pub fn free_scope(&mut self, root: NodeId) {
         debug_assert!(self.doc.parent(root).is_none(), "scope roots are detached");
-        // Freed copies can no longer benefit from sharing: start a new
-        // sighting generation so only intra-scope repetition (live
-        // duplicates) counts toward the dictionary gate.
-        self.gate.bump_generation();
         self.tracker.sample_residency();
         let mut stack = std::mem::take(&mut self.free_stack);
         stack.clear();
@@ -308,10 +307,11 @@ impl BufferArena {
                     t.clear();
                     self.spare_strings.push(t);
                 }
-                // The payload lives in the run-long dictionary (already
-                // charged); the node itself carried no heap to harvest.
-                NodeKind::SharedText(_) => {}
-                NodeKind::Document => {}
+                NodeKind::Serialized { mut xml, .. } => {
+                    xml.clear();
+                    self.spare_xml.push(xml);
+                }
+                NodeKind::SharedText(_) | NodeKind::Document => {}
             }
             self.free_slots.push(id);
         }
@@ -378,7 +378,7 @@ mod tests {
         arena.append_text(author, "Stevens");
         let doc = arena.doc();
         assert_eq!(doc.children(book).len(), 2);
-        assert_eq!(doc.string_value(book), "TCP/IPStevens");
+        assert_eq!(doc.string_value(book).unwrap(), "TCP/IPStevens");
         assert_eq!(doc.attribute(book, "year"), Some("1994"));
     }
 
@@ -395,7 +395,7 @@ mod tests {
             "merged into one text node"
         );
         assert_eq!(arena.current_bytes(), before + 2);
-        assert_eq!(arena.doc().string_value(e), "abcd");
+        assert_eq!(arena.doc().string_value(e).unwrap(), "abcd");
     }
 
     #[test]
@@ -424,7 +424,7 @@ mod tests {
             "slots recycled"
         );
         assert_eq!(arena.doc().interned_name_bytes(), dictionary);
-        assert_eq!(arena.doc().string_value(scope2), "Y");
+        assert_eq!(arena.doc().string_value(scope2).unwrap(), "Y");
     }
 
     #[test]
@@ -511,11 +511,8 @@ mod tests {
     #[test]
     fn steady_state_recycling_reuses_buffers() {
         // After warm-up, buffering the same shape again must not grow the
-        // arena (slots, strings and attribute vectors recycle). The
-        // payload repeats only *across* freed scopes — never two live
-        // copies at once — so it must stay out of the shared dictionary:
-        // interning it would grow resident bytes without ever saving a
-        // live byte. Accounting therefore closes to zero every round.
+        // arena (slots, strings and attribute vectors recycle), and the
+        // accounting closes to the name floor every round.
         let mut arena = BufferArena::new();
         let payload = "A value that is long enough to matter";
         let mut floor = None;
@@ -533,11 +530,6 @@ mod tests {
                 "round {round} leaked accounting"
             );
         }
-        assert_eq!(arena.doc().shared_text_bytes(), 0);
-        assert!(
-            arena.doc().shared_text_lookup(payload).is_none(),
-            "cross-scope repetition must not intern (no live duplicates)"
-        );
         assert!(
             arena.doc().node_count() <= 4,
             "arena grew past one scope's nodes: {}",
@@ -545,114 +537,95 @@ mod tests {
         );
     }
 
-    #[test]
-    fn gate_generations_reset_on_free() {
-        // Three sightings, free, three more: still owned (each generation
-        // starts the tally over). Four sightings inside a single scope
-        // cross the gate — that is the profitable case, four live copies
-        // sharing one dictionary entry.
-        let mut arena = BufferArena::new();
-        let payload = "Recurring Author Name";
-        for _ in 0..2 {
-            let scope = arena.create_element("bib", &[]);
-            for _ in 0..3 {
-                let e = arena.append_element(scope, "author", &[]);
-                arena.append_text(e, payload);
-            }
-            arena.free_scope(scope);
-        }
-        assert!(arena.doc().shared_text_lookup(payload).is_none());
-        let scope = arena.create_element("bib", &[]);
-        for _ in 0..4 {
-            let e = arena.append_element(scope, "author", &[]);
-            arena.append_text(e, payload);
-        }
-        assert!(
-            arena.doc().shared_text_lookup(payload).is_some(),
-            "4 live sightings in one generation must intern"
-        );
-        // The dictionary entry outlives the scope that earned it: later
-        // scopes buffer the payload as an index, charging the node struct
-        // but none of the content an owned copy of the same length pays.
-        arena.free_scope(scope);
-        let scope = arena.create_element("bib", &[]);
-        let e1 = arena.append_element(scope, "author", &[]);
-        let before = arena.current_bytes();
-        arena.append_text(e1, payload);
-        let grown_shared = arena.current_bytes() - before;
-        let e2 = arena.append_element(scope, "author", &[]);
-        let before = arena.current_bytes();
-        arena.append_text(e2, "Distinct Author NameX"); // same length, owned
-        let grown_owned = arena.current_bytes() - before;
-        assert_eq!(grown_owned - grown_shared, payload.len());
-        arena.free_scope(scope);
+    /// Serializes one `<author a="1">` element with `text` into the
+    /// capture writer, the way the executor streams a print-only subtree.
+    fn capture_author(arena: &mut BufferArena, symbols: &SymbolTable, text: &str) -> usize {
+        use flux_xml::{RawEvent, RawEventKind};
+        let mut ev = RawEvent::new();
+        ev.reset(RawEventKind::StartElement);
+        ev.set_name(symbols.lookup("author").unwrap());
+        ev.push_attr_named("a").push('1');
+        let start = arena.capture_mark();
+        let capture = arena.capture();
+        capture
+            .start_element_view(symbols, &RawEventRef::from_event(&ev))
+            .unwrap();
+        capture.text(text).unwrap();
+        capture.end_element().unwrap();
+        start
     }
 
     #[test]
-    fn repeated_text_shares_after_gate() {
-        // Live buffered payloads: before the gate opens, each sighting of
-        // a repeated string costs its full length; after interning, a
-        // sighting costs only the node struct — N live copies charge the
-        // dictionary once. Distinct long strings never intern.
-        let mut arena = BufferArena::new();
-        let parent = arena.create_element("bib", &[]);
-        let payload = "Recurring Author";
-        for _ in 0..4 {
-            let e = arena.append_element(parent, "author", &[]);
-            arena.append_text(e, payload);
-        }
-        assert!(
-            arena.doc().shared_text_lookup(payload).is_some(),
-            "4th sighting interned"
-        );
-        let shared_floor = arena.doc().shared_text_bytes();
-        assert_eq!(shared_floor, 2 * payload.len());
-        let before = arena.current_bytes();
-        for _ in 0..100 {
-            let e = arena.append_element(parent, "author", &[]);
-            arena.append_text(e, payload);
-        }
-        let grown_shared = arena.current_bytes() - before;
-        assert_eq!(arena.doc().shared_text_bytes(), shared_floor);
-        // Differential: the same shape with distinct same-length payloads
-        // (each seen once — they never pass the gate) additionally pays
-        // every payload's content bytes.
-        let before = arena.current_bytes();
-        for i in 0..100 {
-            let e = arena.append_element(parent, "author", &[]);
-            arena.append_text(e, &format!("Author {i:09}"));
-        }
-        let grown_owned = arena.current_bytes() - before;
+    fn serialized_nodes_seal_charge_and_recycle() {
+        let mut symbols = SymbolTable::new();
+        let author = symbols.intern("author");
+        let mut arena = BufferArena::with_symbols(symbols.clone());
+        let shell = arena.create_element("book", &[]);
+        let floor = arena.current_bytes();
+        let start = capture_author(&mut arena, &symbols, "Gray & Reuter");
+        let node = arena.seal(shell, author, start);
+        let xml = r#"<author a="1">Gray &amp; Reuter</author>"#;
+        // One node holding the escaped bytes, still named `author`.
+        assert_eq!(arena.doc().name_sym(node), Some(author));
+        assert!(matches!(
+            arena.doc().kind(node),
+            NodeKind::Serialized { xml: bytes, .. } if bytes == xml.as_bytes()
+        ));
         assert_eq!(
-            grown_owned - grown_shared,
-            100 * payload.len(),
-            "shared sightings must charge node structs only"
+            arena.current_bytes() - floor,
+            arena.doc().node_heap_bytes(node)
         );
-        // A long payload is ineligible however often it repeats.
-        let long = "L".repeat(100);
-        for _ in 0..8 {
-            let e = arena.append_element(parent, "author", &[]);
-            arena.append_text(e, &long);
-        }
-        assert!(arena.doc().shared_text_lookup(&long).is_none());
+        assert_eq!(
+            arena.tracker().telemetry().serialized_bytes,
+            xml.len() as u64
+        );
+        // Its string value is an error, not a silently empty string.
+        assert!(arena.doc().string_value(shell).is_err());
+        // Freeing returns the charge; the next seal reuses slot and buffer.
+        arena.free_scope(shell);
+        assert_eq!(arena.current_bytes(), arena.doc().interned_name_bytes());
+        let nodes = arena.doc().node_count();
+        let shell = arena.create_element("book", &[]);
+        let start = capture_author(&mut arena, &symbols, "Stevens");
+        arena.seal(shell, author, start);
+        assert_eq!(arena.doc().node_count(), nodes, "slots recycled");
+        assert_eq!(arena.tracker().telemetry().serialized_nodes, 2);
+        arena.free_scope(shell);
     }
 
     #[test]
-    fn merge_demotes_shared_trailing_text() {
-        // Merging new text into a shared trailing sibling demotes it to an
-        // owned copy (the merged spelling is new) and accounts the growth.
-        let mut arena = BufferArena::new();
-        let parent = arena.create_element("bib", &[]);
-        for _ in 0..4 {
-            let e = arena.append_element(parent, "a", &[]);
-            arena.append_text(e, "shared");
-        }
-        let e = arena.append_element(parent, "a", &[]);
-        arena.append_text(e, "shared"); // buffered as a dictionary reference
-        let before = arena.current_bytes();
-        arena.append_text(e, " plus more");
-        assert_eq!(arena.doc().string_value(e), "shared plus more");
-        // Growth covers the whole owned payload the demotion materialised.
-        assert_eq!(arena.current_bytes() - before, "shared plus more".len());
+    fn nested_and_parallel_seals_share_one_capture() {
+        // Two buffers sealing the same element, and an inner element
+        // sealed inside an outer one, all from one pass over the events.
+        let mut symbols = SymbolTable::new();
+        let author = symbols.intern("author");
+        let mut arena = BufferArena::with_symbols(symbols.clone());
+        let (a, b) = (
+            arena.create_element("a", &[]),
+            arena.create_element("b", &[]),
+        );
+        let outer = arena.capture_mark();
+        let mut ev = flux_xml::RawEvent::new();
+        ev.reset(flux_xml::RawEventKind::StartElement);
+        ev.set_name(author);
+        let view = RawEventRef::from_event(&ev);
+        arena.capture().start_element_view(&symbols, &view).unwrap();
+        let inner = arena.capture_mark();
+        assert_eq!(inner, "<author>".len(), "an open capture is not reset");
+        let start = capture_author(&mut arena, &symbols, "x");
+        assert_eq!(start, inner);
+        arena.seal(b, author, inner);
+        arena.capture().end_element().unwrap();
+        arena.seal(a, author, outer);
+        arena.seal(b, author, outer);
+        let bytes = |id: NodeId| match arena.doc().kind(id) {
+            NodeKind::Serialized { xml, .. } => String::from_utf8(xml.clone()).unwrap(),
+            other => panic!("{other:?}"),
+        };
+        let whole = r#"<author><author a="1">x</author></author>"#;
+        assert_eq!(bytes(arena.doc().children(a)[0]), whole);
+        let b_children = arena.doc().children(b).to_vec();
+        assert_eq!(bytes(b_children[0]), r#"<author a="1">x</author>"#);
+        assert_eq!(bytes(b_children[1]), whole);
     }
 }

@@ -2,12 +2,21 @@
 //!
 //! Drives XSAX events through the physical plan: per open element it keeps
 //! a `Frame` recording whether the element's events are being
-//! stream-copied to the output, which output end tags it owes, and where
-//! its entries start on four stacks shared by all open elements — the
-//! buffers the element populates (per the BDF's projection views), the
-//! process-streams dispatching its children, the variable bindings and
-//! the scope shells to undo at its close. `on-first` events from XSAX
-//! trigger buffered evaluation of handler bodies over the buffer store.
+//! stream-copied to the output or captured into a print-only buffer, which
+//! output end tags it owes, and where its entries start on four stacks
+//! shared by all open elements — the buffers the element populates (per
+//! the BDF's projection views), the process-streams dispatching its
+//! children, the variable bindings and the scope shells to undo at its
+//! close. `on-first` events from XSAX trigger buffered evaluation of
+//! handler bodies over the buffer store.
+//!
+//! A buffer has one of two representations, chosen at plan-compile time
+//! per BDF node ([`crate::bdf::SpecArena::mark_output_only`]). A *tree*
+//! copies the projected events into arena nodes that cursors navigate. A
+//! *print-only* subtree is handled like a stream copy whose sink is the
+//! arena's capture writer: its events are serialized once, through the
+//! same writer calls a stream copy makes, and at its end tag the bytes
+//! seal into one arena node per buffering scope.
 //!
 //! The event loop dispatches on the step's kind and builds the borrowed
 //! [`RawEventRef`] view — payloads living in the source's storage (scanner
@@ -26,7 +35,7 @@ use crate::buffer::BufferArena;
 use crate::error::{Result, RuntimeError};
 use crate::plan::{DocTiming, HandlerPlan, Plan, PlanExpr, PsId};
 use crate::stats::RunStats;
-use flux_dtd::Dtd;
+use flux_dtd::{Dtd, Symbol};
 use flux_telemetry::{RunReport, Stage};
 use flux_xml::tree::NodeId;
 use flux_xml::{EventSource, RawEventKind, RawEventRef, SymbolTable, XmlWriter};
@@ -45,12 +54,30 @@ use crate::bdf::SpecView;
 struct Frame {
     /// Events inside this element are copied to the output.
     copying: bool,
+    /// Events inside this element are serialized into the arena's capture
+    /// writer: the element is, or is inside, a print-only subtree.
+    capturing: bool,
     /// Output end tags owed when this element closes.
     closers: usize,
     targets: usize,
     scopes: usize,
     bindings: usize,
     shells: usize,
+}
+
+/// One buffer an open element's content populates.
+#[derive(Clone, Copy)]
+enum Target {
+    /// A tree node, populated per the projection view.
+    Tree(NodeId, SpecView),
+    /// A print-only subtree rooted at this element, whose serialization
+    /// starts at `start` in the capture buffer and seals into a child of
+    /// `parent` named `name` when the element closes.
+    Bytes {
+        parent: NodeId,
+        name: Symbol,
+        start: usize,
+    },
 }
 
 /// Runs a pre-compiled physical plan over an [`EventSource`], writing the
@@ -159,8 +186,8 @@ struct ExecState<'p, W: Write> {
     writer: XmlWriter<W>,
     /// One frame per open element, the document frame at index 0.
     stack: Vec<Frame>,
-    /// Buffer insertion points the open elements' content populates.
-    targets: Vec<(NodeId, SpecView)>,
+    /// Buffers the open elements' content populates.
+    targets: Vec<Target>,
     /// Process-streams dispatching the open elements' children.
     scopes: Vec<PsId>,
     /// Variable bindings to restore at close (slot, shadowed value).
@@ -192,10 +219,12 @@ impl<'p, W: Write> ExecState<'p, W> {
         }
     }
 
-    /// A frame with nothing on the shared stacks yet, inheriting `copying`.
-    fn open_frame(&self, copying: bool) -> Frame {
+    /// A frame with nothing on the shared stacks yet, inheriting `copying`
+    /// and `capturing` from `parent`.
+    fn open_frame(&self, parent: Option<&Frame>) -> Frame {
         Frame {
-            copying,
+            copying: parent.is_some_and(|p| p.copying),
+            capturing: parent.is_some_and(|p| p.capturing),
             closers: 0,
             targets: self.targets.len(),
             scopes: self.scopes.len(),
@@ -209,9 +238,9 @@ impl<'p, W: Write> ExecState<'p, W> {
         // it is never freed (the run ends with it) and copying `$ROOT`
         // emits its children, as document-node semantics require.
         let shell = self.arena.doc().document_node();
-        let mut frame = self.open_frame(false);
+        let mut frame = self.open_frame(None);
         self.targets
-            .push((shell, SpecView::Project(self.plan.root_spec)));
+            .push(Target::Tree(shell, SpecView::Project(self.plan.root_spec)));
         let root_slot = self.plan.root_slot;
         let saved = self.slots[root_slot].replace(shell);
         self.bindings.push((root_slot, saved));
@@ -232,8 +261,12 @@ impl<'p, W: Write> ExecState<'p, W> {
             .last()
             .expect("XSAX guarantees events inside the document");
         // The parent's entries end where the new frame's begin.
-        let mut frame = self.open_frame(parent.copying);
-        if !parent.copying && parent.targets == frame.targets && parent.scopes == frame.scopes {
+        let mut frame = self.open_frame(Some(&parent));
+        if !parent.copying
+            && !parent.capturing
+            && parent.targets == frame.targets
+            && parent.scopes == frame.scopes
+        {
             // Nothing copies, buffers or dispatches here: the start tag
             // is not read.
             self.stack.push(frame);
@@ -245,17 +278,40 @@ impl<'p, W: Write> ExecState<'p, W> {
         if parent.copying {
             self.writer.start_element_view(symbols, &ev)?;
         }
-        // Buffer population: descend every active view on symbol equality
-        // (an OVERFLOW name from a bounded-interner stream falls back to
-        // comparing the literal spelling, so `max_symbols` can never
-        // change what is buffered).
+        // Buffer population: descend every active tree view on symbol
+        // equality (an OVERFLOW name from a bounded-interner stream falls
+        // back to comparing the literal spelling, so `max_symbols` can
+        // never change what is buffered). A print-only child starts a
+        // capture instead of a node; inside a capture nothing descends —
+        // the frame's `capturing` flag carries the rest of the subtree.
         let literal = ev.name_str(symbols);
+        let specs = &self.plan.specs;
         for i in parent.targets..frame.targets {
-            let (node, view) = self.targets[i];
-            if let Some(child_view) = view.descend_event(&self.plan.specs, sym, literal) {
-                let child_node = self.arena.append_element_view(node, symbols, &ev);
-                self.targets.push((child_node, child_view));
+            let Target::Tree(node, view) = self.targets[i] else {
+                continue;
+            };
+            let Some(child_view) = view.descend_event(specs, sym, literal) else {
+                continue;
+            };
+            match child_view {
+                SpecView::Project(id) if specs.node(id).output_only => {
+                    let name = self.arena.import_name(symbols, &ev);
+                    let start = self.arena.capture_mark();
+                    self.targets.push(Target::Bytes {
+                        parent: node,
+                        name,
+                        start,
+                    });
+                    frame.capturing = true;
+                }
+                _ => {
+                    let child_node = self.arena.append_element_view(node, symbols, &ev);
+                    self.targets.push(Target::Tree(child_node, child_view));
+                }
             }
+        }
+        if frame.capturing {
+            self.arena.capture().start_element_view(symbols, &ev)?;
         }
         // Handler dispatch: every matching `on` handler of every scope
         // hosted by the parent, in plan order.
@@ -267,6 +323,7 @@ impl<'p, W: Write> ExecState<'p, W> {
                     symbol,
                     var_slot,
                     spec,
+                    binds,
                     body,
                     ..
                 } = handler
@@ -283,21 +340,24 @@ impl<'p, W: Write> ExecState<'p, W> {
                 if !matches {
                     continue;
                 }
-                // The shell carries only the attributes the plan reads
-                // (all of them when the whole subtree is kept): unread
-                // minted names must never grow the arena's dictionary.
-                let spec_node = plan.specs.node(*spec);
-                let shell = if spec_node.whole {
-                    self.arena.create_element_view(symbols, &ev)
-                } else {
-                    self.arena
-                        .create_element_view_projected(symbols, &ev, &spec_node.attrs)
-                };
-                let saved = self.slots[*var_slot].replace(shell);
-                self.bindings.push((*var_slot, saved));
-                self.shells.push(shell);
-                if !self.plan.specs.is_empty_spec(*spec) {
-                    self.targets.push((shell, SpecView::Project(*spec)));
+                if *binds {
+                    // The shell carries only the attributes the plan reads
+                    // (all of them when the whole subtree is kept): unread
+                    // minted names must never grow the arena's dictionary.
+                    let spec_node = plan.specs.node(*spec);
+                    let shell = if spec_node.whole {
+                        self.arena.create_element_view(symbols, &ev)
+                    } else {
+                        self.arena
+                            .create_element_view_projected(symbols, &ev, &spec_node.attrs)
+                    };
+                    let saved = self.slots[*var_slot].replace(shell);
+                    self.bindings.push((*var_slot, saved));
+                    self.shells.push(shell);
+                    if !plan.specs.is_empty_spec(*spec) {
+                        self.targets
+                            .push(Target::Tree(shell, SpecView::Project(*spec)));
+                    }
                 }
                 self.enter_plan(body, &mut frame, Some((&ev, symbols)))?;
             }
@@ -314,9 +374,14 @@ impl<'p, W: Write> ExecState<'p, W> {
         if frame.copying {
             self.writer.text(text())?;
         }
-        for &(node, view) in &self.targets[frame.targets..] {
-            if view.keeps_text(&self.plan.specs) {
-                self.arena.append_text(node, text());
+        if frame.capturing {
+            self.arena.capture().text(text())?;
+        }
+        for target in &self.targets[frame.targets..] {
+            if let Target::Tree(node, view) = *target {
+                if view.keeps_text(&self.plan.specs) {
+                    self.arena.append_text(node, text());
+                }
             }
         }
         Ok(())
@@ -329,6 +394,20 @@ impl<'p, W: Write> ExecState<'p, W> {
         }
         for _ in 0..frame.closers {
             self.writer.end_element()?;
+        }
+        if frame.capturing {
+            // The frame is innermost: its targets run to the top.
+            self.arena.capture().end_element()?;
+            for i in frame.targets..self.targets.len() {
+                if let Target::Bytes {
+                    parent,
+                    name,
+                    start,
+                } = self.targets[i]
+                {
+                    self.arena.seal(parent, name, start);
+                }
+            }
         }
         self.close_frame(frame);
         Ok(())

@@ -15,13 +15,13 @@
 //! cursor evaluator: no per-firing hash lookups for declared labels, no
 //! per-firing environment maps.
 
-use crate::bdf::{collect_needs, SpecArena, SpecId};
+use crate::bdf::{collect_attribute_needs, collect_needs, LabelResolver, SpecArena, SpecId};
 use crate::error::{Result, RuntimeError};
 use flux_dtd::{Dtd, Symbol, SymbolTable};
 use flux_lang::{FluxExpr, FluxQuery, Handler, PastSet};
 use flux_xquery::{
-    compile_attr, compile_expr, explain_loops, CompiledAttr, CompiledExpr, Expr, SlotMap, VarName,
-    ROOT_VAR,
+    compile_attr, compile_expr, explain_loops, free_vars, CompiledAttr, CompiledExpr, Expr,
+    SlotMap, VarName, ROOT_VAR,
 };
 use flux_xsax::PastLabels;
 use std::collections::BTreeSet;
@@ -70,6 +70,10 @@ pub enum HandlerPlan {
         var_slot: usize,
         /// Buffer spec for the bound variable's scope shell.
         spec: SpecId,
+        /// Whether a firing binds a scope shell at all: false when the
+        /// plan proves the variable is never read — its spec is empty and
+        /// no compiled expression or nested process-stream mentions it.
+        binds: bool,
         body: PlanExpr,
     },
     OnFirstPast {
@@ -130,10 +134,15 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Renders the BDF for explain output.
+    /// Renders the BDF for explain output: per scope, its projection with
+    /// each kept-whole node's representation (`bytes` for print-only
+    /// subtrees, `*` for trees), then one line per tree naming the use
+    /// that keeps it one.
     pub fn render_bdf(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("$ROOT: {}\n", self.specs.render(self.root_spec)));
+        self.specs
+            .render_tree_reasons(self.root_spec, "  ", &mut out);
         for ps in &self.ps {
             for handler in &ps.handlers {
                 if let HandlerPlan::On {
@@ -145,6 +154,7 @@ impl Plan {
                             "${var} (on {label}): {}\n",
                             self.specs.render(*spec)
                         ));
+                        self.specs.render_tree_reasons(*spec, "  ", &mut out);
                     }
                 }
             }
@@ -201,6 +211,7 @@ pub fn compile_plan(query: &FluxQuery, dtd: &Dtd) -> Result<Plan> {
         past_regs: Vec::new(),
         scopes: Vec::new(),
         slots: SlotMap::new(),
+        read_vars: BTreeSet::new(),
     };
     let root_slot = compiler.slots.slot(ROOT_VAR);
     let root_spec = compiler.specs.new_root();
@@ -210,6 +221,21 @@ pub fn compile_plan(query: &FluxQuery, dtd: &Dtd) -> Result<Plan> {
         element: Some(SymbolTable::DOCUMENT),
     });
     let top = compiler.compile(&query.flux)?;
+    compiler.specs.mark_output_only();
+    for handler in compiler.ps.iter_mut().flat_map(|ps| &mut ps.handlers) {
+        if let HandlerPlan::On {
+            var,
+            spec,
+            binds,
+            body,
+            ..
+        } = handler
+        {
+            *binds = !compiler.specs.is_empty_spec(*spec)
+                || compiler.read_vars.contains(var)
+                || contains_ps(body);
+        }
+    }
     Ok(Plan {
         top,
         ps: compiler.ps,
@@ -237,6 +263,20 @@ struct Compiler<'d> {
     scopes: Vec<ScopeEntry>,
     /// Plan-wide variable numbering for every compiled expression.
     slots: SlotMap,
+    /// Every variable a compiled expression mentions.
+    read_vars: BTreeSet<VarName>,
+}
+
+/// Whether a plan expression enters a process-stream.
+fn contains_ps(expr: &PlanExpr) -> bool {
+    match expr {
+        PlanExpr::Ps(_) => true,
+        PlanExpr::Sequence(items) => items.iter().any(contains_ps),
+        PlanExpr::Element { content, .. } => contains_ps(content),
+        PlanExpr::Empty | PlanExpr::Text(_) | PlanExpr::BufferedEval(_) | PlanExpr::StreamCopy => {
+            false
+        }
+    }
 }
 
 /// Whether a FluX subtree contains a process-stream or stream-copy (the
@@ -258,14 +298,21 @@ impl<'d> Compiler<'d> {
             .collect()
     }
 
-    /// Records `e`'s buffering needs in the BDF, resolving path labels
-    /// through the compile-time vocabulary (DTD fallback).
-    fn collect_buffered_needs(&mut self, e: &Expr) {
+    /// Records the buffering needs of `e` — in content position, or as an
+    /// attribute value template part — in the BDF, resolving path labels
+    /// through the compile-time vocabulary (DTD fallback), and the
+    /// variables it reads.
+    fn collect_buffered_needs(&mut self, e: &Expr, attribute: bool) {
         let pairs = self.scope_pairs();
         let (dtd, query) = (self.dtd, self.query);
-        collect_needs(&mut self.specs, e, &pairs, &mut |label| {
-            query.resolve_label(dtd, label)
-        });
+        let collect = if attribute {
+            collect_attribute_needs
+        } else {
+            collect_needs
+        };
+        let resolver: &mut LabelResolver<'_> = &mut |label| query.resolve_label(dtd, label);
+        collect(&mut self.specs, e, &pairs, resolver);
+        self.read_vars.extend(free_vars(e));
     }
 
     /// Compiles a buffered normal-form expression against the plan's slot
@@ -281,7 +328,7 @@ impl<'d> Compiler<'d> {
             FluxExpr::StringLit(s) => Ok(PlanExpr::Text(s.clone())),
             FluxExpr::StreamCopy(_) => Ok(PlanExpr::StreamCopy),
             FluxExpr::Buffered(e) => {
-                self.collect_buffered_needs(e);
+                self.collect_buffered_needs(e, false);
                 Ok(PlanExpr::BufferedEval(Rc::new(self.compile_buffered(e)?)))
             }
             FluxExpr::Sequence(items) => Ok(PlanExpr::Sequence(
@@ -301,7 +348,7 @@ impl<'d> Compiler<'d> {
                 for attr in attributes {
                     for part in &attr.value {
                         if let flux_xquery::AttrPart::Expr(e) = part {
-                            self.collect_buffered_needs(e);
+                            self.collect_buffered_needs(e, true);
                         }
                     }
                     let (dtd, query, slots) = (self.dtd, self.query, &mut self.slots);
@@ -360,6 +407,7 @@ impl<'d> Compiler<'d> {
                                 var: v.clone(),
                                 var_slot,
                                 spec,
+                                binds: true,
                                 body: body?,
                             });
                         }
@@ -369,7 +417,7 @@ impl<'d> Compiler<'d> {
                                     message: "on-first bodies must be buffered XQuery".to_string(),
                                 });
                             };
-                            self.collect_buffered_needs(e);
+                            self.collect_buffered_needs(e, false);
                             let handler_index = compiled.len();
                             let (past_reg, doc_timing) = match element {
                                 Some(sym) if sym != SymbolTable::DOCUMENT => {
@@ -459,9 +507,10 @@ mod tests {
         assert_eq!(plan.past_regs.len(), 1);
         let book = dtd.lookup("book").unwrap();
         assert_eq!(plan.past_regs[0].element, book);
-        // The book scope buffers only authors (whole subtrees).
+        // The book scope buffers only authors — whole subtrees that are
+        // only ever printed, so as serialized bytes.
         let bdf = plan.render_bdf();
-        assert!(bdf.contains("{author:*}"), "{bdf}");
+        assert!(bdf.contains("{author:bytes}"), "{bdf}");
         assert!(!bdf.contains("title"), "titles are never buffered: {bdf}");
     }
 
@@ -477,6 +526,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unread_handler_variables_bind_no_shell() {
+        // Under Figure 1, `on title as $t return {$t}` and its author twin
+        // only stream-copy: nothing reads the variable. The bib and book
+        // handlers host nested process-streams, so they bind.
+        let binds = |dtd_text: &str| {
+            let dtd = Dtd::parse(dtd_text).unwrap();
+            let plan = plan_for(Q3, &dtd);
+            let mut out: Vec<(String, bool)> = plan
+                .ps
+                .iter()
+                .flat_map(|ps| &ps.handlers)
+                .filter_map(|h| match h {
+                    HandlerPlan::On { label, binds, .. } => Some((label.clone(), *binds)),
+                    HandlerPlan::OnFirstPast { .. } => None,
+                })
+                .collect();
+            out.sort();
+            out
+        };
+        let named = |pairs: &[(&str, bool)]| -> Vec<(String, bool)> {
+            pairs.iter().map(|&(l, b)| (l.to_string(), b)).collect()
+        };
+        assert_eq!(
+            binds(PAPER_FIG1_DTD),
+            named(&[
+                ("author", false),
+                ("bib", true),
+                ("book", true),
+                ("title", false)
+            ])
+        );
+        assert_eq!(
+            binds(PAPER_WEAK_DTD),
+            named(&[("bib", true), ("book", true), ("title", false)])
+        );
     }
 
     #[test]

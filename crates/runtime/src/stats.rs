@@ -51,6 +51,13 @@ impl MemoryTracker {
         self.tel.buffer_grows += 1;
     }
 
+    /// Counts one sealed print-only node of `xml_bytes` serialized bytes
+    /// (its charge goes through [`MemoryTracker::allocate`]).
+    pub fn count_serialized(&mut self, xml_bytes: usize) {
+        self.tel.serialized_nodes += 1;
+        self.tel.serialized_bytes += xml_bytes as u64;
+    }
+
     pub fn release(&mut self, bytes: usize) {
         debug_assert!(self.current_bytes >= bytes, "released more than allocated");
         self.current_bytes = self.current_bytes.saturating_sub(bytes);

@@ -1,15 +1,18 @@
 //! Proof of the buffer store's zero-allocation contract: once names are
 //! interned and the spare pools warmed, the scoped buffer-and-free loop —
 //! the runtime's steady state on the paper's running example, one book's
-//! buffered children at a time — performs **no heap allocations at all**.
+//! buffered children at a time — performs **no heap allocations at all**,
+//! in both buffer representations.
 //!
 //! Buffering an element never materialises a name string (names import as
 //! integers through the arena document's seeded table, `Document::
 //! import_name`); attribute values and text land in recycled `String`s and
-//! the freed slots' children vectors keep their capacity. The test
-//! instruments the global allocator: after a warm-up scope, repeating the
-//! identical scope shape hundreds of times must add exactly zero
-//! allocations.
+//! the freed slots' children vectors keep their capacity. A print-only
+//! element streams through the arena's capture writer (its buffer and name
+//! stack recycle) and seals into one serialized node whose byte buffer
+//! comes from, and on free returns to, a pool. The test instruments the
+//! global allocator: after a warm-up scope, repeating the identical scope
+//! shape hundreds of times must add exactly zero allocations.
 //!
 //! This file holds exactly one test so no concurrent test in the same
 //! binary can perturb the allocation counter.
@@ -70,6 +73,57 @@ fn buffer_one_scope(
     arena.free_scope(shell);
 }
 
+/// The same scope with print-only authors: each author's events go
+/// through the capture writer (text split in two runs, one needing
+/// escapes) and seal into one serialized node under the shell.
+fn buffer_one_bytes_scope(
+    arena: &mut BufferArena,
+    symbols: &SymbolTable,
+    book: &RawEvent,
+    author: &RawEvent,
+) {
+    let shell = arena.create_element_view(symbols, &RawEventRef::from_event(book));
+    for texts in [
+        ["Stevens, W. Richard", " & Wright <Gary R.>"],
+        ["Abiteboul, Serge", ""],
+    ] {
+        let view = RawEventRef::from_event(author);
+        let name = arena.import_name(symbols, &view);
+        let start = arena.capture_mark();
+        let capture = arena.capture();
+        capture.start_element_view(symbols, &view).unwrap();
+        for text in texts {
+            capture.text(text).unwrap();
+        }
+        capture.end_element().unwrap();
+        arena.seal(shell, name, start);
+    }
+    arena.free_scope(shell);
+}
+
+/// Allocations of 500 scopes after a warm-up, minimum over several
+/// measured windows: the global counter also sees the test harness's own
+/// threads, so a single window can pick up a stray allocation or two. A
+/// real per-scope cost repeats in every window; the minimum is the clean
+/// figure.
+fn steady_state_allocations(mut scope: impl FnMut()) -> usize {
+    // Warm-up: first sight of each slot, pool buffer and children vector
+    // (a few rounds, so every recycled vector reaches its final capacity).
+    for _ in 0..8 {
+        scope();
+    }
+    (0..5)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            for _ in 0..500 {
+                scope();
+            }
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        })
+        .min()
+        .unwrap()
+}
+
 #[test]
 fn steady_state_buffering_is_allocation_free() {
     let mut symbols = SymbolTable::new();
@@ -92,41 +146,28 @@ fn steady_state_buffering_is_allocation_free() {
     // the loop below imports as an integer copy.
     let mut arena = BufferArena::with_symbols(symbols.clone());
 
-    // Warm-up: first sight of each slot, pool buffer and children vector
-    // (a few rounds, so every recycled vector reaches its final capacity).
-    for _ in 0..8 {
-        buffer_one_scope(&mut arena, &symbols, &book, &author);
-    }
-
-    // Minimum over several measured windows: the global counter also sees
-    // the test harness's own threads, so a single window can pick up a
-    // stray allocation or two. A real per-scope cost repeats in every
-    // window; the minimum is the clean figure.
-    let allocations = (0..5)
-        .map(|_| {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            for _ in 0..500 {
-                buffer_one_scope(&mut arena, &symbols, &book, &author);
-            }
-            ALLOCATIONS.load(Ordering::Relaxed) - before
-        })
-        .min()
-        .unwrap();
+    let allocations =
+        steady_state_allocations(|| buffer_one_scope(&mut arena, &symbols, &book, &author));
     assert_eq!(
         allocations, 0,
         "steady-state buffer-and-free must not allocate (names are symbols, \
          payload buffers and slots recycle); got {allocations} allocations \
          over 500 scopes"
     );
+    let allocations =
+        steady_state_allocations(|| buffer_one_bytes_scope(&mut arena, &symbols, &book, &author));
+    assert_eq!(
+        allocations, 0,
+        "steady-state print-only buffering must not allocate (the capture \
+         writer and serialized-node buffers recycle); got {allocations} \
+         allocations over 500 scopes"
+    );
 
-    // Sanity: the loop really buffered content and the accounting closed
-    // to zero. The payloads here repeat only across freed scopes — never
-    // two live copies at once — so the shared-text gate (whose sighting
-    // counts reset every `free_scope` generation) correctly keeps them
-    // out of the resident dictionary.
+    // Sanity: the loops really buffered content — the second one as
+    // serialized nodes — and the accounting closed to zero.
     assert_eq!(arena.current_bytes(), 0);
-    assert_eq!(arena.doc().shared_text_bytes(), 0);
     assert!(arena.peak_bytes() > 0);
+    assert_eq!(arena.tracker().telemetry().serialized_nodes, 2 * 2_508);
     // The residency sampler ran inside the allocation-free window above —
     // its decimation must still have preserved the exact peak.
     assert_eq!(

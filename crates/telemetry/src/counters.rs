@@ -136,6 +136,10 @@ counters! {
         buffer_allocs,
         /// In-place growth charges (text merged into an existing node).
         buffer_grows,
+        /// Print-only subtrees sealed as one serialized node each.
+        serialized_nodes,
+        /// Serialized XML bytes those nodes hold.
+        serialized_bytes,
     }
 }
 

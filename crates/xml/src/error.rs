@@ -55,13 +55,15 @@ pub enum XmlError {
     InvalidUtf8 { pos: Position },
     /// The writer was used out of order (e.g. closing an element that is not open).
     WriterMisuse { message: String },
+    /// A caller broke a contract no input can break (a bug, not bad data).
+    Internal { message: String },
 }
 
 impl XmlError {
     /// Position of the error in the input, when known.
     pub fn position(&self) -> Option<Position> {
         match self {
-            XmlError::Io(_) | XmlError::WriterMisuse { .. } => None,
+            XmlError::Io(_) | XmlError::WriterMisuse { .. } | XmlError::Internal { .. } => None,
             XmlError::UnexpectedEof { pos, .. }
             | XmlError::Syntax { pos, .. }
             | XmlError::WellFormedness { pos, .. }
@@ -87,6 +89,7 @@ impl fmt::Display for XmlError {
             }
             XmlError::InvalidUtf8 { pos } => write!(f, "invalid UTF-8 at {pos}"),
             XmlError::WriterMisuse { message } => write!(f, "writer misuse: {message}"),
+            XmlError::Internal { message } => write!(f, "internal error: {message}"),
         }
     }
 }

@@ -24,6 +24,24 @@ pub(crate) fn escape_into(
     out.push_str(&text[clean_from..]);
 }
 
+/// A lookup table flagging `bytes`.
+const fn byte_set(bytes: &[u8]) -> [bool; 256] {
+    let mut set = [false; 256];
+    let mut i = 0;
+    while i < bytes.len() {
+        set[bytes[i] as usize] = true;
+        i += 1;
+    }
+    set
+}
+
+/// The bytes [`text_entity`] maps, as a table: finding the first one is
+/// the inner loop of text output, and one load per byte beats a match.
+pub(crate) static TEXT_ESCAPES: [bool; 256] = byte_set(b"<>&");
+
+/// The bytes [`attr_entity`] maps.
+pub(crate) static ATTR_ESCAPES: [bool; 256] = byte_set(b"<&\"");
+
 /// The reference character-data escaping writes for `b`, if any.
 pub(crate) fn text_entity(b: u8) -> Option<&'static str> {
     match b {
@@ -152,6 +170,22 @@ mod tests {
             escape_attr(r#"say "hi" & <go>"#),
             "say &quot;hi&quot; &amp; &lt;go>"
         );
+    }
+
+    #[test]
+    fn tables_flag_exactly_the_mapped_bytes() {
+        for b in 0..=255u8 {
+            assert_eq!(
+                TEXT_ESCAPES[usize::from(b)],
+                text_entity(b).is_some(),
+                "{b}"
+            );
+            assert_eq!(
+                ATTR_ESCAPES[usize::from(b)],
+                attr_entity(b).is_some(),
+                "{b}"
+            );
+        }
     }
 
     #[test]

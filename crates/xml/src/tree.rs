@@ -62,6 +62,14 @@ pub enum NodeKind {
     /// copy per distinct payload, however many nodes carry it. The node
     /// itself owns no content bytes.
     SharedText(u32),
+    /// A whole element subtree kept only to be printed: its serialized,
+    /// already-escaped XML as an [`XmlWriter`] with the default
+    /// configuration wrote it. The element name stays a symbol of the
+    /// owning [`Document`]'s table, so child-step paths still find the
+    /// node; its attributes, text and descendants are not navigable, and
+    /// asking for its string value is an error
+    /// ([`Document::string_value_into`]).
+    Serialized { name: Symbol, xml: Vec<u8> },
 }
 
 /// One node of the arena.
@@ -90,6 +98,7 @@ impl Node {
             // The one copy per distinct payload is charged on the
             // document's dictionary, exactly like interned names.
             NodeKind::SharedText(_) => 0,
+            NodeKind::Serialized { xml, .. } => xml.len(),
         }
     }
 
@@ -257,7 +266,7 @@ impl Document {
     /// Element name symbol, or `None` for text/document nodes.
     pub fn name_sym(&self, id: NodeId) -> Option<Symbol> {
         match self.kind(id) {
-            NodeKind::Element { name, .. } => Some(*name),
+            NodeKind::Element { name, .. } | NodeKind::Serialized { name, .. } => Some(*name),
             _ => None,
         }
     }
@@ -323,29 +332,43 @@ impl Document {
     }
 
     /// The XPath string value: concatenated descendant text in document order.
-    pub fn string_value(&self, id: NodeId) -> String {
+    pub fn string_value(&self, id: NodeId) -> Result<String> {
         let mut out = String::new();
-        self.collect_text(id, &mut out);
-        out
+        self.collect_text(id, &mut out)?;
+        Ok(out)
     }
 
     /// [`Document::string_value`] into a caller-owned buffer (cleared
     /// first) — the allocation-free path once the buffer's capacity warms.
-    pub fn string_value_into(&self, id: NodeId, out: &mut String) {
+    ///
+    /// A [`NodeKind::Serialized`] node in the subtree is an error: its text
+    /// is not kept apart from its markup, and whoever serialized it
+    /// promised never to ask (the runtime's plan compiler keeps every node
+    /// an expression atomises a tree).
+    pub fn string_value_into(&self, id: NodeId, out: &mut String) -> Result<()> {
         out.clear();
-        self.collect_text(id, out);
+        self.collect_text(id, out)
     }
 
-    fn collect_text(&self, id: NodeId, out: &mut String) {
+    fn collect_text(&self, id: NodeId, out: &mut String) -> Result<()> {
         match self.kind(id) {
             NodeKind::Text(t) => out.push_str(t),
             NodeKind::SharedText(idx) => out.push_str(&self.shared_texts[*idx as usize]),
-            _ => {
+            NodeKind::Serialized { name, .. } => {
+                return Err(XmlError::Internal {
+                    message: format!(
+                        "string value of the print-only node `{}` requested",
+                        self.symbols.name(*name)
+                    ),
+                })
+            }
+            NodeKind::Document | NodeKind::Element { .. } => {
                 for &c in self.children(id) {
-                    self.collect_text(c, out);
+                    self.collect_text(c, out)?;
                 }
             }
         }
+        Ok(())
     }
 
     /// Creates a detached element node from string-named parts (interns
@@ -366,11 +389,20 @@ impl Document {
     /// allocation-free naming path. `name` and every attribute name must
     /// be symbols of *this* document's table.
     pub fn create_element_sym(&mut self, name: Symbol, attributes: Vec<NodeAttr>) -> NodeId {
-        debug_assert!(
-            self.symbols.try_name(name).is_some(),
-            "element name must be interned in the document table"
-        );
-        self.push_node(NodeKind::Element { name, attributes })
+        self.create_node(NodeKind::Element { name, attributes })
+    }
+
+    /// Creates a detached node from a ready payload (the buffer store's
+    /// path: it recycles payload buffers itself). An element or serialized
+    /// node's name must be a symbol of *this* document's table.
+    pub fn create_node(&mut self, kind: NodeKind) -> NodeId {
+        if let NodeKind::Element { name, .. } | NodeKind::Serialized { name, .. } = &kind {
+            debug_assert!(
+                self.symbols.try_name(*name).is_some(),
+                "element name must be interned in the document table"
+            );
+        }
+        self.push_node(kind)
     }
 
     /// Creates a detached element from a borrowed event view, importing
@@ -540,6 +572,7 @@ impl Document {
             }
             NodeKind::Text(t) => writer.text(t),
             NodeKind::SharedText(idx) => writer.text(&self.shared_texts[*idx as usize]),
+            NodeKind::Serialized { xml, .. } => writer.write_serialized(xml),
         }
     }
 
@@ -566,21 +599,14 @@ impl Document {
 /// only delay (or rarely, hasten) interning; they never affect content,
 /// because the dictionary itself is keyed by the full payload.
 ///
-/// Sightings are scoped to a *generation* (see
-/// [`TextGate::bump_generation`]): a holder that frees its buffered
-/// content wholesale — the runtime's scoped arena — bumps the generation
-/// on every free, so only payloads repeated while their earlier copies
-/// are still live can cross the gate. Those are exactly the payloads
-/// whose sharing lowers peak buffered bytes; a string that recurs once
-/// per scope would charge the resident dictionary without ever saving a
-/// live byte. Full-document materialisation never bumps, keeping the
-/// plain whole-stream frequency semantics.
+/// The baselines' materialised documents use it
+/// ([`TreeBuilder::with_shared_text`], the projection engine); the
+/// runtime's scoped arena does not — its repeated payloads are freed with
+/// their scope before sharing could lower a peak.
 #[derive(Debug, Clone)]
 pub struct TextGate {
-    /// `(payload hash, sightings, generation)` per slot.
-    slots: Vec<(u64, u32, u32)>,
-    /// Current generation; slots stamped with an older one are stale.
-    gen: u32,
+    /// `(payload hash, sightings)` per slot.
+    slots: Vec<(u64, u32)>,
 }
 
 /// Payloads longer than this never intern: long strings rarely repeat and
@@ -600,17 +626,8 @@ impl Default for TextGate {
 impl TextGate {
     pub fn new() -> Self {
         TextGate {
-            slots: vec![(0, 0, 0); TEXT_GATE_SLOTS],
-            gen: 0,
+            slots: vec![(0, 0); TEXT_GATE_SLOTS],
         }
-    }
-
-    /// Starts a new sighting generation: every counter in the table is
-    /// (lazily) reset. Wrapping after 2^32 bumps can at worst resurrect a
-    /// stale count — the same benign delay/hasten effect as a hash
-    /// collision, never a content change.
-    pub fn bump_generation(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
     }
 
     /// Whether a payload is even a sharing candidate.
@@ -624,16 +641,11 @@ impl TextGate {
         debug_assert!(Self::eligible(text));
         let h = fnv1a(text.as_bytes());
         let slot = &mut self.slots[(h as usize) & (TEXT_GATE_SLOTS - 1)];
-        if slot.2 != self.gen {
-            // Stale counter from an earlier generation: everything it saw
-            // has been freed, so the tally restarts at this sighting.
-            *slot = (h, 1, self.gen);
-            false
-        } else if slot.0 == h {
+        if slot.0 == h {
             slot.1 = slot.1.saturating_add(1);
             slot.1 >= SHARED_TEXT_GATE
         } else if slot.1 == 0 {
-            *slot = (h, 1, self.gen);
+            *slot = (h, 1);
             false
         } else {
             // Misra–Gries-style decay on collision: the incumbent loses a
@@ -815,14 +827,14 @@ mod tests {
         assert_eq!(doc.attribute(books[0], "year"), Some("1994"));
         let authors: Vec<_> = doc.children_named(books[0], "author").collect();
         assert_eq!(authors.len(), 2);
-        assert_eq!(doc.string_value(authors[0]), "Stevens");
+        assert_eq!(doc.string_value(authors[0]).unwrap(), "Stevens");
     }
 
     #[test]
     fn string_value_concatenates() {
         let doc = Document::parse_str("<a>one<b>two</b>three</a>").unwrap();
         let root = doc.root_element().unwrap();
-        assert_eq!(doc.string_value(root), "onetwothree");
+        assert_eq!(doc.string_value(root).unwrap(), "onetwothree");
     }
 
     #[test]
@@ -902,7 +914,7 @@ mod tests {
         let doc = b.finish().unwrap();
         let x = doc.root_element().unwrap();
         assert_eq!(doc.children(x).len(), 1);
-        assert_eq!(doc.string_value(x), "ab");
+        assert_eq!(doc.string_value(x).unwrap(), "ab");
     }
 
     #[test]
@@ -972,6 +984,85 @@ mod tests {
         assert!(matches!(old, NodeKind::Element { .. }));
         assert!(doc.children(e).is_empty());
         assert_eq!(doc.parent(e), None);
+    }
+
+    #[test]
+    fn repeated_text_shares_after_gate() {
+        // Before the gate opens each sighting of a repeated payload costs
+        // its full length; after interning a sighting costs only the node
+        // struct — N copies charge the dictionary once. Distinct strings
+        // never intern, and a long payload is ineligible however often it
+        // repeats.
+        let mut doc = Document::new();
+        let mut gate = TextGate::new();
+        let payload = "Recurring Author";
+        let node_bytes = |doc: &Document, id| doc.node_heap_bytes(id);
+        let first = doc.gated_text(&mut gate, payload);
+        assert_eq!(
+            node_bytes(&doc, first),
+            std::mem::size_of::<Node>() + payload.len()
+        );
+        for _ in 0..3 {
+            doc.gated_text(&mut gate, payload);
+        }
+        assert!(
+            doc.shared_text_lookup(payload).is_some(),
+            "4th sighting interned"
+        );
+        assert_eq!(doc.shared_text_bytes(), 2 * payload.len());
+        let shared = doc.gated_text(&mut gate, payload);
+        assert_eq!(node_bytes(&doc, shared), std::mem::size_of::<Node>());
+        assert_eq!(doc.text(shared), Some(payload));
+        for i in 0..100 {
+            doc.gated_text(&mut gate, &format!("Author {i:09}"));
+        }
+        let long = "L".repeat(100);
+        for _ in 0..8 {
+            doc.gated_text(&mut gate, &long);
+        }
+        assert!(doc.shared_text_lookup(&long).is_none());
+        assert_eq!(doc.shared_text_bytes(), 2 * payload.len());
+    }
+
+    #[test]
+    fn merge_demotes_shared_trailing_text() {
+        // Merging new text into a shared trailing sibling demotes it to an
+        // owned copy (the merged spelling is new).
+        let mut doc = Document::new();
+        let parent = doc.create_element("bib", vec![]);
+        let idx = doc.intern_shared_text("shared");
+        let text = doc.create_shared_text(idx);
+        doc.append_child(parent, text);
+        let before = doc.node_heap_bytes(text);
+        assert!(doc.merge_text(text, " plus more", &mut String::new()));
+        assert!(matches!(doc.kind(text), NodeKind::Text(_)));
+        assert_eq!(doc.string_value(parent).unwrap(), "shared plus more");
+        assert_eq!(doc.node_heap_bytes(text) - before, "shared plus more".len());
+    }
+
+    #[test]
+    fn serialized_nodes_are_found_copied_and_never_atomised() {
+        let mut doc = Document::new();
+        let book = doc.create_element("book", vec![]);
+        let name = doc.intern("author");
+        let xml = br#"<author id="1">Gray &amp; Reuter</author>"#.to_vec();
+        let author = doc.create_node(NodeKind::Serialized { name, xml });
+        doc.append_child(book, author);
+        let root = doc.document_node();
+        doc.append_child(root, book);
+        assert_eq!(
+            doc.children_named(book, "author").collect::<Vec<_>>(),
+            [author]
+        );
+        assert_eq!(
+            doc.to_xml_string().unwrap(),
+            r#"<book><author id="1">Gray &amp; Reuter</author></book>"#
+        );
+        let err = doc.string_value(book).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "internal error: string value of the print-only node `author` requested"
+        );
     }
 
     #[test]

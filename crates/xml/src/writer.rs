@@ -5,7 +5,7 @@
 //! a stream.
 
 use crate::error::{Result, XmlError};
-use crate::escape::{attr_entity, escape_into, text_entity};
+use crate::escape::{attr_entity, escape_into, text_entity, ATTR_ESCAPES, TEXT_ESCAPES};
 use crate::event::{Attribute, RawEventKind, RawEventRef, XmlEvent};
 use crate::tree::{Document, NodeId, NodeKind};
 use flux_symbols::SymbolTable;
@@ -25,11 +25,12 @@ pub struct WriterConfig {
 pub struct XmlWriter<W: Write> {
     sink: W,
     config: WriterConfig,
-    stack: Vec<String>,
-    /// Name buffers recycled from closed elements, so the steady-state
-    /// output loop does not allocate per start tag.
-    spare_names: Vec<String>,
-    /// Whether anything was written inside the current element (affects
+    /// The open elements' names, concatenated, and where each one starts:
+    /// an end tag is a slice of one buffer, and the steady-state output
+    /// loop does not allocate per start tag.
+    names: String,
+    name_starts: Vec<usize>,
+    /// Whether anything was written inside the current element (kept for
     /// indentation only).
     had_child: Vec<bool>,
     /// Bytes written so far.
@@ -48,8 +49,8 @@ impl<W: Write> XmlWriter<W> {
         XmlWriter {
             sink,
             config,
-            stack: Vec::new(),
-            spare_names: Vec::new(),
+            names: String::new(),
+            name_starts: Vec::new(),
             had_child: Vec::new(),
             bytes_written: 0,
             scratch: String::new(),
@@ -64,12 +65,23 @@ impl<W: Write> XmlWriter<W> {
 
     /// Current element nesting depth.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.name_starts.len()
     }
 
     /// Consumes the writer, returning the underlying sink.
     pub fn into_inner(self) -> W {
         self.sink
+    }
+
+    /// The underlying sink.
+    pub fn get_ref(&self) -> &W {
+        &self.sink
+    }
+
+    /// The underlying sink, mutably (e.g. to clear a recycled buffer
+    /// between balanced runs of events).
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.sink
     }
 
     fn raw(&mut self, s: &str) -> Result<()> {
@@ -79,8 +91,8 @@ impl<W: Write> XmlWriter<W> {
     }
 
     fn newline_indent(&mut self) -> Result<()> {
-        if self.config.indent && (!self.stack.is_empty() || self.bytes_written > 0) {
-            let depth = self.stack.len();
+        if self.config.indent && (!self.name_starts.is_empty() || self.bytes_written > 0) {
+            let depth = self.name_starts.len();
             self.raw("\n")?;
             for _ in 0..depth {
                 self.raw("  ")?;
@@ -100,16 +112,17 @@ impl<W: Write> XmlWriter<W> {
         Ok(())
     }
 
-    /// Writes `s` with the bytes `entity` maps replaced by their
-    /// references. The clean prefix — all of `s`, almost always — goes to
-    /// the sink straight from `s`; only from the first escapable byte on
-    /// is the rest copied through `scratch`.
+    /// Writes `s` with the bytes `entity` maps — those `escapes` flags —
+    /// replaced by their references. The clean prefix — all of `s`, almost
+    /// always — goes to the sink straight from `s`; only from the first
+    /// escapable byte on is the rest copied through `scratch`.
     fn escaped(
         &mut self,
         s: &str,
+        escapes: &[bool; 256],
         entity: impl Fn(u8) -> Option<&'static str> + Copy,
     ) -> Result<()> {
-        let Some(first) = s.bytes().position(|b| entity(b).is_some()) else {
+        let Some(first) = s.bytes().position(|b| escapes[usize::from(b)]) else {
             return self.raw(s);
         };
         self.raw(&s[..first])?;
@@ -121,20 +134,28 @@ impl<W: Write> XmlWriter<W> {
     }
 
     /// Opens a start tag (everything up to the attributes) and pushes the
-    /// element name onto the open stack, recycling a spare name buffer.
+    /// element name onto the open stack.
     fn open_tag(&mut self, name: &str) -> Result<()> {
         self.maybe_declaration()?;
-        if let Some(flag) = self.had_child.last_mut() {
-            *flag = true;
+        if self.config.indent {
+            if let Some(flag) = self.had_child.last_mut() {
+                *flag = true;
+            }
+            self.newline_indent()?;
         }
-        self.newline_indent()?;
         self.raw("<")?;
         self.raw(name)?;
-        let mut owned = self.spare_names.pop().unwrap_or_default();
-        owned.clear();
-        owned.push_str(name);
-        self.stack.push(owned);
+        self.name_starts.push(self.names.len());
+        self.names.push_str(name);
         Ok(())
+    }
+
+    /// Closes a start tag.
+    fn close_tag(&mut self) -> Result<()> {
+        if self.config.indent {
+            self.had_child.push(false);
+        }
+        self.raw(">")
     }
 
     /// Writes one escaped attribute.
@@ -142,7 +163,7 @@ impl<W: Write> XmlWriter<W> {
         self.raw(" ")?;
         self.raw(name)?;
         self.raw("=\"")?;
-        self.escaped(value, attr_entity)?;
+        self.escaped(value, &ATTR_ESCAPES, attr_entity)?;
         self.raw("\"")
     }
 
@@ -152,9 +173,7 @@ impl<W: Write> XmlWriter<W> {
         for attr in attributes {
             self.write_attr(&attr.name, &attr.value)?;
         }
-        self.raw(">")?;
-        self.had_child.push(false);
-        Ok(())
+        self.close_tag()
     }
 
     /// Writes the start tag of a borrowed event view — the zero-copy
@@ -169,9 +188,7 @@ impl<W: Write> XmlWriter<W> {
         for attr in ev.attrs() {
             self.write_attr(attr.name_str(symbols), attr.value)?;
         }
-        self.raw(">")?;
-        self.had_child.push(false);
-        Ok(())
+        self.close_tag()
     }
 
     /// Writes the start tag of a buffered element node — the symbol fast
@@ -188,9 +205,7 @@ impl<W: Write> XmlWriter<W> {
         for attr in attributes {
             self.write_attr(doc.symbols().name(attr.name), &attr.value)?;
         }
-        self.raw(">")?;
-        self.had_child.push(false);
-        Ok(())
+        self.close_tag()
     }
 
     /// Writes one borrowed event view, mapping symbols back through
@@ -214,23 +229,42 @@ impl<W: Write> XmlWriter<W> {
 
     /// Writes an end tag for the innermost open element.
     pub fn end_element(&mut self) -> Result<()> {
-        let name = self.stack.pop().ok_or_else(|| XmlError::WriterMisuse {
-            message: "end_element with no open element".to_string(),
-        })?;
-        let had_child = self.had_child.pop().unwrap_or(false);
-        if had_child {
+        let start = self
+            .name_starts
+            .pop()
+            .ok_or_else(|| XmlError::WriterMisuse {
+                message: "end_element with no open element".to_string(),
+            })?;
+        if self.config.indent && self.had_child.pop().unwrap_or(false) {
             self.newline_indent()?;
         }
         self.raw("</")?;
-        self.raw(&name)?;
-        self.raw(">")?;
-        self.spare_names.push(name);
-        Ok(())
+        self.sink.write_all(&self.names.as_bytes()[start..])?;
+        self.bytes_written += (self.names.len() - start) as u64;
+        self.names.truncate(start);
+        self.raw(">")
     }
 
     /// Writes character data (escaped).
     pub fn text(&mut self, text: &str) -> Result<()> {
-        self.escaped(text, text_entity)
+        self.escaped(text, &TEXT_ESCAPES, text_entity)
+    }
+
+    /// Writes a balanced subtree another writer with the default
+    /// configuration already serialized ([`NodeKind::Serialized`]), as one
+    /// `write_all`. Its bytes are emitted verbatim: indentation does not
+    /// reach inside them.
+    pub fn write_serialized(&mut self, xml: &[u8]) -> Result<()> {
+        self.maybe_declaration()?;
+        if self.config.indent {
+            if let Some(flag) = self.had_child.last_mut() {
+                *flag = true;
+            }
+            self.newline_indent()?;
+        }
+        self.sink.write_all(xml)?;
+        self.bytes_written += xml.len() as u64;
+        Ok(())
     }
 
     /// Writes a comment.
@@ -275,9 +309,9 @@ impl<W: Write> XmlWriter<W> {
 
     /// Checks that all elements are closed and flushes the sink.
     pub fn finish(&mut self) -> Result<()> {
-        if !self.stack.is_empty() {
+        if !self.name_starts.is_empty() {
             return Err(XmlError::WriterMisuse {
-                message: format!("{} element(s) still open at finish", self.stack.len()),
+                message: format!("{} element(s) still open at finish", self.name_starts.len()),
             });
         }
         self.sink.flush()?;

@@ -489,6 +489,16 @@ pub fn compile_expr(
                 None => None,
             };
             let body = compile_expr(body, slots, resolve)?;
+            // `for $v in P return $v` — the normal form of every element
+            // path copied to the output — is the path itself: the same
+            // nodes, in the same order, with the same errors, and no
+            // binding per node.
+            if where_clause.is_none()
+                && source.tail == PathTail::None
+                && matches!(body, CompiledExpr::Var { slot, .. } if slot == var_slot)
+            {
+                return Ok(CompiledExpr::Path(source));
+            }
             CompiledExpr::For {
                 var_slot,
                 plan: plan_loop(var_slot, where_clause.as_ref(), &body, slots),
@@ -748,7 +758,7 @@ mod tests {
     #[test]
     fn other_shapes_stay_nested_loops() {
         for (body, reason) in [
-            ("$p", ScanReason::NoFilter),
+            ("<w>{$p}</w>", ScanReason::NoFilter),
             (
                 "if ($a/buyer = $p/@id) then $p else <miss/>",
                 ScanReason::ElseBranch,
@@ -780,6 +790,33 @@ mod tests {
         ] {
             let q = format!("<r>{{ for $a in $ROOT/s/a, $p in $ROOT/s/p return {body} }}</r>");
             assert_eq!(inner_loop_plan(&q).1, LoopPlan::Scan(reason), "{q}");
+        }
+    }
+
+    #[test]
+    fn copy_loops_compile_to_their_path() {
+        let content = |query: &str| {
+            let mut table = SymbolTable::new();
+            let (compiled, _) = compile(query, &mut table);
+            let CompiledExpr::Element { content, .. } = compiled else {
+                panic!("element");
+            };
+            *content
+        };
+        let folded = content("<r>{ for $x in $ROOT/bib/book return $x }</r>");
+        assert!(
+            matches!(&folded, CompiledExpr::Path(p) if p.display == "$ROOT/bib/book"),
+            "{folded:?}"
+        );
+        // A filter or a constructed body keeps the loop.
+        for query in [
+            r#"<r>{ for $x in $ROOT/bib/book where $x/@y = "1" return $x }</r>"#,
+            "<r>{ for $x in $ROOT/bib/book return <w>{$x}</w> }</r>",
+        ] {
+            assert!(
+                matches!(content(query), CompiledExpr::For { .. }),
+                "{query}"
+            );
         }
     }
 

@@ -272,7 +272,7 @@ mod tests {
         let mut cursor = PathCursor::new(&doc, &path, doc.document_node(), &mut pool);
         let mut names = Vec::new();
         while let Some(n) = cursor.next_node() {
-            names.push(doc.string_value(n));
+            names.push(doc.string_value(n).unwrap());
         }
         cursor.recycle(&mut pool);
         assert_eq!(names, ["X", "Y"]);

@@ -39,6 +39,10 @@ pub trait QuerySink {
     fn end_element(&mut self) -> Result<()>;
     fn text(&mut self, text: &str) -> Result<()>;
 
+    /// A whole subtree the buffer store kept as serialized XML
+    /// ([`NodeKind::Serialized`]): bytes to emit verbatim.
+    fn serialized(&mut self, xml: &[u8]) -> Result<()>;
+
     /// Start tag of a buffered element node — the symbol fast path used
     /// when copying stored subtrees out. The default materialises owned
     /// strings through [`QuerySink::start_element`]; sinks that can
@@ -69,6 +73,11 @@ impl<W: Write> QuerySink for XmlWriter<W> {
 
     fn text(&mut self, text: &str) -> Result<()> {
         XmlWriter::text(self, text).map_err(|e| XQueryError::eval(format!("output error: {e}")))
+    }
+
+    fn serialized(&mut self, xml: &[u8]) -> Result<()> {
+        XmlWriter::write_serialized(self, xml)
+            .map_err(|e| XQueryError::eval(format!("output error: {e}")))
     }
 
     fn start_element_node(&mut self, doc: &Document, id: NodeId) -> Result<()> {
@@ -123,6 +132,14 @@ impl QuerySink for CountingSink {
 
     fn text(&mut self, text: &str) -> Result<()> {
         self.bytes += text.len() as u64;
+        self.events += 1;
+        Ok(())
+    }
+
+    /// Counts the subtree's bytes as they will be written, and the subtree
+    /// as one event.
+    fn serialized(&mut self, xml: &[u8]) -> Result<()> {
+        self.bytes += xml.len() as u64;
         self.events += 1;
         Ok(())
     }
@@ -318,7 +335,9 @@ impl CursorEvaluator {
                 }
                 let start = bound(slots, source.start_slot, &source.start_name)?;
                 let keyed = match plan {
-                    LoopPlan::Keyed(key) => self.keyed_candidates(doc, source, key, start, slots),
+                    LoopPlan::Keyed(key) => {
+                        self.keyed_candidates(doc, source, key, start, slots)?
+                    }
                     LoopPlan::Scan(_) => None,
                 };
                 let mut nodes = match keyed {
@@ -463,24 +482,28 @@ impl CursorEvaluator {
             }
             CompiledExpr::Var { slot, name } => {
                 let node = bound(slots, *slot, name)?;
-                doc.string_value_into(node, scratch);
+                string_value(doc, node, scratch)?;
                 emit(out, first, scratch);
                 Ok(())
             }
             CompiledExpr::Path(p) => {
                 let start = bound(slots, p.start_slot, &p.start_name)?;
                 let mut cursor = ItemCursor::new(doc, p, start, &mut self.pool);
+                let mut result = Ok(());
                 while let Some(item) = cursor.next_item() {
                     match item {
                         CursorItem::Node(n) => {
-                            doc.string_value_into(n, scratch);
+                            result = string_value(doc, n, scratch);
+                            if result.is_err() {
+                                break;
+                            }
                             emit(out, first, scratch);
                         }
                         CursorItem::Str(s) => emit(out, first, s),
                     }
                 }
                 cursor.recycle(&mut self.pool);
-                Ok(())
+                result
             }
             CompiledExpr::Sequence(items) => {
                 for item in items {
@@ -545,13 +568,13 @@ impl CursorEvaluator {
         key: &KeyedLoop,
         start: NodeId,
         slots: &Slots,
-    ) -> Option<Vec<Candidate>> {
+    ) -> Result<Option<Vec<Candidate>>> {
         if key
             .free
             .iter()
             .any(|&s| !matches!(slots.get(s), Some(Some(_))))
         {
-            return None;
+            return Ok(None);
         }
         let CursorEvaluator {
             pool,
@@ -561,35 +584,41 @@ impl CursorEvaluator {
             ..
         } = self;
         let mut scratch = strings.pop().unwrap_or_default();
-        let candidates = joins
-            .index(doc, key, source, start, pool, &mut scratch)
-            .map(|index| {
-                let mut out = candidate_bufs.pop().unwrap_or_default();
-                match &key.probe {
-                    CompiledOperand::StringLit(s) | CompiledOperand::NumberLit(s) => {
-                        index.probe(s, &mut out)
-                    }
-                    CompiledOperand::Path(p) => {
-                        let probe_start = slots[p.start_slot].expect("free slots are bound");
-                        let mut values = ItemCursor::new(doc, p, probe_start, pool);
-                        while let Some(item) = values.next_item() {
-                            match item {
-                                CursorItem::Str(s) => index.probe(s, &mut out),
-                                CursorItem::Node(n) => {
-                                    doc.string_value_into(n, &mut scratch);
-                                    index.probe(&scratch, &mut out);
+        let candidates = (|| -> Result<Option<Vec<Candidate>>> {
+            let Some(index) = joins.index(doc, key, source, start, pool, &mut scratch)? else {
+                return Ok(None);
+            };
+            let mut out = candidate_bufs.pop().unwrap_or_default();
+            let mut result = Ok(());
+            match &key.probe {
+                CompiledOperand::StringLit(s) | CompiledOperand::NumberLit(s) => {
+                    index.probe(s, &mut out)
+                }
+                CompiledOperand::Path(p) => {
+                    let probe_start = slots[p.start_slot].expect("free slots are bound");
+                    let mut values = ItemCursor::new(doc, p, probe_start, pool);
+                    while let Some(item) = values.next_item() {
+                        match item {
+                            CursorItem::Str(s) => index.probe(s, &mut out),
+                            CursorItem::Node(n) => {
+                                result = string_value(doc, n, &mut scratch);
+                                if result.is_err() {
+                                    break;
                                 }
+                                index.probe(&scratch, &mut out);
                             }
                         }
-                        values.recycle(pool);
                     }
+                    values.recycle(pool);
                 }
-                out.sort_unstable();
-                out.dedup();
-                out
-            });
+            }
+            result?;
+            out.sort_unstable();
+            out.dedup();
+            Ok(Some(out))
+        })();
         strings.push(scratch);
-        if let Some(found) = &candidates {
+        if let Ok(Some(found)) = &candidates {
             joins.count_probe(found.len());
         }
         candidates
@@ -621,14 +650,20 @@ impl CursorEvaluator {
             CompiledOperand::Path(p) => {
                 let start = bound(slots, p.start_slot, &p.start_name)?;
                 let mut cursor = ItemCursor::new(doc, p, start, &mut self.pool);
+                let mut result = Ok(());
                 while let Some(item) = cursor.next_item() {
                     match item {
-                        CursorItem::Node(n) => doc.string_value_into(n, values.push_slot()),
+                        CursorItem::Node(n) => {
+                            result = string_value(doc, n, values.push_slot());
+                            if result.is_err() {
+                                break;
+                            }
+                        }
                         CursorItem::Str(s) => values.push_slot().push_str(s),
                     }
                 }
                 cursor.recycle(&mut self.pool);
-                Ok(())
+                result
             }
         }
     }
@@ -644,8 +679,16 @@ fn bound(slots: &Slots, slot: usize, name: &str) -> Result<NodeId> {
         .ok_or_else(|| XQueryError::eval(format!("unbound variable `${name}`")))
 }
 
+/// The string value of `node` into `out` (cleared first). Atomising a
+/// print-only node is an evaluation error, never a silently empty value.
+pub(crate) fn string_value(doc: &Document, node: NodeId, out: &mut String) -> Result<()> {
+    doc.string_value_into(node, out)
+        .map_err(|e| XQueryError::eval(e.to_string()))
+}
+
 /// Copies a node's subtree to the sink. Element start tags go through the
-/// sink's symbol fast path — no name strings materialise.
+/// sink's symbol fast path — no name strings materialise — and a
+/// serialized subtree goes out as its bytes.
 pub fn copy_node(doc: &Document, node: NodeId, sink: &mut impl QuerySink) -> Result<()> {
     match doc.kind(node) {
         NodeKind::Document => {
@@ -661,7 +704,10 @@ pub fn copy_node(doc: &Document, node: NodeId, sink: &mut impl QuerySink) -> Res
             }
             sink.end_element()
         }
-        _ => sink.text(doc.text(node).expect("text node")),
+        NodeKind::Serialized { xml, .. } => sink.serialized(xml),
+        NodeKind::Text(_) | NodeKind::SharedText(_) => {
+            sink.text(doc.text(node).expect("text node"))
+        }
     }
 }
 

@@ -24,6 +24,8 @@
 
 use crate::compile::{CompiledPath, KeyedLoop};
 use crate::cursor::{CursorItem, CursorPool, ItemCursor, PathCursor, SequenceCursor};
+use crate::error::Result;
+use crate::eval::string_value;
 use flux_xml::tree::{Document, NodeId};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
@@ -117,7 +119,7 @@ impl JoinIndexes {
         start: NodeId,
         pool: &mut CursorPool,
         scratch: &mut String,
-    ) -> Option<Index<'_>> {
+    ) -> Result<Option<Index<'_>>> {
         let doc_id = doc as *const Document as usize;
         if self.doc != doc_id {
             self.forget_where(|_| true);
@@ -129,7 +131,7 @@ impl JoinIndexes {
                     root: scope_root(doc, start),
                     index: None,
                 });
-                return None;
+                return Ok(None);
             }
             Entry::Occupied(o) => o.into_mut(),
         };
@@ -144,15 +146,15 @@ impl JoinIndexes {
                 scratch,
                 &self.hasher,
                 &mut index,
-            );
+            )?;
             self.live_bytes += index.len() * std::mem::size_of::<IndexEntry>();
             self.counters.index_builds += 1;
             site_state.index = Some(index);
         }
-        Some(Index {
-            entries: site_state.index.as_deref()?,
+        Ok(site_state.index.as_deref().map(|entries| Index {
+            entries,
             hasher: &self.hasher,
-        })
+        }))
     }
 
     /// Records one probe that handed `candidates` nodes to the filter.
@@ -206,7 +208,7 @@ fn build(
     scratch: &mut String,
     hasher: &RandomState,
     out: &mut Vec<IndexEntry>,
-) {
+) -> Result<()> {
     let mut nodes = PathCursor::new(doc, source, start, pool);
     let mut ord = 0u32;
     while let Some(node) = nodes.next_node() {
@@ -215,7 +217,7 @@ fn build(
             let hash = match item {
                 CursorItem::Str(s) => key_hash(hasher, s),
                 CursorItem::Node(n) => {
-                    doc.string_value_into(n, scratch);
+                    string_value(doc, n, scratch)?;
                     key_hash(hasher, scratch)
                 }
             };
@@ -228,6 +230,7 @@ fn build(
     }
     nodes.recycle(pool);
     out.sort_unstable_by_key(|e| e.hash);
+    Ok(())
 }
 
 /// The hash of `value`'s key; `None` for NaN, which equals nothing.

@@ -13,8 +13,8 @@
 
 use crate::ast::*;
 use crate::error::{Result, XQueryError};
-use crate::eval::{compare, QuerySink};
-use flux_xml::tree::{Document, NodeId, NodeKind};
+use crate::eval::{compare, copy_node, QuerySink};
+use flux_xml::tree::{Document, NodeId};
 use std::collections::HashMap;
 
 /// Variable bindings: every variable is bound to a single node.
@@ -199,24 +199,22 @@ impl<'d> TreeEvaluator<'d> {
         }
     }
 
-    /// Copies a node's subtree to the sink. Element start tags go through
-    /// the sink's symbol fast path — no name strings materialise.
+    /// Copies a node's subtree to the sink.
     pub fn copy_node(&self, node: NodeId, sink: &mut impl QuerySink) -> Result<()> {
-        match self.doc.kind(node) {
-            NodeKind::Document => {
-                for &c in self.doc.children(node) {
-                    self.copy_node(c, sink)?;
-                }
-                Ok(())
-            }
-            NodeKind::Element { .. } => {
-                sink.start_element_node(self.doc, node)?;
-                for &c in self.doc.children(node) {
-                    self.copy_node(c, sink)?;
-                }
-                sink.end_element()
-            }
-            _ => sink.text(self.doc.text(node).expect("text node")),
+        copy_node(self.doc, node, sink)
+    }
+
+    /// The string value of `node`.
+    fn string_value(&self, node: NodeId) -> Result<String> {
+        self.doc
+            .string_value(node)
+            .map_err(|e| XQueryError::eval(e.to_string()))
+    }
+
+    fn item_value(&self, item: Item) -> Result<String> {
+        match item {
+            Item::Node(n) => self.string_value(n),
+            Item::Str(s) => Ok(s),
         }
     }
 
@@ -248,16 +246,13 @@ impl<'d> TreeEvaluator<'d> {
             Expr::StringLit(s) => Ok(vec![s.clone()]),
             Expr::Var(v) => {
                 let node = self.bound(env, v)?;
-                Ok(vec![self.doc.string_value(node)])
+                Ok(vec![self.string_value(node)?])
             }
-            Expr::Path(p) => Ok(self
+            Expr::Path(p) => self
                 .resolve_items(p, env)?
                 .into_iter()
-                .map(|item| match item {
-                    Item::Node(n) => self.doc.string_value(n),
-                    Item::Str(s) => s,
-                })
-                .collect()),
+                .map(|item| self.item_value(item))
+                .collect(),
             Expr::Sequence(items) => {
                 let mut out = Vec::new();
                 for item in items {
@@ -298,16 +293,12 @@ impl<'d> TreeEvaluator<'d> {
             Operand::Path(p) => {
                 if p.steps.is_empty() {
                     let node = self.bound(env, &p.start)?;
-                    return Ok(vec![self.doc.string_value(node)]);
+                    return Ok(vec![self.string_value(node)?]);
                 }
-                Ok(self
-                    .resolve_items(p, env)?
+                self.resolve_items(p, env)?
                     .into_iter()
-                    .map(|item| match item {
-                        Item::Node(n) => self.doc.string_value(n),
-                        Item::Str(s) => s,
-                    })
-                    .collect())
+                    .map(|item| self.item_value(item))
+                    .collect()
             }
         }
     }

@@ -75,10 +75,11 @@ impl Default for XsaxConfig {
 
 #[derive(Debug)]
 struct Registration {
-    /// Element type the query is registered on (kept for diagnostics).
-    #[allow(dead_code)]
-    element: Symbol,
     labels: PastLabels,
+    /// Whether `labels` are past at each state of the registered element's
+    /// content automaton — decided once here, so a tracker's check on
+    /// every child is one load instead of set lookups.
+    past: Vec<bool>,
 }
 
 /// Per-instance tracker of one registration.
@@ -262,7 +263,13 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             self.by_element.resize_with(element.index() + 1, Vec::new);
         }
         self.by_element[element.index()].push(id);
-        self.registrations.push(Registration { element, labels });
+        // An undeclared element never opens, so its trackers never check.
+        let past = self.decl_of(element).map_or_else(Vec::new, |decl| {
+            (0..decl.dfa.state_count())
+                .map(|q| is_past_at(&decl.dfa, decl.text_allowed, &labels, q as StateId))
+                .collect()
+        });
+        self.registrations.push(Registration { labels, past });
         Ok(id)
     }
 
@@ -306,6 +313,9 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// its trackers are the top of the flat stack — whose past condition
     /// holds at `elem.state` (or unconditionally with `force`), queueing
     /// the fires.
+    // Inlined: most elements have no trackers, so most calls are an
+    // empty loop — not worth a call.
+    #[inline]
     fn fire_ready(
         registrations: &[Registration],
         trackers: &mut [Tracker],
@@ -318,7 +328,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 continue;
             }
             let reg = &registrations[tracker.id.index()];
-            if force || is_past_at(elem.dfa, elem.text_allowed, &reg.labels, elem.state) {
+            if force || reg.past[elem.state as usize] {
                 tracker.fired = true;
                 out.push((tracker.id, elem.depth));
             }
@@ -458,13 +468,11 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                     continue;
                 }
                 let reg = &self.registrations[tracker.id.index()];
-                let involves_child = match &reg.labels {
+                let involves_child = || match &reg.labels {
                     PastLabels::All => true,
                     PastLabels::Labels(set) => set.contains(&sym),
                 };
-                if !involves_child
-                    && is_past_at(parent.dfa, parent.text_allowed, &reg.labels, parent.state)
-                {
+                if reg.past[parent.state as usize] && !involves_child() {
                     tracker.fired = true;
                     self.fires.push((tracker.id, parent.depth));
                 }

@@ -4,7 +4,7 @@
 //! documented exit code instead of a panic.
 
 use flux_xmlgen::{auction_string, bib_string, AuctionConfig, BibConfig, AUCTION_DTD};
-use fluxquery::PAPER_FIG1_DTD;
+use fluxquery::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -185,6 +185,14 @@ fn report_counts_one_probe_per_closed_auction_after_the_first() {
         explain.contains("for $p in $__flux3/person: keyed on $p/@id, probed by $a/buyer"),
         "{explain}"
     );
+    // Printed names and prices buffer as bytes; the compared buyer stays
+    // a tree, and explain says why.
+    for line in [
+        "$s (on site): {people:{person:{@id,name:bytes}}}\n",
+        "$a (on closed_auction): {buyer:*,price:bytes}\n  buyer: tree, compared in $a/buyer = $p/@id\n",
+    ] {
+        assert!(explain.contains(line), "{explain}");
+    }
     let reported = run(&["--report", "json"]);
     assert!(reported.status.success(), "{reported:?}");
     assert_eq!(reported.stdout, run(&["--engine", "dom"]).stdout);
@@ -195,6 +203,49 @@ fn report_counts_one_probe_per_closed_auction_after_the_first() {
     assert_eq!(runtime("join_index_builds"), 1, "{report}");
     assert_eq!(runtime("join_probes"), auctions - 1, "{report}");
     assert_eq!(runtime("join_candidates"), auctions - 1, "{report}");
+}
+
+#[test]
+fn report_counts_one_serialized_node_per_buffered_author() {
+    // Under the weak DTD Q3 buffers every author until its book's titles
+    // are past; the plan only prints them, so each one seals into one
+    // serialized node holding exactly the bytes it is printed as.
+    let doc = bib_string(&BibConfig::weak(2_000, 7));
+    let authors = doc.matches("<author>").count() as u64;
+    assert!(authors > 2_000, "{authors} authors");
+    let input = Scratch::with("weak.xml", &doc);
+    let explain = fluxquery(PAPER_WEAK_DTD, &["--explain"]);
+    let explain = String::from_utf8(explain.stdout).expect("utf-8 explain");
+    assert!(
+        explain.contains("$b (on book): {author:bytes}"),
+        "{explain}"
+    );
+    for shards in ["1", "2"] {
+        let reported = fluxquery(
+            PAPER_WEAK_DTD,
+            &[
+                "--input",
+                input.path(),
+                "--report",
+                "json",
+                "--shards",
+                shards,
+            ],
+        );
+        assert!(reported.status.success(), "{reported:?}");
+        let output = String::from_utf8(reported.stdout).expect("utf-8 output");
+        let printed: u64 = output
+            .split("<author>")
+            .skip(1)
+            .map(|rest| {
+                ("<author>".len() + rest.find("</author>").unwrap() + "</author>".len()) as u64
+            })
+            .sum();
+        let report = String::from_utf8(reported.stderr).expect("utf-8 report");
+        let runtime = |name| counter(&report, "\"runtime\"", name);
+        assert_eq!(runtime("serialized_nodes"), authors, "{report}");
+        assert_eq!(runtime("serialized_bytes"), printed, "{report}");
+    }
 }
 
 /// The first `"name": <integer>` after `section` in a JSON report.

@@ -144,25 +144,42 @@ type PinnedRow = (
 ///
 /// The AUC-JOIN row is the `auction-join` benchmark document. Its peak
 /// and total include the keyed loop's index over the 1 400 buffered
-/// people: 1 400 entries × 16 bytes = 22 400 bytes on top of the nested
-/// loop's 330 556 / 1 716 110.
+/// people: 1 400 entries × 16 bytes = 22 400 bytes.
+///
+/// Every flux row moved when print-only subtrees started buffering as one
+/// serialized node instead of an element node plus a text node, and
+/// handlers whose variable nothing reads stopped binding a scope shell
+/// (old → new peak / total, and which change moved it):
+/// * `bib_weak` 744 / 403 848 → 492 / 231 582: both — authors are
+///   print-only (bytes alone: 556 / 308 062), and title and author
+///   handlers bind no shell (shells alone: 680 / 327 368);
+/// * `auction` (AUC-EXP) 459 / 2 380 061 → 414 / 2 056 061: bytes only —
+///   `$a/itemref` is print-only, `$a/price` is compared and stays a tree;
+/// * AUC-JOIN 352 956 / 1 738 510 → 281 498 / 1 461 301: bytes only —
+///   `$p/name` and `$a/price` are print-only, `$a/buyer` is compared;
+/// * `attr_heavy` 1 424 / 653 843 → 770 / 323 956, `text_heavy`
+///   1 018 / 184 967 → 1 013 / 171 719 and `name_mint` 268 / 421 865 →
+///   221 / 244 265: both, as for `bib_weak` (they all run Q3).
+///
+/// `events` did not move, and neither did the baselines, which keep
+/// trees.
 const PINNED: [PinnedRow; 8] = [
-    ("bib_weak", None, 8.0, Flux, 12_103, 744, 403_848),
+    ("bib_weak", None, 8.0, Flux, 12_103, 492, 231_582),
     ("bib_weak", None, 8.0, Projection, 11_303, 567_663, 567_663),
     ("bib_weak", None, 8.0, Dom, 11_303, 567_663, 567_663),
-    ("auction", None, 48.0, Flux, 187_210, 459, 2_380_061),
+    ("auction", None, 48.0, Flux, 187_210, 414, 2_056_061),
     (
         "auction",
         Some("AUC-JOIN"),
         28.0,
         Flux,
         109_210,
-        352_956,
-        1_738_510,
+        281_498,
+        1_461_301,
     ),
-    ("attr_heavy", None, 16.0, Flux, 6_667, 1_424, 653_843),
-    ("text_heavy", None, 16.0, Flux, 1_732, 1_018, 184_967),
-    ("name_mint", None, 32.0, Flux, 14_404, 268, 421_865),
+    ("attr_heavy", None, 16.0, Flux, 6_667, 770, 323_956),
+    ("text_heavy", None, 16.0, Flux, 1_732, 1_013, 171_719),
+    ("name_mint", None, 32.0, Flux, 14_404, 221, 244_265),
 ];
 
 #[test]

@@ -15,7 +15,7 @@ fn weak_dtd_buffers_authors_only() {
     assert_eq!(engine.buffered_handler_count(), 1);
     let explain = engine.explain();
     assert!(
-        explain.contains("{author:*}"),
+        explain.contains("{author:bytes}"),
         "only authors in the BDF:\n{explain}"
     );
     assert!(

@@ -7,7 +7,7 @@
 //! positions and the buffer projections all have to agree with the plain
 //! tree-at-a-time semantics on every sampled query.
 
-use flux_conformance::{run_engine, Domain};
+use flux_conformance::{print_only_document, run_engine, Domain, PRINT_ONLY_DTD};
 use fluxquery::xquery::{
     pretty, AttrConstructor, AttrPart, CmpOp, Cond, Expr, Operand, Path, Step,
 };
@@ -29,6 +29,9 @@ const LABELS: &[&str] = &[
 ];
 const OUTPUT_NAMES: &[&str] = &["r", "item", "entry", "wrap", "x"];
 const STRINGS: &[&str] = &["alpha", "beta", "", "Goedel", "x<y&z"];
+/// Comparison literals of the print-only arm: author string values of
+/// [`print_only_document`] and a miss.
+const PRINT_ONLY_STRINGS: &[&str] = &["A1 <x> & y > z", "F0 L3", "", "miss"];
 /// Key steps of the join arm, from a book.
 const KEYS: &[&str] = &["@year", "author", "price", "publisher", "title"];
 
@@ -40,6 +43,8 @@ struct QueryGen {
     budget: i32,
     /// Whether the `for` arm may emit value joins.
     joins: bool,
+    /// Whether the constructor arm may emit print-only buffer shapes.
+    print_only: bool,
 }
 
 impl QueryGen {
@@ -50,6 +55,73 @@ impl QueryGen {
             next_var: 0,
             budget: 40,
             joins: false,
+            print_only: false,
+        }
+    }
+
+    /// The print-only arm, over the book bound by the outermost loop:
+    /// authors only printed (once, twice, through a `let` or a loop
+    /// variable), and authors a comparison, a further step or an
+    /// attribute read keeps a tree.
+    fn print_only_expr(&mut self, depth: usize) -> Expr {
+        let book = self.vars[1].clone();
+        let authors = Path::var(&book).child("author");
+        let wrap = |content: Expr| Expr::Element {
+            name: "w".to_string(),
+            attributes: vec![],
+            content: Box::new(content),
+        };
+        let x = self.fresh_var();
+        match self.rng.gen_range(0..9) {
+            0 => Expr::seq(vec![
+                Expr::Path(authors.clone()),
+                Expr::If {
+                    cond: Box::new(Cond::Cmp {
+                        lhs: Operand::Path(authors),
+                        op: CmpOp::Eq,
+                        rhs: Operand::StringLit(self.pick(PRINT_ONLY_STRINGS).to_string()),
+                    }),
+                    then_branch: Box::new(self.random_expr(depth.saturating_sub(1))),
+                    else_branch: Box::new(Expr::StringLit("no".to_string())),
+                },
+            ]),
+            1 | 2 => Expr::Let {
+                var: x.clone(),
+                value: Box::new(Expr::Path(authors)),
+                body: Box::new(wrap(Expr::Var(x))),
+            },
+            3 | 4 => Expr::For {
+                var: x.clone(),
+                source: authors,
+                where_clause: None,
+                body: Box::new(wrap(Expr::Var(x))),
+            },
+            5 | 6 => Expr::seq(vec![
+                Expr::Path(authors.clone()),
+                Expr::Path(Path::var(&book).child("title")),
+                Expr::Path(authors),
+            ]),
+            7 => Expr::For {
+                var: x.clone(),
+                source: authors,
+                where_clause: None,
+                body: Box::new(wrap(Expr::seq(vec![
+                    Expr::Path(Path::var(&x).child("last")),
+                    Expr::Var(x),
+                ]))),
+            },
+            _ => {
+                let mut role = authors.clone();
+                role.steps.push(Step::Attribute("role".to_string()));
+                Expr::Element {
+                    name: "w".to_string(),
+                    attributes: vec![AttrConstructor {
+                        name: "r".to_string(),
+                        value: vec![AttrPart::Expr(Expr::Path(role))],
+                    }],
+                    content: Box::new(Expr::Path(authors)),
+                }
+            }
         }
     }
 
@@ -178,6 +250,7 @@ impl QueryGen {
         }
         match self.rng.gen_range(0..10) {
             0..=2 if self.joins && self.rng.gen_bool(0.5) => self.join_expr(depth),
+            3..=5 if self.print_only && self.rng.gen_bool(0.6) => self.print_only_expr(depth),
             0..=2 => {
                 // for-loop over a schema path.
                 let var = self.fresh_var();
@@ -260,6 +333,27 @@ fn random_query(seed: u64) -> String {
     pretty(&query)
 }
 
+/// A random query over [`PRINT_ONLY_DTD`] documents whose book loop body
+/// leads with a print-only shape, with more allowed below it.
+fn random_print_only_query(seed: u64) -> String {
+    let mut g = QueryGen::new(seed);
+    g.print_only = true;
+    let var = g.fresh_var();
+    g.vars.push(var.clone());
+    let body = Expr::seq(vec![g.print_only_expr(2), g.random_expr(2)]);
+    g.vars.pop();
+    pretty(&Expr::Element {
+        name: "out".to_string(),
+        attributes: vec![],
+        content: Box::new(Expr::For {
+            var,
+            source: Path::var("ROOT").child("bib").child("book"),
+            where_clause: None,
+            body: Box::new(body),
+        }),
+    })
+}
+
 /// A random query whose top level is a value join, with joins allowed
 /// anywhere below it.
 fn random_join_query(seed: u64) -> String {
@@ -275,7 +369,7 @@ fn random_join_query(seed: u64) -> String {
 
 /// Runs `query` through all four engine configurations: their outputs
 /// must agree byte for byte.
-fn assert_engines_agree(query: &str, domain: Domain, doc: &str, case: &str) {
+fn assert_engines_agree(query: &str, dtd: &str, doc: &str, case: &str) -> Vec<u8> {
     let mut reference: Option<Vec<u8>> = None;
     for kind in [
         EngineKind::Flux,
@@ -283,7 +377,7 @@ fn assert_engines_agree(query: &str, domain: Domain, doc: &str, case: &str) {
         EngineKind::Projection,
         EngineKind::Dom,
     ] {
-        let outcome = run_engine(kind, query, domain.dtd(), doc.as_bytes())
+        let outcome = run_engine(kind, query, dtd, doc.as_bytes())
             .unwrap_or_else(|e| panic!("{} failed ({case}):\n{query}\n{e}", kind.label()));
         match &reference {
             None => reference = Some(outcome.output),
@@ -295,6 +389,7 @@ fn assert_engines_agree(query: &str, domain: Domain, doc: &str, case: &str) {
             ),
         }
     }
+    reference.expect("four engines ran")
 }
 
 proptest! {
@@ -312,7 +407,7 @@ proptest! {
         let domain = if weak { Domain::BibWeak } else { Domain::BibFig1 };
         assert_engines_agree(
             &random_query(query_seed),
-            domain,
+            domain.dtd(),
             &domain.document(0.15, doc_seed),
             &format!("query_seed={query_seed} doc_seed={doc_seed} weak={weak}"),
         );
@@ -328,9 +423,31 @@ proptest! {
         let domain = if weak { Domain::BibWeak } else { Domain::BibFig1 };
         assert_engines_agree(
             &random_join_query(query_seed),
-            domain,
+            domain.dtd(),
             &domain.document(0.15, doc_seed),
             &format!("join query_seed={query_seed} doc_seed={doc_seed} weak={weak}"),
+        );
+    }
+
+    /// Print-only buffer shapes: all four configurations agree on the
+    /// document that spells attribute defaults out, and flux — which
+    /// injects them — prints the same bytes when the DTD supplies them.
+    #[test]
+    fn random_print_only_queries_agree_across_engines(
+        query_seed in 0u64..100_000,
+        doc_seed in 0u64..1_000,
+    ) {
+        let query = random_print_only_query(query_seed);
+        let case = format!("print-only query_seed={query_seed} doc_seed={doc_seed}");
+        let spelled = print_only_document(10, doc_seed, false);
+        let agreed = assert_engines_agree(&query, PRINT_ONLY_DTD, &spelled, &case);
+        let defaulted = print_only_document(10, doc_seed, true);
+        let flux = run_engine(EngineKind::Flux, &query, PRINT_ONLY_DTD, defaulted.as_bytes())
+            .unwrap_or_else(|e| panic!("flux failed ({case}):\n{query}\n{e}"));
+        assert_eq!(
+            String::from_utf8_lossy(&flux.output),
+            String::from_utf8_lossy(&agreed),
+            "injected defaults diverged on {case}:\n{query}"
         );
     }
 }

@@ -15,8 +15,9 @@
 //!
 //! Three plans, one per buffering regime: Q3 under the Figure-1 DTD
 //! (nothing buffered, everything streamed), Q3 under the weak DTD (authors
-//! pass through the buffer store), and AUC-EXP over an auction site (most
-//! of the document is read by no frame at all).
+//! pass through the buffer store as print-only serialized bytes — the
+//! test checks the plan really chose bytes), and AUC-EXP over an auction
+//! site (most of the document is read by no frame at all).
 //!
 //! This file holds exactly one test so no concurrent test in the same
 //! binary can perturb the allocation counter.
@@ -210,14 +211,39 @@ fn allocations_of_run(engine: &FluxEngine, doc: &Arc<Vec<u8>>) -> (usize, u64) {
 #[test]
 fn pipeline_allocations_do_not_grow_with_the_document() {
     type Generator = fn(usize) -> String;
-    let cases: [(&str, &str, &str, Generator); 3] = [
-        ("Q3 x Figure-1 DTD", Q3, PAPER_FIG1_DTD, fig1_bib),
-        ("Q3 x weak DTD", Q3, PAPER_WEAK_DTD, weak_bib),
-        ("AUC-EXP x auction DTD", AUC_EXP, AUCTION_DTD, auction),
+    // Each case names the buffer representations its plan must choose, so
+    // the proof cannot silently cover a different path than it claims.
+    let cases: [(&str, &str, &str, Generator, &str); 3] = [
+        (
+            "Q3 x Figure-1 DTD",
+            Q3,
+            PAPER_FIG1_DTD,
+            fig1_bib,
+            "$ROOT: {}\n\n",
+        ),
+        (
+            "Q3 x weak DTD",
+            Q3,
+            PAPER_WEAK_DTD,
+            weak_bib,
+            "$b (on book): {author:bytes}\n",
+        ),
+        (
+            "AUC-EXP x auction DTD",
+            AUC_EXP,
+            AUCTION_DTD,
+            auction,
+            "$a (on closed_auction): {itemref:bytes,price:*}\n",
+        ),
     ];
-    for (name, query, dtd, generate) in cases {
+    for (name, query, dtd, generate, bdf) in cases {
         // Compile once: plan compilation is set-up, not the loop.
         let engine = FluxEngine::compile(query, dtd, &Options::new()).expect("query compiles");
+        let explain = engine.explain();
+        assert!(
+            explain.contains(bdf),
+            "{name}: expected {bdf:?} in\n{explain}"
+        );
         let small = Arc::new(generate(N).into_bytes());
         let large = Arc::new(generate(8 * N).into_bytes());
         let (small_allocs, small_events) = allocations_of_run(&engine, &small);
