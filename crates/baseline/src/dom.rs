@@ -97,6 +97,7 @@ impl DomEngine {
             output_bytes: writer.bytes_written(),
             events,
             duration: start.elapsed(),
+            ..RunStats::default()
         })
     }
 }

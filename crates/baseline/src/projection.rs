@@ -156,6 +156,7 @@ impl ProjectionEngine {
             output_bytes: writer.bytes_written(),
             events,
             duration: start.elapsed(),
+            ..RunStats::default()
         })
     }
 }

@@ -292,13 +292,15 @@ pub fn assert_stream_equivalent(label: &str, bytes: &[u8]) -> StreamOutcome {
 
 /// The statistics that must be invariant across execution configurations
 /// of the *same* engine (wall-clock time excluded).
-pub fn stats_fingerprint(stats: &RunStats) -> (usize, usize, u64, u64, u64) {
+pub fn stats_fingerprint(stats: &RunStats) -> (usize, usize, u64, u64, u64, u64, u64) {
     (
         stats.peak_buffer_bytes,
         stats.peak_buffer_nodes,
         stats.total_buffered_bytes,
         stats.output_bytes,
         stats.events,
+        stats.skipped_subtrees,
+        stats.skipped_bytes,
     )
 }
 
@@ -458,15 +460,7 @@ pub const PRINT_ONLY_DTD: &str = "<!ELEMENT bib (book)*>\n\
 /// byte-identical, and the non-validating baselines agree with the
 /// variant that spells it out.
 pub fn print_only_document(books: usize, seed: u64, omit_defaults: bool) -> String {
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-    let mut next = |n: u64| {
-        // SplitMix64: a deterministic stream for a handful of choices.
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) % n
-    };
+    let mut next = choices(seed);
     let mut doc = String::from("<bib>");
     for b in 0..books {
         doc.push_str("<book>");
@@ -496,6 +490,129 @@ pub fn print_only_document(books: usize, seed: u64, omit_defaults: bool) -> Stri
         doc.push_str("</book>");
     }
     doc.push_str("</bib>");
+    doc
+}
+
+/// A deterministic stream of choices for the fixture generators: each
+/// call draws from `0..n` (SplitMix64).
+fn choices(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    move |n| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// A library schema for the skipped-subtree arms: `meta` and `annex`
+/// hang off the root, `book`s two levels down, and `note`s nest to any
+/// depth inside all of them — so a query reading one part leaves the
+/// others unread at depths one, two, three and below.
+pub const SKIP_DTD: &str = "<!ELEMENT lib (meta?, shelf*, annex?)>\n\
+     <!ELEMENT meta (#PCDATA|note)*>\n\
+     <!ELEMENT note (#PCDATA|note|em)*>\n\
+     <!ATTLIST note kind CDATA #IMPLIED>\n\
+     <!ELEMENT em (#PCDATA)>\n\
+     <!ELEMENT shelf (label, book*)>\n\
+     <!ATTLIST shelf id CDATA #REQUIRED>\n\
+     <!ELEMENT label (#PCDATA)>\n\
+     <!ELEMENT book (title, author*, blurb?)>\n\
+     <!ATTLIST book year CDATA #IMPLIED>\n\
+     <!ELEMENT title (#PCDATA)>\n\
+     <!ELEMENT author (#PCDATA)>\n\
+     <!ELEMENT blurb (#PCDATA|em|note)*>\n\
+     <!ELEMENT annex (note*)>";
+
+/// Queries over [`SKIP_DTD`] documents, each leaving different subtrees
+/// unread: whole sections at depth one, books at depth two, leaves and
+/// blurbs at depth three, and nested notes below a note that is read.
+pub const SKIP_SHAPES: &[&str] = &[
+    "<out>{ for $s in $ROOT/lib/shelf return <s>{$s/label}</s> }</out>",
+    "<out>{ for $b in $ROOT/lib/shelf/book return $b/title }</out>",
+    r#"<out>{ for $b in $ROOT/lib/shelf/book where $b/author = "A1" return <hit>{$b/title}</hit> }</out>"#,
+    "<out>{ for $b in $ROOT/lib/shelf/book return <r>{$b/blurb}</r> }</out>",
+    "<out>{ for $a in $ROOT/lib/annex return $a }</out>",
+    r#"<out>{ for $s in $ROOT/lib/shelf return <s k="{$s/@id}">{ for $b in $s/book return <y k="{$b/@year}"/> }</s> }</out>"#,
+    "<out>{ for $m in $ROOT/lib/meta return for $n in $m/note return <n>{$n/em}</n> }</out>",
+    "<out>{ for $b in $ROOT/lib/shelf/book return if (exists($b/blurb)) then $b/title else () }</out>",
+];
+
+/// A document valid under [`SKIP_DTD`] with `shelves` shelves. The notes
+/// carry what the reader's hop must still check or hand to its ordinary
+/// parse: entity and character references, CDATA, comments, PIs, `>` in
+/// text, empty elements, attributes with names no DTD declares (so a
+/// capped interner overflows) and text runs longer than the smallest
+/// reader window, nested up to a dozen deep.
+pub fn skip_document(shelves: usize, seed: u64) -> String {
+    /// A chain of up to `depth + 1` nested notes.
+    fn note(doc: &mut String, next: &mut impl FnMut(u64) -> u64, depth: u64) {
+        let mut open = 0;
+        loop {
+            doc.push_str("<note");
+            if next(2) == 0 {
+                doc.push_str(&format!(
+                    " kind=\"k{}\" x{}y{}=\"v&amp;\"",
+                    next(3),
+                    next(9),
+                    next(9)
+                ));
+            }
+            doc.push('>');
+            match next(6) {
+                0 => doc.push_str("a &amp; b &#x3C; c &#60; d > e"),
+                1 => doc.push_str("<![CDATA[<raw> & ]]>text<!-- c -->more<?pi data?>"),
+                2 => doc.push_str(&"long run of note text ".repeat(next(12) as usize + 4)),
+                3 => doc.push_str("<em>E</em> <em/>"),
+                _ => doc.push_str("\n  plain\n"),
+            }
+            open += 1;
+            if open > depth || next(3) == 0 {
+                break;
+            }
+        }
+        for _ in 0..open {
+            doc.push_str("</note>");
+        }
+    }
+    let mut next = choices(seed);
+    let mut doc = String::from("<lib>");
+    if next(4) > 0 {
+        doc.push_str("<meta>m");
+        for _ in 0..next(4) {
+            note(&mut doc, &mut next, 12);
+        }
+        doc.push_str("</meta>");
+    }
+    for s in 0..shelves {
+        doc.push_str(&format!("<shelf id=\"s{s}\"><label>L{s} &amp; co</label>"));
+        for b in 0..next(4) {
+            match next(2) {
+                0 => doc.push_str("<book>"),
+                _ => doc.push_str(&format!("<book year=\"{}\">", 1990 + next(30))),
+            }
+            doc.push_str(&format!("<title>T{s}.{b}</title>"));
+            for _ in 0..next(3) {
+                doc.push_str(&format!("<author>A{}</author>", next(3)));
+            }
+            if next(3) > 0 {
+                doc.push_str("<blurb>b ");
+                note(&mut doc, &mut next, 4);
+                doc.push_str("<em>x</em></blurb>");
+            }
+            doc.push_str("</book>");
+        }
+        doc.push_str("</shelf>");
+    }
+    if next(3) > 0 {
+        doc.push_str("<annex>");
+        for _ in 0..next(3) + 1 {
+            note(&mut doc, &mut next, 3);
+        }
+        doc.push_str("</annex>");
+    }
+    doc.push_str("</lib>");
     doc
 }
 

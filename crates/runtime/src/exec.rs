@@ -23,7 +23,9 @@
 //! window or shard tape arena) — only for an event some open frame reads:
 //! a start tag under a frame that copies, buffers or dispatches, a text
 //! run under one that copies or keeps text. Everything else is counted
-//! and passed over. Handler dispatch and buffer descent are symbol
+//! and passed over — and the content of an element whose frame reads
+//! nothing is never delivered at all: the reader skips it
+//! ([`XsaxParser::skip_element`]). Handler dispatch and buffer descent are symbol
 //! comparisons against the stream's shared [`SymbolTable`], and the output
 //! writer maps symbols back through the same table, streaming payload
 //! bytes straight from the view into the sink. Once the shared stacks have
@@ -121,11 +123,18 @@ pub fn execute<S: EventSource, W: Write>(
         shells: Vec::new(),
         events: 0,
         on_first_fires: 0,
+        skipped_subtrees: 0,
+        skipped_bytes: 0,
     };
     while let Some(step) = parser.next_step()? {
         state.events += 1;
         match step {
-            XsaxStep::Sax => state.handle(&parser)?,
+            XsaxStep::Sax => {
+                if state.handle(&parser)? {
+                    state.skipped_bytes += parser.skip_element()?;
+                    state.skipped_subtrees += 1;
+                }
+            }
             XsaxStep::Fire { id, depth } => state.on_first(id.index(), depth)?,
         }
     }
@@ -136,6 +145,8 @@ pub fn execute<S: EventSource, W: Write>(
         total_buffered_bytes: state.arena.tracker().total_allocated_bytes(),
         output_bytes: state.writer.bytes_written(),
         events: state.events,
+        skipped_subtrees: state.skipped_subtrees,
+        skipped_bytes: state.skipped_bytes,
         duration: start_time.elapsed(),
     };
     let report = want_report.then(|| assemble_report(&parser, &state, &stats));
@@ -156,6 +167,8 @@ fn assemble_report<S: EventSource, W: Write>(
     let mut runtime = Stage::new("runtime");
     runtime.counter("events", stats.events);
     runtime.counter("on_first_fires", state.on_first_fires);
+    runtime.counter("skipped_subtrees", stats.skipped_subtrees);
+    runtime.counter("skipped_bytes", stats.skipped_bytes);
     let joins = state.evaluator.join_counters();
     runtime.counter("join_index_builds", joins.index_builds);
     runtime.counter("join_probes", joins.probes);
@@ -197,17 +210,21 @@ struct ExecState<'p, W: Write> {
     events: u64,
     /// `on-first` handler bodies evaluated.
     on_first_fires: u64,
+    /// Elements whose content no frame read, passed over unseen.
+    skipped_subtrees: u64,
+    skipped_bytes: u64,
 }
 
 impl<'p, W: Write> ExecState<'p, W> {
     /// Handles the event behind an [`XsaxStep::Sax`]. Dispatches on the
     /// kind; only `start_element` and `text` may view the payload, and
-    /// only when the innermost frame reads it.
-    fn handle<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {
+    /// only when the innermost frame reads it. `true` when the element
+    /// just opened may be skipped (see [`ExecState::start_element`]).
+    fn handle<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<bool> {
         match parser.kind() {
             RawEventKind::StartDocument => self.start_document(),
             RawEventKind::DoctypeDecl => Ok(()),
-            RawEventKind::StartElement => self.start_element(parser),
+            RawEventKind::StartElement => return self.start_element(parser),
             RawEventKind::Text => self.text(parser),
             RawEventKind::EndElement => self.end_element(),
             RawEventKind::EndDocument => self.end_document(),
@@ -217,6 +234,7 @@ impl<'p, W: Write> ExecState<'p, W> {
                 })
             }
         }
+        .map(|()| false)
     }
 
     /// A frame with nothing on the shared stacks yet, inheriting `copying`
@@ -255,7 +273,13 @@ impl<'p, W: Write> ExecState<'p, W> {
         Ok(())
     }
 
-    fn start_element<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {
+    /// Opens the element's frame. Returns whether its content may be
+    /// skipped: the frame neither copies nor captures and pushed no
+    /// target and no scope, so no event inside can reach the output, a
+    /// buffer or a handler — and with no scope hosted here, no `on-first`
+    /// can fire for it. Its end tag is still delivered and closes the
+    /// frame as usual.
+    fn start_element<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<bool> {
         let parent = *self
             .stack
             .last()
@@ -268,9 +292,9 @@ impl<'p, W: Write> ExecState<'p, W> {
             && parent.scopes == frame.scopes
         {
             // Nothing copies, buffers or dispatches here: the start tag
-            // is not read.
+            // is not read, and neither is anything inside.
             self.stack.push(frame);
-            return Ok(());
+            return Ok(true);
         }
         let symbols = parser.symbols();
         let ev = parser.view();
@@ -362,8 +386,12 @@ impl<'p, W: Write> ExecState<'p, W> {
                 self.enter_plan(body, &mut frame, Some((&ev, symbols)))?;
             }
         }
+        let unread = !frame.copying
+            && !frame.capturing
+            && frame.targets == self.targets.len()
+            && frame.scopes == self.scopes.len();
         self.stack.push(frame);
-        Ok(())
+        Ok(unread)
     }
 
     fn text<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {

@@ -130,8 +130,13 @@ pub struct RunStats {
     pub total_buffered_bytes: u64,
     /// Bytes written to the output stream.
     pub output_bytes: u64,
-    /// Input events processed (SAX + on-first).
+    /// Steps delivered to the executor (SAX + on-first). Events inside a
+    /// skipped subtree are never delivered and not counted.
     pub events: u64,
+    /// Elements whose content no frame read, skipped in the reader.
+    pub skipped_subtrees: u64,
+    /// Input bytes those skips passed over (content and end tag).
+    pub skipped_bytes: u64,
     /// Wall-clock execution time.
     pub duration: Duration,
 }
@@ -156,6 +161,8 @@ impl RunStats {
         w.field_u64("total_buffered_bytes", self.total_buffered_bytes);
         w.field_u64("output_bytes", self.output_bytes);
         w.field_u64("events", self.events);
+        w.field_u64("skipped_subtrees", self.skipped_subtrees);
+        w.field_u64("skipped_bytes", self.skipped_bytes);
         w.field_u64(
             "duration_ns",
             u64::try_from(self.duration.as_nanos()).unwrap_or(u64::MAX),
@@ -260,6 +267,8 @@ mod tests {
             total_buffered_bytes: 9999,
             output_bytes: 321,
             events: 1000,
+            skipped_subtrees: 3,
+            skipped_bytes: 77,
             duration: Duration::from_millis(250),
         };
         let json = stats.to_json();
@@ -269,6 +278,8 @@ mod tests {
             "\"total_buffered_bytes\": 9999",
             "\"output_bytes\": 321",
             "\"events\": 1000",
+            "\"skipped_subtrees\": 3",
+            "\"skipped_bytes\": 77",
             "\"duration_ns\": 250000000",
             "\"events_per_second\": 4000.0",
         ] {

@@ -218,6 +218,10 @@ struct NameCache {
     /// `(key, length)` of every symbol interned through the cache, by
     /// symbol index.
     keys: Vec<(u128, usize)>,
+    /// Set while [`XmlReader::skip_subtree`] hops a subtree: a name the
+    /// table does not hold comes back as [`SymbolTable::OVERFLOW`] instead
+    /// of growing it, so unread regions cannot grow the table.
+    frozen: bool,
 }
 
 impl NameCache {
@@ -225,6 +229,7 @@ impl NameCache {
         NameCache {
             ways: [(0, 0, SymbolTable::TEXT); NAME_CACHE_WAYS],
             keys: Vec::new(),
+            frozen: false,
         }
     }
 
@@ -239,22 +244,38 @@ impl NameCache {
     ) -> Symbol {
         let len = name.len();
         if let Some(cap) = max_symbols {
+            let cap = if self.frozen { symbols.len() } else { cap };
             return symbols.intern_bounded(name, cap);
         }
         if len > KEYED_NAME {
-            return symbols.intern(name);
+            return self.fresh(symbols, name);
         }
         let way = &mut self.ways[(name.as_bytes()[0] ^ len as u8) as usize % NAME_CACHE_WAYS];
         if way.0 == key && way.1 == len {
             return way.2;
         }
-        let sym = symbols.intern(name);
+        let sym = match self.frozen {
+            false => symbols.intern(name),
+            true => match symbols.lookup(name) {
+                Some(sym) => sym,
+                None => return SymbolTable::OVERFLOW,
+            },
+        };
         *way = (key, len, sym);
         if self.keys.len() <= sym.index() {
             self.keys.resize(sym.index() + 1, (0, 0));
         }
         self.keys[sym.index()] = (key, len);
         sym
+    }
+
+    /// A name the cache cannot key: interned, or only looked up while
+    /// frozen.
+    fn fresh(&self, symbols: &mut SymbolTable, name: &str) -> Symbol {
+        match self.frozen {
+            false => symbols.intern(name),
+            true => symbols.lookup(name).unwrap_or(SymbolTable::OVERFLOW),
+        }
     }
 
     /// Whether `sym` is known to be the name with this key and length.
@@ -444,6 +465,34 @@ impl<R: Read> XmlReader<R> {
         // Disjoint field borrows: the core writes the event in place.
         self.core.fill_event(&mut self.current)?;
         Ok(true)
+    }
+
+    /// Passes over the content of the element whose start tag is the
+    /// current event; afterwards the current event is its end tag, parsed
+    /// by the ordinary path. Returns the bytes passed over, from after the
+    /// start tag through the end tag.
+    ///
+    /// The hop walks the structural index's `<` lane with the reader's
+    /// own open-element stack, each name pushed as its literal bytes
+    /// ([`SymbolTable::OVERFLOW`] on the overflow stack): no name is
+    /// interned and no event is filled. Well-formedness stays complete —
+    /// a text run or tag the hop cannot settle from the index alone (an
+    /// `&`, attributes, `<!`, `<?`, anything malformed or not yet below
+    /// the UTF-8 watermark) goes through the ordinary parse functions,
+    /// with names looked up but never interned, so every error keeps its
+    /// message and position.
+    pub fn skip_subtree(&mut self) -> Result<u64> {
+        debug_assert_eq!(self.current.kind(), RawEventKind::StartElement);
+        let core = &mut self.core;
+        let from = core.scanner.offset();
+        if core.pending_end.is_none() {
+            core.names.frozen = true;
+            let hopped = core.hop_subtree(&mut self.current);
+            core.names.frozen = false;
+            hopped?;
+        }
+        core.fill_event(&mut self.current)?;
+        Ok(core.scanner.offset() - from)
     }
 
     /// The kind of the event the last [`XmlReader::advance`] produced,
@@ -1063,8 +1112,9 @@ impl<R: Read> ReaderCore<R> {
         Ok(())
     }
 
+    /// The depth limit, checked once a start tag has been consumed.
     #[inline(always)]
-    fn enter_element(&mut self, name: Symbol, overflow_name: &str) -> Result<()> {
+    fn check_depth(&self) -> Result<()> {
         if self.stack.len() >= self.config.max_depth {
             return Err(self.wf(
                 0,
@@ -1074,6 +1124,12 @@ impl<R: Read> ReaderCore<R> {
                 ),
             ));
         }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn enter_element(&mut self, name: Symbol, overflow_name: &str) -> Result<()> {
+        self.check_depth()?;
         if self.state == State::Prolog {
             self.state = State::InRoot;
         }
@@ -1096,6 +1152,115 @@ impl<R: Read> ReaderCore<R> {
         if self.stack.is_empty() && self.state == State::InRoot && !self.config.fragment {
             self.state = State::Epilog;
         }
+    }
+
+    /// Hops to the end tag of the innermost open element (see
+    /// [`XmlReader::skip_subtree`]), leaving it unconsumed — or stops at end
+    /// of input, which the ordinary path then reports. `ev` is scratch for
+    /// the constructs the ordinary functions parse.
+    fn hop_subtree(&mut self, ev: &mut RawEvent) -> Result<()> {
+        let depth = self.stack.len();
+        loop {
+            let kind = {
+                let probe = self.scanner.peek_slice(9)?;
+                match probe.first() {
+                    None => return Ok(()),
+                    Some(&b'<') => classify_markup(probe),
+                    Some(_) => {
+                        if !self.scanner.hop_text()? {
+                            self.parse_text(ev)?;
+                        }
+                        continue;
+                    }
+                }
+            };
+            match kind {
+                Markup::End if self.stack.len() == depth => return Ok(()),
+                Markup::End => {
+                    self.tel.end_tags += 1;
+                    self.hop_end_tag(ev)?;
+                }
+                Markup::Start => {
+                    self.tel.start_tags += 1;
+                    self.hop_start_tag(ev)?;
+                }
+                other => {
+                    self.parse_markup(ev, other)?;
+                }
+            }
+        }
+    }
+
+    /// A start tag inside a hop. `<name>` and `<name/>` are settled by
+    /// scanning the name — one table lookup per byte, and its end is the
+    /// tag's end — and its bytes go onto the open-element stack. Anything
+    /// else is parsed by [`ReaderCore::parse_start_tag`]. A tag cut by the
+    /// window edge is buffered whole first, so which tokens straddle a
+    /// refill never decides which path a tag takes.
+    fn hop_start_tag(&mut self, ev: &mut RawEvent) -> Result<()> {
+        let (name_end, empty) = loop {
+            let window = self.scanner.window();
+            let name_end = 1 + window[1..].iter().take_while(|&&b| is_name_char(b)).count();
+            let next = (
+                window.get(name_end).copied(),
+                window.get(name_end + 1).copied(),
+            );
+            match next {
+                (Some(b'>'), _) => break (name_end, false),
+                (Some(b'/'), Some(b'>')) => break (name_end, true),
+                (None, _) | (Some(b'/'), None) if self.scanner.fill_more()? => {}
+                _ => return self.parse_skipped_start_tag(ev),
+            }
+        };
+        let named = is_name_start(self.scanner.window()[1]);
+        let Some(text) = self.scanner.window_text(name_end).filter(|_| named) else {
+            return self.parse_skipped_start_tag(ev);
+        };
+        let len = name_end + 1 + usize::from(empty);
+        if empty {
+            self.scanner.consume(len);
+            return self.check_depth();
+        }
+        let mut name = self.spare_overflow.pop().unwrap_or_default();
+        name.push_str(&text[1..]);
+        self.scanner.consume(len);
+        self.check_depth()?;
+        self.overflow_stack.push(name);
+        self.stack.push(SymbolTable::OVERFLOW);
+        Ok(())
+    }
+
+    /// The ordinary start-tag parse inside a hop; an empty element closes
+    /// at once, since no event is delivered for it.
+    fn parse_skipped_start_tag(&mut self, ev: &mut RawEvent) -> Result<()> {
+        self.parse_start_tag(ev)?;
+        if self.pending_end.take().is_some() {
+            self.leave_element();
+        }
+        Ok(())
+    }
+
+    /// An end tag inside a hop. `</name>` closing the innermost element is
+    /// a byte comparison against its name — the literal on the overflow
+    /// stack, or the symbol's name for a tag the ordinary parse opened;
+    /// anything else is parsed by [`ReaderCore::parse_end_tag`], which
+    /// also reports the mismatches.
+    fn hop_end_tag(&mut self, ev: &mut RawEvent) -> Result<()> {
+        let open = match self.stack.last() {
+            Some(&SymbolTable::OVERFLOW) => {
+                self.overflow_stack.last().expect("overflow name on stack")
+            }
+            Some(&open) => self.symbols.name(open),
+            None => return self.parse_end_tag(ev),
+        };
+        let gt = 2 + open.len();
+        let tag = self.scanner.peek_slice(gt + 1)?;
+        if tag.get(2..gt) == Some(open.as_bytes()) && tag.get(gt) == Some(&b'>') {
+            self.scanner.consume(gt + 1);
+            self.leave_element();
+            return Ok(());
+        }
+        self.parse_end_tag(ev)
     }
 
     /// Parses a maximal run of character data into `ev`, merging adjacent

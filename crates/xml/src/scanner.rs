@@ -239,6 +239,36 @@ impl<R: Read> Scanner<R> {
         self.start += n;
     }
 
+    /// Absolute input offset of the cursor.
+    #[inline]
+    pub fn offset(&self) -> u64 {
+        self.buf.index().base() + self.start as u64
+    }
+
+    /// Consumes the text run at the cursor when nothing in it needs a
+    /// look: it lies below the UTF-8 watermark and the `&` lane has no bit
+    /// in it. A `tzcnt` hop to the closing `<`, no byte inspected; a run
+    /// whose `<` is not buffered yet is buffered whole first (memory stays
+    /// bounded by the longest token). `false` (nothing consumed) leaves
+    /// the run to the reader's text path, which reports whatever is wrong
+    /// with it.
+    #[inline]
+    pub fn hop_text(&mut self) -> Result<bool> {
+        let len = loop {
+            match self.find_in_window(b'<') {
+                Some(len) => break len,
+                None if self.fill_more()? => {}
+                None => return Ok(false),
+            }
+        };
+        let range = (self.start, self.start + len);
+        if self.amp_in(range) || self.text(range).is_none() {
+            return Ok(false);
+        }
+        self.consume(len);
+        Ok(true)
+    }
+
     /// Whether any `&` was indexed in the buffer range `range` — the
     /// reader's escape probe for a just-consumed borrowed run.
     #[inline]

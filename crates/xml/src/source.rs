@@ -73,6 +73,31 @@ pub trait EventSource {
     /// so errors carry exactly the sequential position.
     fn position(&self) -> Position;
 
+    /// Passes over the content of the element whose start tag is the
+    /// current event: afterwards the current event is its end tag (or
+    /// `EndDocument`, if a fragment source ends first). Returns the bytes
+    /// passed over, from after the start tag through the end tag.
+    ///
+    /// Nothing inside is delivered, and nothing inside is exempt from
+    /// well-formedness: the default advances through every event, so any
+    /// source is correct without extra code (a replayed tape has already
+    /// been parsed whole). [`XmlReader`] overrides it with a hop over its
+    /// structural index that neither interns names nor fills events.
+    fn skip_subtree(&mut self) -> Result<u64> {
+        let from = self.position().offset;
+        let mut depth = 0usize;
+        while self.advance()? {
+            match self.kind() {
+                RawEventKind::StartElement => depth += 1,
+                RawEventKind::EndElement if depth == 0 => break,
+                RawEventKind::EndElement => depth -= 1,
+                RawEventKind::EndDocument => break,
+                _ => {}
+            }
+        }
+        Ok(self.position().offset - from)
+    }
+
     /// Appends this source's telemetry stages to `report`. The default is
     /// a no-op so third-party sources need no changes; the in-repo sources
     /// contribute scanner/reader stages (and the sharded reader its
@@ -97,6 +122,10 @@ impl<R: Read> EventSource for XmlReader<R> {
 
     fn symbols(&self) -> &SymbolTable {
         XmlReader::symbols(self)
+    }
+
+    fn skip_subtree(&mut self) -> Result<u64> {
+        XmlReader::skip_subtree(self)
     }
 
     fn position(&self) -> Position {

@@ -99,6 +99,9 @@ struct OpenElement<'d> {
     /// Where this instance's trackers start on the parser's flat tracker
     /// stack; they run to the next open element's start (or the top).
     trackers: usize,
+    /// The content was passed over ([`XsaxParser::skip_element`]), so the
+    /// content model is not checked at the end tag.
+    skipped: bool,
 }
 
 /// One pre-resolved `ATTLIST` entry: interned name, requiredness, and the
@@ -374,34 +377,70 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 self.finished = true;
                 return Ok(None);
             }
-            // Dispatch on the kind alone: a payload is viewed only by the
-            // handler that reads it (see `flux_xml::EventSource`).
-            match self.source.kind() {
-                RawEventKind::StartDocument => self.deliver_sax(),
-                RawEventKind::DoctypeDecl => {
-                    if let Some(root) = self.dtd.root() {
-                        let v = self.source.view();
-                        let name = v.target();
-                        if self.dtd.lookup(name) != Some(root) {
-                            let message = format!(
-                                "DOCTYPE names `{name}` but the DTD root is `{}`",
-                                self.dtd.name(root)
-                            );
-                            return Err(self.validation(message));
-                        }
+            self.dispatch()?;
+        }
+    }
+
+    /// Passes over the content of the element whose start tag was the
+    /// last [`XsaxStep::Sax`]: the next steps are the fires its end tag
+    /// releases and the end tag itself. Returns the bytes passed over
+    /// ([`EventSource::skip_subtree`]).
+    ///
+    /// The caller promises that nothing inside is read. Validity is then
+    /// not checked inside — the element's own start tag and attributes
+    /// were already validated against its parent's content model, and its
+    /// end tag still moves the parent's trackers — while the source keeps
+    /// checking well-formedness throughout. The element's own trackers are
+    /// dropped unfired: with nothing read inside, no handler listens.
+    pub fn skip_element(&mut self) -> Result<u64> {
+        debug_assert_eq!(self.source.kind(), RawEventKind::StartElement);
+        debug_assert!(self.sax_at.is_none(), "the start tag was delivered");
+        let elem = self
+            .stack
+            .last_mut()
+            .expect("skip_element after a start tag");
+        elem.skipped = true;
+        self.trackers.truncate(elem.trackers);
+        self.fires.clear();
+        self.next_fire = 0;
+        self.injected.clear();
+        let bytes = self.source.skip_subtree()?;
+        self.dispatch()?;
+        Ok(bytes)
+    }
+
+    /// Handles the source's current event: validates it and queues it,
+    /// with the fires it releases, for delivery.
+    #[inline(always)]
+    fn dispatch(&mut self) -> Result<()> {
+        // Dispatch on the kind alone: a payload is viewed only by the
+        // handler that reads it (see `flux_xml::EventSource`).
+        match self.source.kind() {
+            RawEventKind::StartDocument => self.deliver_sax(),
+            RawEventKind::DoctypeDecl => {
+                if let Some(root) = self.dtd.root() {
+                    let v = self.source.view();
+                    let name = v.target();
+                    if self.dtd.lookup(name) != Some(root) {
+                        let message = format!(
+                            "DOCTYPE names `{name}` but the DTD root is `{}`",
+                            self.dtd.name(root)
+                        );
+                        return Err(self.validation(message));
                     }
-                    self.deliver_sax();
                 }
-                RawEventKind::StartElement => self.handle_start()?,
-                RawEventKind::EndElement => self.handle_end()?,
-                RawEventKind::Text => self.handle_text()?,
-                RawEventKind::Comment | RawEventKind::ProcessingInstruction => {}
-                RawEventKind::EndDocument => {
-                    self.finished = true;
-                    self.deliver_sax();
-                }
+                self.deliver_sax();
+            }
+            RawEventKind::StartElement => self.handle_start()?,
+            RawEventKind::EndElement => self.handle_end()?,
+            RawEventKind::Text => self.handle_text()?,
+            RawEventKind::Comment | RawEventKind::ProcessingInstruction => {}
+            RawEventKind::EndDocument => {
+                self.finished = true;
+                self.deliver_sax();
             }
         }
+        Ok(())
     }
 
     /// The kind of the event behind the last [`XsaxStep::Sax`], without
@@ -511,6 +550,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             text_allowed: decl.text_allowed,
             depth: self.stack.len() + 1,
             trackers: self.trackers.len(),
+            skipped: false,
         };
         if let Some(ids) = self.by_element.get(sym.index()) {
             self.trackers
@@ -543,7 +583,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 pos: self.source.position(),
             });
         };
-        if !elem.dfa.is_accepting(elem.state) {
+        if !elem.skipped && !elem.dfa.is_accepting(elem.state) {
             let expected: Vec<String> = elem
                 .dfa
                 .transitions(elem.state)

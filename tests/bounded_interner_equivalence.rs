@@ -210,3 +210,103 @@ fn overflowed_tag_mismatch_still_detected() {
     assert_eq!(flux_errors[0], flux_errors[1]);
     assert_eq!(flux_errors[0], flux_errors[2]);
 }
+
+/// Names inside a subtree no frame reads never reach the interner: the
+/// reader hops the subtree, and even the tags it hands to its ordinary
+/// parse there (here: every tag with an attribute) look names up without
+/// interning them. 10 000 distinct undeclared element and attribute names
+/// inside `people` leave the symbol table exactly as long as the DTD
+/// seeded it, capped or not — while a plain read of the same document
+/// interns every one of them.
+#[test]
+fn skipped_regions_do_not_grow_the_interner() {
+    use fluxquery::runtime::{compile_plan, execute};
+    use fluxquery::xml::{EventSource, Position, RawEventKind, RawEventRef, ReaderConfig, Result};
+    use fluxquery::xmlgen::{auction_string, AuctionConfig, AUCTION_DTD};
+    use fluxquery::xsax::{seeded_reader, XsaxConfig};
+    use fluxquery::{FluxEngine, Options};
+    use std::cell::Cell;
+
+    /// Delegates to `inner`, recording the longest symbol table seen.
+    struct Watch<'a, S> {
+        inner: S,
+        longest: &'a Cell<usize>,
+    }
+    impl<S: EventSource> Watch<'_, S> {
+        fn record(&self) {
+            let len = self.inner.symbols().len();
+            self.longest.set(self.longest.get().max(len));
+        }
+    }
+    impl<S: EventSource> EventSource for Watch<'_, S> {
+        fn advance(&mut self) -> Result<bool> {
+            let more = self.inner.advance()?;
+            self.record();
+            Ok(more)
+        }
+        fn kind(&self) -> RawEventKind {
+            self.inner.kind()
+        }
+        fn view(&self) -> RawEventRef<'_> {
+            self.inner.view()
+        }
+        fn symbols(&self) -> &fluxquery::symbols::SymbolTable {
+            self.inner.symbols()
+        }
+        fn position(&self) -> Position {
+            self.inner.position()
+        }
+        fn skip_subtree(&mut self) -> Result<u64> {
+            let bytes = self.inner.skip_subtree()?;
+            self.record();
+            Ok(bytes)
+        }
+    }
+
+    let mut doc = auction_string(&AuctionConfig::target_bytes(64 * 1024, 7));
+    let person = doc.find("<person ").expect("a person");
+    let at = person + doc[person..].find("<name>").unwrap();
+    let noise: String = (0..10_000)
+        .map(|i| match i % 2 {
+            0 => format!("<undeclared{i}/>"),
+            _ => format!("<undeclared{i} attr{i}=\"v\"></undeclared{i}>"),
+        })
+        .collect();
+    doc.insert_str(at, &noise);
+
+    let engine = FluxEngine::compile(
+        flux_conformance::catalog_query("AUC-EXP").query,
+        AUCTION_DTD,
+        &Options::new(),
+    )
+    .unwrap();
+    let dtd = engine.dtd();
+    let plan = compile_plan(engine.query(), dtd).unwrap();
+    let seeded = fluxquery::xsax::seeded_symbols(dtd).len();
+    for cap in [None, Some(1 << 20)] {
+        let config = ReaderConfig {
+            max_symbols: cap,
+            ..ReaderConfig::default()
+        };
+        let longest = Cell::new(0);
+        let source = Watch {
+            inner: seeded_reader(doc.as_bytes(), dtd, config.clone()),
+            longest: &longest,
+        };
+        let (stats, _) = execute(
+            &plan,
+            dtd,
+            source,
+            std::io::sink(),
+            XsaxConfig::default(),
+            false,
+        )
+        .expect("validity is not checked inside a skipped subtree");
+        assert!(stats.skipped_subtrees > 0);
+        assert_eq!(longest.get(), seeded, "cap {cap:?}: the interner grew");
+
+        let mut plain = seeded_reader(doc.as_bytes(), dtd, config);
+        while plain.advance().unwrap() {}
+        assert_eq!(plain.symbols().len(), seeded + 15_000, "cap {cap:?}");
+    }
+}

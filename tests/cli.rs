@@ -248,6 +248,54 @@ fn report_counts_one_serialized_node_per_buffered_author() {
     }
 }
 
+#[test]
+fn report_counts_one_skip_per_subtree_no_frame_reads() {
+    // AUC-EXP reads only `closed_auctions`, and of each closed auction
+    // only `itemref` and `price`: `people`, `items` and every `buyer` and
+    // `date` are skipped in the reader, each once, whole — sequential or
+    // sharded (large enough for the streamed dispatcher's 1 MiB chunks).
+    let doc = auction_string(&AuctionConfig::target_bytes(3 << 20, 7));
+    let auctions = doc.matches("<closed_auction>").count() as u64;
+    assert!(auctions > 2, "{auctions} closed auctions");
+    // Bytes from after each start tag through its end tag.
+    let spans = |name: &str| -> u64 {
+        let (open, close) = (format!("<{name}>"), format!("</{name}>"));
+        doc.match_indices(&open)
+            .map(|(at, _)| {
+                let end = at + doc[at..].find(&close).unwrap() + close.len();
+                (end - at - open.len()) as u64
+            })
+            .sum()
+    };
+    let skipped_bytes: u64 = ["people", "items", "buyer", "date"]
+        .iter()
+        .map(|name| spans(name))
+        .sum();
+    let input = Scratch::with("skip.xml", &doc);
+    let query = flux_conformance::catalog_query("AUC-EXP").query;
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_fluxquery"))
+            .args(["--query", query, "--dtd", AUCTION_DTD])
+            .args(["--input", input.path()])
+            .args(extra)
+            .output()
+            .expect("spawn fluxquery")
+    };
+    let reference = run(&["--engine", "dom"]);
+    for shards in ["1", "2"] {
+        let reported = run(&["--report", "json", "--shards", shards]);
+        assert!(reported.status.success(), "{reported:?}");
+        assert_eq!(reported.stdout, reference.stdout, "--shards {shards}");
+        let report = String::from_utf8(reported.stderr).expect("utf-8 report");
+        let runtime = |name| counter(&report, "\"runtime\"", name);
+        assert_eq!(runtime("skipped_subtrees"), 2 + 2 * auctions, "{report}");
+        assert_eq!(runtime("skipped_bytes"), skipped_bytes, "{report}");
+        let stats = |name| counter(&report, "\"run_stats\"", name);
+        assert_eq!(stats("skipped_subtrees"), 2 + 2 * auctions, "{report}");
+        assert_eq!(stats("skipped_bytes"), skipped_bytes, "{report}");
+    }
+}
+
 /// The first `"name": <integer>` after `section` in a JSON report.
 fn counter(report: &str, section: &str, name: &str) -> u64 {
     let body = &report[report.find(section).expect(section) + section.len()..];

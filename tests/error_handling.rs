@@ -102,11 +102,12 @@ fn reserved_variable_prefix_rejected() {
     assert!(FluxEngine::compile(q, PAPER_WEAK_DTD, &Options::default()).is_err());
 }
 
-/// "Not viewed" must never mean "not checked": AUC-EXP reads nothing of
-/// `people` and `items`, and the event loop does not even build a view for
-/// the events inside them — yet every error class placed there must be
-/// reported exactly as the engines that materialise everything report it,
-/// sequentially and sharded, with the same message and position.
+/// AUC-EXP reads nothing of `people` and `items`: the executor skips
+/// them, and the reader hops their bytes without delivering an event. The
+/// contract of a skip: **well-formedness is checked everywhere**, with the
+/// same message and position in every engine, sequential or sharded —
+/// **validity is not checked inside a skipped subtree**, exactly as the
+/// `dom` and `projection` engines never validate at all.
 #[test]
 fn errors_inside_regions_the_plan_ignores_are_identical_across_engines() {
     use fluxquery::xmlgen::{auction_string, AuctionConfig, AUCTION_DTD};
@@ -117,7 +118,7 @@ fn errors_inside_regions_the_plan_ignores_are_identical_across_engines() {
     // ~96 KiB, so `--shards 2` really splits it (16 KiB minimum per shard).
     let valid = auction_string(&AuctionConfig::target_bytes(96 * 1024, 7)).into_bytes();
     // The occurrence of `marker` nearest the middle of `valid`'s `section`
-    // element, so the flaw sits deep inside the ignored region.
+    // element, so the flaw sits deep inside the skipped region.
     let middle_of = |section: &str, marker: &str| -> usize {
         let find = |needle: &str, from: usize| {
             from + valid[from..]
@@ -138,42 +139,13 @@ fn errors_inside_regions_the_plan_ignores_are_identical_across_engines() {
 
     let description = middle_of("items", "<description>") + "<description>".len();
     let person_name = middle_of("people", "<name>");
+    let name_text = person_name + "<name>".len();
     let person = middle_of("people", "<person ");
+    let person_id = middle_of("people", "<person id=\"") + "<person id=\"".len();
     let quantity_end = middle_of("items", "</quantity>");
-    // (what, document, reader-level?, the message — recorded at the parent
-    // commit, where the loop still viewed every event). The baselines
-    // never validate against the DTD — they accept the two validity
-    // violations, at the parent too — so those compare the flux modes only;
-    // the two well-formedness classes compare all four engines.
-    let cases: [(&str, Vec<u8>, bool, &str); 4] = [
-        (
-            "invalid UTF-8 in an item/description text run",
-            splice(description + 3, 1, &[0xFF]),
-            true,
-            "invalid UTF-8 at line 1, column 38264",
-        ),
-        (
-            "undeclared element inside person",
-            splice(person_name, 0, b"<nickname/>"),
-            false,
-            "validation error at line 1, column 5842: \
-             element `nickname` is not declared in the DTD",
-        ),
-        (
-            "character data directly inside people",
-            splice(person, 0, b"stray"),
-            false,
-            "validation error at line 1, column 5819: \
-             character data is not allowed inside `people` (element content)",
-        ),
-        (
-            "mismatched end tag inside items",
-            splice(quantity_end, "</quantity>".len(), b"</quality>"),
-            true,
-            "not well-formed at line 1, column 38028: \
-             mismatched end tag: expected </quantity>, found </quality>",
-        ),
-    ];
+    let name_end = middle_of("people", "</name>");
+    let person_end = middle_of("people", "</person>");
+    let deep = format!("{}{}", "<d>".repeat(10_001), "</d>".repeat(10_001));
 
     let engines = [
         ("flux", Options::new(), EngineKind::Flux),
@@ -185,16 +157,164 @@ fn errors_inside_regions_the_plan_ignores_are_identical_across_engines() {
         ("dom", Options::new(), EngineKind::Dom),
         ("projection", Options::new(), EngineKind::Projection),
     ];
-    for (what, doc, reader_level, expected) in &cases {
-        for (label, options, kind) in &engines {
-            let engine = options.compile(*kind, AUC_EXP, AUCTION_DTD).unwrap();
+    let compiled: Vec<_> = engines
+        .iter()
+        .map(|(label, options, kind)| {
+            (
+                *label,
+                options.compile(*kind, AUC_EXP, AUCTION_DTD).unwrap(),
+            )
+        })
+        .collect();
+
+    // Validity violations inside a skipped subtree: accepted by every
+    // engine, flux included.
+    let nickname = splice(person_name, 0, b"<nickname/>");
+    let stray = splice(person, 0, b"stray");
+    for (what, doc) in [
+        ("undeclared element inside person", &nickname),
+        ("character data directly inside people", &stray),
+    ] {
+        for (label, engine) in &compiled {
             let result = engine.run_input(Input::from_bytes(doc.clone()), std::io::sink());
-            if *kind != EngineKind::Flux && !reader_level {
-                assert!(result.is_ok(), "{what}: {label} does not validate");
-                continue;
-            }
-            let error = result.expect_err(what).to_string();
+            assert!(
+                result.is_ok(),
+                "{what}: {label} rejected a skipped region: {result:?}"
+            );
+        }
+    }
+    // A run with no plan skips nothing: the XSAX parser alone (the
+    // `validate_stream` example's path) still rejects both.
+    let dtd = fluxquery::dtd::Dtd::parse(AUCTION_DTD).unwrap();
+    for (doc, expected) in [
+        (
+            &nickname,
+            "validation error at line 1, column 5842: \
+             element `nickname` is not declared in the DTD",
+        ),
+        (
+            &stray,
+            "validation error at line 1, column 5819: \
+             character data is not allowed inside `people` (element content)",
+        ),
+    ] {
+        let error = fluxquery::xsax::validate(doc.as_slice(), &dtd).unwrap_err();
+        assert_eq!(error.to_string(), expected);
+    }
+
+    // Well-formedness errors inside a skipped subtree: (what, input,
+    // message), identical in every engine.
+    let cut_after = |cut: usize, doc: Vec<u8>| {
+        move || {
+            Input::from_reader(CutReader {
+                doc: doc.clone(),
+                at: 0,
+                cut,
+            })
+        }
+    };
+    let bytes = |doc: Vec<u8>| move || Input::from_bytes(doc.clone());
+    type Case = (&'static str, Box<dyn Fn() -> Input>, &'static str);
+    let cases: [Case; 11] = [
+        (
+            "invalid UTF-8 in an item/description text run",
+            Box::new(bytes(splice(description + 3, 1, &[0xFF]))),
+            "invalid UTF-8 at line 1, column 38264",
+        ),
+        (
+            "invalid UTF-8 straddling a refill",
+            Box::new(cut_after(
+                name_text + 3,
+                splice(name_text + 2, 0, &[0xC3, b'(']),
+            )),
+            "invalid UTF-8 at line 1, column 5846",
+        ),
+        (
+            "mismatched end tag inside items",
+            Box::new(bytes(splice(
+                quantity_end,
+                "</quantity>".len(),
+                b"</quality>",
+            ))),
+            "not well-formed at line 1, column 38028: \
+             mismatched end tag: expected </quantity>, found </quality>",
+        ),
+        (
+            "a mismatched end tag of the same length inside people",
+            Box::new(bytes(splice(name_end, "</name>".len(), b"</nbme>"))),
+            "not well-formed at line 1, column 5851: \
+             mismatched end tag: expected </name>, found </nbme>",
+        ),
+        (
+            "a mismatched end tag closing an element with attributes",
+            Box::new(bytes(splice(person_end, "</person>".len(), b"</persom>"))),
+            "not well-formed at line 1, column 5814: \
+             mismatched end tag: expected </person>, found </persom>",
+        ),
+        (
+            "unknown entity in a person's name",
+            Box::new(bytes(splice(name_text + 2, 0, b"&bogus;"))),
+            "unknown entity `&bogus;` at line 1, column 5851",
+        ),
+        (
+            "duplicate attribute on a person",
+            Box::new(bytes(splice(person + "<person".len(), 0, b" id=\"twice\""))),
+            "not well-formed at line 1, column 5841: duplicate attribute `id`",
+        ),
+        (
+            "`<` in a person's id",
+            Box::new(bytes(splice(person_id, 0, b"a<b"))),
+            "not well-formed at line 1, column 5833: \
+             `<` is not allowed in attribute values",
+        ),
+        (
+            "unterminated comment inside people",
+            Box::new(bytes(splice(person, 0, b"<!-- never closed"))),
+            "unexpected end of input at line 1, column 97918, \
+             expected end of comment `-->`",
+        ),
+        (
+            "nesting past the depth limit inside people",
+            Box::new(bytes(splice(person, 0, deep.as_bytes()))),
+            "not well-formed at line 1, column 35811: \
+             element nesting deeper than the configured limit of 10000",
+        ),
+        (
+            "a bad name inside people",
+            Box::new(bytes(splice(person, 0, b"<1x/>"))),
+            "XML syntax error at line 1, column 5815: invalid element name",
+        ),
+    ];
+    for (what, input, expected) in &cases {
+        for (label, engine) in &compiled {
+            let error = engine
+                .run_input(input(), std::io::sink())
+                .expect_err(what)
+                .to_string();
             assert_eq!(&error, expected, "{what}, engine {label}");
         }
+    }
+}
+
+/// A reader that always ends a read at byte `cut` of `doc`, wherever the
+/// consumer's buffer happens to stand, so a sequence split there straddles
+/// a refill in every engine.
+struct CutReader {
+    doc: Vec<u8>,
+    at: usize,
+    cut: usize,
+}
+
+impl std::io::Read for CutReader {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let end = if self.at < self.cut {
+            self.cut
+        } else {
+            self.doc.len()
+        };
+        let n = out.len().min(end - self.at);
+        out[..n].copy_from_slice(&self.doc[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
     }
 }

@@ -161,19 +161,30 @@ type PinnedRow = (
 ///   1 018 / 184 967 → 1 013 / 171 719 and `name_mint` 268 / 421 865 →
 ///   221 / 244 265: both, as for `bib_weak` (they all run Q3).
 ///
-/// `events` did not move, and neither did the baselines, which keep
+/// `events` did not move then, and neither did the baselines, which keep
 /// trees.
+///
+/// `events` counts the steps delivered to the executor, and the content
+/// of an element whose frame reads nothing is no longer delivered: the
+/// reader hops it. Old → new events (peak and total unmoved):
+/// * `auction` (AUC-EXP) 187 210 → 93 610: `people` and `items` and each
+///   closed auction's `buyer` and `date` are hopped whole;
+/// * AUC-JOIN 109 210 → 67 210: `items`, each closed auction's `itemref`
+///   and `date`, and every child of a buffered `person` but `name`.
+///
+/// The Q3 rows do not move: every `book` child those documents hold is
+/// read or buffered.
 const PINNED: [PinnedRow; 8] = [
     ("bib_weak", None, 8.0, Flux, 12_103, 492, 231_582),
     ("bib_weak", None, 8.0, Projection, 11_303, 567_663, 567_663),
     ("bib_weak", None, 8.0, Dom, 11_303, 567_663, 567_663),
-    ("auction", None, 48.0, Flux, 187_210, 414, 2_056_061),
+    ("auction", None, 48.0, Flux, 93_610, 414, 2_056_061),
     (
         "auction",
         Some("AUC-JOIN"),
         28.0,
         Flux,
-        109_210,
+        67_210,
         281_498,
         1_461_301,
     ),

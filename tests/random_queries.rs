@@ -7,7 +7,9 @@
 //! positions and the buffer projections all have to agree with the plain
 //! tree-at-a-time semantics on every sampled query.
 
-use flux_conformance::{print_only_document, run_engine, Domain, PRINT_ONLY_DTD};
+use flux_conformance::{
+    print_only_document, run_engine, skip_document, Domain, PRINT_ONLY_DTD, SKIP_DTD, SKIP_SHAPES,
+};
 use fluxquery::xquery::{
     pretty, AttrConstructor, AttrPart, CmpOp, Cond, Expr, Operand, Path, Step,
 };
@@ -448,6 +450,21 @@ proptest! {
             String::from_utf8_lossy(&flux.output),
             String::from_utf8_lossy(&agreed),
             "injected defaults diverged on {case}:\n{query}"
+        );
+    }
+
+    /// Skipped-subtree shapes: whatever the reader hops in flux, the
+    /// baselines materialise — all four configurations print the same.
+    #[test]
+    fn skip_shapes_agree_across_engines(
+        shape in 0..SKIP_SHAPES.len(),
+        doc_seed in 0u64..1_000,
+    ) {
+        assert_engines_agree(
+            SKIP_SHAPES[shape],
+            SKIP_DTD,
+            &skip_document(10, doc_seed),
+            &format!("skip shape={shape} doc_seed={doc_seed}"),
         );
     }
 }

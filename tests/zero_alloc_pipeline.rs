@@ -17,7 +17,8 @@
 //! (nothing buffered, everything streamed), Q3 under the weak DTD (authors
 //! pass through the buffer store as print-only serialized bytes — the
 //! test checks the plan really chose bytes), and AUC-EXP over an auction
-//! site (most of the document is read by no frame at all).
+//! site (most of the document is read by no frame at all, so the reader
+//! skips it — the test checks how many subtrees each run skipped).
 //!
 //! This file holds exactly one test so no concurrent test in the same
 //! binary can perturb the allocation counter.
@@ -186,11 +187,11 @@ impl Write for CountingSink {
 }
 
 /// Allocations of one sequential `run_input` over `doc`, and the run's
-/// event count. Minimum over several runs: the global counter also sees
+/// event and skipped-subtree counts. Minimum over several runs: the global counter also sees
 /// the test harness's own threads, so a single run can pick up a stray
 /// allocation or two; a real per-event cost repeats in every run.
-fn allocations_of_run(engine: &FluxEngine, doc: &Arc<Vec<u8>>) -> (usize, u64) {
-    let mut events = 0;
+fn allocations_of_run(engine: &FluxEngine, doc: &Arc<Vec<u8>>) -> (usize, u64, u64) {
+    let (mut events, mut skipped) = (0, 0);
     let allocations = (0..3)
         .map(|_| {
             let mut sink = CountingSink::default();
@@ -200,26 +201,29 @@ fn allocations_of_run(engine: &FluxEngine, doc: &Arc<Vec<u8>>) -> (usize, u64) {
                 .expect("valid document");
             let after = ALLOCATIONS.load(Ordering::Relaxed);
             assert!(sink.bytes > 0, "the run produced output");
-            events = stats.events;
+            (events, skipped) = (stats.events, stats.skipped_subtrees);
             after - before
         })
         .min()
         .unwrap();
-    (allocations, events)
+    (allocations, events, skipped)
 }
 
 #[test]
 fn pipeline_allocations_do_not_grow_with_the_document() {
     type Generator = fn(usize) -> String;
-    // Each case names the buffer representations its plan must choose, so
-    // the proof cannot silently cover a different path than it claims.
-    let cases: [(&str, &str, &str, Generator, &str); 3] = [
+    // Each case names the buffer representations its plan must choose and
+    // how many subtrees per record it skips in the reader, so the proof
+    // cannot silently cover a different path than it claims.
+    let cases: [(&str, &str, &str, Generator, &str, u64); 3] = [
         (
             "Q3 x Figure-1 DTD",
             Q3,
             PAPER_FIG1_DTD,
             fig1_bib,
             "$ROOT: {}\n\n",
+            // publisher and price
+            2,
         ),
         (
             "Q3 x weak DTD",
@@ -227,6 +231,7 @@ fn pipeline_allocations_do_not_grow_with_the_document() {
             PAPER_WEAK_DTD,
             weak_bib,
             "$b (on book): {author:bytes}\n",
+            0,
         ),
         (
             "AUC-EXP x auction DTD",
@@ -234,9 +239,11 @@ fn pipeline_allocations_do_not_grow_with_the_document() {
             AUCTION_DTD,
             auction,
             "$a (on closed_auction): {itemref:bytes,price:*}\n",
+            // buyer and date; people and items once per document
+            2,
         ),
     ];
-    for (name, query, dtd, generate, bdf) in cases {
+    for (name, query, dtd, generate, bdf, skips_per_record) in cases {
         // Compile once: plan compilation is set-up, not the loop.
         let engine = FluxEngine::compile(query, dtd, &Options::new()).expect("query compiles");
         let explain = engine.explain();
@@ -246,8 +253,20 @@ fn pipeline_allocations_do_not_grow_with_the_document() {
         );
         let small = Arc::new(generate(N).into_bytes());
         let large = Arc::new(generate(8 * N).into_bytes());
-        let (small_allocs, small_events) = allocations_of_run(&engine, &small);
-        let (large_allocs, large_events) = allocations_of_run(&engine, &large);
+        let (small_allocs, small_events, small_skips) = allocations_of_run(&engine, &small);
+        let (large_allocs, large_events, large_skips) = allocations_of_run(&engine, &large);
+        assert_eq!(
+            large_skips - small_skips,
+            7 * N as u64 * skips_per_record,
+            "{name}: subtrees skipped in the reader"
+        );
+        if name.starts_with("AUC-EXP") {
+            assert_eq!(
+                small_skips,
+                2 + 2 * N as u64,
+                "{name}: people, items, buyers, dates"
+            );
+        }
         assert!(
             large_events > 7 * small_events,
             "{name}: the larger document must deliver ~8x the events \
