@@ -161,6 +161,22 @@ pub struct RunOutcome {
     pub stats: RunStats,
 }
 
+/// The engine configurations every output-equivalence grid runs, with a
+/// label each: the FluX engine with and without the algebraic optimizer,
+/// and both baselines.
+pub fn engine_configurations() -> [(&'static str, EngineKind, Options); 4] {
+    [
+        ("fluxquery", EngineKind::Flux, Options::new()),
+        (
+            "fluxquery-noalg",
+            EngineKind::Flux,
+            Options::new().algebraic_optimizer(false),
+        ),
+        ("projection", EngineKind::Projection, Options::new()),
+        ("dom", EngineKind::Dom, Options::new()),
+    ]
+}
+
 /// Compiles and runs one engine on one document.
 pub fn run_engine(
     kind: EngineKind,

@@ -4,11 +4,11 @@
 use crate::error::Result;
 use flux_baseline::{DomEngine, ProjectionEngine};
 use flux_dtd::Dtd;
-use flux_lang::{compile as compile_flux, CompileOptions, FluxQuery, OptimizerConfig};
+use flux_lang::{compile as compile_flux, CompileOptions, FluxQuery};
 use flux_runtime::{compile_plan, execute, Plan, RunReport, RunStats};
 use flux_shard::{ShardConfig, ShardedReader};
 use flux_xml::{BudgetKind, Input, ResolvedInput};
-use flux_xsax::{seeded_reader, seeded_symbols, XsaxConfig};
+use flux_xsax::{seeded_reader, seeded_symbols};
 use std::io::Write;
 
 /// How the engine parses its input stream.
@@ -40,8 +40,7 @@ pub enum Parallelism {
 /// handlers, an unbounded interner and sequential parsing.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
-    optimizer: OptimizerConfig,
-    disable_streaming: bool,
+    compile: CompileOptions,
     max_symbols: Option<usize>,
     parallelism: Parallelism,
 }
@@ -69,27 +68,23 @@ impl Options {
 
     /// Chainable: enable or disable the algebraic optimizer (ablation).
     pub fn algebraic_optimizer(mut self, enabled: bool) -> Options {
-        self.optimizer = if enabled {
-            OptimizerConfig::default()
-        } else {
-            OptimizerConfig::disabled()
-        };
+        self.compile.optimizer = enabled;
         self
     }
 
     /// Chainable: enable or disable streaming handlers (the scheduling
     /// ablation — disabled means buffer everything).
     pub fn streaming(mut self, enabled: bool) -> Options {
-        self.disable_streaming = !enabled;
+        self.compile.disable_streaming = !enabled;
         self
     }
 
     /// The one compilation entry point behind every architecture: compiles
     /// `query` for `kind` under these options and returns the uniform
-    /// [`AnyEngine`] wrapper. The schema is exploited only by the FluX
-    /// variants — the baselines cannot use it, which is the paper's point;
-    /// execution options (interner bound, parallelism) apply to every
-    /// architecture that supports them.
+    /// [`AnyEngine`] wrapper. The schema and the compiler ablations are
+    /// used only by the FluX engine — the baselines cannot use a schema,
+    /// which is the paper's point; execution options (interner bound,
+    /// parallelism) apply to every architecture that supports them.
     ///
     /// ```no_run
     /// # use fluxquery_core::{EngineKind, Input, Options};
@@ -105,10 +100,6 @@ impl Options {
         Ok(match kind {
             EngineKind::Flux => {
                 AnyEngine::Flux(Box::new(FluxEngine::compile(query, schema_text, self)?))
-            }
-            EngineKind::FluxNoAlgebra => {
-                let options = self.clone().algebraic_optimizer(false);
-                AnyEngine::Flux(Box::new(FluxEngine::compile(query, schema_text, &options)?))
             }
             EngineKind::Dom => AnyEngine::Dom(DomEngine::compile(query, self.max_symbols)?),
             EngineKind::Projection => {
@@ -142,12 +133,7 @@ impl FluxEngine {
         } else {
             Dtd::parse(schema_text)?
         };
-        let compile_options = CompileOptions {
-            optimizer: options.optimizer,
-            verify_safety: true,
-            disable_streaming: options.disable_streaming,
-        };
-        let compiled = compile_flux(query, &dtd, &compile_options)?;
+        let compiled = compile_flux(query, &dtd, &options.compile)?;
         let plan = compile_plan(&compiled, &dtd)?;
         Ok(FluxEngine {
             dtd,
@@ -181,7 +167,10 @@ impl FluxEngine {
         output: W,
     ) -> Result<(RunStats, RunReport)> {
         let (stats, report) = self.run(input, output, true)?;
-        Ok((stats, report.expect("report requested")))
+        let report = report.ok_or_else(|| flux_runtime::RuntimeError::Plan {
+            message: "the run assembled no report".to_string(),
+        })?;
+        Ok((stats, report))
     }
 
     fn run<W: Write>(
@@ -194,9 +183,6 @@ impl FluxEngine {
         // The run's reader configuration: the compile-time interner bound
         // plus the ingestion knobs the `Input` owns (window, budget).
         let reader = input.reader_config(self.max_symbols);
-        // The sources below are built here, so XSAX's own reader
-        // configuration goes unused: validation runs on its defaults.
-        let xsax = XsaxConfig::default();
         // Resolving opens the file and applies gzip detection; I/O
         // failures join the engine error chain where the sequential
         // reader would surface them.
@@ -207,7 +193,7 @@ impl FluxEngine {
         let (stats, report) = match self.parallelism {
             Parallelism::Sequential => {
                 let source = seeded_reader(resolved.into_reader(), dtd, reader);
-                execute(plan, dtd, source, output, xsax, want_report)?
+                execute(plan, dtd, source, output, want_report)?
             }
             Parallelism::Shards(n) => {
                 // On the merged table the interner bound only ever hits
@@ -224,7 +210,7 @@ impl FluxEngine {
                     ResolvedInput::Bytes(bytes) => ShardedReader::new(bytes, config, symbols),
                     ResolvedInput::Reader(src) => ShardedReader::from_stream(src, config, symbols),
                 };
-                execute(plan, dtd, source, output, xsax, want_report)?
+                execute(plan, dtd, source, output, want_report)?
             }
         };
         // Post-run budget enforcement: fold the evaluator's buffer peak
@@ -241,10 +227,12 @@ impl FluxEngine {
     pub fn run_to_string(&self, input: &str) -> Result<(String, RunStats)> {
         let mut out = Vec::new();
         let stats = self.run_input(Input::from_bytes(input), &mut out)?;
-        Ok((
-            String::from_utf8(out).expect("output writer emits UTF-8"),
-            stats,
-        ))
+        let out = String::from_utf8(out).map_err(|_| {
+            flux_runtime::RuntimeError::Output(flux_xml::XmlError::WriterMisuse {
+                message: "writer produced invalid UTF-8".to_string(),
+            })
+        })?;
+        Ok((out, stats))
     }
 
     /// The DTD this engine validates against.
@@ -278,10 +266,8 @@ impl FluxEngine {
 /// Which engine architecture to use (for the experiment harness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// FluXQuery with full optimization.
+    /// FluXQuery, with the compiler ablations [`Options`] selects.
     Flux,
-    /// FluXQuery with the algebraic optimizer disabled (scheduling only).
-    FluxNoAlgebra,
     /// Full-document DOM materialisation.
     Dom,
     /// Marian & Siméon-style projection.
@@ -292,7 +278,6 @@ impl EngineKind {
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Flux => "fluxquery",
-            EngineKind::FluxNoAlgebra => "fluxquery-noalg",
             EngineKind::Dom => "dom",
             EngineKind::Projection => "projection",
         }
@@ -522,14 +507,15 @@ mod tests {
     #[test]
     fn builder_path_compiles_every_architecture() {
         let doc = "<bib><book><title>T</title><author>A</author></book></bib>";
-        for kind in [
-            EngineKind::Flux,
-            EngineKind::FluxNoAlgebra,
-            EngineKind::Dom,
-            EngineKind::Projection,
+        for (kind, optimizer) in [
+            (EngineKind::Flux, true),
+            (EngineKind::Flux, false),
+            (EngineKind::Dom, true),
+            (EngineKind::Projection, true),
         ] {
             let engine = Options::new()
                 .max_symbols(1 << 12)
+                .algebraic_optimizer(optimizer)
                 .compile(kind, Q3, PAPER_WEAK_DTD)
                 .unwrap();
             let mut out = Vec::new();

@@ -1,8 +1,8 @@
 //! Algebraic optimization of normal-form XQuery using DTD constraints
 //! (paper Sec. 3.1, step 2).
 //!
-//! Three rule families, each individually toggleable for the ablation
-//! experiments:
+//! Three rule families, applied together (the ablation switch,
+//! `CompileOptions::optimizer`, skips the optimizer as a whole):
 //!
 //! * **R1 — loop merging under cardinality constraints**: adjacent loops
 //!   over the same path `$x/a` merge when `a ∈ ||≤1 type(x)` (the paper's
@@ -22,35 +22,6 @@ use flux_dtd::{Dtd, Symbol, SymbolTable};
 use flux_xquery::{Cond, Expr, Operand, Path, Step, VarName};
 use std::collections::HashMap;
 
-/// Which rule families to apply.
-#[derive(Debug, Clone, Copy)]
-pub struct OptimizerConfig {
-    pub merge_loops: bool,
-    pub eliminate_unsatisfiable: bool,
-    pub fold_constants: bool,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            merge_loops: true,
-            eliminate_unsatisfiable: true,
-            fold_constants: true,
-        }
-    }
-}
-
-impl OptimizerConfig {
-    /// Everything off — the unoptimized baseline for ablations.
-    pub fn disabled() -> Self {
-        OptimizerConfig {
-            merge_loops: false,
-            eliminate_unsatisfiable: false,
-            fold_constants: false,
-        }
-    }
-}
-
 /// One applied rewrite, for the optimizer trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleApplication {
@@ -65,15 +36,13 @@ type TypeEnv = HashMap<VarName, Symbol>;
 
 pub struct Optimizer<'d> {
     dtd: &'d Dtd,
-    config: OptimizerConfig,
     pub trace: Vec<RuleApplication>,
 }
 
 impl<'d> Optimizer<'d> {
-    pub fn new(dtd: &'d Dtd, config: OptimizerConfig) -> Self {
+    pub fn new(dtd: &'d Dtd) -> Self {
         Optimizer {
             dtd,
-            config,
             trace: Vec::new(),
         }
     }
@@ -122,10 +91,7 @@ impl<'d> Optimizer<'d> {
                         other => rewritten.push(other),
                     }
                 }
-                if self.config.merge_loops {
-                    rewritten = self.merge_adjacent_loops(rewritten, env);
-                }
-                Expr::seq(rewritten)
+                Expr::seq(self.merge_adjacent_loops(rewritten, env))
             }
             Expr::Element {
                 name,
@@ -143,25 +109,23 @@ impl<'d> Optimizer<'d> {
                 body,
             } => {
                 // R3: loops over labels the schema forbids are dead code.
-                if self.config.fold_constants {
-                    if let Some(parent) = env.get(&source.start).copied() {
-                        if let [Step::Child(label)] = source.steps.as_slice() {
-                            let impossible = match self.dtd.lookup(label) {
-                                Some(child) => self.dtd.never_occurs(parent, child),
-                                // A label the DTD never declares cannot occur
-                                // in a valid document at all.
-                                None => self.dtd.element(parent).is_some(),
-                            };
-                            if impossible {
-                                self.trace.push(RuleApplication {
-                                    rule: "R3",
-                                    description: format!(
-                                        "removed loop over {source}: label `{label}` cannot occur below `{}`",
-                                        self.dtd.name(parent)
-                                    ),
-                                });
-                                return Expr::Empty;
-                            }
+                if let Some(parent) = env.get(&source.start).copied() {
+                    if let [Step::Child(label)] = source.steps.as_slice() {
+                        let impossible = match self.dtd.lookup(label) {
+                            Some(child) => self.dtd.never_occurs(parent, child),
+                            // A label the DTD never declares cannot occur
+                            // in a valid document at all.
+                            None => self.dtd.element(parent).is_some(),
+                        };
+                        if impossible {
+                            self.trace.push(RuleApplication {
+                                rule: "R3",
+                                description: format!(
+                                    "removed loop over {source}: label `{label}` cannot occur below `{}`",
+                                    self.dtd.name(parent)
+                                ),
+                            });
+                            return Expr::Empty;
                         }
                     }
                 }
@@ -187,14 +151,14 @@ impl<'d> Optimizer<'d> {
             } => {
                 let simplified = self.simplify_cond(cond, env);
                 match simplified {
-                    Cond::True if self.config.fold_constants => {
+                    Cond::True => {
                         self.trace.push(RuleApplication {
                             rule: "R3",
                             description: "folded if(true())".to_string(),
                         });
                         self.rewrite(then_branch, env)
                     }
-                    Cond::False if self.config.fold_constants => {
+                    Cond::False => {
                         self.trace.push(RuleApplication {
                             rule: "R3",
                             description: "folded if(false()) to the else branch".to_string(),
@@ -297,21 +261,15 @@ impl<'d> Optimizer<'d> {
     /// Simplifies a condition using schema constraints.
     fn simplify_cond(&mut self, cond: &Cond, env: &TypeEnv) -> Cond {
         // First: R2 global unsatisfiability of the whole condition.
-        if self.config.eliminate_unsatisfiable {
-            if let Some(desc) = self.unsatisfiable(cond, env) {
-                self.trace.push(RuleApplication {
-                    rule: "R2",
-                    description: desc,
-                });
-                return Cond::False;
-            }
+        if let Some(desc) = self.unsatisfiable(cond, env) {
+            self.trace.push(RuleApplication {
+                rule: "R2",
+                description: desc,
+            });
+            return Cond::False;
         }
         // Then: R3 leaf folding + boolean propagation.
-        if self.config.fold_constants {
-            self.fold_cond(cond, env)
-        } else {
-            cond.clone()
-        }
+        self.fold_cond(cond, env)
     }
 
     /// Returns a description when the condition cannot hold on any valid
@@ -618,7 +576,7 @@ mod tests {
 
     fn optimize(q: &str, dtd: &Dtd) -> (Expr, Vec<RuleApplication>) {
         let nf = normalize(&parse_query(q).unwrap()).unwrap();
-        let mut opt = Optimizer::new(dtd, OptimizerConfig::default());
+        let mut opt = Optimizer::new(dtd);
         let out = opt.optimize(&nf);
         (out, opt.trace.clone())
     }
@@ -726,11 +684,13 @@ mod tests {
         let q = r#"<out>{ for $b in $ROOT/bib/book return
             if ($b/author = "Goedel" and $b/editor = "Goedel")
             then <hit/> else () }</out>"#;
-        let nf = normalize(&parse_query(q).unwrap()).unwrap();
-        let mut opt = Optimizer::new(&dtd, OptimizerConfig::disabled());
-        let out = opt.optimize(&nf);
-        assert_eq!(out, nf);
-        assert!(opt.trace.is_empty());
+        let options = crate::CompileOptions {
+            optimizer: false,
+            ..crate::CompileOptions::default()
+        };
+        let compiled = crate::compile(q, &dtd, &options).unwrap();
+        assert_eq!(compiled.optimized, compiled.normalized);
+        assert!(compiled.algebra_trace.is_empty());
     }
 
     #[test]

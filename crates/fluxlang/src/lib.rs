@@ -19,7 +19,7 @@ pub mod pretty;
 pub mod rewrite;
 pub mod safety;
 
-pub use algebra::{Optimizer, OptimizerConfig, RuleApplication};
+pub use algebra::{Optimizer, RuleApplication};
 pub use ast::{FluxExpr, Handler, PastSet};
 pub use error::{FluxError, Result};
 pub use optimizer::{compile, compile_expr, CompileOptions, FluxQuery};

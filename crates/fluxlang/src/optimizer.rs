@@ -1,7 +1,7 @@
 //! The full compilation pipeline of the paper's query optimizer (Fig. 2):
 //! XQuery → normal form → algebraic optimization → FluX → safety check.
 
-use crate::algebra::{Optimizer, OptimizerConfig, RuleApplication};
+use crate::algebra::{Optimizer, RuleApplication};
 use crate::ast::FluxExpr;
 use crate::error::Result;
 use crate::pretty::pretty_flux;
@@ -10,13 +10,14 @@ use crate::safety::check_safety;
 use flux_dtd::{Dtd, Symbol};
 use flux_xquery::{normalize, parse_query, pretty, AttrPart, Cond, Expr, Operand, Path, Step};
 
-/// Options for [`compile`].
+/// Options for [`compile`]: the two ablation switches. The independent
+/// safety check always runs on the scheduled FluX query, so scheduler
+/// bugs are hard errors.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    pub optimizer: OptimizerConfig,
-    /// Run the independent safety check on the scheduled FluX query
-    /// (cheap; on by default — scheduler bugs become hard errors).
-    pub verify_safety: bool,
+    /// Run the algebraic optimizer (on by default). Off, the normal form
+    /// goes to the scheduler unchanged.
+    pub optimizer: bool,
     /// Ablation switch: disable streaming handlers entirely; every item is
     /// buffered with `on-first`. Isolates the contribution of the paper's
     /// order-constraint scheduling.
@@ -26,8 +27,7 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            optimizer: OptimizerConfig::default(),
-            verify_safety: true,
+            optimizer: true,
             disable_streaming: false,
         }
     }
@@ -206,17 +206,19 @@ pub fn compile(query: &str, dtd: &Dtd, options: &CompileOptions) -> Result<FluxQ
 /// Compiles an already-parsed query.
 pub fn compile_expr(source: &Expr, dtd: &Dtd, options: &CompileOptions) -> Result<FluxQuery> {
     let normalized = normalize(source)?;
-    let mut optimizer = Optimizer::new(dtd, options.optimizer);
-    let optimized = optimizer.optimize(&normalized);
+    let mut optimizer = Optimizer::new(dtd);
+    let optimized = if options.optimizer {
+        optimizer.optimize(&normalized)
+    } else {
+        normalized.clone()
+    };
     let mut rewriter = if options.disable_streaming {
         Rewriter::without_streaming(dtd)
     } else {
         Rewriter::new(dtd)
     };
     let flux = rewriter.rewrite(&optimized)?;
-    if options.verify_safety {
-        check_safety(&flux, dtd)?;
-    }
+    check_safety(&flux, dtd)?;
     // Intern the query's label vocabulary once, at compile time: these are
     // the symbols the plan's spec edges and handler dispatch compare
     // against on the hot path.
@@ -277,7 +279,7 @@ mod tests {
             q,
             &dtd,
             &CompileOptions {
-                optimizer: OptimizerConfig::disabled(),
+                optimizer: false,
                 ..CompileOptions::default()
             },
         )

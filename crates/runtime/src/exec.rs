@@ -97,10 +97,9 @@ pub fn execute<S: EventSource, W: Write>(
     dtd: &Dtd,
     source: S,
     output: W,
-    config: XsaxConfig,
     want_report: bool,
 ) -> Result<(RunStats, Option<RunReport>)> {
-    let mut parser = XsaxParser::from_source(source, dtd, config)?;
+    let mut parser = XsaxParser::from_source(source, dtd, XsaxConfig::default())?;
     let start_time = Instant::now();
     for reg in &plan.past_regs {
         parser.register_past(reg.element, reg.labels.clone())?;
@@ -228,11 +227,6 @@ impl<'p, W: Write> ExecState<'p, W> {
             RawEventKind::Text => self.text(parser),
             RawEventKind::EndElement => self.end_element(),
             RawEventKind::EndDocument => self.end_document(),
-            kind @ (RawEventKind::Comment | RawEventKind::ProcessingInstruction) => {
-                Err(RuntimeError::Plan {
-                    message: format!("unexpected event {kind:?}"),
-                })
-            }
         }
         .map(|()| false)
     }
@@ -614,7 +608,7 @@ mod tests {
         let plan = compile_plan(&compiled, &dtd).unwrap();
         let source = seeded_reader(doc.as_bytes(), &dtd, Default::default());
         let mut out = Vec::new();
-        let (stats, _) = execute(&plan, &dtd, source, &mut out, XsaxConfig::default(), false)?;
+        let (stats, _) = execute(&plan, &dtd, source, &mut out, false)?;
         Ok((String::from_utf8(out).unwrap(), stats))
     }
 

@@ -64,6 +64,7 @@ use flux_symbols::{Symbol, SymbolTable};
 use flux_telemetry::{
     Journal, ReaderCounters, RunReport, ScanCounters, ShardLane, Stage, Stopwatch,
 };
+use flux_xml::reader::MAX_DEPTH;
 use flux_xml::{
     BudgetCharge, EventSource, Position, RawEventKind, RawEventRef, ReaderConfig, Result,
     SymbolRemap, XmlError,
@@ -84,8 +85,8 @@ pub struct ShardConfig {
     pub shards: usize,
     /// The reader configuration every fragment reader runs with, and the
     /// document-level rules replay re-checks on the merged stream:
-    /// [`ReaderConfig::max_depth`] is enforced globally at replay exactly
-    /// like the sequential reader enforces it; [`ReaderConfig::window`]
+    /// [`flux_xml::reader::MAX_DEPTH`] is enforced globally at replay
+    /// exactly like the sequential reader enforces it; [`ReaderConfig::window`]
     /// sizes each fragment scanner; [`ReaderConfig::budget`] is shared by
     /// every pool the pipeline grows (fragment scanner windows, in-flight
     /// streamed chunks and tape segments). [`ReaderConfig::max_symbols`]
@@ -780,11 +781,10 @@ impl ShardedReader {
                             // construct's first byte.
                             return Err(self.wf("multiple root elements", start));
                         }
-                        if self.stack.len() >= self.config.reader.max_depth {
+                        if self.stack.len() >= MAX_DEPTH {
                             self.finished = true;
                             let message = format!(
-                                "element nesting deeper than the configured limit of {}",
-                                self.config.reader.max_depth
+                                "element nesting deeper than the configured limit of {MAX_DEPTH}"
                             );
                             return Err(self.wf(message, pos));
                         }

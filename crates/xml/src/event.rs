@@ -66,10 +66,6 @@ pub enum XmlEvent {
     /// Character data between tags, unescaped. Consecutive runs are merged
     /// by the reader (a single text node per gap between tags).
     Text(String),
-    /// `<!-- ... -->`.
-    Comment(String),
-    /// `<?target data?>` (the XML declaration itself is consumed silently).
-    ProcessingInstruction { target: String, data: String },
     /// End of the document. Emitted exactly once, after the root closes.
     EndDocument,
 }
@@ -96,8 +92,6 @@ impl XmlEvent {
             XmlEvent::StartElement { .. } => "start-element",
             XmlEvent::EndElement { .. } => "end-element",
             XmlEvent::Text(_) => "text",
-            XmlEvent::Comment(_) => "comment",
-            XmlEvent::ProcessingInstruction { .. } => "processing-instruction",
             XmlEvent::EndDocument => "end-document",
         }
     }
@@ -117,8 +111,6 @@ impl fmt::Display for XmlEvent {
             }
             XmlEvent::EndElement { name } => write!(f, "</{name}>"),
             XmlEvent::Text(t) => write!(f, "{t:?}"),
-            XmlEvent::Comment(c) => write!(f, "<!--{c}-->"),
-            XmlEvent::ProcessingInstruction { target, data } => write!(f, "<?{target} {data}?>"),
             XmlEvent::EndDocument => write!(f, "<end-document>"),
         }
     }
@@ -132,8 +124,6 @@ pub enum RawEventKind {
     StartElement,
     EndElement,
     Text,
-    Comment,
-    ProcessingInstruction,
     EndDocument,
 }
 
@@ -174,8 +164,6 @@ impl RawAttr {
 /// | `StartElement` | element | attributes | — | overflow name¹ |
 /// | `EndElement` | element | — | — | overflow name¹ |
 /// | `Text` | — | — | character data | — |
-/// | `Comment` | — | — | comment text | — |
-/// | `ProcessingInstruction` | — | — | data | PI target |
 /// | `DoctypeDecl` | — | — | internal subset | doctype name |
 ///
 /// ¹ Only in the reader's bounded-interner mode, when `name` is
@@ -241,12 +229,12 @@ impl RawEvent {
         &self.attrs[..self.attrs_len]
     }
 
-    /// Character data / comment text / PI data / doctype internal subset.
+    /// Character data / doctype internal subset.
     pub fn text(&self) -> &str {
         &self.text
     }
 
-    /// PI target or doctype name.
+    /// Doctype name, or an overflow element name (see the table above).
     pub fn target(&self) -> &str {
         &self.target
     }
@@ -322,12 +310,12 @@ impl RawEvent {
         &mut slot.value
     }
 
-    /// The recycled text buffer (character data, comment, PI data, subset).
+    /// The recycled text buffer (character data, doctype subset).
     pub fn text_mut(&mut self) -> &mut String {
         &mut self.text
     }
 
-    /// The recycled target buffer (PI target, doctype name).
+    /// The recycled target buffer (doctype name, overflow element name).
     pub fn target_mut(&mut self) -> &mut String {
         &mut self.target
     }
@@ -550,12 +538,12 @@ impl<'a> RawEventRef<'a> {
         }
     }
 
-    /// Character data / comment text / PI data / doctype internal subset.
+    /// Character data / doctype internal subset.
     pub fn text(&self) -> &'a str {
         self.text
     }
 
-    /// PI target or doctype name.
+    /// Doctype name, or an overflow element name (see [`RawEvent`]).
     pub fn target(&self) -> &'a str {
         self.target
     }
@@ -611,11 +599,6 @@ impl<'a> RawEventRef<'a> {
                 name: self.name_str(symbols).to_string(),
             },
             RawEventKind::Text => XmlEvent::Text(self.text.to_string()),
-            RawEventKind::Comment => XmlEvent::Comment(self.text.to_string()),
-            RawEventKind::ProcessingInstruction => XmlEvent::ProcessingInstruction {
-                target: self.target.to_string(),
-                data: self.text.to_string(),
-            },
         }
     }
 }

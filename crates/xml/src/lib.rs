@@ -47,4 +47,4 @@ pub use simd::{active_isa_name, StructuralIndex};
 pub use source::{collect_events, EventSource};
 pub use tape::{EventTape, SymbolRemap};
 pub use tree::{Document, NodeAttr, NodeId, NodeKind, TextGate, TreeBuilder};
-pub use writer::{events_to_string, WriterConfig, XmlWriter};
+pub use writer::{events_to_string, XmlWriter};

@@ -48,16 +48,14 @@ use flux_telemetry::{ReaderCounters, RunReport, ScanCounters, Stage};
 use std::io::Read;
 use std::sync::Arc;
 
-/// Configuration for [`XmlReader`].
+/// Hard limit on element nesting depth, to bound stack growth on
+/// adversarial input.
+pub const MAX_DEPTH: usize = 10_000;
+
+/// Configuration for [`XmlReader`]. Comments and processing instructions
+/// are always parsed, checked and dropped: they never become events.
 #[derive(Debug, Clone)]
 pub struct ReaderConfig {
-    /// Emit [`XmlEvent::Comment`] events (default: false — comments are skipped).
-    pub emit_comments: bool,
-    /// Emit [`XmlEvent::ProcessingInstruction`] events (default: false).
-    pub emit_processing_instructions: bool,
-    /// Hard limit on element nesting depth, to bound stack growth on
-    /// adversarial input.
-    pub max_depth: usize,
     /// Cap on the number of distinct names the reader's interner may hold
     /// (bounded-interner mode, default `None` = unbounded). Past the cap,
     /// new names are **not** interned: events carry
@@ -91,9 +89,6 @@ pub struct ReaderConfig {
 impl Default for ReaderConfig {
     fn default() -> Self {
         ReaderConfig {
-            emit_comments: false,
-            emit_processing_instructions: false,
-            max_depth: 10_000,
             max_symbols: None,
             fragment: false,
             window: crate::input::DEFAULT_WINDOW,
@@ -700,12 +695,15 @@ impl<R: Read> ReaderCore<R> {
 
     /// Parses one `<...>` construct into `ev`; `kind` comes from the
     /// dispatch probe ([`classify_markup`] over the same nine bytes).
-    /// Returns `false` when the construct was consumed silently (skipped
-    /// comment/PI).
+    /// Returns `false` when the construct was consumed silently (a
+    /// comment or PI).
     #[inline(always)]
     fn parse_markup(&mut self, ev: &mut RawEvent, kind: Markup) -> Result<bool> {
         match kind {
-            Markup::Comment => self.parse_comment(ev),
+            Markup::Comment => {
+                self.parse_comment()?;
+                Ok(false)
+            }
             // CDATA is text: inside the root it joins the surrounding
             // character-data run (parse_text merges adjacent sections);
             // anywhere else it is a well-formedness error.
@@ -718,7 +716,10 @@ impl<R: Read> ReaderCore<R> {
                 self.parse_doctype(ev)?;
                 Ok(true)
             }
-            Markup::Pi => self.parse_pi(ev),
+            Markup::Pi => {
+                self.parse_pi()?;
+                Ok(false)
+            }
             Markup::End => {
                 self.tel.end_tags += 1;
                 self.parse_end_tag(ev)?;
@@ -732,45 +733,35 @@ impl<R: Read> ReaderCore<R> {
         }
     }
 
-    fn parse_comment(&mut self, ev: &mut RawEvent) -> Result<bool> {
+    /// Consumes a comment, checking its end and its UTF-8.
+    fn parse_comment(&mut self) -> Result<()> {
         self.scanner.expect_str(b"<!--", "comment")?;
         self.scratch.clear();
         self.scanner
             .read_until(b"-->", &mut self.scratch, "end of comment `-->`")?;
-        let text = self.checked(&self.scratch)?;
-        if self.config.emit_comments {
-            ev.reset(RawEventKind::Comment);
-            ev.text_mut().push_str(text);
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        self.checked(&self.scratch)?;
+        Ok(())
     }
 
-    fn parse_pi(&mut self, ev: &mut RawEvent) -> Result<bool> {
+    /// Consumes a processing instruction, checking its target, its end and
+    /// its UTF-8, and rejecting an `xml` target (a misplaced declaration).
+    fn parse_pi(&mut self) -> Result<()> {
         self.scanner.expect_str(b"<?", "processing instruction")?;
-        ev.reset(RawEventKind::ProcessingInstruction);
         self.read_name("processing instruction target")?;
-        let target = self.checked(&self.scratch)?;
-        ev.target_mut().push_str(target);
+        self.checked(&self.scratch)?;
         self.scanner.skip_whitespace()?;
         self.aux.clear();
         self.scanner
             .read_until(b"?>", &mut self.aux, "end of processing instruction")?;
-        let data = self.checked(&self.aux)?;
-        if ev.target().eq_ignore_ascii_case("xml") {
-            // XML declaration not at document start.
+        self.checked(&self.aux)?;
+        // The target is still in `scratch`: `read_until` filled `aux`.
+        if self.scratch.eq_ignore_ascii_case(b"xml") {
             return Err(self.syntax(
                 0,
                 "xml declaration is only allowed at the start of the document",
             ));
         }
-        if self.config.emit_processing_instructions {
-            ev.text_mut().push_str(data);
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        Ok(())
     }
 
     fn parse_doctype(&mut self, ev: &mut RawEvent) -> Result<()> {
@@ -1115,13 +1106,10 @@ impl<R: Read> ReaderCore<R> {
     /// The depth limit, checked once a start tag has been consumed.
     #[inline(always)]
     fn check_depth(&self) -> Result<()> {
-        if self.stack.len() >= self.config.max_depth {
+        if self.stack.len() >= MAX_DEPTH {
             return Err(self.wf(
                 0,
-                format!(
-                    "element nesting deeper than the configured limit of {}",
-                    self.config.max_depth
-                ),
+                format!("element nesting deeper than the configured limit of {MAX_DEPTH}"),
             ));
         }
         Ok(())
@@ -1468,19 +1456,6 @@ mod tests {
     }
 
     #[test]
-    fn comments_emitted_when_configured() {
-        let (evs, err) = events_with(
-            "<a><!--c--></a>",
-            ReaderConfig {
-                emit_comments: true,
-                ..ReaderConfig::default()
-            },
-        );
-        assert!(err.is_none(), "{err:?}");
-        assert_eq!(evs[2], XmlEvent::Comment("c".into()));
-    }
-
-    #[test]
     fn xml_declaration_skipped() {
         assert_eq!(
             kinds("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a/>"),
@@ -1578,14 +1553,9 @@ mod tests {
 
     #[test]
     fn depth_limit_enforced() {
-        let (_, err) = events_with(
-            &"<d>".repeat(50),
-            ReaderConfig {
-                max_depth: 10,
-                ..ReaderConfig::default()
-            },
-        );
-        assert!(matches!(err, Some(XmlError::WellFormedness { .. })));
+        let err = parse_to_events(&"<d>".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(matches!(err, XmlError::WellFormedness { .. }), "{err}");
+        assert!(err.to_string().contains("limit of 10000"), "{err}");
     }
 
     #[test]
@@ -1627,22 +1597,26 @@ mod tests {
         assert!(matches!(err, XmlError::UnexpectedEof { .. }));
     }
 
+    /// PIs are checked and dropped; an `xml` target past the document
+    /// start is a misplaced declaration, in any case spelling.
     #[test]
-    fn pi_emitted_when_configured() {
-        let (evs, err) = events_with(
-            "<a><?target some data?></a>",
-            ReaderConfig {
-                emit_processing_instructions: true,
-                ..ReaderConfig::default()
-            },
-        );
-        assert!(err.is_none(), "{err:?}");
+    fn pis_dropped_and_xml_target_rejected() {
+        let evs = events("<?style a?><a><?target some data?>x</a><?tail?>");
         assert_eq!(
-            evs[2],
-            XmlEvent::ProcessingInstruction {
-                target: "target".into(),
-                data: "some data".into()
-            }
+            evs.iter().map(|e| e.kind()).collect::<Vec<_>>(),
+            vec![
+                "start-document",
+                "start-element",
+                "text",
+                "end-element",
+                "end-document"
+            ]
+        );
+        let err = parse_to_events("<a><?XmL version=\"1.0\"?></a>").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("xml declaration is only allowed at the start of the document"),
+            "{err}"
         );
     }
 

@@ -756,11 +756,9 @@ impl TreeBuilder {
     /// Feeds one event into the tree.
     pub fn event(&mut self, ev: &XmlEvent) -> Result<()> {
         match ev {
-            XmlEvent::StartDocument
-            | XmlEvent::EndDocument
-            | XmlEvent::DoctypeDecl { .. }
-            | XmlEvent::Comment(_)
-            | XmlEvent::ProcessingInstruction { .. } => Ok(()),
+            XmlEvent::StartDocument | XmlEvent::EndDocument | XmlEvent::DoctypeDecl { .. } => {
+                Ok(())
+            }
             XmlEvent::StartElement { name, attributes } => {
                 let id = self.doc.create_element(name, attributes.clone());
                 self.open(id);
@@ -779,11 +777,9 @@ impl TreeBuilder {
     /// inherently copies attribute values and text — names do not copy.
     pub fn raw_event(&mut self, symbols: &SymbolTable, ev: &RawEventRef<'_>) -> Result<()> {
         match ev.kind() {
-            RawEventKind::StartDocument
-            | RawEventKind::EndDocument
-            | RawEventKind::DoctypeDecl
-            | RawEventKind::Comment
-            | RawEventKind::ProcessingInstruction => Ok(()),
+            RawEventKind::StartDocument | RawEventKind::EndDocument | RawEventKind::DoctypeDecl => {
+                Ok(())
+            }
             RawEventKind::StartElement => {
                 let id = self.doc.create_element_view(symbols, ev);
                 self.open(id);

@@ -11,50 +11,28 @@ use crate::tree::{Document, NodeId, NodeKind};
 use flux_symbols::SymbolTable;
 use std::io::Write;
 
-/// Configuration for [`XmlWriter`].
-#[derive(Debug, Clone, Default)]
-pub struct WriterConfig {
-    /// Pretty-print with two-space indentation. Only safe for data-oriented
-    /// documents (it inserts whitespace between elements).
-    pub indent: bool,
-    /// Write an `<?xml version="1.0" encoding="UTF-8"?>` declaration first.
-    pub xml_declaration: bool,
-}
-
 /// Streaming XML serialiser with well-formedness checking.
 pub struct XmlWriter<W: Write> {
     sink: W,
-    config: WriterConfig,
     /// The open elements' names, concatenated, and where each one starts:
     /// an end tag is a slice of one buffer, and the steady-state output
     /// loop does not allocate per start tag.
     names: String,
     name_starts: Vec<usize>,
-    /// Whether anything was written inside the current element (kept for
-    /// indentation only).
-    had_child: Vec<bool>,
     /// Bytes written so far.
     bytes_written: u64,
     /// Where a payload is escaped from its first escapable byte on.
     scratch: String,
-    wrote_declaration: bool,
 }
 
 impl<W: Write> XmlWriter<W> {
     pub fn new(sink: W) -> Self {
-        Self::with_config(sink, WriterConfig::default())
-    }
-
-    pub fn with_config(sink: W, config: WriterConfig) -> Self {
         XmlWriter {
             sink,
-            config,
             names: String::new(),
             name_starts: Vec::new(),
-            had_child: Vec::new(),
             bytes_written: 0,
             scratch: String::new(),
-            wrote_declaration: false,
         }
     }
 
@@ -90,28 +68,6 @@ impl<W: Write> XmlWriter<W> {
         Ok(())
     }
 
-    fn newline_indent(&mut self) -> Result<()> {
-        if self.config.indent && (!self.name_starts.is_empty() || self.bytes_written > 0) {
-            let depth = self.name_starts.len();
-            self.raw("\n")?;
-            for _ in 0..depth {
-                self.raw("  ")?;
-            }
-        }
-        Ok(())
-    }
-
-    fn maybe_declaration(&mut self) -> Result<()> {
-        if self.config.xml_declaration && !self.wrote_declaration {
-            self.raw("<?xml version=\"1.0\" encoding=\"UTF-8\"?>")?;
-            if self.config.indent {
-                self.raw("\n")?;
-            }
-            self.wrote_declaration = true;
-        }
-        Ok(())
-    }
-
     /// Writes `s` with the bytes `entity` maps — those `escapes` flags —
     /// replaced by their references. The clean prefix — all of `s`, almost
     /// always — goes to the sink straight from `s`; only from the first
@@ -136,13 +92,6 @@ impl<W: Write> XmlWriter<W> {
     /// Opens a start tag (everything up to the attributes) and pushes the
     /// element name onto the open stack.
     fn open_tag(&mut self, name: &str) -> Result<()> {
-        self.maybe_declaration()?;
-        if self.config.indent {
-            if let Some(flag) = self.had_child.last_mut() {
-                *flag = true;
-            }
-            self.newline_indent()?;
-        }
         self.raw("<")?;
         self.raw(name)?;
         self.name_starts.push(self.names.len());
@@ -152,9 +101,6 @@ impl<W: Write> XmlWriter<W> {
 
     /// Closes a start tag.
     fn close_tag(&mut self) -> Result<()> {
-        if self.config.indent {
-            self.had_child.push(false);
-        }
         self.raw(">")
     }
 
@@ -220,10 +166,6 @@ impl<W: Write> XmlWriter<W> {
             RawEventKind::StartElement => self.start_element_view(symbols, ev),
             RawEventKind::EndElement => self.end_element(),
             RawEventKind::Text => self.text(ev.text()),
-            RawEventKind::Comment => self.comment(ev.text()),
-            RawEventKind::ProcessingInstruction => {
-                self.processing_instruction(ev.target(), ev.text())
-            }
         }
     }
 
@@ -235,9 +177,6 @@ impl<W: Write> XmlWriter<W> {
             .ok_or_else(|| XmlError::WriterMisuse {
                 message: "end_element with no open element".to_string(),
             })?;
-        if self.config.indent && self.had_child.pop().unwrap_or(false) {
-            self.newline_indent()?;
-        }
         self.raw("</")?;
         self.sink.write_all(&self.names.as_bytes()[start..])?;
         self.bytes_written += (self.names.len() - start) as u64;
@@ -250,44 +189,12 @@ impl<W: Write> XmlWriter<W> {
         self.escaped(text, &TEXT_ESCAPES, text_entity)
     }
 
-    /// Writes a balanced subtree another writer with the default
-    /// configuration already serialized ([`NodeKind::Serialized`]), as one
-    /// `write_all`. Its bytes are emitted verbatim: indentation does not
-    /// reach inside them.
+    /// Writes a balanced subtree another writer already serialized
+    /// ([`NodeKind::Serialized`]), as one `write_all`.
     pub fn write_serialized(&mut self, xml: &[u8]) -> Result<()> {
-        self.maybe_declaration()?;
-        if self.config.indent {
-            if let Some(flag) = self.had_child.last_mut() {
-                *flag = true;
-            }
-            self.newline_indent()?;
-        }
         self.sink.write_all(xml)?;
         self.bytes_written += xml.len() as u64;
         Ok(())
-    }
-
-    /// Writes a comment.
-    pub fn comment(&mut self, text: &str) -> Result<()> {
-        if text.contains("--") {
-            return Err(XmlError::WriterMisuse {
-                message: "`--` is not allowed inside comments".to_string(),
-            });
-        }
-        self.raw("<!--")?;
-        self.raw(text)?;
-        self.raw("-->")
-    }
-
-    /// Writes a processing instruction (shared by both event paths).
-    fn processing_instruction(&mut self, target: &str, data: &str) -> Result<()> {
-        self.raw("<?")?;
-        self.raw(target)?;
-        if !data.is_empty() {
-            self.raw(" ")?;
-            self.raw(data)?;
-        }
-        self.raw("?>")
     }
 
     /// Writes one event. `StartDocument`/`EndDocument` are accepted and
@@ -300,10 +207,6 @@ impl<W: Write> XmlWriter<W> {
             XmlEvent::StartElement { name, attributes } => self.start_element(name, attributes),
             XmlEvent::EndElement { .. } => self.end_element(),
             XmlEvent::Text(t) => self.text(t),
-            XmlEvent::Comment(c) => self.comment(c),
-            XmlEvent::ProcessingInstruction { target, data } => {
-                self.processing_instruction(target, data)
-            }
         }
     }
 
@@ -405,45 +308,6 @@ mod tests {
         // And a second round trip is a fixpoint.
         let events2 = parse_to_events(&written).unwrap();
         assert_eq!(events, events2);
-    }
-
-    #[test]
-    fn indentation() {
-        let mut w = XmlWriter::with_config(
-            Vec::new(),
-            WriterConfig {
-                indent: true,
-                xml_declaration: false,
-            },
-        );
-        w.start_element("a", &[]).unwrap();
-        w.start_element("b", &[]).unwrap();
-        w.end_element().unwrap();
-        w.end_element().unwrap();
-        w.finish().unwrap();
-        let out = String::from_utf8(w.into_inner()).unwrap();
-        assert_eq!(out, "<a>\n  <b></b>\n</a>");
-    }
-
-    #[test]
-    fn xml_declaration_written_once() {
-        let mut w = XmlWriter::with_config(
-            Vec::new(),
-            WriterConfig {
-                indent: false,
-                xml_declaration: true,
-            },
-        );
-        w.start_element("a", &[]).unwrap();
-        w.end_element().unwrap();
-        let out = String::from_utf8(w.into_inner()).unwrap();
-        assert_eq!(out, "<?xml version=\"1.0\" encoding=\"UTF-8\"?><a></a>");
-    }
-
-    #[test]
-    fn comment_with_double_dash_rejected() {
-        let mut w = XmlWriter::new(Vec::new());
-        assert!(w.comment("a--b").is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every number this repo publishes used to be proven on one friendly
 //! bibliography recording; these generators probe the corners instead:
 //!
-//! * [`deep_string`] — recursion depth (stack discipline, `max_depth`,
+//! * [`deep_string`] — recursion depth (stack discipline, `MAX_DEPTH`,
 //!   shard seams inside a single element's scope);
 //! * [`attr_heavy_string`] — attribute-dominated bytes (attribute parsing,
 //!   defaults injection, per-event attribute lists);
@@ -49,7 +49,7 @@ impl DeepConfig {
 
 /// A document of repeated deeply nested spines: `<deep><d><d>…<leaf>text
 /// </leaf>…</d></d></deep>`. Depth is the adversarial axis; the reader's
-/// `max_depth` guard and the shard replay's global stack both have to walk
+/// `MAX_DEPTH` guard and the shard replay's global stack both have to walk
 /// every level.
 pub fn deep_string(config: &DeepConfig) -> String {
     let mut rng = SmallRng::seed_from_u64(config.seed);

@@ -45,32 +45,13 @@ pub fn seeded_reader<R: Read>(src: R, dtd: &Dtd, config: ReaderConfig) -> XmlRea
     XmlReader::with_symbols(src, config, seeded_symbols(dtd))
 }
 
-/// Configuration for [`XsaxParser`].
-#[derive(Debug, Clone)]
+/// Configuration for [`XsaxParser`]. Whitespace-only text inside
+/// element-content elements ("ignorable whitespace") is always dropped.
+#[derive(Debug, Clone, Default)]
 pub struct XsaxConfig {
     /// Reject attributes that are not declared in an `ATTLIST` and require
     /// `#REQUIRED` attributes to be present. Defaults to `false`.
     pub strict_attributes: bool,
-    /// Drop whitespace-only text between children of element-content
-    /// elements ("ignorable whitespace"). Defaults to `true`.
-    pub suppress_ignorable_whitespace: bool,
-    /// Configuration of the underlying reader (window, budget, interner
-    /// cap, …), used by the constructors that build one. The schema
-    /// vocabulary is always pre-seeded, so on valid input
-    /// [`ReaderConfig::max_symbols`] only affects undeclared names — which
-    /// travel by literal spelling and never change validation verdicts or
-    /// query output.
-    pub reader: ReaderConfig,
-}
-
-impl Default for XsaxConfig {
-    fn default() -> Self {
-        XsaxConfig {
-            strict_attributes: false,
-            suppress_ignorable_whitespace: true,
-            reader: ReaderConfig::default(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -124,6 +105,9 @@ struct AttPlan<'d> {
 pub struct XsaxParser<'d, S: EventSource> {
     source: S,
     dtd: &'d Dtd,
+    /// The DTD's virtual document automaton, which the root element is
+    /// checked against.
+    doc_dfa: &'d Dfa,
     config: XsaxConfig,
     registrations: Vec<Registration>,
     /// Dense per-symbol registration lists (`by_element[sym.index()]`),
@@ -167,11 +151,12 @@ impl<'d, R: Read> XsaxParser<'d, XmlReader<R>> {
         Self::with_config(src, dtd, XsaxConfig::default())
     }
 
+    /// [`XsaxParser::new`] with `config`, over a default-configured reader.
     pub fn with_config(src: R, dtd: &'d Dtd, config: XsaxConfig) -> Result<Self> {
         // Seed the reader's interner with the DTD's table (plus attlist
         // names): clones preserve indices, so stream symbols coincide with
         // schema symbols and attribute validation is symbol equality too.
-        let reader = seeded_reader(src, dtd, config.reader.clone());
+        let reader = seeded_reader(src, dtd, ReaderConfig::default());
         Self::from_source(reader, dtd, config)
     }
 }
@@ -183,11 +168,11 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// `ShardedReader` plugs in: its shards parse in parallel, and this
     /// parser threads the DFA configuration across their seams.
     pub fn from_source(source: S, dtd: &'d Dtd, config: XsaxConfig) -> Result<Self> {
-        if dtd.content_dfa(SymbolTable::DOCUMENT).is_none() {
+        let Some(doc_dfa) = dtd.content_dfa(SymbolTable::DOCUMENT) else {
             return Err(XsaxError::Config {
                 message: "the DTD has no unambiguous root element".to_string(),
             });
-        }
+        };
         let symbols = source.symbols();
         let mut decls: Vec<Option<&'d ElementDecl>> = vec![None; dtd.symbols().len()];
         let mut atts: Vec<Vec<AttPlan<'d>>> = Vec::new();
@@ -235,6 +220,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         Ok(XsaxParser {
             source,
             dtd,
+            doc_dfa,
             config,
             registrations: Vec::new(),
             by_element: Vec::new(),
@@ -261,7 +247,11 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 message: "register_past called after streaming started".to_string(),
             });
         }
-        let id = PastId(u32::try_from(self.registrations.len()).expect("too many registrations"));
+        let id = u32::try_from(self.registrations.len())
+            .map(PastId)
+            .map_err(|_| XsaxError::Config {
+                message: "too many past registrations".to_string(),
+            })?;
         if self.by_element.len() <= element.index() {
             self.by_element.resize_with(element.index() + 1, Vec::new);
         }
@@ -395,10 +385,11 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     pub fn skip_element(&mut self) -> Result<u64> {
         debug_assert_eq!(self.source.kind(), RawEventKind::StartElement);
         debug_assert!(self.sax_at.is_none(), "the start tag was delivered");
-        let elem = self
-            .stack
-            .last_mut()
-            .expect("skip_element after a start tag");
+        let Some(elem) = self.stack.last_mut() else {
+            return Err(XsaxError::Config {
+                message: "skip_element called with no open element".to_string(),
+            });
+        };
         elem.skipped = true;
         self.trackers.truncate(elem.trackers);
         self.fires.clear();
@@ -434,7 +425,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             RawEventKind::StartElement => self.handle_start()?,
             RawEventKind::EndElement => self.handle_end()?,
             RawEventKind::Text => self.handle_text()?,
-            RawEventKind::Comment | RawEventKind::ProcessingInstruction => {}
             RawEventKind::EndDocument => {
                 self.finished = true;
                 self.deliver_sax();
@@ -518,10 +508,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             }
         } else {
             // Root element: validate against the virtual document model.
-            let doc_dfa = self
-                .dtd
-                .content_dfa(SymbolTable::DOCUMENT)
-                .expect("checked in constructor");
+            let doc_dfa = self.doc_dfa;
             if doc_dfa.transition(doc_dfa.start(), sym).is_none() {
                 let message = format!(
                     "root element `{}` does not match the DTD root `{}`",
@@ -643,9 +630,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                     self.dtd.name(elem.symbol)
                 )));
             }
-            if self.config.suppress_ignorable_whitespace {
-                return Ok(());
-            }
+            return Ok(());
         }
         self.deliver_sax();
         Ok(())
@@ -1020,7 +1005,6 @@ mod tests {
         let dtd = Dtd::parse("<!ELEMENT a EMPTY>\n<!ATTLIST a id CDATA #REQUIRED>").unwrap();
         let config = XsaxConfig {
             strict_attributes: true,
-            ..XsaxConfig::default()
         };
         let strict_error = |doc: &str| {
             let mut p = XsaxParser::with_config(doc.as_bytes(), &dtd, config.clone()).unwrap();

@@ -21,10 +21,12 @@
 //!                           scanner windows + in-flight shard tapes and
 //!                           chunks + runtime buffers (k/m/g suffixes)
 //!   --explain               print the compilation report instead of running
+//!                           (flux engine only)
 //!   --stats                 print run statistics to stderr
 //!   --report <json|text>    print the pipeline telemetry RunReport to stderr
 //!                           (flux engine only)
-//!   --no-optimizer          disable the algebraic optimizer (ablation)
+//!   --no-optimizer          disable the algebraic optimizer (ablation; flux
+//!                           engine only)
 //! ```
 
 use fluxquery::{EngineKind, FluxEngine, Input, MemoryBudget, Options};
@@ -179,6 +181,18 @@ fn run() -> Result<(), String> {
     let (Some(query_arg), Some(dtd_arg)) = (&args.query, &args.dtd) else {
         usage();
     };
+    if args.engine != EngineKind::Flux {
+        for (set, flag) in [
+            (args.shards.is_some(), "--shards"),
+            (args.report.is_some(), "--report"),
+            (args.explain, "--explain"),
+            (args.no_optimizer, "--no-optimizer"),
+        ] {
+            if set {
+                return Err(format!("{flag} is only supported by the flux engine"));
+            }
+        }
+    }
     let query = file_or_inline(query_arg).map_err(|e| format!("reading query: {e}"))?;
     let dtd = file_or_inline(dtd_arg).map_err(|e| format!("reading DTD: {e}"))?;
 
@@ -235,12 +249,6 @@ fn run() -> Result<(), String> {
             engine.run_input(input, output).map_err(|e| e.to_string())?
         }
     } else {
-        if args.shards.is_some() {
-            return Err("--shards is only supported by the flux engine".to_string());
-        }
-        if args.report.is_some() {
-            return Err("--report is only supported by the flux engine".to_string());
-        }
         let engine = options
             .compile(args.engine, &query, &dtd)
             .map_err(|e| e.to_string())?;

@@ -223,7 +223,7 @@ fn skipped_regions_do_not_grow_the_interner() {
     use fluxquery::runtime::{compile_plan, execute};
     use fluxquery::xml::{EventSource, Position, RawEventKind, RawEventRef, ReaderConfig, Result};
     use fluxquery::xmlgen::{auction_string, AuctionConfig, AUCTION_DTD};
-    use fluxquery::xsax::{seeded_reader, XsaxConfig};
+    use fluxquery::xsax::seeded_reader;
     use fluxquery::{FluxEngine, Options};
     use std::cell::Cell;
 
@@ -293,15 +293,8 @@ fn skipped_regions_do_not_grow_the_interner() {
             inner: seeded_reader(doc.as_bytes(), dtd, config.clone()),
             longest: &longest,
         };
-        let (stats, _) = execute(
-            &plan,
-            dtd,
-            source,
-            std::io::sink(),
-            XsaxConfig::default(),
-            false,
-        )
-        .expect("validity is not checked inside a skipped subtree");
+        let (stats, _) = execute(&plan, dtd, source, std::io::sink(), false)
+            .expect("validity is not checked inside a skipped subtree");
         assert!(stats.skipped_subtrees > 0);
         assert_eq!(longest.get(), seeded, "cap {cap:?}: the interner grew");
 

@@ -329,6 +329,35 @@ fn malformed_input_fails_identically_sequential_and_sharded() {
     assert_eq!(String::from_utf8(sharded.stderr).unwrap(), message);
 }
 
+/// Flags only the flux engine honours fail on a baseline: `--explain`
+/// must not print the flux plan for a dom or projection run.
+#[test]
+fn explain_is_rejected_by_the_baselines() {
+    for engine in ["dom", "projection"] {
+        let run = fluxquery(PAPER_FIG1_DTD, &["--engine", engine, "--explain"]);
+        assert_eq!(run.status.code(), Some(1), "{engine}: {run:?}");
+        assert!(run.stdout.is_empty(), "{engine}: printed a plan");
+        let stderr = String::from_utf8(run.stderr).expect("utf-8 error");
+        assert!(
+            stderr.contains("--explain is only supported by the flux engine"),
+            "{engine}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn no_optimizer_is_rejected_by_the_baselines() {
+    for engine in ["dom", "projection"] {
+        let run = fluxquery(PAPER_FIG1_DTD, &["--engine", engine, "--no-optimizer"]);
+        assert_eq!(run.status.code(), Some(1), "{engine}: {run:?}");
+        let stderr = String::from_utf8(run.stderr).expect("utf-8 error");
+        assert!(
+            stderr.contains("--no-optimizer is only supported by the flux engine"),
+            "{engine}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn oversized_byte_counts_are_usage_errors_not_panics() {
     for flag in ["--window", "--memory-budget"] {

@@ -11,7 +11,8 @@
 //! `flux_conformance`.
 
 use flux_conformance::{
-    assert_engines_equivalent, assert_stream_equivalent, catalog, run_engine, workloads, Domain,
+    assert_engines_equivalent, assert_stream_equivalent, catalog, engine_configurations,
+    run_engine, run_engine_with, workloads, Domain,
 };
 use fluxquery::EngineKind;
 use proptest::prelude::*;
@@ -42,21 +43,16 @@ proptest! {
         let doc = domain.document(scale, seed);
         for q in catalog().into_iter().filter(|q| q.domain == domain) {
             let mut reference: Option<Vec<u8>> = None;
-            for kind in [
-                EngineKind::Flux,
-                EngineKind::FluxNoAlgebra,
-                EngineKind::Projection,
-                EngineKind::Dom,
-            ] {
-                let outcome = run_engine(kind, q.query, domain.dtd(), doc.as_bytes())
-                    .unwrap_or_else(|e| panic!("{} failed on {}: {e}", q.id, kind.label()));
+            for (label, kind, options) in engine_configurations() {
+                let outcome = run_engine_with(kind, q.query, domain.dtd(), doc.as_bytes(), &options)
+                    .unwrap_or_else(|e| panic!("{} failed on {}: {e}", q.id, label));
                 match &reference {
                     None => reference = Some(outcome.output),
                     Some(expected) => prop_assert_eq!(
                         &outcome.output,
                         expected,
                         "{} disagrees on {} (seed {}, scale {})",
-                        kind.label(),
+                        label,
                         q.id,
                         seed,
                         scale

@@ -8,7 +8,8 @@
 //! tree-at-a-time semantics on every sampled query.
 
 use flux_conformance::{
-    print_only_document, run_engine, skip_document, Domain, PRINT_ONLY_DTD, SKIP_DTD, SKIP_SHAPES,
+    engine_configurations, print_only_document, run_engine, run_engine_with, skip_document, Domain,
+    PRINT_ONLY_DTD, SKIP_DTD, SKIP_SHAPES,
 };
 use fluxquery::xquery::{
     pretty, AttrConstructor, AttrPart, CmpOp, Cond, Expr, Operand, Path, Step,
@@ -373,21 +374,15 @@ fn random_join_query(seed: u64) -> String {
 /// must agree byte for byte.
 fn assert_engines_agree(query: &str, dtd: &str, doc: &str, case: &str) -> Vec<u8> {
     let mut reference: Option<Vec<u8>> = None;
-    for kind in [
-        EngineKind::Flux,
-        EngineKind::FluxNoAlgebra,
-        EngineKind::Projection,
-        EngineKind::Dom,
-    ] {
-        let outcome = run_engine(kind, query, dtd, doc.as_bytes())
-            .unwrap_or_else(|e| panic!("{} failed ({case}):\n{query}\n{e}", kind.label()));
+    for (label, kind, options) in engine_configurations() {
+        let outcome = run_engine_with(kind, query, dtd, doc.as_bytes(), &options)
+            .unwrap_or_else(|e| panic!("{label} failed ({case}):\n{query}\n{e}"));
         match &reference {
             None => reference = Some(outcome.output),
             Some(expected) => assert_eq!(
                 String::from_utf8_lossy(&outcome.output),
                 String::from_utf8_lossy(expected),
-                "{} diverged on {case}:\n{query}",
-                kind.label(),
+                "{label} diverged on {case}:\n{query}",
             ),
         }
     }

@@ -3,8 +3,10 @@
 //! scopes, entity references, and queries needing several past-queries on
 //! one element type.
 
-use flux_conformance::run_engine;
-use fluxquery::{EngineKind, FluxEngine, Options};
+use flux_conformance::{run_engine, run_engine_input, Q3};
+use fluxquery::{
+    EngineKind, FluxEngine, Input, Options, DEFAULT_WINDOW, PAPER_FIG1_DTD, PAPER_WEAK_DTD,
+};
 
 fn agree(query: &str, dtd: &str, doc: &str) -> String {
     let mut reference: Option<Vec<u8>> = None;
@@ -244,4 +246,53 @@ fn output_nests_deeper_than_input() {
     let q = r#"<a><b><c>{ for $v in $ROOT/doc/v return <d><e>{$v/text()}</e></d> }</c></b></a>"#;
     let out = agree(q, dtd, doc);
     assert_eq!(out, "<a><b><c><d><e>1</e></d><d><e>2</e></d></c></b></a>");
+}
+
+/// Comments and PIs are checked and dropped by the reader wherever they
+/// stand: in the prolog and epilog, inside a copied `title`, inside a
+/// buffered `author` (weak DTD) and inside a skipped `publisher` (Fig. 1).
+/// Every engine gives the same bytes under the default window and a
+/// 64-byte one, and none of the markup reaches the output.
+#[test]
+fn comments_and_pis_never_reach_the_output() {
+    let prolog = "<?xml version=\"1.0\"?><!-- prolog --><?style href=\"a\"?>\n";
+    let epilog = "\n<!-- epilog --><?tail?>";
+    let fig1 = format!(
+        "{prolog}<bib><book><title>Data<!-- in title -->base<?pi in title?> systems</title>\
+         <author>Ullman</author><publisher>Pr<!-- skipped -->entice<?pi skipped?></publisher>\
+         <price>9</price></book></bib>{epilog}"
+    );
+    let weak = format!(
+        "{prolog}<bib><book><author>Ull<!-- buffered -->man<?pi buffered?></author>\
+         <title>T<?pi?>1</title></book></bib>{epilog}"
+    );
+    let cases = [
+        (
+            PAPER_FIG1_DTD,
+            &fig1,
+            "<results><result><title>Database systems</title><author>Ullman</author></result></results>",
+        ),
+        (
+            PAPER_WEAK_DTD,
+            &weak,
+            "<results><result><title>T1</title><author>Ullman</author></result></results>",
+        ),
+    ];
+    for (dtd, doc, want) in cases {
+        for window in [DEFAULT_WINDOW, 64] {
+            for kind in [EngineKind::Flux, EngineKind::Projection, EngineKind::Dom] {
+                let input = Input::from_bytes(doc.as_bytes().to_vec()).window(window);
+                let outcome = run_engine_input(kind, Q3, dtd, input, &Options::new())
+                    .unwrap_or_else(|e| panic!("{} (window {window}): {e}", kind.label()));
+                let out = String::from_utf8(outcome.output).expect("utf8");
+                assert_eq!(out, want, "{} (window {window})", kind.label());
+                if kind == EngineKind::Flux && dtd == PAPER_FIG1_DTD {
+                    assert!(outcome.stats.skipped_subtrees > 0, "publisher not skipped");
+                }
+                if kind == EngineKind::Flux && dtd == PAPER_WEAK_DTD {
+                    assert!(outcome.stats.peak_buffer_bytes > 0, "author not buffered");
+                }
+            }
+        }
+    }
 }
