@@ -32,22 +32,15 @@ pub struct DomEngine {
     root_slot: usize,
     /// Every query label, interned at compile time. Each run seeds the
     /// reader and the materialised document from a clone, so path steps
-    /// compare as integers — a bounded-interner stream's overflowed names
-    /// re-resolve inside the document's table and land on the same seeded
-    /// symbols.
+    /// compare as integers.
     symbols: SymbolTable,
-    /// Interner cap for the run's reader (bounded-interner streams): the
-    /// tree imports overflowed names through their literal side channel,
-    /// so the cap bounds reader memory without changing the document.
-    max_symbols: Option<usize>,
 }
 
 impl DomEngine {
     /// Parses, normalizes and compiles the query against an engine-owned
     /// symbol table. The DTD plays no role: this engine does not exploit
-    /// schema information — that is its defining handicap. `max_symbols`
-    /// caps each run's reader interner (`None` = unbounded).
-    pub fn compile(query: &str, max_symbols: Option<usize>) -> Result<Self> {
+    /// schema information — that is its defining handicap.
+    pub fn compile(query: &str) -> Result<Self> {
         let parsed = parse_query(query)?;
         let query = normalize(&parsed)?;
         let mut slots = SlotMap::new();
@@ -59,7 +52,6 @@ impl DomEngine {
             slots,
             root_slot,
             symbols,
-            max_symbols,
         })
     }
 
@@ -71,7 +63,7 @@ impl DomEngine {
     /// which is this engine's defining cost.
     pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
         let start = Instant::now();
-        let (mut reader, budget) = crate::open_reader(input, self.max_symbols, &self.symbols)?;
+        let (mut reader, budget) = crate::open_reader(input, &self.symbols)?;
         let mut builder = TreeBuilder::with_symbols(self.symbols.clone()).with_shared_text();
         let mut events: u64 = 0;
         while reader.advance()? {
@@ -110,10 +102,7 @@ mod tests {
 
     #[test]
     fn evaluates_q3() {
-        let engine = DomEngine::compile(
-            r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#,
-            None,
-        )
+        let engine = DomEngine::compile(r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#)
         .unwrap();
         let mut out = Vec::new();
         let stats = engine.run_input(Input::from_bytes(DOC), &mut out).unwrap();
@@ -130,8 +119,7 @@ mod tests {
     #[test]
     fn memory_scales_with_document() {
         let engine =
-            DomEngine::compile("<r>{ for $b in $ROOT/bib/book return $b/title }</r>", None)
-                .unwrap();
+            DomEngine::compile("<r>{ for $b in $ROOT/bib/book return $b/title }</r>").unwrap();
         let small = DOC.to_string();
         let mut big = String::from("<bib>");
         for i in 0..100 {
@@ -160,8 +148,7 @@ mod tests {
         // document charges the spelling a constant number of times, not per
         // node.
         let engine =
-            DomEngine::compile("<r>{ for $b in $ROOT/bib/book return $b/author }</r>", None)
-                .unwrap();
+            DomEngine::compile("<r>{ for $b in $ROOT/bib/book return $b/author }</r>").unwrap();
         let body = "<book><title>T</title><author>Stevens, W. Richard</author></book>".repeat(100);
         let shared = format!("<bib>{body}</bib>");
         let mut sink = Vec::new();

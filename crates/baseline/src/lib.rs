@@ -29,17 +29,13 @@ use std::sync::Arc;
 pub(crate) type OpenedReader = (XmlReader<Box<dyn Read + Send>>, Option<Arc<MemoryBudget>>);
 
 /// Opens a unified [`Input`] for a baseline run: resolves the source
-/// (path/gzip/stream), threads the input's window and budget plus the
-/// engine's interner cap into a reader seeded with the engine's label
-/// table, and hands back the budget so the caller can fold in the run's
-/// buffer peak and enforce the limit post-run.
-pub(crate) fn open_reader(
-    input: Input,
-    max_symbols: Option<usize>,
-    symbols: &SymbolTable,
-) -> Result<OpenedReader> {
+/// (path/gzip/stream), threads the input's window and budget into an open
+/// reader seeded with the engine's label table, and hands back the budget
+/// so the caller can fold in the run's buffer peak and enforce the limit
+/// post-run.
+pub(crate) fn open_reader(input: Input, symbols: &SymbolTable) -> Result<OpenedReader> {
     let budget = input.memory_budget().cloned();
-    let config = input.reader_config(max_symbols);
+    let config = input.reader_config();
     let source = input.into_source().map_err(XmlError::from)?.into_reader();
     Ok((
         XmlReader::with_symbols(source, config, symbols.clone()),

@@ -32,15 +32,12 @@ pub struct ProjectionEngine {
     /// projected document from a clone, so descent is integer equality
     /// with no per-run index build.
     symbols: SymbolTable,
-    /// Interner cap for the run's reader (bounded-interner streams).
-    max_symbols: Option<usize>,
 }
 
 impl ProjectionEngine {
     /// Derives projection paths from the normalized query, interning every
-    /// label into the engine's own symbol table. `max_symbols` caps each
-    /// run's reader interner (`None` = unbounded).
-    pub fn compile(query: &str, max_symbols: Option<usize>) -> Result<Self> {
+    /// label into the engine's own symbol table.
+    pub fn compile(query: &str) -> Result<Self> {
         let parsed = parse_query(query)?;
         let query = normalize(&parsed)?;
         let mut specs = SpecArena::new();
@@ -65,7 +62,6 @@ impl ProjectionEngine {
             specs,
             root_spec,
             symbols,
-            max_symbols,
         })
     }
 
@@ -81,16 +77,14 @@ impl ProjectionEngine {
     /// budget post-run.
     ///
     /// The stream is read through borrowed views: the projection labels
-    /// were interned at compile time and the reader is seeded with them,
-    /// so descent is symbol equality — with a literal-spelling fallback
-    /// for names a bounded interner declined to intern, which therefore
-    /// never changes what is projected.
+    /// were interned at compile time and the open reader is seeded with
+    /// them, so descent is symbol equality.
     pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
         let start = Instant::now();
         // Seed the reader with the compile-time label table: any document
         // name matching a label resolves to the symbol the spec edges are
         // keyed by, and the projected document shares the index space.
-        let (mut reader, budget) = crate::open_reader(input, self.max_symbols, &self.symbols)?;
+        let (mut reader, budget) = crate::open_reader(input, &self.symbols)?;
         let mut doc = Document::with_symbols(self.symbols.clone());
         let mut events: u64 = 0;
         // Stack entry: insertion target when the element is kept.
@@ -105,12 +99,12 @@ impl ProjectionEngine {
             match ev.kind() {
                 RawEventKind::StartElement => {
                     let child = match stack.last().expect("document entry") {
-                        Some((parent, view)) => view
-                            .descend_event(&self.specs, ev.name(), ev.name_str(reader.symbols()))
-                            .map(|child_view| {
+                        Some((parent, view)) => {
+                            view.descend_sym(&self.specs, ev.name()).map(|child_view| {
                                 let id = doc.create_element_view(reader.symbols(), &ev);
                                 (*parent, id, child_view)
-                            }),
+                            })
+                        }
                         None => None,
                     };
                     match child {
@@ -183,8 +177,8 @@ mod tests {
     #[test]
     fn same_answers_as_dom() {
         let doc = doc_with_publishers(5);
-        let projection = ProjectionEngine::compile(Q3, None).unwrap();
-        let dom = DomEngine::compile(Q3, None).unwrap();
+        let projection = ProjectionEngine::compile(Q3).unwrap();
+        let dom = DomEngine::compile(Q3).unwrap();
         let mut out1 = Vec::new();
         let mut out2 = Vec::new();
         projection
@@ -199,8 +193,8 @@ mod tests {
         // Q3 never touches publishers: projection memory must be far below
         // DOM memory on publisher-heavy documents.
         let doc = doc_with_publishers(50);
-        let projection = ProjectionEngine::compile(Q3, None).unwrap();
-        let dom = DomEngine::compile(Q3, None).unwrap();
+        let projection = ProjectionEngine::compile(Q3).unwrap();
+        let dom = DomEngine::compile(Q3).unwrap();
         let mut sink = Vec::new();
         let p = projection
             .run_input(Input::from_bytes(doc.clone()), &mut sink)
@@ -219,7 +213,7 @@ mod tests {
     fn projection_still_scales_with_document() {
         // Unlike FluX, projection keeps ALL titles and authors: memory
         // grows with the number of books.
-        let projection = ProjectionEngine::compile(Q3, None).unwrap();
+        let projection = ProjectionEngine::compile(Q3).unwrap();
         let mut sink = Vec::new();
         let small = projection
             .run_input(Input::from_bytes(doc_with_publishers(5)), &mut sink)
@@ -238,7 +232,7 @@ mod tests {
 
     #[test]
     fn projection_paths_rendered() {
-        let projection = ProjectionEngine::compile(Q3, None).unwrap();
+        let projection = ProjectionEngine::compile(Q3).unwrap();
         let paths = projection.projection_paths();
         assert!(paths.contains("bib"), "{paths}");
         assert!(paths.contains("book"), "{paths}");

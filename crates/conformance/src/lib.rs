@@ -7,15 +7,15 @@
 //!
 //! * **Stream tier** ([`assert_stream_equivalent`]): the sequential
 //!   [`XmlReader`] versus the sharded reader at shard counts
-//!   [`SHARD_COUNTS`], with the interner unbounded and capped. The
-//!   delivered event sequence must be identical, and on malformed input
+//!   [`SHARD_COUNTS`]. The delivered event sequence must be identical, and on malformed input
 //!   the terminal error must match **byte-exactly** — same rendered
 //!   message, same offset, same line, same column.
 //! * **Engine tier** ([`assert_engines_equivalent`]): FluXQuery, the
 //!   projection baseline and the DOM baseline over the workload's query.
 //!   Output bytes must agree across architectures; for the FluX engine,
 //!   output *and* run statistics (peak/total buffer accounting, event
-//!   counts) must be invariant across shard counts and interner caps.
+//!   counts) must be invariant across sequential parsing (a reader closed
+//!   at the DTD's vocabulary) and every shard count (open shard readers).
 //!
 //! It also owns what the workspace's integration tests share: the query
 //! [`catalog`], the generated [`Domain`]s, the [`workloads()`] matrix and the
@@ -26,9 +26,7 @@
 //! assertions.
 
 use flux_shard::{ShardConfig, ShardedReader};
-use flux_xml::{
-    collect_events, EventSource, Position, ReaderConfig, SymbolTable, XmlEvent, XmlReader,
-};
+use flux_xml::{collect_events, EventSource, Position, SymbolTable, XmlEvent, XmlReader};
 use flux_xmlgen::{auction_string, bib_string, AuctionConfig, BibConfig, AUCTION_DTD};
 use fluxquery_core::{EngineKind, Error, Input, Options, Parallelism, RunStats};
 
@@ -188,7 +186,7 @@ pub fn run_engine(
 }
 
 /// Compiles and runs one engine on one document with explicit execution
-/// options (interner bound, shard count, …).
+/// options (shard count, compiler ablations, …).
 pub fn run_engine_with(
     kind: EngineKind,
     query: &str,
@@ -224,11 +222,6 @@ pub fn run_engine_input(
 /// Shard counts every differential assertion covers.
 pub const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// The tiny interner cap used for the bounded axis: small enough that
-/// every workload's vocabulary overflows it, so the cap is genuinely
-/// exercised rather than decorative.
-pub const TINY_CAP: usize = 8;
-
 /// Everything a raw parse observes: the delivered prefix and how it ended.
 #[derive(Debug, PartialEq, Eq)]
 pub struct StreamOutcome {
@@ -247,21 +240,14 @@ fn drain<S: EventSource>(mut source: S) -> StreamOutcome {
 }
 
 /// Parses `bytes` with the sequential reader.
-pub fn stream_sequential(bytes: &[u8], max_symbols: Option<usize>) -> StreamOutcome {
-    drain(XmlReader::with_config(
-        bytes,
-        ReaderConfig {
-            max_symbols,
-            ..ReaderConfig::default()
-        },
-    ))
+pub fn stream_sequential(bytes: &[u8]) -> StreamOutcome {
+    drain(XmlReader::new(bytes))
 }
 
 /// Parses `bytes` with the sharded reader.
-pub fn stream_sharded(bytes: &[u8], shards: usize, max_symbols: Option<usize>) -> StreamOutcome {
+pub fn stream_sharded(bytes: &[u8], shards: usize) -> StreamOutcome {
     let mut config = ShardConfig::new(shards);
     config.min_shard_bytes = 1; // shard even small documents
-    config.reader.max_symbols = max_symbols;
     drain(ShardedReader::new(
         bytes.to_vec(),
         config,
@@ -270,40 +256,26 @@ pub fn stream_sharded(bytes: &[u8], shards: usize, max_symbols: Option<usize>) -
 }
 
 /// Asserts the full stream-tier grid on one input: sequential versus
-/// sharded × `SHARD_COUNTS` × unbounded/capped interner. Returns the
-/// sequential outcome so callers can make further assertions (e.g.
-/// against the corpus manifest).
+/// sharded × `SHARD_COUNTS`. Returns the sequential outcome so callers
+/// can make further assertions (e.g. against the corpus manifest).
 pub fn assert_stream_equivalent(label: &str, bytes: &[u8]) -> StreamOutcome {
-    let mut reference = None;
-    for cap in [None, Some(TINY_CAP)] {
-        let sequential = stream_sequential(bytes, cap);
-        // The interner bound itself must be invisible to the event stream.
-        if let Some(unbounded) = &reference {
-            assert_eq!(
-                &sequential, unbounded,
-                "{label}: sequential stream changed under max_symbols={TINY_CAP}"
-            );
-        }
-        for shards in SHARD_COUNTS {
-            let sharded = stream_sharded(bytes, shards, cap);
-            assert_eq!(
-                sharded.events.len(),
-                sequential.events.len(),
-                "{label}: prefix length diverged ({shards} shards, cap {cap:?}): \
-                 sequential error {:?}, sharded error {:?}",
-                sequential.error,
-                sharded.error,
-            );
-            assert_eq!(
-                sharded, sequential,
-                "{label}: stream diverged ({shards} shards, cap {cap:?})"
-            );
-        }
-        if reference.is_none() {
-            reference = Some(sequential);
-        }
+    let sequential = stream_sequential(bytes);
+    for shards in SHARD_COUNTS {
+        let sharded = stream_sharded(bytes, shards);
+        assert_eq!(
+            sharded.events.len(),
+            sequential.events.len(),
+            "{label}: prefix length diverged ({shards} shards): \
+             sequential error {:?}, sharded error {:?}",
+            sequential.error,
+            sharded.error,
+        );
+        assert_eq!(
+            sharded, sequential,
+            "{label}: stream diverged ({shards} shards)"
+        );
     }
-    reference.expect("loop ran")
+    sequential
 }
 
 /// The statistics that must be invariant across execution configurations
@@ -320,22 +292,18 @@ pub fn stats_fingerprint(stats: &RunStats) -> (usize, usize, u64, u64, u64, u64,
     )
 }
 
-/// The builder options for one cell of the grid: a parallelism and an
-/// interner cap.
-pub fn options(parallelism: Parallelism, cap: Option<usize>) -> Options {
-    let mut o = Options::new();
-    if let Some(cap) = cap {
-        o = o.max_symbols(cap);
+/// The builder options for one cell of the grid: a parallelism.
+pub fn options(parallelism: Parallelism) -> Options {
+    match parallelism {
+        Parallelism::Sequential => Options::new(),
+        Parallelism::Shards(n) => Options::new().shards(n),
     }
-    if let Parallelism::Shards(n) = parallelism {
-        o = o.shards(n);
-    }
-    o
 }
 
 /// Asserts the engine tier on one workload document: all architectures
 /// agree on the output bytes, and the FluX engine's output *and* stats
-/// are invariant across shard counts and interner caps. Panics on
+/// are invariant across shard counts — a sequential run reads through a
+/// closed reader, a sharded one through open shard readers. Panics on
 /// workloads without a query (stream-tier-only shapes).
 pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
     let query = w
@@ -344,13 +312,13 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
     let dtd = w.dtd.expect("engine-tier workloads declare a DTD");
     let doc = w.document(scale, seed);
 
-    // Reference: FluX, sequential, unbounded.
+    // Reference: FluX, sequential.
     let reference = run_engine_with(
         EngineKind::Flux,
         query,
         dtd,
         doc.as_bytes(),
-        &options(Parallelism::Sequential, None),
+        &options(Parallelism::Sequential),
     )
     .unwrap_or_else(|e| panic!("{}: flux sequential failed: {e}", w.id));
 
@@ -361,7 +329,7 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
             query,
             dtd,
             doc.as_bytes(),
-            &options(Parallelism::Sequential, None),
+            &options(Parallelism::Sequential),
         )
         .unwrap_or_else(|e| panic!("{}: {} failed: {e}", w.id, kind.label()));
         assert_eq!(
@@ -370,31 +338,6 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
             "{}: {} output diverged from flux (scale {scale}, seed {seed})",
             w.id,
             kind.label()
-        );
-        // The baselines must also be blind to the interner cap.
-        let capped = run_engine_with(
-            kind,
-            query,
-            dtd,
-            doc.as_bytes(),
-            &options(Parallelism::Sequential, Some(TINY_CAP)),
-        )
-        .unwrap_or_else(|e| panic!("{}: {} capped failed: {e}", w.id, kind.label()));
-        assert_eq!(
-            capped.output,
-            outcome.output,
-            "{}: {} output changed under max_symbols={TINY_CAP}",
-            w.id,
-            kind.label()
-        );
-        assert_eq!(
-            stats_fingerprint(&capped.stats),
-            stats_fingerprint(&outcome.stats),
-            "{}: {} stats changed under max_symbols={TINY_CAP}\n  capped:    {}\n  unbounded: {}",
-            w.id,
-            kind.label(),
-            capped.stats,
-            outcome.stats
         );
     }
 
@@ -409,7 +352,7 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
             query,
             dtd,
             Input::from_reader(w.stream(scale, seed)),
-            &options(parallelism, None),
+            &options(parallelism),
         )
         .unwrap_or_else(|e| panic!("{}: flux streamed {parallelism:?} failed: {e}", w.id));
         assert_eq!(
@@ -427,31 +370,29 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
         );
     }
 
-    // FluX: output and stats invariant across shards × caps.
+    // FluX: output and stats invariant across shard counts.
     for shards in SHARD_COUNTS {
-        for cap in [None, Some(TINY_CAP)] {
-            let outcome = run_engine_with(
-                EngineKind::Flux,
-                query,
-                dtd,
-                doc.as_bytes(),
-                &options(Parallelism::Shards(shards), cap),
-            )
-            .unwrap_or_else(|e| panic!("{}: flux shards={shards} cap={cap:?} failed: {e}", w.id));
-            assert_eq!(
-                outcome.output, reference.output,
-                "{}: flux output diverged (shards {shards}, cap {cap:?})",
-                w.id
-            );
-            assert_eq!(
-                stats_fingerprint(&outcome.stats),
-                stats_fingerprint(&reference.stats),
-                "{}: flux stats diverged (shards {shards}, cap {cap:?})\n  sharded:    {}\n  sequential: {}",
-                w.id,
-                outcome.stats,
-                reference.stats
-            );
-        }
+        let outcome = run_engine_with(
+            EngineKind::Flux,
+            query,
+            dtd,
+            doc.as_bytes(),
+            &options(Parallelism::Shards(shards)),
+        )
+        .unwrap_or_else(|e| panic!("{}: flux shards={shards} failed: {e}", w.id));
+        assert_eq!(
+            outcome.output, reference.output,
+            "{}: flux output diverged (shards {shards})",
+            w.id
+        );
+        assert_eq!(
+            stats_fingerprint(&outcome.stats),
+            stats_fingerprint(&reference.stats),
+            "{}: flux stats diverged (shards {shards})\n  sharded:    {}\n  sequential: {}",
+            w.id,
+            outcome.stats,
+            reference.stats
+        );
     }
 }
 
@@ -470,7 +411,7 @@ pub const PRINT_ONLY_DTD: &str = "<!ELEMENT bib (book)*>\n\
 /// A document valid under [`PRINT_ONLY_DTD`]: `books` books of shuffled
 /// titles, authors and prices. Authors mix text (with `&`, `<` and `>`)
 /// and `first`/`last` children, and carry attributes no DTD declares —
-/// names a capped interner cannot intern — followed by `role`. With
+/// names a closed reader cannot intern — followed by `role`. With
 /// `omit_defaults`, a `role` equal to the DTD default is left out, so a
 /// validating engine must inject it; the document is otherwise
 /// byte-identical, and the non-validating baselines agree with the
@@ -559,7 +500,7 @@ pub const SKIP_SHAPES: &[&str] = &[
 /// carry what the reader's hop must still check or hand to its ordinary
 /// parse: entity and character references, CDATA, comments, PIs, `>` in
 /// text, empty elements, attributes with names no DTD declares (so a
-/// capped interner overflows) and text runs longer than the smallest
+/// closed reader overflows) and text runs longer than the smallest
 /// reader window, nested up to a dozen deep.
 pub fn skip_document(shelves: usize, seed: u64) -> String {
     /// A chain of up to `depth + 1` nested notes.
@@ -645,46 +586,43 @@ pub fn reference_output(query: &str, bytes: &[u8]) -> Result<String, String> {
 }
 
 /// Pins the compiled cursor evaluator to the reference evaluator: every
-/// engine architecture, at shard counts {1, 2} with the interner unbounded
-/// and capped, must reproduce the reference output byte-for-byte, and each
-/// engine's run statistics must be invariant across the grid.
+/// engine architecture must reproduce the reference output byte-for-byte
+/// — the FluX engine sequentially (a closed reader) and at shard counts
+/// {1, 2} (open shard readers), with run statistics invariant across them.
+/// The baselines take no parallelism, so they run once.
 pub fn assert_cursor_matches_reference(label: &str, query: &str, dtd: &str, bytes: &[u8]) {
     let expected = reference_output(query, bytes)
         .unwrap_or_else(|e| panic!("{label}: reference evaluation failed: {e}\n{query}"));
-    for kind in [EngineKind::Flux, EngineKind::Projection, EngineKind::Dom] {
-        let mut fingerprint = None;
-        for shards in [1usize, 2] {
-            for cap in [None, Some(TINY_CAP)] {
-                let outcome = run_engine_with(
-                    kind,
-                    query,
-                    dtd,
-                    bytes,
-                    &options(Parallelism::Shards(shards), cap),
-                )
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{label}: {} shards={shards} cap={cap:?} failed: {e}\n{query}",
-                        kind.label()
-                    )
-                });
-                assert_eq!(
-                    String::from_utf8_lossy(&outcome.output),
-                    expected,
-                    "{label}: {} diverged from the reference evaluator \
-                     (shards {shards}, cap {cap:?})\n{query}",
+    let grid = [
+        (EngineKind::Flux, Parallelism::Sequential),
+        (EngineKind::Flux, Parallelism::Shards(1)),
+        (EngineKind::Flux, Parallelism::Shards(2)),
+        (EngineKind::Projection, Parallelism::Sequential),
+        (EngineKind::Dom, Parallelism::Sequential),
+    ];
+    let mut fingerprint = None;
+    for (kind, parallelism) in grid {
+        let outcome = run_engine_with(kind, query, dtd, bytes, &options(parallelism))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{label}: {} {parallelism:?} failed: {e}\n{query}",
                     kind.label()
-                );
-                let fp = stats_fingerprint(&outcome.stats);
-                match &fingerprint {
-                    None => fingerprint = Some(fp),
-                    Some(first) => assert_eq!(
-                        &fp,
-                        first,
-                        "{label}: {} stats moved across the grid (shards {shards}, cap {cap:?})",
-                        kind.label()
-                    ),
-                }
+                )
+            });
+        assert_eq!(
+            String::from_utf8_lossy(&outcome.output),
+            expected,
+            "{label}: {} diverged from the reference evaluator ({parallelism:?})\n{query}",
+            kind.label()
+        );
+        if kind == EngineKind::Flux {
+            let fp = stats_fingerprint(&outcome.stats);
+            match &fingerprint {
+                None => fingerprint = Some(fp),
+                Some(first) => assert_eq!(
+                    &fp, first,
+                    "{label}: flux stats moved across the grid ({parallelism:?})"
+                ),
             }
         }
     }

@@ -10,7 +10,7 @@
 //!
 //! Consumers:
 //! * the conformance harness replays every workload through all engines ×
-//!   shard counts × interner bounds and asserts nothing observable moves;
+//!   parallelisms and asserts nothing observable moves;
 //! * `tests/memory_behavior.rs` pins the exact event and buffer counts of
 //!   engine-tier workloads at fixed scales.
 
@@ -34,8 +34,8 @@ pub struct Workload {
     /// Query for the engine tier; `None` = stream (parse-level) tier only.
     pub query: Option<&'static str>,
     /// The distinct-name vocabulary grows with document size — the input
-    /// the bounded interner exists for. Conformance runs these under a
-    /// tiny `max_symbols` cap as well.
+    /// a closed reader exists for: its interner stays at the DTD's
+    /// vocabulary however many names the document mints.
     pub adversarial_names: bool,
     document: fn(f64, u64) -> String,
     /// Generator-backed streamed source. Entries with `Some` can be

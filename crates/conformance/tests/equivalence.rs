@@ -1,15 +1,15 @@
 //! Cursor-evaluator equivalence suite: the compiled streaming evaluator
 //! (symbol-annotated plans + lazy sequence cursors) pinned against the
 //! retained materialising evaluator (`flux_xquery::reference`) — same
-//! output bytes across all three engine architectures, shard counts
-//! {1, 2} and bounded/unbounded interners, invariant run statistics, and
+//! output bytes across all three engine architectures and, for FluX,
+//! sequential and shard counts {1, 2}, invariant run statistics, and
 //! identical evaluation-error messages.
 //!
 //! Part of the release-mode `conformance` CI job.
 
 use flux_conformance::{
     assert_cursor_matches_reference, options, print_only_document, run_engine_with, Domain,
-    PRINT_ONLY_DTD, TINY_CAP,
+    PRINT_ONLY_DTD,
 };
 use flux_xml::Document;
 use flux_xquery::{
@@ -387,7 +387,7 @@ proptest! {
 
     /// The full grid: every sampled query, on both bibliography domains,
     /// must reproduce the materialising reference evaluator's output
-    /// byte-for-byte through every engine × shards × interner-cap cell.
+    /// byte-for-byte through every engine × parallelism cell.
     #[test]
     fn cursor_evaluator_matches_reference(
         query_seed in 0u64..100_000,
@@ -410,29 +410,31 @@ proptest! {
 /// must match the reference on the document that spells its attribute
 /// defaults out, and flux — the one validating engine, which injects
 /// them — must print the same bytes from the document that leaves them
-/// to the DTD, through every shard count and interner cap.
+/// to the DTD, sequentially and at every shard count.
 fn assert_print_only_matches_reference(label: &str, query: &str, doc_seed: u64) {
     let spelled = print_only_document(12, doc_seed, false);
     assert_cursor_matches_reference(label, query, PRINT_ONLY_DTD, spelled.as_bytes());
     let expected = reference_output(query, &spelled);
     let defaulted = print_only_document(12, doc_seed, true);
     assert_ne!(defaulted, spelled, "{label}: no default was left out");
-    for shards in [1usize, 2] {
-        for cap in [None, Some(TINY_CAP)] {
-            let outcome = run_engine_with(
-                EngineKind::Flux,
-                query,
-                PRINT_ONLY_DTD,
-                defaulted.as_bytes(),
-                &options(Parallelism::Shards(shards), cap),
-            )
-            .unwrap_or_else(|e| panic!("{label}: {e}\n{query}"));
-            assert_eq!(
-                String::from_utf8_lossy(&outcome.output),
-                expected,
-                "{label}: injected defaults diverged (shards {shards}, cap {cap:?})\n{query}"
-            );
-        }
+    for parallelism in [
+        Parallelism::Sequential,
+        Parallelism::Shards(1),
+        Parallelism::Shards(2),
+    ] {
+        let outcome = run_engine_with(
+            EngineKind::Flux,
+            query,
+            PRINT_ONLY_DTD,
+            defaulted.as_bytes(),
+            &options(parallelism),
+        )
+        .unwrap_or_else(|e| panic!("{label}: {e}\n{query}"));
+        assert_eq!(
+            String::from_utf8_lossy(&outcome.output),
+            expected,
+            "{label}: injected defaults diverged ({parallelism:?})\n{query}"
+        );
     }
 }
 

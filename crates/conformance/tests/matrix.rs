@@ -1,5 +1,5 @@
 //! The full conformance matrix: every workload × every engine ×
-//! shard counts {1, 2, 8} × bounded/unbounded interner.
+//! sequential and shard counts {1, 2, 8}.
 //!
 //! This is the release-mode CI `conformance` job's payload. Scales are
 //! kept modest so the debug-mode run stays fast; the axes (not the

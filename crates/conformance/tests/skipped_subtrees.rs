@@ -1,8 +1,8 @@
 //! Skipped-subtree arm: queries over [`SKIP_DTD`] documents leave whole
 //! sections, books, leaves and nested notes unread, and the reader hops
 //! them instead of delivering their events. Every shape must print the
-//! reference evaluator's bytes through flux, projection and dom × shard
-//! counts {1, 2} × interner caps — and, sequentially, through a reader
+//! reference evaluator's bytes through flux (sequential and at shard
+//! counts {1, 2}), projection and dom — and, sequentially, through a reader
 //! window smaller than the subtrees it hops, so hops cross refills, with
 //! the same statistics (skip counts included) as the default window.
 //!
@@ -11,7 +11,7 @@
 
 use flux_conformance::{
     assert_cursor_matches_reference, options, run_engine_input, skip_document, stats_fingerprint,
-    SKIP_DTD, SKIP_SHAPES, TINY_CAP,
+    SKIP_DTD, SKIP_SHAPES,
 };
 use flux_xml::input::MIN_WINDOW;
 use fluxquery_core::{EngineKind, Input, Parallelism};
@@ -37,36 +37,34 @@ fn hops_across_refills_change_nothing() {
         let (mut skipped, mut longest) = (0, 0);
         for doc_seed in 0..6 {
             let doc = skip_document(8, doc_seed).into_bytes();
-            for cap in [None, Some(TINY_CAP)] {
-                let run = |input: Input| {
-                    run_engine_input(
-                        EngineKind::Flux,
-                        query,
-                        SKIP_DTD,
-                        input,
-                        &options(Parallelism::Sequential, cap),
-                    )
-                    .unwrap_or_else(|e| panic!("{query} seed {doc_seed}: {e}"))
-                };
-                let reference = run(Input::from_bytes(doc.clone()));
-                for small in [
-                    Input::from_bytes(doc.clone()).window(MIN_WINDOW),
-                    Input::from_reader(std::io::Cursor::new(doc.clone())).window(MIN_WINDOW),
-                ] {
-                    let outcome = run(small);
-                    assert_eq!(
-                        outcome.output, reference.output,
-                        "{query} seed {doc_seed} cap {cap:?}: output moved with the window"
-                    );
-                    assert_eq!(
-                        stats_fingerprint(&outcome.stats),
-                        stats_fingerprint(&reference.stats),
-                        "{query} seed {doc_seed} cap {cap:?}: stats moved with the window"
-                    );
-                }
-                skipped += reference.stats.skipped_subtrees;
-                longest = longest.max(reference.stats.skipped_bytes);
+            let run = |input: Input| {
+                run_engine_input(
+                    EngineKind::Flux,
+                    query,
+                    SKIP_DTD,
+                    input,
+                    &options(Parallelism::Sequential),
+                )
+                .unwrap_or_else(|e| panic!("{query} seed {doc_seed}: {e}"))
+            };
+            let reference = run(Input::from_bytes(doc.clone()));
+            for small in [
+                Input::from_bytes(doc.clone()).window(MIN_WINDOW),
+                Input::from_reader(std::io::Cursor::new(doc.clone())).window(MIN_WINDOW),
+            ] {
+                let outcome = run(small);
+                assert_eq!(
+                    outcome.output, reference.output,
+                    "{query} seed {doc_seed}: output moved with the window"
+                );
+                assert_eq!(
+                    stats_fingerprint(&outcome.stats),
+                    stats_fingerprint(&reference.stats),
+                    "{query} seed {doc_seed}: stats moved with the window"
+                );
             }
+            skipped += reference.stats.skipped_subtrees;
+            longest = longest.max(reference.stats.skipped_bytes);
         }
         assert!(skipped > 0, "{query}: nothing was skipped");
         assert!(
@@ -86,7 +84,7 @@ fn label_shape_skips_sections_and_books() {
         SKIP_SHAPES[0],
         SKIP_DTD,
         Input::from_bytes(doc.clone()),
-        &options(Parallelism::Sequential, None),
+        &options(Parallelism::Sequential),
     )
     .unwrap();
     let expected = ["<meta>", "<book>", "<book ", "<annex>"]

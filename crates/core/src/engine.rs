@@ -37,11 +37,10 @@ pub enum Parallelism {
 
 /// Compilation and execution options: a builder, finished by
 /// [`Options::compile`]. The defaults are the full optimizer, streaming
-/// handlers, an unbounded interner and sequential parsing.
+/// handlers and sequential parsing.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
     compile: CompileOptions,
-    max_symbols: Option<usize>,
     parallelism: Parallelism,
 }
 
@@ -54,15 +53,6 @@ impl Options {
     /// [`Parallelism::Shards`]).
     pub fn shards(mut self, n: usize) -> Options {
         self.parallelism = Parallelism::Shards(n);
-        self
-    }
-
-    /// Chainable: cap the stream interner at `cap` distinct names
-    /// (bounded-interner mode; see `ReaderConfig::max_symbols`). Past the
-    /// cap, names travel by literal spelling — memory stops growing and
-    /// query results are unchanged.
-    pub fn max_symbols(mut self, cap: usize) -> Options {
-        self.max_symbols = Some(cap);
         self
     }
 
@@ -83,28 +73,25 @@ impl Options {
     /// `query` for `kind` under these options and returns the uniform
     /// [`AnyEngine`] wrapper. The schema and the compiler ablations are
     /// used only by the FluX engine — the baselines cannot use a schema,
-    /// which is the paper's point; execution options (interner bound,
-    /// parallelism) apply to every architecture that supports them.
+    /// which is the paper's point; parallelism applies to the FluX engine
+    /// only.
     ///
     /// ```no_run
     /// # use fluxquery_core::{EngineKind, Input, Options};
     /// # let (query, dtd, doc) = ("", "", Vec::new());
     /// let engine = Options::new()
     ///     .shards(4)
-    ///     .max_symbols(1 << 16)
     ///     .compile(EngineKind::Flux, query, dtd)?;
     /// engine.run_input(Input::from_bytes(doc), std::io::stdout())?;
     /// # Ok::<(), fluxquery_core::Error>(())
     /// ```
-    pub fn compile(&self, kind: EngineKind, query: &str, schema_text: &str) -> Result<AnyEngine> {
+    pub fn compile(&self, kind: EngineKind, query: &str, dtd_text: &str) -> Result<AnyEngine> {
         Ok(match kind {
             EngineKind::Flux => {
-                AnyEngine::Flux(Box::new(FluxEngine::compile(query, schema_text, self)?))
+                AnyEngine::Flux(Box::new(FluxEngine::compile(query, dtd_text, self)?))
             }
-            EngineKind::Dom => AnyEngine::Dom(DomEngine::compile(query, self.max_symbols)?),
-            EngineKind::Projection => {
-                AnyEngine::Projection(ProjectionEngine::compile(query, self.max_symbols)?)
-            }
+            EngineKind::Dom => AnyEngine::Dom(DomEngine::compile(query)?),
+            EngineKind::Projection => AnyEngine::Projection(ProjectionEngine::compile(query)?),
         })
     }
 }
@@ -115,31 +102,19 @@ pub struct FluxEngine {
     dtd: Dtd,
     query: FluxQuery,
     plan: Plan,
-    max_symbols: Option<usize>,
     parallelism: Parallelism,
 }
 
 impl FluxEngine {
-    /// Compiles `query` against a schema in either DTD or XML Schema
-    /// syntax, auto-detected (the paper's footnote 1: constraints can be
-    /// derived from XML Schema just as well).
-    pub fn compile(query: &str, schema_text: &str, options: &Options) -> Result<FluxEngine> {
-        let trimmed = schema_text.trim_start();
-        let looks_like_xsd = trimmed.starts_with('<')
-            && !trimmed.starts_with("<!")
-            && schema_text.contains("schema");
-        let dtd = if looks_like_xsd {
-            flux_dtd::parse_xsd(schema_text)?
-        } else {
-            Dtd::parse(schema_text)?
-        };
+    /// Compiles `query` against a DTD.
+    pub fn compile(query: &str, dtd_text: &str, options: &Options) -> Result<FluxEngine> {
+        let dtd = Dtd::parse(dtd_text)?;
         let compiled = compile_flux(query, &dtd, &options.compile)?;
         let plan = compile_plan(&compiled, &dtd)?;
         Ok(FluxEngine {
             dtd,
             query: compiled,
             plan,
-            max_symbols: options.max_symbols,
             parallelism: options.parallelism,
         })
     }
@@ -180,9 +155,9 @@ impl FluxEngine {
         want_report: bool,
     ) -> Result<(RunStats, Option<RunReport>)> {
         let budget = input.memory_budget().cloned();
-        // The run's reader configuration: the compile-time interner bound
-        // plus the ingestion knobs the `Input` owns (window, budget).
-        let reader = input.reader_config(self.max_symbols);
+        // The run's reader configuration: the ingestion knobs the `Input`
+        // owns (window, budget).
+        let reader = input.reader_config();
         // Resolving opens the file and applies gzip detection; I/O
         // failures join the engine error chain where the sequential
         // reader would surface them.
@@ -192,12 +167,14 @@ impl FluxEngine {
         let (plan, dtd) = (&self.plan, &self.dtd);
         let (stats, report) = match self.parallelism {
             Parallelism::Sequential => {
+                // Closed at the DTD's vocabulary: undeclared names never
+                // grow the interner.
                 let source = seeded_reader(resolved.into_reader(), dtd, reader);
                 execute(plan, dtd, source, output, want_report)?
             }
             Parallelism::Shards(n) => {
-                // On the merged table the interner bound only ever hits
-                // undeclared names: the seed vocabulary always resolves.
+                // Shard workers and the merged table stay open: every
+                // name a fragment carries is interned.
                 let config = ShardConfig {
                     reader,
                     ..ShardConfig::new(n)
@@ -300,8 +277,8 @@ pub enum AnyEngine {
 impl AnyEngine {
     /// Compiles `query` for the chosen architecture with default options.
     /// Shorthand for [`Options::compile`] on [`Options::new`].
-    pub fn compile(kind: EngineKind, query: &str, schema_text: &str) -> Result<AnyEngine> {
-        Options::new().compile(kind, query, schema_text)
+    pub fn compile(kind: EngineKind, query: &str, dtd_text: &str) -> Result<AnyEngine> {
+        Options::new().compile(kind, query, dtd_text)
     }
 
     /// Runs over a unified [`Input`] — the one execution entry point every
@@ -514,7 +491,6 @@ mod tests {
             (EngineKind::Projection, true),
         ] {
             let engine = Options::new()
-                .max_symbols(1 << 12)
                 .algebraic_optimizer(optimizer)
                 .compile(kind, Q3, PAPER_WEAK_DTD)
                 .unwrap();

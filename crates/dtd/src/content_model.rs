@@ -114,18 +114,12 @@ pub enum ContentSpec {
     /// Element content: a regular expression over child elements, with
     /// whitespace-only text permitted between them and other text forbidden.
     Children(Particle),
-    /// A structured content model with interleaved text (XML Schema's
-    /// `mixed="true"` on a complex type; DTDs cannot express this).
-    MixedChildren(Particle),
 }
 
 impl ContentSpec {
     /// True when non-whitespace character data may occur among the children.
     pub fn allows_text(&self) -> bool {
-        matches!(
-            self,
-            ContentSpec::Any | ContentSpec::Mixed(_) | ContentSpec::MixedChildren(_)
-        )
+        matches!(self, ContentSpec::Any | ContentSpec::Mixed(_))
     }
 
     /// The particle describing the permitted child-element sequences.
@@ -145,7 +139,7 @@ impl ContentSpec {
                     )))
                 }
             }
-            ContentSpec::Children(p) | ContentSpec::MixedChildren(p) => p.clone(),
+            ContentSpec::Children(p) => p.clone(),
         }
     }
 }

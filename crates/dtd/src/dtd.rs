@@ -138,9 +138,7 @@ impl Dtd {
         let mut mentioned: Vec<Symbol> = Vec::new();
         for decl in elements.values() {
             match &decl.spec {
-                ContentSpec::Children(p) | ContentSpec::MixedChildren(p) => {
-                    p.symbols(&mut mentioned)
-                }
+                ContentSpec::Children(p) => p.symbols(&mut mentioned),
                 ContentSpec::Mixed(syms) => mentioned.extend(syms.iter().copied()),
                 ContentSpec::Empty | ContentSpec::Any => {}
             }
@@ -286,7 +284,7 @@ impl Dtd {
                         out.push('*');
                     }
                 }
-                ContentSpec::Children(p) | ContentSpec::MixedChildren(p) => {
+                ContentSpec::Children(p) => {
                     let rendered = p.display(&self.symbols).to_string();
                     if rendered.starts_with('(') {
                         out.push_str(&rendered);
@@ -300,20 +298,6 @@ impl Dtd {
             out.push_str(">\n");
         }
         out
-    }
-
-    /// Marks an element as allowing interleaved character data (used by the
-    /// XML Schema frontend for `mixed="true"` complex types, which DTD
-    /// declaration syntax cannot express).
-    pub fn allow_text(&mut self, name: &str) {
-        if let Some(sym) = self.symbols.lookup(name) {
-            if let Some(decl) = self.elements.get_mut(&sym) {
-                decl.text_allowed = true;
-                if let ContentSpec::Children(p) = decl.spec.clone() {
-                    decl.spec = ContentSpec::MixedChildren(p);
-                }
-            }
-        }
     }
 }
 

@@ -22,7 +22,6 @@ pub mod error;
 pub mod glushkov;
 pub mod parser;
 pub mod symbol;
-pub mod xsd;
 
 pub use content_model::{AttDef, AttDefault, ContentSpec, Particle};
 pub use dfa::{Dfa, StateId};
@@ -30,7 +29,6 @@ pub use dtd::{Dtd, ElementDecl};
 pub use error::{DtdError, Result};
 pub use glushkov::glushkov;
 pub use symbol::{Symbol, SymbolTable};
-pub use xsd::parse_xsd;
 
 /// The weak bibliography DTD from Section 2 of the paper.
 pub const PAPER_WEAK_DTD: &str = "<!ELEMENT bib (book)*>\n\

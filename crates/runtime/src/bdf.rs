@@ -7,7 +7,7 @@
 //! buffered paths are projected further (only the descendants the buffered
 //! expressions actually read are stored).
 
-use flux_dtd::{Symbol, SymbolTable};
+use flux_dtd::Symbol;
 use flux_xquery::{AttrPart, Cond, Expr, Operand, Path, Step, VarName};
 use std::fmt;
 
@@ -28,11 +28,10 @@ impl SpecId {
 #[derive(Debug, Clone)]
 pub struct SpecEdge {
     /// The label's compile-time symbol; `None` when no symbol space covers
-    /// it (a label the DTD does not declare — unreachable on a validated
-    /// stream, reachable only through the string fallback).
+    /// it (a label the DTD does not declare: no validated event carries
+    /// it, so descent never follows the edge — it stays for explain).
     pub sym: Option<Symbol>,
-    /// The label text, for explain output and the bounded-interner
-    /// string-comparison fallback.
+    /// The label text, for explain output.
     pub label: String,
     pub child: SpecId,
 }
@@ -285,27 +284,10 @@ pub enum SpecView {
 }
 
 impl SpecView {
-    /// Descends into a child labelled `label`: `None` means the child is
-    /// projected away entirely.
-    pub fn descend(self, arena: &SpecArena, label: &str) -> Option<SpecView> {
-        match self {
-            SpecView::Whole => Some(SpecView::Whole),
-            SpecView::Project(id) => {
-                let n = arena.node(id);
-                if n.whole {
-                    return Some(SpecView::Whole);
-                }
-                n.children
-                    .iter()
-                    .find(|e| e.label == label)
-                    .map(|e| SpecView::Project(e.child))
-            }
-        }
-    }
-
-    /// Symbol-keyed variant of [`SpecView::descend`] — the hot-path form:
-    /// a short scan of integer comparisons over the node's edges, against
-    /// the symbols interned at plan-compile time.
+    /// Descends into a child element named by `sym`: `None` means the
+    /// child is projected away entirely. A short scan of integer
+    /// comparisons over the node's edges, against the symbols interned at
+    /// plan-compile time.
     pub fn descend_sym(self, arena: &SpecArena, sym: Symbol) -> Option<SpecView> {
         match self {
             SpecView::Whole => Some(SpecView::Whole),
@@ -319,18 +301,6 @@ impl SpecView {
                     .find(|e| e.sym == Some(sym))
                     .map(|e| SpecView::Project(e.child))
             }
-        }
-    }
-
-    /// Descends on a stream event's name: symbols compare as integers; a
-    /// [`SymbolTable::OVERFLOW`] name (bounded-interner streams) falls
-    /// back to comparing the literal spelling, so capping the interner can
-    /// never change which children are kept.
-    pub fn descend_event(self, arena: &SpecArena, sym: Symbol, literal: &str) -> Option<SpecView> {
-        if sym == SymbolTable::OVERFLOW {
-            self.descend(arena, literal)
-        } else {
-            self.descend_sym(arena, sym)
         }
     }
 
@@ -349,7 +319,7 @@ impl SpecView {
 /// Resolves a query path label to its compile-time symbol: the DTD's table
 /// for the FluX engine, the plan's own interner for the projection
 /// baseline. `None` marks a label no symbol space covers (undeclared in
-/// the DTD), whose spec edge is reachable only via the string fallback.
+/// the DTD), whose spec edge no event descends.
 pub type LabelResolver<'r> = dyn FnMut(&str) -> Option<Symbol> + 'r;
 
 /// Collects the buffering needs of a normal-form XQuery expression in
@@ -590,6 +560,7 @@ fn collect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flux_dtd::SymbolTable;
     use flux_xquery::{normalize, parse_query};
 
     fn needs_of(query_body: &str) -> (SpecArena, SpecId, SymbolTable) {
@@ -759,45 +730,10 @@ mod tests {
     }
 
     #[test]
-    fn symbol_descent_matches_string_descent() {
-        let (arena, root, table) = needs_of(
-            r#"<r>{ for $a in $book/author return $a }{ $book/title/text() }{ if ($book/price < 10) then "c" else () }</r>"#,
-        );
-        let mut table = table;
-        let view = SpecView::Project(root);
-        for label in ["author", "title", "price", "unknown"] {
-            let by_string = view.descend(&arena, label);
-            let by_symbol = table
-                .lookup(label)
-                .and_then(|sym| view.descend_sym(&arena, sym));
-            assert_eq!(by_string, by_symbol, "descent disagrees on `{label}`");
-        }
-        // A symbol interned later (not a spec label) descends nowhere.
-        let stray = table.intern("stray");
-        assert_eq!(view.descend_sym(&arena, stray), None);
-        // The event form: symbols descend as integers, OVERFLOW falls back
-        // to the literal spelling — with identical outcomes.
-        let author = table.lookup("author").unwrap();
-        assert_eq!(
-            view.descend_event(&arena, author, ""),
-            view.descend(&arena, "author")
-        );
-        assert_eq!(
-            view.descend_event(&arena, SymbolTable::OVERFLOW, "author"),
-            view.descend(&arena, "author"),
-            "an overflowed name must still descend by its spelling"
-        );
-        assert_eq!(
-            view.descend_event(&arena, SymbolTable::OVERFLOW, "unknown"),
-            None
-        );
-    }
-
-    #[test]
     fn undeclared_labels_keep_spec_structure() {
         // A resolver that knows no labels (a DTD declaring none of them)
-        // still materialises the spec tree; symbol descent finds nothing,
-        // string descent still works.
+        // still materialises the spec tree for explain; descent finds
+        // nothing.
         let expr = normalize(&parse_query("<r>{ for $a in $book/author return $a }</r>").unwrap())
             .unwrap();
         let mut arena = SpecArena::new();
@@ -810,24 +746,24 @@ mod tests {
         );
         assert_eq!(arena.render(root), "{author:*}");
         let view = SpecView::Project(root);
-        assert!(view.descend(&arena, "author").is_some());
         assert_eq!(view.descend_sym(&arena, Symbol::from_index(7)), None);
     }
 
     #[test]
     fn spec_view_descend() {
-        let (arena, root, _) = needs_of("<r>{ for $a in $book/author return $a/text() }</r>");
+        let (arena, root, mut table) =
+            needs_of("<r>{ for $a in $book/author return $a/text() }</r>");
         let view = SpecView::Project(root);
-        let author = view.descend(&arena, "author").unwrap();
+        let author = view.descend_sym(&arena, table.intern("author")).unwrap();
         assert!(author.keeps_text(&arena));
         assert!(
-            view.descend(&arena, "title").is_none(),
+            view.descend_sym(&arena, table.intern("title")).is_none(),
             "title projected away"
         );
         assert!(!view.keeps_text(&arena));
         // Whole view keeps descending as whole.
         assert_eq!(
-            SpecView::Whole.descend(&arena, "anything"),
+            SpecView::Whole.descend_sym(&arena, table.intern("anything")),
             Some(SpecView::Whole)
         );
     }

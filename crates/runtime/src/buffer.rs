@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn overflow_named_event_buffers_safely() {
-        // A bounded-interner stream delivers OVERFLOW + the literal name in
+        // A closed reader delivers OVERFLOW + the literal name in
         // the event's side channel: buffering must neither panic nor
         // misname the node, for elements and attributes alike.
         use flux_xml::{RawEvent, RawEventKind};

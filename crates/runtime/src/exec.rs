@@ -152,6 +152,13 @@ pub fn execute<S: EventSource, W: Write>(
     Ok((stats, report))
 }
 
+/// The error for a content event with no open frame.
+fn unbalanced() -> RuntimeError {
+    RuntimeError::Plan {
+        message: "event outside the document's frame stack".to_string(),
+    }
+}
+
 /// Builds the unified [`RunReport`]: the source's stages (scanner/reader,
 /// shard pipeline), the XSAX stage, then the runtime and buffer stages
 /// owned here.
@@ -274,10 +281,7 @@ impl<'p, W: Write> ExecState<'p, W> {
     /// can fire for it. Its end tag is still delivered and closes the
     /// frame as usual.
     fn start_element<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<bool> {
-        let parent = *self
-            .stack
-            .last()
-            .expect("XSAX guarantees events inside the document");
+        let parent = self.innermost()?;
         // The parent's entries end where the new frame's begin.
         let mut frame = self.open_frame(Some(&parent));
         if !parent.copying
@@ -297,18 +301,16 @@ impl<'p, W: Write> ExecState<'p, W> {
             self.writer.start_element_view(symbols, &ev)?;
         }
         // Buffer population: descend every active tree view on symbol
-        // equality (an OVERFLOW name from a bounded-interner stream falls
-        // back to comparing the literal spelling, so `max_symbols` can
-        // never change what is buffered). A print-only child starts a
-        // capture instead of a node; inside a capture nothing descends —
-        // the frame's `capturing` flag carries the rest of the subtree.
-        let literal = ev.name_str(symbols);
+        // equality (XSAX delivers declared element names only). A
+        // print-only child starts a capture instead of a node; inside a
+        // capture nothing descends — the frame's `capturing` flag carries
+        // the rest of the subtree.
         let specs = &self.plan.specs;
         for i in parent.targets..frame.targets {
             let Target::Tree(node, view) = self.targets[i] else {
                 continue;
             };
-            let Some(child_view) = view.descend_event(specs, sym, literal) else {
+            let Some(child_view) = view.descend_sym(specs, sym) else {
                 continue;
             };
             match child_view {
@@ -337,7 +339,6 @@ impl<'p, W: Write> ExecState<'p, W> {
         for i in parent.scopes..frame.scopes {
             for handler in &plan.ps[self.scopes[i]].handlers {
                 let HandlerPlan::On {
-                    label,
                     symbol,
                     var_slot,
                     spec,
@@ -348,14 +349,7 @@ impl<'p, W: Write> ExecState<'p, W> {
                 else {
                     continue;
                 };
-                // Symbol equality on the hot path; bounded-interner
-                // OVERFLOW names dispatch by their literal spelling.
-                let matches = if sym == SymbolTable::OVERFLOW {
-                    label.as_str() == literal
-                } else {
-                    *symbol == Some(sym)
-                };
-                if !matches {
+                if *symbol != Some(sym) {
                     continue;
                 }
                 if *binds {
@@ -389,7 +383,7 @@ impl<'p, W: Write> ExecState<'p, W> {
     }
 
     fn text<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {
-        let frame = *self.stack.last().expect("text inside the document");
+        let frame = self.innermost()?;
         // Viewed on first use: a run nobody copies or keeps is not read.
         let mut viewed = None;
         let mut text = || *viewed.get_or_insert_with(|| parser.view().text());
@@ -410,7 +404,7 @@ impl<'p, W: Write> ExecState<'p, W> {
     }
 
     fn end_element(&mut self) -> Result<()> {
-        let frame = self.stack.pop().expect("balanced events");
+        let frame = self.pop_frame()?;
         if frame.copying {
             self.writer.end_element()?;
         }
@@ -436,13 +430,24 @@ impl<'p, W: Write> ExecState<'p, W> {
     }
 
     fn end_document(&mut self) -> Result<()> {
-        let frame = self.stack.pop().expect("document context");
+        let frame = self.pop_frame()?;
         self.fire_doc_handlers(&frame, DocTiming::AtEnd)?;
         for _ in 0..frame.closers {
             self.writer.end_element()?;
         }
         self.close_frame(frame);
         Ok(())
+    }
+
+    /// The innermost frame. XSAX delivers every content event inside the
+    /// document frame, so an empty stack is an internal error.
+    fn innermost(&self) -> Result<Frame> {
+        self.stack.last().copied().ok_or_else(unbalanced)
+    }
+
+    /// Pops the innermost frame (see [`ExecState::innermost`]).
+    fn pop_frame(&mut self) -> Result<Frame> {
+        self.stack.pop().ok_or_else(unbalanced)
     }
 
     /// Undoes the innermost frame's entries on the shared stacks. A freed

@@ -89,13 +89,9 @@ pub struct ShardConfig {
     /// exactly like the sequential reader enforces it; [`ReaderConfig::window`]
     /// sizes each fragment scanner; [`ReaderConfig::budget`] is shared by
     /// every pool the pipeline grows (fragment scanner windows, in-flight
-    /// streamed chunks and tape segments). [`ReaderConfig::max_symbols`]
-    /// caps the **merged** symbol table: workers intern unboundedly —
-    /// their tables are bounded by chunk content and die with the shard —
-    /// but the long-lived consumer table stops growing at the cap, and
-    /// merged names past it travel as [`SymbolTable::OVERFLOW`] plus the
-    /// literal spelling, exactly like the sequential reader's bounded
-    /// mode. [`ReaderConfig::fragment`] is ignored (workers always parse
+    /// streamed chunks and tape segments). Workers are open readers, and
+    /// the merged table interns every name they report.
+    /// [`ReaderConfig::fragment`] is ignored (workers always parse
     /// fragments).
     pub reader: ReaderConfig,
     /// Do not split below this many bytes per shard; tiny inputs are not
@@ -148,7 +144,6 @@ impl ShardConfig {
     /// global depth; the exact global limit is enforced at replay.
     fn reader_config(&self) -> ReaderConfig {
         ReaderConfig {
-            max_symbols: None,
             fragment: true,
             ..self.reader.clone()
         }
@@ -215,9 +210,6 @@ struct ActiveShard {
     /// Merged-table symbols for chunk-local indices past the seed prefix —
     /// cumulative across the chunk's segments.
     remap: Vec<Symbol>,
-    /// Literal spellings behind `remap`, same cumulative indexing (the
-    /// side channel overflowed symbols resolve through at view time).
-    cum_names: Vec<String>,
     /// Global position of this chunk's first byte.
     base: Position,
     /// Replay cursor into the current tape.
@@ -291,17 +283,6 @@ pub struct ShardedReader {
     /// Open elements across the whole document — replay re-checks tag
     /// balance exactly like the sequential reader, at the same events.
     stack: Vec<Symbol>,
-    /// Literal names of open elements whose merged symbol is
-    /// [`SymbolTable::OVERFLOW`] (bounded merged table), innermost last —
-    /// mirrors the sequential reader's overflow stack so two overflowed
-    /// names only balance when their spellings agree.
-    overflow_stack: Vec<String>,
-    /// Recycled literal side-channel buffers: every overflowed name event
-    /// fills a pooled `String` instead of allocating, and balanced pairs
-    /// return both buffers. Bounded by the deepest concurrent overflow
-    /// nesting, so bounded+sharded streams stop paying one allocation per
-    /// overflowed tag.
-    spare_literals: Vec<String>,
     root_seen: bool,
     root_done: bool,
     /// Recorded position of the most recently delivered event.
@@ -368,8 +349,6 @@ impl ShardedReader {
             emitted_start: false,
             finished: false,
             stack: Vec::new(),
-            overflow_stack: Vec::new(),
-            spare_literals: Vec::new(),
             root_seen: false,
             root_done: false,
             last_pos: START_POS,
@@ -500,16 +479,9 @@ impl ShardedReader {
         }
     }
 
-    /// Interns chunk-local names into the merged namespace (bounded when
-    /// [`ReaderConfig::max_symbols`] caps the table).
+    /// Interns chunk-local names into the merged namespace.
     fn merge_names(&mut self, names: &[String]) -> Vec<Symbol> {
-        names
-            .iter()
-            .map(|n| match self.config.reader.max_symbols {
-                None => self.symbols.intern(n),
-                Some(cap) => self.symbols.intern_bounded(n, cap),
-            })
-            .collect()
+        names.iter().map(|n| self.symbols.intern(n)).collect()
     }
 
     /// Buffered activation: takes the next up-front chunk's tape. Returns
@@ -518,17 +490,15 @@ impl ShardedReader {
         if self.next_shard >= self.total_shards {
             return false;
         }
-        let mut shard = self.take_shard(self.next_shard);
+        let shard = self.take_shard(self.next_shard);
         self.journal
             .record("shard_activated", self.next_shard as u64);
         self.next_shard += 1;
         let is_final_chunk = self.next_shard >= self.total_shards;
-        let cum_names = std::mem::take(&mut shard.new_names);
-        let remap = self.merge_names(&cum_names);
+        let remap = self.merge_names(&shard.new_names);
         self.active = Some(ActiveShard {
             shard,
             remap,
-            cum_names,
             base: self.chunk_base,
             cursor: 0,
             activated_at_ns: self.epoch.elapsed_ns(),
@@ -563,7 +533,7 @@ impl ShardedReader {
             }
             Ok(ChunkMsg::Chunk(handle)) => handle,
         };
-        let mut seg = handle
+        let seg = handle
             .seg_rx
             .recv()
             .unwrap_or_else(|_| panic!("shard worker panicked"));
@@ -571,12 +541,10 @@ impl ShardedReader {
             .record("shard_activated", self.next_shard as u64);
         self.next_shard += 1;
         self.total_shards += 1;
-        let cum_names = std::mem::take(&mut seg.tape.new_names);
-        let remap = self.merge_names(&cum_names);
+        let remap = self.merge_names(&seg.tape.new_names);
         self.active = Some(ActiveShard {
             shard: seg.tape,
             remap,
-            cum_names,
             base: self.chunk_base,
             cursor: 0,
             activated_at_ns: self.epoch.elapsed_ns(),
@@ -596,17 +564,15 @@ impl ShardedReader {
     /// the tapes (releasing the replayed segment's budget charge).
     fn install_next_segment(&mut self) {
         let mut a = self.active.take().expect("active shard ensured");
-        let mut seg = a.pending_seg.take().unwrap_or_else(|| {
+        let seg = a.pending_seg.take().unwrap_or_else(|| {
             a.seg_rx
                 .as_ref()
                 .expect("streamed chunk has a segment channel")
                 .recv()
                 .unwrap_or_else(|_| panic!("shard worker panicked"))
         });
-        let incremental = std::mem::take(&mut seg.tape.new_names);
-        let mut merged = self.merge_names(&incremental);
+        let mut merged = self.merge_names(&seg.tape.new_names);
         a.remap.append(&mut merged);
-        a.cum_names.extend(incremental);
         a.shard = seg.tape;
         a.seg_last = seg.last;
         a.tape_charge = seg.charge;
@@ -735,37 +701,19 @@ impl ShardedReader {
                 continue;
             }
 
-            let (i, kind, pos, start, name, mut literal) = {
+            let (i, kind, pos, start, name) = {
                 let a = self.active.as_mut().expect("active shard ensured");
                 let i = a.cursor;
                 a.cursor += 1;
                 let kind = a.shard.tape.kind(i);
                 // Resolved lazily enough: only element events use it.
                 let name = SymbolRemap::new(self.seed_len, &a.remap).resolve(a.shard.tape.name(i));
-                // An element name the bounded merged table overflowed: its
-                // literal spelling (the view's side channel) feeds the
-                // balance check and error messages below.
-                let literal = if name == SymbolTable::OVERFLOW
-                    && matches!(kind, RawEventKind::StartElement | RawEventKind::EndElement)
-                {
-                    let v = a.shard.tape.view(
-                        i,
-                        SymbolRemap::with_names(self.seed_len, &a.remap, &a.cum_names),
-                    );
-                    let mut buf = self.spare_literals.pop().unwrap_or_default();
-                    buf.clear();
-                    buf.push_str(v.target());
-                    Some(buf)
-                } else {
-                    None
-                };
                 (
                     i,
                     kind,
                     compose(a.base, a.shard.tape.position(i)),
                     compose(a.base, a.shard.tape.start_position(i)),
                     name,
-                    literal,
                 )
             };
             // Re-check the document-level rules the fragment readers
@@ -788,43 +736,19 @@ impl ShardedReader {
                             );
                             return Err(self.wf(message, pos));
                         }
-                        if name == SymbolTable::OVERFLOW {
-                            self.overflow_stack.push(literal.take().unwrap_or_default());
-                        }
                         self.stack.push(name);
                         self.root_seen = true;
                     } else {
                         // Global tag balance, checked at the end tag just
-                        // like the sequential reader. Two overflowed names
-                        // only match when their literal spellings agree.
-                        let found = literal.as_deref();
+                        // like the sequential reader.
                         match self.stack.pop() {
-                            Some(open) if open == name => {
-                                if name == SymbolTable::OVERFLOW {
-                                    let open_lit =
-                                        self.overflow_stack.pop().expect("overflow name on stack");
-                                    let found = found.unwrap_or_default();
-                                    if open_lit != found {
-                                        self.finished = true;
-                                        let message = format!(
-                                            "mismatched end tag: expected </{open_lit}>, found </{found}>"
-                                        );
-                                        return Err(self.wf(message, pos));
-                                    }
-                                    self.spare_literals.push(open_lit);
-                                }
-                            }
+                            Some(open) if open == name => {}
                             Some(open) => {
                                 self.finished = true;
-                                let open_name = if open == SymbolTable::OVERFLOW {
-                                    self.overflow_stack.pop().expect("overflow name on stack")
-                                } else {
-                                    self.symbols.name(open).to_string()
-                                };
                                 let message = format!(
                                     "mismatched end tag: expected </{}>, found </{}>",
-                                    open_name,
-                                    found.unwrap_or_else(|| self.symbols.name(name))
+                                    self.symbols.name(open),
+                                    self.symbols.name(name)
                                 );
                                 return Err(self.wf(message, pos));
                             }
@@ -832,16 +756,13 @@ impl ShardedReader {
                                 self.finished = true;
                                 let message = format!(
                                     "end tag </{}> with no open element",
-                                    found.unwrap_or_else(|| self.symbols.name(name))
+                                    self.symbols.name(name)
                                 );
                                 return Err(self.wf(message, pos));
                             }
                         }
                         if self.stack.is_empty() {
                             self.root_done = true;
-                        }
-                        if let Some(buf) = literal.take() {
-                            self.spare_literals.push(buf);
                         }
                     }
                 }
@@ -902,10 +823,10 @@ impl ShardedReader {
                 RawEventKind::Text if self.stack.is_empty() => {
                     let (whitespace, synthetic) = {
                         let a = self.active.as_ref().expect("active shard ensured");
-                        let v = a.shard.tape.view(
-                            i,
-                            SymbolRemap::with_names(self.seed_len, &a.remap, &a.cum_names),
-                        );
+                        let v = a
+                            .shard
+                            .tape
+                            .view(i, SymbolRemap::new(self.seed_len, &a.remap));
                         (v.is_whitespace_text(), v.is_text_synthetic())
                     };
                     if whitespace && !synthetic {
@@ -967,10 +888,10 @@ impl ShardedReader {
         match self.current {
             CurrentEvent::Synthetic(kind) => RawEventRef::bare(kind),
             CurrentEvent::Tape => match self.active.as_ref() {
-                Some(a) => a.shard.tape.view(
-                    a.cursor - 1,
-                    SymbolRemap::with_names(self.seed_len, &a.remap, &a.cum_names),
-                ),
+                Some(a) => a
+                    .shard
+                    .tape
+                    .view(a.cursor - 1, SymbolRemap::new(self.seed_len, &a.remap)),
                 // A terminal error already dropped the shard.
                 None => RawEventRef::bare(RawEventKind::EndDocument),
             },

@@ -91,10 +91,6 @@ pub(crate) fn parse_fragment(
     epoch: Stopwatch,
 ) -> ShardTape {
     debug_assert!(reader_config.fragment, "workers parse fragments");
-    debug_assert!(
-        reader_config.max_symbols.is_none(),
-        "sharding uses unbounded interners; bound memory by shard instead"
-    );
     let parse_started = epoch.elapsed_ns();
     let mut reader = XmlReader::with_symbols(chunk, reader_config.clone(), seed.clone());
     // Typical markup density: one event per ~20 bytes, payloads well under

@@ -24,9 +24,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Multiply-xor hasher for the name map. Element and attribute names are
 /// short (a word or two), and interning sits on the parser's per-tag hot
 /// path — SipHash's per-call setup costs more than hashing the whole name.
-/// Flood resistance is not a goal here: the bounded-interner mode already
-/// caps what adversarial input can make the table store, and a collision
-/// only costs a probe, not a correctness failure.
+/// Flood resistance is not a goal here: a reader that feeds validation is
+/// closed at the DTD's vocabulary, so adversarial input cannot make the
+/// table store new names, and a collision only costs a probe, not a
+/// correctness failure.
 #[derive(Default)]
 pub struct NameHasher {
     hash: u64,
@@ -94,11 +95,12 @@ impl SymbolTable {
     pub const TEXT: Symbol = Symbol(0);
     /// The pseudo-symbol for the virtual document node.
     pub const DOCUMENT: Symbol = Symbol(1);
-    /// Sentinel returned by [`SymbolTable::intern_bounded`] when the table
-    /// is at capacity. It is **not** an index into the table — callers that
-    /// may see it must carry the name out of band (the XML reader stores it
-    /// in the event's recycled buffers) and resolve through an
-    /// overflow-aware accessor instead of [`SymbolTable::name`].
+    /// Sentinel for a name the table does not hold and may not learn (a
+    /// closed reader's undeclared names). It is **not** an index into the
+    /// table — callers that may see it must carry the name out of band
+    /// (the XML reader stores it in the event's recycled buffers) and
+    /// resolve through an overflow-aware accessor instead of
+    /// [`SymbolTable::name`].
     pub const OVERFLOW: Symbol = Symbol(u32::MAX);
 
     /// Creates a table pre-populated with the pseudo-symbols.
@@ -124,26 +126,6 @@ impl SymbolTable {
         self.names.push(name.to_string());
         self.by_name.insert(name.to_string(), sym);
         sym
-    }
-
-    /// Interns `name` only while the table holds fewer than `cap` entries;
-    /// already-interned names always resolve. Returns
-    /// [`SymbolTable::OVERFLOW`] when the name is new and the table is
-    /// full.
-    ///
-    /// This is the capacity-capped mode for **unvalidated** streams: on
-    /// schema-validated input the name alphabet is fixed by the DTD, but an
-    /// adversarial raw stream can mint unboundedly many distinct names. A
-    /// cap restores a hard memory bound — the table stores at most `cap`
-    /// names, and overflowing names travel as per-event strings instead.
-    pub fn intern_bounded(&mut self, name: &str, cap: usize) -> Symbol {
-        if let Some(&sym) = self.by_name.get(name) {
-            return sym;
-        }
-        if self.names.len() >= cap {
-            return Self::OVERFLOW;
-        }
-        self.intern(name)
     }
 
     /// Looks up an already-interned name.
@@ -231,23 +213,6 @@ mod tests {
     fn lookup_missing() {
         let t = SymbolTable::new();
         assert_eq!(t.lookup("nope"), None);
-    }
-
-    #[test]
-    fn bounded_interning_caps_growth() {
-        let mut t = SymbolTable::new();
-        let a = t.intern("a");
-        // Cap at the current size: known names resolve, new names overflow.
-        let cap = t.len();
-        assert_eq!(t.intern_bounded("a", cap), a);
-        assert_eq!(t.intern_bounded("b", cap), SymbolTable::OVERFLOW);
-        assert_eq!(t.len(), cap, "overflow must not grow the table");
-        // With headroom the name interns normally.
-        let b = t.intern_bounded("b", cap + 1);
-        assert_ne!(b, SymbolTable::OVERFLOW);
-        assert_eq!(t.lookup("b"), Some(b));
-        // And the sentinel is never a valid index.
-        assert_eq!(SymbolTable::OVERFLOW.index(), u32::MAX as usize);
     }
 
     #[test]

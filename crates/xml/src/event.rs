@@ -133,17 +133,16 @@ pub enum RawEventKind {
 pub struct RawAttr {
     pub name: Symbol,
     /// The literal attribute name when `name` is
-    /// [`SymbolTable::OVERFLOW`] (the reader's bounded-interner mode
-    /// declined to intern it); empty otherwise. A recycled buffer, like
-    /// `value`.
+    /// [`SymbolTable::OVERFLOW`] (a closed reader's vocabulary lacks it);
+    /// empty otherwise. A recycled buffer, like `value`.
     pub overflow_name: String,
     pub value: String,
 }
 
 impl RawAttr {
-    /// The attribute name, resolving bounded-interner overflow. Use this
-    /// instead of `symbols.name(attr.name)` wherever a stream may run in
-    /// bounded mode.
+    /// The attribute name, resolving [`SymbolTable::OVERFLOW`]. Use this
+    /// instead of `symbols.name(attr.name)` wherever the source may be a
+    /// closed reader.
     pub fn name_str<'a>(&'a self, symbols: &'a SymbolTable) -> &'a str {
         if self.name == SymbolTable::OVERFLOW {
             &self.overflow_name
@@ -166,8 +165,8 @@ impl RawAttr {
 /// | `Text` | — | — | character data | — |
 /// | `DoctypeDecl` | — | — | internal subset | doctype name |
 ///
-/// ¹ Only in the reader's bounded-interner mode, when `name` is
-/// [`SymbolTable::OVERFLOW`]: the literal element name rides in `target`.
+/// ¹ Only from a closed reader, when `name` is [`SymbolTable::OVERFLOW`]:
+/// the literal element name rides in `target`.
 /// [`Self::name_str`] resolves either representation.
 ///
 /// Attribute value buffers beyond the live prefix are retained for reuse;
@@ -213,9 +212,9 @@ impl RawEvent {
         self.name
     }
 
-    /// The element name as text, resolving bounded-interner overflow
-    /// (where the literal name rides in the `target` buffer because the
-    /// interner was at capacity).
+    /// The element name as text, resolving [`SymbolTable::OVERFLOW`]
+    /// (where the literal name rides in the `target` buffer because a
+    /// closed reader's vocabulary lacks it).
     pub fn name_str<'a>(&'a self, symbols: &'a SymbolTable) -> &'a str {
         if self.name == SymbolTable::OVERFLOW {
             &self.target
@@ -299,7 +298,7 @@ impl RawEvent {
         &mut self.attrs[self.attrs_len - 1].value
     }
 
-    /// Appends an attribute whose name did not fit the bounded interner:
+    /// Appends an attribute whose name a closed reader's vocabulary lacks:
     /// the literal name is stored in the recycled `overflow_name` buffer
     /// and the symbol is [`SymbolTable::OVERFLOW`]. Returns the cleared
     /// value buffer to fill.
@@ -333,8 +332,8 @@ impl RawEvent {
 /// from the owning source ([`RawEvent`] buffers or a tape arena).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttrRef<'a> {
-    /// Interned attribute name ([`SymbolTable::OVERFLOW`] in the reader's
-    /// bounded-interner mode — resolve via [`AttrRef::name_str`]).
+    /// Interned attribute name ([`SymbolTable::OVERFLOW`] from a closed
+    /// reader — resolve via [`AttrRef::name_str`]).
     pub name: Symbol,
     /// The literal name when `name` is [`SymbolTable::OVERFLOW`]; empty
     /// otherwise.
@@ -344,7 +343,7 @@ pub struct AttrRef<'a> {
 }
 
 impl<'a> AttrRef<'a> {
-    /// The attribute name, resolving bounded-interner overflow.
+    /// The attribute name, resolving [`SymbolTable::OVERFLOW`].
     pub fn name_str(&self, symbols: &'a SymbolTable) -> &'a str {
         if self.name == SymbolTable::OVERFLOW {
             self.overflow_name
@@ -392,22 +391,10 @@ impl<'a> Iterator for AttrsIter<'a> {
                 attrs,
                 arena,
                 remap,
-            } => attrs.get(self.idx).map(|a| {
-                let name = remap.resolve(a.name);
-                // A translation may *introduce* OVERFLOW (bounded merged
-                // table); the literal spelling then comes from the remap's
-                // name list instead of the tape's overflow span.
-                let overflow_name =
-                    if name == SymbolTable::OVERFLOW && a.name != SymbolTable::OVERFLOW {
-                        remap.literal(a.name).unwrap_or("")
-                    } else {
-                        &arena[a.overflow.0..a.overflow.1]
-                    };
-                AttrRef {
-                    name,
-                    overflow_name,
-                    value: &arena[a.value.0..a.value.1],
-                }
+            } => attrs.get(self.idx).map(|a| AttrRef {
+                name: remap.resolve(a.name),
+                overflow_name: &arena[a.overflow.0..a.overflow.1],
+                value: &arena[a.value.0..a.value.1],
             }),
         };
         if let Some(attr) = literal {
@@ -432,8 +419,8 @@ impl<'a> Iterator for AttrsIter<'a> {
 /// fields only — passing a view around costs nothing.
 ///
 /// The field-per-kind table of [`RawEvent`] applies unchanged (including
-/// the bounded-interner convention that an overflow element's literal name
-/// rides in `target`).
+/// the convention that an overflow element's literal name rides in
+/// `target`).
 #[derive(Debug, Clone, Copy)]
 pub struct RawEventRef<'a> {
     kind: RawEventKind,
@@ -529,7 +516,7 @@ impl<'a> RawEventRef<'a> {
         self.name
     }
 
-    /// The element name as text, resolving bounded-interner overflow.
+    /// The element name as text, resolving [`SymbolTable::OVERFLOW`].
     pub fn name_str(&self, symbols: &'a SymbolTable) -> &'a str {
         if self.name == SymbolTable::OVERFLOW {
             self.target

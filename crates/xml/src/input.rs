@@ -406,10 +406,9 @@ impl Input {
     }
 
     /// The reader configuration of a run over this input: its window and
-    /// budget, plus the engine's interner cap.
-    pub fn reader_config(&self, max_symbols: Option<usize>) -> crate::ReaderConfig {
+    /// budget.
+    pub fn reader_config(&self) -> crate::ReaderConfig {
         crate::ReaderConfig {
-            max_symbols,
             window: self.window,
             budget: self.budget.clone(),
             ..Default::default()

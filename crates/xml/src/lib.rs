@@ -6,11 +6,11 @@
 //! memory-accounted arena document tree ([`Document`]).
 //!
 //! The reader never materialises the document; its memory use is bounded by
-//! the largest single token plus one interner entry per distinct name —
-//! schema-sized on validated streams. That property is load-bearing for the
-//! paper's claims: FluXQuery's buffer consumption is determined by the
-//! query and the DTD, not by the document size, and the parsing layer must
-//! not undermine that.
+//! the largest single token plus its interner, which a closed reader — the
+//! source of every sequential validated run — never grows past the DTD's
+//! vocabulary. That property is load-bearing for the paper's claims:
+//! FluXQuery's buffer consumption is determined by the query and the DTD,
+//! not by the document size, and the parsing layer must not undermine that.
 //!
 //! Every source speaks one pull protocol ([`EventSource`]):
 //! [`XmlReader::advance`] rewrites one recycled [`RawEvent`] in place, with

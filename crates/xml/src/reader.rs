@@ -2,13 +2,21 @@
 //!
 //! [`XmlReader`] turns a byte stream into a sequence of events without
 //! buffering the document: memory use is bounded by the largest single
-//! token **plus one interner entry per distinct element/attribute name**.
-//! On schema-validated streams the name alphabet is fixed by the DTD, so
-//! the bound is schema-sized — which is what makes the FluXQuery runtime's
-//! memory guarantees meaningful. Only when parsing arbitrary unvalidated
-//! input with unboundedly many *distinct* names does the interner grow with
-//! the document (the in-repo consumers of that mode — the DOM and
-//! projection baselines — materialise the document anyway).
+//! token plus the interner. A reader is one of two kinds, fixed by its
+//! constructor:
+//!
+//! * **closed** ([`XmlReader::closed`], the source of every sequential
+//!   validated run): the interner never grows past its seed — the DTD's
+//!   vocabulary — so memory is schema-sized, which is what makes the
+//!   FluXQuery runtime's memory guarantees meaningful. A name outside the
+//!   seed comes back as [`SymbolTable::OVERFLOW`] plus its literal
+//!   spelling;
+//! * **open** ([`XmlReader::new`], [`XmlReader::with_config`],
+//!   [`XmlReader::with_symbols`]): every name is interned on first sight,
+//!   so events never carry [`SymbolTable::OVERFLOW`] and the table grows
+//!   with the number of distinct names (the in-repo consumers — the DOM
+//!   and projection baselines, shard workers — hold the document or the
+//!   chunk anyway).
 //!
 //! There is one pull API, the borrowed view protocol shared with every
 //! other [`crate::EventSource`]: [`XmlReader::advance`] rewrites one
@@ -56,15 +64,6 @@ pub const MAX_DEPTH: usize = 10_000;
 /// are always parsed, checked and dropped: they never become events.
 #[derive(Debug, Clone)]
 pub struct ReaderConfig {
-    /// Cap on the number of distinct names the reader's interner may hold
-    /// (bounded-interner mode, default `None` = unbounded). Past the cap,
-    /// new names are **not** interned: events carry
-    /// [`SymbolTable::OVERFLOW`] plus the literal name in a recycled
-    /// buffer (see [`RawEvent::name_str`]). This restores a hard memory
-    /// bound when parsing adversarial unvalidated input whose distinct-name
-    /// count is unbounded; on schema-validated streams the alphabet is
-    /// fixed and the cap is never hit.
-    pub max_symbols: Option<usize>,
     /// Parse a document *fragment* rather than a whole document (default:
     /// false). A fragment is a slice of a well-formed document starting at
     /// a tag boundary, as produced by `flux_shard`'s chunk splitter:
@@ -89,7 +88,6 @@ pub struct ReaderConfig {
 impl Default for ReaderConfig {
     fn default() -> Self {
         ReaderConfig {
-            max_symbols: None,
             fragment: false,
             window: crate::input::DEFAULT_WINDOW,
             budget: None,
@@ -145,7 +143,9 @@ struct ReaderCore<R: Read> {
     /// still needed (CDATA runs, PI data, the internal DTD subset).
     aux: Vec<u8>,
     /// Literal names of open elements whose symbol is
-    /// [`SymbolTable::OVERFLOW`] (bounded-interner mode), innermost last.
+    /// [`SymbolTable::OVERFLOW`] (a closed reader's undeclared names, and
+    /// every element a hop opens), innermost last. Each OVERFLOW on
+    /// `stack` has its name here: both are pushed and popped together.
     overflow_stack: Vec<String>,
     /// Spare overflow-name buffers recycled from closed elements.
     spare_overflow: Vec<String>,
@@ -204,8 +204,7 @@ const KEYED_NAME: usize = 16;
 /// Tag-name interning for a schema-sized alphabet. A name of up to 16
 /// bytes is keyed by its bytes as one zero-padded `u128` read from the
 /// window, so a cache lookup or an end tag's match against its open
-/// element is one integer compare — no hash, no `memcmp`. Unused in
-/// bounded-interner mode, so it never models overflow.
+/// element is one integer compare — no hash, no `memcmp`.
 struct NameCache {
     /// `(key, length, symbol)` by `(first byte ^ length) % WAYS`; length 0
     /// is an empty way.
@@ -213,9 +212,10 @@ struct NameCache {
     /// `(key, length)` of every symbol interned through the cache, by
     /// symbol index.
     keys: Vec<(u128, usize)>,
-    /// Set while [`XmlReader::skip_subtree`] hops a subtree: a name the
-    /// table does not hold comes back as [`SymbolTable::OVERFLOW`] instead
-    /// of growing it, so unread regions cannot grow the table.
+    /// Set for a closed reader's whole life, and for an open reader while
+    /// [`XmlReader::skip_subtree`] hops a subtree: a name the table does
+    /// not hold comes back as [`SymbolTable::OVERFLOW`] instead of growing
+    /// it, so neither a closed reader nor an unread region grows the table.
     frozen: bool,
 }
 
@@ -230,18 +230,8 @@ impl NameCache {
 
     /// Interns `name`, whose key is `key` (see [`Tag::key`]).
     #[inline]
-    fn intern(
-        &mut self,
-        symbols: &mut SymbolTable,
-        max_symbols: Option<usize>,
-        name: &str,
-        key: u128,
-    ) -> Symbol {
+    fn intern(&mut self, symbols: &mut SymbolTable, name: &str, key: u128) -> Symbol {
         let len = name.len();
-        if let Some(cap) = max_symbols {
-            let cap = if self.frozen { symbols.len() } else { cap };
-            return symbols.intern_bounded(name, cap);
-        }
         if len > KEYED_NAME {
             return self.fresh(symbols, name);
         }
@@ -277,6 +267,20 @@ impl NameCache {
     #[inline]
     fn is(&self, sym: Symbol, key: u128, len: usize) -> bool {
         len <= KEYED_NAME && self.keys.get(sym.index()) == Some(&(key, len))
+    }
+}
+
+/// The name of `open`, the innermost open element: its symbol's, or for
+/// [`SymbolTable::OVERFLOW`] the literal atop `overflow_stack` —
+/// [`SymbolTable::UNRESOLVED_NAME`] if that stack were ever out of step,
+/// like [`SymbolTable::name`], rather than a panic. Takes the two fields,
+/// not the core, so the scanner stays free to borrow.
+fn open_name<'a>(symbols: &'a SymbolTable, overflow_stack: &'a [String], open: Symbol) -> &'a str {
+    match open {
+        SymbolTable::OVERFLOW => overflow_stack
+            .last()
+            .map_or(SymbolTable::UNRESOLVED_NAME, String::as_str),
+        open => symbols.name(open),
     }
 }
 
@@ -387,11 +391,11 @@ impl<R: Read> XmlReader<R> {
         Self::with_symbols(src, config, SymbolTable::new())
     }
 
-    /// Creates a reader whose name interner is seeded with `symbols`.
+    /// Creates an open reader whose name interner is seeded with
+    /// `symbols`: names not in the seed are interned on first sight.
     ///
     /// Cloning a schema's table into the reader makes stream symbols
-    /// directly comparable with schema symbols (clones preserve indices);
-    /// names not in the seed are interned on first sight.
+    /// directly comparable with schema symbols (clones preserve indices).
     pub fn with_symbols(src: R, config: ReaderConfig, symbols: SymbolTable) -> Self {
         let scanner = Scanner::with_window(src, config.window, config.budget.clone());
         XmlReader {
@@ -412,6 +416,17 @@ impl<R: Read> XmlReader<R> {
             },
             current: RawEvent::new(),
         }
+    }
+
+    /// Creates a closed reader over the vocabulary `symbols`: the table
+    /// never grows, and a name it does not hold comes back as
+    /// [`SymbolTable::OVERFLOW`] plus its literal spelling
+    /// ([`RawEvent::name_str`]). Memory stays bounded by the seed however
+    /// many distinct names the input mints.
+    pub fn closed(src: R, config: ReaderConfig, symbols: SymbolTable) -> Self {
+        let mut reader = Self::with_symbols(src, config, symbols);
+        reader.core.names.frozen = true;
+        reader
     }
 
     /// The name interner: maps the [`Symbol`]s in raw events back to names.
@@ -481,9 +496,9 @@ impl<R: Read> XmlReader<R> {
         let core = &mut self.core;
         let from = core.scanner.offset();
         if core.pending_end.is_none() {
-            core.names.frozen = true;
+            let frozen = std::mem::replace(&mut core.names.frozen, true);
             let hopped = core.hop_subtree(&mut self.current);
-            core.names.frozen = false;
+            core.names.frozen = frozen;
             hopped?;
         }
         core.fill_event(&mut self.current)?;
@@ -503,6 +518,9 @@ impl<R: Read> XmlReader<R> {
     pub fn view(&self) -> RawEventRef<'_> {
         let v = RawEventRef::from_event(&self.current);
         match self.core.borrowed_text {
+            // Cannot fire: `parse_text` sets the range only after
+            // `Scanner::text` accepted it, and the window is untouched
+            // until the next advance.
             Some(range) => v.with_text(
                 self.core
                     .scanner
@@ -602,8 +620,8 @@ impl<R: Read> ReaderCore<R> {
             ev.reset(RawEventKind::EndElement);
             ev.set_name(name);
             if name == SymbolTable::OVERFLOW {
-                let open = self.overflow_stack.last().expect("overflow name on stack");
-                ev.target_mut().push_str(open);
+                ev.target_mut()
+                    .push_str(open_name(&self.symbols, &self.overflow_stack, name));
             }
             self.leave_element();
             return Ok(());
@@ -913,15 +931,12 @@ impl<R: Read> ReaderCore<R> {
         let Some(element) = tag.str(1, i) else {
             return Err(self.bad_utf8(i));
         };
-        let max_symbols = self.config.max_symbols;
         let key = tag.key(1, i);
-        let name = self
-            .names
-            .intern(&mut self.symbols, max_symbols, element, key);
+        let name = self.names.intern(&mut self.symbols, element, key);
         ev.reset(RawEventKind::StartElement);
         ev.set_name(name);
         if name == SymbolTable::OVERFLOW {
-            // Bounded-interner overflow: the literal name rides in the
+            // A name the closed vocabulary lacks: the literal rides in the
             // event's target buffer and on the overflow stack.
             ev.target_mut().push_str(element);
         }
@@ -954,7 +969,7 @@ impl<R: Read> ReaderCore<R> {
                         return Err(self.bad_utf8(name_end));
                     };
                     let key = tag.key(i, name_end);
-                    let attr_name = self.names.intern(&mut self.symbols, max_symbols, attr, key);
+                    let attr_name = self.names.intern(&mut self.symbols, attr, key);
                     i = tag.space_end(name_end);
                     match tag.at(i) {
                         Some(b'=') => i = tag.space_end(i + 1),
@@ -980,6 +995,10 @@ impl<R: Read> ReaderCore<R> {
                     if dirty && raw.contains('<') {
                         return Err(self.wf(i, "`<` is not allowed in attribute values"));
                     }
+                    let duplicate = ev.attributes().iter().any(|a| {
+                        a.name == attr_name
+                            && (attr_name != SymbolTable::OVERFLOW || a.overflow_name == attr)
+                    });
                     let slot = if attr_name == SymbolTable::OVERFLOW {
                         ev.push_attr_named(attr)
                     } else {
@@ -989,13 +1008,6 @@ impl<R: Read> ReaderCore<R> {
                         true => unescape_into(raw, self.scanner.position_at(i), slot)?,
                         false => slot.push_str(raw),
                     }
-                    let (new, before) =
-                        ev.attributes().split_last().expect("attribute just pushed");
-                    let duplicate = before.iter().any(|a| {
-                        a.name == new.name
-                            && (new.name != SymbolTable::OVERFLOW
-                                || a.overflow_name == new.overflow_name)
-                    });
                     if duplicate {
                         return Err(self.wf(i, format!("duplicate attribute `{attr}`")));
                     }
@@ -1054,8 +1066,7 @@ impl<R: Read> ReaderCore<R> {
                 let Some(found) = tag.str(2, name_end) else {
                     return Err(self.bad_utf8(name_end));
                 };
-                let max = self.config.max_symbols;
-                let name = self.names.intern(&mut self.symbols, max, found, key);
+                let name = self.names.intern(&mut self.symbols, found, key);
                 (name, found)
             }
         };
@@ -1071,15 +1082,11 @@ impl<R: Read> ReaderCore<R> {
                 ev.set_name(open);
                 if open == SymbolTable::OVERFLOW {
                     ev.target_mut()
-                        .push_str(self.overflow_stack.last().expect("overflow name on stack"));
+                        .push_str(open_name(&self.symbols, &self.overflow_stack, open));
                 }
             }
             Some(open) => {
-                let open_name = if open == SymbolTable::OVERFLOW {
-                    self.overflow_stack.last().expect("overflow name on stack")
-                } else {
-                    self.symbols.name(open)
-                };
+                let open_name = open_name(&self.symbols, &self.overflow_stack, open);
                 return Err(self.wf(
                     gt + 1,
                     format!("mismatched end tag: expected </{open_name}>, found </{found}>"),
@@ -1133,9 +1140,10 @@ impl<R: Read> ReaderCore<R> {
     #[inline(always)]
     fn leave_element(&mut self) {
         if self.stack.pop() == Some(SymbolTable::OVERFLOW) {
-            let mut owned = self.overflow_stack.pop().expect("overflow name on stack");
-            owned.clear();
-            self.spare_overflow.push(owned);
+            if let Some(mut owned) = self.overflow_stack.pop() {
+                owned.clear();
+                self.spare_overflow.push(owned);
+            }
         }
         if self.stack.is_empty() && self.state == State::InRoot && !self.config.fragment {
             self.state = State::Epilog;
@@ -1235,10 +1243,7 @@ impl<R: Read> ReaderCore<R> {
     /// also reports the mismatches.
     fn hop_end_tag(&mut self, ev: &mut RawEvent) -> Result<()> {
         let open = match self.stack.last() {
-            Some(&SymbolTable::OVERFLOW) => {
-                self.overflow_stack.last().expect("overflow name on stack")
-            }
-            Some(&open) => self.symbols.name(open),
+            Some(&open) => open_name(&self.symbols, &self.overflow_stack, open),
             None => return self.parse_end_tag(ev),
         };
         let gt = 2 + open.len();
@@ -1620,18 +1625,34 @@ mod tests {
         );
     }
 
-    // ----- bounded-interner mode -----
+    // ----- closed readers -----
 
-    /// Parses with a symbol cap and re-serialises the views, checking output identity and that the table stayed capped.
-    fn bounded_round_trip(doc: &str, cap: usize) -> (String, usize) {
+    /// A seed table holding `vocabulary`.
+    fn vocabulary(names: &[&str]) -> SymbolTable {
+        let mut table = SymbolTable::new();
+        for name in names {
+            table.intern(name);
+        }
+        table
+    }
+
+    /// Drains a closed reader over `names`: the delivered prefix and the
+    /// terminal error, if any.
+    fn closed_events(input: &str, names: &[&str]) -> (Vec<XmlEvent>, Option<XmlError>) {
+        let seed = vocabulary(names);
+        collect_events(&mut XmlReader::closed(
+            input.as_bytes(),
+            ReaderConfig::default(),
+            seed,
+        ))
+    }
+
+    /// Parses with a closed reader over `names` and re-serialises the
+    /// views: the output and the final table size.
+    fn closed_round_trip(doc: &str, names: &[&str]) -> (String, usize) {
         use crate::writer::XmlWriter;
-        let mut reader = XmlReader::with_config(
-            doc.as_bytes(),
-            ReaderConfig {
-                max_symbols: Some(cap),
-                ..ReaderConfig::default()
-            },
-        );
+        let seed = vocabulary(names);
+        let mut reader = XmlReader::closed(doc.as_bytes(), ReaderConfig::default(), seed);
         let mut writer = XmlWriter::new(Vec::new());
         while reader.advance().unwrap() {
             writer
@@ -1645,24 +1666,18 @@ mod tests {
 
     #[test]
     fn bounded_interner_caps_table_and_preserves_output() {
-        // 2 pseudo-symbols + cap 4 ⇒ only `a` and `b` intern; `c`, `d` and
-        // the attribute names overflow to per-event strings.
+        // 2 pseudo-symbols + `a` and `b`; `c`, `d` and the attribute names
+        // overflow to per-event strings.
         let doc = r#"<a><b/><c x="1" y="2">t</c><d><c/></d></a>"#;
-        let (out, len) = bounded_round_trip(doc, 4);
+        let (out, len) = closed_round_trip(doc, &["a", "b"]);
         assert_eq!(out, r#"<a><b></b><c x="1" y="2">t</c><d><c></c></d></a>"#);
-        assert_eq!(len, 4, "table must not grow past the cap");
+        assert_eq!(len, 4, "a closed table must not grow");
     }
 
     #[test]
     fn bounded_interner_distinguishes_overflow_names() {
         // Mismatched tags must still be detected when both names overflow.
-        let (_, err) = events_with(
-            "<a><b><uno></dos></b></a>",
-            ReaderConfig {
-                max_symbols: Some(4),
-                ..ReaderConfig::default()
-            },
-        );
+        let (_, err) = closed_events("<a><b><uno></dos></b></a>", &["a", "b"]);
         let err = err.expect("expected mismatch error");
         assert!(
             err.to_string().contains("expected </uno>, found </dos>"),
@@ -1672,23 +1687,22 @@ mod tests {
 
     #[test]
     fn bounded_interner_duplicate_overflow_attrs_rejected() {
-        let (_, err) = events_with(
-            r#"<a zzz="1" zzz="2"/>"#,
-            ReaderConfig {
-                max_symbols: Some(3),
-                ..ReaderConfig::default()
-            },
-        );
+        let (_, err) = closed_events(r#"<a zzz="1" zzz="2"/>"#, &["a"]);
         let err = err.expect("expected duplicate error");
         assert!(err.to_string().contains("duplicate attribute"), "{err}");
+        let (_, err) = closed_events(r#"<a zzz="1" zzy="2"/>"#, &["a"]);
+        assert!(err.is_none(), "distinct overflowed names: {err:?}");
     }
 
     #[test]
     fn bounded_interner_matches_unbounded_output() {
         let doc = "<root><x1 a=\"v\"><y>text</y></x1><x2/><x1/></root>";
-        let (bounded, _) = bounded_round_trip(doc, 2);
-        let (unbounded, _) = bounded_round_trip(doc, usize::MAX);
-        assert_eq!(bounded, unbounded);
+        let (closed, len) = closed_round_trip(doc, &[]);
+        assert_eq!(len, 2, "an empty vocabulary stays empty");
+        let (open, _) = events_with(doc, ReaderConfig::default());
+        let (closed_events, _) = closed_events(doc, &[]);
+        assert_eq!(closed_events, open);
+        assert!(closed.starts_with("<root><x1 a=\"v\">"), "{closed}");
     }
 
     // ----- fragment mode -----

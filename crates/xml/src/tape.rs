@@ -33,35 +33,11 @@ use flux_symbols::{Symbol, SymbolTable};
 pub struct SymbolRemap<'a> {
     seed_len: usize,
     remap: &'a [Symbol],
-    /// Literal spellings behind `remap`, index-aligned. Consulted when a
-    /// translation *introduces* [`SymbolTable::OVERFLOW`] — a bounded
-    /// merged table declined to intern the shard-local name — so views can
-    /// still hand out the literal name through the event side channel.
-    names: &'a [String],
 }
 
 impl<'a> SymbolRemap<'a> {
     pub fn new(seed_len: usize, remap: &'a [Symbol]) -> SymbolRemap<'a> {
-        SymbolRemap {
-            seed_len,
-            remap,
-            names: &[],
-        }
-    }
-
-    /// A translation that can also resolve the literal spelling of symbols
-    /// the merged table overflowed (`names` must be index-aligned with
-    /// `remap`).
-    pub fn with_names(
-        seed_len: usize,
-        remap: &'a [Symbol],
-        names: &'a [String],
-    ) -> SymbolRemap<'a> {
-        SymbolRemap {
-            seed_len,
-            remap,
-            names,
-        }
+        SymbolRemap { seed_len, remap }
     }
 
     /// The identity translation, for tapes recorded against the consumer's
@@ -70,7 +46,6 @@ impl<'a> SymbolRemap<'a> {
         SymbolRemap {
             seed_len: usize::MAX,
             remap: &[],
-            names: &[],
         }
     }
 
@@ -80,18 +55,6 @@ impl<'a> SymbolRemap<'a> {
         } else {
             self.remap[sym.index() - self.seed_len]
         }
-    }
-
-    /// The literal spelling of a tape-local symbol past the seed prefix,
-    /// when the translation was built with names (see
-    /// [`SymbolRemap::with_names`]).
-    pub fn literal(&self, sym: Symbol) -> Option<&'a str> {
-        if sym == SymbolTable::OVERFLOW || sym.index() < self.seed_len {
-            return None;
-        }
-        self.names
-            .get(sym.index() - self.seed_len)
-            .map(String::as_str)
     }
 }
 
@@ -238,25 +201,13 @@ impl EventTape {
     }
 
     /// A zero-copy view of event `i`, names translated through `remap`.
-    ///
-    /// When the translation maps an element's tape-local symbol to
-    /// [`SymbolTable::OVERFLOW`] (bounded merged table), the literal name
-    /// is served through the event's side channel (`target`, the
-    /// `name_str` convention) so no consumer ever loses the spelling.
     pub fn view<'a>(&'a self, i: usize, remap: SymbolRemap<'a>) -> RawEventRef<'a> {
         let e = &self.events[i];
-        let name = remap.resolve(e.name);
-        let mut target = &self.arena[e.target.0..e.target.1];
-        if name == SymbolTable::OVERFLOW && e.name != SymbolTable::OVERFLOW {
-            if let Some(literal) = remap.literal(e.name) {
-                target = literal;
-            }
-        }
         RawEventRef::from_tape(
             e.kind,
-            name,
+            remap.resolve(e.name),
             &self.arena[e.text.0..e.text.1],
-            target,
+            &self.arena[e.target.0..e.target.1],
             e.has_internal_subset,
             e.text_synthetic,
             &self.attrs[e.attrs.0..e.attrs.1],

@@ -13,7 +13,7 @@
 //! shares that table's index space: importing a stream event's name is a
 //! plain integer copy ([`Document::import_name`]), no hashing and no
 //! allocation. Names the seed does not cover — including
-//! [`SymbolTable::OVERFLOW`] names from a bounded-interner stream, whose
+//! [`SymbolTable::OVERFLOW`] names from a closed reader, whose
 //! literal spelling rides the event's side channel — are interned into the
 //! document's own (unbounded) table, so a tree never stores the sentinel.
 
@@ -198,7 +198,7 @@ impl Document {
     ///   integer copy, the hot path for schema-validated streams.
     /// * A stream symbol past the prefix re-interns by name (hash lookup,
     ///   allocation only on first sight).
-    /// * [`SymbolTable::OVERFLOW`] (bounded-interner streams) resolves via
+    /// * [`SymbolTable::OVERFLOW`] (a closed reader's unknown name) resolves via
     ///   `literal`, the event's literal-name side channel — the tree never
     ///   stores the sentinel, so buffering an overflowed name can neither
     ///   panic nor misname the node.

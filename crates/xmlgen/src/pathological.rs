@@ -10,8 +10,8 @@
 //! * [`text_heavy_string`] — text-dominated bytes with entities sprinkled
 //!   in (scanner `read_until` runs, unescaping, text-run coalescing);
 //! * [`mint_string`] — a **name-minting adversary**: the distinct-name
-//!   vocabulary grows with the document, which is exactly the input the
-//!   bounded interner (`max_symbols`) exists for.
+//!   vocabulary grows with the document, which is exactly the input a
+//!   reader closed at the DTD's vocabulary exists for.
 //!
 //! The attribute/text/mint shapes stay valid under the paper's weak DTD
 //! (`book (title|author)*`; undeclared *attributes* are permitted), so all
@@ -196,9 +196,9 @@ impl MintConfig {
 
 /// The name-minting adversary: a weak-DTD-valid bibliography where every
 /// book carries attributes whose names are **globally unique** — the
-/// distinct-name vocabulary grows linearly with the document, so an
-/// unbounded interner's table does too. Under `max_symbols` the table
-/// stops growing and minted names travel as overflow + literal spelling;
+/// distinct-name vocabulary grows linearly with the document, so an open
+/// reader's table does too. A closed reader's table stays at the DTD's
+/// vocabulary and minted names travel as overflow + literal spelling;
 /// nothing observable may change.
 pub fn mint_string(config: &MintConfig) -> String {
     let mut rng = SmallRng::seed_from_u64(config.seed);

@@ -8,9 +8,9 @@
 //! resolved against the *stream's* symbol table exactly once, so steady
 //! state evaluation compares interned integers instead of hashing label
 //! strings on every step of every firing. Names the compile-time table
-//! does not know (bounded-interner `OVERFLOW` spellings, labels outside
-//! the DTD) keep their literal spelling and fall back to one table lookup
-//! per cursor — the same contract BDF descent uses.
+//! does not know (labels outside the DTD, such as an undeclared attribute
+//! a closed reader delivers as `OVERFLOW`) keep their literal spelling
+//! and fall back to one table lookup per cursor.
 
 use crate::ast::*;
 use crate::error::{Result, XQueryError};

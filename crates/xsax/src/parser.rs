@@ -39,10 +39,12 @@ pub fn seeded_symbols(dtd: &Dtd) -> SymbolTable {
 }
 
 /// The sequential source of a validated run: an [`XmlReader`] over `src`
-/// whose interner is seeded with [`seeded_symbols`], so it can feed
-/// [`XsaxParser::from_source`].
+/// closed at [`seeded_symbols`], so it can feed
+/// [`XsaxParser::from_source`] and never grows its interner — a name the
+/// DTD does not declare arrives as [`SymbolTable::OVERFLOW`] plus its
+/// spelling (rejected here for elements, carried for attributes).
 pub fn seeded_reader<R: Read>(src: R, dtd: &Dtd, config: ReaderConfig) -> XmlReader<R> {
-    XmlReader::with_symbols(src, config, seeded_symbols(dtd))
+    XmlReader::closed(src, config, seeded_symbols(dtd))
 }
 
 /// Configuration for [`XsaxParser`]. Whitespace-only text inside
@@ -153,9 +155,9 @@ impl<'d, R: Read> XsaxParser<'d, XmlReader<R>> {
 
     /// [`XsaxParser::new`] with `config`, over a default-configured reader.
     pub fn with_config(src: R, dtd: &'d Dtd, config: XsaxConfig) -> Result<Self> {
-        // Seed the reader's interner with the DTD's table (plus attlist
-        // names): clones preserve indices, so stream symbols coincide with
-        // schema symbols and attribute validation is symbol equality too.
+        // Close the reader at the DTD's table (plus attlist names): clones
+        // preserve indices, so stream symbols coincide with schema symbols
+        // and attribute validation is symbol equality too.
         let reader = seeded_reader(src, dtd, ReaderConfig::default());
         Self::from_source(reader, dtd, config)
     }

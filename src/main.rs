@@ -6,8 +6,7 @@
 //!
 //! Options:
 //!   --query <FILE|STRING>   query file, or inline text when no such file exists
-//!   --dtd <FILE|STRING>     DTD or XML Schema (auto-detected), as a file or
-//!                           inline text
+//!   --dtd <FILE|STRING>     DTD, as a file or inline text
 //!   --input <FILE|->        input document; `-` reads stdin (the default).
 //!                           `.gz` files are decompressed transparently
 //!   --output <FILE>         result stream (default: stdout)

@@ -1,18 +1,17 @@
-//! Property-based proof that the bounded interner is **observationally
-//! invisible**: capping `max_symbols` restores a hard memory bound on the
-//! name tables, and must change *nothing* a query can observe — not the
-//! output bytes, not the buffer accounting, not an error, not a position.
+//! The closed vocabulary is **observationally invisible**: a sequential
+//! FluX run reads through a reader closed at the DTD's vocabulary (its
+//! name table never grows), a sharded one through open shard readers, and
+//! the baselines through open readers — and nothing a query can observe
+//! may differ: not the output bytes, not the buffer accounting, not an
+//! error, not a position.
 //!
-//! Exercised across all three engine architectures (FluX streaming,
-//! projection, DOM) and, for FluX, across sequential and sharded parsing
-//! (shard counts 1 and 2, where the *merged* table is the bounded one).
 //! The generated documents deliberately carry many distinct undeclared
-//! attribute names, so a tiny cap genuinely overflows: query-relevant
-//! names then travel as `OVERFLOW` + literal spelling through buffering,
-//! projection descent and serialisation.
+//! attribute names, so the closed reader genuinely overflows: those names
+//! travel as `OVERFLOW` + literal spelling through buffering and
+//! serialisation.
 
 use flux_conformance::{options, run_engine_with};
-use fluxquery::{EngineKind, Parallelism, RunStats, PAPER_WEAK_DTD};
+use fluxquery::{EngineKind, Parallelism, RunStats, PAPER_FIG1_DTD, PAPER_WEAK_DTD};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -23,8 +22,8 @@ const FILTER: &str =
 
 /// A weak-DTD-valid bibliography whose elements carry undeclared
 /// attributes with a wide name vocabulary — the part of the alphabet a
-/// tiny interner cap overflows (declared names are pre-seeded from the
-/// DTD and always resolve).
+/// closed reader overflows (declared names are seeded from the DTD and
+/// always resolve).
 fn noisy_doc(books: usize, seed: u64) -> String {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut doc = String::from("<bib>");
@@ -91,124 +90,112 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// For every engine and shard count, a tiny interner cap leaves the
-    /// output bytes and the run statistics byte-for-byte identical to the
-    /// unbounded run.
+    /// Every engine and shard count prints the bytes, and FluX keeps the
+    /// statistics, of the sequential FluX run over a closed reader.
     #[test]
     fn bounded_interner_never_changes_results(
         seed in 0u64..10_000,
         books in 1usize..24,
-        cap in 0usize..6,
         query_pick in 0usize..2,
     ) {
         let doc = noisy_doc(books, seed);
         let query = if query_pick == 0 { Q3 } else { FILTER };
+        let closed = run_engine_with(
+            EngineKind::Flux, query, PAPER_WEAK_DTD, doc.as_bytes(),
+            &options(Parallelism::Sequential),
+        ).unwrap_or_else(|e| panic!("flux failed: {e}"));
         for (label, kind, parallelism) in configurations() {
-            let unbounded = run_engine_with(
-                kind, query, PAPER_WEAK_DTD, doc.as_bytes(), &options(parallelism, None),
-            ).unwrap_or_else(|e| panic!("{label} unbounded failed: {e}"));
-            let bounded = run_engine_with(
-                kind, query, PAPER_WEAK_DTD, doc.as_bytes(), &options(parallelism, Some(cap)),
-            ).unwrap_or_else(|e| panic!("{label} cap={cap} failed: {e}"));
+            let open = run_engine_with(
+                kind, query, PAPER_WEAK_DTD, doc.as_bytes(), &options(parallelism),
+            ).unwrap_or_else(|e| panic!("{label} failed: {e}"));
             prop_assert_eq!(
-                &bounded.output, &unbounded.output,
-                "{} output changed under max_symbols={} (seed {}, books {})",
-                label, cap, seed, books
+                &open.output, &closed.output,
+                "{} output differs from the closed run (seed {}, books {})",
+                label, seed, books
             );
-            prop_assert_eq!(
-                verdict(&bounded.stats), verdict(&unbounded.stats),
-                "{} stats changed under max_symbols={} (seed {}, books {})",
-                label, cap, seed, books
-            );
+            if kind == EngineKind::Flux {
+                prop_assert_eq!(
+                    verdict(&open.stats), verdict(&closed.stats),
+                    "{} stats differ from the closed run (seed {}, books {})",
+                    label, seed, books
+                );
+            }
         }
     }
 }
 
-/// Errors are part of the observable behaviour too: an invalid document
-/// must fail with the *same* rendered error whether or not the interner is
-/// bounded, sequentially and sharded.
+/// Errors are part of the observable behaviour too: a document with an
+/// undeclared element fails with the *same* rendered error through the
+/// closed sequential reader and the open shard readers.
 #[test]
 fn bounded_interner_preserves_errors() {
     // `pamphlet` is not declared in the weak DTD: validation rejects it at
-    // the same position in every configuration.
+    // the same position in every FluX configuration.
     let doc = "<bib><book><title>T</title></book><pamphlet/></bib>";
-    for (label, kind, parallelism) in configurations() {
-        let unbounded = run_engine_with(
-            kind,
-            Q3,
-            PAPER_WEAK_DTD,
-            doc.as_bytes(),
-            &options(parallelism, None),
-        );
-        let bounded = run_engine_with(
-            kind,
-            Q3,
-            PAPER_WEAK_DTD,
-            doc.as_bytes(),
-            &options(parallelism, Some(0)),
-        );
-        match (unbounded, bounded) {
-            (Err(u), Err(b)) => {
-                assert_eq!(
-                    u.to_string(),
-                    b.to_string(),
-                    "{label} error message changed"
-                );
-            }
-            // The baselines do not validate; both modes must then succeed
-            // with identical output.
-            (Ok(u), Ok(b)) => assert_eq!(u.output, b.output, "{label} output changed"),
-            (u, b) => panic!(
-                "{label} verdict changed under the bounded interner: unbounded {:?}, bounded {:?}",
-                u.map(|o| o.output).map_err(|e| e.to_string()),
-                b.map(|o| o.output).map_err(|e| e.to_string()),
-            ),
-        }
-    }
-}
-
-/// A document with mismatched tags whose names all overflow a zero cap:
-/// errors must keep their exact sequential message and position under
-/// sharding + bounding. In particular, two overflowed names must *not*
-/// balance just because both carry the sentinel — the non-validating
-/// engines reach the mismatch and must name both tags; the FluX engine
-/// rejects the undeclared element first, with the same message in every
-/// configuration.
-#[test]
-fn overflowed_tag_mismatch_still_detected() {
-    let doc = "<bib><book><zzfirst>x</zzsecond></book></bib>";
     let mut flux_errors = Vec::new();
     for (label, kind, parallelism) in configurations() {
-        let bounded = run_engine_with(
+        let run = run_engine_with(
             kind,
             Q3,
             PAPER_WEAK_DTD,
             doc.as_bytes(),
-            &options(parallelism, Some(0)),
+            &options(parallelism),
         );
-        let unbounded = run_engine_with(
-            kind,
-            Q3,
-            PAPER_WEAK_DTD,
-            doc.as_bytes(),
-            &options(parallelism, None),
-        );
-        let err = bounded.err().expect("the document must fail").to_string();
-        let err_unbounded = unbounded.err().expect("the document must fail").to_string();
-        assert_eq!(err, err_unbounded, "{label}: bounding changed the error");
         match kind {
-            EngineKind::Flux => flux_errors.push(err),
-            // DOM and projection do not validate: they stream up to the
-            // well-formedness flaw and must name both overflowed tags.
-            _ => assert!(
-                err.contains("zzfirst") && err.contains("zzsecond"),
-                "{label}: error must name both tags: {err}"
-            ),
+            EngineKind::Flux => {
+                flux_errors.push(run.err().expect("flux validates").to_string());
+            }
+            // The baselines do not validate.
+            _ => assert!(run.is_ok(), "{label}: {:?}", run.err()),
         }
     }
-    // FluX sequential and both shard counts agree byte-for-byte.
+    assert!(
+        flux_errors[0].contains("element `pamphlet` is not declared in the DTD"),
+        "{}",
+        flux_errors[0]
+    );
     assert_eq!(flux_errors[0], flux_errors[1]);
     assert_eq!(flux_errors[0], flux_errors[2]);
+}
+
+/// Mismatched tags whose names the DTD does not declare: two names a
+/// closed reader overflows must *not* balance just because both carry the
+/// sentinel. In a delivered region the FluX engine rejects the undeclared
+/// element first; inside a region the plan skips — where nothing is
+/// validated — it reaches the mismatch and names both tags, like the
+/// non-validating engines. Every message is identical across the closed
+/// sequential and the open sharded runs.
+#[test]
+fn overflowed_tag_mismatch_still_detected() {
+    let delivered = "<bib><book><zzfirst>x</zzsecond></book></bib>";
+    // Figure 1's `publisher` is read by no handler of Q3: its content is
+    // skipped, so the mismatch is reached, not the undeclared name.
+    let skipped = "<bib><book><title>T</title><author>A</author>\
+                   <publisher><zzfirst>x</zzsecond></publisher><price>1</price></book></bib>";
+    for (doc, dtd) in [(delivered, PAPER_WEAK_DTD), (skipped, PAPER_FIG1_DTD)] {
+        let mut flux_errors = Vec::new();
+        for (label, kind, parallelism) in configurations() {
+            let run = run_engine_with(kind, Q3, dtd, doc.as_bytes(), &options(parallelism));
+            let err = run.err().expect("the document must fail").to_string();
+            match kind {
+                EngineKind::Flux => flux_errors.push(err),
+                _ => assert!(
+                    err.contains("expected </zzfirst>, found </zzsecond>"),
+                    "{label}: error must name both tags: {err}"
+                ),
+            }
+        }
+        if doc == skipped {
+            assert!(
+                flux_errors[0].contains("expected </zzfirst>, found </zzsecond>"),
+                "{}",
+                flux_errors[0]
+            );
+        }
+        // FluX sequential and both shard counts agree byte-for-byte.
+        assert_eq!(flux_errors[0], flux_errors[1]);
+        assert_eq!(flux_errors[0], flux_errors[2]);
+    }
 }
 
 /// Names inside a subtree no frame reads never reach the interner: the
@@ -216,12 +203,14 @@ fn overflowed_tag_mismatch_still_detected() {
 /// parse there (here: every tag with an attribute) look names up without
 /// interning them. 10 000 distinct undeclared element and attribute names
 /// inside `people` leave the symbol table exactly as long as the DTD
-/// seeded it, capped or not — while a plain read of the same document
-/// interns every one of them.
+/// seeded it — and so does a plain read through the closed reader, while
+/// an open reader over the same document interns every one of them.
 #[test]
 fn skipped_regions_do_not_grow_the_interner() {
     use fluxquery::runtime::{compile_plan, execute};
-    use fluxquery::xml::{EventSource, Position, RawEventKind, RawEventRef, ReaderConfig, Result};
+    use fluxquery::xml::{
+        EventSource, Position, RawEventKind, RawEventRef, ReaderConfig, Result, XmlReader,
+    };
     use fluxquery::xmlgen::{auction_string, AuctionConfig, AUCTION_DTD};
     use fluxquery::xsax::seeded_reader;
     use fluxquery::{FluxEngine, Options};
@@ -282,24 +271,22 @@ fn skipped_regions_do_not_grow_the_interner() {
     .unwrap();
     let dtd = engine.dtd();
     let plan = compile_plan(engine.query(), dtd).unwrap();
-    let seeded = fluxquery::xsax::seeded_symbols(dtd).len();
-    for cap in [None, Some(1 << 20)] {
-        let config = ReaderConfig {
-            max_symbols: cap,
-            ..ReaderConfig::default()
-        };
-        let longest = Cell::new(0);
-        let source = Watch {
-            inner: seeded_reader(doc.as_bytes(), dtd, config.clone()),
-            longest: &longest,
-        };
-        let (stats, _) = execute(&plan, dtd, source, std::io::sink(), false)
-            .expect("validity is not checked inside a skipped subtree");
-        assert!(stats.skipped_subtrees > 0);
-        assert_eq!(longest.get(), seeded, "cap {cap:?}: the interner grew");
+    let seeds = fluxquery::xsax::seeded_symbols(dtd);
+    let seeded = seeds.len();
+    let longest = Cell::new(0);
+    let source = Watch {
+        inner: seeded_reader(doc.as_bytes(), dtd, ReaderConfig::default()),
+        longest: &longest,
+    };
+    let (stats, _) = execute(&plan, dtd, source, std::io::sink(), false)
+        .expect("validity is not checked inside a skipped subtree");
+    assert!(stats.skipped_subtrees > 0);
+    assert_eq!(longest.get(), seeded, "the interner grew");
 
-        let mut plain = seeded_reader(doc.as_bytes(), dtd, config);
-        while plain.advance().unwrap() {}
-        assert_eq!(plain.symbols().len(), seeded + 15_000, "cap {cap:?}");
-    }
+    let mut closed = seeded_reader(doc.as_bytes(), dtd, ReaderConfig::default());
+    while closed.advance().unwrap() {}
+    assert_eq!(closed.symbols().len(), seeded);
+    let mut open = XmlReader::with_symbols(doc.as_bytes(), ReaderConfig::default(), seeds);
+    while open.advance().unwrap() {}
+    assert_eq!(open.symbols().len(), seeded + 15_000);
 }

@@ -10,28 +10,6 @@ use std::process::{Command, Output};
 
 const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
 
-const FIG1_XSD: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-  <xs:element name="bib">
-    <xs:complexType>
-      <xs:sequence>
-        <xs:element name="book" minOccurs="0" maxOccurs="unbounded">
-          <xs:complexType>
-            <xs:sequence>
-              <xs:element name="title" type="xs:string"/>
-              <xs:choice>
-                <xs:element name="author" type="xs:string" maxOccurs="unbounded"/>
-                <xs:element name="editor" type="xs:string" maxOccurs="unbounded"/>
-              </xs:choice>
-              <xs:element name="publisher" type="xs:string"/>
-              <xs:element name="price" type="xs:string"/>
-            </xs:sequence>
-          </xs:complexType>
-        </xs:element>
-      </xs:sequence>
-    </xs:complexType>
-  </xs:element>
-</xs:schema>"#;
-
 /// A scratch file that is this test's own (tests run in parallel) and is
 /// removed when dropped.
 struct Scratch(PathBuf);
@@ -103,16 +81,16 @@ fn engines_shards_and_sinks_agree_byte_for_byte() {
 }
 
 #[test]
-fn xsd_schema_is_detected_by_the_one_compile_path() {
+fn xml_schema_is_rejected_with_the_dtd_parsers_error() {
+    const XSD: &str = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="bib" type="xs:string"/>
+</xs:schema>"#;
     let input = Scratch::with("xsd.xml", &document());
-    let from_dtd = fluxquery(PAPER_FIG1_DTD, &["--input", input.path()]);
-    for lane in [&[][..], &["--engine", "dom"], &["--explain"]] {
-        let from_xsd = fluxquery(FIG1_XSD, &[&["--input", input.path()], lane].concat());
-        assert!(from_xsd.status.success(), "{lane:?}: {from_xsd:?}");
-        if lane != ["--explain"] {
-            assert_eq!(from_xsd.stdout, from_dtd.stdout, "{lane:?}");
-        }
-    }
+    let run = fluxquery(XSD, &["--input", input.path()]);
+    assert_eq!(run.status.code(), Some(1), "{run:?}");
+    assert!(run.stdout.is_empty(), "{run:?}");
+    let stderr = String::from_utf8(run.stderr).expect("utf-8 error");
+    assert!(stderr.contains("DTD error at byte 0: "), "{stderr}");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! The workload-matrix properties extend the same idea across the
 //! pathological generators: every named workload shape, at arbitrary
 //! seeds and scales, must clear the full differential grid (all engines ×
-//! shard counts {1, 2, 8} × bounded/unbounded interner) via
+//! sequential and shard counts {1, 2, 8}) via
 //! `flux_conformance`.
 
 use flux_conformance::{
@@ -84,8 +84,7 @@ proptest! {
 }
 
 // The workload-matrix properties run the full conformance grid per case
-// (engines × shard counts × interner bounds), so each case is ~50 engine
-// runs: a handful of cases per property already covers every workload id
+// (engines × parallelisms), so each case is ~30 engine runs: a handful of cases per property already covers every workload id
 // at several seeds.
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -95,7 +94,7 @@ proptest! {
 
     /// Every workload shape — at arbitrary seed and scale — streams
     /// identically through the sequential reader and every sharded
-    /// configuration, bounded or unbounded interner.
+    /// configuration.
     #[test]
     fn workload_matrix_streams_agree(
         widx in 0u32..1_024,
@@ -112,9 +111,9 @@ proptest! {
         );
     }
 
-    /// Every query-bearing workload clears the engine grid: all engines,
-    /// shard counts and interner bounds produce the reference output and
-    /// the reference stats.
+    /// Every query-bearing workload clears the engine grid: all engines
+    /// and parallelisms produce the reference output and the reference
+    /// stats.
     #[test]
     fn workload_matrix_engines_agree(
         widx in 0u32..1_024,

@@ -318,3 +318,58 @@ impl std::io::Read for CutReader {
         Ok(n)
     }
 }
+
+/// A name the DTD does not declare reaches a sequential run through a
+/// reader closed at the DTD's vocabulary, which never interns it, and a
+/// `--shards 2` run through open shard readers, which do. In a delivered
+/// region and inside a skipped one, both fail with the same message at
+/// the same position.
+#[test]
+fn undeclared_names_fail_alike_closed_and_open() {
+    // Q3 under Figure 1 reads `title` and `author`; `publisher` and
+    // `price` are skipped. 400 books (~34 KiB) so `--shards 2` splits, the
+    // flaw in the second half.
+    let book = "<book><title>T</title><author>A</author>\
+                <publisher>P</publisher><price>1</price></book>";
+    let doc = |flawed: &str| {
+        format!(
+            "<bib>{}{flawed}{}</bib>",
+            book.repeat(300),
+            book.repeat(100)
+        )
+    };
+    let delivered = doc("<book><title>T</title><zzauthor>A</zzauthor>\
+                         <publisher>P</publisher><price>1</price></book>");
+    let skipped = doc("<book><title>T</title><author>A</author>\
+                       <publisher><zzfirst>P</zzsecond></publisher><price>1</price></book>");
+    let sharded = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &Options::new().shards(2)).unwrap();
+    let input = fluxquery::Input::from_bytes(doc(""));
+    let (_, report) = sharded
+        .run_input_with_report(input, std::io::sink())
+        .unwrap();
+    let shards = report
+        .find("shard_pipeline")
+        .and_then(|s| s.counter_value("shards"));
+    assert_eq!(shards, Some(2), "the sharded lane must split the document");
+    for (doc, expected) in [
+        (
+            &delivered,
+            "validation error at line 1, column 26138: \
+             element `zzauthor` is not declared in the DTD",
+        ),
+        (
+            &skipped,
+            "not well-formed at line 1, column 26178: \
+             mismatched end tag: expected </zzfirst>, found </zzsecond>",
+        ),
+    ] {
+        for (label, options) in [
+            ("flux", Options::new()),
+            ("flux --shards 2", Options::new().shards(2)),
+        ] {
+            let engine = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &options).unwrap();
+            let error = engine.run_to_string(doc).expect_err(label).to_string();
+            assert_eq!(error, expected, "{label}");
+        }
+    }
+}

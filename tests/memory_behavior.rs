@@ -96,12 +96,12 @@ fn strong_dtd_strictly_cheaper_than_weak() {
 }
 
 #[test]
-fn name_mint_adversary_flat_under_bounded_interner() {
+fn name_mint_adversary_flat_under_default_options() {
     // The name-minting adversary grows the distinct-name vocabulary
-    // linearly with the document. Under a bounded interner the engine's
-    // peak buffer must stay flat regardless: minted names the query never
+    // linearly with the document. With default options the engine's peak
+    // buffer must stay flat regardless: minted names the query never
     // reads must not reach the buffer store's dictionary, and the stream
-    // interner itself is capped.
+    // interner is closed at the DTD's vocabulary.
     let w = workload("name_mint");
     assert!(w.adversarial_names, "registry marks the adversary");
     let peak = |scale: f64| {
@@ -111,7 +111,7 @@ fn name_mint_adversary_flat_under_bounded_interner() {
             w.query.expect("name_mint runs the engine tier"),
             w.dtd.expect("name_mint has a DTD"),
             doc.as_bytes(),
-            &Options::new().max_symbols(64),
+            &Options::new(),
         )
         .unwrap()
         .stats
@@ -121,8 +121,31 @@ fn name_mint_adversary_flat_under_bounded_interner() {
     let large = peak(8.0); // 16x the books — and 16x the minted vocabulary
     assert!(
         (large as f64) < (small as f64) * 2.0,
-        "bounded-interner peak grew with minted names: {small} -> {large}"
+        "peak grew with minted names: {small} -> {large}"
     );
+}
+
+/// A validating parser reads through a reader closed at the DTD's
+/// vocabulary: however many attribute names a document mints, its symbol
+/// table ends exactly as long as the seed.
+#[test]
+fn xsax_vocabulary_stays_at_the_dtd_under_name_minting() {
+    use fluxquery::dtd::Dtd;
+    use fluxquery::xmlgen::{mint_string, MintConfig};
+    use fluxquery::xsax::{seeded_symbols, XsaxParser};
+
+    let dtd = Dtd::parse(fluxquery::PAPER_WEAK_DTD).unwrap();
+    let seeded = seeded_symbols(&dtd).len();
+    for books in [200, 3_200] {
+        let doc = mint_string(&MintConfig::new(books, 6, 42));
+        let mut parser = XsaxParser::new(doc.as_bytes(), &dtd).unwrap();
+        while parser.next_step().unwrap().is_some() {}
+        assert_eq!(
+            parser.symbols().len(),
+            seeded,
+            "{books} books grew the vocabulary"
+        );
+    }
 }
 
 /// (workload, query, scale, engine, events, `peak_buffer_bytes`,

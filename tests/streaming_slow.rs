@@ -97,7 +97,7 @@ fn gb_stream_is_memory_bounded_across_parallelism() {
         Parallelism::Shards(8),
     ] {
         let engine =
-            FluxEngine::compile(query, dtd, &flux_conformance::options(parallelism, None)).unwrap();
+            FluxEngine::compile(query, dtd, &flux_conformance::options(parallelism)).unwrap();
 
         let budget = MemoryBudget::new(BUDGET);
         let bytes_in = Arc::new(AtomicU64::new(0));
@@ -202,7 +202,7 @@ fn truncated_stream_fails_identically_to_in_memory() {
         let engine = FluxEngine::compile(
             gb_query(),
             AUCTION_DTD,
-            &flux_conformance::options(parallelism, None),
+            &flux_conformance::options(parallelism),
         )
         .unwrap();
         let mut out = Vec::new();
