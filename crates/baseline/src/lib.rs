@@ -36,7 +36,7 @@ pub(crate) type OpenedReader = (XmlReader<Box<dyn Read + Send>>, Option<Arc<Memo
 pub(crate) fn open_reader(input: Input, symbols: &SymbolTable) -> Result<OpenedReader> {
     let budget = input.memory_budget().cloned();
     let config = input.reader_config();
-    let source = input.into_source().map_err(XmlError::from)?.into_reader();
+    let source = input.into_source().map_err(XmlError::from)?;
     Ok((
         XmlReader::with_symbols(source, config, symbols.clone()),
         budget,

@@ -244,15 +244,13 @@ pub fn stream_sequential(bytes: &[u8]) -> StreamOutcome {
     drain(XmlReader::new(bytes))
 }
 
-/// Parses `bytes` with the sharded reader.
+/// Parses `bytes` with the sharded reader, at a chunk target of a
+/// `shards`-th of the document so even small documents shard.
 pub fn stream_sharded(bytes: &[u8], shards: usize) -> StreamOutcome {
     let mut config = ShardConfig::new(shards);
-    config.min_shard_bytes = 1; // shard even small documents
-    drain(ShardedReader::new(
-        bytes.to_vec(),
-        config,
-        SymbolTable::new(),
-    ))
+    config.chunk_bytes = (bytes.len() / shards).max(1);
+    let src = std::io::Cursor::new(bytes.to_vec());
+    drain(ShardedReader::from_stream(src, config, SymbolTable::new()))
 }
 
 /// Asserts the full stream-tier grid on one input: sequential versus
@@ -343,9 +341,9 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
 
     // Streamed ingestion: the same document arriving through an opaque
     // `Read` (generator-backed where the workload has one, a cursor
-    // otherwise) must be indistinguishable from the buffered slice —
-    // output and stats, sequentially and with incremental shard
-    // dispatch, which takes a different code path than buffered shards.
+    // otherwise), whose length the engine cannot know, must be
+    // indistinguishable from the in-memory slice — output and stats,
+    // sequentially and sharded.
     for parallelism in [Parallelism::Sequential, Parallelism::Shards(2)] {
         let outcome = run_engine_input(
             EngineKind::Flux,
@@ -357,13 +355,13 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
         .unwrap_or_else(|e| panic!("{}: flux streamed {parallelism:?} failed: {e}", w.id));
         assert_eq!(
             outcome.output, reference.output,
-            "{}: streamed ingestion diverged from buffered ({parallelism:?})",
+            "{}: streamed ingestion diverged from in-memory ({parallelism:?})",
             w.id
         );
         assert_eq!(
             stats_fingerprint(&outcome.stats),
             stats_fingerprint(&reference.stats),
-            "{}: streamed ingestion stats diverged ({parallelism:?})\n  streamed: {}\n  buffered: {}",
+            "{}: streamed ingestion stats diverged ({parallelism:?})\n  streamed: {}\n  in-memory: {}",
             w.id,
             outcome.stats,
             reference.stats

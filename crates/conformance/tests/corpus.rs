@@ -47,8 +47,8 @@ fn corpus_matches_manifest() {
 fn seam_entries_exercise_real_shard_boundaries() {
     // The seam-straddling entries exist to put the malformation across a
     // shard boundary at realistic shard sizes. They must stay large
-    // enough that an 8-way split with the default 16 KiB minimum still
-    // produces more than one shard.
+    // enough that an 8-way split at the engine's 16 KiB smallest chunk
+    // still produces more than one shard.
     let seams: Vec<_> = corpus()
         .into_iter()
         .filter(|e| e.id.starts_with("seam-"))

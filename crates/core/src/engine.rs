@@ -7,7 +7,7 @@ use flux_dtd::Dtd;
 use flux_lang::{compile as compile_flux, CompileOptions, FluxQuery};
 use flux_runtime::{compile_plan, execute, Plan, RunReport, RunStats};
 use flux_shard::{ShardConfig, ShardedReader};
-use flux_xml::{BudgetKind, Input, ResolvedInput};
+use flux_xml::{BudgetKind, Input};
 use flux_xsax::{seeded_reader, seeded_symbols};
 use std::io::Write;
 
@@ -17,11 +17,12 @@ use std::io::Write;
 /// the query evaluator and the XSAX DFA still consume one stitched,
 /// exactly-sequential event stream, so results, validation verdicts and
 /// buffer accounting are identical to [`Parallelism::Sequential`] — only
-/// the parse work moves off the critical path. An in-memory [`Input`]
-/// takes the zero-copy buffered shard path; a true stream (file, socket,
-/// stdin) is dispatched chunk by chunk with bounded in-flight memory and
-/// is never materialised. Prefer `Sequential` for latency-sensitive
-/// streams, where the paper's token-bounded memory guarantee is tightest.
+/// the parse work moves off the critical path. Every [`Input`] reaches
+/// the shards as one stream, dispatched chunk by chunk with bounded
+/// in-flight memory and never materialised; an in-memory document of
+/// known length is cut into an even share per shard. Prefer `Sequential`
+/// for latency-sensitive streams, where the paper's token-bounded memory
+/// guarantee is tightest.
 /// *Malformed* input behaves the same in every mode: the result of the
 /// valid prefix is streamed to the output first, then the run fails with
 /// the same error at the same byte position (offset, line and column).
@@ -126,9 +127,8 @@ impl FluxEngine {
     /// the pipeline, and the budget (if any) is enforced after the run:
     /// the run fails with a budget error if the tracked peak — scanner
     /// windows, in-flight shard tapes and chunks, runtime buffers —
-    /// exceeded the limit. With [`Parallelism::Shards`], an in-memory
-    /// input takes the zero-copy buffered shard path while a reader is
-    /// dispatched incrementally and never materialised.
+    /// exceeded the limit. With [`Parallelism::Shards`], every input is
+    /// dispatched to the shards incrementally and never materialised.
     pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
         Ok(self.run(input, output, false)?.0)
     }
@@ -158,10 +158,11 @@ impl FluxEngine {
         // The run's reader configuration: the ingestion knobs the `Input`
         // owns (window, budget).
         let reader = input.reader_config();
+        let known_len = input.known_len();
         // Resolving opens the file and applies gzip detection; I/O
         // failures join the engine error chain where the sequential
         // reader would surface them.
-        let resolved = input
+        let source = input
             .into_source()
             .map_err(|e| flux_runtime::RuntimeError::from(flux_xsax::XsaxError::Xml(e.into())))?;
         let (plan, dtd) = (&self.plan, &self.dtd);
@@ -169,24 +170,25 @@ impl FluxEngine {
             Parallelism::Sequential => {
                 // Closed at the DTD's vocabulary: undeclared names never
                 // grow the interner.
-                let source = seeded_reader(resolved.into_reader(), dtd, reader);
+                let source = seeded_reader(source, dtd, reader);
                 execute(plan, dtd, source, output, want_report)?
             }
             Parallelism::Shards(n) => {
-                // Shard workers and the merged table stay open: every
-                // name a fragment carries is interned.
-                let config = ShardConfig {
+                let mut config = ShardConfig {
                     reader,
                     ..ShardConfig::new(n)
                 };
-                let symbols = seeded_symbols(dtd);
-                // Zero-copy over resolved bytes; incremental chunk
-                // dispatch (bounded in-flight memory, input never
-                // materialised) over a resolved reader.
-                let source = match resolved {
-                    ResolvedInput::Bytes(bytes) => ShardedReader::new(bytes, config, symbols),
-                    ResolvedInput::Reader(src) => ShardedReader::from_stream(src, config, symbols),
-                };
+                // A known length is cut into an even share per shard,
+                // between 16 KiB and the 1 MiB a stream of unknown length
+                // is cut into.
+                if let Some(len) = known_len {
+                    config.chunk_bytes = len
+                        .div_ceil(config.shards)
+                        .clamp(16 * 1024, config.chunk_bytes);
+                }
+                // Shard workers and the merged table stay open: every
+                // name a fragment carries is interned.
+                let source = ShardedReader::from_stream(source, config, seeded_symbols(dtd));
                 execute(plan, dtd, source, output, want_report)?
             }
         };
@@ -437,6 +439,56 @@ mod tests {
             assert_eq!(String::from_utf8(out).unwrap(), seq_out, "{shards} shards");
             assert_eq!(stats.peak_buffer_bytes, seq_stats.peak_buffer_bytes);
         }
+    }
+
+    /// In-memory gzip streams through the decoder a `.gz` file goes
+    /// through: the plain run's output when valid, and the `.gz` file's
+    /// output prefix and error when truncated or corrupt — sequential and
+    /// sharded.
+    #[test]
+    fn in_memory_gzip_runs_like_a_gz_file() {
+        let mut doc = String::from("<bib>");
+        for i in 0..3000 {
+            doc.push_str(&format!(
+                "<book><author>Author {i}</author><title>Title {i}</title></book>"
+            ));
+        }
+        doc.push_str("</bib>");
+        // Stored blocks hold at most 0xFFFF bytes each: corrupting the
+        // second block's length check leaves a valid first block before it.
+        assert!(doc.len() > 2 * 0xFFFF);
+        let gz = miniflate::gzip_compress_stored(doc.as_bytes());
+        let truncated = gz[..gz.len() / 2].to_vec();
+        let mut corrupt = gz.clone();
+        corrupt[10 + 5 + 0xFFFF + 3] ^= 0xFF;
+        let dir = std::env::temp_dir().join(format!("flux_engine_gz_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.xml.gz");
+        let run = |engine: &FluxEngine, input: Input| {
+            let mut out = Vec::new();
+            let result = engine.run_input(input, &mut out);
+            (out, result.map_err(|e| e.to_string()))
+        };
+        for options in [Options::new(), Options::new().shards(2)] {
+            let engine = FluxEngine::compile(Q3, PAPER_WEAK_DTD, &options).unwrap();
+            let (plain, plain_stats) = run(&engine, Input::from_bytes(doc.clone()));
+            let (out, stats) = run(&engine, Input::from_bytes(gz.clone()));
+            assert_eq!(out, plain, "{options:?}");
+            assert_eq!(
+                stats.unwrap().events,
+                plain_stats.unwrap().events,
+                "{options:?}"
+            );
+            for bad in [&truncated, &corrupt] {
+                std::fs::write(&path, bad).unwrap();
+                let (file_out, file_err) = run(&engine, Input::from_path(&path));
+                let (out, err) = run(&engine, Input::from_bytes(bad.clone()));
+                let file_err = file_err.expect_err("a broken .gz file fails");
+                assert_eq!(err.expect_err("broken gzip bytes fail"), file_err);
+                assert_eq!(out, file_out, "{options:?}: {file_err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -35,6 +35,4 @@ pub use flux_baseline::{DomEngine, ProjectionEngine};
 pub use flux_dtd::{Dtd, Symbol, SymbolTable, PAPER_FIG1_DTD, PAPER_UNSAFE_DTD, PAPER_WEAK_DTD};
 pub use flux_lang::{CompileOptions, FluxQuery};
 pub use flux_runtime::{RunReport, RunStats};
-pub use flux_xml::{
-    BudgetExceeded, BudgetKind, Input, MemoryBudget, ResolvedInput, DEFAULT_WINDOW,
-};
+pub use flux_xml::{BudgetExceeded, BudgetKind, Input, MemoryBudget, DEFAULT_WINDOW};

@@ -4,28 +4,26 @@
 //!
 //! The FluXQuery stack treats the event stream as a single sequential
 //! source; this crate parallelises the expensive part — parsing — while
-//! keeping every consumer-visible property of the sequential reader:
+//! keeping every consumer-visible property of the sequential reader. The
+//! input is always a byte stream, read once:
 //!
-//! 1. **Split.** [`splitter::split_points`] scans the input buffer with
-//!    the SWAR kernel and places chunk boundaries on safe element-tag `<`
-//!    positions (never inside comments, CDATA, PIs or DOCTYPEs). Because
-//!    boundaries sit on element tags, no token or text run ever straddles
-//!    a seam.
-//! 2. **Parse.** One fragment-mode [`flux_xml::XmlReader`] per chunk runs
-//!    on its own `std::thread`, each seeded with a clone of the shared
-//!    [`SymbolTable`] (clones preserve indices, so symbols agree across
-//!    shards without renaming). Each worker records its chunk onto a
-//!    [`flux_xml::EventTape`] — every payload byte materialised exactly
-//!    once — and hands the finished tape to the consumer through a
-//!    bounded channel *as soon as it is done*.
-//! 3. **Replay, pipelined.** [`ShardedReader::advance`] replays shard
-//!    *i*'s tape while workers are still parsing shards *i+1..N* — so
-//!    XSAX validation and query evaluation overlap parsing instead of
-//!    waiting behind a join barrier. Replay is **zero-copy**:
-//!    [`ShardedReader::view`] serves
-//!    [`RawEventRef`] views whose payloads borrow the tape arena, so the
-//!    serial per-event term that bounded speedup at `1/(1/N + r)` is span
-//!    arithmetic, not a byte copy.
+//! 1. **Split.** A dispatcher thread owns the `Read` and cuts it into
+//!    chunks of about [`ShardConfig::chunk_bytes`], each extended to the
+//!    next safe element-tag `<` (never inside a comment, CDATA section,
+//!    PI or DOCTYPE; [`cut_points`] shows the seams for a given input). Because seams sit on
+//!    element tags, no token or text run ever straddles one.
+//! 2. **Parse.** A pool of [`ShardConfig::shards`] workers parses chunks
+//!    as they arrive, one fragment-mode [`flux_xml::XmlReader`] per chunk,
+//!    each seeded with a clone of the shared [`SymbolTable`] (clones
+//!    preserve indices, so symbols agree across shards without renaming).
+//!    Workers record onto [`flux_xml::EventTape`]s — every payload byte
+//!    materialised exactly once — and hand them over in *segments* of
+//!    [`ShardConfig::segment_events`] events through bounded channels.
+//! 3. **Replay, pipelined.** [`ShardedReader::advance`] replays chunk
+//!    *i*'s segments while workers are still parsing later chunks, so XSAX
+//!    validation and query evaluation overlap parsing. Replay is
+//!    **zero-copy**: [`ShardedReader::view`] serves [`RawEventRef`] views
+//!    whose payloads borrow the tape arena.
 //! 4. **Re-check.** Replay re-checks everything the fragment readers
 //!    relaxed — global tag balance against one running stack, single
 //!    root, no top-level text, DOCTYPE position, the depth limit — so the
@@ -39,49 +37,34 @@
 //!    — the single piece of cross-shard state — so validation verdicts,
 //!    error positions and on-first fire points stay exactly sequential.
 //!
-//! Two ingestion modes share the replay machinery:
-//!
-//! * **Buffered** ([`ShardedReader::new`]): the input is a byte buffer,
-//!   split up-front by [`splitter::split_points`] into exactly N chunks.
-//!   Memory is the whole buffer plus up to N in-flight tapes — maximal
-//!   throughput when the bytes are already resident.
-//! * **Streamed** ([`ShardedReader::from_stream`]): the input is an
-//!   unbounded `Read`. A dispatcher thread cuts it incrementally at the
-//!   same safe boundaries (`splitter::find_boundary`) and a worker pool
-//!   parses chunks as they arrive, handing tapes over in *segments* of
-//!   [`ShardConfig::segment_events`] events. Every pool is bounded —
-//!   O(workers) chunks and O(segment × queue × workers) tape bytes in
-//!   flight — so multi-gigabyte documents stream through in constant
-//!   memory, optionally enforced by a [`flux_xml::MemoryBudget`]. The
-//!   replayed event stream, verdicts and error positions are byte-exact
-//!   the buffered (and sequential) ones.
+//! Every pool is bounded — O(workers) chunks and O(segment × queue ×
+//! workers) tape bytes in flight — so multi-gigabyte documents stream
+//! through in constant memory, optionally tracked by a
+//! [`flux_xml::MemoryBudget`].
 
-pub mod splitter;
+mod splitter;
 mod stream;
 mod worker;
 
 use flux_symbols::{Symbol, SymbolTable};
-use flux_telemetry::{
-    Journal, ReaderCounters, RunReport, ScanCounters, ShardLane, Stage, Stopwatch,
-};
+use flux_telemetry::{ReaderCounters, RunReport, ScanCounters, ShardLane, Stage, Stopwatch};
 use flux_xml::reader::MAX_DEPTH;
 use flux_xml::{
     BudgetCharge, EventSource, Position, RawEventKind, RawEventRef, ReaderConfig, Result,
     SymbolRemap, XmlError,
 };
-use std::collections::BTreeMap;
 use std::io::Read;
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
+pub use stream::cut_points;
 use stream::{start_stream, ChunkMsg, StreamLaunch};
-use worker::{parse_fragment, Segment, ShardTape};
+use worker::{Segment, ShardTape};
 
 /// Configuration for [`ShardedReader`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Requested number of shards. The effective count may be lower when
-    /// the input is small ([`ShardConfig::min_shard_bytes`]) or offers too
-    /// few safe boundaries; `1` degenerates to a sequential fragment parse.
+    /// Worker threads parsing chunks in parallel; `1` still pipelines
+    /// parsing against replay, on one parse thread.
     pub shards: usize,
     /// The reader configuration every fragment reader runs with, and the
     /// document-level rules replay re-checks on the merged stream:
@@ -89,50 +72,35 @@ pub struct ShardConfig {
     /// exactly like the sequential reader enforces it; [`ReaderConfig::window`]
     /// sizes each fragment scanner; [`ReaderConfig::budget`] is shared by
     /// every pool the pipeline grows (fragment scanner windows, in-flight
-    /// streamed chunks and tape segments). Workers are open readers, and
+    /// chunks and tape segments). Workers are open readers, and
     /// the merged table interns every name they report.
     /// [`ReaderConfig::fragment`] is ignored (workers always parse
     /// fragments).
     pub reader: ReaderConfig,
-    /// Do not split below this many bytes per shard; tiny inputs are not
-    /// worth the thread fan-out.
-    pub min_shard_bytes: usize,
-    /// Streamed mode only: target chunk size in bytes. Chunks extend past
-    /// the target to the next safe element-tag boundary.
+    /// Target chunk size in bytes (at least 1). Chunks extend past the
+    /// target to the next safe element-tag boundary.
     pub chunk_bytes: usize,
-    /// Streamed mode only: workers hand over a partial tape every this
-    /// many events, bounding in-flight tape memory by
-    /// O(`segment_events` × [`ShardConfig::segment_queue`] × shards)
-    /// instead of chunk size.
+    /// Workers hand over a partial tape every this many events, bounding
+    /// in-flight tape memory by O(`segment_events` ×
+    /// [`ShardConfig::segment_queue`] × shards) instead of chunk size.
     pub segment_events: usize,
-    /// Streamed mode only: workers also flush a partial tape once its
-    /// arena reaches this many bytes, so payload-heavy content (long
-    /// text runs, fat attributes) cannot inflate the per-segment
-    /// footprint past the event-count bound's assumptions — the
-    /// in-flight tape pool is bounded in *bytes*, not just events.
+    /// Workers also flush a partial tape once its arena reaches this many
+    /// bytes, so payload-heavy content (long text runs, fat attributes)
+    /// cannot inflate the per-segment footprint past the event-count
+    /// bound's assumptions — the in-flight tape pool is bounded in
+    /// *bytes*, not just events.
     pub segment_bytes: usize,
-    /// Streamed mode only: per-chunk bound on segments parsed ahead of
-    /// replay; the worker blocks once the consumer lags this far behind.
+    /// Per-chunk bound on segments parsed ahead of replay; the worker
+    /// blocks once the consumer lags this far behind.
     pub segment_queue: usize,
 }
 
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
-        )
-    }
-}
-
 impl ShardConfig {
-    /// A configuration requesting `shards` parallel shards.
+    /// A configuration with `shards` parallel workers.
     pub fn new(shards: usize) -> Self {
         ShardConfig {
             shards: shards.max(1),
             reader: ReaderConfig::default(),
-            min_shard_bytes: 16 * 1024,
             chunk_bytes: 1024 * 1024,
             segment_events: 16 * 1024,
             segment_bytes: 256 * 1024,
@@ -191,21 +159,49 @@ fn compose_error(err: XmlError, base: Position) -> XmlError {
     }
 }
 
-/// Where the bytes come from: a resident buffer split up-front, or an
-/// unbounded stream chunked incrementally.
-enum SourceKind {
-    Buffered(Arc<Vec<u8>>),
-    /// `Some` until the first pull launches the pipeline and hands the
-    /// reader to the dispatcher thread.
-    Stream(Option<Box<dyn Read + Send>>),
+fn wf(message: impl Into<String>, pos: Position) -> XmlError {
+    XmlError::WellFormedness {
+        message: message.into(),
+        pos,
+    }
 }
 
-/// The shard currently being replayed. Buffered mode replays one tape per
-/// chunk; streamed mode replays a *chain* of tape segments per chunk,
+/// A worker hung up before handing over the rest of its chunk: it
+/// panicked, since a live worker always sends its last segment.
+fn worker_lost() -> XmlError {
+    XmlError::Internal {
+        message: "a shard worker stopped before delivering its chunk".to_string(),
+    }
+}
+
+/// Advances `pos` over literal whitespace in `chunk` (which starts at
+/// global offset `chunk_start`) with the sequential scanner's accounting —
+/// the skip the prolog/epilog state performs before rejecting top-level
+/// character data. Replaying it here keeps the merger's error byte-exact
+/// even when the offending text run starts with whitespace (or whitespace
+/// produced by entities, which the scanner does *not* skip: only literal
+/// bytes qualify). Text runs never straddle chunk seams, so the run ends
+/// inside the chunk.
+fn skip_input_whitespace(chunk: &[u8], chunk_start: u64, mut pos: Position) -> Position {
+    while let Some(&b) = chunk.get((pos.offset - chunk_start) as usize) {
+        if !matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
+            break;
+        }
+        pos.offset += 1;
+        if b == b'\n' {
+            pos.line += 1;
+            pos.column = 1;
+        } else {
+            pos.column += 1;
+        }
+    }
+    pos
+}
+
+/// The chunk currently being replayed: a *chain* of tape segments,
 /// installing the next link when the current one is exhausted.
 struct ActiveShard {
-    /// The current tape: the whole chunk (buffered) or one segment
-    /// (streamed).
+    /// The current segment's tape.
     shard: ShardTape,
     /// Merged-table symbols for chunk-local indices past the seed prefix —
     /// cumulative across the chunk's segments.
@@ -219,14 +215,12 @@ struct ActiveShard {
     /// Whether no chunk follows this one — drives the end-of-input
     /// re-checks (trailing-text suppression).
     is_final_chunk: bool,
-    // Streamed-only state (inert in buffered mode).
     /// The chunk's remaining segment chain.
-    seg_rx: Option<Receiver<Segment>>,
-    /// The current tape is the chunk's last segment (always true in
-    /// buffered mode).
+    seg_rx: Receiver<Segment>,
+    /// The current tape is the chunk's last segment.
     seg_last: bool,
     /// The chunk's bytes, for the whitespace-skip error replay.
-    bytes: Option<Arc<Vec<u8>>>,
+    bytes: Arc<Vec<u8>>,
     /// One segment received ahead of replay (end-of-input lookahead).
     pending_seg: Option<Segment>,
     /// Budget charge for the chunk buffer; released at chunk end.
@@ -235,6 +229,57 @@ struct ActiveShard {
     /// Budget charge for the current segment's tape; released on handover.
     #[allow(dead_code)] // held for its Drop
     tape_charge: Option<BudgetCharge>,
+}
+
+impl ActiveShard {
+    /// The chunk's next segment: the one looked ahead, or the next off the
+    /// worker's channel.
+    fn next_segment(&mut self) -> Result<Segment> {
+        match self.pending_seg.take() {
+            Some(seg) => Ok(seg),
+            None => self.seg_rx.recv().map_err(|_| worker_lost()),
+        }
+    }
+
+    /// Installs the next link of the segment chain: extends the cumulative
+    /// remap with the segment's incremental names (interned into
+    /// `symbols`) and swaps the tapes, releasing the replayed segment's
+    /// budget charge.
+    fn install(&mut self, seg: Segment, symbols: &mut SymbolTable) {
+        self.remap
+            .extend(seg.tape.new_names.iter().map(|n| symbols.intern(n)));
+        self.shard = seg.tape;
+        self.seg_last = seg.last;
+        self.tape_charge = seg.charge;
+        self.cursor = 0;
+    }
+
+    /// When event `i` is a text run that consumed the input right up to
+    /// end-of-file, the chunk-local end position. That needs the final
+    /// chunk, `i` last on its tape, no parse error after it, and the
+    /// recorded position equal to the chunk end (trailing suppressed
+    /// comments/PIs would have moved the end past it). A segment that is
+    /// not the chunk's last is only ever shipped full, so there the run is
+    /// final exactly when one segment of lookahead shows an *empty* last
+    /// segment.
+    fn text_ends_input(&mut self, i: usize) -> Result<Option<Position>> {
+        if !self.is_final_chunk || self.cursor < self.shard.tape.len() {
+            return Ok(None);
+        }
+        let end = if self.seg_last {
+            &self.shard
+        } else {
+            let seg = self.next_segment()?;
+            let seg = self.pending_seg.insert(seg);
+            if !seg.last || !seg.tape.tape.is_empty() {
+                return Ok(None);
+            }
+            &seg.tape
+        };
+        let at_end =
+            end.error.is_none() && self.shard.tape.position(i).offset == end.end_pos.offset;
+        Ok(at_end.then_some(end.end_pos))
+    }
 }
 
 /// What [`ShardedReader::view`] currently shows.
@@ -247,33 +292,29 @@ enum CurrentEvent {
     Tape,
 }
 
-/// A parallel drop-in for [`flux_xml::XmlReader`] over an in-memory
-/// document: same [`EventSource`] pull contract, same event sequence, same
-/// verdicts and error positions — parsed by N threads.
+/// A parallel drop-in for [`flux_xml::XmlReader`] over a byte stream:
+/// same [`EventSource`] pull contract, same event sequence, same verdicts
+/// and error positions — parsed by N threads.
 ///
-/// The first [`ShardedReader::advance`] splits the input and launches the
+/// The first [`ShardedReader::advance`] launches the dispatcher and the
 /// workers; every later advance replays the next tape event (zero-copy)
-/// and re-checks the document-level rules. The consumer streams shard *i*
-/// while shards *i+1..N* are still parsing, so on invalid input the valid
-/// prefix is delivered first and the error surfaces at the same stream point — and,
-/// thanks to per-event recorded positions, with the same offset, line and
-/// column — as the sequential reader's. Errors are terminal: after
-/// returning one, the reader reports end of stream.
+/// and re-checks the document-level rules. The consumer streams chunk *i*
+/// while later chunks are still parsing, so on invalid input the valid
+/// prefix is delivered first and the error surfaces at the same stream
+/// point — and, thanks to per-event recorded positions, with the same
+/// offset, line and column — as the sequential reader's. Errors are
+/// terminal: after returning one, the reader reports end of stream.
 pub struct ShardedReader {
-    input: SourceKind,
+    /// The byte source, until the first pull hands it to the dispatcher.
+    source: Option<Box<dyn Read + Send>>,
     config: ShardConfig,
     symbols: SymbolTable,
     seed_len: usize,
-    started: bool,
+    /// Chunks activated so far.
     total_shards: usize,
-    /// Buffered mode: live while workers may still deliver tapes.
-    rx: Option<Receiver<(usize, ShardTape)>>,
-    /// Streamed mode: the dispatcher's dispatch-ordered chunk stream.
+    /// The dispatcher's dispatch-ordered chunk stream; `None` before the
+    /// launch and once the last chunk has arrived.
     chunk_rx: Option<Receiver<ChunkMsg>>,
-    /// Tapes that arrived ahead of replay order.
-    parked: BTreeMap<usize, ShardTape>,
-    /// Index of the next shard to replay.
-    next_shard: usize,
     active: Option<ActiveShard>,
     /// Global position where the next chunk starts.
     chunk_base: Position,
@@ -297,8 +338,6 @@ pub struct ShardedReader {
     scan_tel: ScanCounters,
     /// Reader counters merged across exhausted shards.
     reader_tel: ReaderCounters,
-    /// Pipeline lifecycle journal (activations, exhaustions).
-    journal: Journal,
 }
 
 const START_POS: Position = Position {
@@ -308,42 +347,24 @@ const START_POS: Position = Position {
 };
 
 impl ShardedReader {
-    /// Creates a sharded reader over a resident buffer (a `Vec<u8>`, or an
-    /// already-shared `Arc<Vec<u8>>` taken without a copy) whose interner
-    /// is seeded with `symbols` — the sharded analogue of
+    /// Creates a sharded reader over a byte stream whose interner is
+    /// seeded with `symbols` — the sharded analogue of
     /// [`flux_xml::XmlReader::with_symbols`]. Seed with
     /// `flux_xsax::seeded_symbols(&dtd)` to feed `XsaxParser::from_source`,
-    /// or with `SymbolTable::new()` for a bare parse.
-    pub fn new(input: impl Into<Arc<Vec<u8>>>, config: ShardConfig, symbols: SymbolTable) -> Self {
-        Self::build(SourceKind::Buffered(input.into()), config, symbols)
-    }
-
-    /// Creates a sharded reader over an unbounded byte stream — streamed
-    /// ingestion ([`crate`] docs): constant memory regardless of document
-    /// size, same event stream, verdicts and error positions as the
-    /// buffered and sequential paths. `symbols` seeds the interner as in
-    /// [`ShardedReader::new`].
+    /// or with `SymbolTable::new()` for a bare parse. Memory stays
+    /// constant regardless of document size (see the [`crate`] docs).
     pub fn from_stream(
         src: impl Read + Send + 'static,
         config: ShardConfig,
         symbols: SymbolTable,
     ) -> Self {
-        Self::build(SourceKind::Stream(Some(Box::new(src))), config, symbols)
-    }
-
-    fn build(input: SourceKind, config: ShardConfig, symbols: SymbolTable) -> Self {
-        let seed_len = symbols.len();
         ShardedReader {
-            input,
+            source: Some(Box::new(src)),
             config,
+            seed_len: symbols.len(),
             symbols,
-            seed_len,
-            started: false,
             total_shards: 0,
-            rx: None,
             chunk_rx: None,
-            parked: BTreeMap::new(),
-            next_shard: 0,
             active: None,
             chunk_base: START_POS,
             emitted_start: false,
@@ -357,7 +378,6 @@ impl ShardedReader {
             lanes: Vec::new(),
             scan_tel: ScanCounters::default(),
             reader_tel: ReaderCounters::default(),
-            journal: Journal::default(),
         }
     }
 
@@ -368,9 +388,8 @@ impl ShardedReader {
         &self.symbols
     }
 
-    /// Number of shards actually used: the up-front chunk count (buffered)
-    /// or the chunks dispatched so far (streamed). Zero until the first
-    /// pull (the parallel parse launches lazily).
+    /// Number of chunks replay has reached so far. Zero until the first
+    /// content event (the parallel parse launches lazily).
     pub fn shard_count(&self) -> usize {
         self.total_shards
     }
@@ -382,60 +401,10 @@ impl ShardedReader {
         self.last_pos
     }
 
-    /// Splits the input, launches one parsing thread per chunk `1..N`, and
-    /// parses chunk `0` on the current thread — the consumer cannot replay
-    /// anything before chunk 0's tape exists, so parsing it inline wastes
-    /// no overlap (and a single-shard run stays thread- and channel-free).
-    /// Workers send finished tapes over a channel sized to the shard
-    /// count, so no worker ever blocks on a slow consumer.
-    fn start_workers(&mut self) {
-        self.started = true;
-        let buf = match &self.input {
-            SourceKind::Buffered(b) => Arc::clone(b),
-            SourceKind::Stream(_) => unreachable!("buffered launch on a streamed source"),
-        };
-        let max_by_size = (buf.len() / self.config.min_shard_bytes.max(1)).max(1);
-        let requested = self.config.shards.clamp(1, max_by_size);
-        let points = splitter::split_points(&buf, requested);
-        self.total_shards = points.len();
-        // The epoch starts when the pipeline does; telemetry stores are
-        // preallocated here, before any replay, so the steady state
-        // allocates nothing.
-        self.epoch = Stopwatch::start();
-        self.lanes = Vec::with_capacity(self.total_shards);
-        self.journal = Journal::with_capacity(2 * self.total_shards + 2);
-        let reader_config = self.config.reader_config();
-        let (tx, rx) = sync_channel(points.len());
-        for (i, &start) in points.iter().enumerate().skip(1) {
-            let end = points.get(i + 1).copied().unwrap_or(buf.len());
-            let input = Arc::clone(&buf);
-            let seed = self.symbols.clone();
-            let cfg = reader_config.clone();
-            let tx = tx.clone();
-            let epoch = self.epoch;
-            std::thread::spawn(move || {
-                let tape = parse_fragment(&input[start..end], &cfg, &seed, epoch);
-                // The consumer may have been dropped; parsing work is
-                // simply discarded then.
-                let _ = tx.send((i, tape));
-            });
-        }
-        drop(tx);
-        self.rx = Some(rx);
-        let end = points.get(1).copied().unwrap_or(buf.len());
-        let tape0 = parse_fragment(&buf[..end], &reader_config, &self.symbols, self.epoch);
-        self.parked.insert(0, tape0);
-    }
-
-    /// Launches the streamed pipeline: dispatcher + worker pool
-    /// ([`stream::start_stream`]). Chunk count is unknown up front;
-    /// `total_shards` grows as chunks are activated.
+    /// Launches the dispatcher and the worker pool
+    /// ([`stream::start_stream`]).
     fn start_streaming(&mut self, source: Box<dyn Read + Send>) {
-        self.started = true;
-        self.total_shards = 0;
         self.epoch = Stopwatch::start();
-        self.lanes = Vec::new();
-        self.journal = Journal::with_capacity(16);
         let launch = StreamLaunch {
             source,
             reader_config: self.config.reader_config(),
@@ -451,72 +420,10 @@ impl ShardedReader {
         self.chunk_rx = Some(start_stream(launch));
     }
 
-    /// Blocks until shard `index`'s tape is available. Out-of-order
-    /// arrivals are parked.
-    ///
-    /// Telemetry: the blocking-receive time is charged to the requested
-    /// shard's lane, and the channel-dwell span (tape ready → this pickup)
-    /// is stamped from the shared epoch.
-    fn take_shard(&mut self, index: usize) -> ShardTape {
-        let wait = Stopwatch::start();
-        let mut stalls = 0u64;
-        loop {
-            if let Some(mut tape) = self.parked.remove(&index) {
-                tape.lane.recv_stall_ns = wait.elapsed_ns();
-                tape.lane.recv_stalls = stalls;
-                tape.lane.dwell_ns = self.epoch.elapsed_ns().saturating_sub(tape.ready_at_ns);
-                return tape;
-            }
-            match self.rx.as_ref().map(|rx| rx.recv()) {
-                Some(Ok((i, tape))) => {
-                    stalls += 1;
-                    self.parked.insert(i, tape);
-                }
-                // All senders gone yet the shard never arrived: a worker
-                // died without delivering.
-                _ => panic!("shard worker panicked"),
-            }
-        }
-    }
-
-    /// Interns chunk-local names into the merged namespace.
-    fn merge_names(&mut self, names: &[String]) -> Vec<Symbol> {
-        names.iter().map(|n| self.symbols.intern(n)).collect()
-    }
-
-    /// Buffered activation: takes the next up-front chunk's tape. Returns
-    /// `false` when every chunk has been replayed.
-    fn activate_buffered(&mut self) -> bool {
-        if self.next_shard >= self.total_shards {
-            return false;
-        }
-        let shard = self.take_shard(self.next_shard);
-        self.journal
-            .record("shard_activated", self.next_shard as u64);
-        self.next_shard += 1;
-        let is_final_chunk = self.next_shard >= self.total_shards;
-        let remap = self.merge_names(&shard.new_names);
-        self.active = Some(ActiveShard {
-            shard,
-            remap,
-            base: self.chunk_base,
-            cursor: 0,
-            activated_at_ns: self.epoch.elapsed_ns(),
-            is_final_chunk,
-            seg_rx: None,
-            seg_last: true,
-            bytes: None,
-            pending_seg: None,
-            charge: None,
-            tape_charge: None,
-        });
-        true
-    }
-
-    /// Streamed activation: receives the next chunk handle (in dispatch
-    /// order) and its first tape segment. Returns `false` at end of input;
-    /// an I/O error from the byte source is terminal.
-    fn activate_streamed(&mut self) -> Result<bool> {
+    /// Receives the next chunk handle (in dispatch order) and its first
+    /// tape segment. Returns `false` at end of input; an I/O error from
+    /// the byte source is terminal.
+    fn activate(&mut self) -> Result<bool> {
         let Some(rx) = self.chunk_rx.as_ref() else {
             return Ok(false);
         };
@@ -528,20 +435,18 @@ impl ShardedReader {
             }
             Ok(ChunkMsg::Io(e)) => {
                 self.chunk_rx = None;
-                self.finished = true;
                 return Err(e.into());
             }
             Ok(ChunkMsg::Chunk(handle)) => handle,
         };
-        let seg = handle
-            .seg_rx
-            .recv()
-            .unwrap_or_else(|_| panic!("shard worker panicked"));
-        self.journal
-            .record("shard_activated", self.next_shard as u64);
-        self.next_shard += 1;
+        let seg = handle.seg_rx.recv().map_err(|_| worker_lost())?;
         self.total_shards += 1;
-        let remap = self.merge_names(&seg.tape.new_names);
+        let remap = seg
+            .tape
+            .new_names
+            .iter()
+            .map(|n| self.symbols.intern(n))
+            .collect();
         self.active = Some(ActiveShard {
             shard: seg.tape,
             remap,
@@ -549,9 +454,9 @@ impl ShardedReader {
             cursor: 0,
             activated_at_ns: self.epoch.elapsed_ns(),
             is_final_chunk: handle.is_final,
-            seg_rx: Some(handle.seg_rx),
+            seg_rx: handle.seg_rx,
             seg_last: seg.last,
-            bytes: Some(handle.bytes),
+            bytes: handle.bytes,
             pending_seg: None,
             charge: handle.charge,
             tape_charge: seg.charge,
@@ -559,67 +464,23 @@ impl ShardedReader {
         Ok(true)
     }
 
-    /// Installs the next link of a streamed chunk's segment chain: extends
-    /// the cumulative remap with the segment's incremental names and swaps
-    /// the tapes (releasing the replayed segment's budget charge).
-    fn install_next_segment(&mut self) {
-        let mut a = self.active.take().expect("active shard ensured");
-        let seg = a.pending_seg.take().unwrap_or_else(|| {
-            a.seg_rx
-                .as_ref()
-                .expect("streamed chunk has a segment channel")
-                .recv()
-                .unwrap_or_else(|_| panic!("shard worker panicked"))
-        });
-        let mut merged = self.merge_names(&seg.tape.new_names);
-        a.remap.append(&mut merged);
-        a.shard = seg.tape;
-        a.seg_last = seg.last;
-        a.tape_charge = seg.charge;
-        a.cursor = 0;
-        self.active = Some(a);
-    }
-
-    fn wf(&self, message: impl Into<String>, pos: Position) -> XmlError {
-        XmlError::WellFormedness {
-            message: message.into(),
-            pos,
-        }
-    }
-
-    /// Advances `pos` over literal whitespace in the original input with
-    /// the sequential scanner's accounting — the skip the prolog/epilog
-    /// state performs before rejecting top-level character data. Replaying
-    /// it here keeps the merger's error byte-exact even when the offending
-    /// text run starts with whitespace (or whitespace produced by entities,
-    /// which the scanner does *not* skip: only literal bytes qualify).
-    fn skip_input_whitespace(&self, mut pos: Position) -> Position {
-        // Buffered mode indexes the whole input at the global offset;
-        // streamed mode indexes the active chunk's bytes (safe: text runs
-        // never straddle chunk seams, so the run ends inside the chunk).
-        let (bytes, chunk_start): (&[u8], u64) = match &self.input {
-            SourceKind::Buffered(buf) => (buf, 0),
-            SourceKind::Stream(_) => match self.active.as_ref() {
-                Some(a) => match a.bytes.as_deref() {
-                    Some(b) => (b, a.base.offset),
-                    None => return pos,
-                },
-                None => return pos,
-            },
+    /// Retires the exhausted chunk: closes its lane (replay span, then its
+    /// counters fold into the pipeline totals — merge-at-join) and
+    /// surfaces its terminal error, after its valid prefix — the
+    /// sequential delivery order.
+    fn retire(&mut self) -> Result<()> {
+        let Some(mut a) = self.active.take() else {
+            return Ok(());
         };
-        while let Some(&b) = bytes.get((pos.offset - chunk_start) as usize) {
-            if !matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
-                break;
-            }
-            pos.offset += 1;
-            if b == b'\n' {
-                pos.line += 1;
-                pos.column = 1;
-            } else {
-                pos.column += 1;
-            }
+        a.shard.lane.replay_ns = self.epoch.elapsed_ns().saturating_sub(a.activated_at_ns);
+        self.scan_tel.merge(&a.shard.scan);
+        self.reader_tel.merge(&a.shard.reader);
+        self.lanes.push(a.shard.lane);
+        if let Some(err) = a.shard.error.take() {
+            return Err(compose_error(err, a.base));
         }
-        pos
+        self.chunk_base = compose(a.base, a.shard.end_pos);
+        Ok(())
     }
 
     /// Advances to the next replayed event — the zero-copy pull API. The
@@ -628,15 +489,16 @@ impl ShardedReader {
         if self.finished {
             return Ok(false);
         }
-        if !self.started {
-            let src = match &mut self.input {
-                SourceKind::Buffered(_) => None,
-                SourceKind::Stream(s) => Some(s.take().expect("stream launched once")),
-            };
-            match src {
-                None => self.start_workers(),
-                Some(s) => self.start_streaming(s),
-            }
+        let pulled = self.pull();
+        if pulled.is_err() {
+            self.finished = true;
+        }
+        pulled
+    }
+
+    fn pull(&mut self) -> Result<bool> {
+        if let Some(source) = self.source.take() {
+            self.start_streaming(source);
         }
         if !self.emitted_start {
             self.emitted_start = true;
@@ -644,192 +506,114 @@ impl ShardedReader {
             return Ok(true);
         }
         loop {
-            if self.active.is_none() {
-                let activated = match &self.input {
-                    SourceKind::Buffered(_) => self.activate_buffered(),
-                    SourceKind::Stream(_) => self.activate_streamed()?,
-                };
-                if !activated {
-                    // End of the tape: the epilog checks.
-                    self.finished = true;
-                    self.last_pos = self.chunk_base;
-                    if !self.root_seen {
-                        return Err(XmlError::UnexpectedEof {
-                            expected: "root element",
-                            pos: self.chunk_base,
-                        });
-                    }
-                    if !self.stack.is_empty() {
-                        return Err(XmlError::UnexpectedEof {
-                            expected: "closing tags for open elements",
-                            pos: self.chunk_base,
-                        });
-                    }
-                    self.current = CurrentEvent::Synthetic(RawEventKind::EndDocument);
-                    return Ok(true);
+            let Some(a) = self.active.as_mut() else {
+                if self.activate()? {
+                    continue;
                 }
-            }
-
-            // Tape exhausted: chain to the chunk's next segment (streamed),
-            // or surface the chunk's terminal error (after its valid
-            // prefix — the sequential delivery order) and move to the next
-            // chunk.
-            let (exhausted, chained) = {
-                let a = self.active.as_ref().expect("active shard ensured");
-                let ex = a.cursor >= a.shard.tape.len();
-                (ex, ex && !a.seg_last)
+                // End of the input: the epilog checks.
+                self.finished = true;
+                self.last_pos = self.chunk_base;
+                if !self.root_seen {
+                    return Err(XmlError::UnexpectedEof {
+                        expected: "root element",
+                        pos: self.chunk_base,
+                    });
+                }
+                if !self.stack.is_empty() {
+                    return Err(XmlError::UnexpectedEof {
+                        expected: "closing tags for open elements",
+                        pos: self.chunk_base,
+                    });
+                }
+                self.current = CurrentEvent::Synthetic(RawEventKind::EndDocument);
+                return Ok(true);
             };
-            if chained {
-                self.install_next_segment();
-                continue;
-            }
-            if exhausted {
-                let mut a = self.active.take().expect("active shard ensured");
-                // Close this shard's lane: replay span, then fold its
-                // counters into the pipeline totals (merge-at-join).
-                a.shard.lane.replay_ns = self.epoch.elapsed_ns().saturating_sub(a.activated_at_ns);
-                self.scan_tel.merge(&a.shard.scan);
-                self.reader_tel.merge(&a.shard.reader);
-                self.lanes.push(a.shard.lane);
-                self.journal
-                    .record("shard_exhausted", (self.next_shard - 1) as u64);
-                if let Some(err) = a.shard.error.take() {
-                    self.finished = true;
-                    return Err(compose_error(err, a.base));
+
+            // Tape exhausted: chain to the chunk's next segment, or retire
+            // the chunk and move to the next.
+            if a.cursor >= a.shard.tape.len() {
+                if a.seg_last {
+                    self.retire()?;
+                } else {
+                    let seg = a.next_segment()?;
+                    a.install(seg, &mut self.symbols);
                 }
-                self.chunk_base = compose(a.base, a.shard.end_pos);
                 continue;
             }
 
-            let (i, kind, pos, start, name) = {
-                let a = self.active.as_mut().expect("active shard ensured");
-                let i = a.cursor;
-                a.cursor += 1;
-                let kind = a.shard.tape.kind(i);
-                // Resolved lazily enough: only element events use it.
-                let name = SymbolRemap::new(self.seed_len, &a.remap).resolve(a.shard.tape.name(i));
-                (
-                    i,
-                    kind,
-                    compose(a.base, a.shard.tape.position(i)),
-                    compose(a.base, a.shard.tape.start_position(i)),
-                    name,
-                )
-            };
+            let i = a.cursor;
+            a.cursor += 1;
+            let kind = a.shard.tape.kind(i);
+            // Resolved lazily enough: only element events use it.
+            let name = SymbolRemap::new(self.seed_len, &a.remap).resolve(a.shard.tape.name(i));
+            let pos = compose(a.base, a.shard.tape.position(i));
+            let start = compose(a.base, a.shard.tape.start_position(i));
             // Re-check the document-level rules the fragment readers
             // relaxed, at exactly the event where the sequential reader
             // checks them.
             match kind {
-                RawEventKind::StartElement | RawEventKind::EndElement => {
-                    if kind == RawEventKind::StartElement {
-                        if self.stack.is_empty() && self.root_done {
-                            self.finished = true;
-                            // The sequential reader rejects a second root
-                            // before consuming any of its tag: error at the
-                            // construct's first byte.
-                            return Err(self.wf("multiple root elements", start));
-                        }
-                        if self.stack.len() >= MAX_DEPTH {
-                            self.finished = true;
+                RawEventKind::StartElement => {
+                    if self.stack.is_empty() && self.root_done {
+                        // The sequential reader rejects a second root
+                        // before consuming any of its tag: error at the
+                        // construct's first byte.
+                        return Err(wf("multiple root elements", start));
+                    }
+                    if self.stack.len() >= MAX_DEPTH {
+                        let message = format!(
+                            "element nesting deeper than the configured limit of {MAX_DEPTH}"
+                        );
+                        return Err(wf(message, pos));
+                    }
+                    self.stack.push(name);
+                    self.root_seen = true;
+                }
+                RawEventKind::EndElement => {
+                    // Global tag balance, checked at the end tag just
+                    // like the sequential reader.
+                    match self.stack.pop() {
+                        Some(open) if open == name => {}
+                        Some(open) => {
                             let message = format!(
-                                "element nesting deeper than the configured limit of {MAX_DEPTH}"
+                                "mismatched end tag: expected </{}>, found </{}>",
+                                self.symbols.name(open),
+                                self.symbols.name(name)
                             );
-                            return Err(self.wf(message, pos));
+                            return Err(wf(message, pos));
                         }
-                        self.stack.push(name);
-                        self.root_seen = true;
-                    } else {
-                        // Global tag balance, checked at the end tag just
-                        // like the sequential reader.
-                        match self.stack.pop() {
-                            Some(open) if open == name => {}
-                            Some(open) => {
-                                self.finished = true;
-                                let message = format!(
-                                    "mismatched end tag: expected </{}>, found </{}>",
-                                    self.symbols.name(open),
-                                    self.symbols.name(name)
-                                );
-                                return Err(self.wf(message, pos));
-                            }
-                            None => {
-                                self.finished = true;
-                                let message = format!(
-                                    "end tag </{}> with no open element",
-                                    self.symbols.name(name)
-                                );
-                                return Err(self.wf(message, pos));
-                            }
+                        None => {
+                            let message = format!(
+                                "end tag </{}> with no open element",
+                                self.symbols.name(name)
+                            );
+                            return Err(wf(message, pos));
                         }
-                        if self.stack.is_empty() {
-                            self.root_done = true;
-                        }
+                    }
+                    if self.stack.is_empty() {
+                        self.root_done = true;
                     }
                 }
                 RawEventKind::Text if !self.stack.is_empty() => {
-                    // A final-chunk text run that consumed the input right
-                    // up to end-of-file (recorded position == chunk end;
-                    // trailing suppressed comments/PIs would have moved the
-                    // end past it, and a trailing parse error voids the
-                    // comparison). With elements still open, the sequential
-                    // reader raises the unclosed-elements error *without*
-                    // delivering the run — the fragment worker delivered it
-                    // only because more input could have followed in a next
-                    // chunk, and there is none. Suppress it so the partial
-                    // stream stays byte-exact sequential.
-                    //
-                    // In streamed mode the current segment may not be the
-                    // chunk's last: look one segment ahead. An intermediate
-                    // segment is only ever shipped full, so "this text is
-                    // the chunk's final event" shows up as an *empty* last
-                    // segment whose end position equals the run's end.
-                    let trailing_at_eof = {
-                        let a = self.active.as_mut().expect("active shard ensured");
-                        a.is_final_chunk
-                            && a.cursor >= a.shard.tape.len()
-                            && if a.seg_last {
-                                a.shard.error.is_none()
-                                    && a.shard.tape.position(i).offset == a.shard.end_pos.offset
-                            } else {
-                                if a.pending_seg.is_none() {
-                                    let seg = a
-                                        .seg_rx
-                                        .as_ref()
-                                        .expect("streamed chunk has a segment channel")
-                                        .recv()
-                                        .unwrap_or_else(|_| panic!("shard worker panicked"));
-                                    a.pending_seg = Some(seg);
-                                }
-                                let p = a.pending_seg.as_ref().expect("just installed");
-                                p.last
-                                    && p.tape.tape.is_empty()
-                                    && p.tape.error.is_none()
-                                    && a.shard.tape.position(i).offset == p.tape.end_pos.offset
-                            }
-                    };
-                    if trailing_at_eof {
-                        self.finished = true;
-                        let a = self.active.as_ref().expect("active shard ensured");
-                        let end_pos = match a.pending_seg.as_ref() {
-                            Some(p) => p.tape.end_pos,
-                            None => a.shard.end_pos,
-                        };
+                    // A final text run with elements still open: the
+                    // sequential reader raises the unclosed-elements error
+                    // *without* delivering the run — the fragment worker
+                    // delivered it only because more input could have
+                    // followed in a next chunk, and there is none.
+                    // Suppress it so the partial stream stays byte-exact
+                    // sequential.
+                    if let Some(end) = a.text_ends_input(i)? {
                         return Err(XmlError::UnexpectedEof {
                             expected: "closing tags for open elements",
-                            pos: compose(a.base, end_pos),
+                            pos: compose(a.base, end),
                         });
                     }
                 }
-                RawEventKind::Text if self.stack.is_empty() => {
-                    let (whitespace, synthetic) = {
-                        let a = self.active.as_ref().expect("active shard ensured");
-                        let v = a
-                            .shard
-                            .tape
-                            .view(i, SymbolRemap::new(self.seed_len, &a.remap));
-                        (v.is_whitespace_text(), v.is_text_synthetic())
-                    };
-                    if whitespace && !synthetic {
+                RawEventKind::Text => {
+                    let v = a
+                        .shard
+                        .tape
+                        .view(i, SymbolRemap::new(self.seed_len, &a.remap));
+                    if v.is_whitespace_text() && !v.is_text_synthetic() {
                         // Literal prolog/epilog whitespace: the sequential
                         // reader skips it silently. Whitespace produced by
                         // entity references or CDATA does NOT qualify —
@@ -837,7 +621,6 @@ impl ShardedReader {
                         // root, an error.
                         continue;
                     }
-                    self.finished = true;
                     let message = if self.root_seen {
                         "character data after the root element"
                     } else {
@@ -845,15 +628,16 @@ impl ShardedReader {
                     };
                     // The sequential prolog/epilog state skips literal
                     // whitespace and errors at the first byte it cannot:
-                    // replay that skip over the original input.
-                    let at = self.skip_input_whitespace(start);
-                    return Err(self.wf(message, at));
+                    // replay that skip over the chunk's bytes.
+                    return Err(wf(
+                        message,
+                        skip_input_whitespace(&a.bytes, a.base.offset, start),
+                    ));
                 }
                 RawEventKind::DoctypeDecl if self.root_seen => {
-                    self.finished = true;
                     // Rejected at the `<` of `<!DOCTYPE`, like the
                     // sequential reader.
-                    return Err(self.wf(
+                    return Err(wf(
                         "DOCTYPE declaration after the root element has started",
                         start,
                     ));
@@ -900,8 +684,8 @@ impl ShardedReader {
     }
 
     /// Appends the merged `scanner`/`reader` stages and the
-    /// `shard_pipeline` timeline (one child stage per shard lane, plus
-    /// the lifecycle journal) to `report`.
+    /// `shard_pipeline` timeline (one child stage per shard lane, in
+    /// replay order) to `report`.
     pub fn report_into(&self, report: &mut RunReport) {
         let mut scanner = Stage::new("scanner");
         scanner.note("isa", flux_xml::active_isa_name());
@@ -912,13 +696,6 @@ impl ShardedReader {
         report.stage(reader);
         let mut pipeline = Stage::new("shard_pipeline");
         pipeline.counter("shards", self.total_shards as u64);
-        pipeline.note(
-            "ingest",
-            match &self.input {
-                SourceKind::Buffered(_) => "buffered",
-                SourceKind::Stream(_) => "streamed",
-            },
-        );
         let mut totals = ShardLane::default();
         for lane in &self.lanes {
             totals.merge(lane);
@@ -928,9 +705,6 @@ impl ShardedReader {
             let mut child = Stage::new(format!("shard_{i}"));
             child.absorb(lane.snapshot());
             pipeline.children.push(child);
-        }
-        for ev in self.journal.events() {
-            pipeline.events.push((ev.seq, ev.tag, ev.value));
         }
         report.stage(pipeline);
     }
@@ -983,12 +757,13 @@ mod tests {
     use super::*;
     use flux_xml::{collect_events, parse_to_events, XmlEvent, XmlReader};
 
-    /// A buffered reader over `doc`; min_shard_bytes = 1 so even tiny
-    /// unit-test documents shard.
+    /// A sharded reader over `doc` with a chunk target of a `shards`-th of
+    /// it, so even tiny unit-test documents shard.
     fn sharded(doc: &str, shards: usize) -> ShardedReader {
         let mut config = ShardConfig::new(shards);
-        config.min_shard_bytes = 1;
-        ShardedReader::new(doc.as_bytes().to_vec(), config, SymbolTable::new())
+        config.chunk_bytes = (doc.len() / shards).max(1);
+        let src = std::io::Cursor::new(doc.as_bytes().to_vec());
+        ShardedReader::from_stream(src, config, SymbolTable::new())
     }
 
     /// The delivered prefix and terminal error of the sequential reader.
@@ -1052,7 +827,15 @@ mod tests {
         let mut reader = sharded(&doc, 4);
         assert_eq!(reader.shard_count(), 0);
         assert!(reader.advance().unwrap());
-        assert_eq!(reader.shard_count(), 4);
+        assert_eq!(reader.shard_count(), 0, "chunks activate with content");
+        assert!(reader.advance().unwrap());
+        assert_eq!(reader.shard_count(), 1);
+        while reader.advance().unwrap() {}
+        assert_eq!(
+            reader.shard_count(),
+            cut_points(doc.as_bytes(), doc.len() / 4).len()
+        );
+        assert!(reader.shard_count() >= 4);
     }
 
     #[test]
@@ -1074,8 +857,8 @@ mod tests {
     fn seeded_symbols_are_preserved() {
         let mut seed = SymbolTable::new();
         let book = seed.intern("book");
-        let doc = "<book/>";
-        let mut reader = ShardedReader::new(doc.as_bytes().to_vec(), ShardConfig::new(2), seed);
+        let src = std::io::Cursor::new(b"<book/>".to_vec());
+        let mut reader = ShardedReader::from_stream(src, ShardConfig::new(2), seed);
         assert_eq!(start_symbols(&mut reader, "book"), vec![book]);
     }
 
@@ -1186,13 +969,13 @@ mod tests {
         }
     }
 
-    // ---- streamed ingestion ----
+    // ---- small chunks, short segments ----
 
-    /// A streamed config tightened so unit-test documents exercise many
-    /// chunks and many segments per chunk.
+    /// A config tightened so unit-test documents exercise many chunks and
+    /// many segments per chunk.
     fn tight_stream_config(shards: usize) -> ShardConfig {
         let mut config = ShardConfig::new(shards);
-        config.chunk_bytes = stream::MIN_CHUNK_BYTES;
+        config.chunk_bytes = 4 * 1024;
         config.segment_events = 7;
         config.segment_queue = 2;
         config
@@ -1233,7 +1016,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_matches_buffered_on_small_docs() {
+    fn tight_chunks_match_sequential_on_small_docs() {
         let docs = [
             "<a/>",
             "<a><b>text</b><c/></a>",
@@ -1288,10 +1071,9 @@ mod tests {
         assert_streamed_prefix_and_error_match(&doc);
     }
 
-    /// Input truncated inside a trailing text run: the streamed merger
-    /// must suppress the run at real end-of-input exactly like the
-    /// buffered one — including when the run is the last event of a
-    /// *non-final* segment (the lookahead path).
+    /// Input truncated inside a trailing text run: the merger must
+    /// suppress the run at real end-of-input — including when the run is
+    /// the last event of a *non-final* segment (the lookahead path).
     #[test]
     fn streamed_truncated_text_matches_sequential() {
         for filler in [30, 600] {

@@ -1,5 +1,5 @@
-//! The chunk splitter: finds shard boundaries that are safe to hand to
-//! independent fragment parsers.
+//! The seam rule: where a chunk may end so that independent fragment
+//! parsers can take the halves.
 //!
 //! A boundary is safe when it sits on the `<` of an element tag (start or
 //! end tag) that is *markup* — not a `<` inside a comment, CDATA section,
@@ -9,72 +9,12 @@
 //! **no event payload ever straddles a shard seam** and concatenating
 //! shard event sequences reproduces the sequential event sequence exactly.
 //!
-//! The scan hops from `<` to `<` through the same vectorised structural
-//! prescan that feeds the parser ([`flux_xml::simd`]): input is swept
-//! block by block into the index's `<` bitmap only as far as the hop needs,
-//! and special constructs are skipped atomically. The splitter therefore
-//! shares the parser's single structural kernel instead of re-scanning
-//! for `<` with its own byte loop, touches only markup-start bytes, and
-//! still stops as soon as the last requested boundary is placed — the
-//! cost is one vectorised pass over a prefix of the input.
+//! [`find_boundary`] is the one place that rule lives; the dispatcher's
+//! chunker applies it to its growing carry buffer, and special constructs
+//! are skipped atomically.
 
 use flux_xml::is_name_start;
 use flux_xml::scan::{find_byte, find_subslice};
-use flux_xml::simd::{self, StructuralIndex};
-
-/// How many bytes one lazy prescan step sweeps into the index. Large
-/// enough to amortise kernel dispatch, small enough that a splitter that
-/// places its last boundary early never sweeps far past it.
-const PRESCAN_BLOCK: usize = 64 * 1024;
-
-/// Lazily prescanned `<` positions: the structural index holds one
-/// [`PRESCAN_BLOCK`] at a time, so a hop near the start of the input never
-/// pays for indexing the whole document and the feed's footprint stays
-/// one block's bitmaps.
-struct LtFeed<'a> {
-    input: &'a [u8],
-    idx: StructuralIndex,
-    /// Bytes swept into the index so far.
-    swept: usize,
-}
-
-impl<'a> LtFeed<'a> {
-    fn new(input: &'a [u8]) -> Self {
-        LtFeed {
-            input,
-            idx: StructuralIndex::new(),
-            swept: 0,
-        }
-    }
-
-    /// First `<` at or after `from`, sweeping further blocks on demand.
-    /// Queries must be monotone non-decreasing (the splitter only moves
-    /// forward), so a block with no `<` at or after `from` is never needed
-    /// again.
-    fn next_lt(&mut self, from: usize) -> Option<usize> {
-        loop {
-            let base = self.idx.base() as usize;
-            if let Some(at) = self
-                .idx
-                .lt
-                .next_in(from.saturating_sub(base), self.swept - base)
-            {
-                return Some(base + at);
-            }
-            if self.swept >= self.input.len() {
-                return None;
-            }
-            let end = (self.swept + PRESCAN_BLOCK).min(self.input.len());
-            self.idx.clear();
-            simd::prescan_into(
-                &self.input[self.swept..end],
-                self.swept as u64,
-                &mut self.idx,
-            );
-            self.swept = end;
-        }
-    }
-}
 
 /// Index just past the `>` closing a DOCTYPE declaration starting at
 /// `start` (the `<` of `<!DOCTYPE`), honouring quoted literals, the
@@ -108,8 +48,7 @@ pub(crate) fn doctype_end(input: &[u8], start: usize) -> Option<usize> {
 }
 
 /// Outcome of one incremental boundary scan over a growing buffer
-/// ([`find_boundary`]): the streaming chunker's resumable variant of the
-/// whole-buffer [`split_points`] sweep.
+/// ([`find_boundary`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BoundaryScan {
     /// A safe element-tag `<` at this offset, at or after the requested
@@ -125,9 +64,7 @@ pub(crate) enum BoundaryScan {
 /// Finds the first safe element-tag `<` at or after `min_pos`, scanning
 /// forward from `from`. `from` must lie outside every comment, CDATA
 /// section, PI and DOCTYPE (position 0, a previous `resume`, or just past
-/// a previously found boundary all qualify). Boundary classification is
-/// identical to [`split_points`] — the buffered and streamed sharded
-/// paths must agree on what a safe seam is.
+/// a previously found boundary all qualify).
 pub(crate) fn find_boundary(input: &[u8], from: usize, min_pos: usize) -> BoundaryScan {
     let mut pos = from;
     while pos < input.len() {
@@ -179,72 +116,14 @@ pub(crate) fn find_boundary(input: &[u8], from: usize, min_pos: usize) -> Bounda
     }
 }
 
-/// Computes chunk start offsets for up to `shards` shards: the first chunk
-/// starts at 0, every further chunk at a safe element-tag `<` at or after
-/// its ideal `i * len / shards` position. Returns fewer boundaries (down
-/// to a single chunk) when the document does not offer enough safe tags —
-/// never an invalid one.
-pub fn split_points(input: &[u8], shards: usize) -> Vec<usize> {
-    let mut points = vec![0usize];
-    if shards <= 1 || input.is_empty() {
-        return points;
-    }
-    let ideal = |i: usize| i * input.len() / shards;
-    let mut feed = LtFeed::new(input);
-    let mut next = 1; // index of the next boundary to place
-    let mut pos = 0usize;
-    while next < shards && pos < input.len() {
-        let Some(at) = feed.next_lt(pos) else {
-            break;
-        };
-        let rest = &input[at..];
-        if rest.starts_with(b"<!--") {
-            match find_subslice(rest, b"-->") {
-                Some(end) => pos = at + end + 3,
-                None => break,
-            }
-        } else if rest.starts_with(b"<![CDATA[") {
-            match find_subslice(rest, b"]]>") {
-                Some(end) => pos = at + end + 3,
-                None => break,
-            }
-        } else if rest.starts_with(b"<!DOCTYPE") {
-            match doctype_end(input, at) {
-                Some(end) => pos = end,
-                None => break,
-            }
-        } else if rest.starts_with(b"<?") {
-            match find_subslice(rest, b"?>") {
-                Some(end) => pos = at + end + 2,
-                None => break,
-            }
-        } else if rest.len() > 1 && (rest[1] == b'/' || is_name_start(rest[1])) {
-            // A safe element-tag boundary. Place every boundary whose ideal
-            // position we have passed (only once — duplicates would make
-            // empty shards).
-            if at > 0 && at >= ideal(next) {
-                points.push(at);
-                next += 1;
-                while next < shards && at >= ideal(next) {
-                    next += 1;
-                }
-            }
-            pos = at + 1;
-        } else {
-            // `<` followed by something that is no construct we know —
-            // malformed input; let a shard report it.
-            pos = at + 1;
-        }
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cut_points;
 
+    /// Seams at a chunk target that asks for `shards` chunks.
     fn points_of(doc: &str, shards: usize) -> Vec<usize> {
-        split_points(doc.as_bytes(), shards)
+        cut_points(doc.as_bytes(), (doc.len() / shards).max(1))
     }
 
     #[test]

@@ -1,22 +1,21 @@
-//! Streamed sharded ingestion: incremental chunk dispatch over an
-//! unbounded `Read`, replacing the buffered path's up-front `Vec<u8>`.
+//! Sharded ingestion: incremental chunk dispatch over an unbounded
+//! `Read`.
 //!
 //! Three thread roles cooperate through bounded channels, so every memory
 //! pool is capped independently of document size:
 //!
 //! * the **dispatcher** owns the byte source. It accumulates a carry
 //!   buffer up to the configured chunk size, extends it to the next safe
-//!   element-tag boundary ([`crate::splitter::find_boundary`] — the same
-//!   seam rule as the buffered splitter), and ships each chunk as an
-//!   [`Arc<Vec<u8>>`] job. The job channel is bounded by the worker
-//!   count, so at most O(workers) chunks are ever in flight;
+//!   element-tag boundary ([`crate::splitter::find_boundary`]), and ships
+//!   each chunk as an [`Arc<Vec<u8>>`] job. The job channel is bounded by
+//!   the worker count, so at most O(workers) chunks are ever in flight;
 //! * a pool of **workers** pulls jobs and parses each chunk in fragment
 //!   mode, handing over *partial tapes* every `segment_events` events
 //!   through a per-chunk channel bounded by `segment_queue` — in-flight
 //!   tape memory is O(segment × queue × workers), not O(chunk);
 //! * the **consumer** (the [`crate::ShardedReader`] merger) receives
-//!   chunks in dispatch order and replays their segment chains, applying
-//!   exactly the document-level re-checks of the buffered path.
+//!   chunks in dispatch order and replays their segment chains,
+//!   re-checking the document-level rules the fragments relaxed.
 //!
 //! Every pool charges the optional [`MemoryBudget`]: chunk buffers as
 //! [`BudgetKind::Chunk`] (released when the merger finishes the chunk),
@@ -32,10 +31,6 @@ use flux_xml::{BudgetKind, MemoryBudget, ReaderConfig};
 use std::io::Read;
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
-
-/// Floor for the configured chunk size: chunks below this thrash the
-/// dispatch machinery without buying parallelism.
-pub(crate) const MIN_CHUNK_BYTES: usize = 4 * 1024;
 
 /// Read granularity of the dispatcher's carry buffer.
 const READ_BLOCK: usize = 64 * 1024;
@@ -71,9 +66,12 @@ pub(crate) enum ChunkMsg {
 }
 
 /// Incremental chunker: reads the source into a carry buffer and cuts it
-/// at safe element-tag boundaries at or after the target size.
-struct Chunker {
-    src: Box<dyn Read + Send>,
+/// at safe element-tag boundaries at or after the target size. Where it
+/// cuts does not depend on how the source's reads happen to fall: a
+/// boundary [`find_boundary`] finds in a prefix is the one it finds in
+/// the whole input.
+struct Chunker<R> {
+    src: R,
     carry: Vec<u8>,
     /// Scan may resume here: a position known to be outside every
     /// markup construct.
@@ -83,8 +81,9 @@ struct Chunker {
     produced_any: bool,
 }
 
-impl Chunker {
-    fn new(src: Box<dyn Read + Send>, target: usize) -> Self {
+impl<R: Read> Chunker<R> {
+    fn new(src: R, target: usize) -> Self {
+        let target = target.max(1);
         Chunker {
             src,
             carry: Vec::with_capacity(target + READ_BLOCK),
@@ -152,6 +151,25 @@ impl Chunker {
     }
 }
 
+/// Start offsets of the chunks the dispatcher cuts `input` into at a
+/// target of `chunk_bytes`: the first is 0, every further one a safe
+/// element-tag `<`. The seams of the streamed pipeline, read off a
+/// resident document.
+pub fn cut_points(input: &[u8], chunk_bytes: usize) -> Vec<usize> {
+    let mut chunker = Chunker::new(input, chunk_bytes);
+    let mut points = vec![0];
+    let mut at = 0;
+    // Reading a slice never fails.
+    while let Ok(Some((chunk, is_final))) = chunker.next_chunk() {
+        if is_final {
+            break;
+        }
+        at += chunk.len();
+        points.push(at);
+    }
+    points
+}
+
 /// Everything the streaming pipeline needs at launch.
 pub(crate) struct StreamLaunch {
     pub source: Box<dyn Read + Send>,
@@ -184,7 +202,6 @@ pub(crate) fn start_stream(launch: StreamLaunch) -> Receiver<ChunkMsg> {
         budget,
     } = launch;
     let workers = workers.max(1);
-    let chunk_bytes = chunk_bytes.max(MIN_CHUNK_BYTES);
     let segment_queue = segment_queue.max(1);
     let limits = SegmentLimits {
         events: segment_events,
@@ -260,11 +277,10 @@ pub(crate) fn start_stream(launch: StreamLaunch) -> Receiver<ChunkMsg> {
 mod tests {
     use super::*;
 
+    const TARGET: usize = 4 * 1024;
+
     fn chunks_of(doc: &str, target: usize) -> Vec<(Vec<u8>, bool)> {
-        let mut chunker = Chunker::new(
-            Box::new(std::io::Cursor::new(doc.as_bytes().to_vec())),
-            target,
-        );
+        let mut chunker = Chunker::new(doc.as_bytes(), target);
         let mut out = Vec::new();
         while let Some(c) = chunker.next_chunk().unwrap() {
             out.push(c);
@@ -275,7 +291,7 @@ mod tests {
     #[test]
     fn chunks_reassemble_exactly_and_cut_on_tags() {
         let doc = "<r>".to_string() + &"<b attr=\"v\">text &amp; more</b>".repeat(2000) + "</r>";
-        let chunks = chunks_of(&doc, MIN_CHUNK_BYTES);
+        let chunks = chunks_of(&doc, TARGET);
         assert!(chunks.len() > 1, "large doc must split");
         let mut glued = Vec::new();
         for (i, (chunk, is_final)) in chunks.iter().enumerate() {
@@ -294,7 +310,7 @@ mod tests {
         // outside them.
         let filler = format!("<!-- {} -->", "pad ".repeat(3000));
         let doc = format!("<r>{}<a/>{}<b/>{}</r>", filler, filler, filler);
-        let chunks = chunks_of(&doc, MIN_CHUNK_BYTES);
+        let chunks = chunks_of(&doc, TARGET);
         let mut offset = 0;
         for (chunk, _) in &chunks[..chunks.len().saturating_sub(1)] {
             offset += chunk.len();
@@ -312,7 +328,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_one_final_chunk() {
-        let chunks = chunks_of("", MIN_CHUNK_BYTES);
+        let chunks = chunks_of("", TARGET);
         assert_eq!(chunks.len(), 1);
         assert!(chunks[0].0.is_empty());
         assert!(chunks[0].1);
@@ -320,7 +336,7 @@ mod tests {
 
     #[test]
     fn small_input_is_one_final_chunk() {
-        let chunks = chunks_of("<a><b/></a>", MIN_CHUNK_BYTES);
+        let chunks = chunks_of("<a><b/></a>", TARGET);
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].0, b"<a><b/></a>");
         assert!(chunks[0].1);

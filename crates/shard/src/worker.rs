@@ -1,10 +1,11 @@
-//! The per-shard worker: parses one chunk as a document fragment onto an
-//! [`EventTape`] that the merger replays without re-parsing — or copying.
+//! The per-shard worker: parses one chunk as a document fragment onto
+//! [`EventTape`] segments that the merger replays without re-parsing — or
+//! copying.
 //!
 //! Workers are where the expensive work happens — tokenisation, UTF-8
 //! validation, entity unescaping, name interning — and they run fully in
-//! parallel, each on its own thread, handing finished tapes to the
-//! consumer through a channel as they complete. Each worker clones the
+//! parallel on a pool of threads, handing tape segments to the consumer
+//! through a bounded channel as they fill. Each worker clones the
 //! shared seed [`SymbolTable`]; clones preserve indices, so every symbol
 //! below the seed length means the same name in every shard. Names first
 //! seen *inside* a shard are shard-local and reported back via
@@ -45,20 +46,16 @@ pub(crate) struct ShardTape {
     /// valid prefix parsed before it.
     pub error: Option<XmlError>,
     /// This shard's timeline lane. The worker fills the parse side
-    /// (`parse_ns`, `events`, `tape_bytes`); the consumer fills the replay
-    /// side when it activates and exhausts the tape.
+    /// (`parse_ns`, `events`, `tape_bytes`); the consumer fills
+    /// `replay_ns` when it exhausts the chunk.
     pub lane: ShardLane,
-    /// Epoch-relative instant the finished tape was handed to the channel;
-    /// the consumer subtracts it from its pickup instant to get the
-    /// channel-dwell span.
-    pub ready_at_ns: u64,
     /// The fragment reader's scanner counters, harvested at join time.
     pub scan: ScanCounters,
     /// The fragment reader's tag totals and rare-path counters.
     pub reader: ReaderCounters,
 }
 
-/// One link of a streamed chunk's segment chain: a partial tape handed
+/// One link of a chunk's segment chain: a partial tape handed
 /// over every `segment_events` events so in-flight tape memory is bounded
 /// by the segment size, not the chunk size.
 ///
@@ -79,70 +76,6 @@ pub(crate) struct Segment {
     pub charge: Option<BudgetCharge>,
 }
 
-/// Parses `chunk` as a fragment onto a tape. Infallible by design: errors
-/// ride inside the returned [`ShardTape`] so the consumer can replay the
-/// valid prefix first, exactly like the sequential reader streams it.
-/// `epoch` is the pipeline-wide stopwatch copy all timeline points are
-/// measured against.
-pub(crate) fn parse_fragment(
-    chunk: &[u8],
-    reader_config: &ReaderConfig,
-    seed: &SymbolTable,
-    epoch: Stopwatch,
-) -> ShardTape {
-    debug_assert!(reader_config.fragment, "workers parse fragments");
-    let parse_started = epoch.elapsed_ns();
-    let mut reader = XmlReader::with_symbols(chunk, reader_config.clone(), seed.clone());
-    // Typical markup density: one event per ~20 bytes, payloads well under
-    // half the chunk. Reserving avoids regrowth churn in the hot loop.
-    let mut tape = EventTape::with_capacity(chunk.len() / 16, chunk.len() / 2);
-    let mut error = None;
-    loop {
-        match reader.advance() {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-        // The merger synthesises the document brackets itself.
-        if matches!(
-            reader.kind(),
-            RawEventKind::StartDocument | RawEventKind::EndDocument
-        ) {
-            continue;
-        }
-        // Construct-start and just-after positions bracket the event; the
-        // merger reports its document-level re-checks at the start — where
-        // the sequential reader raises them.
-        tape.push(&reader.view(), reader.event_start(), reader.position());
-    }
-    let end_pos = reader.position();
-    let table = reader.symbols();
-    let new_names: Vec<String> = (seed.len()..table.len())
-        .map(|i| table.name(Symbol::from_index(i)).to_string())
-        .collect();
-    // Two clock reads bracket the whole fragment parse.
-    let ready_at_ns = epoch.elapsed_ns();
-    let lane = ShardLane {
-        parse_ns: ready_at_ns.saturating_sub(parse_started),
-        events: tape.len() as u64,
-        tape_bytes: tape.byte_size() as u64,
-        ..ShardLane::default()
-    };
-    ShardTape {
-        scan: reader.scan_telemetry(),
-        reader: reader.reader_telemetry(),
-        tape,
-        new_names,
-        end_pos,
-        error,
-        lane,
-        ready_at_ns,
-    }
-}
-
 /// Names interned by `reader` beyond index `from` (exclusive upper bound
 /// is the table's current length, which is also returned).
 fn names_since<R: std::io::Read>(reader: &XmlReader<R>, from: usize) -> (Vec<String>, usize) {
@@ -153,7 +86,7 @@ fn names_since<R: std::io::Read>(reader: &XmlReader<R>, from: usize) -> (Vec<Str
     (names, table.len())
 }
 
-/// When a streamed worker flushes a partial tape: after `events` events
+/// When a worker flushes a partial tape: after `events` events
 /// or — for payload-heavy content that would inflate the per-segment
 /// footprint — once the segment's arena reaches `bytes`, whichever comes
 /// first.
@@ -223,7 +156,6 @@ pub(crate) fn parse_segmented(
                     end_pos: reader.position(),
                     error: None,
                     lane: ShardLane::default(),
-                    ready_at_ns: epoch.elapsed_ns(),
                     scan: ScanCounters::default(),
                     reader: ReaderCounters::default(),
                 },
@@ -262,7 +194,6 @@ pub(crate) fn parse_segmented(
             end_pos,
             error,
             lane,
-            ready_at_ns,
         },
         last: true,
         charge,

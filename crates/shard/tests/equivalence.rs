@@ -7,7 +7,7 @@
 //! splits), and XSAX validation-verdict agreement when the sharded reader
 //! feeds `XsaxParser::from_source`.
 
-use flux_shard::{splitter, ShardConfig, ShardedReader};
+use flux_shard::{cut_points, ShardConfig, ShardedReader};
 use flux_xml::{
     collect_events, is_name_start, parse_to_events, EventSource, SymbolTable, XmlEvent, XmlReader,
     XmlWriter,
@@ -17,11 +17,15 @@ use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-/// Byte-at-a-time reference for the splitter's boundary rules: every byte
-/// inspected individually, no SWAR kernels and no structural prescan.
-/// [`splitter::split_points`] must place exactly these seams — the
-/// vectorised `<` hop is an implementation detail, never a semantic one.
-fn naive_split_points(input: &[u8], shards: usize) -> Vec<usize> {
+/// Byte-at-a-time reference for the chunker's seams: every byte inspected
+/// individually, no search kernels and no read blocks. A chunk ends at
+/// the first safe element-tag `<` at least `target` bytes past its start;
+/// the rest of the input is the final chunk once it is no longer than the
+/// target, or once an unterminated (or unclassifiable) construct leaves no
+/// safe `<`. [`cut_points`] must place exactly these seams — how the
+/// dispatcher searches and reads is an implementation detail, never a
+/// semantic one.
+fn naive_cut_points(input: &[u8], target: usize) -> Vec<usize> {
     fn find(input: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
         (from..input.len()).find(|&i| input[i..].starts_with(needle))
     }
@@ -51,18 +55,20 @@ fn naive_split_points(input: &[u8], shards: usize) -> Vec<usize> {
         }
         None
     }
+    let target = target.max(1);
     let mut points = vec![0usize];
-    if shards <= 1 || input.is_empty() {
-        return points;
-    }
-    let ideal = |i: usize| i * input.len() / shards;
-    let mut next = 1;
+    let mut start = 0usize;
     let mut pos = 0usize;
-    while next < shards && pos < input.len() {
+    while input.len() - start > target {
         let Some(at) = (pos..input.len()).find(|&i| input[i] == b'<') else {
             break;
         };
         let rest = &input[at..];
+        if rest.len() == 1 || (rest.len() < 9 && rest[1] == b'!') {
+            // `<!` this close to the end may be the start of a comment,
+            // CDATA section or DOCTYPE that never got its bytes.
+            break;
+        }
         if rest.starts_with(b"<!--") {
             match find(input, at, b"-->") {
                 Some(end) => pos = end + 3,
@@ -83,13 +89,10 @@ fn naive_split_points(input: &[u8], shards: usize) -> Vec<usize> {
                 Some(end) => pos = end + 2,
                 None => break,
             }
-        } else if rest.len() > 1 && (rest[1] == b'/' || is_name_start(rest[1])) {
-            if at > 0 && at >= ideal(next) {
+        } else if rest[1] == b'/' || is_name_start(rest[1]) {
+            if at >= start + target {
                 points.push(at);
-                next += 1;
-                while next < shards && at >= ideal(next) {
-                    next += 1;
-                }
+                start = at;
             }
             pos = at + 1;
         } else {
@@ -99,11 +102,18 @@ fn naive_split_points(input: &[u8], shards: usize) -> Vec<usize> {
     points
 }
 
+/// A chunk target asking for `shards` chunks of `input`.
+fn target_for(input: &[u8], shards: usize) -> usize {
+    (input.len() / shards).max(1)
+}
+
 fn assert_seams_match_naive(doc: &str) {
+    let input = doc.as_bytes();
     for shards in SHARD_COUNTS {
+        let target = target_for(input, shards);
         assert_eq!(
-            splitter::split_points(doc.as_bytes(), shards),
-            naive_split_points(doc.as_bytes(), shards),
+            cut_points(input, target),
+            naive_cut_points(input, target),
             "seams diverged from the naive reference at {shards} shards"
         );
     }
@@ -125,10 +135,13 @@ fn serialise_sequential(doc: &str) -> String {
     serialise(XmlReader::new(doc.as_bytes()))
 }
 
+/// A sharded reader whose chunk target asks for `shards` chunks, so even
+/// small generated documents shard.
 fn sharded_reader(doc: &str, shards: usize, symbols: SymbolTable) -> ShardedReader {
     let mut config = ShardConfig::new(shards);
-    config.min_shard_bytes = 1; // shard even small generated documents
-    ShardedReader::new(doc.as_bytes().to_vec(), config, symbols)
+    config.chunk_bytes = target_for(doc.as_bytes(), shards);
+    let src = std::io::Cursor::new(doc.as_bytes().to_vec());
+    ShardedReader::from_stream(src, config, symbols)
 }
 
 fn serialise_sharded(doc: &str, shards: usize) -> String {
@@ -187,8 +200,8 @@ proptest! {
 
 // ----- seam unit tests: constructs straddling an exact chunk boundary -----
 
-/// Forces exactly two shards and checks equivalence. `min_shard_bytes = 1`
-/// makes the split land near the middle of the document, which the caller
+/// Asks for two shards and checks equivalence. The chunk target of half
+/// the document makes the split land near the middle, which the caller
 /// arranges to be inside the interesting construct.
 fn assert_two_shard_equivalent(doc: &str) {
     assert_seams_match_naive(doc);
@@ -207,30 +220,32 @@ fn seams_match_naive_reference_on_construct_heavy_doc() {
          <r>{decoys}<a k=\"a > b\" k2='c > d'>text</a>{decoys}</r>"
     );
     assert_seams_match_naive(&doc);
-    // Seams stay honest on a document that ends mid-construct, too.
+    // Seams stay honest on a document that ends mid-construct, too, and
+    // at a target of one byte, which cuts at every safe tag.
     let truncated = &doc[..doc.len() / 2];
-    for shards in SHARD_COUNTS {
-        assert_eq!(
-            splitter::split_points(truncated.as_bytes(), shards),
-            naive_split_points(truncated.as_bytes(), shards),
-            "seams diverged on truncated doc at {shards} shards"
-        );
+    assert_seams_match_naive(truncated);
+    for input in [doc.as_bytes(), truncated.as_bytes()] {
+        assert_eq!(cut_points(input, 1), naive_cut_points(input, 1));
     }
+    // `<r>`, `<a ...>`, `</a>` and `</r>`: every safe tag but the first
+    // byte's.
+    assert_eq!(cut_points(doc.as_bytes(), 1).len(), 5);
 }
 
 #[test]
-fn seams_match_naive_across_prescan_blocks() {
-    // A document big enough that the splitter's lazy prescan sweeps
-    // several blocks, with boundaries landing both early and late.
+fn seams_match_naive_across_read_blocks() {
+    // A document big enough that the chunker reads it in several blocks,
+    // with boundaries landing both early and late in a block.
     let doc = format!(
         "<r>{}</r>",
         "<item a=\"v > w\">body text</item>".repeat(8_000)
     );
-    assert!(doc.len() > 128 * 1024, "must span multiple prescan blocks");
+    assert!(doc.len() > 128 * 1024, "must span multiple read blocks");
     for shards in [2usize, 5, 16, 64] {
+        let target = target_for(doc.as_bytes(), shards);
         assert_eq!(
-            splitter::split_points(doc.as_bytes(), shards),
-            naive_split_points(doc.as_bytes(), shards),
+            cut_points(doc.as_bytes(), target),
+            naive_cut_points(doc.as_bytes(), target),
             "seams diverged at {shards} shards"
         );
     }

@@ -47,6 +47,14 @@ fn drive<S: EventSource>(
     }
 }
 
+/// A sharded reader over `bytes` at a chunk target of a `shards`-th of
+/// the document, so even small documents shard.
+fn sharded(bytes: &[u8], shards: usize, symbols: SymbolTable) -> ShardedReader {
+    let mut config = ShardConfig::new(shards);
+    config.chunk_bytes = (bytes.len() / shards).max(1);
+    ShardedReader::from_stream(std::io::Cursor::new(bytes.to_vec()), config, symbols)
+}
+
 /// The position inside a validation error.
 fn error_position(err: &XsaxError) -> Option<Position> {
     match err {
@@ -69,9 +77,7 @@ fn assert_modes_agree(doc: &str, dtd: &Dtd, with_past: bool) {
         past.clone(),
     );
     for shards in SHARD_COUNTS {
-        let mut config = ShardConfig::new(shards);
-        config.min_shard_bytes = 1;
-        let source = ShardedReader::new(doc.as_bytes().to_vec(), config, seeded_symbols(dtd));
+        let source = sharded(doc.as_bytes(), shards, seeded_symbols(dtd));
         let parser =
             XsaxParser::from_source(source, dtd, XsaxConfig::default()).expect("from_source");
         let (steps, err) = drive(parser, past.clone());
@@ -135,9 +141,7 @@ fn corpus_errors_byte_exact_across_shard_counts() {
             .position()
             .unwrap_or_else(|| panic!("corpus entry `{}`: error without position", entry.id));
         for shards in SHARD_COUNTS {
-            let mut config = ShardConfig::new(shards);
-            config.min_shard_bytes = 1;
-            let mut reader = ShardedReader::new(entry.bytes.clone(), config, SymbolTable::new());
+            let mut reader = sharded(&entry.bytes, shards, SymbolTable::new());
             let err = collect_events(&mut reader).1.unwrap_or_else(|| {
                 panic!(
                     "corpus entry `{}` parsed cleanly ({shards} shards)",

@@ -10,10 +10,9 @@
 //! measured window, and neither can the test harness's own threads.
 //!
 //! The instrumentation is part of the loop under proof: shard lane
-//! counters travel inside the (already-allocated) `ShardTape`, the
-//! pipeline's lane vector and event journal are preallocated in
-//! `start_workers` — before this test's measured window opens — and span
-//! reads are `Instant` arithmetic.
+//! counters travel inside the (already-allocated) tape segments, the
+//! pipeline's lane vector grows once per chunk — and the chunk count is
+//! the same for both documents — and span reads are `Instant` arithmetic.
 
 // The counting allocator is the one place the crate needs `unsafe`: it
 // wraps `System` one-to-one and adds a thread-local increment.
@@ -74,19 +73,20 @@ fn document(books: usize) -> String {
     doc
 }
 
-/// Replays `doc` over `shards` shards and returns the number of
-/// allocations the consumer thread performed *after* the launch (input
-/// split, workers spawned, shard 0 parsed inline, the first content event
-/// replayed).
+/// Replays `doc` over `shards` shards, one chunk per worker, and returns
+/// the number of allocations the consumer thread performed *after* the
+/// launch (dispatcher and workers spawned, the first chunk activated, the
+/// first content event replayed).
 fn replay_allocations(doc: &str, shards: usize) -> usize {
     let mut config = ShardConfig::new(shards);
-    config.min_shard_bytes = 1;
-    let mut reader = ShardedReader::new(doc.as_bytes().to_vec(), config, SymbolTable::new());
-    // StartDocument launches the pipeline: the split, the worker spawns
-    // and the inline parse of shard 0 all allocate on this thread, here.
+    config.chunk_bytes = doc.len().div_ceil(shards);
+    let src = std::io::Cursor::new(doc.as_bytes().to_vec());
+    let mut reader = ShardedReader::from_stream(src, config, SymbolTable::new());
+    // StartDocument launches the pipeline and the first content event
+    // activates the first chunk: the spawns and the first remap allocate
+    // on this thread, here.
     assert!(reader.advance().expect("start document"));
     assert!(reader.advance().expect("first content event"));
-    assert_eq!(reader.shard_count(), shards, "document too small to shard");
     let before = allocations();
     let mut touched = 0usize;
     while reader.advance().expect("well-formed input") {
@@ -97,7 +97,9 @@ fn replay_allocations(doc: &str, shards: usize) -> usize {
         }
     }
     assert!(touched > 0, "replay must visit payloads");
-    allocations() - before
+    let after = allocations();
+    assert_eq!(reader.shard_count(), shards, "document too small to shard");
+    after - before
 }
 
 #[test]
@@ -110,8 +112,8 @@ fn sharded_replay_is_allocation_free_per_event() {
     let large_allocs = (0..5).map(|_| replay_allocations(&large, 2)).min().unwrap();
     // 448 extra books × ~60 events each: one allocation per replayed event
     // would add tens of thousands. The slack absorbs the per-shard
-    // transition costs (remap vector, parked-tape map, channel
-    // bookkeeping), which do not depend on the document size.
+    // transition costs (remap vector, lane vector, channel bookkeeping),
+    // which do not depend on the document size.
     assert!(
         large_allocs <= small_allocs + 16,
         "replay allocations must not scale with event count: \

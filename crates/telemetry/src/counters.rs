@@ -90,15 +90,6 @@ counters! {
         events,
         /// Tape bytes produced (payload arena plus encoded headers).
         tape_bytes,
-        /// Time the finished tape waited in the bounded channel before the
-        /// consumer picked it up (producer-side backpressure: the channel
-        /// is sized so senders never block, so dwell is the stall signal).
-        dwell_ns,
-        /// Time the consumer spent blocked in `recv` waiting for this
-        /// shard's tape (consumer-side stall).
-        recv_stall_ns,
-        /// Number of blocking receives attributed to this shard.
-        recv_stalls,
         /// Wall-clock span from shard activation to tape exhaustion — the
         /// consumer's replay time for this shard.
         replay_ns,

@@ -12,9 +12,6 @@
 //!   cannot be derived when the report is built.
 //! * **Span timers** ([`span::Stopwatch`]) — coarse monotonic wall-clock
 //!   spans (two `Instant` reads per span, never per event).
-//! * **A bounded ring journal** ([`journal::Journal`]) — fixed-capacity
-//!   event log for pipeline lifecycle moments (shard ready / activated /
-//!   exhausted), overwriting the oldest entry when full.
 //! * **A residency sampler** ([`residency::Residency`]) — a decimating
 //!   high-water trace of buffered bytes over the run, sampled at scope
 //!   frees and held in a fixed inline array so sampling never allocates.
@@ -27,14 +24,12 @@
 //! uninstrumented parent in `docs/OBSERVABILITY.md`.
 
 mod counters;
-pub mod journal;
 pub mod json;
 pub mod report;
 pub mod residency;
 pub mod span;
 
 pub use counters::{BufferCounters, ReaderCounters, ScanCounters, ShardLane, XsaxCounters};
-pub use journal::{Journal, JournalEvent};
 pub use report::{RunReport, Stage};
 pub use residency::Residency;
 pub use span::Stopwatch;

@@ -2,8 +2,8 @@
 //!
 //! A [`RunReport`] is the single rollup every instrumented pipeline
 //! component appends itself to at the end of a run: a tree of [`Stage`]s,
-//! each carrying counters, span totals, derived rates, annotations,
-//! residency samples and journal events. The engine returns it next to
+//! each carrying counters, span totals, derived rates, annotations and
+//! residency samples. The engine returns it next to
 //! `RunStats`; the CLI renders it with `--report json|text`, and
 //! `tests/cli.rs` checks that its counters reconcile with the run.
 
@@ -14,7 +14,7 @@ use crate::json::JsonWriter;
 #[derive(Debug, Default, Clone)]
 pub struct Stage {
     pub name: String,
-    /// String annotations (active ISA, ingest path, ...).
+    /// String annotations (the active ISA, ...).
     pub notes: Vec<(&'static str, String)>,
     /// Monotonic counter values.
     pub counters: Vec<(&'static str, u64)>,
@@ -24,8 +24,6 @@ pub struct Stage {
     pub rates: Vec<(&'static str, f64)>,
     /// Residency trace points: `(tick, high_water_bytes)`.
     pub samples: Vec<(u64, u64)>,
-    /// Journal entries: `(seq, tag, value)`.
-    pub events: Vec<(u64, &'static str, u64)>,
     pub children: Vec<Stage>,
 }
 
@@ -128,13 +126,6 @@ impl Stage {
             }
             w.end_arr();
         }
-        if !self.events.is_empty() {
-            w.begin_named_arr("journal");
-            for &(seq, tag, value) in &self.events {
-                w.value_raw(&format!("[{seq}, \"{tag}\", {value}]"));
-            }
-            w.end_arr();
-        }
         if !self.children.is_empty() {
             w.begin_named_arr("stages");
             for child in &self.children {
@@ -169,9 +160,6 @@ impl Stage {
                 self.samples.len(),
                 peak
             ));
-        }
-        for &(seq, tag, value) in &self.events {
-            out.push_str(&format!("{indent}  @{seq} {tag} {value}\n"));
         }
         for child in &self.children {
             child.write_text(out, depth + 1);
@@ -258,7 +246,6 @@ mod tests {
         let mut lane = Stage::new("shard_0");
         lane.span("parse_ns", 1_500_000).counter("events", 120);
         lane.samples.push((64, 1024));
-        lane.events.push((0, "tape_ready", 0));
         pipeline.children.push(lane);
         report.stage(pipeline);
         report.stats_json = Some("{\n  \"events\": 120\n}".to_string());
@@ -276,7 +263,6 @@ mod tests {
             "\"shard_0\"",
             "\"parse_ns\": 1500000",
             "[64, 1024]",
-            "[0, \"tape_ready\", 0]",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }

@@ -3,15 +3,12 @@
 //! [`Input`] is a builder over pluggable byte sources — an owned buffer
 //! ([`Input::from_bytes`]), an arbitrary reader such as a socket or stdin
 //! ([`Input::from_reader`]), or a file path with transparent `.gz`
-//! detection ([`Input::from_path`]) — plus the ingestion knobs that used
-//! to be scattered across ad-hoc `R: Read` / `&[u8]` parameters: the
+//! detection ([`Input::from_path`]) — plus the ingestion knobs: the
 //! scanner window size and an optional [`MemoryBudget`].
 //!
-//! The buffer/reader split is deliberately preserved at resolution time
-//! ([`Input::into_source`]): engines that can exploit a fully-buffered
-//! document (the zero-copy sharded path) match on [`ResolvedInput::Bytes`],
-//! while true streams resolve to [`ResolvedInput::Reader`] and are never
-//! materialised.
+//! Every source resolves to one byte stream ([`Input::into_source`]),
+//! read once and never materialised: in-memory bytes are read in place,
+//! and gzip from any source goes through the same streaming decoder.
 //!
 //! [`MemoryBudget`] is the enforcement half of the paper's O(window +
 //! buffer) claim: scanner windows, in-flight shard tapes and streamed
@@ -275,38 +272,6 @@ impl fmt::Debug for ByteSource {
     }
 }
 
-/// A resolved [`Input`]: what an engine actually ingests.
-///
-/// `Bytes` preserves the zero-copy invariant the buffered sharded path
-/// depends on (`Arc<Vec<u8>>` slices shared across workers); `Reader` is a
-/// true stream that must be consumed incrementally.
-pub enum ResolvedInput {
-    /// The whole document is in memory.
-    Bytes(Arc<Vec<u8>>),
-    /// An unbounded stream; never materialised by the engines.
-    Reader(Box<dyn Read + Send>),
-}
-
-impl fmt::Debug for ResolvedInput {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResolvedInput::Bytes(b) => write!(f, "Bytes({} bytes)", b.len()),
-            ResolvedInput::Reader(_) => write!(f, "Reader(..)"),
-        }
-    }
-}
-
-impl ResolvedInput {
-    /// A plain `Read` over the resolved bytes, erasing the buffer/stream
-    /// distinction — for consumers without a dedicated buffered path.
-    pub fn into_reader(self) -> Box<dyn Read + Send> {
-        match self {
-            ResolvedInput::Bytes(b) => Box::new(ArcBytesReader { bytes: b, pos: 0 }),
-            ResolvedInput::Reader(r) => r,
-        }
-    }
-}
-
 /// `Read` over shared bytes without copying them (unlike
 /// `io::Cursor<Vec<u8>>`, keeps the `Arc` alive and clonable elsewhere).
 struct ArcBytesReader {
@@ -369,8 +334,7 @@ impl Input {
         Input::new(ByteSource::Reader(Box::new(reader)))
     }
 
-    /// Input from an in-memory buffer. Engines with a dedicated buffered
-    /// path (the zero-copy sharded reader) keep using it for this variant.
+    /// Input from an in-memory buffer, read in place.
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
         Input::new(ByteSource::Bytes(Arc::new(bytes.into())))
     }
@@ -415,31 +379,30 @@ impl Input {
         }
     }
 
-    /// Whether this input is an in-memory buffer (and would resolve to
-    /// [`ResolvedInput::Bytes`] absent compression).
-    pub fn is_buffered(&self) -> bool {
-        matches!(self.source, ByteSource::Bytes(_))
+    /// The document's length in bytes, when it is known before reading:
+    /// an uncompressed in-memory buffer.
+    pub fn known_len(&self) -> Option<usize> {
+        match &self.source {
+            ByteSource::Bytes(bytes) if !bytes.starts_with(&GZIP_MAGIC) => Some(bytes.len()),
+            _ => None,
+        }
     }
 
-    /// Resolves the source: opens the file, applies gzip detection and
-    /// wraps compressed sources in a streaming decoder. In-memory inputs
-    /// stay [`ResolvedInput::Bytes`] (gzipped buffers are decompressed
-    /// back into a buffer so buffered engines keep their zero-copy path).
-    pub fn into_source(self) -> io::Result<ResolvedInput> {
+    /// Resolves the source to the one byte stream an engine reads: opens
+    /// the file, applies gzip detection and wraps compressed sources in
+    /// the streaming decoder.
+    pub fn into_source(self) -> io::Result<Box<dyn Read + Send>> {
         match self.source {
             ByteSource::Bytes(bytes) => {
-                if bytes.starts_with(&GZIP_MAGIC) {
-                    let plain = miniflate::gzip_decompress(&bytes)?;
-                    Ok(ResolvedInput::Bytes(Arc::new(plain)))
-                } else {
-                    Ok(ResolvedInput::Bytes(bytes))
-                }
+                let gzipped = bytes.starts_with(&GZIP_MAGIC);
+                let reader = Box::new(ArcBytesReader { bytes, pos: 0 });
+                Ok(if gzipped { gzip_reader(reader) } else { reader })
             }
             ByteSource::Reader(reader) => resolve_reader(reader),
             ByteSource::Path(path) => {
                 let file = Box::new(File::open(&path)?);
                 if path.extension().is_some_and(|e| e == "gz") {
-                    gzip_reader(file)
+                    Ok(gzip_reader(file))
                 } else {
                     resolve_reader(file)
                 }
@@ -450,7 +413,7 @@ impl Input {
 
 /// Sniffs the gzip magic off the head of `reader` and wraps accordingly,
 /// pushing the sniffed bytes back in front.
-fn resolve_reader(mut reader: Box<dyn Read + Send>) -> io::Result<ResolvedInput> {
+fn resolve_reader(mut reader: Box<dyn Read + Send>) -> io::Result<Box<dyn Read + Send>> {
     let mut head = [0u8; 2];
     let mut got = 0;
     while got < 2 {
@@ -461,57 +424,50 @@ fn resolve_reader(mut reader: Box<dyn Read + Send>) -> io::Result<ResolvedInput>
     }
     let restored: Box<dyn Read + Send> =
         Box::new(io::Cursor::new(head[..got].to_vec()).chain(reader));
-    if got == 2 && head == GZIP_MAGIC {
+    Ok(if got == 2 && head == GZIP_MAGIC {
         gzip_reader(restored)
     } else {
-        Ok(ResolvedInput::Reader(restored))
-    }
+        restored
+    })
 }
 
-fn gzip_reader(reader: Box<dyn Read + Send>) -> io::Result<ResolvedInput> {
-    Ok(ResolvedInput::Reader(Box::new(miniflate::GzDecoder::new(
-        reader,
-    ))))
+fn gzip_reader(reader: Box<dyn Read + Send>) -> Box<dyn Read + Send> {
+    Box::new(miniflate::GzDecoder::new(reader))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Everything `input` resolves to, or the error reading it stopped at
+    /// after the bytes before it.
+    fn read_all(input: Input) -> (Vec<u8>, Option<String>) {
+        let mut out = Vec::new();
+        let err = input
+            .into_source()
+            .and_then(|mut src| src.read_to_end(&mut out))
+            .err();
+        (out, err.map(|e| e.to_string()))
+    }
+
     #[test]
     fn bytes_passthrough() {
         let input = Input::from_bytes(b"<doc/>".to_vec());
-        assert!(input.is_buffered());
-        match input.into_source().unwrap() {
-            ResolvedInput::Bytes(b) => assert_eq!(&**b, b"<doc/>"),
-            other => panic!("expected bytes, got {other:?}"),
-        }
+        assert_eq!(input.known_len(), Some(6));
+        assert_eq!(read_all(input), (b"<doc/>".to_vec(), None));
     }
 
     #[test]
     fn reader_passthrough_sniffs_and_restores_head() {
         let input = Input::from_reader(io::Cursor::new(b"<doc/>".to_vec()));
-        let mut out = Vec::new();
-        input
-            .into_source()
-            .unwrap()
-            .into_reader()
-            .read_to_end(&mut out)
-            .unwrap();
-        assert_eq!(out, b"<doc/>");
+        assert_eq!(input.known_len(), None);
+        assert_eq!(read_all(input), (b"<doc/>".to_vec(), None));
     }
 
     #[test]
     fn short_reader_survives_sniff() {
         let input = Input::from_reader(io::Cursor::new(b"x".to_vec()));
-        let mut out = Vec::new();
-        input
-            .into_source()
-            .unwrap()
-            .into_reader()
-            .read_to_end(&mut out)
-            .unwrap();
-        assert_eq!(out, b"x");
+        assert_eq!(read_all(input), (b"x".to_vec(), None));
     }
 
     #[test]
@@ -523,24 +479,16 @@ mod tests {
     #[test]
     fn gz_bytes_decompress_to_bytes() {
         let gz = miniflate::gzip_compress_stored(b"<doc>hi</doc>");
-        match Input::from_bytes(gz).into_source().unwrap() {
-            ResolvedInput::Bytes(b) => assert_eq!(&**b, b"<doc>hi</doc>"),
-            other => panic!("expected bytes, got {other:?}"),
-        }
+        let input = Input::from_bytes(gz);
+        assert_eq!(input.known_len(), None, "the plain length is unknown");
+        assert_eq!(read_all(input), (b"<doc>hi</doc>".to_vec(), None));
     }
 
     #[test]
     fn gz_reader_decompresses_via_magic_sniff() {
         let gz = miniflate::gzip_compress_stored(b"<doc>stream</doc>");
         let input = Input::from_reader(io::Cursor::new(gz));
-        let mut out = Vec::new();
-        input
-            .into_source()
-            .unwrap()
-            .into_reader()
-            .read_to_end(&mut out)
-            .unwrap();
-        assert_eq!(out, b"<doc>stream</doc>");
+        assert_eq!(read_all(input), (b"<doc>stream</doc>".to_vec(), None));
     }
 
     #[test]
@@ -549,14 +497,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("doc.xml.gz");
         std::fs::write(&path, miniflate::gzip_compress_stored(b"<d/>")).unwrap();
-        let mut out = Vec::new();
-        Input::from_path(&path)
-            .into_source()
-            .unwrap()
-            .into_reader()
-            .read_to_end(&mut out)
-            .unwrap();
-        assert_eq!(out, b"<d/>");
+        assert_eq!(read_all(Input::from_path(&path)), (b"<d/>".to_vec(), None));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -39,9 +39,7 @@ pub use event::{
     AttrRef, Attribute, AttrsIter, RawAttr, RawEvent, RawEventKind, RawEventRef, XmlEvent,
 };
 pub use flux_symbols::{Symbol, SymbolTable};
-pub use input::{
-    BudgetCharge, BudgetExceeded, BudgetKind, Input, MemoryBudget, ResolvedInput, DEFAULT_WINDOW,
-};
+pub use input::{BudgetCharge, BudgetExceeded, BudgetKind, Input, MemoryBudget, DEFAULT_WINDOW};
 pub use reader::{is_name_start, parse_to_events, ReaderConfig, XmlReader};
 pub use simd::{active_isa_name, StructuralIndex};
 pub use source::{collect_events, EventSource};

@@ -12,8 +12,8 @@
 //!   --output <FILE>         result stream (default: stdout)
 //!   --engine <flux|dom|projection>   engine architecture (default: flux)
 //!   --shards <N>            parse the input with N parallel shards (flux
-//!                           engine only; files and stdin are streamed
-//!                           chunk by chunk, never fully buffered)
+//!                           engine only; the input is streamed chunk by
+//!                           chunk, never fully buffered)
 //!   --window <BYTES>        scanner window size, at most 1g (accepts k/m/g
 //!                           suffixes)
 //!   --memory-budget <BYTES> enforce a tracked-memory budget on the run:

@@ -115,7 +115,7 @@ fn errors_inside_regions_the_plan_ignores_are_identical_across_engines() {
 
     const AUC_EXP: &str = r#"<expensive>{ for $s in $ROOT/site return for $a in $s/closed_auctions/closed_auction where $a/price > 400 return <hit>{$a/itemref}{$a/price}</hit> }</expensive>"#;
 
-    // ~96 KiB, so `--shards 2` really splits it (16 KiB minimum per shard).
+    // ~96 KiB, so `--shards 2` really splits it (16 KiB smallest chunk).
     let valid = auction_string(&AuctionConfig::target_bytes(96 * 1024, 7)).into_bytes();
     // The occurrence of `marker` nearest the middle of `valid`'s `section`
     // element, so the flaw sits deep inside the skipped region.
