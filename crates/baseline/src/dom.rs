@@ -46,7 +46,7 @@ impl DomEngine {
         let mut slots = SlotMap::new();
         let root_slot = slots.slot(ROOT_VAR);
         let mut symbols = SymbolTable::new();
-        let compiled = compile_expr(&query, &mut slots, &mut |label| Some(symbols.intern(label)))?;
+        let compiled = compile_expr(&query, &mut slots, &mut |label| symbols.intern(label))?;
         Ok(DomEngine {
             compiled,
             slots,

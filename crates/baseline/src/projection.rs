@@ -47,14 +47,14 @@ impl ProjectionEngine {
             &mut specs,
             &query,
             &[(ROOT_VAR.to_string(), root_spec)],
-            &mut |label| Some(symbols.intern(label)),
+            &mut |label| symbols.intern(label),
         );
         // The evaluator compiles against the same table the spec edges are
         // keyed by: the projected document is seeded from it, so path steps
         // match by the very integers that admitted the nodes.
         let mut slots = SlotMap::new();
         let root_slot = slots.slot(ROOT_VAR);
-        let compiled = compile_expr(&query, &mut slots, &mut |label| Some(symbols.intern(label)))?;
+        let compiled = compile_expr(&query, &mut slots, &mut |label| symbols.intern(label))?;
         Ok(ProjectionEngine {
             compiled,
             slots,
@@ -67,7 +67,7 @@ impl ProjectionEngine {
 
     /// A rendering of the derived projection paths (for explain output).
     pub fn projection_paths(&self) -> String {
-        self.specs.render(self.root_spec)
+        self.specs.render(self.root_spec, &self.symbols)
     }
 
     /// Streams the input, materialising only projected nodes, then
@@ -98,14 +98,16 @@ impl ProjectionEngine {
             let ev = reader.view();
             match ev.kind() {
                 RawEventKind::StartElement => {
-                    let child = match stack.last().expect("document entry") {
-                        Some((parent, view)) => {
+                    // The document entry is never popped: a well-formed
+                    // stream closes no more elements than it opens.
+                    let child = match stack.last() {
+                        Some(Some((parent, view))) => {
                             view.descend_sym(&self.specs, ev.name()).map(|child_view| {
                                 let id = doc.create_element_view(reader.symbols(), &ev);
                                 (*parent, id, child_view)
                             })
                         }
-                        None => None,
+                        _ => None,
                     };
                     match child {
                         Some((parent, id, view)) => {
@@ -119,7 +121,7 @@ impl ProjectionEngine {
                     stack.pop();
                 }
                 RawEventKind::Text => {
-                    if let Some((node, view)) = stack.last().expect("inside document") {
+                    if let Some(Some((node, view))) = stack.last() {
                         if view.keeps_text(&self.specs) {
                             // Projected text is exactly the repetitive kind
                             // (every author of every book): route it through

@@ -15,7 +15,7 @@
 //!   Output bytes must agree across architectures; for the FluX engine,
 //!   output *and* run statistics (peak/total buffer accounting, event
 //!   counts) must be invariant across sequential parsing (a reader closed
-//!   at the DTD's vocabulary) and every shard count (open shard readers).
+//!   at the plan's vocabulary) and every shard count (open shard readers).
 //!
 //! It also owns what the workspace's integration tests share: the query
 //! [`catalog`], the generated [`Domain`]s, the [`workloads()`] matrix and the

@@ -7,8 +7,7 @@ use flux_dtd::Dtd;
 use flux_lang::{compile as compile_flux, CompileOptions, FluxQuery};
 use flux_runtime::{compile_plan, execute, Plan, RunReport, RunStats};
 use flux_shard::{ShardConfig, ShardedReader};
-use flux_xml::{BudgetKind, Input};
-use flux_xsax::{seeded_reader, seeded_symbols};
+use flux_xml::{BudgetKind, Input, XmlReader};
 use std::io::Write;
 
 /// How the engine parses its input stream.
@@ -166,11 +165,14 @@ impl FluxEngine {
             .into_source()
             .map_err(|e| flux_runtime::RuntimeError::from(flux_xsax::XsaxError::Xml(e.into())))?;
         let (plan, dtd) = (&self.plan, &self.dtd);
+        // Both readers are seeded with the plan's vocabulary, the one
+        // symbol space every name the plan compares belongs to.
+        let vocabulary = plan.symbols.clone();
         let (stats, report) = match self.parallelism {
             Parallelism::Sequential => {
-                // Closed at the DTD's vocabulary: undeclared names never
-                // grow the interner.
-                let source = seeded_reader(source, dtd, reader);
+                // Closed at the vocabulary: names outside it never grow
+                // the interner.
+                let source = XmlReader::closed(source, reader, vocabulary);
                 execute(plan, dtd, source, output, want_report)?
             }
             Parallelism::Shards(n) => {
@@ -188,7 +190,7 @@ impl FluxEngine {
                 }
                 // Shard workers and the merged table stay open: every
                 // name a fragment carries is interned.
-                let source = ShardedReader::from_stream(source, config, seeded_symbols(dtd));
+                let source = ShardedReader::from_stream(source, config, vocabulary);
                 execute(plan, dtd, source, output, want_report)?
             }
         };
@@ -267,9 +269,8 @@ impl EngineKind {
     }
 }
 
-/// A uniform wrapper over the three architectures. The baselines carry the
-/// interner bound from the compile-time [`Options`], so all three can be
-/// run under identical streaming constraints.
+/// A uniform wrapper over the three architectures, compiled once and run
+/// over any [`Input`] under the same window and budget.
 pub enum AnyEngine {
     Flux(Box<FluxEngine>),
     Dom(DomEngine),

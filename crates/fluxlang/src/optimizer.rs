@@ -7,8 +7,8 @@ use crate::error::Result;
 use crate::pretty::pretty_flux;
 use crate::rewrite::Rewriter;
 use crate::safety::check_safety;
-use flux_dtd::{Dtd, Symbol};
-use flux_xquery::{normalize, parse_query, pretty, AttrPart, Cond, Expr, Operand, Path, Step};
+use flux_dtd::Dtd;
+use flux_xquery::{normalize, parse_query, pretty, Expr};
 
 /// Options for [`compile`]: the two ablation switches. The independent
 /// safety check always runs on the scheduled FluX query, so scheduler
@@ -49,12 +49,6 @@ pub struct FluxQuery {
     pub algebra_trace: Vec<RuleApplication>,
     /// Scheduling decisions.
     pub schedule_trace: Vec<String>,
-    /// The query's path-label vocabulary, interned against the DTD at
-    /// compile time: `(label, symbol)` sorted by label, `None` for labels
-    /// the DTD does not declare. This is the symbol space the physical
-    /// plan's buffer-description edges are keyed by — the runtime never
-    /// rebuilds a per-run index.
-    pub label_symbols: Vec<(String, Option<Symbol>)>,
 }
 
 impl FluxQuery {
@@ -62,22 +56,6 @@ impl FluxQuery {
     /// obligations of the plan.
     pub fn buffered_handler_count(&self) -> usize {
         self.flux.buffered_handler_count()
-    }
-
-    /// Resolves a path label through the vocabulary interned at compile
-    /// time (sorted by label), falling back to `dtd` for labels outside
-    /// it. This is the resolver the physical plan compiles its
-    /// symbol-annotated handler bodies with: every label the query names
-    /// resolves against the same index space the stream's seeded interner
-    /// uses, so handler evaluation never hashes a declared label.
-    pub fn resolve_label(&self, dtd: &Dtd, label: &str) -> Option<Symbol> {
-        match self
-            .label_symbols
-            .binary_search_by(|(l, _)| l.as_str().cmp(label))
-        {
-            Ok(i) => self.label_symbols[i].1,
-            Err(_) => dtd.lookup(label),
-        }
     }
 
     /// A human-readable report of every compilation stage.
@@ -103,97 +81,7 @@ impl FluxQuery {
         out.push_str("\n== FluX query ==\n");
         out.push_str(&pretty_flux(&self.flux));
         out.push('\n');
-        let undeclared: Vec<&str> = self
-            .label_symbols
-            .iter()
-            .filter(|(_, sym)| sym.is_none())
-            .map(|(label, _)| label.as_str())
-            .collect();
-        if !undeclared.is_empty() {
-            out.push_str(&format!(
-                "\n(labels not declared in the DTD, matched only by spelling: {})\n",
-                undeclared.join(", ")
-            ));
-        }
         out
-    }
-}
-
-/// Collects every `child::label` step of the query into `out` (the labels
-/// the buffer-description forest will key its edges by).
-fn collect_labels(expr: &Expr, out: &mut std::collections::BTreeSet<String>) {
-    fn path(p: &Path, out: &mut std::collections::BTreeSet<String>) {
-        for step in &p.steps {
-            if let Step::Child(label) = step {
-                out.insert(label.clone());
-            }
-        }
-    }
-    fn cond(c: &Cond, out: &mut std::collections::BTreeSet<String>) {
-        match c {
-            Cond::True | Cond::False => {}
-            Cond::And(a, b) | Cond::Or(a, b) => {
-                cond(a, out);
-                cond(b, out);
-            }
-            Cond::Not(inner) => cond(inner, out),
-            Cond::Exists(p) | Cond::Empty(p) => path(p, out),
-            Cond::Cmp { lhs, rhs, .. } => {
-                for operand in [lhs, rhs] {
-                    if let Operand::Path(p) = operand {
-                        path(p, out);
-                    }
-                }
-            }
-        }
-    }
-    match expr {
-        Expr::Empty | Expr::StringLit(_) | Expr::Var(_) => {}
-        Expr::Path(p) => path(p, out),
-        Expr::Sequence(items) => {
-            for item in items {
-                collect_labels(item, out);
-            }
-        }
-        Expr::Element {
-            attributes,
-            content,
-            ..
-        } => {
-            for attr in attributes {
-                for part in &attr.value {
-                    if let AttrPart::Expr(e) = part {
-                        collect_labels(e, out);
-                    }
-                }
-            }
-            collect_labels(content, out);
-        }
-        Expr::For {
-            source,
-            where_clause,
-            body,
-            ..
-        } => {
-            path(source, out);
-            if let Some(c) = where_clause {
-                cond(c, out);
-            }
-            collect_labels(body, out);
-        }
-        Expr::Let { value, body, .. } => {
-            collect_labels(value, out);
-            collect_labels(body, out);
-        }
-        Expr::If {
-            cond: c,
-            then_branch,
-            else_branch,
-        } => {
-            cond(c, out);
-            collect_labels(then_branch, out);
-            collect_labels(else_branch, out);
-        }
     }
 }
 
@@ -219,18 +107,6 @@ pub fn compile_expr(source: &Expr, dtd: &Dtd, options: &CompileOptions) -> Resul
     };
     let flux = rewriter.rewrite(&optimized)?;
     check_safety(&flux, dtd)?;
-    // Intern the query's label vocabulary once, at compile time: these are
-    // the symbols the plan's spec edges and handler dispatch compare
-    // against on the hot path.
-    let mut labels = std::collections::BTreeSet::new();
-    collect_labels(&optimized, &mut labels);
-    let label_symbols = labels
-        .into_iter()
-        .map(|label| {
-            let sym = dtd.lookup(&label);
-            (label, sym)
-        })
-        .collect();
     Ok(FluxQuery {
         source: source.clone(),
         normalized,
@@ -238,7 +114,6 @@ pub fn compile_expr(source: &Expr, dtd: &Dtd, options: &CompileOptions) -> Resul
         flux,
         algebra_trace: optimizer.trace,
         schedule_trace: rewriter.trace,
-        label_symbols,
     })
 }
 

@@ -7,32 +7,28 @@
 //! buffered paths are projected further (only the descendants the buffered
 //! expressions actually read are stored).
 
-use flux_dtd::Symbol;
-use flux_xquery::{AttrPart, Cond, Expr, Operand, Path, Step, VarName};
+use flux_dtd::{Symbol, SymbolTable};
+use flux_xquery::{AttrPart, Cond, Expr, Operand, Path, Resolver, Step, VarName};
 use std::fmt;
 
 /// Index of a node in the [`SpecArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SpecId(u32);
+pub struct SpecId(usize);
 
 impl SpecId {
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.0
     }
 }
 
 /// One child edge of a spec node, keyed **natively by symbol**: the label
-/// is resolved once, at plan-compile time, against the schema (FluX
-/// engine) or the plan's own table (projection baseline) — there is no
-/// per-run index rebuild.
+/// is interned once, at plan-compile time, into the plan's vocabulary
+/// (FluX engine) or the engine's own table (projection baseline) — there
+/// is no per-run index rebuild. Explain output spells it through that
+/// table.
 #[derive(Debug, Clone)]
 pub struct SpecEdge {
-    /// The label's compile-time symbol; `None` when no symbol space covers
-    /// it (a label the DTD does not declare: no validated event carries
-    /// it, so descent never follows the edge — it stays for explain).
-    pub sym: Option<Symbol>,
-    /// The label text, for explain output.
-    pub label: String,
+    pub sym: Symbol,
     pub child: SpecId,
 }
 
@@ -43,12 +39,12 @@ pub struct SpecNode {
     pub whole: bool,
     /// Keep text children at this point.
     pub text: bool,
-    /// Attribute names of *this* element the plan reads (`$v/@a`), in
+    /// Attributes of *this* element the plan reads (`$v/@a`), in
     /// insertion order. A scope shell keeps only these (all of them when
     /// `whole` is set) — an attribute name no expression reads never
     /// enters the buffer store, so an adversarial stream minting distinct
     /// names cannot grow the store's run-long dictionary.
-    pub attrs: Vec<String>,
+    pub attrs: Vec<Symbol>,
     /// Child labels to keep, with their own projections, in insertion
     /// order. Spec nodes have a handful of children at most, so descent is
     /// a short scan of integer comparisons.
@@ -78,7 +74,7 @@ impl SpecArena {
     }
 
     fn push(&mut self, node: SpecNode) -> SpecId {
-        let id = SpecId(u32::try_from(self.nodes.len()).expect("too many spec nodes"));
+        let id = SpecId(self.nodes.len());
         self.nodes.push(node);
         id
     }
@@ -91,22 +87,17 @@ impl SpecArena {
         &mut self.nodes[id.index()]
     }
 
-    /// Gets or creates the child spec under `id` for `label`, keyed by its
-    /// compile-time symbol `sym`.
-    pub fn child(&mut self, id: SpecId, label: &str, sym: Option<Symbol>) -> SpecId {
+    /// Gets or creates the child spec under `id` for the label `sym`.
+    pub fn child(&mut self, id: SpecId, sym: Symbol) -> SpecId {
         if let Some(edge) = self.nodes[id.index()]
             .children
             .iter()
-            .find(|e| e.label == label)
+            .find(|e| e.sym == sym)
         {
             return edge.child;
         }
         let child = self.push(SpecNode::default());
-        self.node_mut(id).children.push(SpecEdge {
-            sym,
-            label: label.to_string(),
-            child,
-        });
+        self.node_mut(id).children.push(SpecEdge { sym, child });
         child
     }
 
@@ -150,7 +141,7 @@ impl SpecArena {
 
     /// Why a node whose whole subtree is kept stays a tree; `None` for
     /// output-only nodes.
-    fn tree_reason(&self, id: SpecId) -> Option<String> {
+    fn tree_reason(&self, id: SpecId, names: &SymbolTable) -> Option<String> {
         let n = self.node(id);
         if n.output_only {
             return None;
@@ -161,41 +152,52 @@ impl SpecArena {
         if n.text {
             return Some("text() read".to_string());
         }
-        if let Some(attr) = n.attrs.first() {
-            return Some(format!("@{attr} read"));
+        if let Some(&attr) = n.attrs.first() {
+            return Some(format!("@{} read", names.name(attr)));
         }
         n.children
             .first()
-            .map(|e| format!("a further step reads {}", e.label))
+            .map(|e| format!("a further step reads {}", names.name(e.sym)))
+    }
+
+    /// The child edges of `id`, sorted by label for stable output.
+    fn sorted_edges<'a>(&'a self, id: SpecId, names: &SymbolTable) -> Vec<&'a SpecEdge> {
+        let mut edges: Vec<&SpecEdge> = self.node(id).children.iter().collect();
+        edges.sort_by(|a, b| names.name(a.sym).cmp(names.name(b.sym)));
+        edges
     }
 
     /// One line per kept-whole node below `id` that stays a tree, naming
     /// the use that keeps it one — the explain companion of
-    /// [`SpecArena::render`].
-    pub fn render_tree_reasons(&self, id: SpecId, indent: &str, out: &mut String) {
-        let n = self.node(id);
-        if n.whole {
+    /// [`SpecArena::render`]. `names` spells the labels.
+    pub fn render_tree_reasons(
+        &self,
+        id: SpecId,
+        names: &SymbolTable,
+        indent: &str,
+        out: &mut String,
+    ) {
+        if self.node(id).whole {
             return;
         }
-        let mut edges: Vec<&SpecEdge> = n.children.iter().collect();
-        edges.sort_by(|a, b| a.label.cmp(&b.label));
-        for edge in edges {
+        for edge in self.sorted_edges(id, names) {
             let child = self.node(edge.child);
             if child.whole {
-                if let Some(reason) = self.tree_reason(edge.child) {
-                    out.push_str(&format!("{indent}{}: tree, {reason}\n", edge.label));
+                if let Some(reason) = self.tree_reason(edge.child, names) {
+                    let label = names.name(edge.sym);
+                    out.push_str(&format!("{indent}{label}: tree, {reason}\n"));
                 }
             } else {
-                self.render_tree_reasons(edge.child, indent, out);
+                self.render_tree_reasons(edge.child, names, indent, out);
             }
         }
     }
 
     /// Records that the plan reads attribute `name` of this element.
-    pub fn mark_attr(&mut self, id: SpecId, name: &str) {
+    pub fn mark_attr(&mut self, id: SpecId, name: Symbol) {
         let attrs = &mut self.node_mut(id).attrs;
-        if !attrs.iter().any(|a| a == name) {
-            attrs.push(name.to_string());
+        if !attrs.contains(&name) {
+            attrs.push(name);
         }
     }
 
@@ -205,27 +207,15 @@ impl SpecArena {
         !n.whole && !n.text && n.children.is_empty()
     }
 
-    /// All distinct child labels mentioned anywhere in the forest, sorted.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        let mut seen: Vec<&str> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.children.iter().map(|e| e.label.as_str()))
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.into_iter()
-    }
-
-    /// Renders a spec subtree, for `explain` output (labels sorted for
-    /// stable output).
-    pub fn render(&self, id: SpecId) -> String {
+    /// Renders a spec subtree, for `explain` output, spelling labels
+    /// through `names` (sorted for stable output).
+    pub fn render(&self, id: SpecId, names: &SymbolTable) -> String {
         let mut out = String::new();
-        self.render_into(id, &mut out);
+        self.render_into(id, names, &mut out);
         out
     }
 
-    fn render_into(&self, id: SpecId, out: &mut String) {
+    fn render_into(&self, id: SpecId, names: &SymbolTable, out: &mut String) {
         let n = self.node(id);
         if n.output_only {
             out.push_str("bytes");
@@ -241,8 +231,8 @@ impl SpecArena {
             out.push_str("text()");
             first = false;
         }
-        let mut attrs: Vec<&String> = n.attrs.iter().collect();
-        attrs.sort();
+        let mut attrs: Vec<&str> = n.attrs.iter().map(|&a| names.name(a)).collect();
+        attrs.sort_unstable();
         for attr in attrs {
             if !first {
                 out.push(',');
@@ -251,16 +241,14 @@ impl SpecArena {
             out.push_str(attr);
             first = false;
         }
-        let mut edges: Vec<&SpecEdge> = n.children.iter().collect();
-        edges.sort_by(|a, b| a.label.cmp(&b.label));
-        for edge in edges {
+        for edge in self.sorted_edges(id, names) {
             if !first {
                 out.push(',');
             }
-            out.push_str(&edge.label);
+            out.push_str(names.name(edge.sym));
             if !self.is_empty_spec(edge.child) {
                 out.push(':');
-                self.render_into(edge.child, out);
+                self.render_into(edge.child, names, out);
             }
             first = false;
         }
@@ -298,7 +286,7 @@ impl SpecView {
                 }
                 n.children
                     .iter()
-                    .find(|e| e.sym == Some(sym))
+                    .find(|e| e.sym == sym)
                     .map(|e| SpecView::Project(e.child))
             }
         }
@@ -316,16 +304,11 @@ impl SpecView {
     }
 }
 
-/// Resolves a query path label to its compile-time symbol: the DTD's table
-/// for the FluX engine, the plan's own interner for the projection
-/// baseline. `None` marks a label no symbol space covers (undeclared in
-/// the DTD), whose spec edge no event descends.
-pub type LabelResolver<'r> = dyn FnMut(&str) -> Option<Symbol> + 'r;
-
 /// Collects the buffering needs of a normal-form XQuery expression in
 /// content position into the spec roots of the in-scope variables,
-/// interning every path label through `resolver` so the spec edges are
-/// symbol-keyed at compile time.
+/// interning every path label through `resolver` — the plan's vocabulary
+/// for the FluX engine, the engine's own table for the projection
+/// baseline — so the spec edges are symbol-keyed at compile time.
 ///
 /// `scopes` maps streaming-scope variables to their spec roots; loop
 /// variables bound *inside* `expr` are tracked locally and resolve to spec
@@ -334,7 +317,7 @@ pub fn collect_needs(
     arena: &mut SpecArena,
     expr: &Expr,
     scopes: &[(VarName, SpecId)],
-    resolver: &mut LabelResolver<'_>,
+    resolver: &mut Resolver<'_>,
 ) {
     collect(arena, expr, Use::Copy, scopes, &mut Vec::new(), resolver);
 }
@@ -345,7 +328,7 @@ pub fn collect_attribute_needs(
     arena: &mut SpecArena,
     expr: &Expr,
     scopes: &[(VarName, SpecId)],
-    resolver: &mut LabelResolver<'_>,
+    resolver: &mut Resolver<'_>,
 ) {
     collect(arena, expr, Use::Atomise, scopes, &mut Vec::new(), resolver);
 }
@@ -389,7 +372,7 @@ fn resolve<'p>(
     path: &'p Path,
     scopes: &[(VarName, SpecId)],
     local: &[(VarName, SpecId)],
-    resolver: &mut LabelResolver<'_>,
+    resolver: &mut Resolver<'_>,
 ) -> Option<(SpecId, Option<&'p Step>)> {
     let mut current = lookup(scopes, local, &path.start)?;
     let (element_steps, tail) = match path.steps.last() {
@@ -402,8 +385,7 @@ fn resolve<'p>(
         let Step::Child(label) = step else {
             return None; // non-final attribute/text: rejected upstream
         };
-        let sym = resolver(label);
-        current = arena.child(current, label, sym);
+        current = arena.child(current, resolver(label));
     }
     Some((current, tail))
 }
@@ -418,7 +400,7 @@ fn note_path(
     local: &[(VarName, SpecId)],
     string_valued: bool,
     tree_use: &dyn Fn() -> Option<String>,
-    resolver: &mut LabelResolver<'_>,
+    resolver: &mut Resolver<'_>,
 ) {
     let Some((node, tail)) = resolve(arena, path, scopes, local, resolver) else {
         return;
@@ -428,7 +410,7 @@ fn note_path(
         Some(Step::Attribute(name)) => {
             // Shells keep only the attributes the plan reads — record the
             // read so this one survives shell projection.
-            arena.mark_attr(node, name);
+            arena.mark_attr(node, resolver(name));
         }
         _ => {
             if string_valued {
@@ -445,7 +427,7 @@ fn collect_cond(
     cond: &Cond,
     scopes: &[(VarName, SpecId)],
     local: &[(VarName, SpecId)],
-    resolver: &mut LabelResolver<'_>,
+    resolver: &mut Resolver<'_>,
 ) {
     match cond {
         Cond::Cmp { lhs, op, rhs } => {
@@ -480,7 +462,7 @@ fn collect(
     ctx: Use<'_>,
     scopes: &[(VarName, SpecId)],
     local: &mut Vec<(VarName, SpecId)>,
-    resolver: &mut LabelResolver<'_>,
+    resolver: &mut Resolver<'_>,
 ) {
     match expr {
         Expr::Empty | Expr::StringLit(_) => {}
@@ -574,7 +556,7 @@ mod tests {
             &mut arena,
             &expr,
             &[("book".to_string(), root)],
-            &mut |label| Some(table.intern(label)),
+            &mut |label| table.intern(label),
         );
         (arena, root, table)
     }
@@ -589,11 +571,11 @@ mod tests {
             &mut arena,
             expr,
             &[("book".to_string(), root)],
-            &mut |label| Some(table.intern(label)),
+            &mut |label| table.intern(label),
         );
         arena.mark_output_only();
-        let mut out = arena.render(root);
-        arena.render_tree_reasons(root, "; ", &mut out);
+        let mut out = arena.render(root, &table);
+        arena.render_tree_reasons(root, &table, "; ", &mut out);
         out.trim_end().to_string()
     }
 
@@ -679,74 +661,72 @@ mod tests {
 
     #[test]
     fn author_loop_needs_whole_authors() {
-        let (arena, root, _) = needs_of("<r>{ for $a in $book/author return $a }</r>");
-        assert_eq!(arena.render(root), "{author:*}");
+        let (arena, root, table) = needs_of("<r>{ for $a in $book/author return $a }</r>");
+        assert_eq!(arena.render(root, &table), "{author:*}");
     }
 
     #[test]
     fn text_read_projects_to_text() {
-        let (arena, root, _) = needs_of("<r>{ for $a in $book/author return $a/text() }</r>");
-        assert_eq!(arena.render(root), "{author:{text()}}");
+        let (arena, root, table) = needs_of("<r>{ for $a in $book/author return $a/text() }</r>");
+        assert_eq!(arena.render(root, &table), "{author:{text()}}");
     }
 
     #[test]
     fn attribute_read_keeps_shell_only() {
-        let (arena, root, _) = needs_of("<r>{ for $a in $book/author return $a/@id }</r>");
-        assert_eq!(arena.render(root), "{author}");
+        let (arena, root, table) = needs_of("<r>{ for $a in $book/author return $a/@id }</r>");
+        assert_eq!(arena.render(root, &table), "{author}");
     }
 
     #[test]
     fn comparison_operands_keep_subtree() {
-        let (arena, root, _) =
+        let (arena, root, table) =
             needs_of(r#"<r>{ if ($book/publisher = "AW") then "y" else () }</r>"#);
-        assert_eq!(arena.render(root), "{publisher:*}");
+        assert_eq!(arena.render(root, &table), "{publisher:*}");
     }
 
     #[test]
     fn exists_materialises_shell() {
-        let (arena, root, _) = needs_of("<r>{ if (exists($book/editor)) then \"y\" else () }</r>");
-        assert_eq!(arena.render(root), "{editor}");
+        let (arena, root, table) =
+            needs_of("<r>{ if (exists($book/editor)) then \"y\" else () }</r>");
+        assert_eq!(arena.render(root, &table), "{editor}");
     }
 
     #[test]
     fn whole_var_marks_root() {
-        let (arena, root, _) = needs_of("<r>{$book}</r>");
-        assert_eq!(arena.render(root), "*");
+        let (arena, root, table) = needs_of("<r>{$book}</r>");
+        assert_eq!(arena.render(root, &table), "*");
     }
 
     #[test]
     fn nested_projection() {
-        let (arena, root, _) =
+        let (arena, root, table) =
             needs_of("<r>{ for $a in $book/author return for $n in $a/last return $n/text() }</r>");
-        assert_eq!(arena.render(root), "{author:{last:{text()}}}");
+        assert_eq!(arena.render(root, &table), "{author:{last:{text()}}}");
     }
 
     #[test]
     fn multiple_needs_union() {
-        let (arena, root, _) = needs_of(
+        let (arena, root, table) = needs_of(
             r#"<r>{ for $a in $book/author return $a }{ $book/title/text() }{ if ($book/price < 10) then "c" else () }</r>"#,
         );
-        assert_eq!(arena.render(root), "{author:*,price:*,title:{text()}}");
+        assert_eq!(
+            arena.render(root, &table),
+            "{author:*,price:*,title:{text()}}"
+        );
     }
 
     #[test]
     fn undeclared_labels_keep_spec_structure() {
-        // A resolver that knows no labels (a DTD declaring none of them)
-        // still materialises the spec tree for explain; descent finds
-        // nothing.
-        let expr = normalize(&parse_query("<r>{ for $a in $book/author return $a }</r>").unwrap())
-            .unwrap();
-        let mut arena = SpecArena::new();
-        let root = arena.new_root();
-        collect_needs(
-            &mut arena,
-            &expr,
-            &[("book".to_string(), root)],
-            &mut |_| None,
-        );
-        assert_eq!(arena.render(root), "{author:*}");
+        // A label no DTD declares is interned into the vocabulary like any
+        // other: the spec tree keys its edge by that symbol, and descent
+        // on any other symbol finds nothing.
+        let (arena, root, mut table) = needs_of("<r>{ for $a in $book/undeclared return $a }</r>");
+        assert_eq!(arena.render(root, &table), "{undeclared:*}");
         let view = SpecView::Project(root);
-        assert_eq!(view.descend_sym(&arena, Symbol::from_index(7)), None);
+        assert!(view
+            .descend_sym(&arena, table.intern("undeclared"))
+            .is_some());
+        assert_eq!(view.descend_sym(&arena, table.intern("author")), None);
     }
 
     #[test]

@@ -10,17 +10,18 @@
 //! seeded with the stream's table, so buffering an element copies its
 //! name as a plain integer ([`Document::import_name`]) — no name string is
 //! ever materialised, and the accounted bytes per node are content bytes
-//! only. Names the seed does *not* cover (undeclared attributes, bounded-
-//! interner overflow) intern into the arena document's own table once per
-//! distinct spelling; those dictionary bytes live for the whole run (a
-//! scope free cannot return them), so they are charged to the tracker as
-//! un-releasable growth the moment they are first seen — an adversarial
-//! stream minting unbounded distinct names shows up in
-//! `peak_buffer_bytes` instead of hiding in an unaccounted table. Freed
-//! nodes donate their text buffers, attribute vectors and serialized bytes
-//! back to spare pools, so the steady-state buffer-and-free loop of a scoped query (one
-//! book at a time, in the paper's running example) performs **zero heap
-//! allocations**.
+//! only. The seed is the run's vocabulary, so every name the plan reads is
+//! in it; names it does *not* cover (attributes neither the DTD declares
+//! nor the query names, kept by a whole-subtree copy) intern into the
+//! arena document's own table once per distinct spelling. Those
+//! dictionary bytes live for the whole run (a scope free cannot return
+//! them), so they are charged to the tracker as un-releasable growth the
+//! moment they are first seen — an adversarial stream minting unbounded
+//! distinct names shows up in `peak_buffer_bytes` instead of hiding in an
+//! unaccounted table. Freed nodes donate their text buffers, attribute
+//! vectors and serialized bytes back to spare pools, so the steady-state
+//! buffer-and-free loop of a scoped query (one book at a time, in the
+//! paper's running example) performs **zero heap allocations**.
 //!
 //! A buffered subtree takes one of two representations, decided per BDF
 //! node at plan-compile time. A *tree* — an element node per element, a
@@ -36,7 +37,6 @@
 use crate::stats::MemoryTracker;
 use flux_xml::tree::{Document, NodeAttr, NodeId, NodeKind};
 use flux_xml::{Attribute, RawEventRef, Symbol, SymbolTable, XmlWriter};
-use flux_xquery::{CompiledPath, CursorPool, ItemCursor, PathCursor};
 
 /// Arena of buffered nodes with recycling and byte accounting.
 pub struct BufferArena {
@@ -182,27 +182,25 @@ impl BufferArena {
     }
 
     /// Creates a detached scope shell from a borrowed event view, keeping
-    /// only the attributes named in `keep` (the names the plan actually
-    /// reads — [`crate::bdf::SpecNode::attrs`]). Dropping unread attribute
-    /// names here is what keeps the run-long name dictionary off
-    /// adversarial streams: a minted name no expression reads never
-    /// reaches the arena's table, so `peak_buffer_bytes` stays flat
-    /// however many distinct names the input mints.
+    /// only the attributes in `keep` (the ones the plan actually reads —
+    /// [`crate::bdf::SpecNode::attrs`], symbols of the vocabulary the
+    /// stream is seeded with, so an [`SymbolTable::OVERFLOW`] name is
+    /// never one of them). Dropping unread attributes here is what keeps
+    /// the run-long name dictionary off adversarial streams: a minted
+    /// name no expression reads never reaches the arena's table, so
+    /// `peak_buffer_bytes` stays flat however many distinct names the
+    /// input mints.
     pub fn create_element_view_projected(
         &mut self,
         symbols: &SymbolTable,
         ev: &RawEventRef<'_>,
-        keep: &[String],
+        keep: &[Symbol],
     ) -> NodeId {
         let dict_before = self.doc.interned_name_bytes();
         let name = self.doc.import_name(symbols, ev.name(), ev.target());
         let mut attrs = self.pooled_attrs();
         if !keep.is_empty() {
-            for a in ev.attrs() {
-                let spelled = symbols.try_name(a.name).unwrap_or(a.overflow_name);
-                if !keep.iter().any(|k| k == spelled) {
-                    continue;
-                }
+            for a in ev.attrs().filter(|a| keep.contains(&a.name)) {
                 let name = self.doc.import_name(symbols, a.name, a.overflow_name);
                 let value = self.pooled_string(a.value);
                 attrs.push(NodeAttr { name, value });
@@ -324,33 +322,6 @@ impl BufferArena {
     /// count toward `peak_buffer_bytes`.
     pub fn set_index_bytes(&mut self, bytes: usize) {
         self.tracker.set_index_bytes(bytes);
-    }
-
-    /// The child span of a buffered node — the raw slice cursors walk.
-    pub fn span(&self, id: NodeId) -> &[NodeId] {
-        self.doc.children(id)
-    }
-
-    /// A node cursor streaming the element steps of `path` out of the
-    /// arena, starting at `start`. Scratch comes from (and returns to)
-    /// `pool`, so steady-state construction allocates nothing.
-    pub fn node_cursor<'a>(
-        &'a self,
-        path: &CompiledPath,
-        start: NodeId,
-        pool: &mut CursorPool,
-    ) -> PathCursor<'a> {
-        PathCursor::new(&self.doc, path, start, pool)
-    }
-
-    /// An item cursor streaming `path` (tail included) out of the arena.
-    pub fn item_cursor<'a>(
-        &'a self,
-        path: &CompiledPath,
-        start: NodeId,
-        pool: &mut CursorPool,
-    ) -> ItemCursor<'a> {
-        ItemCursor::new(&self.doc, path, start, pool)
     }
 
     /// Current live buffered bytes.

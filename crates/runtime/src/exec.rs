@@ -85,8 +85,9 @@ enum Target {
 /// Runs a pre-compiled physical plan over an [`EventSource`], writing the
 /// result stream to `output` — the one execution entry point.
 ///
-/// `source` must be seeded with `flux_xsax::seeded_symbols(dtd)`: a
-/// sequential run passes `flux_xsax::seeded_reader`, a parallel one a
+/// `source` must be seeded with a clone of the plan's vocabulary
+/// ([`Plan::symbols`]), or the run fails before its first event: a
+/// sequential run passes an `XmlReader::closed` over it, a parallel one a
 /// `flux_shard::ShardedReader`, whose shards parse on their own threads
 /// while this evaluator (and the XSAX DFA configuration it drives)
 /// consumes the stitched stream sequentially. With `want_report`, the
@@ -99,16 +100,28 @@ pub fn execute<S: EventSource, W: Write>(
     output: W,
     want_report: bool,
 ) -> Result<(RunStats, Option<RunReport>)> {
+    let vocabulary = &plan.symbols;
+    let unseeded = vocabulary
+        .element_symbols()
+        .find(|&sym| source.symbols().try_name(sym) != vocabulary.try_name(sym));
+    if let Some(sym) = unseeded {
+        return Err(RuntimeError::Plan {
+            message: format!(
+                "event source symbols not seeded with `{}` (seed the source with the plan's vocabulary)",
+                vocabulary.name(sym)
+            ),
+        });
+    }
     let mut parser = XsaxParser::from_source(source, dtd, XsaxConfig::default())?;
     let start_time = Instant::now();
     for reg in &plan.past_regs {
         parser.register_past(reg.element, reg.labels.clone())?;
     }
-    // The BDF's edges were interned at plan-compile time against the
-    // DTD's table — the same index space the stream's seeded interner
-    // uses — so per-event descent is pure symbol equality with no per-run
-    // index build. The arena document seeds its name table from the
-    // stream's, so buffered names import as integer copies.
+    // The BDF's edges were interned at plan-compile time into the
+    // vocabulary the stream is seeded with, so per-event descent is pure
+    // symbol equality with no per-run index build. The arena document
+    // seeds its name table from the stream's, so buffered names import as
+    // integer copies.
     let mut state = ExecState {
         plan,
         arena: BufferArena::with_symbols(parser.symbols().clone()),
@@ -349,7 +362,7 @@ impl<'p, W: Write> ExecState<'p, W> {
                 else {
                     continue;
                 };
-                if *symbol != Some(sym) {
+                if *symbol != sym {
                     continue;
                 }
                 if *binds {
@@ -603,7 +616,7 @@ mod tests {
     use crate::plan::compile_plan;
     use flux_dtd::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
     use flux_lang::{compile, CompileOptions};
-    use flux_xsax::seeded_reader;
+    use flux_xml::XmlReader;
 
     const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
 
@@ -611,7 +624,7 @@ mod tests {
         let dtd = Dtd::parse(dtd_text).unwrap();
         let compiled = compile(query, &dtd, &CompileOptions::default()).unwrap();
         let plan = compile_plan(&compiled, &dtd).unwrap();
-        let source = seeded_reader(doc.as_bytes(), &dtd, Default::default());
+        let source = XmlReader::closed(doc.as_bytes(), Default::default(), plan.symbols.clone());
         let mut out = Vec::new();
         let (stats, _) = execute(&plan, &dtd, source, &mut out, false)?;
         Ok((String::from_utf8(out).unwrap(), stats))
@@ -619,6 +632,23 @@ mod tests {
 
     fn run(query: &str, dtd_text: &str, doc: &str) -> (String, RunStats) {
         try_run(query, dtd_text, doc).unwrap_or_else(|e| panic!("execution failed: {e}"))
+    }
+
+    /// A label the DTD does not declare is in the plan's vocabulary only:
+    /// a source seeded with the DTD's alone is refused before it is read.
+    #[test]
+    fn sources_must_carry_the_plan_vocabulary() {
+        let dtd = Dtd::parse(PAPER_FIG1_DTD).unwrap();
+        let query = r#"<r>{ for $b in $ROOT/bib/book return <y>{$b/@year}</y> }</r>"#;
+        let compiled = compile(query, &dtd, &CompileOptions::default()).unwrap();
+        let plan = compile_plan(&compiled, &dtd).unwrap();
+        assert!(plan.symbols.lookup("year").is_some());
+        let source = flux_xsax::seeded_reader(FIG1_DOC.as_bytes(), &dtd, Default::default());
+        let error = execute(&plan, &dtd, source, Vec::new(), false).unwrap_err();
+        assert!(
+            error.to_string().contains("not seeded with `year`"),
+            "{error}"
+        );
     }
 
     const WEAK_DOC: &str = "<bib><book><author>A1</author><title>T1</title><author>A2</author></book><book><title>T2</title></book></bib>";

@@ -6,16 +6,19 @@
 //! * the list of **past queries** to register with XSAX, in firing order,
 //! * a mirrored plan tree with all schema lookups resolved.
 //!
-//! Handler bodies and attribute templates are not carried as AST: they
-//! compile here, once, into [`CompiledExpr`]s whose path steps and
-//! constructor names are pre-resolved [`Symbol`]s
-//! ([`FluxQuery::resolve_label`] — the vocabulary the query compiler
-//! interned against the DTD) and whose variables are dense slots in one
-//! plan-wide [`SlotMap`]. The executor evaluates them with the streaming
-//! cursor evaluator: no per-firing hash lookups for declared labels, no
-//! per-firing environment maps.
+//! Every name the plan compares is a [`Symbol`] of one table, the run's
+//! *vocabulary* ([`Plan::symbols`]): the DTD's elements and declared
+//! attributes ([`seeded_symbols`]) plus every label the query names,
+//! interned as the plan compiles. Handler labels, BDF edges and
+//! attributes, and the path steps of handler bodies and attribute
+//! templates — compiled here, once, into [`CompiledExpr`]s whose
+//! variables are dense slots in one plan-wide [`SlotMap`] — all resolve
+//! through it. Every run's reader is seeded from a clone, so the executor
+//! and the streaming cursor evaluator match names by integer equality:
+//! no per-firing hash lookups, no spelling compares, no per-firing
+//! environment maps.
 
-use crate::bdf::{collect_attribute_needs, collect_needs, LabelResolver, SpecArena, SpecId};
+use crate::bdf::{collect_attribute_needs, collect_needs, SpecArena, SpecId};
 use crate::error::{Result, RuntimeError};
 use flux_dtd::{Dtd, Symbol, SymbolTable};
 use flux_lang::{FluxExpr, FluxQuery, Handler, PastSet};
@@ -23,7 +26,7 @@ use flux_xquery::{
     compile_attr, compile_expr, explain_loops, free_vars, CompiledAttr, CompiledExpr, Expr,
     SlotMap, VarName, ROOT_VAR,
 };
-use flux_xsax::PastLabels;
+use flux_xsax::{seeded_symbols, PastLabels};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -58,13 +61,10 @@ pub enum PlanExpr {
 #[derive(Debug, Clone)]
 pub enum HandlerPlan {
     On {
-        /// Dispatch label as text, for explain output.
-        label: String,
-        /// The label resolved against the DTD's symbol table; `None` when
-        /// the query names an element the DTD does not declare — such a
-        /// handler can never match a validated stream. The executor
-        /// dispatches on this by symbol equality, never by string.
-        symbol: Option<Symbol>,
+        /// The label in the plan's vocabulary. The executor dispatches on
+        /// it by symbol equality. A label the DTD does not declare never
+        /// matches: the validator rejects such an element first.
+        symbol: Symbol,
         var: VarName,
         /// The bound variable's slot in the plan-wide [`SlotMap`].
         var_slot: usize,
@@ -131,6 +131,11 @@ pub struct Plan {
     pub slots: SlotMap,
     /// `$ROOT`'s slot (always allocated first).
     pub root_slot: usize,
+    /// The run's vocabulary: [`seeded_symbols`] of the DTD plus every
+    /// label the query names. Every symbol in the plan is one of its
+    /// entries, and every source [`crate::execute`] reads must be seeded
+    /// from a clone of it.
+    pub symbols: SymbolTable,
 }
 
 impl Plan {
@@ -139,22 +144,23 @@ impl Plan {
     /// subtrees, `*` for trees), then one line per tree naming the use
     /// that keeps it one.
     pub fn render_bdf(&self) -> String {
+        let (specs, names) = (&self.specs, &self.symbols);
         let mut out = String::new();
-        out.push_str(&format!("$ROOT: {}\n", self.specs.render(self.root_spec)));
-        self.specs
-            .render_tree_reasons(self.root_spec, "  ", &mut out);
+        out.push_str(&format!("$ROOT: {}\n", specs.render(self.root_spec, names)));
+        specs.render_tree_reasons(self.root_spec, names, "  ", &mut out);
         for ps in &self.ps {
             for handler in &ps.handlers {
                 if let HandlerPlan::On {
-                    label, var, spec, ..
+                    symbol, var, spec, ..
                 } = handler
                 {
-                    if !self.specs.is_empty_spec(*spec) {
+                    if !specs.is_empty_spec(*spec) {
                         out.push_str(&format!(
-                            "${var} (on {label}): {}\n",
-                            self.specs.render(*spec)
+                            "${var} (on {}): {}\n",
+                            names.name(*symbol),
+                            specs.render(*spec, names)
                         ));
-                        self.specs.render_tree_reasons(*spec, "  ", &mut out);
+                        specs.render_tree_reasons(*spec, names, "  ", &mut out);
                     }
                 }
             }
@@ -197,15 +203,15 @@ impl Plan {
     }
 }
 
-/// Compiles a FluX query into a physical plan. The BDF's edges and the
-/// compiled expressions' path steps are keyed by the symbols the query
-/// compiler interned against the DTD ([`FluxQuery::label_symbols`]) — the
-/// same index space the stream's seeded interner uses, so the executor
-/// never builds a per-run index and never hashes a declared label.
+/// Compiles a FluX query into a physical plan, building the run's
+/// vocabulary ([`Plan::symbols`]) as it goes: the BDF's edges and
+/// attributes, the handler labels and the compiled expressions' path
+/// steps are all keyed by its symbols, so the executor never builds a
+/// per-run index and never hashes or compares a label's spelling.
 pub fn compile_plan(query: &FluxQuery, dtd: &Dtd) -> Result<Plan> {
     let mut compiler = Compiler {
         dtd,
-        query,
+        symbols: seeded_symbols(dtd),
         specs: SpecArena::new(),
         ps: Vec::new(),
         past_regs: Vec::new(),
@@ -244,6 +250,7 @@ pub fn compile_plan(query: &FluxQuery, dtd: &Dtd) -> Result<Plan> {
         past_regs: compiler.past_regs,
         slots: compiler.slots,
         root_slot,
+        symbols: compiler.symbols,
     })
 }
 
@@ -255,8 +262,8 @@ struct ScopeEntry {
 
 struct Compiler<'d> {
     dtd: &'d Dtd,
-    /// The compiled query, for its label vocabulary.
-    query: &'d FluxQuery,
+    /// The vocabulary every label is interned into.
+    symbols: SymbolTable,
     specs: SpecArena,
     ps: Vec<PsPlan>,
     past_regs: Vec<PastReg>,
@@ -299,27 +306,27 @@ impl<'d> Compiler<'d> {
     }
 
     /// Records the buffering needs of `e` — in content position, or as an
-    /// attribute value template part — in the BDF, resolving path labels
-    /// through the compile-time vocabulary (DTD fallback), and the
-    /// variables it reads.
+    /// attribute value template part — in the BDF, interning path labels
+    /// into the vocabulary, and the variables it reads.
     fn collect_buffered_needs(&mut self, e: &Expr, attribute: bool) {
         let pairs = self.scope_pairs();
-        let (dtd, query) = (self.dtd, self.query);
         let collect = if attribute {
             collect_attribute_needs
         } else {
             collect_needs
         };
-        let resolver: &mut LabelResolver<'_> = &mut |label| query.resolve_label(dtd, label);
-        collect(&mut self.specs, e, &pairs, resolver);
+        let symbols = &mut self.symbols;
+        collect(&mut self.specs, e, &pairs, &mut |label| {
+            symbols.intern(label)
+        });
         self.read_vars.extend(free_vars(e));
     }
 
     /// Compiles a buffered normal-form expression against the plan's slot
-    /// map and the query's label vocabulary.
+    /// map and vocabulary.
     fn compile_buffered(&mut self, e: &Expr) -> Result<CompiledExpr> {
-        let (dtd, query, slots) = (self.dtd, self.query, &mut self.slots);
-        compile_expr(e, slots, &mut |label| query.resolve_label(dtd, label)).map_err(Into::into)
+        let (symbols, slots) = (&mut self.symbols, &mut self.slots);
+        compile_expr(e, slots, &mut |label| symbols.intern(label)).map_err(Into::into)
     }
 
     fn compile(&mut self, expr: &FluxExpr) -> Result<PlanExpr> {
@@ -351,9 +358,9 @@ impl<'d> Compiler<'d> {
                             self.collect_buffered_needs(e, true);
                         }
                     }
-                    let (dtd, query, slots) = (self.dtd, self.query, &mut self.slots);
+                    let (symbols, slots) = (&mut self.symbols, &mut self.slots);
                     compiled_attrs.push(
-                        compile_attr(attr, slots, &mut |label| query.resolve_label(dtd, label))
+                        compile_attr(attr, slots, &mut |label| symbols.intern(label))
                             .map_err(RuntimeError::from)?,
                     );
                 }
@@ -367,16 +374,13 @@ impl<'d> Compiler<'d> {
                 })
             }
             FluxExpr::ProcessStream { var, handlers } => {
-                let scope = self.scopes.last().expect("scope stack never empty");
-                if scope.var != *var {
+                // `compile_plan` pushes `$ROOT`'s scope before compiling.
+                let scope = self.scopes.last().filter(|s| s.var == *var);
+                let Some(&ScopeEntry { element, .. }) = scope else {
                     return Err(RuntimeError::Plan {
-                        message: format!(
-                            "process-stream ${var} does not match scope ${}",
-                            scope.var
-                        ),
+                        message: format!("process-stream ${var} does not match its scope"),
                     });
-                }
-                let element = scope.element;
+                };
                 let ps_id = self.ps.len();
                 // Reserve the slot so nested process-streams get later ids.
                 self.ps.push(PsPlan {
@@ -402,8 +406,7 @@ impl<'d> Compiler<'d> {
                             let body = self.compile(body);
                             self.scopes.pop();
                             compiled.push(HandlerPlan::On {
-                                label: label.clone(),
-                                symbol: self.dtd.lookup(label),
+                                symbol: self.symbols.intern(label),
                                 var: v.clone(),
                                 var_slot,
                                 spec,
@@ -541,7 +544,9 @@ mod tests {
                 .iter()
                 .flat_map(|ps| &ps.handlers)
                 .filter_map(|h| match h {
-                    HandlerPlan::On { label, binds, .. } => Some((label.clone(), *binds)),
+                    HandlerPlan::On { symbol, binds, .. } => {
+                        Some((plan.symbols.name(*symbol).to_string(), *binds))
+                    }
                     HandlerPlan::OnFirstPast { .. } => None,
                 })
                 .collect();

@@ -85,7 +85,11 @@ fn steady_state_cursor_evaluation_is_allocation_free() {
     let mut slots = SlotMap::new();
     let root_slot = slots.slot(ROOT_VAR);
     let compiled = compile_expr(&normalized, &mut slots, &mut |label| {
-        arena.doc().symbols().lookup(label)
+        arena
+            .doc()
+            .symbols()
+            .lookup(label)
+            .unwrap_or(SymbolTable::OVERFLOW)
     })
     .unwrap();
 
@@ -156,7 +160,11 @@ fn keyed_probe_loop_allocates_nothing_per_probe() {
     let mut slot_map = SlotMap::new();
     let (people_slot, auction_slot) = (slot_map.slot("people"), slot_map.slot("a"));
     let compiled = compile_expr(&normalized, &mut slot_map, &mut |label| {
-        arena.doc().symbols().lookup(label)
+        arena
+            .doc()
+            .symbols()
+            .lookup(label)
+            .unwrap_or(SymbolTable::OVERFLOW)
     })
     .unwrap();
     let mut slots = slot_map.make_slots();

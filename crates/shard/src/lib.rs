@@ -349,9 +349,11 @@ const START_POS: Position = Position {
 impl ShardedReader {
     /// Creates a sharded reader over a byte stream whose interner is
     /// seeded with `symbols` — the sharded analogue of
-    /// [`flux_xml::XmlReader::with_symbols`]. Seed with
-    /// `flux_xsax::seeded_symbols(&dtd)` to feed `XsaxParser::from_source`,
-    /// or with `SymbolTable::new()` for a bare parse. Memory stays
+    /// [`flux_xml::XmlReader::with_symbols`]. Seed with a plan's
+    /// vocabulary (`flux_runtime::Plan::symbols`) to feed
+    /// `flux_runtime::execute`, with `flux_xsax::seeded_symbols(&dtd)` to
+    /// feed `XsaxParser::from_source`, or with `SymbolTable::new()` for a
+    /// bare parse. Memory stays
     /// constant regardless of document size (see the [`crate`] docs).
     pub fn from_stream(
         src: impl Read + Send + 'static,

@@ -25,9 +25,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// short (a word or two), and interning sits on the parser's per-tag hot
 /// path — SipHash's per-call setup costs more than hashing the whole name.
 /// Flood resistance is not a goal here: a reader that feeds validation is
-/// closed at the DTD's vocabulary, so adversarial input cannot make the
-/// table store new names, and a collision only costs a probe, not a
-/// correctness failure.
+/// closed at a vocabulary fixed before the run (the DTD's names plus the
+/// query's labels), so adversarial input cannot make the table store new
+/// names, and a collision only costs a probe, not a correctness failure.
 #[derive(Default)]
 pub struct NameHasher {
     hash: u64,

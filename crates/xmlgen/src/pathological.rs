@@ -11,7 +11,7 @@
 //!   in (scanner `read_until` runs, unescaping, text-run coalescing);
 //! * [`mint_string`] — a **name-minting adversary**: the distinct-name
 //!   vocabulary grows with the document, which is exactly the input a
-//!   reader closed at the DTD's vocabulary exists for.
+//!   reader closed at the plan's vocabulary exists for.
 //!
 //! The attribute/text/mint shapes stay valid under the paper's weak DTD
 //! (`book (title|author)*`; undeclared *attributes* are permitted), so all

@@ -1,53 +1,25 @@
 //! Query compilation: the one-time translation from the normalized AST to
-//! a [`CompiledExpr`] whose names carry pre-resolved [`Symbol`]s and whose
-//! variables carry dense slot indices.
+//! a [`CompiledExpr`] whose path labels are pre-resolved [`Symbol`]s and
+//! whose variables carry dense slot indices.
 //!
 //! The paper's premise is that everything a query needs to know about the
 //! schema is decided at compile time; this module applies the same rule to
-//! the evaluator itself. Each path step and element-constructor name is
-//! resolved against the *stream's* symbol table exactly once, so steady
-//! state evaluation compares interned integers instead of hashing label
-//! strings on every step of every firing. Names the compile-time table
-//! does not know (labels outside the DTD, such as an undeclared attribute
-//! a closed reader delivers as `OVERFLOW`) keep their literal spelling
-//! and fall back to one table lookup per cursor.
+//! the evaluator itself. Each path step and attribute name is resolved to
+//! a symbol exactly once, by the caller's resolver — the physical plan
+//! interns every label into the run's vocabulary, the baselines into
+//! their own tables — so evaluation compares interned integers and never
+//! a spelling. Element-constructor names are output-side and keep their
+//! spelling.
 
 use crate::ast::*;
 use crate::error::{Result, XQueryError};
 use flux_xml::tree::{Document, NodeId};
-use flux_xml::Symbol;
+use flux_xml::{Symbol, SymbolTable};
 use std::fmt;
 
-/// A name resolved once at compile time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledName {
-    /// The pre-resolved symbol, valid in any document seeded from (or
-    /// aligned with) the compile-time table. `None` when the compile-time
-    /// table declined the name.
-    pub sym: Option<Symbol>,
-    /// The literal spelling — the fallback identity for unresolved names.
-    pub literal: String,
-}
-
-impl CompiledName {
-    pub fn new(literal: &str, resolve: &mut dyn FnMut(&str) -> Option<Symbol>) -> Self {
-        CompiledName {
-            sym: resolve(literal),
-            literal: literal.to_string(),
-        }
-    }
-
-    /// The symbol this name denotes in `doc`'s index space: the compiled
-    /// symbol when one exists, else a single table lookup by spelling
-    /// (undeclared labels only — `None` means no node can match).
-    #[inline]
-    pub fn resolve(&self, doc: &Document) -> Option<Symbol> {
-        match self.sym {
-            Some(s) => Some(s),
-            None => doc.symbols().lookup(&self.literal),
-        }
-    }
-}
+/// Maps a query label to its symbol in the symbol space the compiled
+/// expression will be evaluated over.
+pub type Resolver<'r> = dyn FnMut(&str) -> Symbol + 'r;
 
 /// Dense variable numbering for one compiled query. Bindings live in a
 /// flat `Slots` array indexed by these numbers, so runtime lookup is an
@@ -113,7 +85,7 @@ pub enum PathTail {
     /// Pure element path.
     None,
     /// `/@name` — attribute string values.
-    Attribute(CompiledName),
+    Attribute(Symbol),
     /// `/text()` — text-node children.
     Text,
 }
@@ -126,7 +98,7 @@ pub struct CompiledPath {
     /// Its name, kept for the unbound-variable diagnostic.
     pub start_name: VarName,
     /// The child steps (the tail excluded).
-    pub steps: Vec<CompiledName>,
+    pub steps: Vec<Symbol>,
     pub tail: PathTail,
     /// The AST rendering, kept verbatim for error-message parity with the
     /// reference interpreter.
@@ -422,7 +394,7 @@ pub enum CompiledExpr {
     Path(CompiledPath),
     Sequence(Vec<CompiledExpr>),
     Element {
-        name: CompiledName,
+        name: String,
         attributes: Vec<CompiledAttr>,
         content: Box<CompiledExpr>,
     },
@@ -442,13 +414,11 @@ pub enum CompiledExpr {
 
 /// Compiles a normalized expression. `slots` accumulates variable numbering
 /// (callers pre-intern `$ROOT` and any externally bound variables);
-/// `resolve` maps a label spelling to its symbol in the stream's table —
-/// `None` marks the label as unknown, leaving the literal-spelling
-/// fallback in place.
+/// `resolve` maps each path label to its symbol.
 pub fn compile_expr(
     expr: &Expr,
     slots: &mut SlotMap,
-    resolve: &mut dyn FnMut(&str) -> Option<Symbol>,
+    resolve: &mut Resolver<'_>,
 ) -> Result<CompiledExpr> {
     Ok(match expr {
         Expr::Empty => CompiledExpr::Empty,
@@ -469,7 +439,7 @@ pub fn compile_expr(
             attributes,
             content,
         } => CompiledExpr::Element {
-            name: CompiledName::new(name, resolve),
+            name: name.clone(),
             attributes: attributes
                 .iter()
                 .map(|a| compile_attr(a, slots, resolve))
@@ -530,12 +500,12 @@ pub fn compile_expr(
 pub fn compile_path(
     path: &Path,
     slots: &mut SlotMap,
-    resolve: &mut dyn FnMut(&str) -> Option<Symbol>,
+    resolve: &mut Resolver<'_>,
 ) -> Result<CompiledPath> {
     let (element_steps, tail) = match path.steps.last() {
         Some(Step::Attribute(name)) => (
             &path.steps[..path.steps.len() - 1],
-            PathTail::Attribute(CompiledName::new(name, resolve)),
+            PathTail::Attribute(resolve(name)),
         ),
         Some(Step::Text) => (&path.steps[..path.steps.len() - 1], PathTail::Text),
         _ => (&path.steps[..], PathTail::None),
@@ -547,7 +517,7 @@ pub fn compile_path(
                 "non-final attribute/text step in {path}"
             )));
         };
-        steps.push(CompiledName::new(name, resolve));
+        steps.push(resolve(name));
     }
     Ok(CompiledPath {
         start_slot: slots.slot(&path.start),
@@ -563,7 +533,7 @@ pub fn compile_path(
 pub fn compile_attr(
     attr: &AttrConstructor,
     slots: &mut SlotMap,
-    resolve: &mut dyn FnMut(&str) -> Option<Symbol>,
+    resolve: &mut Resolver<'_>,
 ) -> Result<CompiledAttr> {
     Ok(CompiledAttr {
         name: attr.name.clone(),
@@ -585,7 +555,7 @@ pub fn compile_attr(
 pub fn compile_cond(
     cond: &Cond,
     slots: &mut SlotMap,
-    resolve: &mut dyn FnMut(&str) -> Option<Symbol>,
+    resolve: &mut Resolver<'_>,
 ) -> Result<CompiledCond> {
     Ok(match cond {
         Cond::True => CompiledCond::True,
@@ -612,7 +582,7 @@ pub fn compile_cond(
 fn compile_operand(
     op: &Operand,
     slots: &mut SlotMap,
-    resolve: &mut dyn FnMut(&str) -> Option<Symbol>,
+    resolve: &mut Resolver<'_>,
 ) -> Result<CompiledOperand> {
     Ok(match op {
         Operand::Path(p) => CompiledOperand::Path(compile_path(p, slots, resolve)?),
@@ -621,27 +591,30 @@ fn compile_operand(
     })
 }
 
-/// Compiles against a document's own symbol table — the whole-table
-/// resolver used when the evaluation target is already materialised.
+/// Compiles against a document's own symbol table — the resolver used
+/// when the evaluation target is already materialised. A label the table
+/// lacks names no node of the document: it resolves to
+/// [`SymbolTable::OVERFLOW`], which a tree never stores.
 pub fn compile_for_document(
     expr: &Expr,
     doc: &Document,
     slots: &mut SlotMap,
 ) -> Result<CompiledExpr> {
-    compile_expr(expr, slots, &mut |label| doc.symbols().lookup(label))
+    compile_expr(expr, slots, &mut |label| {
+        doc.symbols().lookup(label).unwrap_or(SymbolTable::OVERFLOW)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use flux_xml::SymbolTable;
 
     fn compile(query: &str, table: &mut SymbolTable) -> (CompiledExpr, SlotMap) {
         let expr = parse_query(query).unwrap();
         let mut slots = SlotMap::new();
         slots.slot(ROOT_VAR);
-        let compiled = compile_expr(&expr, &mut slots, &mut |l| Some(table.intern(l))).unwrap();
+        let compiled = compile_expr(&expr, &mut slots, &mut |l| table.intern(l)).unwrap();
         (compiled, slots)
     }
 
@@ -660,28 +633,36 @@ mod tests {
             panic!("for");
         };
         assert_eq!(source.start_slot, 0);
-        assert!(source.steps.iter().all(|s| s.sym.is_some()));
-        assert_eq!(source.steps[0].literal, "bib");
+        assert_eq!(source.steps, [table.intern("bib"), table.intern("book")]);
         let CompiledExpr::Path(p) = *body else {
             panic!("path");
         };
-        assert_eq!(p.steps[0].sym, Some(table.intern("title")));
+        assert_eq!(p.steps[0], table.intern("title"));
         assert_eq!(p.display, "$b/title");
     }
 
     #[test]
-    fn unknown_labels_keep_literal_fallback() {
-        let expr = parse_query(r#"<r>{$ROOT/mystery}</r>"#).unwrap();
+    fn labels_resolve_once_and_constructors_keep_their_spelling() {
+        // Every path label goes through the resolver exactly once per
+        // occurrence; constructor names never do.
+        let expr = parse_query(r#"<r>{$ROOT/mystery/@id}</r>"#).unwrap();
         let mut slots = SlotMap::new();
-        let compiled = compile_expr(&expr, &mut slots, &mut |_| None).unwrap();
-        let CompiledExpr::Element { content, .. } = compiled else {
+        let mut asked = Vec::new();
+        let compiled = compile_expr(&expr, &mut slots, &mut |l| {
+            asked.push(l.to_string());
+            Symbol::from_index(40 + asked.len())
+        })
+        .unwrap();
+        assert_eq!(asked, ["id", "mystery"]);
+        let CompiledExpr::Element { name, content, .. } = compiled else {
             panic!("element");
         };
+        assert_eq!(name, "r");
         let CompiledExpr::Path(p) = *content else {
             panic!("path");
         };
-        assert_eq!(p.steps[0].sym, None);
-        assert_eq!(p.steps[0].literal, "mystery");
+        assert_eq!(p.steps, [Symbol::from_index(42)]);
+        assert_eq!(p.tail, PathTail::Attribute(Symbol::from_index(41)));
     }
 
     #[test]
@@ -701,7 +682,7 @@ mod tests {
         let expr = crate::normalize::normalize(&parse_query(query).unwrap()).unwrap();
         let mut slots = SlotMap::new();
         slots.slot(ROOT_VAR);
-        let compiled = compile_expr(&expr, &mut slots, &mut |l| Some(table.intern(l))).unwrap();
+        let compiled = compile_expr(&expr, &mut slots, &mut |l| table.intern(l)).unwrap();
         let mut lines = String::new();
         explain_loops(&compiled, &slots, &mut lines);
         let mut found = None;
@@ -831,10 +812,6 @@ mod tests {
             panic!("path");
         };
         assert_eq!(p.steps.len(), 1);
-        let PathTail::Attribute(a) = &p.tail else {
-            panic!("attr tail");
-        };
-        assert_eq!(a.literal, "year");
-        assert_eq!(a.sym, Some(table.intern("year")));
+        assert_eq!(p.tail, PathTail::Attribute(table.intern("year")));
     }
 }

@@ -3,9 +3,9 @@
 //! A [`SequenceCursor`] yields the items of a compiled path one at a time,
 //! walking child spans in document order without materialising any
 //! intermediate `Vec` — `for`-bodies iterate as matches surface, and
-//! existence probes stop at the first item. Cursor scratch (the descent
-//! stack and the per-step symbol vector) is pooled by the evaluator, so
-//! steady-state construction allocates nothing.
+//! existence probes stop at the first item. A cursor borrows its path's
+//! compiled step symbols, and its descent stack is pooled by the
+//! evaluator, so steady-state construction allocates nothing.
 
 use crate::compile::{CompiledPath, PathTail};
 use flux_xml::tree::{Document, NodeId};
@@ -30,13 +30,12 @@ pub trait SequenceCursor<'d> {
     }
 }
 
-/// Reusable cursor scratch: descent stacks and per-step symbol vectors,
-/// recycled across evaluations so nested loops reach an allocation-free
-/// steady state. Depth of the pool tracks the deepest live cursor nesting.
+/// Reusable cursor scratch: descent stacks, recycled across evaluations
+/// so nested loops reach an allocation-free steady state. Depth of the
+/// pool tracks the deepest live cursor nesting.
 #[derive(Debug, Default)]
 pub struct CursorPool {
     stacks: Vec<Vec<(NodeId, u32)>>,
-    syms: Vec<Vec<Option<Symbol>>>,
 }
 
 impl CursorPool {
@@ -44,18 +43,13 @@ impl CursorPool {
         CursorPool::default()
     }
 
-    fn take(&mut self) -> (Vec<(NodeId, u32)>, Vec<Option<Symbol>>) {
-        (
-            self.stacks.pop().unwrap_or_default(),
-            self.syms.pop().unwrap_or_default(),
-        )
+    fn take(&mut self) -> Vec<(NodeId, u32)> {
+        self.stacks.pop().unwrap_or_default()
     }
 
-    fn put(&mut self, mut stack: Vec<(NodeId, u32)>, mut syms: Vec<Option<Symbol>>) {
+    fn put(&mut self, mut stack: Vec<(NodeId, u32)>) {
         stack.clear();
-        syms.clear();
         self.stacks.push(stack);
-        self.syms.push(syms);
     }
 }
 
@@ -66,26 +60,24 @@ pub struct PathCursor<'d> {
     doc: &'d Document,
     /// `(node, next child index)` per live descent level.
     stack: Vec<(NodeId, u32)>,
-    /// The resolved symbol of each child step; `None` (spelling absent
-    /// from the document's table) matches nothing.
-    syms: Vec<Option<Symbol>>,
+    /// The compiled symbol of each child step.
+    steps: &'d [Symbol],
     /// Start node, yielded directly for step-less paths.
     pending_start: Option<NodeId>,
 }
 
 impl<'d> PathCursor<'d> {
-    /// Builds a cursor for `path` starting at `start`. Each step resolves
-    /// to a symbol once, here: pre-compiled symbols copy straight over,
-    /// and only undeclared spellings pay a table lookup.
+    /// Builds a cursor for `path` starting at `start`, matching the
+    /// symbols the path's steps were compiled to.
     pub fn new(
         doc: &'d Document,
-        path: &CompiledPath,
+        path: &'d CompiledPath,
         start: NodeId,
         pool: &mut CursorPool,
     ) -> Self {
-        let (mut stack, mut syms) = pool.take();
-        syms.extend(path.steps.iter().map(|step| step.resolve(doc)));
-        let pending_start = if syms.is_empty() {
+        let mut stack = pool.take();
+        let steps = path.steps.as_slice();
+        let pending_start = if steps.is_empty() {
             Some(start)
         } else {
             stack.push((start, 0));
@@ -94,14 +86,14 @@ impl<'d> PathCursor<'d> {
         PathCursor {
             doc,
             stack,
-            syms,
+            steps,
             pending_start,
         }
     }
 
-    /// Returns the scratch buffers to the pool.
+    /// Returns the descent stack to the pool.
     pub fn recycle(self, pool: &mut CursorPool) {
-        pool.put(self.stack, self.syms);
+        pool.put(self.stack);
     }
 
     pub fn doc(&self) -> &'d Document {
@@ -110,26 +102,26 @@ impl<'d> PathCursor<'d> {
 
     /// The next matching element node in document order.
     pub fn next_node(&mut self) -> Option<NodeId> {
-        if self.syms.is_empty() {
+        if self.steps.is_empty() {
             return self.pending_start.take();
         }
         while let Some(&(node, idx)) = self.stack.last() {
             let depth = self.stack.len() - 1;
-            let want = self.syms[depth];
+            let want = Some(self.steps[depth]);
             let children = self.doc.children(node);
             let mut i = idx as usize;
             let mut found = None;
             while i < children.len() {
                 let c = children[i];
                 i += 1;
-                if want.is_some() && self.doc.name_sym(c) == want {
+                if self.doc.name_sym(c) == want {
                     found = Some(c);
                     break;
                 }
             }
             self.stack[depth].1 = i as u32;
             match found {
-                Some(c) if depth + 1 == self.syms.len() => return Some(c),
+                Some(c) if depth + 1 == self.steps.len() => return Some(c),
                 Some(c) => self.stack.push((c, 0)),
                 None => {
                     self.stack.pop();
@@ -146,7 +138,7 @@ impl<'d> SequenceCursor<'d> for PathCursor<'d> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.syms.is_empty() {
+        if self.steps.is_empty() {
             let n = usize::from(self.pending_start.is_some());
             (n, Some(n))
         } else if self.stack.is_empty() {
@@ -161,8 +153,8 @@ impl<'d> SequenceCursor<'d> for PathCursor<'d> {
 enum TailState {
     /// Yield the nodes themselves.
     Nodes,
-    /// Yield the value of this attribute (resolved once at build).
-    Attribute(Option<Symbol>),
+    /// Yield the value of this attribute.
+    Attribute(Symbol),
     /// Yield text-node children; holds the sub-scan position inside the
     /// current element.
     Text(Option<(NodeId, u32)>),
@@ -178,13 +170,13 @@ pub struct ItemCursor<'d> {
 impl<'d> ItemCursor<'d> {
     pub fn new(
         doc: &'d Document,
-        path: &CompiledPath,
+        path: &'d CompiledPath,
         start: NodeId,
         pool: &mut CursorPool,
     ) -> Self {
-        let tail = match &path.tail {
+        let tail = match path.tail {
             PathTail::None => TailState::Nodes,
-            PathTail::Attribute(name) => TailState::Attribute(name.resolve(doc)),
+            PathTail::Attribute(name) => TailState::Attribute(name),
             PathTail::Text => TailState::Text(None),
         };
         ItemCursor {
@@ -221,7 +213,7 @@ impl<'d> SequenceCursor<'d> for ItemCursor<'d> {
             match &mut self.tail {
                 TailState::Nodes => return Some(CursorItem::Node(node)),
                 TailState::Attribute(sym) => {
-                    if let Some(v) = sym.and_then(|s| doc.attribute_sym(node, s)) {
+                    if let Some(v) = doc.attribute_sym(node, *sym) {
                         return Some(CursorItem::Str(v));
                     }
                 }
@@ -252,8 +244,9 @@ mod tests {
 
     const DOC: &str = r#"<bib><book year="1994"><title>A</title><author>X</author><author>Y</author></book><junk/><book><title>B</title></book></bib>"#;
 
-    fn path_of(query: &str) -> crate::compile::CompiledPath {
-        // Extract the single path inside `<r>{ ... }</r>`.
+    /// The single path inside `<r>{ ... }</r>`, compiled against `doc`'s
+    /// table (a label it lacks matches nothing).
+    fn path_of(doc: &Document, query: &str) -> crate::compile::CompiledPath {
         let Expr::Element { content, .. } = parse_query(query).unwrap() else {
             panic!("element");
         };
@@ -261,13 +254,18 @@ mod tests {
             panic!("path");
         };
         let mut slots = SlotMap::new();
-        compile_path(&p, &mut slots, &mut |_| None).unwrap()
+        compile_path(&p, &mut slots, &mut |l| {
+            doc.symbols()
+                .lookup(l)
+                .unwrap_or(flux_xml::SymbolTable::OVERFLOW)
+        })
+        .unwrap()
     }
 
     #[test]
     fn streams_matches_in_document_order() {
         let doc = Document::parse_str(DOC).unwrap();
-        let path = path_of("<r>{$ROOT/bib/book/author}</r>");
+        let path = path_of(&doc, "<r>{$ROOT/bib/book/author}</r>");
         let mut pool = CursorPool::new();
         let mut cursor = PathCursor::new(&doc, &path, doc.document_node(), &mut pool);
         let mut names = Vec::new();
@@ -284,7 +282,10 @@ mod tests {
     fn stepless_path_yields_start_once() {
         let doc = Document::parse_str(DOC).unwrap();
         let mut slots = SlotMap::new();
-        let path = compile_path(&crate::ast::Path::var("ROOT"), &mut slots, &mut |_| None).unwrap();
+        let path = compile_path(&crate::ast::Path::var("ROOT"), &mut slots, &mut |_| {
+            unreachable!("a step-less path names no label")
+        })
+        .unwrap();
         let mut pool = CursorPool::new();
         let mut cursor = PathCursor::new(&doc, &path, doc.document_node(), &mut pool);
         assert_eq!(cursor.size_hint(), (1, Some(1)));
@@ -295,7 +296,7 @@ mod tests {
     #[test]
     fn attribute_tail_yields_borrowed_values() {
         let doc = Document::parse_str(DOC).unwrap();
-        let path = path_of("<r>{$ROOT/bib/book/@year}</r>");
+        let path = path_of(&doc, "<r>{$ROOT/bib/book/@year}</r>");
         let mut pool = CursorPool::new();
         let mut cursor = ItemCursor::new(&doc, &path, doc.document_node(), &mut pool);
         assert_eq!(cursor.next_item(), Some(CursorItem::Str("1994")));
@@ -306,7 +307,7 @@ mod tests {
     #[test]
     fn text_tail_walks_text_children() {
         let doc = Document::parse_str(DOC).unwrap();
-        let path = path_of("<r>{$ROOT/bib/book/title/text()}</r>");
+        let path = path_of(&doc, "<r>{$ROOT/bib/book/title/text()}</r>");
         let mut pool = CursorPool::new();
         let mut cursor = ItemCursor::new(&doc, &path, doc.document_node(), &mut pool);
         assert_eq!(cursor.next_item(), Some(CursorItem::Str("A")));
@@ -317,7 +318,7 @@ mod tests {
     #[test]
     fn unknown_step_matches_nothing() {
         let doc = Document::parse_str(DOC).unwrap();
-        let path = path_of("<r>{$ROOT/bib/mystery}</r>");
+        let path = path_of(&doc, "<r>{$ROOT/bib/mystery}</r>");
         let mut pool = CursorPool::new();
         let mut cursor = PathCursor::new(&doc, &path, doc.document_node(), &mut pool);
         assert_eq!(cursor.next_node(), None);

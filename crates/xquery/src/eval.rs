@@ -317,7 +317,7 @@ impl CursorEvaluator {
                 attributes,
                 content,
             } => {
-                self.start_element_with_attrs(doc, &name.literal, attributes, slots, sink)?;
+                self.start_element_with_attrs(doc, name, attributes, slots, sink)?;
                 self.eval(doc, content, slots, sink)?;
                 sink.end_element()
             }
@@ -595,7 +595,7 @@ impl CursorEvaluator {
                     index.probe(s, &mut out)
                 }
                 CompiledOperand::Path(p) => {
-                    let probe_start = slots[p.start_slot].expect("free slots are bound");
+                    let probe_start = bound(slots, p.start_slot, &p.start_name)?;
                     let mut values = ItemCursor::new(doc, p, probe_start, pool);
                     while let Some(item) = values.next_item() {
                         match item {
@@ -705,9 +705,12 @@ pub fn copy_node(doc: &Document, node: NodeId, sink: &mut impl QuerySink) -> Res
             sink.end_element()
         }
         NodeKind::Serialized { xml, .. } => sink.serialized(xml),
-        NodeKind::Text(_) | NodeKind::SharedText(_) => {
-            sink.text(doc.text(node).expect("text node"))
-        }
+        NodeKind::Text(_) | NodeKind::SharedText(_) => match doc.text(node) {
+            Some(text) => sink.text(text),
+            None => Err(XQueryError::eval(
+                "internal error: a text node without text",
+            )),
+        },
     }
 }
 

@@ -36,8 +36,8 @@ pub use ast::{
 };
 pub use compile::{
     compile_attr, compile_cond, compile_expr, compile_for_document, compile_path, explain_loops,
-    CompiledAttr, CompiledAttrPart, CompiledCond, CompiledExpr, CompiledName, CompiledOperand,
-    CompiledPath, KeyedLoop, LoopPlan, PathTail, ScanReason, SlotMap, Slots,
+    CompiledAttr, CompiledAttrPart, CompiledCond, CompiledExpr, CompiledOperand, CompiledPath,
+    KeyedLoop, LoopPlan, PathTail, Resolver, ScanReason, SlotMap, Slots,
 };
 pub use cursor::{CursorItem, CursorPool, ItemCursor, PathCursor, SequenceCursor};
 pub use error::{QueryPos, Result, XQueryError};

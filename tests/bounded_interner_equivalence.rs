@@ -1,6 +1,6 @@
 //! The closed vocabulary is **observationally invisible**: a sequential
-//! FluX run reads through a reader closed at the DTD's vocabulary (its
-//! name table never grows), a sharded one through open shard readers, and
+//! FluX run reads through a reader closed at the plan's vocabulary (the
+//! DTD's names plus the query's labels; its name table never grows), a sharded one through open shard readers, and
 //! the baselines through open readers — and nothing a query can observe
 //! may differ: not the output bytes, not the buffer accounting, not an
 //! error, not a position.
@@ -212,7 +212,6 @@ fn skipped_regions_do_not_grow_the_interner() {
         EventSource, Position, RawEventKind, RawEventRef, ReaderConfig, Result, XmlReader,
     };
     use fluxquery::xmlgen::{auction_string, AuctionConfig, AUCTION_DTD};
-    use fluxquery::xsax::seeded_reader;
     use fluxquery::{FluxEngine, Options};
     use std::cell::Cell;
 
@@ -271,11 +270,13 @@ fn skipped_regions_do_not_grow_the_interner() {
     .unwrap();
     let dtd = engine.dtd();
     let plan = compile_plan(engine.query(), dtd).unwrap();
-    let seeds = fluxquery::xsax::seeded_symbols(dtd);
+    // AUC-EXP names only declared labels: its vocabulary is the DTD's.
+    let seeds = plan.symbols.clone();
     let seeded = seeds.len();
+    assert_eq!(seeded, fluxquery::xsax::seeded_symbols(dtd).len());
     let longest = Cell::new(0);
     let source = Watch {
-        inner: seeded_reader(doc.as_bytes(), dtd, ReaderConfig::default()),
+        inner: XmlReader::closed(doc.as_bytes(), ReaderConfig::default(), seeds.clone()),
         longest: &longest,
     };
     let (stats, _) = execute(&plan, dtd, source, std::io::sink(), false)
@@ -283,7 +284,7 @@ fn skipped_regions_do_not_grow_the_interner() {
     assert!(stats.skipped_subtrees > 0);
     assert_eq!(longest.get(), seeded, "the interner grew");
 
-    let mut closed = seeded_reader(doc.as_bytes(), dtd, ReaderConfig::default());
+    let mut closed = XmlReader::closed(doc.as_bytes(), ReaderConfig::default(), seeds.clone());
     while closed.advance().unwrap() {}
     assert_eq!(closed.symbols().len(), seeded);
     let mut open = XmlReader::with_symbols(doc.as_bytes(), ReaderConfig::default(), seeds);

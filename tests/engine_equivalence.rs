@@ -128,3 +128,60 @@ proptest! {
         assert_engines_equivalent(w, scale, seed);
     }
 }
+
+/// Labels the DTD does not declare are interned into the plan's
+/// vocabulary like declared ones: every configuration of the grid, the
+/// FluX ones sequential and sharded, agrees on the bytes. The inputs:
+/// XMP-Q1's `@year` (Figure 1 declares no attributes), a loop over an
+/// undeclared element (R3 deletes it, so only the optimizer-off
+/// configuration keeps it, as an `on-first` handler and a BDF edge), and
+/// an undeclared attribute as the key of a keyed loop.
+#[test]
+fn undeclared_labels_agree_across_engines_and_modes() {
+    use flux_conformance::catalog_query;
+    use fluxquery::FluxEngine;
+
+    let keyed = r#"<out>{ for $a in $ROOT/bib/book return
+        for $b in $ROOT/bib/book where $b/@year = $a/@year
+        return <pair>{$a/title}{$b/title}</pair> }</out>"#;
+    let explain = FluxEngine::compile(keyed, Domain::BibFig1.dtd(), &Default::default())
+        .unwrap()
+        .explain();
+    assert!(explain.contains("keyed on $b/@year"), "{explain}");
+    // (input, query, a piece of the expected output)
+    let queries = [
+        ("XMP-Q1", catalog_query("XMP-Q1").query, "<book year=\""),
+        (
+            "undeclared handler",
+            r#"<out>{ for $b in $ROOT/bib/book return
+                for $z in $b/appendix return <z>{$z}</z> }</out>"#,
+            "<out></out>",
+        ),
+        ("undeclared key", keyed, "<pair><title>"),
+    ];
+    // 400 books (~34 KiB): two shards really split it.
+    let doc = Domain::BibFig1.document(4.0, 42);
+    for (what, query, piece) in queries {
+        let mut reference: Option<Vec<u8>> = None;
+        for (label, kind, options) in engine_configurations() {
+            let modes = match kind {
+                EngineKind::Flux => vec![options.clone(), options.shards(2)],
+                _ => vec![options],
+            };
+            for options in modes {
+                let outcome =
+                    run_engine_with(kind, query, Domain::BibFig1.dtd(), doc.as_bytes(), &options)
+                        .unwrap_or_else(|e| panic!("{what}: {label} failed: {e}"));
+                match &reference {
+                    None => reference = Some(outcome.output),
+                    Some(expected) => assert_eq!(
+                        &outcome.output, expected,
+                        "{what}: {label} ({options:?}) disagrees"
+                    ),
+                }
+            }
+        }
+        let output = String::from_utf8(reference.unwrap_or_default()).unwrap();
+        assert!(output.contains(piece), "{what}: {output}");
+    }
+}

@@ -320,10 +320,12 @@ impl std::io::Read for CutReader {
 }
 
 /// A name the DTD does not declare reaches a sequential run through a
-/// reader closed at the DTD's vocabulary, which never interns it, and a
+/// reader closed at the plan's vocabulary, which never interns it, and a
 /// `--shards 2` run through open shard readers, which do. In a delivered
 /// region and inside a skipped one, both fail with the same message at
-/// the same position.
+/// the same position — and so does a plan that names the element itself
+/// (a loop over `$b/zzauthor`, kept by switching R3 off), whose vocabulary
+/// holds it as a symbol past the DTD's.
 #[test]
 fn undeclared_names_fail_alike_closed_and_open() {
     // Q3 under Figure 1 reads `title` and `author`; `publisher` and
@@ -351,6 +353,15 @@ fn undeclared_names_fail_alike_closed_and_open() {
         .find("shard_pipeline")
         .and_then(|s| s.counter_value("shards"));
     assert_eq!(shards, Some(2), "the sharded lane must split the document");
+    let named = r#"<results>{ for $b in $ROOT/bib/book return
+        for $z in $b/zzauthor return <z>{$z}</z> }</results>"#;
+    let unoptimized = Options::new().algebraic_optimizer(false);
+    let plan = FluxEngine::compile(named, PAPER_FIG1_DTD, &unoptimized).unwrap();
+    let explain = plan.explain();
+    assert!(
+        explain.contains("$b (on book): {zzauthor:bytes}"),
+        "{explain}"
+    );
     for (doc, expected) in [
         (
             &delivered,
@@ -363,11 +374,17 @@ fn undeclared_names_fail_alike_closed_and_open() {
              mismatched end tag: expected </zzfirst>, found </zzsecond>",
         ),
     ] {
-        for (label, options) in [
-            ("flux", Options::new()),
-            ("flux --shards 2", Options::new().shards(2)),
+        for (label, query, options) in [
+            ("flux", Q3, Options::new()),
+            ("flux --shards 2", Q3, Options::new().shards(2)),
+            ("flux, zzauthor named", named, unoptimized.clone()),
+            (
+                "flux --shards 2, zzauthor named",
+                named,
+                unoptimized.clone().shards(2),
+            ),
         ] {
-            let engine = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &options).unwrap();
+            let engine = FluxEngine::compile(query, PAPER_FIG1_DTD, &options).unwrap();
             let error = engine.run_to_string(doc).expect_err(label).to_string();
             assert_eq!(error, expected, "{label}");
         }

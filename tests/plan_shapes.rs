@@ -132,3 +132,83 @@ fn buffered_handler_counts_stable_across_catalog() {
         );
     }
 }
+
+/// A run's `(events, peak_buffer_bytes)`.
+type Counts = (u64, usize);
+
+/// The paper's §3.1 rewrites under Figure 1, one per rule, and what each
+/// does to a run on 2 000 books at seed 42: (rule, query, counts with the
+/// algebraic optimizer, counts without).
+const SECTION_3_1: [(&str, &str, Counts, Counts); 3] = [
+    // R1 merges the two publisher loops (`publisher ∈ ||≤1 book`). The
+    // merged body copies the publisher twice, so it buffers it under
+    // `past(*)`; unmerged, the first loop is a stream copy. The rewrite
+    // costs buffer and events here.
+    (
+        "R1",
+        r#"<out>{ for $b in $ROOT/bib/book return
+            <r>{ for $x in $b/publisher return <first>{$x}</first> }
+               { for $y in $b/publisher return <second>{$y}</second> }</r> }</out>"#,
+        (32_048, 268),
+        (30_048, 227),
+    ),
+    // R2: a book has authors or editors, never both, so the conjunction
+    // never holds and the conditional goes; unoptimized, both are buffered
+    // and compared per book.
+    (
+        "R2",
+        r#"<out>{ for $b in $ROOT/bib/book return
+            if ($b/author = "Goedel" and $b/editor = "Goedel")
+            then <goedel-book/> else () }</out>"#,
+        (4_004, 64),
+        (33_070, 682),
+    ),
+    // R3: every book has a title, so `exists` folds to true; unoptimized,
+    // the test waits for the title and every book is delivered whole.
+    (
+        "R3",
+        r#"<out>{ for $b in $ROOT/bib/book return
+            if (exists($b/title)) then <y/> else <n/> }</out>"#,
+        (4_004, 64),
+        (30_048, 192),
+    ),
+];
+
+#[test]
+fn section_3_1_rewrites_move_the_counts() {
+    use flux_conformance::Domain;
+    use fluxquery::Input;
+
+    let doc = Domain::BibFig1.document(20.0, 42);
+    let mut moved = Vec::new();
+    for (rule, query, optimized, unoptimized) in SECTION_3_1 {
+        let run = |options: Options| {
+            let engine = FluxEngine::compile(query, fluxquery::PAPER_FIG1_DTD, &options)
+                .unwrap_or_else(|e| panic!("{rule}: {e}"));
+            let fired = engine.query().algebra_trace.iter().any(|r| r.rule == rule);
+            let mut out = Vec::new();
+            let stats = engine
+                .run_input(Input::from_bytes(doc.clone()), &mut out)
+                .unwrap_or_else(|e| panic!("{rule}: {e}"));
+            (fired, out, (stats.events, stats.peak_buffer_bytes))
+        };
+        let (fired, with_out, with) = run(Options::new());
+        let (fired_off, without_out, without) = run(Options::new().algebraic_optimizer(false));
+        assert!(
+            fired && !fired_off,
+            "{rule} must fire only with the optimizer"
+        );
+        assert_eq!(with_out, without_out, "{rule} changed the output");
+        if (with, without) != (optimized, unoptimized) {
+            moved.push(format!(
+                "{rule}: (events, peak) with and without the optimizer \
+                 {optimized:?} {unoptimized:?} -> {with:?} {without:?}"
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "pinned counts moved:\n{}",
+        moved.join("\n")
+    );
+}
