@@ -232,14 +232,17 @@ impl FluxEngine {
     }
 
     /// A multi-stage compilation report: normal form, applied algebraic
-    /// rules, scheduling decisions, the FluX query, the BDF, and which
-    /// loops of the buffered bodies are keyed.
+    /// rules, scheduling decisions, the FluX query, the BDF, which loops
+    /// of the buffered bodies are keyed, and which scopes walk their
+    /// children off the event path (copying and skipping which).
     pub fn explain(&self) -> String {
         let mut out = self.query.explain();
         out.push_str("\n== buffer description forest ==\n");
         out.push_str(&self.plan.render_bdf());
         out.push_str("\n== keyed loops ==\n");
         out.push_str(&self.plan.render_loops());
+        out.push_str("\n== walks ==\n");
+        out.push_str(&self.plan.render_walks());
         out
     }
 }

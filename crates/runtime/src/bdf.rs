@@ -7,7 +7,7 @@
 //! buffered paths are projected further (only the descendants the buffered
 //! expressions actually read are stored).
 
-use flux_dtd::{Symbol, SymbolTable};
+use flux_dtd::{Dtd, Symbol, SymbolTable};
 use flux_xquery::{AttrPart, Cond, Expr, Operand, Path, Resolver, Step, VarName};
 use std::fmt;
 
@@ -26,7 +26,7 @@ impl SpecId {
 /// (FluX engine) or the engine's own table (projection baseline) — there
 /// is no per-run index rebuild. Explain output spells it through that
 /// table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpecEdge {
     pub sym: Symbol,
     pub child: SpecId,
@@ -198,6 +198,24 @@ impl SpecArena {
         let attrs = &mut self.node_mut(id).attrs;
         if !attrs.contains(&name) {
             attrs.push(name);
+        }
+    }
+
+    /// Drops every edge below `id`, a node for an element of type
+    /// `element`, whose label the DTD rules out there
+    /// ([`Dtd::never_occurs`]; an undeclared label is ruled out under any
+    /// declared type), and prunes the kept edges' nodes in turn. No valid
+    /// document fills a dropped edge, so no run reads the difference.
+    pub fn prune_impossible(&mut self, id: SpecId, element: Symbol, dtd: &Dtd) {
+        let Some(dfa) = dtd.content_dfa(element) else {
+            return;
+        };
+        self.node_mut(id)
+            .children
+            .retain(|edge| !dfa.never_occurs(edge.sym));
+        for i in 0..self.node(id).children.len() {
+            let SpecEdge { sym, child } = self.node(id).children[i];
+            self.prune_impossible(child, sym, dtd);
         }
     }
 

@@ -47,7 +47,10 @@ impl std::error::Error for RuntimeError {
 
 impl From<XsaxError> for RuntimeError {
     fn from(e: XsaxError) -> Self {
-        RuntimeError::Xsax(e)
+        match e {
+            XsaxError::Output(e) => RuntimeError::Output(e),
+            e => RuntimeError::Xsax(e),
+        }
     }
 }
 

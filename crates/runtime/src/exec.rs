@@ -23,9 +23,14 @@
 //! window or shard tape arena) — only for an event some open frame reads:
 //! a start tag under a frame that copies, buffers or dispatches, a text
 //! run under one that copies or keeps text. Everything else is counted
-//! and passed over — and the content of an element whose frame reads
-//! nothing is never delivered at all: the reader skips it
-//! ([`XsaxParser::skip_element`]). Handler dispatch and buffer descent are symbol
+//! and passed over. Two kinds of content are never delivered at all: the
+//! content of an element whose frame reads nothing, which the reader
+//! skips ([`XsaxParser::skip_element`]), and the children of a *walkable*
+//! scope that its action table copies or skips
+//! ([`crate::plan::PsPlan::walk`]): between the children it delivers, the
+//! frame hands the table to [`XsaxParser::walk`], which writes copies
+//! straight to the output and hops skips, with no event and no frame for
+//! either. Handler dispatch and buffer descent are symbol
 //! comparisons against the stream's shared [`SymbolTable`], and the output
 //! writer maps symbols back through the same table, streaming payload
 //! bytes straight from the view into the sink. Once the shared stacks have
@@ -42,7 +47,7 @@ use flux_telemetry::{RunReport, Stage};
 use flux_xml::tree::NodeId;
 use flux_xml::{EventSource, RawEventKind, RawEventRef, SymbolTable, XmlWriter};
 use flux_xquery::{CompiledExpr, CursorEvaluator, Slots};
-use flux_xsax::{XsaxConfig, XsaxParser, XsaxStep};
+use flux_xsax::{ChildAction, Walked, XsaxParser, XsaxStep};
 use std::io::Write;
 use std::time::Instant;
 
@@ -61,6 +66,10 @@ struct Frame {
     capturing: bool,
     /// Output end tags owed when this element closes.
     closers: usize,
+    /// The element hosts one walkable process-stream ([`crate::plan::PsPlan::walk`])
+    /// and reads nothing else: between delivered children, its children
+    /// are walked off the event path.
+    walk: bool,
     targets: usize,
     scopes: usize,
     bindings: usize,
@@ -112,7 +121,7 @@ pub fn execute<S: EventSource, W: Write>(
             ),
         });
     }
-    let mut parser = XsaxParser::from_source(source, dtd, XsaxConfig::default())?;
+    let mut parser = XsaxParser::from_source(source, dtd)?;
     let start_time = Instant::now();
     for reg in &plan.past_regs {
         parser.register_past(reg.element, reg.labels.clone())?;
@@ -137,6 +146,9 @@ pub fn execute<S: EventSource, W: Write>(
         on_first_fires: 0,
         skipped_subtrees: 0,
         skipped_bytes: 0,
+        walks: 0,
+        copied_subtrees: 0,
+        copied_bytes: 0,
     };
     while let Some(step) = parser.next_step()? {
         state.events += 1;
@@ -145,6 +157,9 @@ pub fn execute<S: EventSource, W: Write>(
                 if state.handle(&parser)? {
                     state.skipped_bytes += parser.skip_element()?;
                     state.skipped_subtrees += 1;
+                } else if let Some(actions) = state.walk_actions() {
+                    let walked = parser.walk(actions, &mut state.writer)?;
+                    state.count_walk(walked);
                 }
             }
             XsaxStep::Fire { id, depth } => state.on_first(id.index(), depth)?,
@@ -188,6 +203,9 @@ fn assemble_report<S: EventSource, W: Write>(
     runtime.counter("on_first_fires", state.on_first_fires);
     runtime.counter("skipped_subtrees", stats.skipped_subtrees);
     runtime.counter("skipped_bytes", stats.skipped_bytes);
+    runtime.counter("walks", state.walks);
+    runtime.counter("copied_subtrees", state.copied_subtrees);
+    runtime.counter("copied_bytes", state.copied_bytes);
     let joins = state.evaluator.join_counters();
     runtime.counter("join_index_builds", joins.index_builds);
     runtime.counter("join_probes", joins.probes);
@@ -229,9 +247,15 @@ struct ExecState<'p, W: Write> {
     events: u64,
     /// `on-first` handler bodies evaluated.
     on_first_fires: u64,
-    /// Elements whose content no frame read, passed over unseen.
+    /// Elements whose content no frame read, passed over unseen (walked
+    /// skips included).
     skipped_subtrees: u64,
     skipped_bytes: u64,
+    /// Walks that settled at least one child, and the children they
+    /// copied (with the bytes written).
+    walks: u64,
+    copied_subtrees: u64,
+    copied_bytes: u64,
 }
 
 impl<'p, W: Write> ExecState<'p, W> {
@@ -258,6 +282,7 @@ impl<'p, W: Write> ExecState<'p, W> {
             copying: parent.is_some_and(|p| p.copying),
             capturing: parent.is_some_and(|p| p.capturing),
             closers: 0,
+            walk: false,
             targets: self.targets.len(),
             scopes: self.scopes.len(),
             bindings: self.bindings.len(),
@@ -387,12 +412,32 @@ impl<'p, W: Write> ExecState<'p, W> {
                 self.enter_plan(body, &mut frame, Some((&ev, symbols)))?;
             }
         }
-        let unread = !frame.copying
-            && !frame.capturing
-            && frame.targets == self.targets.len()
-            && frame.scopes == self.scopes.len();
+        let reads_only_scopes =
+            !frame.copying && !frame.capturing && frame.targets == self.targets.len();
+        let unread = reads_only_scopes && frame.scopes == self.scopes.len();
+        frame.walk = reads_only_scopes
+            && frame.scopes + 1 == self.scopes.len()
+            && !plan.ps[self.scopes[frame.scopes]].walk.is_empty();
         self.stack.push(frame);
         Ok(unread)
+    }
+
+    /// The child action table to walk the innermost element's children
+    /// by, when its frame is walkable.
+    fn walk_actions(&self) -> Option<&'p [ChildAction]> {
+        let plan: &'p Plan = self.plan;
+        let frame = self.stack.last().filter(|f| f.walk)?;
+        Some(&plan.ps[self.scopes[frame.scopes]].walk)
+    }
+
+    fn count_walk(&mut self, walked: Walked) {
+        if walked.copied_subtrees + walked.skipped_subtrees > 0 {
+            self.walks += 1;
+        }
+        self.copied_subtrees += walked.copied_subtrees;
+        self.copied_bytes += walked.copied_bytes;
+        self.skipped_subtrees += walked.skipped_subtrees;
+        self.skipped_bytes += walked.skipped_bytes;
     }
 
     fn text<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {

@@ -4,7 +4,14 @@
 //! Compilation walks the FluX tree once, building
 //! * the **BDF** (projection specs per scope variable, [`crate::bdf`]),
 //! * the list of **past queries** to register with XSAX, in firing order,
-//! * a mirrored plan tree with all schema lookups resolved.
+//! * a mirrored plan tree with all schema lookups resolved,
+//! * per process-stream, the **child action table** its walk follows
+//!   ([`PsPlan::walk`]).
+//!
+//! Whatever the DTD rules out is pruned on the way: an `on` handler, a
+//! loop in a buffered body and a BDF edge whose label can never occur
+//! under its parent's type ([`Dtd::never_occurs`]) are dropped, and so are
+//! an `on-first` handler and a process-stream they leave empty.
 //!
 //! Every name the plan compares is a [`Symbol`] of one table, the run's
 //! *vocabulary* ([`Plan::symbols`]): the DTD's elements and declared
@@ -24,9 +31,9 @@ use flux_dtd::{Dtd, Symbol, SymbolTable};
 use flux_lang::{FluxExpr, FluxQuery, Handler, PastSet};
 use flux_xquery::{
     compile_attr, compile_expr, explain_loops, free_vars, CompiledAttr, CompiledExpr, Expr,
-    SlotMap, VarName, ROOT_VAR,
+    SlotMap, Step, VarName, ROOT_VAR,
 };
-use flux_xsax::{seeded_symbols, PastLabels};
+use flux_xsax::{seeded_symbols, ChildAction, PastLabels};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -106,6 +113,16 @@ pub struct PsPlan {
     /// Element type of the scope (DOCUMENT for the `$ROOT` stream).
     pub element: Option<Symbol>,
     pub handlers: Vec<HandlerPlan>,
+    /// The walk's action per child symbol (indexed by [`Symbol::index`];
+    /// absent symbols deliver) when the scope is *walkable*: its element
+    /// type registered no past query, so no tracker watches its children,
+    /// and a child the DTD allows there is read by nothing (*skip*) or
+    /// only by one pure stream-copy handler whose variable binds no shell
+    /// (*copy*, for a text-only child type with no registration of its
+    /// own). Empty otherwise. The executor walks a scope's children
+    /// through [`flux_xsax::XsaxParser::walk`] only while the scope's
+    /// frame neither copies, captures nor fills a tree buffer.
+    pub walk: Vec<ChildAction>,
 }
 
 /// A past-query registration for XSAX.
@@ -168,6 +185,32 @@ impl Plan {
         out
     }
 
+    /// Renders, for explain output, one line per walkable process-stream:
+    /// the children its walk copies and skips, in DTD order.
+    pub fn render_walks(&self) -> String {
+        let mut out = String::new();
+        for ps in self.ps.iter().filter(|ps| !ps.walk.is_empty()) {
+            let labels = |want: ChildAction| {
+                let names: Vec<&str> = (ps.walk.iter().enumerate())
+                    .filter(|&(_, &action)| action == want)
+                    .map(|(i, _)| self.symbols.name(Symbol::from_index(i)))
+                    .collect();
+                names.join(", ")
+            };
+            let parts: Vec<String> = [("copy", ChildAction::Copy), ("skip", ChildAction::Skip)]
+                .into_iter()
+                .map(|(verb, action)| (verb, labels(action)))
+                .filter(|(_, names)| !names.is_empty())
+                .map(|(verb, names)| format!("{verb} {names}"))
+                .collect();
+            out.push_str(&format!("walk under ${}: {}\n", ps.var, parts.join("; ")));
+        }
+        if out.is_empty() {
+            out.push_str("(no walkable scopes)\n");
+        }
+        out
+    }
+
     /// Renders, for explain output, one line per `for` in the buffered
     /// bodies: keyed (on which key, probed by what) or why not.
     pub fn render_loops(&self) -> String {
@@ -218,15 +261,24 @@ pub fn compile_plan(query: &FluxQuery, dtd: &Dtd) -> Result<Plan> {
         scopes: Vec::new(),
         slots: SlotMap::new(),
         read_vars: BTreeSet::new(),
+        spec_roots: Vec::new(),
     };
     let root_slot = compiler.slots.slot(ROOT_VAR);
     let root_spec = compiler.specs.new_root();
+    compiler
+        .spec_roots
+        .push((root_spec, Some(SymbolTable::DOCUMENT)));
     compiler.scopes.push(ScopeEntry {
         var: ROOT_VAR.to_string(),
         spec: root_spec,
         element: Some(SymbolTable::DOCUMENT),
     });
     let top = compiler.compile(&query.flux)?;
+    for &(root, element) in &compiler.spec_roots {
+        if let Some(element) = element {
+            compiler.specs.prune_impossible(root, element, dtd);
+        }
+    }
     compiler.specs.mark_output_only();
     for handler in compiler.ps.iter_mut().flat_map(|ps| &mut ps.handlers) {
         if let HandlerPlan::On {
@@ -241,6 +293,14 @@ pub fn compile_plan(query: &FluxQuery, dtd: &Dtd) -> Result<Plan> {
                 || compiler.read_vars.contains(var)
                 || contains_ps(body);
         }
+    }
+    let walks: Vec<Vec<ChildAction>> = compiler
+        .ps
+        .iter()
+        .map(|ps| compiler.walk_table(ps))
+        .collect();
+    for (ps, walk) in compiler.ps.iter_mut().zip(walks) {
+        ps.walk = walk;
     }
     Ok(Plan {
         top,
@@ -272,6 +332,8 @@ struct Compiler<'d> {
     slots: SlotMap,
     /// Every variable a compiled expression mentions.
     read_vars: BTreeSet<VarName>,
+    /// Every scope's BDF root, with the element type it stands for.
+    spec_roots: Vec<(SpecId, Option<Symbol>)>,
 }
 
 /// Whether a plan expression enters a process-stream.
@@ -335,8 +397,12 @@ impl<'d> Compiler<'d> {
             FluxExpr::StringLit(s) => Ok(PlanExpr::Text(s.clone())),
             FluxExpr::StreamCopy(_) => Ok(PlanExpr::StreamCopy),
             FluxExpr::Buffered(e) => {
-                self.collect_buffered_needs(e, false);
-                Ok(PlanExpr::BufferedEval(Rc::new(self.compile_buffered(e)?)))
+                let e = self.prune_loops(e, &mut Vec::new());
+                if e == Expr::Empty {
+                    return Ok(PlanExpr::Empty);
+                }
+                self.collect_buffered_needs(&e, false);
+                Ok(PlanExpr::BufferedEval(Rc::new(self.compile_buffered(&e)?)))
             }
             FluxExpr::Sequence(items) => Ok(PlanExpr::Sequence(
                 items
@@ -387,6 +453,7 @@ impl<'d> Compiler<'d> {
                     var: var.clone(),
                     element,
                     handlers: Vec::new(),
+                    walk: Vec::new(),
                 });
                 let mut compiled: Vec<HandlerPlan> = Vec::new();
                 for handler in handlers {
@@ -396,12 +463,17 @@ impl<'d> Compiler<'d> {
                             var: v,
                             body,
                         } => {
+                            if self.impossible(element, label) {
+                                continue;
+                            }
                             let spec = self.specs.new_root();
                             let var_slot = self.slots.slot(v);
+                            let child = self.dtd.lookup(label);
+                            self.spec_roots.push((spec, child));
                             self.scopes.push(ScopeEntry {
                                 var: v.clone(),
                                 spec,
-                                element: self.dtd.lookup(label),
+                                element: child,
                             });
                             let body = self.compile(body);
                             self.scopes.pop();
@@ -420,6 +492,10 @@ impl<'d> Compiler<'d> {
                                     message: "on-first bodies must be buffered XQuery".to_string(),
                                 });
                             };
+                            let e = &self.prune_loops(e, &mut Vec::new());
+                            if *e == Expr::Empty {
+                                continue;
+                            }
                             self.collect_buffered_needs(e, false);
                             let handler_index = compiled.len();
                             let (past_reg, doc_timing) = match element {
@@ -450,10 +526,140 @@ impl<'d> Compiler<'d> {
                         }
                     }
                 }
+                if compiled.is_empty() {
+                    // Every handler was pruned: nothing to dispatch.
+                    return Ok(PlanExpr::Empty);
+                }
                 self.ps[ps_id].handlers = compiled;
                 Ok(PlanExpr::Ps(ps_id))
             }
         }
+    }
+
+    /// Whether the DTD rules out a `label` child under `parent`: no valid
+    /// document has one, so a handler on it never fires.
+    fn impossible(&self, parent: Option<Symbol>, label: &str) -> bool {
+        let Some(dfa) = parent.and_then(|p| self.dtd.content_dfa(p)) else {
+            return false;
+        };
+        self.dtd
+            .lookup(label)
+            .map_or(true, |child| dfa.never_occurs(child))
+    }
+
+    /// `expr` without the loops over labels the DTD rules out: `for $v in
+    /// $x/l/…` yields nothing when `l` cannot occur below the element type
+    /// of `$x` — an enclosing scope's variable, or a loop variable over a
+    /// one-step path, as `types` (innermost last) and the scopes say.
+    fn prune_loops(&self, expr: &Expr, types: &mut Vec<(VarName, Option<Symbol>)>) -> Expr {
+        match expr {
+            Expr::Empty | Expr::StringLit(_) | Expr::Var(_) | Expr::Path(_) => expr.clone(),
+            Expr::Sequence(items) => {
+                Expr::seq(items.iter().map(|i| self.prune_loops(i, types)).collect())
+            }
+            Expr::Element {
+                name,
+                attributes,
+                content,
+            } => Expr::Element {
+                name: name.clone(),
+                attributes: attributes.clone(),
+                content: Box::new(self.prune_loops(content, types)),
+            },
+            Expr::For {
+                var,
+                source,
+                where_clause,
+                body,
+            } => {
+                let start = (types.iter().rev().find(|(v, _)| *v == source.start))
+                    .map(|&(_, t)| t)
+                    .or_else(|| {
+                        let scope = self.scopes.iter().rev().find(|s| s.var == source.start);
+                        scope.map(|s| s.element)
+                    })
+                    .flatten();
+                let first = match source.steps.first() {
+                    Some(Step::Child(label)) => Some(label),
+                    _ => None,
+                };
+                if first.is_some_and(|label| self.impossible(start, label)) {
+                    return Expr::Empty;
+                }
+                let ty = match source.steps.as_slice() {
+                    [Step::Child(label)] => self.dtd.lookup(label),
+                    _ => None,
+                };
+                types.push((var.clone(), ty));
+                let body = self.prune_loops(body, types);
+                types.pop();
+                Expr::For {
+                    var: var.clone(),
+                    source: source.clone(),
+                    where_clause: where_clause.clone(),
+                    body: Box::new(body),
+                }
+            }
+            Expr::Let { var, value, body } => {
+                let value = self.prune_loops(value, types);
+                types.push((var.clone(), None));
+                let body = self.prune_loops(body, types);
+                types.pop();
+                Expr::Let {
+                    var: var.clone(),
+                    value: Box::new(value),
+                    body: Box::new(body),
+                }
+            }
+            Expr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => Expr::If {
+                cond: cond.clone(),
+                then_branch: Box::new(self.prune_loops(then_branch, types)),
+                else_branch: Box::new(self.prune_loops(else_branch, types)),
+            },
+        }
+    }
+
+    /// The child action table of `ps` (see [`PsPlan::walk`]).
+    fn walk_table(&self, ps: &PsPlan) -> Vec<ChildAction> {
+        let registered = |sym: Symbol| self.past_regs.iter().any(|r| r.element == sym);
+        let element = ps.element.filter(|&e| e != SymbolTable::DOCUMENT);
+        let Some((element, dfa)) = element.and_then(|e| Some((e, self.dtd.content_dfa(e)?))) else {
+            return Vec::new();
+        };
+        if ps.handlers.is_empty() || registered(element) {
+            return Vec::new();
+        }
+        let mut table = vec![ChildAction::Deliver; self.symbols.len()];
+        for &child in dfa.alphabet() {
+            let Some(decl) = self.dtd.element(child) else {
+                continue;
+            };
+            let mut on = ps
+                .handlers
+                .iter()
+                .filter(|h| matches!(h, HandlerPlan::On { symbol, .. } if *symbol == child));
+            let text_only = decl.dfa.alphabet().is_empty();
+            table[child.index()] = match (on.next(), on.next()) {
+                (None, _) => ChildAction::Skip,
+                (
+                    Some(HandlerPlan::On {
+                        body: PlanExpr::StreamCopy,
+                        binds: false,
+                        ..
+                    }),
+                    None,
+                ) if text_only && !registered(child) => ChildAction::Copy,
+                _ => ChildAction::Deliver,
+            };
+        }
+        if table.iter().all(|&a| a == ChildAction::Deliver) {
+            return Vec::new();
+        }
+        table
     }
 
     /// Document-level timing: the document's only child is the root

@@ -327,7 +327,7 @@ fn element_spanning_all_shards() {
 #[test]
 fn xsax_verdicts_agree_with_sequential() {
     use flux_dtd::Dtd;
-    use flux_xsax::{seeded_symbols, XsaxConfig, XsaxParser};
+    use flux_xsax::{seeded_symbols, XsaxParser};
 
     let dtd = Dtd::parse(flux_dtd::PAPER_FIG1_DTD).expect("dtd");
     let valid = bib_string(&BibConfig::fig1(80, 7));
@@ -346,9 +346,7 @@ fn xsax_verdicts_agree_with_sequential() {
         let sequential = count_steps(XsaxParser::new(doc.as_bytes(), &dtd).expect("parser"));
         for shards in SHARD_COUNTS {
             let source = sharded_reader(doc, shards, seeded_symbols(&dtd));
-            let sharded = count_steps(
-                XsaxParser::from_source(source, &dtd, XsaxConfig::default()).expect("from_source"),
-            );
+            let sharded = count_steps(XsaxParser::from_source(source, &dtd).expect("from_source"));
             match (&sequential, &sharded) {
                 (Ok(a), Ok(b)) => {
                     assert!(should_pass, "both accepted an invalid doc");
@@ -368,7 +366,7 @@ fn xsax_verdicts_agree_with_sequential() {
 #[test]
 fn xsax_past_fires_agree_over_sharded_source() {
     use flux_dtd::Dtd;
-    use flux_xsax::{seeded_symbols, PastLabels, XsaxConfig, XsaxParser, XsaxStep};
+    use flux_xsax::{seeded_symbols, PastLabels, XsaxParser, XsaxStep};
 
     let dtd = Dtd::parse(flux_dtd::PAPER_FIG1_DTD).expect("dtd");
     let doc = bib_string(&BibConfig::fig1(60, 21));
@@ -403,8 +401,7 @@ fn xsax_past_fires_agree_over_sharded_source() {
     assert!(!sequential.is_empty(), "the workload must fire");
     for shards in SHARD_COUNTS {
         let source = sharded_reader(&doc, shards, seeded_symbols(&dtd));
-        let parser =
-            XsaxParser::from_source(source, &dtd, XsaxConfig::default()).expect("from_source");
+        let parser = XsaxParser::from_source(source, &dtd).expect("from_source");
         assert_eq!(
             trace(parser, book, labels.clone()),
             sequential,

@@ -13,7 +13,7 @@ use flux_dtd::Dtd;
 use flux_shard::{ShardConfig, ShardedReader};
 use flux_xml::{collect_events, EventSource, Position, SymbolTable, XmlEvent, XmlReader};
 use flux_xmlgen::{bib_string, corpus, BibConfig};
-use flux_xsax::{seeded_symbols, XsaxConfig, XsaxError, XsaxParser, XsaxStep};
+use flux_xsax::{seeded_symbols, XsaxError, XsaxParser, XsaxStep};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
@@ -78,8 +78,7 @@ fn assert_modes_agree(doc: &str, dtd: &Dtd, with_past: bool) {
     );
     for shards in SHARD_COUNTS {
         let source = sharded(doc.as_bytes(), shards, seeded_symbols(dtd));
-        let parser =
-            XsaxParser::from_source(source, dtd, XsaxConfig::default()).expect("from_source");
+        let parser = XsaxParser::from_source(source, dtd).expect("from_source");
         let (steps, err) = drive(parser, past.clone());
         assert_eq!(
             steps, seq_steps,

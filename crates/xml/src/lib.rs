@@ -40,7 +40,7 @@ pub use event::{
 };
 pub use flux_symbols::{Symbol, SymbolTable};
 pub use input::{BudgetCharge, BudgetExceeded, BudgetKind, Input, MemoryBudget, DEFAULT_WINDOW};
-pub use reader::{is_name_start, parse_to_events, ReaderConfig, XmlReader};
+pub use reader::{is_name_start, parse_to_events, PlainStart, ReaderConfig, XmlReader};
 pub use simd::{active_isa_name, StructuralIndex};
 pub use source::{collect_events, EventSource};
 pub use tape::{EventTape, SymbolRemap};

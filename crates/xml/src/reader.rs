@@ -162,6 +162,17 @@ struct ReaderCore<R: Read> {
     tel: ReaderCounters,
 }
 
+/// A plain start tag `<name>` ahead of a reader's cursor, found by
+/// [`XmlReader::peek_plain`] and not yet consumed. Only that reader can
+/// consume it ([`XmlReader::take_plain`], [`XmlReader::hop_plain`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PlainStart {
+    /// The element's name in the reader's vocabulary.
+    pub name: Symbol,
+    /// The tag's length, `<` through `>`.
+    len: usize,
+}
+
 /// The markup construct classes the nine-byte dispatch probe can tell
 /// apart — nine bytes is the longest discriminating prefix
 /// (`<![CDATA[`).
@@ -493,6 +504,12 @@ impl<R: Read> XmlReader<R> {
     /// message and position.
     pub fn skip_subtree(&mut self) -> Result<u64> {
         debug_assert_eq!(self.current.kind(), RawEventKind::StartElement);
+        self.hop_content()
+    }
+
+    /// [`XmlReader::skip_subtree`] for the element whose start tag was
+    /// consumed last, whether or not it became the current event.
+    fn hop_content(&mut self) -> Result<u64> {
         let core = &mut self.core;
         let from = core.scanner.offset();
         if core.pending_end.is_none() {
@@ -503,6 +520,48 @@ impl<R: Read> XmlReader<R> {
         }
         core.fill_event(&mut self.current)?;
         Ok(core.scanner.offset() - from)
+    }
+
+    /// The plain start tag `<name>` at the cursor — no attribute, no
+    /// whitespace, not an empty-element tag, its name in the vocabulary
+    /// and under the depth limit — read through the name cache without
+    /// consuming anything. `None` for anything else (text, other markup,
+    /// an unusual tag), which [`XmlReader::advance`] then parses as ever.
+    pub fn peek_plain(&mut self) -> Result<Option<PlainStart>> {
+        self.core.peek_plain()
+    }
+
+    /// Consumes the element `tag` opens when its whole span is in the
+    /// window in the writer's canonical form and returns its bytes; `None`,
+    /// with nothing consumed, otherwise. The form is `<name>text</name>`:
+    /// no whitespace in either tag, and text — allowed only where `text`
+    /// says — with no `&`, `>` or `<` (so no reference, comment, PI or
+    /// CDATA), checked on the structural index. A text-only element so
+    /// spelled is well-formed as it stands, so no event is filled. Both
+    /// tags count in the reader's tag totals.
+    pub fn take_plain(&mut self, tag: PlainStart, text: bool) -> Option<&[u8]> {
+        let core = &mut self.core;
+        let len = core.scanner.plain_element(tag.len, text)?;
+        core.tel.start_tags += 1;
+        core.tel.end_tags += 1;
+        Some(core.scanner.take(len))
+    }
+
+    /// Consumes the start tag `tag` and passes over the element's content
+    /// and end tag, as [`XmlReader::skip_subtree`] does after an advanced
+    /// start tag, returning the same count: the bytes after the start tag
+    /// through the end tag.
+    pub fn hop_plain(&mut self, tag: PlainStart) -> Result<u64> {
+        let core = &mut self.core;
+        core.tel.start_tags += 1;
+        if let Some(len) = core.scanner.plain_element(tag.len, true) {
+            core.tel.end_tags += 1;
+            core.scanner.consume(len);
+            return Ok((len - tag.len) as u64);
+        }
+        core.scanner.consume(tag.len);
+        core.enter_element(tag.name, "")?;
+        self.hop_content()
     }
 
     /// The kind of the event the last [`XmlReader::advance`] produced,
@@ -1148,6 +1207,48 @@ impl<R: Read> ReaderCore<R> {
         if self.stack.is_empty() && self.state == State::InRoot && !self.config.fragment {
             self.state = State::Epilog;
         }
+    }
+
+    /// See [`XmlReader::peek_plain`]. A name cut by the window edge is
+    /// buffered whole first, as [`ReaderCore::hop_start_tag`] does.
+    fn peek_plain(&mut self) -> Result<Option<PlainStart>> {
+        if self.state != State::InRoot
+            || self.pending_end.is_some()
+            || self.stack.len() >= MAX_DEPTH
+        {
+            return Ok(None);
+        }
+        // The current event is spent: a refill may move the window.
+        self.borrowed_text = None;
+        let name_end = loop {
+            let window = self.scanner.window();
+            let name_end = 1 + window[1.min(window.len())..]
+                .iter()
+                .take_while(|&&b| is_name_char(b))
+                .count();
+            let next = (window.first().copied(), window.get(name_end).copied());
+            match next {
+                (Some(b'<'), Some(b'>')) if name_end > 1 && is_name_start(window[1]) => {
+                    break name_end
+                }
+                (None, _) | (Some(b'<'), None) if self.scanner.fill_more()? => {}
+                _ => return Ok(None),
+            }
+        };
+        let Some(text) = self.scanner.window_text(name_end) else {
+            return Ok(None);
+        };
+        let tag = Tag {
+            window: self.scanner.window(),
+            len: name_end + 1,
+            text: Some(text),
+        };
+        let key = tag.key(1, name_end);
+        let name = self.names.intern(&mut self.symbols, &text[1..], key);
+        Ok((name != SymbolTable::OVERFLOW).then_some(PlainStart {
+            name,
+            len: name_end + 1,
+        }))
     }
 
     /// Hops to the end tag of the innermost open element (see
@@ -1838,5 +1939,54 @@ mod tests {
             }
         }
         assert_eq!(text.as_deref(), Some(body.as_str()));
+    }
+
+    /// Plain children are settled in place: a canonical text-only element
+    /// is taken as its bytes, anything else is left for `advance`, and a
+    /// hop consumes the element whole. Every tag counts, whichever way.
+    #[test]
+    fn plain_children_are_settled_in_place() {
+        let doc = "<r><a>text</a><a>x &amp; y</a><b><c/>t</b><a/><a>z</a><a x=\"1\"></a></r>";
+        let mut reader = XmlReader::new(doc.as_bytes());
+        let advance = |reader: &mut XmlReader<&[u8]>, n: usize| {
+            for _ in 0..n {
+                assert!(reader.advance().unwrap());
+            }
+        };
+        advance(&mut reader, 2); // StartDocument, <r>
+        let a = reader.peek_plain().unwrap().expect("plain <a>");
+        assert_eq!(reader.symbols().name(a.name), "a");
+        assert_eq!(reader.take_plain(a, true), Some(&b"<a>text</a>"[..]));
+        let a = reader.peek_plain().unwrap().expect("plain <a>");
+        assert_eq!(reader.take_plain(a, true), None, "a reference needs a look");
+        advance(&mut reader, 3);
+        assert_eq!(
+            reader.view().to_xml_event(reader.symbols()).to_string(),
+            "</a>"
+        );
+        let b = reader.peek_plain().unwrap().expect("plain <b>");
+        assert_eq!(reader.hop_plain(b).unwrap(), "<c/>t</b>".len() as u64);
+        assert!(
+            reader.peek_plain().unwrap().is_none(),
+            "an empty-element tag"
+        );
+        advance(&mut reader, 2);
+        let a = reader.peek_plain().unwrap().expect("plain <a>");
+        assert_eq!(
+            reader.take_plain(a, false),
+            None,
+            "text where none is allowed"
+        );
+        assert_eq!(reader.take_plain(a, true), Some(&b"<a>z</a>"[..]));
+        assert!(reader.peek_plain().unwrap().is_none(), "an attribute");
+        advance(&mut reader, 3);
+        assert_eq!(reader.kind(), RawEventKind::EndElement);
+        assert!(reader.peek_plain().unwrap().is_none(), "epilog");
+        let tel = reader.reader_telemetry();
+        assert_eq!(
+            (tel.start_tags, tel.end_tags),
+            (8, 6),
+            "<c/> and <a/> end no tag"
+        );
     }
 }

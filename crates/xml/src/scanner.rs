@@ -314,6 +314,42 @@ impl<R: Read> Scanner<R> {
         Some((gt - head, dirty))
     }
 
+    /// The length of the element at the cursor when it is spelled
+    /// `<n>text</n>` — the writer's canonical form of a text-only element —
+    /// given that its start tag `<n>` is `tag` bytes long. Checked on the
+    /// index lanes, nothing consumed: the text has no `&`, `>` or `<` (so
+    /// no reference, comment, PI or CDATA), is UTF-8, and is empty unless
+    /// `text` allows it; the end tag follows with no whitespace. `None`
+    /// when any of that fails or the span does not all lie in the window.
+    #[inline]
+    pub fn plain_element(&self, tag: usize, text: bool) -> Option<usize> {
+        let (idx, bytes) = (self.buf.index(), self.buf.bytes());
+        let (head, from) = (self.start, self.start + tag);
+        let lt = idx.lt.next_in(from, bytes.len())?;
+        if lt > from
+            && (!text
+                || idx.amp.next_in(from, lt).is_some()
+                || idx.gt.next_in(from, lt).is_some()
+                || self.buf.str(from..lt).is_none())
+        {
+            return None;
+        }
+        let name = &bytes[head + 1..from - 1];
+        let close = lt + 2 + name.len();
+        let closes = bytes.get(lt + 1) == Some(&b'/')
+            && bytes.get(lt + 2..close) == Some(name)
+            && bytes.get(close) == Some(&b'>');
+        closes.then_some(close + 1 - head)
+    }
+
+    /// Consumes `n` window bytes and returns them.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> &[u8] {
+        let from = self.start;
+        self.consume(n);
+        &self.buf.bytes()[from..from + n]
+    }
+
     /// Consumes and returns the next byte.
     pub fn next_byte(&mut self) -> Result<Option<u8>> {
         let b = self.peek()?;

@@ -43,7 +43,7 @@
 
 use crate::error::{Position, Result, XmlError};
 use crate::event::{RawEventKind, RawEventRef, XmlEvent};
-use crate::reader::XmlReader;
+use crate::reader::{PlainStart, XmlReader};
 use flux_symbols::SymbolTable;
 use std::io::Read;
 
@@ -98,6 +98,32 @@ pub trait EventSource {
         Ok(self.position().offset - from)
     }
 
+    /// The plain start tag `<name>` ahead, when the source can read it
+    /// without consuming anything ([`XmlReader::peek_plain`]). The walk of
+    /// a streamed scope (`flux_xsax::XsaxParser::walk`) settles such a
+    /// child straight from the source's storage. The default declines:
+    /// the walk then takes every child through [`EventSource::advance`].
+    fn peek_plain(&mut self) -> Result<Option<PlainStart>> {
+        Ok(None)
+    }
+
+    /// Consumes the text-only element `tag` opens when it is spelled in
+    /// the writer's canonical form, returning its bytes
+    /// ([`XmlReader::take_plain`]); `None`, nothing consumed, otherwise.
+    fn take_plain(&mut self, tag: PlainStart, text: bool) -> Option<&[u8]> {
+        let _ = (tag, text);
+        None
+    }
+
+    /// Consumes `tag` and passes over the element's content and end tag,
+    /// counting as [`EventSource::skip_subtree`] does
+    /// ([`XmlReader::hop_plain`]).
+    fn hop_plain(&mut self, tag: PlainStart) -> Result<u64> {
+        let _ = tag;
+        self.advance()?;
+        self.skip_subtree()
+    }
+
     /// Appends this source's telemetry stages to `report`. The default is
     /// a no-op so third-party sources need no changes; the in-repo sources
     /// contribute scanner/reader stages (and the sharded reader its
@@ -130,6 +156,18 @@ impl<R: Read> EventSource for XmlReader<R> {
 
     fn position(&self) -> Position {
         XmlReader::position(self)
+    }
+
+    fn peek_plain(&mut self) -> Result<Option<PlainStart>> {
+        XmlReader::peek_plain(self)
+    }
+
+    fn take_plain(&mut self, tag: PlainStart, text: bool) -> Option<&[u8]> {
+        XmlReader::take_plain(self, tag, text)
+    }
+
+    fn hop_plain(&mut self, tag: PlainStart) -> Result<u64> {
+        XmlReader::hop_plain(self, tag)
     }
 
     fn report_into(&self, report: &mut flux_telemetry::RunReport) {

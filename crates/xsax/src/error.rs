@@ -12,6 +12,9 @@ pub enum XsaxError {
     Validation { message: String, pos: Position },
     /// The parser was configured inconsistently (e.g. no root element known).
     Config { message: String },
+    /// Writing a walked copy to the output failed
+    /// ([`crate::XsaxParser::walk`]).
+    Output(XmlError),
 }
 
 impl fmt::Display for XsaxError {
@@ -22,6 +25,7 @@ impl fmt::Display for XsaxError {
                 write!(f, "validation error at {pos}: {message}")
             }
             XsaxError::Config { message } => write!(f, "XSAX configuration error: {message}"),
+            XsaxError::Output(e) => write!(f, "output error: {e}"),
         }
     }
 }
@@ -29,7 +33,7 @@ impl fmt::Display for XsaxError {
 impl std::error::Error for XsaxError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            XsaxError::Xml(e) => Some(e),
+            XsaxError::Xml(e) | XsaxError::Output(e) => Some(e),
             _ => None,
         }
     }

@@ -74,6 +74,33 @@ pub enum XsaxStep {
     },
 }
 
+/// What the walk of a streamed scope ([`crate::XsaxParser::walk`]) does
+/// with a child element, decided per child label at plan compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ChildAction {
+    /// The consumer reads the child: the walk stops in front of it, and
+    /// it is delivered as ever.
+    #[default]
+    Deliver,
+    /// The consumer only copies the child to the output: the walk writes
+    /// it there.
+    Copy,
+    /// Nothing reads the child: the walk passes over it.
+    Skip,
+}
+
+/// What one [`crate::XsaxParser::walk`] settled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Walked {
+    pub copied_subtrees: u64,
+    /// Bytes the copies wrote to the output.
+    pub copied_bytes: u64,
+    pub skipped_subtrees: u64,
+    /// Bytes passed over, each child's from after its start tag through
+    /// its end tag, as [`crate::XsaxParser::skip_element`] counts them.
+    pub skipped_bytes: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

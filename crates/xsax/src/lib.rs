@@ -29,5 +29,5 @@ pub mod event;
 pub mod parser;
 
 pub use error::{Result, XsaxError};
-pub use event::{PastId, PastLabels, XsaxStep};
-pub use parser::{seeded_reader, seeded_symbols, trace, validate, XsaxConfig, XsaxParser};
+pub use event::{ChildAction, PastId, PastLabels, Walked, XsaxStep};
+pub use parser::{seeded_reader, seeded_symbols, trace, validate, XsaxParser};

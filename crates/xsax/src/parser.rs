@@ -17,11 +17,13 @@
 //! steps as strings for tests and tools.
 
 use crate::error::{Result, XsaxError};
-use crate::event::{PastId, PastLabels, XsaxStep};
+use crate::event::{ChildAction, PastId, PastLabels, Walked, XsaxStep};
 use flux_dtd::{AttDefault, Dfa, Dtd, ElementDecl, StateId, Symbol, SymbolTable};
 use flux_telemetry::{RunReport, Stage, XsaxCounters};
-use flux_xml::{EventSource, RawEventKind, RawEventRef, ReaderConfig, XmlEvent, XmlReader};
-use std::io::Read;
+use flux_xml::{
+    EventSource, RawEventKind, RawEventRef, ReaderConfig, XmlEvent, XmlReader, XmlWriter,
+};
+use std::io::{Read, Write};
 
 /// The symbol table an [`EventSource`] must be seeded with before it can
 /// feed [`XsaxParser::from_source`]: the DTD's own table (element names)
@@ -45,15 +47,6 @@ pub fn seeded_symbols(dtd: &Dtd) -> SymbolTable {
 /// spelling (rejected here for elements, carried for attributes).
 pub fn seeded_reader<R: Read>(src: R, dtd: &Dtd, config: ReaderConfig) -> XmlReader<R> {
     XmlReader::closed(src, config, seeded_symbols(dtd))
-}
-
-/// Configuration for [`XsaxParser`]. Whitespace-only text inside
-/// element-content elements ("ignorable whitespace") is always dropped.
-#[derive(Debug, Clone, Default)]
-pub struct XsaxConfig {
-    /// Reject attributes that are not declared in an `ATTLIST` and require
-    /// `#REQUIRED` attributes to be present. Defaults to `false`.
-    pub strict_attributes: bool,
 }
 
 #[derive(Debug)]
@@ -87,14 +80,6 @@ struct OpenElement<'d> {
     skipped: bool,
 }
 
-/// One pre-resolved `ATTLIST` entry: interned name, requiredness, and the
-/// default value to inject when the attribute is absent.
-struct AttPlan<'d> {
-    name: Symbol,
-    required: bool,
-    default: Option<&'d str>,
-}
-
 /// The XSAX validating parser. See the crate docs for the event-ordering
 /// contract.
 ///
@@ -110,7 +95,6 @@ pub struct XsaxParser<'d, S: EventSource> {
     /// The DTD's virtual document automaton, which the root element is
     /// checked against.
     doc_dfa: &'d Dfa,
-    config: XsaxConfig,
     registrations: Vec<Registration>,
     /// Dense per-symbol registration lists (`by_element[sym.index()]`),
     /// grown by [`XsaxParser::register_past`]; symbols past the end have
@@ -120,8 +104,9 @@ pub struct XsaxParser<'d, S: EventSource> {
     /// symbols interned after construction (attribute names, undeclared
     /// element names) fall off the end and resolve to `None`.
     decls: Vec<Option<&'d ElementDecl>>,
-    /// Dense per-symbol attribute plans, same indexing as `decls`.
-    atts: Vec<Vec<AttPlan<'d>>>,
+    /// Dense per-symbol attribute defaults — `(name, value)` to inject
+    /// when the attribute is absent — same indexing as `decls`.
+    defaults: Vec<Vec<(Symbol, &'d str)>>,
     stack: Vec<OpenElement<'d>>,
     /// Trackers of every open element instance, outermost first: one flat
     /// stack, truncated when an instance closes.
@@ -145,21 +130,18 @@ pub struct XsaxParser<'d, S: EventSource> {
 }
 
 impl<'d, R: Read> XsaxParser<'d, XmlReader<R>> {
-    /// Creates a parser over `src` validating against `dtd`.
+    /// Creates a parser over `src` validating against `dtd`, through a
+    /// default-configured reader. Whitespace-only text inside
+    /// element-content elements ("ignorable whitespace") is dropped.
     ///
     /// Fails when the DTD has no known root element (parse it with
     /// [`Dtd::parse_with_root`] in that case).
     pub fn new(src: R, dtd: &'d Dtd) -> Result<Self> {
-        Self::with_config(src, dtd, XsaxConfig::default())
-    }
-
-    /// [`XsaxParser::new`] with `config`, over a default-configured reader.
-    pub fn with_config(src: R, dtd: &'d Dtd, config: XsaxConfig) -> Result<Self> {
         // Close the reader at the DTD's table (plus attlist names): clones
         // preserve indices, so stream symbols coincide with schema symbols
-        // and attribute validation is symbol equality too.
+        // and attribute defaults are keyed by symbol too.
         let reader = seeded_reader(src, dtd, ReaderConfig::default());
-        Self::from_source(reader, dtd, config)
+        Self::from_source(reader, dtd)
     }
 }
 
@@ -169,7 +151,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// symbols coincide with schema symbols — this is how the parallel
     /// `ShardedReader` plugs in: its shards parse in parallel, and this
     /// parser threads the DFA configuration across their seams.
-    pub fn from_source(source: S, dtd: &'d Dtd, config: XsaxConfig) -> Result<Self> {
+    pub fn from_source(source: S, dtd: &'d Dtd) -> Result<Self> {
         let Some(doc_dfa) = dtd.content_dfa(SymbolTable::DOCUMENT) else {
             return Err(XsaxError::Config {
                 message: "the DTD has no unambiguous root element".to_string(),
@@ -177,7 +159,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         };
         let symbols = source.symbols();
         let mut decls: Vec<Option<&'d ElementDecl>> = vec![None; dtd.symbols().len()];
-        let mut atts: Vec<Vec<AttPlan<'d>>> = Vec::new();
+        let mut defaults: Vec<Vec<(Symbol, &'d str)>> = vec![Vec::new(); dtd.symbols().len()];
         for decl in dtd.elements() {
             decls[decl.name.index()] = Some(decl);
             // Guard against unseeded sources: the dense tables below index
@@ -194,40 +176,29 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             }
         }
         for decl in dtd.elements() {
-            let plans: Result<Vec<AttPlan<'d>>> = decl
-                .attlist
-                .iter()
-                .map(|def| {
-                    Ok(AttPlan {
-                        name: symbols.lookup(&def.name).ok_or_else(|| XsaxError::Config {
-                            message: format!(
-                                "event source symbols not seeded with attribute `{}` \
-                                 (seed the source with flux_xsax::seeded_symbols)",
-                                def.name
-                            ),
-                        })?,
-                        required: matches!(def.default, AttDefault::Required),
-                        default: match &def.default {
-                            AttDefault::Default(v) | AttDefault::Fixed(v) => Some(v.as_str()),
-                            _ => None,
-                        },
-                    })
-                })
-                .collect();
-            if atts.len() <= decl.name.index() {
-                atts.resize_with(decl.name.index() + 1, Vec::new);
+            for def in &decl.attlist {
+                let Some(name) = symbols.lookup(&def.name) else {
+                    return Err(XsaxError::Config {
+                        message: format!(
+                            "event source symbols not seeded with attribute `{}` \
+                             (seed the source with flux_xsax::seeded_symbols)",
+                            def.name
+                        ),
+                    });
+                };
+                if let AttDefault::Default(v) | AttDefault::Fixed(v) = &def.default {
+                    defaults[decl.name.index()].push((name, v.as_str()));
+                }
             }
-            atts[decl.name.index()] = plans?;
         }
         Ok(XsaxParser {
             source,
             dtd,
             doc_dfa,
-            config,
             registrations: Vec::new(),
             by_element: Vec::new(),
             decls,
-            atts,
+            defaults,
             stack: Vec::new(),
             trackers: Vec::new(),
             fires: Vec::new(),
@@ -387,6 +358,13 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     pub fn skip_element(&mut self) -> Result<u64> {
         debug_assert_eq!(self.source.kind(), RawEventKind::StartElement);
         debug_assert!(self.sax_at.is_none(), "the start tag was delivered");
+        self.skip_open()
+    }
+
+    /// [`XsaxParser::skip_element`] for the innermost open element, whose
+    /// start tag the source produced last: its end tag is dispatched on
+    /// return.
+    fn skip_open(&mut self) -> Result<u64> {
         let Some(elem) = self.stack.last_mut() else {
             return Err(XsaxError::Config {
                 message: "skip_element called with no open element".to_string(),
@@ -400,6 +378,167 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
         let bytes = self.source.skip_subtree()?;
         self.dispatch()?;
         Ok(bytes)
+    }
+
+    /// Walks the children of the innermost open element in place, up to
+    /// the next child `actions` delivers (indexed by symbol) or the
+    /// element's end tag: a *skip* child is passed over, a *copy* child is
+    /// written to `out`, and neither becomes a step. Each child's start
+    /// tag steps the element's content automaton exactly as a delivered
+    /// one does, and a copied child is validated inside.
+    ///
+    /// A child the source can read in place ([`EventSource::peek_plain`])
+    /// is settled straight from its storage: hopped, or — spelled in the
+    /// writer's canonical form and with no attribute default to inject —
+    /// copied as its bytes. Anything else is advanced to event by event,
+    /// through the same validation a delivered child gets, so errors and
+    /// their positions do not depend on which way a child went. The walk
+    /// stops with nothing consumed in front of a plain delivered child;
+    /// any other event it stops at is dispatched, and the next
+    /// [`XsaxParser::next_step`] delivers it.
+    ///
+    /// Called between steps, with nothing left to deliver, under an
+    /// element no tracker watches (its scope registered no past query):
+    /// no fire can come due inside the walk. Otherwise it does nothing.
+    /// A copy child is one with text-only content and no registration of
+    /// its own, or it is delivered.
+    pub fn walk<W: Write>(
+        &mut self,
+        actions: &[ChildAction],
+        out: &mut XmlWriter<W>,
+    ) -> Result<Walked> {
+        let mut walked = Walked::default();
+        let idle = self.sax_at.is_none() && self.next_fire == self.fires.len() && !self.finished;
+        match self.stack.last() {
+            Some(elem) if idle && elem.trackers == self.trackers.len() => {}
+            _ => return Ok(walked),
+        }
+        loop {
+            if let Some(tag) = self.source.peek_plain()? {
+                let action = self.walk_action(actions, tag.name);
+                let Some(elem) = self.stack.last_mut() else {
+                    return Ok(walked);
+                };
+                let next = elem.dfa.transition(elem.state, tag.name);
+                match (action, next) {
+                    (ChildAction::Deliver, _) => return Ok(walked),
+                    (ChildAction::Skip, Some(next)) => {
+                        walked.skipped_bytes += self.source.hop_plain(tag)?;
+                        walked.skipped_subtrees += 1;
+                        elem.state = next;
+                        continue;
+                    }
+                    (ChildAction::Copy, Some(next))
+                        if self
+                            .defaults
+                            .get(tag.name.index())
+                            .is_some_and(Vec::is_empty) =>
+                    {
+                        let text = self.decl_of(tag.name).is_some_and(|d| d.text_allowed);
+                        if let Some(span) = self.source.take_plain(tag, text) {
+                            out.write_serialized(span).map_err(XsaxError::Output)?;
+                            walked.copied_bytes += span.len() as u64;
+                            walked.copied_subtrees += 1;
+                            if let Some(elem) = self.stack.last_mut() {
+                                elem.state = next;
+                            }
+                            continue;
+                        }
+                    }
+                    // Out of order, or not in canonical form: the event
+                    // path below reports or copies it.
+                    _ => {}
+                }
+            }
+            self.fires.clear();
+            self.next_fire = 0;
+            self.injected.clear();
+            if !self.source.advance()? {
+                self.finished = true;
+                return Ok(walked);
+            }
+            let action = match self.source.kind() {
+                RawEventKind::StartElement => {
+                    let sym = self.source.view().name();
+                    self.walk_action(actions, sym)
+                }
+                _ => ChildAction::Deliver,
+            };
+            self.dispatch()?;
+            match action {
+                ChildAction::Deliver if self.sax_at.is_some() || !self.fires.is_empty() => {
+                    return Ok(walked)
+                }
+                // Ignorable whitespace, dropped.
+                ChildAction::Deliver => continue,
+                // The start tag passed validation; it is not delivered,
+                // and nor are the child's own immediate fires, as
+                // `skip_element` drops them.
+                ChildAction::Skip => {
+                    self.sax_at = None;
+                    walked.skipped_bytes += self.skip_open()?;
+                    walked.skipped_subtrees += 1;
+                }
+                ChildAction::Copy => {
+                    self.sax_at = None;
+                    walked.copied_bytes += self.copy_open(out)?;
+                    walked.copied_subtrees += 1;
+                }
+            }
+            // The child's end tag, dispatched: not delivered either.
+            self.sax_at = None;
+            self.fires.clear();
+        }
+    }
+
+    /// The walk's action for a child named `sym`: `actions`' entry, with a
+    /// child that cannot be settled off the event path — undeclared, or a
+    /// copy whose content may hold elements or whose type registered a
+    /// past query — delivered.
+    fn walk_action(&self, actions: &[ChildAction], sym: Symbol) -> ChildAction {
+        let action = actions.get(sym.index()).copied().unwrap_or_default();
+        let Some(decl) = self.decl_of(sym) else {
+            return ChildAction::Deliver;
+        };
+        let registered = self
+            .by_element
+            .get(sym.index())
+            .is_some_and(|ids| !ids.is_empty());
+        match action {
+            ChildAction::Copy if registered || !decl.dfa.alphabet().is_empty() => {
+                ChildAction::Deliver
+            }
+            action => action,
+        }
+    }
+
+    /// Copies the innermost open element, a text-only one whose start tag
+    /// was just dispatched, to `out` event by event — the writer calls a
+    /// delivered stream copy makes — and dispatches up to its end tag.
+    /// Returns the bytes written.
+    fn copy_open<W: Write>(&mut self, out: &mut XmlWriter<W>) -> Result<u64> {
+        let before = out.bytes_written();
+        out.start_element_view(self.source.symbols(), &self.view())
+            .map_err(XsaxError::Output)?;
+        loop {
+            self.injected.clear();
+            if !self.source.advance()? {
+                self.finished = true;
+                break;
+            }
+            self.dispatch()?;
+            let delivered = self.sax_at.take().is_some();
+            let written = match self.source.kind() {
+                RawEventKind::Text if delivered => out.text(self.source.view().text()),
+                RawEventKind::EndElement => {
+                    out.end_element().map_err(XsaxError::Output)?;
+                    break;
+                }
+                _ => Ok(()),
+            };
+            written.map_err(XsaxError::Output)?;
+        }
+        Ok(out.bytes_written() - before)
     }
 
     /// Handles the source's current event: validates it and queues it,
@@ -521,14 +660,18 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             }
         }
 
-        let plans = self.atts.get(sym.index()).map(Vec::as_slice).unwrap_or(&[]);
-        Self::validate_attributes(
-            &v,
-            plans,
-            self.config.strict_attributes,
-            &self.source,
-            &mut self.injected,
-        )?;
+        // Declared defaults for absent attributes are chained onto the
+        // view after the literal attributes, as a validating parser must:
+        // pure symbol equality, no event materialisation.
+        for &(name, value) in self
+            .defaults
+            .get(sym.index())
+            .map_or(&[][..], Vec::as_slice)
+        {
+            if !v.attrs().any(|a| a.name == name) {
+                self.injected.push((name, value));
+            }
+        }
 
         // Open the element and instantiate its trackers on top of the
         // flat stack.
@@ -635,55 +778,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             return Ok(());
         }
         self.deliver_sax();
-        Ok(())
-    }
-
-    /// Validates the current start tag's attributes against the element's
-    /// pre-resolved `ATTLIST` and collects declared defaults into the
-    /// injected side list (chained onto the view after the literal
-    /// attributes), as a validating parser must. Pure symbol equality — no
-    /// string hashing, and no event materialisation. An associated
-    /// function over the fields involved, so `handle_start` can pass the
-    /// one view it already holds.
-    fn validate_attributes(
-        v: &RawEventRef<'_>,
-        plans: &[AttPlan<'d>],
-        strict: bool,
-        source: &S,
-        injected: &mut Vec<(Symbol, &'d str)>,
-    ) -> Result<()> {
-        if strict {
-            for attr in v.attrs() {
-                if !plans.iter().any(|d| d.name == attr.name) {
-                    return Err(XsaxError::Validation {
-                        message: format!(
-                            "attribute `{}` is not declared for element `{}`",
-                            attr.name_str(source.symbols()),
-                            v.name_str(source.symbols())
-                        ),
-                        pos: source.position(),
-                    });
-                }
-            }
-            for def in plans {
-                if def.required && !v.attrs().any(|a| a.name == def.name) {
-                    return Err(XsaxError::Validation {
-                        message: format!(
-                            "required attribute `{}` missing on element `{}`",
-                            source.symbols().name(def.name),
-                            v.name_str(source.symbols())
-                        ),
-                        pos: source.position(),
-                    });
-                }
-            }
-        }
-        for def in plans {
-            let Some(value) = def.default else { continue };
-            if !v.attrs().any(|a| a.name == def.name) {
-                injected.push((def.name, value));
-            }
-        }
         Ok(())
     }
 }
@@ -1002,26 +1096,61 @@ mod tests {
         assert_eq!(events, vec![r#"<a lang="de">"#, "</a>"]);
     }
 
-    #[test]
-    fn strict_attributes_enforced() {
-        let dtd = Dtd::parse("<!ELEMENT a EMPTY>\n<!ATTLIST a id CDATA #REQUIRED>").unwrap();
-        let config = XsaxConfig {
-            strict_attributes: true,
-        };
-        let strict_error = |doc: &str| {
-            let mut p = XsaxParser::with_config(doc.as_bytes(), &dtd, config.clone()).unwrap();
-            loop {
-                match p.next_step() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => panic!("expected validation error"),
-                    Err(e) => break e.to_string(),
-                }
+    /// Pulls steps up to and including the start tag of `name`.
+    fn open<'d>(parser: &mut XsaxParser<'d, XmlReader<&[u8]>>, name: Symbol) {
+        while parser.next_step().unwrap().is_some() {
+            if parser.kind() == RawEventKind::StartElement && parser.view().name() == name {
+                return;
             }
+        }
+        panic!("no such element");
+    }
+
+    #[test]
+    fn walk_settles_children_until_a_delivered_one() {
+        let dtd = fig1();
+        let sym = |name| dtd.lookup(name).unwrap();
+        let mut actions = vec![ChildAction::Deliver; dtd.symbols().len()];
+        actions[sym("title").index()] = ChildAction::Copy;
+        actions[sym("author").index()] = ChildAction::Copy;
+        actions[sym("publisher").index()] = ChildAction::Skip;
+        let mut parser = XsaxParser::new(FIG1_DOC.as_bytes(), &dtd).unwrap();
+        open(&mut parser, sym("book"));
+        let mut out = XmlWriter::new(Vec::new());
+        let walked = parser.walk(&actions, &mut out).unwrap();
+        let copied = "<title>T1</title><author>A1</author><author>A2</author>";
+        assert_eq!(out.into_inner(), copied.as_bytes());
+        let expected = Walked {
+            copied_subtrees: 3,
+            copied_bytes: copied.len() as u64,
+            skipped_subtrees: 1,
+            skipped_bytes: "P</publisher>".len() as u64,
         };
-        let err = strict_error("<a/>");
-        assert!(err.contains("required"), "{err}");
-        let err = strict_error(r#"<a id="1" bogus="2"/>"#);
-        assert!(err.contains("not declared"), "{err}");
+        assert_eq!(walked, expected);
+        // The walk stopped in front of `price`, which is delivered as ever
+        // and closes the content model.
+        let mut rest = Vec::new();
+        while parser.next_step().unwrap().is_some() {
+            rest.push(parser.view().to_xml_event(parser.symbols()).to_string());
+        }
+        assert_eq!(rest[..4], ["<price>", "\"9\"", "</price>", "</book>"]);
+    }
+
+    #[test]
+    fn walk_leaves_watched_elements_alone() {
+        let dtd = fig1();
+        let book = dtd.lookup("book").unwrap();
+        let title = dtd.lookup("title").unwrap();
+        let mut actions = vec![ChildAction::Skip; dtd.symbols().len()];
+        actions[title.index()] = ChildAction::Copy;
+        let mut parser = XsaxParser::new(FIG1_DOC.as_bytes(), &dtd).unwrap();
+        parser
+            .register_past(book, PastLabels::labels([title]))
+            .unwrap();
+        open(&mut parser, book);
+        let mut out = XmlWriter::new(Vec::new());
+        assert_eq!(parser.walk(&actions, &mut out).unwrap(), Walked::default());
+        assert!(out.into_inner().is_empty());
     }
 
     #[test]

@@ -275,6 +275,62 @@ fn report_counts_one_skip_per_subtree_no_frame_reads() {
 }
 
 /// The first `"name": <integer>` after `section` in a JSON report.
+#[test]
+fn report_and_explain_show_the_walk() {
+    // Q3 under Figure 1 walks each book: titles and authors are copied
+    // from the input, editors, publishers and prices hopped, and a book
+    // costs the executor its own two events — sequential or sharded (the
+    // shard reader walks event by event, to the same counts).
+    let doc = bib_string(&BibConfig::fig1(2_000, 7));
+    let books = doc.matches("<book").count() as u64;
+    let spans = |name: &str| -> (u64, u64) {
+        let (open, close) = (format!("<{name}>"), format!("</{name}>"));
+        let found = doc.match_indices(&open).map(|(at, _)| {
+            let end = at + doc[at..].find(&close).unwrap() + close.len();
+            (end - at) as u64
+        });
+        found.fold((0, 0), |(n, bytes), len| (n + 1, bytes + len))
+    };
+    let copied = [spans("title"), spans("author")];
+    let skipped = [spans("editor"), spans("publisher"), spans("price")];
+    let count = |spans: &[(u64, u64)]| spans.iter().map(|s| s.0).sum::<u64>();
+    let bytes = |spans: &[(u64, u64)]| spans.iter().map(|s| s.1).sum::<u64>();
+    let input = Scratch::with("walk.xml", &doc);
+    let sequential = ["--input", input.path(), "--report", "json"];
+    let sharded = [&sequential[..], &["--shards", "2"]].concat();
+    for args in [&sequential[..], &sharded] {
+        let reported = fluxquery(PAPER_FIG1_DTD, args);
+        assert!(reported.status.success(), "{reported:?}");
+        let report = String::from_utf8(reported.stderr).expect("utf-8 report");
+        if args.len() == sequential.len() {
+            // The reader still counts every tag it settles in place.
+            let tags = (doc.matches('<').count() - doc.matches("</").count()) as u64;
+            assert_eq!(counter(&report, "\"reader\"", "start_tags"), tags);
+            assert_eq!(counter(&report, "\"reader\"", "end_tags"), tags);
+        }
+        let runtime = |name| counter(&report, "\"runtime\"", name);
+        assert_eq!(runtime("events"), 2 * books + 4, "{report}");
+        assert_eq!(runtime("walks"), books, "{report}");
+        assert_eq!(runtime("copied_subtrees"), count(&copied), "{report}");
+        assert_eq!(runtime("copied_bytes"), bytes(&copied), "{report}");
+        assert_eq!(runtime("skipped_subtrees"), count(&skipped), "{report}");
+        // Skips count from after the start tag, as the reader hops them.
+        let tags = skipped.iter().zip(["editor", "publisher", "price"]);
+        let start_tags: u64 = tags.map(|(s, name)| s.0 * (name.len() as u64 + 2)).sum();
+        assert_eq!(
+            runtime("skipped_bytes"),
+            bytes(&skipped) - start_tags,
+            "{report}"
+        );
+    }
+    let explained = fluxquery(PAPER_FIG1_DTD, &["--explain"]);
+    let explain = String::from_utf8(explained.stdout).expect("utf-8 explain");
+    assert!(
+        explain.contains("walk under $b: copy title, author; skip editor, publisher, price"),
+        "{explain}"
+    );
+}
+
 fn counter(report: &str, section: &str, name: &str) -> u64 {
     let body = &report[report.find(section).expect(section) + section.len()..];
     let key = format!("\"{name}\": ");
