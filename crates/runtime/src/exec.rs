@@ -718,9 +718,9 @@ mod tests {
             out,
             "<results><result><title>T1</title><author>A1</author><author>A2</author></result><result><title>T2</title></result></results>"
         );
-        // Scope shells are still created (book/bib bindings), but no child
-        // content is ever buffered: total buffered bytes stay tiny and, in
-        // particular, the author text never enters the store.
+        // Nothing reads a book or bib variable, so no scope shell is bound
+        // and no child content is ever buffered: in particular, the author
+        // text never enters the store.
         assert!(
             !format!("{:?}", stats).contains("A1"),
             "sanity: stats don't embed data"

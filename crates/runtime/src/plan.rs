@@ -79,7 +79,8 @@ pub enum HandlerPlan {
         spec: SpecId,
         /// Whether a firing binds a scope shell at all: false when the
         /// plan proves the variable is never read — its spec is empty and
-        /// no compiled expression or nested process-stream mentions it.
+        /// no compiled expression mentions it. A nested process-stream
+        /// over the variable reads its scope, not its shell.
         binds: bool,
         body: PlanExpr,
     },
@@ -282,16 +283,10 @@ pub fn compile_plan(query: &FluxQuery, dtd: &Dtd) -> Result<Plan> {
     compiler.specs.mark_output_only();
     for handler in compiler.ps.iter_mut().flat_map(|ps| &mut ps.handlers) {
         if let HandlerPlan::On {
-            var,
-            spec,
-            binds,
-            body,
-            ..
+            var, spec, binds, ..
         } = handler
         {
-            *binds = !compiler.specs.is_empty_spec(*spec)
-                || compiler.read_vars.contains(var)
-                || contains_ps(body);
+            *binds = !compiler.specs.is_empty_spec(*spec) || compiler.read_vars.contains(var);
         }
     }
     let walks: Vec<Vec<ChildAction>> = compiler
@@ -334,18 +329,6 @@ struct Compiler<'d> {
     read_vars: BTreeSet<VarName>,
     /// Every scope's BDF root, with the element type it stands for.
     spec_roots: Vec<(SpecId, Option<Symbol>)>,
-}
-
-/// Whether a plan expression enters a process-stream.
-fn contains_ps(expr: &PlanExpr) -> bool {
-    match expr {
-        PlanExpr::Ps(_) => true,
-        PlanExpr::Sequence(items) => items.iter().any(contains_ps),
-        PlanExpr::Element { content, .. } => contains_ps(content),
-        PlanExpr::Empty | PlanExpr::Text(_) | PlanExpr::BufferedEval(_) | PlanExpr::StreamCopy => {
-            false
-        }
-    }
 }
 
 /// Whether a FluX subtree contains a process-stream or stream-copy (the
@@ -740,8 +723,9 @@ mod tests {
     #[test]
     fn unread_handler_variables_bind_no_shell() {
         // Under Figure 1, `on title as $t return {$t}` and its author twin
-        // only stream-copy: nothing reads the variable. The bib and book
-        // handlers host nested process-streams, so they bind.
+        // only stream-copy, and the bib and book handlers only host nested
+        // process-streams: nothing reads any variable. Under the weak DTD
+        // the book scope buffers its authors, so `$b` binds.
         let binds = |dtd_text: &str| {
             let dtd = Dtd::parse(dtd_text).unwrap();
             let plan = plan_for(Q3, &dtd);
@@ -766,14 +750,14 @@ mod tests {
             binds(PAPER_FIG1_DTD),
             named(&[
                 ("author", false),
-                ("bib", true),
-                ("book", true),
+                ("bib", false),
+                ("book", false),
                 ("title", false)
             ])
         );
         assert_eq!(
             binds(PAPER_WEAK_DTD),
-            named(&[("bib", true), ("book", true), ("title", false)])
+            named(&[("bib", false), ("book", true), ("title", false)])
         );
     }
 
