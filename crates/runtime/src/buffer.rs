@@ -36,7 +36,7 @@
 
 use crate::stats::MemoryTracker;
 use flux_xml::tree::{Document, NodeAttr, NodeId, NodeKind};
-use flux_xml::{Attribute, RawEventRef, Symbol, SymbolTable, XmlWriter};
+use flux_xml::{RawEventRef, Symbol, SymbolTable, XmlWriter};
 
 /// Arena of buffered nodes with recycling and byte accounting.
 pub struct BufferArena {
@@ -128,36 +128,6 @@ impl BufferArena {
             None => self.doc.create_node(kind),
         };
         self.tracker.allocate(self.doc.node_heap_bytes(id));
-        id
-    }
-
-    /// Creates a detached element node from string-named parts (tests and
-    /// plan-side constructors; the streaming path uses the view variants).
-    pub fn create_element(&mut self, name: &str, attributes: &[Attribute]) -> NodeId {
-        let dict_before = self.doc.interned_name_bytes();
-        let name = self.doc.intern(name);
-        let mut attrs = self.pooled_attrs();
-        for a in attributes {
-            let name = self.doc.intern(&a.name);
-            let value = self.pooled_string(&a.value);
-            attrs.push(NodeAttr { name, value });
-        }
-        self.charge_dictionary(dict_before);
-        self.alloc(NodeKind::Element {
-            name,
-            attributes: attrs,
-        })
-    }
-
-    /// Appends a new element under `parent`.
-    pub fn append_element(
-        &mut self,
-        parent: NodeId,
-        name: &str,
-        attributes: &[Attribute],
-    ) -> NodeId {
-        let id = self.create_element(name, attributes);
-        self.doc.append_child(parent, id);
         id
     }
 
@@ -257,6 +227,20 @@ impl BufferArena {
     pub fn seal(&mut self, parent: NodeId, name: Symbol, start: usize) -> NodeId {
         let mut xml = self.spare_xml.pop().unwrap_or_default();
         xml.extend_from_slice(&self.capture.get_ref()[start..]);
+        self.append_serialized(parent, name, xml)
+    }
+
+    /// Seals `span`, one balanced element named `name` spelled as the
+    /// capture writer would write it, into one serialized node under
+    /// `parent`: the node, and the charge, [`BufferArena::seal`] makes
+    /// for the same bytes captured event by event.
+    pub fn seal_span(&mut self, parent: NodeId, name: Symbol, span: &[u8]) -> NodeId {
+        let mut xml = self.spare_xml.pop().unwrap_or_default();
+        xml.extend_from_slice(span);
+        self.append_serialized(parent, name, xml)
+    }
+
+    fn append_serialized(&mut self, parent: NodeId, name: Symbol, xml: Vec<u8>) -> NodeId {
         self.tracker.count_serialized(xml.len());
         let id = self.alloc(NodeKind::Serialized { name, xml });
         self.doc.append_child(parent, id);
@@ -338,14 +322,36 @@ impl BufferArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flux_xml::{RawEvent, RawEventKind};
+
+    /// Creates a detached element from a start tag named by its spelling,
+    /// as a closed reader delivers a name outside its vocabulary: the
+    /// arena interns the element and attribute names on import.
+    fn element(arena: &mut BufferArena, name: &str, attrs: &[(&str, &str)]) -> NodeId {
+        let mut ev = RawEvent::new();
+        ev.reset(RawEventKind::StartElement);
+        ev.set_name(SymbolTable::OVERFLOW);
+        ev.target_mut().push_str(name);
+        for &(attr, value) in attrs {
+            ev.push_attr_named(attr).push_str(value);
+        }
+        arena.create_element_view(&SymbolTable::new(), &RawEventRef::from_event(&ev))
+    }
+
+    /// Appends a new element named `name` under `parent`.
+    fn child(arena: &mut BufferArena, parent: NodeId, name: &str) -> NodeId {
+        let id = element(arena, name, &[]);
+        arena.doc.append_child(parent, id);
+        id
+    }
 
     #[test]
     fn build_and_navigate() {
         let mut arena = BufferArena::new();
-        let book = arena.create_element("book", &[Attribute::new("year", "1994")]);
-        let title = arena.append_element(book, "title", &[]);
+        let book = element(&mut arena, "book", &[("year", "1994")]);
+        let title = child(&mut arena, book, "title");
         arena.append_text(title, "TCP/IP");
-        let author = arena.append_element(book, "author", &[]);
+        let author = child(&mut arena, book, "author");
         arena.append_text(author, "Stevens");
         let doc = arena.doc();
         assert_eq!(doc.children(book).len(), 2);
@@ -356,7 +362,7 @@ mod tests {
     #[test]
     fn text_merging_accounts_growth() {
         let mut arena = BufferArena::new();
-        let e = arena.create_element("t", &[]);
+        let e = element(&mut arena, "t", &[]);
         arena.append_text(e, "ab");
         let before = arena.current_bytes();
         arena.append_text(e, "cd");
@@ -372,8 +378,8 @@ mod tests {
     #[test]
     fn free_releases_and_recycles() {
         let mut arena = BufferArena::new();
-        let scope = arena.create_element("book", &[]);
-        let t = arena.append_element(scope, "title", &[]);
+        let scope = element(&mut arena, "book", &[]);
+        let t = child(&mut arena, scope, "title");
         arena.append_text(t, "X");
         let live = arena.current_bytes();
         assert!(live > 0);
@@ -386,8 +392,8 @@ mod tests {
         assert_eq!(arena.current_bytes(), dictionary);
         // New allocations reuse the freed slots: arena does not grow, and
         // re-interning the same names charges nothing new.
-        let scope2 = arena.create_element("book", &[]);
-        let t2 = arena.append_element(scope2, "title", &[]);
+        let scope2 = element(&mut arena, "book", &[]);
+        let t2 = child(&mut arena, scope2, "title");
         arena.append_text(t2, "Y");
         assert_eq!(
             arena.doc().node_count(),
@@ -404,8 +410,8 @@ mod tests {
         // Simulate: 3 books one at a time, each with one author.
         let mut peak_each = 0;
         for i in 0..3 {
-            let scope = arena.create_element("book", &[]);
-            let a = arena.append_element(scope, "author", &[]);
+            let scope = element(&mut arena, "book", &[]);
+            let a = child(&mut arena, scope, "author");
             arena.append_text(a, &format!("Author {i}"));
             peak_each = peak_each.max(arena.current_bytes());
             arena.free_scope(scope);
@@ -420,13 +426,13 @@ mod tests {
         // Outer buffer keeps growing while an inner scope lives and dies —
         // the regression the subtree-walking free exists for.
         let mut arena = BufferArena::new();
-        let outer = arena.create_element("outer", &[]);
-        arena.append_element(outer, "kept1", &[]);
-        let inner = arena.create_element("inner", &[]);
-        arena.append_element(inner, "tmp", &[]);
-        arena.append_element(outer, "kept2", &[]); // interleaved with inner's life
+        let outer = element(&mut arena, "outer", &[]);
+        child(&mut arena, outer, "kept1");
+        let inner = element(&mut arena, "inner", &[]);
+        child(&mut arena, inner, "tmp");
+        child(&mut arena, outer, "kept2"); // interleaved with inner's life
         arena.free_scope(inner);
-        arena.append_element(outer, "kept3", &[]);
+        child(&mut arena, outer, "kept3");
         let doc = arena.doc();
         let names: Vec<_> = doc
             .children(outer)
@@ -444,7 +450,7 @@ mod tests {
         let mut arena = BufferArena::new();
         let mut prev = 0;
         for i in 0..50 {
-            let scope = arena.create_element(&format!("name{i:04}"), &[]);
+            let scope = element(&mut arena, &format!("name{i:04}"), &[]);
             arena.free_scope(scope);
             assert!(
                 arena.current_bytes() > prev,
@@ -452,7 +458,7 @@ mod tests {
             );
             prev = arena.current_bytes();
         }
-        let scope = arena.create_element("name0000", &[]);
+        let scope = element(&mut arena, "name0000", &[]);
         arena.free_scope(scope);
         assert_eq!(arena.current_bytes(), prev, "known names charge nothing");
     }
@@ -462,7 +468,6 @@ mod tests {
         // A closed reader delivers OVERFLOW + the literal name in
         // the event's side channel: buffering must neither panic nor
         // misname the node, for elements and attributes alike.
-        use flux_xml::{RawEvent, RawEventKind};
         let symbols = SymbolTable::new();
         let mut arena = BufferArena::with_symbols(symbols.clone());
         let mut ev = RawEvent::new();
@@ -488,8 +493,8 @@ mod tests {
         let payload = "A value that is long enough to matter";
         let mut floor = None;
         for round in 0..10 {
-            let scope = arena.create_element("book", &[Attribute::new("year", "1994")]);
-            let t = arena.append_element(scope, "title", &[]);
+            let scope = element(&mut arena, "book", &[("year", "1994")]);
+            let t = child(&mut arena, scope, "title");
             arena.append_text(t, payload);
             arena.free_scope(scope);
             // The floor is the run-long interned-name charge from round 0
@@ -511,7 +516,6 @@ mod tests {
     /// Serializes one `<author a="1">` element with `text` into the
     /// capture writer, the way the executor streams a print-only subtree.
     fn capture_author(arena: &mut BufferArena, symbols: &SymbolTable, text: &str) -> usize {
-        use flux_xml::{RawEvent, RawEventKind};
         let mut ev = RawEvent::new();
         ev.reset(RawEventKind::StartElement);
         ev.set_name(symbols.lookup("author").unwrap());
@@ -531,7 +535,7 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let author = symbols.intern("author");
         let mut arena = BufferArena::with_symbols(symbols.clone());
-        let shell = arena.create_element("book", &[]);
+        let shell = element(&mut arena, "book", &[]);
         let floor = arena.current_bytes();
         let start = capture_author(&mut arena, &symbols, "Gray & Reuter");
         let node = arena.seal(shell, author, start);
@@ -556,7 +560,7 @@ mod tests {
         arena.free_scope(shell);
         assert_eq!(arena.current_bytes(), arena.doc().interned_name_bytes());
         let nodes = arena.doc().node_count();
-        let shell = arena.create_element("book", &[]);
+        let shell = element(&mut arena, "book", &[]);
         let start = capture_author(&mut arena, &symbols, "Stevens");
         arena.seal(shell, author, start);
         assert_eq!(arena.doc().node_count(), nodes, "slots recycled");
@@ -571,10 +575,7 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let author = symbols.intern("author");
         let mut arena = BufferArena::with_symbols(symbols.clone());
-        let (a, b) = (
-            arena.create_element("a", &[]),
-            arena.create_element("b", &[]),
-        );
+        let (a, b) = (element(&mut arena, "a", &[]), element(&mut arena, "b", &[]));
         let outer = arena.capture_mark();
         let mut ev = flux_xml::RawEvent::new();
         ev.reset(flux_xml::RawEventKind::StartElement);

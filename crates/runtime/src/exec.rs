@@ -26,11 +26,16 @@
 //! and passed over. Two kinds of content are never delivered at all: the
 //! content of an element whose frame reads nothing, which the reader
 //! skips ([`XsaxParser::skip_element`]), and the children of a *walkable*
-//! scope that its action table copies or skips
-//! ([`crate::plan::PsPlan::walk`]): between the children it delivers, the
-//! frame hands the table to [`XsaxParser::walk`], which writes copies
-//! straight to the output and hops skips, with no event and no frame for
-//! either. Handler dispatch and buffer descent are symbol
+//! scope that its action table copies, captures or skips
+//! ([`crate::plan::PsPlan::walk`]). A frame is walkable when it neither
+//! copies nor captures and the one buffer it fills, if any, is its own
+//! shell under the spec the table was built from; the scope's `on-first`
+//! handlers do not matter. Between the children it delivers, and after
+//! each fire, the frame hands the table to [`XsaxParser::walk`], which
+//! writes copies straight to the output, seals captures into the shell
+//! as the nodes a delivered capture seals, and hops skips, with no event
+//! and no frame for any of them, stopping wherever a fire comes due.
+//! Handler dispatch and buffer descent are symbol
 //! comparisons against the stream's shared [`SymbolTable`], and the output
 //! writer maps symbols back through the same table, streaming payload
 //! bytes straight from the view into the sink. Once the shared stacks have
@@ -47,7 +52,7 @@ use flux_telemetry::{RunReport, Stage};
 use flux_xml::tree::NodeId;
 use flux_xml::{EventSource, RawEventKind, RawEventRef, SymbolTable, XmlWriter};
 use flux_xquery::{CompiledExpr, CursorEvaluator, Slots};
-use flux_xsax::{ChildAction, Walked, XsaxParser, XsaxStep};
+use flux_xsax::{WalkSink, XsaxParser, XsaxStep};
 use std::io::Write;
 use std::time::Instant;
 
@@ -67,8 +72,9 @@ struct Frame {
     /// Output end tags owed when this element closes.
     closers: usize,
     /// The element hosts one walkable process-stream ([`crate::plan::PsPlan::walk`])
-    /// and reads nothing else: between delivered children, its children
-    /// are walked off the event path.
+    /// and reads nothing else but the shell the table was built for:
+    /// between delivered children and after fires, its children are
+    /// walked off the event path.
     walk: bool,
     targets: usize,
     scopes: usize,
@@ -149,6 +155,8 @@ pub fn execute<S: EventSource, W: Write>(
         walks: 0,
         copied_subtrees: 0,
         copied_bytes: 0,
+        captured_subtrees: 0,
+        captured_bytes: 0,
     };
     while let Some(step) = parser.next_step()? {
         state.events += 1;
@@ -157,12 +165,15 @@ pub fn execute<S: EventSource, W: Write>(
                 if state.handle(&parser)? {
                     state.skipped_bytes += parser.skip_element()?;
                     state.skipped_subtrees += 1;
-                } else if let Some(actions) = state.walk_actions() {
-                    let walked = parser.walk(actions, &mut state.writer)?;
-                    state.count_walk(walked);
+                    continue;
                 }
             }
             XsaxStep::Fire { id, depth } => state.on_first(id.index(), depth)?,
+        }
+        // Between delivered children, and after a fire the walk stopped
+        // for, a walkable frame's children are walked.
+        if state.stack.last().is_some_and(|frame| frame.walk) {
+            state.walk(&mut parser)?;
         }
     }
     state.writer.finish()?;
@@ -206,6 +217,8 @@ fn assemble_report<S: EventSource, W: Write>(
     runtime.counter("walks", state.walks);
     runtime.counter("copied_subtrees", state.copied_subtrees);
     runtime.counter("copied_bytes", state.copied_bytes);
+    runtime.counter("captured_subtrees", state.captured_subtrees);
+    runtime.counter("captured_bytes", state.captured_bytes);
     let joins = state.evaluator.join_counters();
     runtime.counter("join_index_builds", joins.index_builds);
     runtime.counter("join_probes", joins.probes);
@@ -251,11 +264,60 @@ struct ExecState<'p, W: Write> {
     /// skips included).
     skipped_subtrees: u64,
     skipped_bytes: u64,
-    /// Walks that settled at least one child, and the children they
-    /// copied (with the bytes written).
+    /// Walks that settled at least one child, the children they copied
+    /// (with the bytes written) and the children they captured (with the
+    /// bytes kept).
     walks: u64,
     copied_subtrees: u64,
     copied_bytes: u64,
+    captured_subtrees: u64,
+    captured_bytes: u64,
+}
+
+/// Where a walk of the innermost frame's scope puts what it settles:
+/// copies go to the output, captures seal into the scope's shell — the
+/// nodes a delivered child's capture seals there.
+struct WalkInto<'a, W: Write> {
+    writer: &'a mut XmlWriter<W>,
+    arena: &'a mut BufferArena,
+    /// The scope's shell, when its BDF keeps any child.
+    shell: Option<NodeId>,
+    /// Where the open event-by-event capture starts in the capture buffer.
+    start: usize,
+}
+
+impl<W: Write> WalkInto<'_, W> {
+    fn shell(&self) -> flux_xml::Result<NodeId> {
+        self.shell.ok_or_else(|| {
+            let message = "a walk captured a child of a scope with no shell";
+            std::io::Error::other(message).into()
+        })
+    }
+}
+
+impl<W: Write> WalkSink for WalkInto<'_, W> {
+    type Output = W;
+
+    fn output(&mut self) -> &mut XmlWriter<W> {
+        self.writer
+    }
+
+    fn capture(&mut self) -> &mut XmlWriter<Vec<u8>> {
+        self.start = self.arena.capture_mark();
+        self.arena.capture()
+    }
+
+    fn seal(&mut self, name: Symbol) -> flux_xml::Result<()> {
+        let shell = self.shell()?;
+        self.arena.seal(shell, name, self.start);
+        Ok(())
+    }
+
+    fn seal_span(&mut self, name: Symbol, span: &[u8]) -> flux_xml::Result<()> {
+        let shell = self.shell()?;
+        self.arena.seal_span(shell, name, span);
+        Ok(())
+    }
 }
 
 impl<'p, W: Write> ExecState<'p, W> {
@@ -412,32 +474,54 @@ impl<'p, W: Write> ExecState<'p, W> {
                 self.enter_plan(body, &mut frame, Some((&ev, symbols)))?;
             }
         }
-        let reads_only_scopes =
-            !frame.copying && !frame.capturing && frame.targets == self.targets.len();
-        let unread = reads_only_scopes && frame.scopes == self.scopes.len();
-        frame.walk = reads_only_scopes
-            && frame.scopes + 1 == self.scopes.len()
-            && !plan.ps[self.scopes[frame.scopes]].walk.is_empty();
+        let streams = !frame.copying && !frame.capturing;
+        let own_targets = &self.targets[frame.targets..];
+        let unread = streams && own_targets.is_empty() && frame.scopes == self.scopes.len();
+        frame.walk = streams && frame.scopes + 1 == self.scopes.len() && {
+            let ps = &plan.ps[self.scopes[frame.scopes]];
+            // The table's captures go to the shell it was built for, and
+            // no other buffer may miss a child the walk settles.
+            let only_shell = match own_targets {
+                [] => plan.specs.is_empty_spec(ps.spec),
+                [Target::Tree(_, SpecView::Project(spec))] => *spec == ps.spec,
+                _ => false,
+            };
+            only_shell && !ps.walk.is_empty()
+        };
         self.stack.push(frame);
         Ok(unread)
     }
 
-    /// The child action table to walk the innermost element's children
-    /// by, when its frame is walkable.
-    fn walk_actions(&self) -> Option<&'p [ChildAction]> {
+    /// Walks the children of the innermost element, whose frame is
+    /// walkable ([`XsaxParser::walk`]; a call with steps still to deliver
+    /// does nothing), and counts what the walk settled.
+    fn walk<S: EventSource>(&mut self, parser: &mut XsaxParser<'_, S>) -> Result<()> {
         let plan: &'p Plan = self.plan;
-        let frame = self.stack.last().filter(|f| f.walk)?;
-        Some(&plan.ps[self.scopes[frame.scopes]].walk)
-    }
-
-    fn count_walk(&mut self, walked: Walked) {
-        if walked.copied_subtrees + walked.skipped_subtrees > 0 {
+        let Some(frame) = self.stack.last() else {
+            return Ok(());
+        };
+        let actions = &plan.ps[self.scopes[frame.scopes]].walk;
+        let shell = match self.targets.get(frame.targets) {
+            Some(&Target::Tree(shell, _)) => Some(shell),
+            _ => None,
+        };
+        let mut sink = WalkInto {
+            writer: &mut self.writer,
+            arena: &mut self.arena,
+            shell,
+            start: 0,
+        };
+        let walked = parser.walk(actions, &mut sink)?;
+        if walked.copied_subtrees + walked.captured_subtrees + walked.skipped_subtrees > 0 {
             self.walks += 1;
         }
         self.copied_subtrees += walked.copied_subtrees;
         self.copied_bytes += walked.copied_bytes;
+        self.captured_subtrees += walked.captured_subtrees;
+        self.captured_bytes += walked.captured_bytes;
         self.skipped_subtrees += walked.skipped_subtrees;
         self.skipped_bytes += walked.skipped_bytes;
+        Ok(())
     }
 
     fn text<S: EventSource>(&mut self, parser: &XsaxParser<'_, S>) -> Result<()> {

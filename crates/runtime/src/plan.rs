@@ -114,15 +114,21 @@ pub struct PsPlan {
     /// Element type of the scope (DOCUMENT for the `$ROOT` stream).
     pub element: Option<Symbol>,
     pub handlers: Vec<HandlerPlan>,
+    /// The BDF root of the scope's shell, which [`PsPlan::walk`] is built
+    /// from.
+    pub spec: SpecId,
     /// The walk's action per child symbol (indexed by [`Symbol::index`];
-    /// absent symbols deliver) when the scope is *walkable*: its element
-    /// type registered no past query, so no tracker watches its children,
-    /// and a child the DTD allows there is read by nothing (*skip*) or
-    /// only by one pure stream-copy handler whose variable binds no shell
-    /// (*copy*, for a text-only child type with no registration of its
-    /// own). Empty otherwise. The executor walks a scope's children
-    /// through [`flux_xsax::XsaxParser::walk`] only while the scope's
-    /// frame neither copies, captures nor fills a tree buffer.
+    /// absent symbols deliver) when the scope is *walkable*: a child the
+    /// DTD allows there is read by nothing (*skip*), only by one pure
+    /// stream-copy handler whose variable binds no shell (*copy*), or only
+    /// by a print-only node of the shell's BDF (*capture*) — copy and
+    /// capture for a text-only child type with no registration of its
+    /// own. Empty otherwise, and when the shell keeps the whole subtree.
+    /// The scope's own `on-first` registrations do not stop the walk:
+    /// [`flux_xsax::XsaxParser::walk`] stops where a fire comes due. The
+    /// executor walks a scope's children only while the scope's frame
+    /// neither copies nor captures and fills no tree buffer but the
+    /// shell's, under [`PsPlan::spec`].
     pub walk: Vec<ChildAction>,
 }
 
@@ -187,7 +193,7 @@ impl Plan {
     }
 
     /// Renders, for explain output, one line per walkable process-stream:
-    /// the children its walk copies and skips, in DTD order.
+    /// the children its walk copies, captures and skips, in DTD order.
     pub fn render_walks(&self) -> String {
         let mut out = String::new();
         for ps in self.ps.iter().filter(|ps| !ps.walk.is_empty()) {
@@ -198,8 +204,12 @@ impl Plan {
                     .collect();
                 names.join(", ")
             };
-            let parts: Vec<String> = [("copy", ChildAction::Copy), ("skip", ChildAction::Skip)]
-                .into_iter()
+            let actions = [
+                ("copy", ChildAction::Copy),
+                ("capture", ChildAction::Capture),
+                ("skip", ChildAction::Skip),
+            ];
+            let parts: Vec<String> = (actions.into_iter())
                 .map(|(verb, action)| (verb, labels(action)))
                 .filter(|(_, names)| !names.is_empty())
                 .map(|(verb, names)| format!("{verb} {names}"))
@@ -425,7 +435,7 @@ impl<'d> Compiler<'d> {
             FluxExpr::ProcessStream { var, handlers } => {
                 // `compile_plan` pushes `$ROOT`'s scope before compiling.
                 let scope = self.scopes.last().filter(|s| s.var == *var);
-                let Some(&ScopeEntry { element, .. }) = scope else {
+                let Some(&ScopeEntry { element, spec, .. }) = scope else {
                     return Err(RuntimeError::Plan {
                         message: format!("process-stream ${var} does not match its scope"),
                     });
@@ -436,6 +446,7 @@ impl<'d> Compiler<'d> {
                     var: var.clone(),
                     element,
                     handlers: Vec::new(),
+                    spec,
                     walk: Vec::new(),
                 });
                 let mut compiled: Vec<HandlerPlan> = Vec::new();
@@ -610,10 +621,11 @@ impl<'d> Compiler<'d> {
     fn walk_table(&self, ps: &PsPlan) -> Vec<ChildAction> {
         let registered = |sym: Symbol| self.past_regs.iter().any(|r| r.element == sym);
         let element = ps.element.filter(|&e| e != SymbolTable::DOCUMENT);
-        let Some((element, dfa)) = element.and_then(|e| Some((e, self.dtd.content_dfa(e)?))) else {
+        let Some(dfa) = element.and_then(|e| self.dtd.content_dfa(e)) else {
             return Vec::new();
         };
-        if ps.handlers.is_empty() || registered(element) {
+        let shell = self.specs.node(ps.spec);
+        if ps.handlers.is_empty() || shell.whole {
             return Vec::new();
         }
         let mut table = vec![ChildAction::Deliver; self.symbols.len()];
@@ -625,9 +637,12 @@ impl<'d> Compiler<'d> {
                 .handlers
                 .iter()
                 .filter(|h| matches!(h, HandlerPlan::On { symbol, .. } if *symbol == child));
-            let text_only = decl.dfa.alphabet().is_empty();
-            table[child.index()] = match (on.next(), on.next()) {
-                (None, _) => ChildAction::Skip,
+            let kept = (shell.children.iter())
+                .find(|edge| edge.sym == child)
+                .map(|edge| self.specs.node(edge.child));
+            let plain = decl.dfa.alphabet().is_empty() && !registered(child);
+            table[child.index()] = match (on.next(), on.next(), kept) {
+                (None, _, None) => ChildAction::Skip,
                 (
                     Some(HandlerPlan::On {
                         body: PlanExpr::StreamCopy,
@@ -635,7 +650,9 @@ impl<'d> Compiler<'d> {
                         ..
                     }),
                     None,
-                ) if text_only && !registered(child) => ChildAction::Copy,
+                    None,
+                ) if plain => ChildAction::Copy,
+                (None, _, Some(node)) if node.output_only && plain => ChildAction::Capture,
                 _ => ChildAction::Deliver,
             };
         }

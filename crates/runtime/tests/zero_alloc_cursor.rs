@@ -20,7 +20,8 @@
 #![allow(unsafe_code)]
 
 use flux_runtime::BufferArena;
-use flux_xml::SymbolTable;
+use flux_xml::tree::NodeId;
+use flux_xml::{RawEvent, RawEventKind, RawEventRef, SymbolTable};
 use flux_xquery::{
     compile_expr, normalize, parse_query, CountingSink, CursorEvaluator, SlotMap, ROOT_VAR,
 };
@@ -60,17 +61,17 @@ fn steady_state_cursor_evaluation_is_allocation_free() {
     // A buffered "bib" with two books — the shape an `on-first` handler
     // holds when its body runs.
     let mut arena = BufferArena::with_symbols(SymbolTable::new());
-    let bib = arena.create_element("bib", &[]);
+    let bib = element(&mut arena, None, "bib", &[]);
     for (title, author, price) in [
         ("TCP/IP Illustrated", "Stevens, W. Richard", "65.95"),
         ("Data on the Web", "Abiteboul, Serge", "39.95"),
     ] {
-        let book = arena.append_element(bib, "book", &[]);
-        let t = arena.append_element(book, "title", &[]);
+        let book = element(&mut arena, Some(bib), "book", &[]);
+        let t = element(&mut arena, Some(book), "title", &[]);
         arena.append_text(t, title);
-        let a = arena.append_element(book, "author", &[]);
+        let a = element(&mut arena, Some(book), "author", &[]);
         arena.append_text(a, author);
-        let p = arena.append_element(book, "price", &[]);
+        let p = element(&mut arena, Some(book), "price", &[]);
         arena.append_text(p, price);
     }
 
@@ -137,18 +138,18 @@ fn keyed_probe_loop_allocates_nothing_per_probe() {
     // the body's keyed loop looks up among the people.
     const PEOPLE: usize = 64;
     let mut arena = BufferArena::with_symbols(SymbolTable::new());
-    let site = arena.create_element("site", &[]);
-    let people = arena.append_element(site, "people", &[]);
+    let site = element(&mut arena, None, "site", &[]);
+    let people = element(&mut arena, Some(site), "people", &[]);
     for i in 0..PEOPLE {
         let id = format!("person{i}");
-        let person = arena.append_element(people, "person", &[flux_xml::Attribute::new("id", id)]);
-        let name = arena.append_element(person, "name", &[]);
+        let person = element(&mut arena, Some(people), "person", &[("id", &id)]);
+        let name = element(&mut arena, Some(person), "name", &[]);
         arena.append_text(name, &format!("Name {i}"));
     }
     let auctions: Vec<_> = (0..16)
         .map(|i| {
-            let auction = arena.append_element(site, "auction", &[]);
-            let buyer = arena.append_element(auction, "buyer", &[]);
+            let auction = element(&mut arena, Some(site), "auction", &[]);
+            let buyer = element(&mut arena, Some(auction), "buyer", &[]);
             arena.append_text(buyer, &format!("person{}", i * 7 % PEOPLE));
             auction
         })
@@ -203,4 +204,27 @@ fn keyed_probe_loop_allocates_nothing_per_probe() {
          {eight_n} over 512"
     );
     assert_eq!(evaluator.join_counters().index_builds, 1, "built once");
+}
+
+/// Buffers an element named by its spelling, with `attrs`, under
+/// `parent` (detached for `None`) — the way the executor buffers a start
+/// tag whose name the arena's table interns on import.
+fn element(
+    arena: &mut BufferArena,
+    parent: Option<NodeId>,
+    name: &str,
+    attrs: &[(&str, &str)],
+) -> NodeId {
+    let mut ev = RawEvent::new();
+    ev.reset(RawEventKind::StartElement);
+    ev.set_name(SymbolTable::OVERFLOW);
+    ev.target_mut().push_str(name);
+    for &(attr, value) in attrs {
+        ev.push_attr_named(attr).push_str(value);
+    }
+    let (symbols, view) = (SymbolTable::new(), RawEventRef::from_event(&ev));
+    match parent {
+        Some(parent) => arena.append_element_view(parent, &symbols, &view),
+        None => arena.create_element_view(&symbols, &view),
+    }
 }

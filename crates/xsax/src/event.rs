@@ -1,8 +1,10 @@
 //! XSAX events and past-query registrations.
 
 use flux_dtd::{Symbol, SymbolTable};
+use flux_xml::XmlWriter;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::io::Write;
 
 /// Handle for a registered past query, assigned by
 /// [`crate::XsaxParser::register_past`] in registration order.
@@ -85,8 +87,32 @@ pub enum ChildAction {
     /// The consumer only copies the child to the output: the walk writes
     /// it there.
     Copy,
+    /// The consumer only keeps the child as print-only bytes in the
+    /// scope's buffer: the walk captures it there ([`WalkSink`]).
+    Capture,
     /// Nothing reads the child: the walk passes over it.
     Skip,
+}
+
+/// Where a walk puts what it settles: copies go to the output writer,
+/// captures to the consumer's buffer for the walked scope.
+pub trait WalkSink {
+    type Output: Write;
+
+    /// The writer copies are written to.
+    fn output(&mut self) -> &mut XmlWriter<Self::Output>;
+
+    /// Opens the capture of a child the walk serializes event by event:
+    /// it writes the child to the returned writer, then calls
+    /// [`WalkSink::seal`].
+    fn capture(&mut self) -> &mut XmlWriter<Vec<u8>>;
+
+    /// Keeps the child written since [`WalkSink::capture`], named `name`.
+    fn seal(&mut self, name: Symbol) -> flux_xml::Result<()>;
+
+    /// Keeps a child named `name` whose serialization is `span`, as the
+    /// capture writer would have written it.
+    fn seal_span(&mut self, name: Symbol, span: &[u8]) -> flux_xml::Result<()>;
 }
 
 /// What one [`crate::XsaxParser::walk`] settled.
@@ -95,6 +121,9 @@ pub struct Walked {
     pub copied_subtrees: u64,
     /// Bytes the copies wrote to the output.
     pub copied_bytes: u64,
+    pub captured_subtrees: u64,
+    /// Bytes the captures kept, as the capture writer spells them.
+    pub captured_bytes: u64,
     pub skipped_subtrees: u64,
     /// Bytes passed over, each child's from after its start tag through
     /// its end tag, as [`crate::XsaxParser::skip_element`] counts them.

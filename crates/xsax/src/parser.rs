@@ -17,7 +17,7 @@
 //! steps as strings for tests and tools.
 
 use crate::error::{Result, XsaxError};
-use crate::event::{ChildAction, PastId, PastLabels, Walked, XsaxStep};
+use crate::event::{ChildAction, PastId, PastLabels, WalkSink, Walked, XsaxStep};
 use flux_dtd::{AttDefault, Dfa, Dtd, ElementDecl, StateId, Symbol, SymbolTable};
 use flux_telemetry::{RunReport, Stage, XsaxCounters};
 use flux_xml::{
@@ -56,6 +56,19 @@ struct Registration {
     /// content automaton — decided once here, so a tracker's check on
     /// every child is one load instead of set lookups.
     past: Vec<bool>,
+}
+
+impl Registration {
+    /// Whether this registration fires at the seam in front of a child
+    /// `sym` that moves its element to `state`: its labels are past there
+    /// and do not include the child's own, whose completion it awaits.
+    fn fires_at_seam(&self, state: StateId, sym: Symbol) -> bool {
+        self.past[state as usize]
+            && match &self.labels {
+                PastLabels::All => false,
+                PastLabels::Labels(set) => !set.contains(&sym),
+            }
+    }
 }
 
 /// Per-instance tracker of one registration.
@@ -381,73 +394,104 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     }
 
     /// Walks the children of the innermost open element in place, up to
-    /// the next child `actions` delivers (indexed by symbol) or the
-    /// element's end tag: a *skip* child is passed over, a *copy* child is
-    /// written to `out`, and neither becomes a step. Each child's start
-    /// tag steps the element's content automaton exactly as a delivered
-    /// one does, and a copied child is validated inside.
+    /// the next child `actions` delivers (indexed by symbol), the next
+    /// fire that comes due or the element's end tag: a *skip* child is
+    /// passed over, a *copy* child is written to the sink's output, a
+    /// *capture* child is kept in the sink's buffer, and none of them
+    /// becomes a step. Each child's start tag steps the element's content
+    /// automaton exactly as a delivered one does, and a copied or captured
+    /// child is validated inside.
+    ///
+    /// Fires land where they land without the walk. Before it consumes a
+    /// child, the walk makes the seam check a delivered start tag makes on
+    /// the element's unfired trackers: if one would fire, the child is
+    /// delivered, after the fire. After each child it settles, it fires
+    /// the trackers the child's end releases and stops if any did, so the
+    /// next [`XsaxParser::next_step`] delivers them. An element no unfired
+    /// tracker watches pays nothing per child for either check.
     ///
     /// A child the source can read in place ([`EventSource::peek_plain`])
     /// is settled straight from its storage: hopped, or — spelled in the
     /// writer's canonical form and with no attribute default to inject —
-    /// copied as its bytes. Anything else is advanced to event by event,
-    /// through the same validation a delivered child gets, so errors and
-    /// their positions do not depend on which way a child went. The walk
-    /// stops with nothing consumed in front of a plain delivered child;
-    /// any other event it stops at is dispatched, and the next
+    /// copied or captured as its bytes. Anything else is advanced to event
+    /// by event, through the same validation a delivered child gets, so
+    /// errors and their positions do not depend on which way a child went.
+    /// The walk stops with nothing consumed in front of a plain delivered
+    /// child; any other event it stops at is dispatched, and the next
     /// [`XsaxParser::next_step`] delivers it.
     ///
-    /// Called between steps, with nothing left to deliver, under an
-    /// element no tracker watches (its scope registered no past query):
-    /// no fire can come due inside the walk. Otherwise it does nothing.
-    /// A copy child is one with text-only content and no registration of
-    /// its own, or it is delivered.
-    pub fn walk<W: Write>(
-        &mut self,
-        actions: &[ChildAction],
-        out: &mut XmlWriter<W>,
-    ) -> Result<Walked> {
+    /// Called between steps, with nothing left to deliver; otherwise it
+    /// does nothing. A copy or capture child is one with text-only content
+    /// and no registration of its own, or it is delivered.
+    pub fn walk<K: WalkSink>(&mut self, actions: &[ChildAction], sink: &mut K) -> Result<Walked> {
         let mut walked = Walked::default();
         let idle = self.sax_at.is_none() && self.next_fire == self.fires.len() && !self.finished;
-        match self.stack.last() {
-            Some(elem) if idle && elem.trackers == self.trackers.len() => {}
+        let tracked = match self.stack.last() {
+            Some(elem) if idle => self.trackers[elem.trackers..].iter().any(|t| !t.fired),
             _ => return Ok(walked),
-        }
+        };
+        self.fires.clear();
+        self.next_fire = 0;
         loop {
             if let Some(tag) = self.source.peek_plain()? {
                 let action = self.walk_action(actions, tag.name);
+                if action == ChildAction::Deliver || tracked && self.due_before(tag.name) {
+                    return Ok(walked);
+                }
                 let Some(elem) = self.stack.last_mut() else {
                     return Ok(walked);
                 };
                 let next = elem.dfa.transition(elem.state, tag.name);
-                match (action, next) {
-                    (ChildAction::Deliver, _) => return Ok(walked),
-                    (ChildAction::Skip, Some(next)) => {
+                let settled = match (action, next) {
+                    (ChildAction::Skip, Some(_)) => {
                         walked.skipped_bytes += self.source.hop_plain(tag)?;
                         walked.skipped_subtrees += 1;
-                        elem.state = next;
-                        continue;
+                        true
                     }
-                    (ChildAction::Copy, Some(next))
+                    (ChildAction::Copy | ChildAction::Capture, Some(_))
                         if self
                             .defaults
                             .get(tag.name.index())
                             .is_some_and(Vec::is_empty) =>
                     {
-                        let text = self.decl_of(tag.name).is_some_and(|d| d.text_allowed);
-                        if let Some(span) = self.source.take_plain(tag, text) {
-                            out.write_serialized(span).map_err(XsaxError::Output)?;
-                            walked.copied_bytes += span.len() as u64;
-                            walked.copied_subtrees += 1;
-                            if let Some(elem) = self.stack.last_mut() {
-                                elem.state = next;
+                        let decl = self.decls.get(tag.name.index()).copied().flatten();
+                        let text = decl.is_some_and(|d| d.text_allowed);
+                        match self.source.take_plain(tag, text) {
+                            Some(span) if action == ChildAction::Copy => {
+                                let out = sink.output();
+                                out.write_serialized(span).map_err(XsaxError::Output)?;
+                                walked.copied_bytes += span.len() as u64;
+                                walked.copied_subtrees += 1;
+                                true
                             }
-                            continue;
+                            Some(span) => {
+                                sink.seal_span(tag.name, span).map_err(XsaxError::Output)?;
+                                walked.captured_bytes += span.len() as u64;
+                                walked.captured_subtrees += 1;
+                                true
+                            }
+                            None => false,
                         }
                     }
                     // Out of order, or not in canonical form: the event
-                    // path below reports or copies it.
-                    _ => {}
+                    // path below reports, copies or captures it.
+                    _ => false,
+                };
+                if let (true, Some(next)) = (settled, next) {
+                    elem.state = next;
+                    if tracked {
+                        Self::fire_ready(
+                            &self.registrations,
+                            &mut self.trackers,
+                            elem,
+                            false,
+                            &mut self.fires,
+                        );
+                        if !self.fires.is_empty() {
+                            return Ok(walked);
+                        }
+                    }
+                    continue;
                 }
             }
             self.fires.clear();
@@ -460,7 +504,11 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             let action = match self.source.kind() {
                 RawEventKind::StartElement => {
                     let sym = self.source.view().name();
-                    self.walk_action(actions, sym)
+                    if tracked && self.due_before(sym) {
+                        ChildAction::Deliver
+                    } else {
+                        self.walk_action(actions, sym)
+                    }
                 }
                 _ => ChildAction::Deliver,
             };
@@ -481,20 +529,46 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
                 }
                 ChildAction::Copy => {
                     self.sax_at = None;
-                    walked.copied_bytes += self.copy_open(out)?;
+                    walked.copied_bytes += self.copy_open(sink.output())?;
                     walked.copied_subtrees += 1;
                 }
+                ChildAction::Capture => {
+                    self.sax_at = None;
+                    let name = self.source.view().name();
+                    walked.captured_bytes += self.copy_open(sink.capture())?;
+                    sink.seal(name).map_err(XsaxError::Output)?;
+                    walked.captured_subtrees += 1;
+                }
             }
-            // The child's end tag, dispatched: not delivered either.
+            // The child's end tag, dispatched: not delivered either. The
+            // fires it released are.
             self.sax_at = None;
-            self.fires.clear();
+            if !self.fires.is_empty() {
+                return Ok(walked);
+            }
         }
+    }
+
+    /// Whether a start tag `sym` under the innermost open element would
+    /// fire one of its unfired trackers at the seam in front of it, as
+    /// [`XsaxParser::handle_start`] fires them. `false` for a child the
+    /// content model rejects there: its start tag reports that.
+    fn due_before(&self, sym: Symbol) -> bool {
+        let Some(elem) = self.stack.last() else {
+            return false;
+        };
+        let Some(next) = elem.dfa.transition(elem.state, sym) else {
+            return false;
+        };
+        self.trackers[elem.trackers..].iter().any(|tracker| {
+            !tracker.fired && self.registrations[tracker.id.index()].fires_at_seam(next, sym)
+        })
     }
 
     /// The walk's action for a child named `sym`: `actions`' entry, with a
     /// child that cannot be settled off the event path — undeclared, or a
-    /// copy whose content may hold elements or whose type registered a
-    /// past query — delivered.
+    /// copy or capture whose content may hold elements or whose type
+    /// registered a past query — delivered.
     fn walk_action(&self, actions: &[ChildAction], sym: Symbol) -> ChildAction {
         let action = actions.get(sym.index()).copied().unwrap_or_default();
         let Some(decl) = self.decl_of(sym) else {
@@ -505,7 +579,9 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             .get(sym.index())
             .is_some_and(|ids| !ids.is_empty());
         match action {
-            ChildAction::Copy if registered || !decl.dfa.alphabet().is_empty() => {
+            ChildAction::Copy | ChildAction::Capture
+                if registered || !decl.dfa.alphabet().is_empty() =>
+            {
                 ChildAction::Deliver
             }
             action => action,
@@ -516,7 +592,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// was just dispatched, to `out` event by event — the writer calls a
     /// delivered stream copy makes — and dispatches up to its end tag.
     /// Returns the bytes written.
-    fn copy_open<W: Write>(&mut self, out: &mut XmlWriter<W>) -> Result<u64> {
+    fn copy_open<O: Write>(&mut self, out: &mut XmlWriter<O>) -> Result<u64> {
         let before = out.bytes_written();
         out.start_element_view(self.source.symbols(), &self.view())
             .map_err(XsaxError::Output)?;
@@ -634,15 +710,8 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             // except those that mention this very child's label (they fire
             // once the child completes).
             for tracker in &mut self.trackers[parent.trackers..] {
-                if tracker.fired {
-                    continue;
-                }
-                let reg = &self.registrations[tracker.id.index()];
-                let involves_child = || match &reg.labels {
-                    PastLabels::All => true,
-                    PastLabels::Labels(set) => set.contains(&sym),
-                };
-                if reg.past[parent.state as usize] && !involves_child() {
+                if !tracker.fired && self.registrations[tracker.id.index()].fires_at_seam(next, sym)
+                {
                     tracker.fired = true;
                     self.fires.push((tracker.id, parent.depth));
                 }
@@ -1106,6 +1175,56 @@ mod tests {
         panic!("no such element");
     }
 
+    /// A walk sink keeping each capture as `(name, bytes)`, in seal order.
+    struct Sink {
+        out: XmlWriter<Vec<u8>>,
+        capture: XmlWriter<Vec<u8>>,
+        sealed: Vec<(Symbol, String)>,
+    }
+
+    impl Default for Sink {
+        fn default() -> Self {
+            Sink {
+                out: XmlWriter::new(Vec::new()),
+                capture: XmlWriter::new(Vec::new()),
+                sealed: Vec::new(),
+            }
+        }
+    }
+
+    impl WalkSink for Sink {
+        type Output = Vec<u8>;
+
+        fn output(&mut self) -> &mut XmlWriter<Vec<u8>> {
+            &mut self.out
+        }
+
+        fn capture(&mut self) -> &mut XmlWriter<Vec<u8>> {
+            self.capture.get_mut().clear();
+            &mut self.capture
+        }
+
+        fn seal(&mut self, name: Symbol) -> flux_xml::Result<()> {
+            let bytes = String::from_utf8_lossy(self.capture.get_ref()).into_owned();
+            self.sealed.push((name, bytes));
+            Ok(())
+        }
+
+        fn seal_span(&mut self, name: Symbol, span: &[u8]) -> flux_xml::Result<()> {
+            self.sealed
+                .push((name, String::from_utf8_lossy(span).into_owned()));
+            Ok(())
+        }
+    }
+
+    /// Renders the next step: `past#N` or the event.
+    fn step(parser: &mut XsaxParser<'_, XmlReader<&[u8]>>) -> String {
+        match parser.next_step().unwrap().expect("a step") {
+            XsaxStep::Fire { id, .. } => format!("past#{}", id.0),
+            XsaxStep::Sax => parser.view().to_xml_event(parser.symbols()).to_string(),
+        }
+    }
+
     #[test]
     fn walk_settles_children_until_a_delivered_one() {
         let dtd = fig1();
@@ -1116,15 +1235,16 @@ mod tests {
         actions[sym("publisher").index()] = ChildAction::Skip;
         let mut parser = XsaxParser::new(FIG1_DOC.as_bytes(), &dtd).unwrap();
         open(&mut parser, sym("book"));
-        let mut out = XmlWriter::new(Vec::new());
-        let walked = parser.walk(&actions, &mut out).unwrap();
+        let mut sink = Sink::default();
+        let walked = parser.walk(&actions, &mut sink).unwrap();
         let copied = "<title>T1</title><author>A1</author><author>A2</author>";
-        assert_eq!(out.into_inner(), copied.as_bytes());
+        assert_eq!(sink.out.into_inner(), copied.as_bytes());
         let expected = Walked {
             copied_subtrees: 3,
             copied_bytes: copied.len() as u64,
             skipped_subtrees: 1,
             skipped_bytes: "P</publisher>".len() as u64,
+            ..Walked::default()
         };
         assert_eq!(walked, expected);
         // The walk stopped in front of `price`, which is delivered as ever
@@ -1137,20 +1257,98 @@ mod tests {
     }
 
     #[test]
-    fn walk_leaves_watched_elements_alone() {
+    fn walk_stops_where_a_fire_comes_due() {
+        // Under Figure 1, past(title) comes due once `</title>` completes
+        // the title, and past(title, author) at the seam in front of
+        // `<publisher>`. The walk settles children up to each and leaves
+        // the fire where a run without the walk delivers it.
         let dtd = fig1();
-        let book = dtd.lookup("book").unwrap();
-        let title = dtd.lookup("title").unwrap();
+        let sym = |name| dtd.lookup(name).unwrap();
         let mut actions = vec![ChildAction::Skip; dtd.symbols().len()];
-        actions[title.index()] = ChildAction::Copy;
+        actions[sym("title").index()] = ChildAction::Copy;
+        actions[sym("author").index()] = ChildAction::Copy;
+        let registrations = [
+            (sym("book"), PastLabels::labels([sym("title")])),
+            (
+                sym("book"),
+                PastLabels::labels([sym("title"), sym("author")]),
+            ),
+        ];
+        let unwalked = trace(FIG1_DOC, &dtd, &registrations).unwrap();
+        let title_end = unwalked.iter().position(|e| e == "</title>").unwrap();
+        assert_eq!(unwalked[title_end + 1], "past#0", "{unwalked:?}");
         let mut parser = XsaxParser::new(FIG1_DOC.as_bytes(), &dtd).unwrap();
+        for (element, labels) in registrations {
+            parser.register_past(element, labels).unwrap();
+        }
+        open(&mut parser, sym("book"));
+        let mut sink = Sink::default();
+        let mut steps = Vec::new();
+        let mut walked = Walked::default();
+        for _ in 0..4 {
+            walked = parser.walk(&actions, &mut sink).unwrap();
+            let written = String::from_utf8_lossy(sink.out.get_ref()).into_owned();
+            steps.push(format!("{written} | {}", step(&mut parser)));
+        }
+        assert_eq!(
+            steps,
+            [
+                "<title>T1</title> | past#0",
+                "<title>T1</title><author>A1</author><author>A2</author> | past#1",
+                // Stopped in front of the publisher, nothing consumed: it
+                // is delivered after the fire.
+                "<title>T1</title><author>A1</author><author>A2</author> | <publisher>",
+                "<title>T1</title><author>A1</author><author>A2</author> | \"P\"",
+            ]
+        );
+        assert_eq!(
+            walked,
+            Walked::default(),
+            "nothing walks inside a delivered child"
+        );
+    }
+
+    #[test]
+    fn walk_captures_print_only_children() {
+        // Under the weak DTD, past(title, author) holds only at `</book>`:
+        // every child is settled, authors captured — from the window when
+        // spelled canonically, event by event through the capture writer
+        // when not — and the fire comes before the end tag.
+        let dtd = weak();
+        let sym = |name| dtd.lookup(name).unwrap();
+        let mut actions = vec![ChildAction::Deliver; dtd.symbols().len()];
+        actions[sym("title").index()] = ChildAction::Copy;
+        actions[sym("author").index()] = ChildAction::Capture;
+        let doc = "<bib><book><author>A1</author><title>T1</title>\
+                   <author>A &amp; B</author></book></bib>";
+        let mut parser = XsaxParser::new(doc.as_bytes(), &dtd).unwrap();
         parser
-            .register_past(book, PastLabels::labels([title]))
+            .register_past(
+                sym("book"),
+                PastLabels::labels([sym("title"), sym("author")]),
+            )
             .unwrap();
-        open(&mut parser, book);
-        let mut out = XmlWriter::new(Vec::new());
-        assert_eq!(parser.walk(&actions, &mut out).unwrap(), Walked::default());
-        assert!(out.into_inner().is_empty());
+        open(&mut parser, sym("book"));
+        let mut sink = Sink::default();
+        let walked = parser.walk(&actions, &mut sink).unwrap();
+        let captured = [
+            (sym("author"), "<author>A1</author>".to_string()),
+            (sym("author"), "<author>A &amp; B</author>".to_string()),
+        ];
+        assert_eq!(sink.sealed, captured);
+        assert_eq!(sink.out.get_ref().as_slice(), b"<title>T1</title>");
+        let expected = Walked {
+            copied_subtrees: 1,
+            copied_bytes: "<title>T1</title>".len() as u64,
+            captured_subtrees: 2,
+            captured_bytes: captured.iter().map(|(_, b)| b.len() as u64).sum(),
+            ..Walked::default()
+        };
+        assert_eq!(walked, expected);
+        assert_eq!(
+            [step(&mut parser), step(&mut parser)],
+            ["past#0", "</book>"]
+        );
     }
 
     #[test]

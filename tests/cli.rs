@@ -283,16 +283,12 @@ fn report_and_explain_show_the_walk() {
     // shard reader walks event by event, to the same counts).
     let doc = bib_string(&BibConfig::fig1(2_000, 7));
     let books = doc.matches("<book").count() as u64;
-    let spans = |name: &str| -> (u64, u64) {
-        let (open, close) = (format!("<{name}>"), format!("</{name}>"));
-        let found = doc.match_indices(&open).map(|(at, _)| {
-            let end = at + doc[at..].find(&close).unwrap() + close.len();
-            (end - at) as u64
-        });
-        found.fold((0, 0), |(n, bytes), len| (n + 1, bytes + len))
-    };
-    let copied = [spans("title"), spans("author")];
-    let skipped = [spans("editor"), spans("publisher"), spans("price")];
+    let copied = [spans(&doc, "title"), spans(&doc, "author")];
+    let skipped = [
+        spans(&doc, "editor"),
+        spans(&doc, "publisher"),
+        spans(&doc, "price"),
+    ];
     let count = |spans: &[(u64, u64)]| spans.iter().map(|s| s.0).sum::<u64>();
     let bytes = |spans: &[(u64, u64)]| spans.iter().map(|s| s.1).sum::<u64>();
     let input = Scratch::with("walk.xml", &doc);
@@ -313,6 +309,7 @@ fn report_and_explain_show_the_walk() {
         assert_eq!(runtime("walks"), books, "{report}");
         assert_eq!(runtime("copied_subtrees"), count(&copied), "{report}");
         assert_eq!(runtime("copied_bytes"), bytes(&copied), "{report}");
+        assert_eq!(runtime("captured_subtrees"), 0, "{report}");
         assert_eq!(runtime("skipped_subtrees"), count(&skipped), "{report}");
         // Skips count from after the start tag, as the reader hops them.
         let tags = skipped.iter().zip(["editor", "publisher", "price"]);
@@ -329,6 +326,50 @@ fn report_and_explain_show_the_walk() {
         explain.contains("walk under $b: copy title, author; skip editor, publisher, price"),
         "{explain}"
     );
+
+    // Under the weak DTD the book scope registers `past(author,title)`
+    // and buffers its authors: the walk copies the titles, captures the
+    // authors into the book's shell, and stops only for the fire before
+    // `</book>` — three events a book.
+    let doc = bib_string(&BibConfig::weak(2_000, 7));
+    let books = doc.matches("<book").count() as u64;
+    let (titles, authors) = (spans(&doc, "title"), spans(&doc, "author"));
+    let input = Scratch::with("walk-weak.xml", &doc);
+    let sequential = ["--input", input.path(), "--report", "json"];
+    let sharded = [&sequential[..], &["--shards", "2"]].concat();
+    for args in [&sequential[..], &sharded] {
+        let reported = fluxquery(PAPER_WEAK_DTD, args);
+        assert!(reported.status.success(), "{reported:?}");
+        let report = String::from_utf8(reported.stderr).expect("utf-8 report");
+        let runtime = |name| counter(&report, "\"runtime\"", name);
+        assert_eq!(runtime("events"), 3 * books + 4, "{report}");
+        assert_eq!(runtime("walks"), books, "{report}");
+        assert_eq!(runtime("copied_subtrees"), titles.0, "{report}");
+        assert_eq!(runtime("copied_bytes"), titles.1, "{report}");
+        assert_eq!(runtime("captured_subtrees"), authors.0, "{report}");
+        assert_eq!(runtime("captured_bytes"), authors.1, "{report}");
+        // A capture seals the node a delivered author's capture seals.
+        assert_eq!(runtime("serialized_nodes"), authors.0, "{report}");
+        assert_eq!(runtime("serialized_bytes"), authors.1, "{report}");
+        assert_eq!(runtime("skipped_subtrees"), 0, "{report}");
+    }
+    let explained = fluxquery(PAPER_WEAK_DTD, &["--explain"]);
+    let explain = String::from_utf8(explained.stdout).expect("utf-8 explain");
+    assert!(
+        explain.contains("walk under $b: copy title; capture author"),
+        "{explain}"
+    );
+}
+
+/// How many `name` elements `doc` holds, and the bytes they span, each
+/// written `<name>…</name>`.
+fn spans(doc: &str, name: &str) -> (u64, u64) {
+    let (open, close) = (format!("<{name}>"), format!("</{name}>"));
+    let found = doc.match_indices(&open).map(|(at, _)| {
+        let end = at + doc[at..].find(&close).unwrap() + close.len();
+        (end - at) as u64
+    });
+    found.fold((0, 0), |(n, bytes), len| (n + 1, bytes + len))
 }
 
 fn counter(report: &str, section: &str, name: &str) -> u64 {
