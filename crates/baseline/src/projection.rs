@@ -10,8 +10,8 @@
 //! book").
 
 use crate::error::Result;
-use flux_runtime::bdf::{collect_needs, SpecArena, SpecView};
-use flux_runtime::RunStats;
+use flux_runtime::bdf::{collect_needs, SpecArena};
+use flux_runtime::{RunStats, SpecId};
 use flux_xml::tree::{Document, NodeId};
 use flux_xml::{Input, RawEventKind, SymbolTable, TextGate, XmlWriter};
 use flux_xquery::{
@@ -26,7 +26,7 @@ pub struct ProjectionEngine {
     slots: SlotMap,
     root_slot: usize,
     specs: SpecArena,
-    root_spec: flux_runtime::SpecId,
+    root_spec: SpecId,
     /// Every projection label, interned at compile time: the spec edges
     /// are keyed by these symbols, and each run seeds its reader and its
     /// projected document from a clone, so descent is integer equality
@@ -87,11 +87,10 @@ impl ProjectionEngine {
         let (mut reader, budget) = crate::open_reader(input, &self.symbols)?;
         let mut doc = Document::with_symbols(self.symbols.clone());
         let mut events: u64 = 0;
-        // Stack entry: insertion target when the element is kept.
-        let mut stack: Vec<Option<(NodeId, SpecView)>> = vec![Some((
-            doc.document_node(),
-            SpecView::Project(self.root_spec),
-        ))];
+        // Stack entry: insertion target when the element is kept, with
+        // the spec node it is kept under.
+        let mut stack: Vec<Option<(NodeId, SpecId)>> =
+            vec![Some((doc.document_node(), self.root_spec))];
         let mut gate = TextGate::new();
         while reader.advance()? {
             events += 1;
@@ -101,18 +100,18 @@ impl ProjectionEngine {
                     // The document entry is never popped: a well-formed
                     // stream closes no more elements than it opens.
                     let child = match stack.last() {
-                        Some(Some((parent, view))) => {
-                            view.descend_sym(&self.specs, ev.name()).map(|child_view| {
+                        Some(Some((parent, spec))) => {
+                            self.specs.descend(*spec, ev.name()).map(|child_spec| {
                                 let id = doc.create_element_view(reader.symbols(), &ev);
-                                (*parent, id, child_view)
+                                (*parent, id, child_spec)
                             })
                         }
                         _ => None,
                     };
                     match child {
-                        Some((parent, id, view)) => {
+                        Some((parent, id, spec)) => {
                             doc.append_child(parent, id);
-                            stack.push(Some((id, view)));
+                            stack.push(Some((id, spec)));
                         }
                         None => stack.push(None),
                     }
@@ -121,8 +120,8 @@ impl ProjectionEngine {
                     stack.pop();
                 }
                 RawEventKind::Text => {
-                    if let Some(Some((node, view))) = stack.last() {
-                        if view.keeps_text(&self.specs) {
+                    if let Some(Some((node, spec))) = stack.last() {
+                        if self.specs.keeps_text(*spec) {
                             // Projected text is exactly the repetitive kind
                             // (every author of every book): route it through
                             // the shared dictionary.

@@ -467,6 +467,18 @@ fn print_only_shapes_match_reference() {
             "<out>{ for $b in $ROOT/bib/book return <r>{$b/title}{ for $x in $b/author return <w>{$x/last}{$x}</w> }</r> }</out>",
             "{author:*}",
         ),
+        // Only an attribute read: each author's shell, keeping `role`
+        // and none of the names it mints.
+        (
+            r#"<out>{ for $b in $ROOT/bib/book return <r>{$b/title}{ for $x in $b/author return <w r="{$x/@role}"/> }</r> }</out>"#,
+            "{author:{@role}}",
+        ),
+        // The book is atomised, so it buffers its subtree under its own
+        // node, and the authors copied from it keep every attribute.
+        (
+            r#"<out>{ for $b in $ROOT/bib/book return <r>{$b/title}<s v="{$b}"/>{$b/author}</r> }</out>"#,
+            "*",
+        ),
     ] {
         let engine = FluxEngine::compile(query, PRINT_ONLY_DTD, &Options::new())
             .unwrap_or_else(|e| panic!("{query}: {e}"));

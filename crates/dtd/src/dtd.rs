@@ -31,7 +31,6 @@ pub struct Dtd {
     root: Option<Symbol>,
     /// DFA for the virtual document node: exactly one root element.
     document_dfa: Option<Dfa>,
-    entities: BTreeMap<String, String>,
 }
 
 impl Dtd {
@@ -129,7 +128,6 @@ impl Dtd {
             elements,
             root,
             document_dfa,
-            entities: parsed.entities.into_iter().collect(),
         })
     }
 
@@ -180,11 +178,6 @@ impl Dtd {
     /// All declared element types, in symbol order.
     pub fn elements(&self) -> impl Iterator<Item = &ElementDecl> {
         self.elements.values()
-    }
-
-    /// General entities declared in the DTD.
-    pub fn entity(&self, name: &str) -> Option<&str> {
-        self.entities.get(name).map(String::as_str)
     }
 
     /// The child-sequence DFA of `parent`. [`SymbolTable::DOCUMENT`] yields
@@ -432,13 +425,6 @@ mod tests {
     #[test]
     fn attlist_for_unknown_element_rejected() {
         assert!(Dtd::parse("<!ELEMENT a EMPTY>\n<!ATTLIST b x CDATA #IMPLIED>").is_err());
-    }
-
-    #[test]
-    fn entities_queryable() {
-        let dtd = Dtd::parse("<!ELEMENT a EMPTY>\n<!ENTITY co \"ACME\">").unwrap();
-        assert_eq!(dtd.entity("co"), Some("ACME"));
-        assert_eq!(dtd.entity("nope"), None);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::symbol::SymbolTable;
 pub struct ParsedDtd {
     pub elements: Vec<RawElementDecl>,
     pub attlists: Vec<RawAttlistDecl>,
-    pub entities: Vec<(String, String)>,
 }
 
 #[derive(Debug)]
@@ -152,9 +151,7 @@ impl<'a> DtdParser<'a> {
             } else if self.looking_at("<!ATTLIST") {
                 out.attlists.push(self.parse_attlist_decl()?);
             } else if self.looking_at("<!ENTITY") {
-                if let Some(entity) = self.parse_entity_decl()? {
-                    out.entities.push(entity);
-                }
+                self.skip_entity_decl()?;
             } else if self.looking_at("<!NOTATION") {
                 // Parsed for tolerance, contents ignored.
                 match find_sub(&self.input[self.pos..], b">") {
@@ -372,32 +369,28 @@ impl<'a> DtdParser<'a> {
         Ok(AttDefault::Default(self.parse_quoted()?))
     }
 
-    /// Parses `<!ENTITY name "value">`; returns `None` for external or
-    /// parameter entities (which are tolerated but unusable).
-    fn parse_entity_decl(&mut self) -> Result<Option<(String, String)>> {
+    /// Checks and skips `<!ENTITY name "value">`, and external or
+    /// parameter entity declarations. Declared entities are not expanded:
+    /// the XML reader knows only the five predefined entities and
+    /// character references.
+    fn skip_entity_decl(&mut self) -> Result<()> {
         self.expect("<!ENTITY")?;
         self.require_ws()?;
-        if self.eat("%") {
-            // Parameter entity declaration: skip to `>`.
+        let skip_to_close = self.eat("%") || {
+            self.parse_name()?;
+            self.require_ws()?;
+            self.looking_at("SYSTEM") || self.looking_at("PUBLIC")
+        };
+        if skip_to_close {
             match find_sub(&self.input[self.pos..], b">") {
                 Some(end) => self.pos += end + 1,
                 None => return Err(self.err("unterminated entity declaration")),
             }
-            return Ok(None);
+            return Ok(());
         }
-        let name = self.parse_name()?;
-        self.require_ws()?;
-        if self.looking_at("SYSTEM") || self.looking_at("PUBLIC") {
-            match find_sub(&self.input[self.pos..], b">") {
-                Some(end) => self.pos += end + 1,
-                None => return Err(self.err("unterminated entity declaration")),
-            }
-            return Ok(None);
-        }
-        let value = self.parse_quoted()?;
+        self.parse_quoted()?;
         self.skip_ws();
-        self.expect(">")?;
-        Ok(Some((name, value)))
+        self.expect(">")
     }
 }
 
@@ -525,18 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn entities_collected() {
-        let (parsed, _) = parse(r#"<!ENTITY company "ACME Corp">"#);
-        assert_eq!(
-            parsed.entities,
-            vec![("company".to_string(), "ACME Corp".to_string())]
-        );
-    }
-
-    #[test]
     fn external_entity_skipped() {
-        let (parsed, _) = parse(r#"<!ENTITY chap1 SYSTEM "chap1.xml">"#);
-        assert!(parsed.entities.is_empty());
+        let (parsed, _) = parse(r#"<!ENTITY chap1 SYSTEM "chap1.xml"><!ELEMENT a EMPTY>"#);
+        assert_eq!(parsed.elements.len(), 1);
     }
 
     #[test]

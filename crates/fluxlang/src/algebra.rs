@@ -12,8 +12,9 @@
 //!   nonempty is false when `never_together(type(x), a, b)` (the paper's
 //!   author/editor example);
 //! * **R3 — constraint-based constant folding**: `exists($x/a)` folds to
-//!   true/false under `at_least_one`/`never_occurs`, loops over impossible
-//!   labels disappear, and constant conditions propagate.
+//!   true/false under `at_least_one`/`never_occurs`, and constant
+//!   conditions propagate. Loops over labels the DTD rules out are left
+//!   to the physical plan, which prunes them with the optimizer on or off.
 //!
 //! The optimizer runs to a fixpoint and records every application in a
 //! trace for `explain()`.
@@ -108,27 +109,6 @@ impl<'d> Optimizer<'d> {
                 where_clause,
                 body,
             } => {
-                // R3: loops over labels the schema forbids are dead code.
-                if let Some(parent) = env.get(&source.start).copied() {
-                    if let [Step::Child(label)] = source.steps.as_slice() {
-                        let impossible = match self.dtd.lookup(label) {
-                            Some(child) => self.dtd.never_occurs(parent, child),
-                            // A label the DTD never declares cannot occur
-                            // in a valid document at all.
-                            None => self.dtd.element(parent).is_some(),
-                        };
-                        if impossible {
-                            self.trace.push(RuleApplication {
-                                rule: "R3",
-                                description: format!(
-                                    "removed loop over {source}: label `{label}` cannot occur below `{}`",
-                                    self.dtd.name(parent)
-                                ),
-                            });
-                            return Expr::Empty;
-                        }
-                    }
-                }
                 let shadowed = self.bind(env, var, source);
                 let body = self.rewrite(body, env);
                 self.unbind(env, var, shadowed);
@@ -665,17 +645,6 @@ mod tests {
         let printed = pretty(&out);
         assert!(printed.contains("<y/>"), "{printed}");
         assert!(!printed.contains("<n/>"), "{printed}");
-    }
-
-    #[test]
-    fn r3_loop_over_impossible_label_removed() {
-        let dtd = fig1();
-        let q = r#"<out>{ for $b in $ROOT/bib/book return
-            for $z in $b/appendix return <z>{$z}</z> }</out>"#;
-        let (out, trace) = optimize(q, &dtd);
-        assert!(trace.iter().any(|r| r.rule == "R3"), "{trace:?}");
-        let printed = pretty(&out);
-        assert!(!printed.contains("appendix"), "{printed}");
     }
 
     #[test]

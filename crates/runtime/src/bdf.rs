@@ -40,11 +40,19 @@ pub struct SpecNode {
     /// Keep text children at this point.
     pub text: bool,
     /// Attributes of *this* element the plan reads (`$v/@a`), in
-    /// insertion order. A scope shell keeps only these (all of them when
-    /// `whole` is set) — an attribute name no expression reads never
-    /// enters the buffer store, so an adversarial stream minting distinct
-    /// names cannot grow the store's run-long dictionary.
+    /// insertion order. An element buffered under this node keeps only
+    /// these unless it is `copied` ([`SpecNode::keeps_attr`]) — an
+    /// attribute name no expression reads never enters the buffer store,
+    /// so an adversarial stream minting distinct names cannot grow the
+    /// store's run-long dictionary.
     pub attrs: Vec<Symbol>,
+    /// Some use copies this node — an output path, a `$v` copy, a `let`
+    /// binding — so it keeps every attribute. A kept-whole node is also
+    /// copied when a node below it is, since it buffers that node's
+    /// elements under itself ([`SpecArena::mark_output_only`]). A node
+    /// kept whole only for its string value keeps just `attrs`: a string
+    /// value holds no attribute.
+    pub copied: bool,
     /// Child labels to keep, with their own projections, in insertion
     /// order. Spec nodes have a handful of children at most, so descent is
     /// a short scan of integer comparisons.
@@ -56,6 +64,15 @@ pub struct SpecNode {
     /// The first use of this node that needs it as a tree — a comparison,
     /// a test, an atomisation, a `let` binding — for explain output.
     pub tree_use: Option<String>,
+}
+
+impl SpecNode {
+    /// The one attribute rule of the buffer store: an element buffered
+    /// under this node, scope shell or descendant alike, keeps attribute
+    /// `name` when a use copies the node or the plan reads `name`.
+    pub fn keeps_attr(&self, name: Symbol) -> bool {
+        self.copied || self.attrs.contains(&name)
+    }
 }
 
 /// Arena of spec nodes; scope variables own root specs.
@@ -101,8 +118,12 @@ impl SpecArena {
         child
     }
 
-    pub fn mark_whole(&mut self, id: SpecId) {
-        self.node_mut(id).whole = true;
+    /// Keeps the whole subtree below `id`; `copied` when the use copies
+    /// it, which keeps every attribute too.
+    pub fn mark_whole(&mut self, id: SpecId, copied: bool) {
+        let node = self.node_mut(id);
+        node.whole = true;
+        node.copied |= copied;
     }
 
     pub fn mark_text(&mut self, id: SpecId) {
@@ -122,12 +143,26 @@ impl SpecArena {
     /// node whose whole subtree is kept, that has no child edges and no
     /// `text()` or attribute reads, and that no expression uses except to
     /// copy it to the output, is *output-only* — buffered as serialized
-    /// bytes. Everything else stays a tree. Call once every expression's
+    /// bytes. Everything else stays a tree. A kept-whole node buffers its
+    /// whole subtree under itself ([`SpecArena::descend`]), so it is
+    /// `copied` when any node below it is. Call once every expression's
     /// needs are collected.
     pub fn mark_output_only(&mut self) {
         let mut is_child = vec![false; self.nodes.len()];
         for edge in self.nodes.iter().flat_map(|n| &n.children) {
             is_child[edge.child.index()] = true;
+        }
+        // A child is pushed after its parent, so a reverse scan settles
+        // every node below one before the node itself.
+        let mut copied_below = vec![false; self.nodes.len()];
+        for i in (0..self.nodes.len()).rev() {
+            let below = self.nodes[i]
+                .children
+                .iter()
+                .any(|e| copied_below[e.child.index()] || self.nodes[e.child.index()].copied);
+            copied_below[i] = below;
+            let node = &mut self.nodes[i];
+            node.copied |= node.whole && below;
         }
         for (node, is_child) in self.nodes.iter_mut().zip(is_child) {
             node.output_only = is_child
@@ -225,6 +260,25 @@ impl SpecArena {
         !n.whole && !n.text && n.children.is_empty()
     }
 
+    /// The node a child element named `sym` of an element buffered under
+    /// `id` is buffered under; `None` when it is projected away. A short
+    /// scan of integer comparisons against the symbols interned at
+    /// plan-compile time. A kept-whole node descends to itself, so its
+    /// whole subtree is buffered under it.
+    pub fn descend(&self, id: SpecId, sym: Symbol) -> Option<SpecId> {
+        let n = self.node(id);
+        if n.whole {
+            return Some(id);
+        }
+        n.children.iter().find(|e| e.sym == sym).map(|e| e.child)
+    }
+
+    /// Whether an element buffered under `id` keeps its text children.
+    pub fn keeps_text(&self, id: SpecId) -> bool {
+        let n = self.node(id);
+        n.whole || n.text
+    }
+
     /// Renders a spec subtree, for `explain` output, spelling labels
     /// through `names` (sorted for stable output).
     pub fn render(&self, id: SpecId, names: &SymbolTable) -> String {
@@ -264,7 +318,7 @@ impl SpecArena {
                 out.push(',');
             }
             out.push_str(names.name(edge.sym));
-            if !self.is_empty_spec(edge.child) {
+            if !self.is_empty_spec(edge.child) || !self.node(edge.child).attrs.is_empty() {
                 out.push(':');
                 self.render_into(edge.child, names, out);
             }
@@ -277,48 +331,6 @@ impl SpecArena {
 impl fmt::Display for SpecArena {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SpecArena({} nodes)", self.nodes.len())
-    }
-}
-
-/// How a buffer-population step should treat a child element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecView {
-    /// Copy everything below.
-    Whole,
-    /// Project per this spec node.
-    Project(SpecId),
-}
-
-impl SpecView {
-    /// Descends into a child element named by `sym`: `None` means the
-    /// child is projected away entirely. A short scan of integer
-    /// comparisons over the node's edges, against the symbols interned at
-    /// plan-compile time.
-    pub fn descend_sym(self, arena: &SpecArena, sym: Symbol) -> Option<SpecView> {
-        match self {
-            SpecView::Whole => Some(SpecView::Whole),
-            SpecView::Project(id) => {
-                let n = arena.node(id);
-                if n.whole {
-                    return Some(SpecView::Whole);
-                }
-                n.children
-                    .iter()
-                    .find(|e| e.sym == sym)
-                    .map(|e| SpecView::Project(e.child))
-            }
-        }
-    }
-
-    /// Whether text children are kept at this point.
-    pub fn keeps_text(self, arena: &SpecArena) -> bool {
-        match self {
-            SpecView::Whole => true,
-            SpecView::Project(id) => {
-                let n = arena.node(id);
-                n.whole || n.text
-            }
-        }
     }
 }
 
@@ -363,6 +375,16 @@ enum Use<'e> {
 }
 
 impl Use<'_> {
+    /// What this use keeps of the node it takes: a copy, or a `let`
+    /// binding whose uses are not tracked, keeps every attribute; an
+    /// atomisation only the string value.
+    fn keep(self) -> Keep {
+        match self {
+            Use::Copy | Use::Let(_) => Keep::Copy,
+            Use::Atomise => Keep::StringValue,
+        }
+    }
+
     /// Why this use needs the node as a tree; `None` for a copy.
     fn tree_use(self) -> Option<String> {
         match self {
@@ -408,15 +430,27 @@ fn resolve<'p>(
     Some((current, tail))
 }
 
-/// Records a path's needs. `string_valued` paths keep their subtree;
-/// `tree_use` names the use, if any, that needs the node the path selects
-/// as a tree.
+/// What a use of a path keeps of the node the path selects.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Keep {
+    /// Its shell: `exists` and `empty` test only that it is there.
+    Shell,
+    /// Its whole subtree for its string value, which holds no attribute:
+    /// the attributes the plan reads, and no other.
+    StringValue,
+    /// Its whole subtree with every attribute: the use copies it.
+    Copy,
+}
+
+/// Records a path's needs, keeping what `keep` says of the node the path
+/// selects; `tree_use` names the use, if any, that needs that node as a
+/// tree.
 fn note_path(
     arena: &mut SpecArena,
     path: &Path,
     scopes: &[(VarName, SpecId)],
     local: &[(VarName, SpecId)],
-    string_valued: bool,
+    keep: Keep,
     tree_use: &dyn Fn() -> Option<String>,
     resolver: &mut Resolver<'_>,
 ) {
@@ -426,14 +460,14 @@ fn note_path(
     match tail {
         Some(Step::Text) => arena.mark_text(node),
         Some(Step::Attribute(name)) => {
-            // Shells keep only the attributes the plan reads — record the
-            // read so this one survives shell projection.
+            // Buffered nodes keep only the attributes the plan reads —
+            // record the read so this one is kept.
             arena.mark_attr(node, resolver(name));
         }
         _ => {
-            if string_valued {
+            if keep != Keep::Shell {
                 // String values need all descendant text: keep the subtree.
-                arena.mark_whole(node);
+                arena.mark_whole(node, keep == Keep::Copy);
             }
             arena.note_tree_use(node, tree_use);
         }
@@ -452,7 +486,7 @@ fn collect_cond(
             let why = || Some(format!("compared in {lhs} {} {rhs}", op.as_str()));
             for operand in [lhs, rhs] {
                 if let Operand::Path(p) = operand {
-                    note_path(arena, p, scopes, local, true, &why, resolver);
+                    note_path(arena, p, scopes, local, Keep::StringValue, &why, resolver);
                 }
             }
         }
@@ -464,11 +498,11 @@ fn collect_cond(
         // Existence checks only need the element shells materialised.
         Cond::Exists(p) => {
             let why = || Some(format!("tested by exists({p})"));
-            note_path(arena, p, scopes, local, false, &why, resolver)
+            note_path(arena, p, scopes, local, Keep::Shell, &why, resolver)
         }
         Cond::Empty(p) => {
             let why = || Some(format!("tested by empty({p})"));
-            note_path(arena, p, scopes, local, false, &why, resolver)
+            note_path(arena, p, scopes, local, Keep::Shell, &why, resolver)
         }
         Cond::True | Cond::False => {}
     }
@@ -486,14 +520,15 @@ fn collect(
         Expr::Empty | Expr::StringLit(_) => {}
         Expr::Var(v) => {
             if let Some(id) = lookup(scopes, local, v) {
-                arena.mark_whole(id);
+                arena.mark_whole(id, ctx.keep() == Keep::Copy);
                 arena.note_tree_use(id, || ctx.tree_use());
             }
         }
         Expr::Path(p) => {
             // Output position: nodes are copied (whole), attribute/text
             // reads are cheaper.
-            note_path(arena, p, scopes, local, true, &|| ctx.tree_use(), resolver);
+            let keep = ctx.keep();
+            note_path(arena, p, scopes, local, keep, &|| ctx.tree_use(), resolver);
         }
         Expr::Sequence(items) => {
             for item in items {
@@ -692,7 +727,7 @@ mod tests {
     #[test]
     fn attribute_read_keeps_shell_only() {
         let (arena, root, table) = needs_of("<r>{ for $a in $book/author return $a/@id }</r>");
-        assert_eq!(arena.render(root, &table), "{author}");
+        assert_eq!(arena.render(root, &table), "{author:{@id}}");
     }
 
     #[test]
@@ -740,29 +775,68 @@ mod tests {
         // on any other symbol finds nothing.
         let (arena, root, mut table) = needs_of("<r>{ for $a in $book/undeclared return $a }</r>");
         assert_eq!(arena.render(root, &table), "{undeclared:*}");
-        let view = SpecView::Project(root);
-        assert!(view
-            .descend_sym(&arena, table.intern("undeclared"))
-            .is_some());
-        assert_eq!(view.descend_sym(&arena, table.intern("author")), None);
+        assert!(arena.descend(root, table.intern("undeclared")).is_some());
+        assert_eq!(arena.descend(root, table.intern("author")), None);
     }
 
     #[test]
     fn spec_view_descend() {
         let (arena, root, mut table) =
             needs_of("<r>{ for $a in $book/author return $a/text() }</r>");
-        let view = SpecView::Project(root);
-        let author = view.descend_sym(&arena, table.intern("author")).unwrap();
-        assert!(author.keeps_text(&arena));
+        let author = arena.descend(root, table.intern("author")).unwrap();
+        assert!(arena.keeps_text(author));
         assert!(
-            view.descend_sym(&arena, table.intern("title")).is_none(),
+            arena.descend(root, table.intern("title")).is_none(),
             "title projected away"
         );
-        assert!(!view.keeps_text(&arena));
-        // Whole view keeps descending as whole.
-        assert_eq!(
-            SpecView::Whole.descend_sym(&arena, table.intern("anything")),
-            Some(SpecView::Whole)
-        );
+        assert!(!arena.keeps_text(root));
+        // A kept-whole node descends to itself.
+        let (arena, root, mut table) = needs_of("<r>{$book}</r>");
+        let anything = table.intern("anything");
+        assert_eq!(arena.descend(root, anything), Some(root));
+        assert!(arena.keeps_text(root));
+    }
+
+    #[test]
+    fn only_copied_nodes_keep_every_attribute() {
+        // (query, label under $book, keeps all attributes, reads @id)
+        for (query, label, copied, reads_id) in [
+            ("<r>{$book/author}</r>", "author", true, false),
+            (
+                r#"<r>{ if ($book/author = "x") then "y" else () }</r>"#,
+                "author",
+                false,
+                false,
+            ),
+            (r#"<r a="{$book/author}"/>"#, "author", false, false),
+            (
+                "<r>{ for $a in $book/author return $a/@id }</r>",
+                "author",
+                false,
+                true,
+            ),
+            (
+                r#"<r a="{$book/author/@id}">{ if ($book/author = "x") then "y" else () }</r>"#,
+                "author",
+                false,
+                true,
+            ),
+            // A compared node buffers its subtree under itself, so a copy
+            // below it keeps every attribute of the whole subtree.
+            (
+                r#"<r>{ if ($book/author = "x") then $book/author/last else () }</r>"#,
+                "author",
+                true,
+                false,
+            ),
+        ] {
+            let (mut arena, root, mut table) = needs_of(query);
+            arena.mark_output_only();
+            let node = arena.node(arena.descend(root, table.intern(label)).unwrap());
+            let id = table.intern("id");
+            assert_eq!(node.copied, copied, "{query}");
+            assert_eq!(node.keeps_attr(id), copied || reads_id, "{query}");
+            assert_eq!(node.keeps_attr(table.intern("minted")), copied, "{query}");
+        }
     }
 }

@@ -34,6 +34,7 @@
 //! copying it out is one `write_all`, and freeing it returns its byte
 //! buffer to a pool.
 
+use crate::bdf::SpecNode;
 use crate::stats::MemoryTracker;
 use flux_xml::tree::{Document, NodeAttr, NodeId, NodeKind};
 use flux_xml::{RawEventRef, Symbol, SymbolTable, XmlWriter};
@@ -131,67 +132,44 @@ impl BufferArena {
         id
     }
 
-    /// Creates a detached element from a borrowed event view. Buffering
-    /// inherently copies the *content* — attribute values and (later)
-    /// text — but names import as integers: zero name strings allocate,
-    /// and with warmed spare pools the whole call allocates nothing.
-    pub fn create_element_view(&mut self, symbols: &SymbolTable, ev: &RawEventRef<'_>) -> NodeId {
+    /// Buffers the element behind a start-tag view under its BDF node
+    /// `spec`: appended under `parent`, or detached (a scope shell) with
+    /// `None`. Buffering inherently copies the *content* — attribute
+    /// values and (later) text — but names import as integers: zero name
+    /// strings allocate, and with warmed spare pools the whole call
+    /// allocates nothing.
+    ///
+    /// The node keeps the attributes `spec` keeps
+    /// ([`SpecNode::keeps_attr`]: every one when a use copies it, else the
+    /// ones the plan reads, symbols of the vocabulary the stream is seeded
+    /// with, so an [`SymbolTable::OVERFLOW`] name is never one of them).
+    /// Dropping unread attributes here is what keeps the run-long name
+    /// dictionary off adversarial streams: a minted name no expression
+    /// reads never reaches the arena's table, so `peak_buffer_bytes`
+    /// stays flat however many distinct names the input mints.
+    pub fn buffer_element(
+        &mut self,
+        parent: Option<NodeId>,
+        symbols: &SymbolTable,
+        ev: &RawEventRef<'_>,
+        spec: &SpecNode,
+    ) -> NodeId {
         let dict_before = self.doc.interned_name_bytes();
         let name = self.doc.import_name(symbols, ev.name(), ev.target());
         let mut attrs = self.pooled_attrs();
-        for a in ev.attrs() {
+        for a in ev.attrs().filter(|a| spec.keeps_attr(a.name)) {
             let name = self.doc.import_name(symbols, a.name, a.overflow_name);
             let value = self.pooled_string(a.value);
             attrs.push(NodeAttr { name, value });
         }
         self.charge_dictionary(dict_before);
-        self.alloc(NodeKind::Element {
+        let id = self.alloc(NodeKind::Element {
             name,
             attributes: attrs,
-        })
-    }
-
-    /// Creates a detached scope shell from a borrowed event view, keeping
-    /// only the attributes in `keep` (the ones the plan actually reads —
-    /// [`crate::bdf::SpecNode::attrs`], symbols of the vocabulary the
-    /// stream is seeded with, so an [`SymbolTable::OVERFLOW`] name is
-    /// never one of them). Dropping unread attributes here is what keeps
-    /// the run-long name dictionary off adversarial streams: a minted
-    /// name no expression reads never reaches the arena's table, so
-    /// `peak_buffer_bytes` stays flat however many distinct names the
-    /// input mints.
-    pub fn create_element_view_projected(
-        &mut self,
-        symbols: &SymbolTable,
-        ev: &RawEventRef<'_>,
-        keep: &[Symbol],
-    ) -> NodeId {
-        let dict_before = self.doc.interned_name_bytes();
-        let name = self.doc.import_name(symbols, ev.name(), ev.target());
-        let mut attrs = self.pooled_attrs();
-        if !keep.is_empty() {
-            for a in ev.attrs().filter(|a| keep.contains(&a.name)) {
-                let name = self.doc.import_name(symbols, a.name, a.overflow_name);
-                let value = self.pooled_string(a.value);
-                attrs.push(NodeAttr { name, value });
-            }
+        });
+        if let Some(parent) = parent {
+            self.doc.append_child(parent, id);
         }
-        self.charge_dictionary(dict_before);
-        self.alloc(NodeKind::Element {
-            name,
-            attributes: attrs,
-        })
-    }
-
-    /// Appends a new element from a borrowed event view under `parent`.
-    pub fn append_element_view(
-        &mut self,
-        parent: NodeId,
-        symbols: &SymbolTable,
-        ev: &RawEventRef<'_>,
-    ) -> NodeId {
-        let id = self.create_element_view(symbols, ev);
-        self.doc.append_child(parent, id);
         id
     }
 
@@ -335,7 +313,16 @@ mod tests {
         for &(attr, value) in attrs {
             ev.push_attr_named(attr).push_str(value);
         }
-        arena.create_element_view(&SymbolTable::new(), &RawEventRef::from_event(&ev))
+        let view = RawEventRef::from_event(&ev);
+        arena.buffer_element(None, &SymbolTable::new(), &view, &copied())
+    }
+
+    /// A BDF node some use copies: its elements keep every attribute.
+    fn copied() -> SpecNode {
+        SpecNode {
+            copied: true,
+            ..SpecNode::default()
+        }
     }
 
     /// Appends a new element named `name` under `parent`.
@@ -476,12 +463,23 @@ mod tests {
         ev.target_mut().push_str("mystery");
         ev.push_attr_named("oddattr").push_str("v1");
         let view = RawEventRef::from_event(&ev);
-        let id = arena.create_element_view(&symbols, &view);
+        let id = arena.buffer_element(None, &symbols, &view, &copied());
         assert_eq!(arena.doc().name(id), Some("mystery"));
         assert_eq!(arena.doc().attribute(id, "oddattr"), Some("v1"));
         // A second spell-alike node shares the one interned name.
-        let id2 = arena.create_element_view(&symbols, &view);
+        let id2 = arena.buffer_element(Some(id), &symbols, &view, &copied());
         assert_eq!(arena.doc().name_sym(id), arena.doc().name_sym(id2));
+        assert_eq!(arena.doc().children(id), [id2]);
+        // A node no use copies keeps only the attributes the plan reads,
+        // and an overflowed name is never one of them.
+        let bytes = arena.current_bytes();
+        let id3 = arena.buffer_element(None, &symbols, &view, &SpecNode::default());
+        assert_eq!(arena.doc().attribute(id3, "oddattr"), None);
+        assert_eq!(
+            arena.current_bytes() - bytes,
+            arena.doc().node_heap_bytes(id3),
+            "no dictionary charge"
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ use flux_xsax::{WalkSink, XsaxParser, XsaxStep};
 use std::io::Write;
 use std::time::Instant;
 
-use crate::bdf::SpecView;
+use crate::bdf::SpecId;
 
 /// Per-open-element execution state. The `targets`/`scopes`/`bindings`/
 /// `shells` fields are start indices into the [`ExecState`] stacks of the
@@ -85,8 +85,8 @@ struct Frame {
 /// One buffer an open element's content populates.
 #[derive(Clone, Copy)]
 enum Target {
-    /// A tree node, populated per the projection view.
-    Tree(NodeId, SpecView),
+    /// A tree node, populated per the BDF node it is buffered under.
+    Tree(NodeId, SpecId),
     /// A print-only subtree rooted at this element, whose serialization
     /// starts at `start` in the capture buffer and seals into a child of
     /// `parent` named `name` when the element closes.
@@ -358,8 +358,7 @@ impl<'p, W: Write> ExecState<'p, W> {
         // emits its children, as document-node semantics require.
         let shell = self.arena.doc().document_node();
         let mut frame = self.open_frame(None);
-        self.targets
-            .push(Target::Tree(shell, SpecView::Project(self.plan.root_spec)));
+        self.targets.push(Target::Tree(shell, self.plan.root_spec));
         let root_slot = self.plan.root_slot;
         let saved = self.slots[root_slot].replace(shell);
         self.bindings.push((root_slot, saved));
@@ -384,50 +383,40 @@ impl<'p, W: Write> ExecState<'p, W> {
         let parent = self.innermost()?;
         // The parent's entries end where the new frame's begin.
         let mut frame = self.open_frame(Some(&parent));
-        if !parent.copying
-            && !parent.capturing
-            && parent.targets == frame.targets
-            && parent.scopes == frame.scopes
-        {
-            // Nothing copies, buffers or dispatches here: the start tag
-            // is not read, and neither is anything inside.
-            self.stack.push(frame);
-            return Ok(true);
-        }
         let symbols = parser.symbols();
         let ev = parser.view();
         let sym = ev.name();
         if parent.copying {
             self.writer.start_element_view(symbols, &ev)?;
         }
-        // Buffer population: descend every active tree view on symbol
+        // Buffer population: descend every active tree target on symbol
         // equality (XSAX delivers declared element names only). A
         // print-only child starts a capture instead of a node; inside a
         // capture nothing descends — the frame's `capturing` flag carries
         // the rest of the subtree.
         let specs = &self.plan.specs;
         for i in parent.targets..frame.targets {
-            let Target::Tree(node, view) = self.targets[i] else {
+            let Target::Tree(node, spec) = self.targets[i] else {
                 continue;
             };
-            let Some(child_view) = view.descend_sym(specs, sym) else {
+            let Some(child) = specs.descend(spec, sym) else {
                 continue;
             };
-            match child_view {
-                SpecView::Project(id) if specs.node(id).output_only => {
-                    let name = self.arena.import_name(symbols, &ev);
-                    let start = self.arena.capture_mark();
-                    self.targets.push(Target::Bytes {
-                        parent: node,
-                        name,
-                        start,
-                    });
-                    frame.capturing = true;
-                }
-                _ => {
-                    let child_node = self.arena.append_element_view(node, symbols, &ev);
-                    self.targets.push(Target::Tree(child_node, child_view));
-                }
+            let spec_node = specs.node(child);
+            if spec_node.output_only {
+                let name = self.arena.import_name(symbols, &ev);
+                let start = self.arena.capture_mark();
+                self.targets.push(Target::Bytes {
+                    parent: node,
+                    name,
+                    start,
+                });
+                frame.capturing = true;
+            } else {
+                let child_node = self
+                    .arena
+                    .buffer_element(Some(node), symbols, &ev, spec_node);
+                self.targets.push(Target::Tree(child_node, child));
             }
         }
         if frame.capturing {
@@ -453,22 +442,14 @@ impl<'p, W: Write> ExecState<'p, W> {
                     continue;
                 }
                 if *binds {
-                    // The shell carries only the attributes the plan reads
-                    // (all of them when the whole subtree is kept): unread
-                    // minted names must never grow the arena's dictionary.
-                    let spec_node = plan.specs.node(*spec);
-                    let shell = if spec_node.whole {
-                        self.arena.create_element_view(symbols, &ev)
-                    } else {
+                    let shell =
                         self.arena
-                            .create_element_view_projected(symbols, &ev, &spec_node.attrs)
-                    };
+                            .buffer_element(None, symbols, &ev, plan.specs.node(*spec));
                     let saved = self.slots[*var_slot].replace(shell);
                     self.bindings.push((*var_slot, saved));
                     self.shells.push(shell);
                     if !plan.specs.is_empty_spec(*spec) {
-                        self.targets
-                            .push(Target::Tree(shell, SpecView::Project(*spec)));
+                        self.targets.push(Target::Tree(shell, *spec));
                     }
                 }
                 self.enter_plan(body, &mut frame, Some((&ev, symbols)))?;
@@ -483,7 +464,7 @@ impl<'p, W: Write> ExecState<'p, W> {
             // no other buffer may miss a child the walk settles.
             let only_shell = match own_targets {
                 [] => plan.specs.is_empty_spec(ps.spec),
-                [Target::Tree(_, SpecView::Project(spec))] => *spec == ps.spec,
+                [Target::Tree(_, spec)] => *spec == ps.spec,
                 _ => false,
             };
             only_shell && !ps.walk.is_empty()
@@ -536,8 +517,8 @@ impl<'p, W: Write> ExecState<'p, W> {
             self.arena.capture().text(text())?;
         }
         for target in &self.targets[frame.targets..] {
-            if let Target::Tree(node, view) = *target {
-                if view.keeps_text(&self.plan.specs) {
+            if let Target::Tree(node, spec) = *target {
+                if self.plan.specs.keeps_text(spec) {
                     self.arena.append_text(node, text());
                 }
             }

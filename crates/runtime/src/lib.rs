@@ -13,7 +13,7 @@ pub mod exec;
 pub mod plan;
 pub mod stats;
 
-pub use bdf::{SpecArena, SpecEdge, SpecId, SpecView};
+pub use bdf::{SpecArena, SpecEdge, SpecId, SpecNode};
 pub use buffer::BufferArena;
 pub use error::{Result, RuntimeError};
 pub use exec::execute;

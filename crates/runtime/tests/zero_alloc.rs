@@ -25,7 +25,7 @@
 // wraps `System` one-to-one and adds a relaxed atomic increment.
 #![allow(unsafe_code)]
 
-use flux_runtime::BufferArena;
+use flux_runtime::{BufferArena, SpecNode};
 use flux_xml::{RawEvent, RawEventKind, RawEventRef, SymbolTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,20 +57,34 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Buffers one "book" scope — an attributed shell, two children, merged
 /// text — from recycled stream events, then frees it. This is the shape
-/// the streamed evaluator drives per `on`-handler instance.
+/// the streamed evaluator drives per `on`-handler instance, every node
+/// under a BDF node some use copies, so it keeps every attribute.
 fn buffer_one_scope(
     arena: &mut BufferArena,
     symbols: &SymbolTable,
     book: &RawEvent,
     author: &RawEvent,
 ) {
-    let shell = arena.create_element_view(symbols, &RawEventRef::from_event(book));
-    let a1 = arena.append_element_view(shell, symbols, &RawEventRef::from_event(author));
+    let spec = copied();
+    let (book, author) = (
+        RawEventRef::from_event(book),
+        RawEventRef::from_event(author),
+    );
+    let shell = arena.buffer_element(None, symbols, &book, &spec);
+    let a1 = arena.buffer_element(Some(shell), symbols, &author, &spec);
     arena.append_text(a1, "Stevens, W. Richard");
     arena.append_text(a1, " and Wright, Gary R.");
-    let a2 = arena.append_element_view(shell, symbols, &RawEventRef::from_event(author));
+    let a2 = arena.buffer_element(Some(shell), symbols, &author, &spec);
     arena.append_text(a2, "Abiteboul, Serge");
     arena.free_scope(shell);
+}
+
+/// A BDF node some use copies.
+fn copied() -> SpecNode {
+    SpecNode {
+        copied: true,
+        ..SpecNode::default()
+    }
 }
 
 /// The same scope with print-only authors: each author's events go
@@ -82,7 +96,7 @@ fn buffer_one_bytes_scope(
     book: &RawEvent,
     author: &RawEvent,
 ) {
-    let shell = arena.create_element_view(symbols, &RawEventRef::from_event(book));
+    let shell = arena.buffer_element(None, symbols, &RawEventRef::from_event(book), &copied());
     for texts in [
         ["Stevens, W. Richard", " & Wright <Gary R.>"],
         ["Abiteboul, Serge", ""],

@@ -19,7 +19,7 @@
 // wraps `System` one-to-one and adds a relaxed atomic increment.
 #![allow(unsafe_code)]
 
-use flux_runtime::BufferArena;
+use flux_runtime::{BufferArena, SpecNode};
 use flux_xml::tree::NodeId;
 use flux_xml::{RawEvent, RawEventKind, RawEventRef, SymbolTable};
 use flux_xquery::{
@@ -223,8 +223,9 @@ fn element(
         ev.push_attr_named(attr).push_str(value);
     }
     let (symbols, view) = (SymbolTable::new(), RawEventRef::from_event(&ev));
-    match parent {
-        Some(parent) => arena.append_element_view(parent, &symbols, &view),
-        None => arena.create_element_view(&symbols, &view),
-    }
+    let copied = SpecNode {
+        copied: true,
+        ..SpecNode::default()
+    };
+    arena.buffer_element(parent, &symbols, &view, &copied)
 }

@@ -133,9 +133,9 @@ proptest! {
 /// vocabulary like declared ones: every configuration of the grid, the
 /// FluX ones sequential and sharded, agrees on the bytes. The inputs:
 /// XMP-Q1's `@year` (Figure 1 declares no attributes), a loop over an
-/// undeclared element (R3 deletes it, so only the optimizer-off
-/// configuration keeps it, as an `on-first` handler and a BDF edge), and
-/// an undeclared attribute as the key of a keyed loop.
+/// undeclared element (the scheduler keeps it as an `on-first` handler
+/// and a BDF edge, which the plan prunes, optimizer on or off), and an
+/// undeclared attribute as the key of a keyed loop.
 #[test]
 fn undeclared_labels_agree_across_engines_and_modes() {
     use flux_conformance::catalog_query;

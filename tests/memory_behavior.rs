@@ -97,6 +97,8 @@ fn strong_dtd_strictly_cheaper_than_weak() {
 
 #[test]
 fn name_mint_adversary_flat_under_default_options() {
+    use fluxquery::xmlgen::{mint_string, MintConfig};
+
     // The name-minting adversary grows the distinct-name vocabulary
     // linearly with the document. With default options the engine's peak
     // buffer must stay flat regardless: minted names the query never
@@ -104,25 +106,48 @@ fn name_mint_adversary_flat_under_default_options() {
     // interner is closed at the plan's vocabulary.
     let w = workload("name_mint");
     assert!(w.adversarial_names, "registry marks the adversary");
-    let peak = |scale: f64| {
-        let doc = w.document(scale, 42);
-        run_engine_with(
-            EngineKind::Flux,
-            w.query.expect("name_mint runs the engine tier"),
-            w.dtd.expect("name_mint has a DTD"),
-            doc.as_bytes(),
-            &Options::new(),
-        )
-        .unwrap()
-        .stats
-        .peak_buffer_bytes
+    let dtd = w.dtd.expect("name_mint has a DTD");
+    let flat = |what: &str, query: &str, document: &dyn Fn(f64) -> String| {
+        let peak = |scale: f64| {
+            let doc = document(scale);
+            run_engine_with(Flux, query, dtd, doc.as_bytes(), &Options::new())
+                .unwrap_or_else(|e| panic!("{what}: {e}"))
+                .stats
+                .peak_buffer_bytes
+        };
+        let small = peak(0.5);
+        let large = peak(8.0); // 16x the books — and 16x the minted vocabulary
+        assert!(
+            (large as f64) < (small as f64) * 2.0,
+            "{what}: peak grew with minted names: {small} -> {large}"
+        );
     };
-    let small = peak(0.5);
-    let large = peak(8.0); // 16x the books — and 16x the minted vocabulary
-    assert!(
-        (large as f64) < (small as f64) * 2.0,
-        "peak grew with minted names: {small} -> {large}"
-    );
+    let query = w.query.expect("name_mint runs the engine tier");
+    flat("Q3, books minting", query, &|scale| w.document(scale, 42));
+    // Every book, title and author mints a name, so buffered tree nodes
+    // meet minted attributes too: a node kept whole for its string value,
+    // or projected to the attributes the plan reads, keeps no other.
+    let minting_everywhere = |scale: f64| {
+        let mut config = MintConfig::new((50.0 * scale).ceil() as usize, 1, 42);
+        config.spare_buffered_subtrees = false;
+        mint_string(&config)
+    };
+    for (what, query) in [
+        (
+            "compared authors",
+            r#"<r>{ for $b in $ROOT/bib/book return if ($b/author = "A1") then $b/title else () }</r>"#,
+        ),
+        (
+            "atomised authors",
+            r#"<r>{ for $b in $ROOT/bib/book return <b>{$b/title}<a v="{$b/author}"/></b> }</r>"#,
+        ),
+        (
+            "@id of buffered authors",
+            r#"<r>{ for $b in $ROOT/bib/book return <b>{$b/title}{ for $a in $b/author return <a i="{$a/@id}"/> }</b> }</r>"#,
+        ),
+    ] {
+        flat(what, query, &minting_everywhere);
+    }
 }
 
 /// A validating parser reads through a reader closed at the DTD's

@@ -222,13 +222,12 @@ fn section_3_1_rewrites_move_the_counts() {
 
 /// A loop over a label the DTD rules out under its parent is pruned at
 /// plan compile, with or without the algebraic optimizer: `appendix` is
-/// not declared, so no book holds one. Without the optimizer, R3 does not
-/// remove the loop, and the scheduler buffers it under `on-first
+/// not declared, so no book holds one. The optimizer leaves the loop to
+/// the plan, and the scheduler buffers it under `on-first
 /// past(appendix)`; the plan drops that loop, then the handler it leaves
 /// empty, the process-stream left without handlers and the book shell
-/// nothing reads any more, so every book is hopped whole just as with
-/// the optimizer. No shell is bound at all: the `bib` scope only hosts
-/// the book stream. (events, buffer traffic) on 1 000 books at seed 42,
+/// nothing reads any more, so every book is hopped whole. No shell is
+/// bound at all: the `bib` scope only hosts the book stream. (events, buffer traffic) on 1 000 books at seed 42,
 /// optimizer on and off: before pruning, the run without the optimizer
 /// delivered 14 052 events and moved 64 064 B.
 #[test]
