@@ -479,6 +479,16 @@ fn print_only_shapes_match_reference() {
             r#"<out>{ for $b in $ROOT/bib/book return <r>{$b/title}<s v="{$b}"/>{$b/author}</r> }</out>"#,
             "*",
         ),
+        // Atomised or compared, with nothing copied below it: the authors
+        // it buffers under its own node keep the `role` read of them.
+        (
+            r#"<out>{ for $b in $ROOT/bib/book return <r><s v="{$b}"/>{ for $a in $b/author return <a i="{$a/@role}"/> }</r> }</out>"#,
+            "*",
+        ),
+        (
+            r#"<out>{ for $b in $ROOT/bib/book return if ($b = "x") then () else <a i="{$b/author/@role}"/> }</out>"#,
+            "*",
+        ),
     ] {
         let engine = FluxEngine::compile(query, PRINT_ONLY_DTD, &Options::new())
             .unwrap_or_else(|e| panic!("{query}: {e}"));

@@ -50,7 +50,8 @@ pub struct SpecNode {
     /// binding — so it keeps every attribute. A kept-whole node is also
     /// copied when a node below it is, since it buffers that node's
     /// elements under itself ([`SpecArena::mark_output_only`]). A node
-    /// kept whole only for its string value keeps just `attrs`: a string
+    /// kept whole only for its string value keeps just `attrs`, which
+    /// then also holds the attributes read of nodes below it: a string
     /// value holds no attribute.
     pub copied: bool,
     /// Child labels to keep, with their own projections, in insertion
@@ -145,32 +146,35 @@ impl SpecArena {
     /// copy it to the output, is *output-only* — buffered as serialized
     /// bytes. Everything else stays a tree. A kept-whole node buffers its
     /// whole subtree under itself ([`SpecArena::descend`]), so it is
-    /// `copied` when any node below it is. Call once every expression's
-    /// needs are collected.
+    /// `copied` when any node below it is, and otherwise keeps every
+    /// attribute read below it too. Call once every expression's needs
+    /// are collected.
     pub fn mark_output_only(&mut self) {
-        let mut is_child = vec![false; self.nodes.len()];
-        for edge in self.nodes.iter().flat_map(|n| &n.children) {
-            is_child[edge.child.index()] = true;
-        }
         // A child is pushed after its parent, so a reverse scan settles
-        // every node below one before the node itself.
-        let mut copied_below = vec![false; self.nodes.len()];
+        // every node below one before the node itself, and a root is no
+        // node's child. `below[i]`: whether a node below `i` is copied,
+        // and the attributes read below it.
+        let mut below = vec![(false, Vec::new()); self.nodes.len()];
         for i in (0..self.nodes.len()).rev() {
-            let below = self.nodes[i]
-                .children
-                .iter()
-                .any(|e| copied_below[e.child.index()] || self.nodes[e.child.index()].copied);
-            copied_below[i] = below;
+            let (mut copied, mut attrs) = (false, Vec::new());
+            for edge in self.nodes[i].children.clone() {
+                let (child, child_below) = (self.node_mut(edge.child), &below[edge.child.index()]);
+                child.output_only = child.whole
+                    && child.children.is_empty()
+                    && !child.text
+                    && child.attrs.is_empty()
+                    && child.tree_use.is_none();
+                copied |= child.copied || child_below.0;
+                attrs.extend(child.attrs.iter().chain(&child_below.1));
+            }
             let node = &mut self.nodes[i];
-            node.copied |= node.whole && below;
-        }
-        for (node, is_child) in self.nodes.iter_mut().zip(is_child) {
-            node.output_only = is_child
-                && node.whole
-                && node.children.is_empty()
-                && !node.text
-                && node.attrs.is_empty()
-                && node.tree_use.is_none();
+            node.copied |= node.whole && copied;
+            if node.whole && !node.copied {
+                for &attr in &attrs {
+                    self.mark_attr(SpecId(i), attr);
+                }
+            }
+            below[i] = (copied, attrs);
         }
     }
 
@@ -828,6 +832,14 @@ mod tests {
                 "author",
                 true,
                 false,
+            ),
+            // ... and, with nothing copied below it, the attributes read
+            // below it.
+            (
+                r#"<r a="{$book/author}">{ for $l in $book/author/last return <l i="{$l/@id}"/> }</r>"#,
+                "author",
+                false,
+                true,
             ),
         ] {
             let (mut arena, root, mut table) = needs_of(query);
